@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-json bench-diff bench-baseline experiments examples serve-smoke ci clean
+.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-json bench-diff bench-baseline bench-repo-test experiments examples serve-smoke ci clean
 
 # Coverage floor for the cover-check gate: the suite sits above 80%,
 # so the floor guards against untested subsystems landing, with a
@@ -187,6 +187,16 @@ bench-diff: bench-json
 bench-baseline:
 	$(GO) run ./cmd/distjoin-bench -bench-json $(BENCH_BASELINE) -scale $(BENCH_SCALE)
 
+# The repository benchmark (benchmark/, BENCHMARK.json) is a module of
+# its own, so `go build ./... && go test ./...` never compiles it, yet it
+# imports internal APIs of this one (sweep.SoASorter, rtree.ReadNodeSoA,
+# hybridq.Config, join.Options). Vet and test it here, so a change to
+# those breaks CI and not the benchmark driver. About 20 s: it includes
+# a quick pass over all five workloads.
+bench-repo-test:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
+
 # Regenerate the paper's evaluation (tables to stdout, figures to ./figures).
 experiments:
 	$(GO) run ./cmd/distjoin-bench -exp all -svg figures
@@ -228,7 +238,8 @@ serve-smoke:
 
 # Everything the CI workflow (.github/workflows/ci.yml) runs, locally:
 # lint gate, build, tests with coverage + floor gate, race detector,
-# simulation smoke, fuzz smoke, server smoke, bench regression gate.
+# simulation smoke, fuzz smoke, server smoke, bench regression gate,
+# repository-benchmark module check.
 ci: lint build
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
@@ -238,6 +249,7 @@ ci: lint build
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) bench-diff
+	$(MAKE) bench-repo-test
 
 clean:
 	$(GO) clean ./...

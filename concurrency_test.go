@@ -65,6 +65,68 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstTouch races the lazy fill of the indexes'
+// sweep-order memo: N goroutines start the same join at the same moment
+// on one shared pair of indexes no query has touched, so they all sort
+// and publish the same nodes' orders at once (a primary -race target).
+// Whichever store wins each slot, every caller — serial or running its
+// own worker pool — must return exactly what a serial query on a
+// private pair of indexes returns.
+func TestConcurrentFirstTouch(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	a := randObjects(rng, 900, 2000, 10)
+	b := randObjects(rng, 900, 2000, 10)
+	build := func(objs []Object) *Index {
+		idx, err := NewIndex(objs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	const k = 120
+	want, err := KDistanceJoin(build(a), build(b), k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 3; round++ {
+		left, right := build(a), build(b) // fresh: every slot still empty
+		const callers = 8
+		start := make(chan struct{})
+		fail := make(chan string, callers)
+		var wg sync.WaitGroup
+		for w := 0; w < callers; w++ {
+			opts := &Options{Algorithm: []Algorithm{AMKDJ, BKDJ}[w%2], Parallelism: []int{1, 1, 3}[w%3]}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got, err := KDistanceJoin(left, right, k, opts)
+				if err != nil {
+					fail <- err.Error()
+					return
+				}
+				if len(got) != len(want) {
+					fail <- "result length mismatch"
+					return
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						fail <- opts.Algorithm.String() + ": result differs from the serial run on private indexes"
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(fail)
+		for msg := range fail {
+			t.Fatal(msg)
+		}
+	}
+}
+
 type errMismatch2 struct {
 	algo Algorithm
 	i    int

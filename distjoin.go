@@ -33,6 +33,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"sync"
 
 	"distjoin/internal/estimate"
@@ -410,7 +411,15 @@ func CreateIndexFile(path string, objects []Object, cfg *IndexConfig) (*Index, e
 	if err != nil {
 		return nil, err
 	}
-	return buildIndex(objects, cfg, store)
+	idx, err := buildIndex(objects, cfg, store)
+	if err != nil {
+		// Nothing owns the store yet: release the descriptor and do not
+		// leave a partial file that OpenIndexFile would half-accept.
+		store.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return idx, nil
 }
 
 // OpenIndexFile opens an index previously written by CreateIndexFile.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -122,6 +123,33 @@ func TestIndexFileRoundTrip(t *testing.T) {
 	}
 	if _, err := OpenIndexFile(filepath.Join(t.TempDir(), "nope"), nil); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// TestCreateIndexFileFailureCleansUp: a build that fails after the file
+// was created must release the descriptor and remove the partial file.
+func TestCreateIndexFileFailureCleansUp(t *testing.T) {
+	good := randObjects(rand.New(rand.NewSource(2)), 50, 1000, 10)
+	for name, bad := range map[string]Object{
+		"invalid rect":    {ID: 1, Rect: Rect{MinX: 2, MaxX: 1}},
+		"id out of range": {ID: 1 << 48, Rect: NewRect(0, 0, 1, 1)},
+	} {
+		path := filepath.Join(t.TempDir(), "idx.rtree")
+		if _, err := CreateIndexFile(path, append(good[:len(good):len(good)], bad), nil); err == nil {
+			t.Fatalf("%s: want an error", name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: partial index file left behind (stat err = %v)", name, err)
+		}
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			continue // no /proc: the descriptor check needs Linux
+		}
+		for _, fd := range fds {
+			if target, _ := os.Readlink("/proc/self/fd/" + fd.Name()); strings.HasPrefix(target, path) {
+				t.Errorf("%s: descriptor %s still open on %s", name, fd.Name(), target)
+			}
+		}
 	}
 }
 

@@ -254,7 +254,7 @@ type expander struct {
 	c          *execContext
 	mc         *metrics.Collector
 	soaL, soaR rtree.NodeSoA   // reused SoA decode buffers for sideSoA
-	sorter     sweep.SoASorter // reused sweep-order sorter
+	sorter     sweep.SoASorter // reused sweep-order sorter (memo misses only)
 	run        sweepRun        // reused sweep state, handed out by expansion
 	distBuf    []float64       // reused batch distance kernel output
 }
@@ -419,14 +419,20 @@ func (e *expander) sideSoA(tree *rtree.Tree, ref uint64, isObj bool, rect geom.R
 	if err := tree.ReadNodeSoA(refPage(ref), dst, e.mc); err != nil {
 		return false, err
 	}
-	if !dst.IsLeaf() {
-		// Stamp child levels into the refs.
-		lvl := dst.Level - 1
-		for i, r := range dst.Refs {
-			dst.Refs[i] = nodeRef(storage.PageID(r), lvl)
-		}
-	}
+	stampChildLevels(dst)
 	return dst.IsLeaf(), nil
+}
+
+// stampChildLevels rewrites an internal node's child page IDs into
+// level-carrying node refs. Leaves are left alone.
+func stampChildLevels(dst *rtree.NodeSoA) {
+	if dst.IsLeaf() {
+		return
+	}
+	lvl := dst.Level - 1
+	for i, r := range dst.Refs {
+		dst.Refs[i] = nodeRef(storage.PageID(r), lvl)
+	}
 }
 
 // maxDist computes the maximum distance between two rects, counted as

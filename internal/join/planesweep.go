@@ -312,19 +312,40 @@ func (e *expander) expansion(p hybridq.Pair, cutoff float64) (*sweepRun, error) 
 // compensation stage to reproduce the stage-one sweep order exactly.
 func (e *expander) expansionWithPlan(p hybridq.Pair, plan sweep.Plan) (*sweepRun, error) {
 	c := e.c
-	lObj, err := e.sideSoA(c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL)
+	lObj, err := e.sideSorted(c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL, plan)
 	if err != nil {
 		return nil, err
 	}
-	rObj, err := e.sideSoA(c.right, p.Right, p.RightObj, p.RightRect, &e.soaR)
+	rObj, err := e.sideSorted(c.right, p.Right, p.RightObj, p.RightRect, &e.soaR, plan)
 	if err != nil {
 		return nil, err
 	}
-	e.sorter.Sort(&e.soaL, plan)
-	e.sorter.Sort(&e.soaR, plan)
 	r := &e.run
 	*r = sweepRun{e: e, L: &e.soaL, R: &e.soaR, lObj: lObj, rObj: rObj, plan: plan}
 	return r, nil
+}
+
+// sideSorted is sideSoA with the entries in plan's sweep order. The
+// order of a packed node under one plan never changes, so the tree
+// memoizes it: the first expansion of a node sorts it exactly as every
+// expansion used to and publishes the permutation; later ones decode
+// the page straight into that order. Either way the page is fetched
+// through the buffer pool and accounted once.
+func (e *expander) sideSorted(tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, dst *rtree.NodeSoA, plan sweep.Plan) (childIsObj bool, err error) {
+	if isObj {
+		dst.SetSingle(rect, ref)
+		return true, nil
+	}
+	page, slot := refPage(ref), plan.Slot()
+	ordered, err := tree.ReadNodeSoAOrdered(page, slot, dst, e.mc)
+	if err != nil {
+		return false, err
+	}
+	if !ordered {
+		tree.PublishSweepOrder(page, slot, e.sorter.SortTracked(dst, plan))
+	}
+	stampChildLevels(dst)
+	return dst.IsLeaf(), nil
 }
 
 // choosePlan applies the sweep policy.

@@ -1,11 +1,16 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"distjoin/internal/datagen"
 	"distjoin/internal/geom"
+	"distjoin/internal/hybridq"
+	"distjoin/internal/rtree"
+	"distjoin/internal/storage"
+	"distjoin/internal/sweep"
 )
 
 // BenchmarkLeafSweepSoA drives the struct-of-arrays leaf sweep through
@@ -36,4 +41,148 @@ func BenchmarkLeafSweepSoA(b *testing.B) {
 			b.Fatal("within join produced no pairs; benchmark is not exercising refinement")
 		}
 	}
+}
+
+// orderBenchTrees packs the two sides of the ordering benchmarks at the
+// page-derived fanout (102 entries per 4 KB node, as the facade builds
+// them) and returns each tree with its node page IDs.
+func orderBenchTrees(b *testing.B) (left, right *rtree.Tree, lids, rids []storage.PageID) {
+	rng := rand.New(rand.NewSource(812))
+	w := geom.NewRect(0, 0, 1000, 1000)
+	pack := func(items []rtree.Item) (*rtree.Tree, []storage.PageID) {
+		bld, err := rtree.NewBuilderForPageSize(4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bld.BulkLoad(items)
+		t, err := bld.Pack(storage.NewMemStore(4096), 1<<24)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ids []storage.PageID
+		if err := t.Walk(func(id storage.PageID, _ *rtree.Node) error {
+			ids = append(ids, id)
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		return t, ids
+	}
+	left, lids = pack(datagen.GaussianClusters(rng.Int63(), 12000, 8, w, 60, 8))
+	right, rids = pack(datagen.Uniform(rng.Int63(), 12000, w, 10))
+	return left, right, lids, rids
+}
+
+var benchPlans = [rtree.SweepSlots]sweep.Plan{
+	{Axis: 0, Dir: sweep.Forward}, {Axis: 0, Dir: sweep.Backward},
+	{Axis: 1, Dir: sweep.Forward}, {Axis: 1, Dir: sweep.Backward},
+}
+
+// BenchmarkSoASorter isolates the sweep-sort layer: one op is one
+// sweep.SoASorter.Sort of one node from page order (so ns/op is ns per
+// node), cycling through the nodes of a packed tree, per plan. The
+// column copy that restores page order before each sort is inside the
+// timed region; the copy sub-benchmark is that cost alone, to subtract.
+func BenchmarkSoASorter(b *testing.B) {
+	tree, _, ids, _ := orderBenchTrees(b)
+	nodes := make([]rtree.NodeSoA, len(ids))
+	for i, id := range ids {
+		if err := tree.ReadNodeSoA(id, &nodes[i], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var scratch rtree.NodeSoA
+	restore := func(src *rtree.NodeSoA) {
+		scratch.Reset(src.Len())
+		copy(scratch.MinX, src.MinX)
+		copy(scratch.MinY, src.MinY)
+		copy(scratch.MaxX, src.MaxX)
+		copy(scratch.MaxY, src.MaxY)
+		copy(scratch.Refs, src.Refs)
+	}
+	b.Run("copy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			restore(&nodes[i%len(nodes)])
+		}
+	})
+	var sorter sweep.SoASorter
+	for _, p := range benchPlans {
+		p := p
+		b.Run(fmt.Sprintf("axis%d-%s", p.Axis, p.Dir), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				restore(&nodes[i%len(nodes)])
+				sorter.Sort(&scratch, p)
+			}
+		})
+	}
+}
+
+// BenchmarkExpansionOrder measures expansionWithPlan — page fetch,
+// decode and ordering of both sides, the whole cost of establishing
+// node order — where the sweep-order memo misses and where it hits. One
+// op is one node-pair expansion (two nodes: ns/node is half of ns/op).
+// miss runs every expansion on a (node, plan) no query has ordered yet,
+// reopening both trees — outside the timed region — once every slot has
+// been filled: sort plus publish, 4 allocations per op (two published
+// permutations). hit runs over a filled memo: ordered decode, 0
+// allocations.
+func BenchmarkExpansionOrder(b *testing.B) {
+	left, right, lids, rids := orderBenchTrees(b)
+	n := min(len(lids), len(rids))
+	var c *execContext
+	reopen := func() {
+		l, err := rtree.Open(left.Pool().Store(), 1<<24)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := rtree.Open(right.Pool().Store(), 1<<24)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c, err = newContext(l, r, Options{}); err != nil {
+			b.Fatal(err)
+		}
+		// Fault every page in, so both variants time pool hits.
+		for i := 0; i < n; i++ {
+			if err := l.ReadNodeSoA(lids[i], &c.ex.soaL, nil); err != nil {
+				b.Fatal(err)
+			}
+			if err := r.ReadNodeSoA(rids[i], &c.ex.soaR, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// step expands the i-th node pair of the cycle: every (node, plan)
+	// combination of both sides exactly once per 4n steps.
+	step := func(i int) {
+		// Levels are irrelevant to ordering; level 0 refs are page IDs.
+		p := hybridq.Pair{Left: nodeRef(lids[i%n], 0), Right: nodeRef(rids[i%n], 0)}
+		if _, err := c.ex.expansionWithPlan(p, benchPlans[i/n%len(benchPlans)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%(4*n) == 0 {
+				b.StopTimer()
+				reopen()
+				b.StartTimer()
+			}
+			step(i)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		reopen()
+		for i := 0; i < 4*n; i++ {
+			step(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
+		}
+	})
 }

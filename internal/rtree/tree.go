@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"distjoin/internal/geom"
 	"distjoin/internal/metrics"
@@ -32,6 +33,10 @@ type Tree struct {
 	size     int
 	numNodes int
 	bounds   geom.Rect
+	// orders is the sweep-order memo (order.go): SweepSlots cells per
+	// page, filled lazily by queries and never invalidated — it depends
+	// only on the immutable page contents, not on the buffer pool.
+	orders []atomic.Pointer[sweepOrder]
 }
 
 // Pack serializes the builder's current contents onto store (page 0
@@ -115,6 +120,7 @@ func (b *Builder) Pack(store storage.Store, bufferBytes int) (*Tree, error) {
 		size:     b.size,
 		numNodes: len(order),
 		bounds:   bounds,
+		orders:   newOrderMemo(store),
 	}, nil
 }
 
@@ -144,6 +150,7 @@ func Open(store storage.Store, bufferBytes int) (*Tree, error) {
 			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(meta[44:])),
 			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(meta[52:])),
 		},
+		orders: newOrderMemo(store),
 	}
 	return t, nil
 }
@@ -183,25 +190,34 @@ func (t *Tree) SetIOCostModel(m metrics.IOCostModel) { t.cost = m }
 // access, whether it was physical (buffer miss), and the buffer pool
 // hit/miss/eviction attribution.
 func (t *Tree) ReadNode(id storage.PageID, dst *Node, mc *metrics.Collector) error {
-	page, acc, err := t.pool.GetAccounted(id)
+	page, err := t.fetchNode(id, mc)
 	if err != nil {
 		return err
 	}
+	return decodeNode(page, dst)
+}
+
+// fetchNode returns node id's page through the buffer pool and records
+// the access against mc: the one fetch-and-account step every node
+// decoder (ReadNode, ReadNodeSoA, ReadNodeSoAOrdered) starts with.
+func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) ([]byte, error) {
+	page, acc, err := t.pool.GetAccounted(id)
+	if err != nil {
+		return nil, err
+	}
 	mc.NodeAccess(!acc.Hit, t.cost.RandomPageCost())
 	mc.BufferAccess(acc.Hit, acc.Evictions)
-	return decodeNode(page, dst)
+	return page, nil
 }
 
 // ReadNodeSoA is ReadNode decoding into the struct-of-arrays layout:
 // the same page fetch and metrics accounting, with the entry columns
 // written into dst's reusable backing arrays.
 func (t *Tree) ReadNodeSoA(id storage.PageID, dst *NodeSoA, mc *metrics.Collector) error {
-	page, acc, err := t.pool.GetAccounted(id)
+	page, err := t.fetchNode(id, mc)
 	if err != nil {
 		return err
 	}
-	mc.NodeAccess(!acc.Hit, t.cost.RandomPageCost())
-	mc.BufferAccess(acc.Hit, acc.Evictions)
 	return decodeNodeSoA(page, dst)
 }
 

@@ -89,6 +89,9 @@ func Check(s Scenario) error {
 	if err := checkScale(e, reg); err != nil {
 		return err
 	}
+	if err := checkWarmRerun(e, "warm-rerun", reg); err != nil {
+		return err
+	}
 
 	// Every query begun against the registry must have ended — an
 	// in-flight leftover means some path skipped endQuery.
@@ -233,7 +236,7 @@ func checkTranslation(e *env, reg *obsrv.Registry) error {
 				i, got[i].Dist, want, tol)
 		}
 	}
-	return nil
+	return checkWarmRerun(te, "translation/warm-rerun", reg)
 }
 
 // checkScale asserts power-of-two scale equivariance: multiplying
@@ -264,5 +267,46 @@ func checkScale(e *env, reg *obsrv.Registry) error {
 	if err != nil {
 		return failf(s, nil, "scale", "AM-KDJ unexpected error: %v", err)
 	}
-	return se.compareExact("scale", "AM-KDJ(x4)", got)
+	if err := se.compareExact("scale", "AM-KDJ(x4)", got); err != nil {
+		return err
+	}
+	return checkWarmRerun(se, "scale/warm-rerun", reg)
+}
+
+// checkWarmRerun asserts that the trees' sweep-order memo is invisible.
+// e's trees have served earlier checks, so their memo is (partly)
+// filled and a query on them decodes nodes straight into sweep order;
+// a freshly packed copy has an empty memo and sorts every node it
+// touches. Run serially from cold buffer pools, the two must return the
+// same pairs in the same order with the same deterministic counters,
+// and so must a rerun on the copy once the first run has filled it.
+func checkWarmRerun(e *env, check string, reg *obsrv.Registry) error {
+	for _, name := range []string{"B-KDJ", "AM-KDJ", "AM-IDJ"} {
+		fresh, err := newEnvItems(e.s, e.left, e.right,
+			storage.NewMemStore(e.s.PageSize), storage.NewMemStore(e.s.PageSize), e.ref)
+		if err != nil {
+			return failf(e.s, nil, check, "building fresh environment: %v", err)
+		}
+		cold, coldC, err := fresh.runCounted(name, reg)
+		if err != nil {
+			return failf(e.s, nil, check, "%s on a fresh index: unexpected error: %v", name, err)
+		}
+		for _, warm := range []struct {
+			what string
+			e    *env
+		}{{"used index", e}, {"fresh index, second run", fresh}} {
+			got, gotC, err := warm.e.runCounted(name, reg)
+			if err != nil {
+				return failf(e.s, nil, check, "%s on the %s: unexpected error: %v", name, warm.what, err)
+			}
+			if err := e.compareExactTo(check, name+" ("+warm.what+")", got, cold); err != nil {
+				return err
+			}
+			if gotC != coldC {
+				return failf(e.s, nil, check, "%s counters on the %s differ from a fresh index's:\n got  %+v\n want %+v",
+					name, warm.what, gotC, coldC)
+			}
+		}
+	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"distjoin/internal/geom"
 	"distjoin/internal/hybridq"
 	"distjoin/internal/join"
+	"distjoin/internal/metrics"
 	"distjoin/internal/obsrv"
 	"distjoin/internal/rtree"
 	"distjoin/internal/shard"
@@ -212,6 +213,32 @@ func (e *env) runAlgo(name string, opts join.Options, limit int) ([]join.Result,
 	default:
 		return nil, fmt.Errorf("simtest: unknown algorithm %q", name)
 	}
+}
+
+// coldPools empties both trees' buffer pools, so the next run's
+// physical reads do not depend on what ran before it.
+func (e *env) coldPools() error {
+	if err := e.lt.Pool().Invalidate(); err != nil {
+		return err
+	}
+	return e.rt.Pool().Invalidate()
+}
+
+// runCounted is a serial runAlgo from cold buffer pools that also
+// returns the run's deterministic counters (everything but wall time),
+// so runs on differently warmed trees can be compared counter for
+// counter.
+func (e *env) runCounted(name string, reg *obsrv.Registry) ([]join.Result, metrics.Collector, error) {
+	var mc, counters metrics.Collector
+	if err := e.coldPools(); err != nil {
+		return nil, counters, err
+	}
+	opts := e.options(1, nil, nil, reg)
+	opts.Metrics = &mc
+	got, err := e.runAlgo(name, opts, len(e.ref))
+	counters.Add(&mc)
+	counters.WallTime = 0
+	return got, counters, err
 }
 
 // runShard executes the partition-parallel executor over the

@@ -204,6 +204,30 @@ func (fe *faultEnv) run(algo string, sched *FaultSchedule) ([]join.Result, fault
 	return got, counts, err
 }
 
+// checkWarmCensus reruns algo cleanly on the trees the census run just
+// used, from cold buffer pools. The trees' sweep-order memo is now
+// filled, so expansions decode in order where the census run sorted,
+// yet every page is still fetched: the rerun must reproduce the oracle
+// and, on a deterministic serial run, the census operation for
+// operation — a memoized node that skipped its page read would also
+// skip its fault point.
+func (fe *faultEnv) checkWarmCensus(algo string, census faultCounts) error {
+	if err := fe.coldPools(); err != nil {
+		return failf(fe.s, nil, "fault-count-warm", "invalidating pool: %v", err)
+	}
+	got, counts, err := fe.run(algo, nil)
+	if err != nil {
+		return failf(fe.s, nil, "fault-count-warm", "%s clean rerun failed: %v", algo, err)
+	}
+	if err := fe.compareExact("fault-count-warm", algo, got); err != nil {
+		return err
+	}
+	if fe.s.Parallelism <= 1 && counts != census {
+		return failf(fe.s, nil, "fault-count-warm", "%s census changed on a warm index: %v, cold %v", algo, counts, census)
+	}
+	return nil
+}
+
 // samplePoints picks the points to explore out of n counted ones: all
 // of them when max <= 0 or n <= max, an evenly-strided subset (always
 // including point 0) otherwise.
@@ -251,6 +275,9 @@ func ExploreFaults(s Scenario, opts ExploreOpts) error {
 			return failf(s, nil, "fault-count", "%s clean run failed: %v", algo, err)
 		}
 		if err := fe.compareExact("fault-count", algo, got); err != nil {
+			return err
+		}
+		if err := fe.checkWarmCensus(algo, counts); err != nil {
 			return err
 		}
 		for _, target := range faultTargets {
@@ -341,8 +368,8 @@ func runSchedule(s Scenario, ref []join.Result, sched *FaultSchedule, baseG int,
 		return failf(s, sched, "fault", "%s: %v", sched.Algo, err)
 	}
 	// Recovery: the injected fault must leave the shared state (trees,
-	// buffer pools) clean enough that an immediate re-run reproduces
-	// the oracle.
+	// buffer pools, the partly filled sweep-order memo) clean enough
+	// that an immediate re-run reproduces the oracle.
 	rec, _, err := fe.run(sched.Algo, nil)
 	if err != nil {
 		return failf(s, sched, "fault-recovery", "%s re-run after fault failed: %v", sched.Algo, err)

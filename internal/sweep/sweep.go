@@ -38,6 +38,22 @@ type Plan struct {
 	Dir  Direction
 }
 
+// Slot numbers the four plans 0..3 (axis-major, forward before
+// backward): the key under which rtree.Tree memoizes a node's order for
+// this plan. It reads the plan the way the sorters do — any axis but 0
+// is Y, any direction but Backward is forward — so two plans share a
+// slot exactly when they sort a node identically.
+func (p Plan) Slot() int {
+	slot := 0
+	if p.Axis != 0 {
+		slot = 2
+	}
+	if p.Dir == Backward {
+		slot++
+	}
+	return slot
+}
+
 // Choose returns the sweeping plan for expanding the node pair (r, s)
 // under the pruning cutoff: the axis minimizing the sweeping index and
 // the direction determined by the projected intervals. A non-finite or
