@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-json bench-diff bench-baseline bench-repo-test experiments examples serve-smoke ci clean
+.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples serve-smoke ci clean
 
 # Coverage floor for the cover-check gate: the suite sits above 80%,
 # so the floor guards against untested subsystems landing, with a
@@ -165,6 +165,16 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# Run every Go benchmark for one iteration, tests excluded: a benchmark
+# that stopped compiling, panics or fails its own checks breaks CI
+# here, not when someone next needs its numbers. The package list is
+# found, not kept: every package with a Benchmark function, except the
+# repository benchmark's module.
+BENCH_PKGS = $(shell grep -rl --include='*_test.go' '^func Benchmark' . | grep -v '^\./benchmark/' | xargs -n1 dirname | sort -u)
+
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
+
 # Write a schema-versioned perf record for the regression gate.
 bench-json:
 	$(GO) run ./cmd/distjoin-bench -bench-json $(BENCH_NEW) -scale $(BENCH_SCALE)
@@ -238,8 +248,8 @@ serve-smoke:
 
 # Everything the CI workflow (.github/workflows/ci.yml) runs, locally:
 # lint gate, build, tests with coverage + floor gate, race detector,
-# simulation smoke, fuzz smoke, server smoke, bench regression gate,
-# repository-benchmark module check.
+# simulation smoke, fuzz smoke, server smoke, one-iteration benchmark
+# smoke, bench regression gate, repository-benchmark module check.
 ci: lint build
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
@@ -248,6 +258,7 @@ ci: lint build
 	$(MAKE) sim-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) bench-diff
 	$(MAKE) bench-repo-test
 

@@ -387,6 +387,12 @@ func (w *poolWalk) bind(id *ast.Ident, rhs ast.Expr) {
 	}
 	delete(w.poison, v)
 	delete(w.alias, v)
+	// A number or bool read out of a pooled object is a copy: it cannot
+	// alias the slab, so keeping it (or storing it elsewhere) past the
+	// put is fine.
+	if b, ok := v.Type().Underlying().(*types.Basic); ok && b.Info()&(types.IsNumeric|types.IsBoolean) != 0 {
+		return
+	}
 	// Alias only memory of a pool-origin object, and never through a
 	// pointer dereference: `b := *h` copies the value out of the holder
 	// (the putPageBuf holder idiom nils the slot before putting it

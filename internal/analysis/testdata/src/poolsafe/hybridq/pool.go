@@ -60,6 +60,19 @@ func goodCopyOut(s *sink) {
 	putPairBuf(buf)
 }
 
+type gauge struct{ last int }
+
+// A scalar read out of the slab is a copy, not an alias: storing it
+// elsewhere and using it after the put are both fine.
+func goodScalarCopyOut(g *gauge) int {
+	buf := getPairBuf()
+	buf.items = append(buf.items[:0], 4, 5)
+	top := buf.items[0]
+	g.last = top
+	putPairBuf(buf)
+	return top
+}
+
 func goodPutOnErrorPath(fail bool) int {
 	buf := getPairBuf()
 	if fail {

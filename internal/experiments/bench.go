@@ -113,7 +113,22 @@ func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
 	// pooled disk path (pair slabs, page buffers, segments) from the
 	// join algorithms; the insert and page-I/O counters are
 	// deterministic for the fixed driver sequence.
-	if err := measureQueueCycle(measure); err != nil {
+	if err := measureQueueCycle(measure, "QUEUE/spill-reload", func(rng *rand.Rand) float64 {
+		return rng.Float64() * 1000
+	}); err != nil {
+		return nil, err
+	}
+	// The same cycle with three pairs in four tied at distance zero, the
+	// shape overlapping data gives the main queue: the heap overflows
+	// while holding nothing but the tie run, which may not be split
+	// across memory and disk. The counters gate the spill pattern; the
+	// wall clock shows whether an unsplittable overflow stays O(1).
+	if err := measureQueueCycle(measure, "QUEUE/tie-run", func(rng *rand.Rand) float64 {
+		if rng.Intn(4) > 0 {
+			return 0
+		}
+		return rng.Float64() * 1000
+	}); err != nil {
 		return nil, err
 	}
 
@@ -147,8 +162,8 @@ func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
 	return rec, nil
 }
 
-// queueCycleN is the number of pairs the QUEUE/spill-reload entry
-// pushes and pops per cycle; queueCycleBudget forces the cycle through
+// queueCycleN is the number of pairs a QUEUE/* entry pushes and pops
+// per cycle; queueCycleBudget forces the cycle through
 // many heap splits and segment reloads so the pooled disk path — not
 // the in-memory heap — dominates.
 const (
@@ -156,14 +171,14 @@ const (
 	queueCycleBudget = 64 * hybridq.RecordSize
 )
 
-// measureQueueCycle records the QUEUE/spill-reload benchmark entry: a
+// measureQueueCycle records one QUEUE/* benchmark entry: a
 // deterministic push/pop cycle through a hybrid queue small enough
 // that nearly every pair spills to disk and reloads. Distances come
-// from a fixed-seed generator, so the spill pattern — and with it the
-// insert and page-I/O counters — is identical across runs.
+// from dist over a fixed-seed generator, so the spill pattern — and
+// with it the insert and page-I/O counters — is identical across runs.
 func measureQueueCycle(measure func(name string, algo Algo, k, par int,
-	run func() (*metrics.Collector, error)) error) error {
-	return measure("QUEUE/spill-reload", "QUEUE", queueCycleN, 0,
+	run func() (*metrics.Collector, error)) error, name string, dist func(*rand.Rand) float64) error {
+	return measure(name, "QUEUE", queueCycleN, 0,
 		func() (*metrics.Collector, error) {
 			mc := &metrics.Collector{}
 			mc.Start()
@@ -175,7 +190,7 @@ func measureQueueCycle(measure func(name string, algo Algo, k, par int,
 			rng := rand.New(rand.NewSource(20000516))
 			for i := 0; i < queueCycleN; i++ {
 				q.Push(hybridq.Pair{
-					Dist:     rng.Float64() * 1000,
+					Dist:     dist(rng),
 					LeftObj:  true,
 					RightObj: true,
 					Left:     uint64(i),

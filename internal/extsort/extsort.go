@@ -180,7 +180,7 @@ func (s *Sorter[T]) Sort() (*Iterator[T], error) {
 	}
 	it := &Iterator[T]{
 		s: s,
-		heads: pqueue.NewHeap(func(a, b head[T]) bool {
+		heads: pqueue.NewHeap(func(a, b *head[T]) bool {
 			if s.less(a.rec, b.rec) {
 				return true
 			}

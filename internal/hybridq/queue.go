@@ -33,12 +33,23 @@ type Queue struct {
 	tr       *trace.Tracer
 	fault    func(op FaultOp) error
 	err      error
-	// splitFloor suppresses pointless re-splits: when a split finds the
-	// whole heap sharing one distance (nothing spillable without
-	// straddling a tie run across the memory/disk boundary), it records
-	// the heap length here, and Push retries a split only once the heap
-	// grows past it with a spillable (longer-distance) element possible.
+	// diskPairs is the number of pairs in q.segs, kept running so Len
+	// (called once per push by the join) never walks the segments.
+	diskPairs int
+	// splitFloor and the tie run handle an over-capacity heap that holds
+	// nothing spillable: when a split (or an over-capacity swap-in) finds
+	// every pair sharing one distance, the run stays in memory whole —
+	// equal distances never straddle the memory/disk boundary — and the
+	// heap length is recorded in splitFloor. A push is an overflow only
+	// once the heap grows past splitFloor. While tieRun holds, every pair
+	// in the heap has distance tieDist, so an overflowing push of one more
+	// tied pair is known to find nothing to spill: it advances splitFloor
+	// and the bound exactly as that split would have, in O(1). A pair of
+	// any other distance entering the heap ends the run, and the next
+	// overflow splits for real.
 	splitFloor int
+	tieRun     bool
+	tieDist    float64
 	// mu serializes the public operations when the queue was built with
 	// Config.Concurrent. The parallel join engine touches the main queue
 	// only from its coordinating goroutine between worker barriers, so
@@ -140,7 +151,7 @@ func New(cfg Config) *Queue {
 		memBound = b
 	}
 	q := &Queue{
-		heap:     pqueue.NewHeap(func(a, b Pair) bool { return a.Less(b) }),
+		heap:     pqueue.NewHeap(func(a, b *Pair) bool { return a.Less(*b) }),
 		capacity: capacity,
 		memBound: memBound,
 		rho:      cfg.Rho,
@@ -173,7 +184,7 @@ func (q *Queue) Capacity() int { return q.capacity }
 // Len returns the total number of queued pairs (memory + disk).
 func (q *Queue) Len() int {
 	defer q.lock()()
-	return q.heap.Len() + q.diskLen()
+	return q.heap.Len() + q.diskPairs
 }
 
 // Empty reports whether no pairs are queued.
@@ -197,7 +208,7 @@ func (q *Queue) Segments() int {
 // enough to call on the hot path at a bounded rate.
 func (q *Queue) Depth() (mem, disk, segments int) {
 	defer q.lock()()
-	return q.heap.Len(), q.diskLen(), len(q.segs)
+	return q.heap.Len(), q.diskPairs, len(q.segs)
 }
 
 // Err returns the first storage error encountered, if any.
@@ -216,12 +227,27 @@ func (q *Queue) Push(p Pair) {
 	}
 	if p.Dist < q.memBound {
 		q.heap.Push(p)
-		if q.heap.Len() > q.capacity && q.heap.Len() > q.splitFloor {
-			q.splitHeap()
+		// Ordered comparisons, not ==: a heap distance is never NaN.
+		tied := q.tieRun && !(p.Dist < q.tieDist) && !(p.Dist > q.tieDist)
+		q.tieRun = tied
+		if n := q.heap.Len(); n > q.capacity && n > q.splitFloor {
+			if tied {
+				q.holdTieRun(n)
+			} else {
+				q.splitHeap()
+			}
 		}
 		return
 	}
 	q.spill(p)
+}
+
+// holdTieRun records that the n-pair heap is a single run of distance
+// q.tieDist kept in memory whole: pairs beyond it spill directly, and
+// no split is attempted until the heap outgrows n.
+func (q *Queue) holdTieRun(n int) {
+	q.memBound = math.Nextafter(q.tieDist, math.Inf(1))
+	q.splitFloor = n
 }
 
 // Pop removes and returns the minimum pair. ok is false when the
@@ -295,8 +321,8 @@ func (q *Queue) splitHeap() {
 		// Nothing spillable — the whole heap is one tie run. Leave it
 		// in memory, shrink the bound so longer pairs spill directly,
 		// and stop re-splitting until the heap can actually shed load.
-		q.memBound = bound
-		q.splitFloor = len(items)
+		q.tieRun, q.tieDist = true, split
+		q.holdTieRun(len(items))
 		buf.items = items
 		putPairBuf(buf)
 		return
@@ -337,20 +363,10 @@ func (q *Queue) splitHeap() {
 			Dist:     bound,
 			Count:    int64(spilled),
 			MemLen:   q.heap.Len(),
-			DiskLen:  q.diskLen(),
+			DiskLen:  q.diskPairs,
 			Segments: len(q.segs),
 		})
 	}
-}
-
-// diskLen returns the number of pairs currently in disk segments.
-// Callers hold the queue lock (or own the queue single-threaded).
-func (q *Queue) diskLen() int {
-	n := 0
-	for _, s := range q.segs {
-		n += s.count
-	}
-	return n
 }
 
 // spill routes p to the disk segment covering its distance, creating a
@@ -361,25 +377,28 @@ func (q *Queue) spill(p Pair) {
 }
 
 // segmentFor locates or creates the segment containing dist, which is
-// >= memBound.
+// >= memBound. q.segs is sorted by lo and disjoint, so only the last
+// segment starting at or below dist can contain it, and a new segment
+// can only collide with that one and the one after it.
 func (q *Queue) segmentFor(dist float64) *segment {
-	for _, s := range q.segs {
-		if dist >= s.lo && dist < s.hi {
-			return s
-		}
+	i := sort.Search(len(q.segs), func(i int) bool { return q.segs[i].lo > dist })
+	if i > 0 && dist < q.segs[i-1].hi {
+		return q.segs[i-1]
 	}
 	// Create a segment from the model boundaries sqrt(i*n*rho),
-	// clipped against existing segments and the memory bound.
+	// clipped against the neighbouring segments and the memory bound.
 	lo, hi := q.modelRange(dist)
 	if lo < q.memBound {
 		lo = q.memBound
 	}
-	for _, s := range q.segs {
-		if s.hi <= dist && s.hi > lo {
-			lo = s.hi
+	if i > 0 {
+		if below := q.segs[i-1]; below.hi > lo {
+			lo = below.hi
 		}
-		if s.lo > dist && s.lo < hi {
-			hi = s.lo
+	}
+	if i < len(q.segs) {
+		if above := q.segs[i]; above.lo < hi {
+			hi = above.lo
 		}
 	}
 	seg := getSegment(lo, hi, q.store.PageSize())
@@ -442,6 +461,7 @@ func (q *Queue) appendToSegment(seg *segment, p Pair) {
 	p.encode(seg.buf[seg.bufCount*RecordSize:])
 	seg.bufCount++
 	seg.count++
+	q.diskPairs++
 	if seg.bufCount == q.perPage {
 		q.flushSegmentPage(seg)
 	}
@@ -489,7 +509,8 @@ func (q *Queue) swapIn() bool {
 	}
 	seg := q.segs[0]
 	q.segs = q.segs[1:]
-	q.splitFloor = 0 // heap is empty; any previous overrun is gone
+	q.diskPairs -= seg.count
+	q.splitFloor, q.tieRun = 0, false // heap is empty; any previous overrun is gone
 
 	buf := getPairBuf(seg.count)
 	items := buf.items
@@ -532,6 +553,7 @@ func (q *Queue) swapIn() bool {
 		if keep == len(items) {
 			q.memBound = seg.hi
 			q.splitFloor = len(items)
+			q.tieRun, q.tieDist = true, split
 		} else {
 			rest := getSegment(bound, seg.hi, q.store.PageSize())
 			for _, p := range items[keep:] {
@@ -560,7 +582,7 @@ func (q *Queue) swapIn() bool {
 			Dist:     seg.lo,
 			Count:    int64(loaded),
 			MemLen:   q.heap.Len(),
-			DiskLen:  q.diskLen(),
+			DiskLen:  q.diskPairs,
 			Segments: len(q.segs),
 		})
 	}
@@ -579,14 +601,15 @@ func (q *Queue) Drain() {
 		putSegment(s)
 	}
 	q.segs = nil
+	q.diskPairs = 0
 	q.memBound = math.Inf(1)
-	q.splitFloor = 0
+	q.splitFloor, q.tieRun = 0, false
 }
 
 // String summarizes the queue state for diagnostics.
 func (q *Queue) String() string {
 	defer q.lock()()
-	n := q.heap.Len() + q.diskLen()
+	n := q.heap.Len() + q.diskPairs
 	return fmt.Sprintf("hybridq{mem=%d/%d bound=%g segs=%d total=%d}",
 		q.heap.Len(), q.capacity, q.memBound, len(q.segs), n)
 }

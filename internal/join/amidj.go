@@ -183,9 +183,6 @@ func (it *AMIDJIterator) expand(p hybridq.Pair) error {
 		run.fixCutoff(cur)
 		run.record = true
 		run.emit = func(le, re rtree.NodeEntry, d float64) {
-			if d > cur {
-				return
-			}
 			if c.push(run.childPair(le, re, d)) {
 				children++
 			}
@@ -214,17 +211,13 @@ func (it *AMIDJIterator) expand(p hybridq.Pair) error {
 	run.record = true
 	run.fixCutoff(cur)
 	run.reexamine = func(le, re rtree.NodeEntry, d float64) {
-		if d > prev && d <= cur {
-			if c.push(run.childPair(le, re, d)) {
-				children++
-			}
+		if d > prev && c.push(run.childPair(le, re, d)) {
+			children++
 		}
 	}
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d <= cur {
-			if c.push(run.childPair(le, re, d)) {
-				children++
-			}
+		if c.push(run.childPair(le, re, d)) {
+			children++
 		}
 	}
 	run.run()

@@ -175,8 +175,8 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 
 // amAggressiveSweep is AggressivePlaneSweep of Algorithm 2: axis
 // pruning against eDmax (line 22), real-distance filtering against
-// qDmax (as in B-KDJ), with per-anchor bookkeeping of the examined
-// ranges (lines 19/21).
+// the live qDmax (as in B-KDJ), with per-anchor bookkeeping of the
+// examined ranges (lines 19/21).
 func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker) (*compInfo, error) {
 	run, err := c.ex.expansion(p, eDmax)
 	if err != nil {
@@ -184,11 +184,9 @@ func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutof
 	}
 	var children int64
 	run.fixCutoff(eDmax)
+	run.realCutoff = ct.aggressiveFn
 	run.record = true
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d > mutatedCutoff(ct.Cutoff()) { // mutatedCutoff is identity outside harness self-tests
-			return
-		}
 		np := run.childPair(le, re, d)
 		if c.push(np) {
 			ct.OnPush(np)
@@ -213,11 +211,8 @@ func (c *execContext) amCompensateSweep(p hybridq.Pair, ci *compInfo, ct *cutoff
 	}
 	var children int64
 	run.prev = &ci.ranges
-	run.axisCutoff = ct.Cutoff
+	run.liveCutoff(ct.cutoffFn)
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d > ct.Cutoff() {
-			return
-		}
 		np := run.childPair(le, re, d)
 		if c.push(np) {
 			ct.OnPush(np)

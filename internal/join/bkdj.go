@@ -73,11 +73,8 @@ func (c *execContext) bkdjPlaneSweep(p hybridq.Pair, ct *cutoffTracker) error {
 		return c.traceError(err)
 	}
 	var children int64
-	run.axisCutoff = ct.Cutoff
+	run.liveCutoff(ct.cutoffFn)
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d > ct.Cutoff() {
-			return
-		}
 		np := run.childPair(le, re, d)
 		if c.push(np) {
 			ct.OnPush(np)

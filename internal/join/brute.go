@@ -16,7 +16,7 @@ func BruteForce(left, right []rtree.Item, k int) []Result {
 		return nil
 	}
 	// Bounded max-heap of the k best pairs seen.
-	h := pqueue.NewHeap(func(a, b Result) bool { return a.Dist > b.Dist })
+	h := pqueue.NewHeap(func(a, b *Result) bool { return a.Dist > b.Dist })
 	for _, l := range left {
 		for _, r := range right {
 			d := l.Rect.MinDist(r.Rect)

@@ -41,6 +41,10 @@ type cutoffTracker struct {
 	// at most as stale as the last barrier — i.e. never smaller than
 	// the true qDmax — so pruning against it is always sound.
 	live atomic.Uint64
+	// cutoffFn and aggressiveFn are Cutoff and aggressiveCutoff bound
+	// once, so handing a sweep the live cutoff allocates no method value
+	// per expansion.
+	cutoffFn, aggressiveFn func() float64
 }
 
 func newCutoffTracker(c *execContext, k int, policy DistanceQueuePolicy) *cutoffTracker {
@@ -51,6 +55,7 @@ func newCutoffTracker(c *execContext, k int, policy DistanceQueuePolicy) *cutoff
 		t.objQ = pqueue.NewDistanceQueue(k)
 	}
 	t.live.Store(math.Float64bits(math.Inf(1)))
+	t.cutoffFn, t.aggressiveFn = t.Cutoff, t.aggressiveCutoff
 	return t
 }
 
@@ -77,6 +82,13 @@ func (t *cutoffTracker) Cutoff() float64 {
 		return t.kth.Cutoff()
 	}
 	return t.objQ.Cutoff()
+}
+
+// aggressiveCutoff is the real-distance cutoff of AM-KDJ's serial
+// aggressive stage: qDmax, through the pruning-mutation hook (identity
+// outside harness self-tests).
+func (t *cutoffTracker) aggressiveCutoff() float64 {
+	return mutatedCutoff(t.Cutoff())
 }
 
 // bound returns the upper-bound distance contributed by p and whether

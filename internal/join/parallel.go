@@ -188,11 +188,8 @@ func (e *expander) sweepChildren(p hybridq.Pair, cutoff func() float64, out *exp
 		out.err = err
 		return
 	}
-	run.axisCutoff = cutoff
+	run.liveCutoff(cutoff)
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d > cutoff() {
-			return
-		}
 		out.pairs = append(out.pairs, run.childPair(le, re, d))
 	}
 	run.run()
@@ -208,11 +205,9 @@ func (e *expander) aggressiveChildren(p hybridq.Pair, eDmax float64, cutoff func
 		return
 	}
 	run.fixCutoff(eDmax)
+	run.realCutoff = cutoff
 	run.record = true
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d > cutoff() {
-			return
-		}
 		out.pairs = append(out.pairs, run.childPair(le, re, d))
 	}
 	run.run()
@@ -230,11 +225,8 @@ func (e *expander) compensateChildren(p hybridq.Pair, ci *compInfo, cutoff func(
 		return
 	}
 	run.prev = &ci.ranges
-	run.axisCutoff = cutoff
+	run.liveCutoff(cutoff)
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d > cutoff() {
-			return
-		}
 		out.pairs = append(out.pairs, run.childPair(le, re, d))
 	}
 	run.run()
@@ -259,9 +251,6 @@ func (e *expander) idjFreshChildren(p hybridq.Pair, cur float64, record bool, ou
 	run.fixCutoff(cur)
 	run.record = true
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d > cur {
-			return
-		}
 		out.pairs = append(out.pairs, run.childPair(le, re, d))
 	}
 	run.run()
@@ -284,14 +273,12 @@ func (e *expander) idjBandChildren(p hybridq.Pair, ci *compInfo, cur, prev float
 	run.record = true
 	run.fixCutoff(cur)
 	run.reexamine = func(le, re rtree.NodeEntry, d float64) {
-		if d > prev && d <= cur {
+		if d > prev {
 			out.pairs = append(out.pairs, run.childPair(le, re, d))
 		}
 	}
 	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if d <= cur {
-			out.pairs = append(out.pairs, run.childPair(le, re, d))
-		}
+		out.pairs = append(out.pairs, run.childPair(le, re, d))
 	}
 	run.run()
 	out.ranges = run.out
@@ -316,7 +303,7 @@ func emitPrefix(c *execContext, batch []hybridq.Pair, results *[]Result, k int) 
 
 // mergeTask folds one task's output into the queue and the cutoff
 // tracker, applying the now-current qDmax filter exactly as the
-// serial emit closures do.
+// serial sweeps do.
 func mergeTask(c *execContext, ct *cutoffTracker, out *expandOut) error {
 	if out.err != nil {
 		return c.traceError(out.err)

@@ -34,8 +34,10 @@ type sweepRanges struct {
 // the not-yet-anchored prefix-remainder of the opposite list in key
 // order, breaking at the first candidate whose axis gap exceeds the
 // axis cutoff. For each surviving candidate the real distance is
-// computed (and counted) and emit is invoked; emit applies the
-// real-distance filter and the queueing.
+// computed (and counted) and held against the real-distance cutoff;
+// only a candidate within it is materialized into entries and handed to
+// emit, which does the queueing. Most candidates fail that filter, so
+// it runs on the bare distance (pass), before anything is built.
 //
 // The axis cutoff comes in two forms with different scan strategies:
 //
@@ -44,10 +46,17 @@ type sweepRanges struct {
 //     window of an anchor is then independent of emission, so the scan
 //     finds the whole window first and computes its distances with one
 //     geom.MinDistBatch call over the coordinate columns.
-//   - axisCutoff (func): the cutoff tightens as emissions feed the
+//   - liveCutoff(f): the cutoff tightens as emissions feed the
 //     distance queue (B-KDJ, AM-KDJ compensation). The scan stays
 //     interleaved — cutoff, distance, emit per candidate — because the
 //     window depends on what was already emitted.
+//
+// Either call also makes its cutoff the real-distance cutoff; the
+// aggressive stages, which sweep a fixed eDmax window but filter against
+// the live qDmax, then assign realCutoff. A live real-distance cutoff
+// may move only as a consequence of emit or reexamine (they feed the
+// distance queue): it is read once per sweep and again after each
+// delivered candidate, not per candidate.
 //
 // Both paths count axis and real distance computations exactly as the
 // historical per-entry engine did and emit in the same candidate
@@ -64,6 +73,8 @@ type sweepRun struct {
 	plan       sweep.Plan
 	axisCutoff func() float64 // dynamic cutoff; nil selects the fixed batch path
 	cutoff     float64        // fixed axis cutoff, valid when axisCutoff is nil
+	realCutoff func() float64 // live real-distance cutoff; nil leaves realNow fixed
+	realNow    float64        // the real-distance cutoff in force (see pass)
 	emit       func(le, re rtree.NodeEntry, d float64)
 	prev       *sweepRanges
 	reexamine  func(le, re rtree.NodeEntry, d float64)
@@ -71,17 +82,42 @@ type sweepRun struct {
 	out        sweepRanges
 }
 
-// fixCutoff declares the axis cutoff constant for the whole sweep,
-// selecting the batched candidate scan. Stages whose cutoff tightens
-// mid-sweep must assign axisCutoff instead.
+// fixCutoff declares c the axis and real-distance cutoff for the whole
+// sweep, selecting the batched candidate scan.
 func (s *sweepRun) fixCutoff(c float64) {
-	s.axisCutoff = nil
-	s.cutoff = c
+	s.axisCutoff, s.cutoff = nil, c
+	s.realCutoff, s.realNow = nil, c
+}
+
+// liveCutoff declares f, a cutoff that tightens mid-sweep, the axis and
+// real-distance cutoff, selecting the interleaved candidate scan.
+func (s *sweepRun) liveCutoff(f func() float64) {
+	s.axisCutoff, s.realCutoff = f, f
+}
+
+// pass is the sweep's real-distance filter: a candidate at real
+// distance d is delivered unless d exceeds the cutoff in force.
+func (s *sweepRun) pass(d float64) bool { return !(d > s.realNow) }
+
+// refreshReal re-reads a live real-distance cutoff.
+func (s *sweepRun) refreshReal() {
+	if s.realCutoff != nil {
+		s.realNow = s.realCutoff()
+	}
+}
+
+// deliver materializes candidate m of o, which passed the filter at
+// real distance d, in (left, right) orientation and hands it to fn.
+func (s *sweepRun) deliver(fn func(le, re rtree.NodeEntry, d float64), fromL bool, anchor rtree.NodeEntry, o *rtree.NodeSoA, m int, d float64) {
+	le, re := orientEntries(fromL, anchor, o.Entry(m))
+	fn(le, re, d)
+	s.refreshReal()
 }
 
 // run executes the sweep. When record is set, out holds the examined
 // ranges afterwards.
 func (s *sweepRun) run() {
+	s.refreshReal()
 	if s.record {
 		s.out.l = makeEmptyRanges(s.L.Len(), s.R.Len())
 		s.out.r = makeEmptyRanges(s.R.Len(), s.L.Len())
@@ -212,8 +248,9 @@ func (s *sweepRun) sweepAnchor(fromL bool, ai, oj int) {
 				o.MaxX[start:stop], o.MaxY[start:stop])
 			s.e.mc.AddRealDist(int64(stop - start))
 			for m := start; m < stop; m++ {
-				le, re := orientEntries(fromL, anchor, o.Entry(m))
-				s.emit(le, re, dst[m-start])
+				if d := dst[m-start]; s.pass(d) {
+					s.deliver(s.emit, fromL, anchor, o, m, d)
+				}
 			}
 		}
 	} else {
@@ -233,8 +270,9 @@ func (s *sweepRun) sweepAnchor(fromL bool, ai, oj int) {
 			if g > s.axisCutoff() {
 				break
 			}
-			le, re := orientEntries(fromL, anchor, o.Entry(m))
-			s.emit(le, re, s.e.minDist(le.Rect, re.Rect))
+			if d := s.e.minDist(orientRects(fromL, anchor.Rect, o.Rect(m))); s.pass(d) {
+				s.deliver(s.emit, fromL, anchor, o, m, d)
+			}
 			stop = m + 1
 		}
 	}
@@ -266,20 +304,30 @@ func (s *sweepRun) scanBand(fromL bool, anchor rtree.NodeEntry, o *rtree.NodeSoA
 			o.MinX[from:to], o.MinY[from:to], o.MaxX[from:to], o.MaxY[from:to])
 		s.e.mc.AddRealDist(int64(to - from))
 		for m := from; m < to; m++ {
-			le, re := orientEntries(fromL, anchor, o.Entry(m))
-			s.reexamine(le, re, dst[m-from])
+			if d := dst[m-from]; s.pass(d) {
+				s.deliver(s.reexamine, fromL, anchor, o, m, d)
+			}
 		}
 		return
 	}
 	for m := from; m < to; m++ {
-		le, re := orientEntries(fromL, anchor, o.Entry(m))
-		s.reexamine(le, re, s.e.minDist(le.Rect, re.Rect))
+		if d := s.e.minDist(orientRects(fromL, anchor.Rect, o.Rect(m))); s.pass(d) {
+			s.deliver(s.reexamine, fromL, anchor, o, m, d)
+		}
 	}
 }
 
 // orientEntries returns the pair in (left, right) orientation given
 // which side the anchor came from.
 func orientEntries(anchorFromL bool, anchor, other rtree.NodeEntry) (le, re rtree.NodeEntry) {
+	if anchorFromL {
+		return anchor, other
+	}
+	return other, anchor
+}
+
+// orientRects is orientEntries for the rectangles alone.
+func orientRects(anchorFromL bool, anchor, other geom.Rect) (l, r geom.Rect) {
 	if anchorFromL {
 		return anchor, other
 	}

@@ -55,9 +55,6 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 		}
 		run.fixCutoff(dmax)
 		run.emit = func(le, re rtree.NodeEntry, d float64) {
-			if d > dmax {
-				return
-			}
 			np := run.childPair(le, re, d)
 			if np.IsResult() {
 				// Self-join semantics: suppress identity pairs and keep

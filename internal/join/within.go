@@ -60,7 +60,7 @@ func WithinJoin(left, right *rtree.Tree, maxDist float64, opts Options, fn func(
 		var children int64
 		run.fixCutoff(maxDist)
 		run.emit = func(le, re rtree.NodeEntry, d float64) {
-			if stop || d > maxDist {
+			if stop {
 				return
 			}
 			np := run.childPair(le, re, d)

@@ -35,8 +35,8 @@ func NewKthTracker(k int) *KthTracker {
 	}
 	return &KthTracker{
 		k:     k,
-		lo:    NewHeap(func(a, b float64) bool { return a > b }),
-		hi:    NewHeap(func(a, b float64) bool { return a < b }),
+		lo:    NewHeap(func(a, b *float64) bool { return *a > *b }),
+		hi:    NewHeap(func(a, b *float64) bool { return *a < *b }),
 		loDel: make(map[float64]int),
 		hiDel: make(map[float64]int),
 	}

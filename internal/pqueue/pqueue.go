@@ -8,22 +8,32 @@ package pqueue
 import "math"
 
 // Heap is a binary heap ordered by the less function supplied at
-// construction (a min-heap when less is "a < b").
+// construction (a min-heap when less is "*a < *b").
+//
+// The comparator takes pointers so that ordering a large element (the
+// main queue's 104-byte pair) copies nothing per comparison, and the
+// sifts move elements into a travelling hole instead of swapping: one
+// copy per level plus one in and one out. The element being placed
+// rides in the heap's own moving field, not in a local, because a
+// local whose address is passed to less would be heap-allocated on
+// every sift.
 type Heap[T any] struct {
-	items []T
-	less  func(a, b T) bool
+	items  []T
+	less   func(a, b *T) bool
+	moving T // the element a sift is placing; stale between operations
 }
 
 // NewHeap returns an empty heap ordered by less.
-func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
+func NewHeap[T any](less func(a, b *T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
 }
 
 // NewHeapFromSlice heapifies items in place (O(n)) and returns a heap
 // that owns the slice.
-func NewHeapFromSlice[T any](items []T, less func(a, b T) bool) *Heap[T] {
+func NewHeapFromSlice[T any](items []T, less func(a, b *T) bool) *Heap[T] {
 	h := &Heap[T]{items: items, less: less}
 	for i := len(items)/2 - 1; i >= 0; i-- {
+		h.moving = items[i]
 		h.siftDown(i)
 	}
 	return h
@@ -37,6 +47,7 @@ func (h *Heap[T]) Empty() bool { return len(h.items) == 0 }
 
 // Push adds v to the heap.
 func (h *Heap[T]) Push(v T) {
+	h.moving = v
 	h.items = append(h.items, v)
 	h.siftUp(len(h.items) - 1)
 }
@@ -49,7 +60,7 @@ func (h *Heap[T]) Peek() T { return h.items[0] }
 func (h *Heap[T]) Pop() T {
 	top := h.items[0]
 	last := len(h.items) - 1
-	h.items[0] = h.items[last]
+	h.moving = h.items[last]
 	var zero T
 	h.items[last] = zero // release references for GC
 	h.items = h.items[:last]
@@ -62,7 +73,7 @@ func (h *Heap[T]) Pop() T {
 // ReplaceTop pops the top and pushes v in one O(log n) operation.
 func (h *Heap[T]) ReplaceTop(v T) T {
 	top := h.items[0]
-	h.items[0] = v
+	h.moving = v
 	h.siftDown(0)
 	return top
 }
@@ -74,6 +85,7 @@ func (h *Heap[T]) Clear() {
 		h.items[i] = zero
 	}
 	h.items = h.items[:0]
+	h.moving = zero
 }
 
 // Items exposes the raw heap-ordered backing slice (top at index 0).
@@ -81,34 +93,42 @@ func (h *Heap[T]) Clear() {
 // rebuilding via NewHeapFromSlice.
 func (h *Heap[T]) Items() []T { return h.items }
 
+// siftUp places h.moving, treating index i as a hole: ancestors that
+// order after it move down one level each, and it lands where the
+// swap-based sift would have left it.
 func (h *Heap[T]) siftUp(i int) {
+	items, v := h.items, &h.moving
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
-			return
+		if !h.less(v, &items[parent]) {
+			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = *v
 }
 
+// siftDown places h.moving, treating index i as a hole: the smaller
+// child moves up while it orders before the element being placed.
 func (h *Heap[T]) siftDown(i int) {
-	n := len(h.items)
+	items, v := h.items, &h.moving
+	n := len(items)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && h.less(h.items[right], h.items[left]) {
-			smallest = right
+		if right := child + 1; right < n && h.less(&items[right], &items[child]) {
+			child = right
 		}
-		if !h.less(h.items[smallest], h.items[i]) {
-			return
+		if !h.less(&items[child], v) {
+			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		items[i] = items[child]
+		i = child
 	}
+	items[i] = *v
 }
 
 // DistanceQueue is the bounded max-heap of paper §2.1: it retains the k
@@ -128,7 +148,7 @@ func NewDistanceQueue(k int) *DistanceQueue {
 	}
 	return &DistanceQueue{
 		k:    k,
-		heap: NewHeap(func(a, b float64) bool { return a > b }), // max-heap
+		heap: NewHeap(func(a, b *float64) bool { return *a > *b }), // max-heap
 	}
 }
 

@@ -1,6 +1,7 @@
 package pqueue
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestHeapBasics(t *testing.T) {
-	h := NewHeap(func(a, b int) bool { return a < b })
+	h := NewHeap(func(a, b *int) bool { return *a < *b })
 	if !h.Empty() || h.Len() != 0 {
 		t.Fatal("fresh heap must be empty")
 	}
@@ -39,12 +40,12 @@ func TestHeapPopPanicsEmpty(t *testing.T) {
 			t.Fatal("Pop on empty heap must panic")
 		}
 	}()
-	NewHeap(func(a, b int) bool { return a < b }).Pop()
+	NewHeap(func(a, b *int) bool { return *a < *b }).Pop()
 }
 
 func TestHeapFromSlice(t *testing.T) {
 	items := []int{9, 4, 7, 1, 3, 8, 2}
-	h := NewHeapFromSlice(items, func(a, b int) bool { return a < b })
+	h := NewHeapFromSlice(items, func(a, b *int) bool { return *a < *b })
 	prev := math.MinInt
 	for !h.Empty() {
 		v := h.Pop()
@@ -56,7 +57,7 @@ func TestHeapFromSlice(t *testing.T) {
 }
 
 func TestHeapReplaceTop(t *testing.T) {
-	h := NewHeapFromSlice([]int{1, 5, 3}, func(a, b int) bool { return a < b })
+	h := NewHeapFromSlice([]int{1, 5, 3}, func(a, b *int) bool { return *a < *b })
 	if got := h.ReplaceTop(10); got != 1 {
 		t.Fatalf("ReplaceTop returned %d, want 1", got)
 	}
@@ -66,7 +67,7 @@ func TestHeapReplaceTop(t *testing.T) {
 }
 
 func TestHeapClear(t *testing.T) {
-	h := NewHeap(func(a, b int) bool { return a < b })
+	h := NewHeap(func(a, b *int) bool { return *a < *b })
 	h.Push(1)
 	h.Push(2)
 	h.Clear()
@@ -80,7 +81,7 @@ func TestHeapClear(t *testing.T) {
 }
 
 func TestHeapMaxOrdering(t *testing.T) {
-	h := NewHeap(func(a, b float64) bool { return a > b })
+	h := NewHeap(func(a, b *float64) bool { return *a > *b })
 	for _, v := range []float64{1, 9, 4, 7} {
 		h.Push(v)
 	}
@@ -97,7 +98,7 @@ func TestHeapSortProperty(t *testing.T) {
 				vals[i] = 0
 			}
 		}
-		h := NewHeap(func(a, b float64) bool { return a < b })
+		h := NewHeap(func(a, b *float64) bool { return *a < *b })
 		for _, v := range vals {
 			h.Push(v)
 		}
@@ -125,7 +126,7 @@ func TestHeapSortProperty(t *testing.T) {
 // Property: interleaved push/pop dequeues match a reference sorted list.
 func TestHeapInterleavedAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	h := NewHeap(func(a, b int) bool { return a < b })
+	h := NewHeap(func(a, b *int) bool { return *a < *b })
 	var ref []int
 	for op := 0; op < 5000; op++ {
 		if rng.Intn(3) != 0 || len(ref) == 0 {
@@ -204,23 +205,164 @@ func TestDistanceQueueKthSmallestProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkHeapPushPop(b *testing.B) {
-	h := NewHeap(func(a, b float64) bool { return a < b })
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Push(rng.Float64())
-		if h.Len() > 1024 {
-			h.Pop()
+// wide is a 104-byte element, the size of the main queue's pair
+// record: big enough that a by-value comparator or a swapping sift
+// shows up as copying.
+type wide struct {
+	key float64
+	id  uint64
+	pad [11]uint64
+}
+
+func newWide(key float64, id uint64) wide {
+	w := wide{key: key, id: id}
+	for i := range w.pad {
+		w.pad[i] = id*31 + uint64(i)
+	}
+	return w
+}
+
+func wideLess(a, b *wide) bool { return a.key < b.key }
+
+// checkWide verifies a dequeued element carries the smallest live key
+// and its own payload, and retires it from the reference.
+func checkWide(t *testing.T, op int, got wide, keys *[]float64, live map[uint64]wide) {
+	t.Helper()
+	if got.key != (*keys)[0] {
+		t.Fatalf("op %d: dequeued key %g, reference min %g", op, got.key, (*keys)[0])
+	}
+	if want, ok := live[got.id]; !ok || want != got {
+		t.Fatalf("op %d: element %d dequeued twice or corrupted: %+v", op, got.id, got)
+	}
+	delete(live, got.id)
+	*keys = (*keys)[1:]
+}
+
+// Property: on a wide element with heavy key ties, interleaved
+// Push/Pop/ReplaceTop dequeue the reference's minimum key every time
+// and never lose, duplicate or tear an element (the hole-based sifts
+// move elements through a side slot).
+func TestHeapWideInterleavedAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	h := NewHeap(wideLess)
+	var keys []float64
+	live := map[uint64]wide{}
+	id := uint64(0)
+	add := func() wide {
+		w := newWide(float64(rng.Intn(6)), id)
+		id++
+		live[w.id] = w
+		keys = append(keys, w.key)
+		sort.Float64s(keys)
+		return w
+	}
+	for op := 0; op < 6000; op++ {
+		switch r := rng.Intn(4); {
+		case r < 2 || len(live) == 0:
+			h.Push(add())
+		case r == 2:
+			checkWide(t, op, h.Pop(), &keys, live)
+		default:
+			top := h.Peek()
+			w := add()
+			if got := h.ReplaceTop(w); got != top {
+				t.Fatalf("op %d: ReplaceTop returned %+v, Peek was %+v", op, got, top)
+			}
+			// The reference min may be the element just added; retire
+			// the returned one by its own key.
+			i := sort.SearchFloat64s(keys, top.key)
+			keys = append(keys[:i], keys[i+1:]...)
+			if live[top.id] != top {
+				t.Fatalf("op %d: replaced top %d corrupted", op, top.id)
+			}
+			delete(live, top.id)
+		}
+		if h.Len() != len(keys) {
+			t.Fatalf("op %d: Len %d, reference %d", op, h.Len(), len(keys))
+		}
+	}
+	for op := 0; !h.Empty(); op++ {
+		checkWide(t, op, h.Pop(), &keys, live)
+	}
+	if len(live) != 0 {
+		t.Fatalf("%d elements never dequeued", len(live))
+	}
+}
+
+func TestHeapFromSliceWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, 2, 3, 10, 257} {
+		items := make([]wide, n)
+		var keys []float64
+		live := map[uint64]wide{}
+		for i := range items {
+			items[i] = newWide(float64(rng.Intn(8)), uint64(i))
+			keys = append(keys, items[i].key)
+			live[items[i].id] = items[i]
+		}
+		sort.Float64s(keys)
+		h := NewHeapFromSlice(items, wideLess)
+		for op := 0; !h.Empty(); op++ {
+			checkWide(t, op, h.Pop(), &keys, live)
+		}
+		if len(live) != 0 {
+			t.Fatalf("n=%d: %d elements lost by heapify", n, len(live))
 		}
 	}
 }
 
+// TestHeapWidePushPopNoAllocs pins that ordering a wide element costs
+// no allocation: the element a sift places must not escape to the heap.
+func TestHeapWidePushPopNoAllocs(t *testing.T) {
+	h := NewHeap(wideLess)
+	for i := 0; i < 256; i++ {
+		h.Push(newWide(float64(i%13), uint64(i)))
+	}
+	w := newWide(5, 1000)
+	if avg := testing.AllocsPerRun(200, func() {
+		h.Push(w)
+		h.ReplaceTop(w)
+		h.Pop()
+	}); avg != 0 {
+		t.Errorf("Push/ReplaceTop/Pop of a 104-byte element allocates %v per cycle, want 0", avg)
+	}
+}
+
+func BenchmarkHeapPushPop(b *testing.B) {
+	b.Run("float64", func(b *testing.B) {
+		h := NewHeap(func(a, b *float64) bool { return *a < *b })
+		rng := rand.New(rand.NewSource(1))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Push(rng.Float64())
+			if h.Len() > 1024 {
+				h.Pop()
+			}
+		}
+	})
+	b.Run("pair104", func(b *testing.B) {
+		h := NewHeap(wideLess)
+		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Push(wide{key: rng.Float64(), id: uint64(i)})
+			if h.Len() > 1024 {
+				h.Pop()
+			}
+		}
+	})
+}
+
 func BenchmarkDistanceQueueInsert(b *testing.B) {
-	q := NewDistanceQueue(1000)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Insert(rng.Float64())
+	for _, k := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			q := NewDistanceQueue(k)
+			rng := rand.New(rand.NewSource(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Insert(rng.Float64())
+			}
+		})
 	}
 }

@@ -271,7 +271,7 @@ func (t *Tree) NearestNeighbors(q geom.Rect, k int, mc *metrics.Collector) ([]Ne
 		page  storage.PageID
 		item  Item
 	}
-	h := pqueue.NewHeap(func(a, b qe) bool { return a.dist < b.dist })
+	h := pqueue.NewHeap(func(a, b *qe) bool { return a.dist < b.dist })
 	h.Push(qe{dist: 0, page: t.rootPage})
 	var out []Neighbor
 	var n Node
