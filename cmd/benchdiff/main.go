@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchdiff -old BENCH_3.json -new bench-new.json [-threshold 0.25]
+//	benchdiff -old BENCH_9.json -new bench-new.json [-threshold 0.25]
 //	          [-time-threshold 0] [-abs-floor 64] [-q]
 //
 // Gating logic (see internal/benchrec): the deterministic cost

@@ -30,7 +30,7 @@ type Codec[T any] struct {
 // when the memory budget fills, and merges them on demand.
 type Sorter[T any] struct {
 	codec    Codec[T]
-	less     func(a, b T) bool
+	less     func(a, b *T) bool
 	store    storage.Store
 	mc       *metrics.Collector
 	ioCost   metrics.IOCostModel
@@ -63,8 +63,10 @@ type Config struct {
 	IOCost metrics.IOCostModel
 }
 
-// NewSorter returns an empty sorter for records ordered by less.
-func NewSorter[T any](codec Codec[T], less func(a, b T) bool, cfg Config) (*Sorter[T], error) {
+// NewSorter returns an empty sorter for records ordered by less, which
+// takes pointers (as pqueue.NewHeap's does) so that ordering large
+// records copies nothing per comparison.
+func NewSorter[T any](codec Codec[T], less func(a, b *T) bool, cfg Config) (*Sorter[T], error) {
 	st := cfg.Store
 	if st == nil {
 		st = storage.NewMemStore(storage.DefaultPageSize)
@@ -111,7 +113,7 @@ func (s *Sorter[T]) spillRun() {
 	if len(s.buf) == 0 {
 		return
 	}
-	sort.SliceStable(s.buf, func(i, j int) bool { return s.less(s.buf[i], s.buf[j]) })
+	sort.SliceStable(s.buf, func(i, j int) bool { return s.less(&s.buf[i], &s.buf[j]) })
 	r := run{count: len(s.buf)}
 	if s.page == nil {
 		s.page = make([]byte, s.store.PageSize())
@@ -181,10 +183,10 @@ func (s *Sorter[T]) Sort() (*Iterator[T], error) {
 	it := &Iterator[T]{
 		s: s,
 		heads: pqueue.NewHeap(func(a, b *head[T]) bool {
-			if s.less(a.rec, b.rec) {
+			if s.less(&a.rec, &b.rec) {
 				return true
 			}
-			if s.less(b.rec, a.rec) {
+			if s.less(&b.rec, &a.rec) {
 				return false
 			}
 			// Stable across runs for determinism.

@@ -21,7 +21,7 @@ var f64Codec = Codec[float64]{
 	},
 }
 
-func f64Less(a, b float64) bool { return a < b }
+func f64Less(a, b *float64) bool { return *a < *b }
 
 func TestNewSorterValidation(t *testing.T) {
 	if _, err := NewSorter(Codec[float64]{Size: 0}, f64Less, Config{}); err == nil {

@@ -38,10 +38,16 @@ type Pair struct {
 
 // IsResult reports whether the pair is an <object, object> pair, i.e.
 // a producible query result.
-func (p Pair) IsResult() bool { return p.LeftObj && p.RightObj }
+func (p *Pair) IsResult() bool { return p.LeftObj && p.RightObj }
 
-// Less orders pairs by distance with a deterministic tie-break:
-// expandable (non-result) pairs before results, then by identifiers.
+// Less reports whether p orders before o; see PairLess.
+func (p Pair) Less(o Pair) bool { return PairLess(&p, &o) }
+
+// PairLess is the one definition of the main-queue order: by distance
+// with a deterministic tie-break, expandable (non-result) pairs before
+// results, then by identifiers. It takes pointers so that the heap, the
+// split and reload sorts and SJ-SORT order 104-byte pairs without
+// copying them.
 //
 // Draining expandable pairs first at a tied distance makes the
 // emission order among ties canonical: a result at distance d can
@@ -55,18 +61,18 @@ func (p Pair) IsResult() bool { return p.LeftObj && p.RightObj }
 // node pairs are expanded before the first tied result is emitted.)
 //
 //lint:allow floatcmp bit-exact distance tie-break IS the determinism contract the parallel engine relies on
-func (p Pair) Less(o Pair) bool {
-	if p.Dist != o.Dist {
-		return p.Dist < o.Dist
+func PairLess(a, b *Pair) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
 	}
-	pr, or := p.IsResult(), o.IsResult()
-	if pr != or {
-		return or
+	ar, br := a.IsResult(), b.IsResult()
+	if ar != br {
+		return br
 	}
-	if p.Left != o.Left {
-		return p.Left < o.Left
+	if a.Left != b.Left {
+		return a.Left < b.Left
 	}
-	return p.Right < o.Right
+	return a.Right < b.Right
 }
 
 // RecordSize is the fixed on-disk encoding size of a Pair.
@@ -85,7 +91,7 @@ func (p Pair) Encode(buf []byte) { p.encode(buf) }
 func DecodePair(buf []byte) Pair { return decodePair(buf) }
 
 // encode serializes p into buf (at least RecordSize bytes).
-func (p Pair) encode(buf []byte) {
+func (p *Pair) encode(buf []byte) {
 	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(p.Dist))
 	var flags uint64
 	if p.LeftObj {

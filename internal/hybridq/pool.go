@@ -105,12 +105,12 @@ func getSegment(lo, hi float64, pageSize int) *segment {
 // any field it still needs (bounds, page IDs) before the put.
 func putSegment(s *segment) { segPool.Put(s) }
 
-// byPairOrder sorts a slab by Pair.Less without the per-call closure
+// byPairOrder sorts a slab by PairLess without the per-call closure
 // allocation of sort.Slice. Both stdlib entry points instantiate the
 // same pdqsort, so the permutation (ties included) is identical to
 // the sort.Slice call it replaced.
 type byPairOrder []Pair
 
 func (s byPairOrder) Len() int           { return len(s) }
-func (s byPairOrder) Less(i, j int) bool { return s[i].Less(s[j]) }
+func (s byPairOrder) Less(i, j int) bool { return PairLess(&s[i], &s[j]) }
 func (s byPairOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }

@@ -14,7 +14,7 @@ import (
 
 // Queue is the hybrid memory/disk main queue. It behaves as a strict
 // priority queue over Pairs (Pop always returns the global minimum by
-// Pair.Less) while bounding memory to the configured budget.
+// PairLess) while bounding memory to the configured budget.
 //
 // Storage errors are latched: after the first error every operation
 // becomes a no-op and Err reports the cause. The join algorithms check
@@ -57,6 +57,8 @@ type Queue struct {
 	// the queue safe under -race for any future caller that does share
 	// it across goroutines. Nil when the queue is single-goroutine.
 	mu *sync.Mutex
+	// arg is where Push stages its by-value argument (see Push).
+	arg Pair
 }
 
 // FaultOp identifies one injectable disk-path operation of the queue,
@@ -151,7 +153,7 @@ func New(cfg Config) *Queue {
 		memBound = b
 	}
 	q := &Queue{
-		heap:     pqueue.NewHeap(func(a, b *Pair) bool { return a.Less(*b) }),
+		heap:     pqueue.NewHeap(PairLess),
 		capacity: capacity,
 		memBound: memBound,
 		rho:      cfg.Rho,
@@ -217,16 +219,33 @@ func (q *Queue) Err() error {
 	return q.err
 }
 
-// Push enqueues p.
+// Push enqueues p. It stages the argument in the queue so that PushFrom
+// can read it through a pointer without a heap allocation per call; a
+// Concurrent queue cannot stage outside its lock and allocates the copy.
+func (q *Queue) Push(p Pair) {
+	if q.mu != nil {
+		shared := new(Pair)
+		*shared = p
+		q.PushFrom(shared)
+		return
+	}
+	q.arg = p
+	q.PushFrom(&q.arg)
+}
+
+// PushFrom enqueues a copy of *p, reading it in place: a pair bound for
+// the in-memory heap is copied once, into the heap's slice. The queue
+// does not keep p, so the caller may reuse it as soon as the call
+// returns.
 //
 //lint:allow lockheld spill I/O under the queue's own single-owner lock is the §4.4 design; the lock is defense-in-depth, never contended on the hot path
-func (q *Queue) Push(p Pair) {
+func (q *Queue) PushFrom(p *Pair) {
 	defer q.lock()()
 	if q.err != nil {
 		return
 	}
 	if p.Dist < q.memBound {
-		q.heap.Push(p)
+		q.heap.PushFrom(p)
 		// Ordered comparisons, not ==: a heap distance is never NaN.
 		tied := q.tieRun && !(p.Dist < q.tieDist) && !(p.Dist > q.tieDist)
 		q.tieRun = tied
@@ -343,15 +362,15 @@ func (q *Queue) splitHeap() {
 	q.memBound = bound
 	q.splitFloor = 0
 	seg := getSegment(bound, hi, q.store.PageSize())
-	for _, p := range items[keep:] {
-		q.appendToSegment(seg, p)
+	for i := keep; i < len(items); i++ {
+		q.appendToSegment(seg, &items[i])
 	}
 	q.insertSegment(seg)
 
 	spilled := len(items) - keep
 	q.heap.Clear()
-	for _, p := range items[:keep] {
-		q.heap.Push(p)
+	for i := range items[:keep] {
+		q.heap.PushFrom(&items[i])
 	}
 	// Every pair is now copied into the heap or encoded into the
 	// segment buffer; the slab can recycle.
@@ -371,7 +390,7 @@ func (q *Queue) splitHeap() {
 
 // spill routes p to the disk segment covering its distance, creating a
 // model-boundary segment if none exists.
-func (q *Queue) spill(p Pair) {
+func (q *Queue) spill(p *Pair) {
 	seg := q.segmentFor(p.Dist)
 	q.appendToSegment(seg, p)
 }
@@ -454,7 +473,7 @@ func (q *Queue) insertSegment(seg *segment) {
 
 // appendToSegment encodes p into the segment's trailing page buffer,
 // flushing full pages to the store.
-func (q *Queue) appendToSegment(seg *segment, p Pair) {
+func (q *Queue) appendToSegment(seg *segment, p *Pair) {
 	if q.err != nil {
 		return
 	}
@@ -556,8 +575,8 @@ func (q *Queue) swapIn() bool {
 			q.tieRun, q.tieDist = true, split
 		} else {
 			rest := getSegment(bound, seg.hi, q.store.PageSize())
-			for _, p := range items[keep:] {
-				q.appendToSegment(rest, p)
+			for i := keep; i < len(items); i++ {
+				q.appendToSegment(rest, &items[i])
 			}
 			q.insertSegment(rest)
 			items = items[:keep]
@@ -567,8 +586,8 @@ func (q *Queue) swapIn() bool {
 		q.memBound = seg.hi
 	}
 
-	for _, p := range items {
-		q.heap.Push(p)
+	for i := range items {
+		q.heap.PushFrom(&items[i])
 	}
 	loaded := len(items)
 	// Everything is copied into the heap (or re-encoded into rest's

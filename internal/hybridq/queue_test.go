@@ -9,6 +9,7 @@ import (
 
 	"distjoin/internal/geom"
 	"distjoin/internal/metrics"
+	"distjoin/internal/pqueue"
 	"distjoin/internal/storage"
 )
 
@@ -56,6 +57,39 @@ func TestPairLessOrdering(t *testing.T) {
 	p3 := Pair{Dist: 1, Left: 1, Right: 6}
 	if !p1.Less(p3) {
 		t.Fatal("right-id tie-break broken")
+	}
+	// PairLess is the definition and Less its by-value form: they agree
+	// on every ordered pair of the table, both ways round.
+	table := []Pair{a, b, res, node, p1, p2, p3, {Dist: 1, LeftObj: true}, {Dist: 2, LeftObj: true, RightObj: true, Left: 9}}
+	for i := range table {
+		for j := range table {
+			if x, y := table[i], table[j]; PairLess(&x, &y) != x.Less(y) {
+				t.Errorf("PairLess(%+v, %+v) = %v, Less says %v", x, y, PairLess(&x, &y), x.Less(y))
+			}
+		}
+	}
+}
+
+// TestPushFromCopies: the queue takes a copy of the pair behind the
+// pointer — into the heap or into a segment buffer — so the caller may
+// overwrite it the moment PushFrom returns.
+func TestPushFromCopies(t *testing.T) {
+	q := New(Config{MemBytes: 4 * RecordSize, Store: storage.NewMemStore(storage.DefaultPageSize)})
+	var scratch Pair
+	const n = 64
+	for i := n; i > 0; i-- {
+		scratch = pairWithDist(float64(i), uint64(i))
+		q.PushFrom(&scratch)
+		scratch = Pair{Dist: -1}
+	}
+	if q.Segments() == 0 {
+		t.Fatal("nothing spilled; the test needs the disk path too")
+	}
+	for i := 1; i <= n; i++ {
+		got, ok := q.Pop()
+		if want := pairWithDist(float64(i), uint64(i)); !ok || got != want {
+			t.Fatalf("pop %d = %+v (ok %v), want %+v", i, got, ok, want)
+		}
 	}
 }
 
@@ -329,6 +363,29 @@ func BenchmarkHybridQueuePushPop(b *testing.B) {
 			q.Pop()
 		}
 	}
+}
+
+// BenchmarkHeapPushPop/pair104 is the main queue's in-memory heap alone
+// — pqueue.Heap over real 104-byte Pairs, ordered by PairLess, fed
+// through PushFrom from one reused scratch pair as the sweep feeds it.
+// It lives here rather than beside pqueue's own BenchmarkHeapPushPop
+// because pqueue cannot import hybridq.
+func BenchmarkHeapPushPop(b *testing.B) {
+	b.Run("pair104", func(b *testing.B) {
+		h := pqueue.NewHeap(PairLess)
+		rng := rand.New(rand.NewSource(1))
+		scratch := new(Pair)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			*scratch = pairWithDist(rng.Float64()*100, uint64(i))
+			scratch.LeftObj, scratch.RightObj = i%3 == 0, i%3 == 0
+			h.PushFrom(scratch)
+			if h.Len() > 1024 {
+				h.Pop()
+			}
+		}
+	})
 }
 
 func TestModelSegmentCountBounded(t *testing.T) {

@@ -26,7 +26,7 @@ func pushSplittingEveryOverflow(q *Queue, p Pair) {
 		}
 		return
 	}
-	q.spill(p)
+	q.spill(&p)
 }
 
 // linearSegmentFor is segmentFor as it was before the binary search,

@@ -32,6 +32,11 @@ type AMIDJIterator struct {
 	// (Eq. 4), "geometric" (Eq. 5), or "override" (caller-supplied
 	// EDmax / EDmaxForK).
 	modeLabel string
+	// bandFn is pushBand bound once, the reexamine of every band
+	// re-expansion; bandFloor is the cutoff the pair being re-expanded was
+	// last examined under.
+	bandFn    func(p *hybridq.Pair) bool
+	bandFloor float64
 }
 
 // AMIDJ starts the adaptive multi-stage incremental distance join;
@@ -52,6 +57,7 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*AMIDJIterator, error) {
 		stageK:  batch,
 		maxd:    c.exhaustiveDist(),
 	}
+	it.bandFn = it.pushBand
 	c.algo = "AM-IDJ"
 	c.beginQuery(batch)
 	if c.left.Size() == 0 || c.right.Size() == 0 {
@@ -74,7 +80,7 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*AMIDJIterator, error) {
 		it.eDmax = it.maxd
 	}
 	c.traceStage(trace.KindStageStart, "stage-1", it.eDmax, 0)
-	c.push(c.rootPair())
+	c.pushCopy(c.rootPair())
 	return it, nil
 }
 
@@ -129,7 +135,7 @@ func (it *AMIDJIterator) Next() (Result, bool) {
 		// in violation of their contract.)
 		if p.Dist > it.eDmax && it.eDmax < it.maxd {
 			if _, tracked := it.compMap[keyOf(p)]; !tracked {
-				it.c.push(p) // advanceStage re-seeds tracked pairs itself
+				it.c.pushCopy(p) // advanceStage re-seeds tracked pairs itself
 			}
 			if !it.advanceStage() {
 				it.exhausted = true
@@ -140,7 +146,7 @@ func (it *AMIDJIterator) Next() (Result, bool) {
 		}
 		if p.IsResult() {
 			if it.c.needsRefinement(p) {
-				it.c.push(it.c.refine(p))
+				it.c.pushCopy(it.c.refine(p))
 				continue
 			}
 			it.produced++
@@ -169,6 +175,13 @@ func (it *AMIDJIterator) Next() (Result, bool) {
 // Fresh pairs get a full sweep with bookkeeping; pairs already
 // expanded in an earlier stage get a band re-examination plus the
 // unexamined suffix.
+//
+// Range storage is allocated once per bookkept pair, on its first
+// expansion, and re-recorded in place by every later stage (the same
+// node pair under the same plan has the same lengths), so an iterator's
+// range memory follows its live compMap, not the stages it has run. A
+// slab like serial AM-KDJ's would pin every retired pair's ranges for
+// the life of the iterator, so none is used here.
 func (it *AMIDJIterator) expand(p hybridq.Pair) error {
 	c := it.c
 	cur := it.eDmax
@@ -179,19 +192,18 @@ func (it *AMIDJIterator) expand(p hybridq.Pair) error {
 		if err != nil {
 			return c.traceError(err)
 		}
-		var children int64
-		run.fixCutoff(cur)
-		run.record = true
-		run.emit = func(le, re rtree.NodeEntry, d float64) {
-			if c.push(run.childPair(le, re, d)) {
-				children++
-			}
-		}
-		run.run()
-		c.traceExpansion(p, cur, children)
 		// Once the cutoff covers the pair's own diameter, every child
-		// pair has been pushed; no compensation bookkeeping is needed.
-		if cur < p.LeftRect.MaxDist(p.RightRect) {
+		// pair is pushed by this sweep; no compensation bookkeeping is
+		// needed.
+		bookkeep := cur < p.LeftRect.MaxDist(p.RightRect)
+		run.fixCutoff(cur)
+		if bookkeep {
+			run.recordInto(run.newRanges())
+		}
+		run.emit = c.pushFn
+		run.run()
+		c.traceExpansion(p, cur, run.children)
+		if bookkeep {
 			it.compMap[key] = &compInfo{pair: p, plan: run.plan, ranges: run.out, examCutoff: cur}
 			it.compOrder = append(it.compOrder, key)
 			c.mc.AddCompQueueInsert(1)
@@ -201,36 +213,33 @@ func (it *AMIDJIterator) expand(p hybridq.Pair) error {
 
 	// Re-expansion: recover the band (prev, cur] among previously
 	// examined pairs, and everything <= cur in the unexamined suffix.
-	prev := ci.examCutoff
 	run, err := c.ex.expansionWithPlan(p, ci.plan)
 	if err != nil {
 		return c.traceError(err)
 	}
-	var children int64
+	it.bandFloor = ci.examCutoff
 	run.prev = &ci.ranges
-	run.record = true
+	run.recordInto(ci.ranges)
 	run.fixCutoff(cur)
-	run.reexamine = func(le, re rtree.NodeEntry, d float64) {
-		if d > prev && c.push(run.childPair(le, re, d)) {
-			children++
-		}
-	}
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		if c.push(run.childPair(le, re, d)) {
-			children++
-		}
-	}
+	run.reexamine = it.bandFn
+	run.emit = c.pushFn
 	run.run()
-	c.traceExpansion(p, cur, children)
+	c.traceExpansion(p, cur, run.children)
 	if cur >= p.LeftRect.MaxDist(p.RightRect) {
 		// Fully covered: retire the entry so later stages stop
 		// re-seeding it (compOrder is compacted at the next advance).
 		delete(it.compMap, key)
 		return nil
 	}
-	ci.ranges = run.out
 	ci.examCutoff = cur
 	return nil
+}
+
+// pushBand is the reexamine of a band re-expansion: of the candidates
+// an earlier stage already examined, only those beyond the cutoff it
+// examined them under are new.
+func (it *AMIDJIterator) pushBand(p *hybridq.Pair) bool {
+	return p.Dist > it.bandFloor && it.c.push(p)
 }
 
 // advanceStage grows the cutoff and re-seeds the queue with the
@@ -305,7 +314,7 @@ func (it *AMIDJIterator) advanceStage() bool {
 			continue
 		}
 		liveOrder = append(liveOrder, key)
-		it.c.push(ci.pair)
+		it.c.push(&ci.pair)
 	}
 	it.compOrder = liveOrder
 	return true

@@ -13,6 +13,39 @@ type pairKey [2]uint64
 
 func keyOf(p hybridq.Pair) pairKey { return pairKey{p.Left, p.Right} }
 
+// rangeSlab is the range storage of one serial AM-KDJ query: every
+// aggressive expansion carves its two range slices from the current
+// chunk instead of allocating them. It is a local of the query, next to
+// compList, whose compInfos are the only holders of the carved slices,
+// so it lives and dies with them: nothing is pooled across queries.
+// Chunks start small, so a query that expands a handful of pairs pays
+// for one small chunk, and double up to a ceiling at which the unused
+// end of a chunk (less than one node's entries) is noise.
+type rangeSlab struct {
+	free []anchorRange // unused remainder of the current chunk
+	next int           // entries in the next chunk
+}
+
+const (
+	rangeSlabFirstChunk = 1 << 10 // entries; 4 KB
+	rangeSlabMaxChunk   = 1 << 14 // entries; 64 KB
+)
+
+// carve returns n entries that no other carve returns. A request that
+// no chunk could hold gets an allocation of its own.
+func (b *rangeSlab) carve(n int) []anchorRange {
+	if n > len(b.free) {
+		if n > rangeSlabMaxChunk {
+			return make([]anchorRange, n)
+		}
+		b.next = min(max(2*b.next, rangeSlabFirstChunk), rangeSlabMaxChunk)
+		b.free = make([]anchorRange, max(b.next, n))
+	}
+	out := b.free[:n:n]
+	b.free = b.free[n:]
+	return out
+}
+
 // compInfo is one compensation-queue entry: the expanded pair, the
 // sweep plan used (so the compensation stage reproduces the exact
 // stage-one order), the per-anchor examined ranges, and — for AM-IDJ —
@@ -60,12 +93,11 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 
 	results = make([]Result, 0, k)
 	var compList []*compInfo
+	var slab rangeSlab // backs every compInfo.ranges in compList
 	compMap := make(map[pairKey]*compInfo)
 
 	// Stage one: aggressive pruning (Algorithm 2).
-	if c.push(c.rootPair()) {
-		ct.OnPush(c.rootPair())
-	}
+	ct.pushCopy(c.rootPair())
 	for len(results) < k {
 		if err := c.cancelled(); err != nil {
 			return nil, err
@@ -88,24 +120,21 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		// so even an <object,object> p may not be emitted yet. The pair
 		// is reinserted for the compensation stage.
 		if p.Dist > eDmax {
-			c.push(p)
+			c.pushCopy(p)
 			break
 		}
 		if p.IsResult() {
 			if c.needsRefinement(p) {
-				ct.OnRemove(p)
-				rp := c.refine(p)
-				if c.push(rp) {
-					ct.OnPush(rp)
-				}
+				ct.OnRemove(&p)
+				ct.pushCopy(c.refine(p))
 				continue
 			}
 			results = append(results, pairResult(p))
 			c.mc.AddResult(1)
 			continue
 		}
-		ct.OnRemove(p)
-		ci, err := c.amAggressiveSweep(p, eDmax, ct)
+		ct.OnRemove(&p)
+		ci, err := c.amAggressiveSweep(p, eDmax, ct, &slab)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +156,7 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		// children already carry their own bounds). Omitting a bound
 		// can only leave the cutoff larger, which is always safe.
 		for _, ci := range compList {
-			c.push(ci.pair)
+			c.push(&ci.pair)
 		}
 		for len(results) < k {
 			if err := c.cancelled(); err != nil {
@@ -139,11 +168,8 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 			}
 			if p.IsResult() {
 				if c.needsRefinement(p) {
-					ct.OnRemove(p)
-					rp := c.refine(p)
-					if c.push(rp) {
-						ct.OnPush(rp)
-					}
+					ct.OnRemove(&p)
+					ct.pushCopy(c.refine(p))
 					continue
 				}
 				results = append(results, pairResult(p))
@@ -157,7 +183,7 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 					return nil, err
 				}
 			} else {
-				ct.OnRemove(p)
+				ct.OnRemove(&p)
 				if err := c.bkdjPlaneSweep(p, ct); err != nil {
 					return nil, err
 				}
@@ -176,25 +202,18 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 // amAggressiveSweep is AggressivePlaneSweep of Algorithm 2: axis
 // pruning against eDmax (line 22), real-distance filtering against
 // the live qDmax (as in B-KDJ), with per-anchor bookkeeping of the
-// examined ranges (lines 19/21).
-func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker) (*compInfo, error) {
+// examined ranges (lines 19/21), which are carved from the query's slab.
+func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker, slab *rangeSlab) (*compInfo, error) {
 	run, err := c.ex.expansion(p, eDmax)
 	if err != nil {
 		return nil, c.traceError(err)
 	}
-	var children int64
 	run.fixCutoff(eDmax)
 	run.realCutoff = ct.aggressiveFn
-	run.record = true
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		np := run.childPair(le, re, d)
-		if c.push(np) {
-			ct.OnPush(np)
-			children++
-		}
-	}
+	run.recordInto(sweepRanges{l: slab.carve(run.L.Len()), r: slab.carve(run.R.Len())})
+	run.emit = ct.pushFn
 	run.run()
-	c.traceExpansion(p, eDmax, children)
+	c.traceExpansion(p, eDmax, run.children)
 	return &compInfo{pair: p, plan: run.plan, ranges: run.out, examCutoff: eDmax}, nil
 }
 
@@ -209,17 +228,10 @@ func (c *execContext) amCompensateSweep(p hybridq.Pair, ci *compInfo, ct *cutoff
 	if err != nil {
 		return c.traceError(err)
 	}
-	var children int64
 	run.prev = &ci.ranges
 	run.liveCutoff(ct.cutoffFn)
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		np := run.childPair(le, re, d)
-		if c.push(np) {
-			ct.OnPush(np)
-			children++
-		}
-	}
+	run.emit = ct.pushFn
 	run.run()
-	c.traceExpansion(p, ct.Cutoff(), children)
+	c.traceExpansion(p, ct.Cutoff(), run.children)
 	return nil
 }

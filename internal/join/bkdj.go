@@ -27,9 +27,7 @@ func BKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err e
 
 	ct := newCutoffTracker(c, k, c.dqPolicy)
 	results = make([]Result, 0, k)
-	if c.push(c.rootPair()) {
-		ct.OnPush(c.rootPair())
-	}
+	ct.pushCopy(c.rootPair())
 	for len(results) < k {
 		if err := c.cancelled(); err != nil {
 			return nil, err
@@ -40,18 +38,15 @@ func BKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err e
 		}
 		if p.IsResult() {
 			if c.needsRefinement(p) {
-				ct.OnRemove(p)
-				rp := c.refine(p)
-				if c.push(rp) {
-					ct.OnPush(rp)
-				}
+				ct.OnRemove(&p)
+				ct.pushCopy(c.refine(p))
 				continue
 			}
 			results = append(results, pairResult(p))
 			c.mc.AddResult(1)
 			continue
 		}
-		ct.OnRemove(p)
+		ct.OnRemove(&p)
 		if err := c.bkdjPlaneSweep(p, ct); err != nil {
 			return nil, err
 		}
@@ -72,16 +67,9 @@ func (c *execContext) bkdjPlaneSweep(p hybridq.Pair, ct *cutoffTracker) error {
 	if err != nil {
 		return c.traceError(err)
 	}
-	var children int64
 	run.liveCutoff(ct.cutoffFn)
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		np := run.childPair(le, re, d)
-		if c.push(np) {
-			ct.OnPush(np)
-			children++
-		}
-	}
+	run.emit = ct.pushFn
 	run.run()
-	c.traceExpansion(p, ct.Cutoff(), children)
+	c.traceExpansion(p, ct.Cutoff(), run.children)
 	return nil
 }

@@ -41,10 +41,11 @@ type cutoffTracker struct {
 	// at most as stale as the last barrier — i.e. never smaller than
 	// the true qDmax — so pruning against it is always sound.
 	live atomic.Uint64
-	// cutoffFn and aggressiveFn are Cutoff and aggressiveCutoff bound
-	// once, so handing a sweep the live cutoff allocates no method value
-	// per expansion.
+	// cutoffFn, aggressiveFn and pushFn are Cutoff, aggressiveCutoff and
+	// push bound once, so handing a sweep its live cutoff and its emit
+	// allocates no method value or closure per expansion.
 	cutoffFn, aggressiveFn func() float64
+	pushFn                 func(p *hybridq.Pair) bool
 }
 
 func newCutoffTracker(c *execContext, k int, policy DistanceQueuePolicy) *cutoffTracker {
@@ -55,7 +56,7 @@ func newCutoffTracker(c *execContext, k int, policy DistanceQueuePolicy) *cutoff
 		t.objQ = pqueue.NewDistanceQueue(k)
 	}
 	t.live.Store(math.Float64bits(math.Inf(1)))
-	t.cutoffFn, t.aggressiveFn = t.Cutoff, t.aggressiveCutoff
+	t.cutoffFn, t.aggressiveFn, t.pushFn = t.Cutoff, t.aggressiveCutoff, t.push
 	return t
 }
 
@@ -65,9 +66,13 @@ func (t *cutoffTracker) LiveCutoff() float64 {
 	return math.Float64frombits(t.live.Load())
 }
 
-// publish refreshes the atomic mirror after a tracker mutation.
+// publish refreshes the atomic mirror after a tracker mutation. Only
+// parallel expansion workers read it, so a serial query skips the
+// Cutoff call and the store.
 func (t *cutoffTracker) publish() {
-	t.live.Store(math.Float64bits(t.Cutoff()))
+	if t.c.par != nil {
+		t.live.Store(math.Float64bits(t.Cutoff()))
+	}
 }
 
 // useKth reports whether deletions are needed, forcing the two-heap
@@ -96,7 +101,7 @@ func (t *cutoffTracker) aggressiveCutoff() float64 {
 // whether a fresh MaxDist computation is charged as a real distance
 // computation (insertions are; retirement recomputation is
 // bookkeeping).
-func (t *cutoffTracker) bound(p hybridq.Pair, counted bool) (float64, bool) {
+func (t *cutoffTracker) bound(p *hybridq.Pair, counted bool) (float64, bool) {
 	if p.IsResult() {
 		if t.refine && !p.Refined {
 			return t.pairMaxDist(p, counted), true
@@ -109,15 +114,32 @@ func (t *cutoffTracker) bound(p hybridq.Pair, counted bool) (float64, bool) {
 	return 0, false
 }
 
-func (t *cutoffTracker) pairMaxDist(p hybridq.Pair, counted bool) float64 {
+func (t *cutoffTracker) pairMaxDist(p *hybridq.Pair, counted bool) float64 {
 	if counted {
 		return t.c.ex.maxDist(p.LeftRect, p.RightRect)
 	}
 	return p.LeftRect.MaxDist(p.RightRect)
 }
 
+// push enqueues *p on the main queue and, when the queue accepts it,
+// records its bound: the emit of every serial k-join sweep.
+func (t *cutoffTracker) push(p *hybridq.Pair) bool {
+	if !t.c.push(p) {
+		return false
+	}
+	t.OnPush(p)
+	return true
+}
+
+// pushCopy is push for a pair the caller holds by value (see
+// execContext.pushCopy).
+func (t *cutoffTracker) pushCopy(p hybridq.Pair) bool {
+	t.c.staged = p
+	return t.push(&t.c.staged)
+}
+
 // OnPush records a pair entering the main queue.
-func (t *cutoffTracker) OnPush(p hybridq.Pair) {
+func (t *cutoffTracker) OnPush(p *hybridq.Pair) {
 	b, ok := t.bound(p, true)
 	if !ok {
 		return
@@ -136,7 +158,7 @@ func (t *cutoffTracker) OnPush(p hybridq.Pair) {
 // object pair dequeued for refinement (its refined bound is re-added
 // by the subsequent OnPush). Refined/final result pops must NOT call
 // OnRemove — they remain permanent witnesses.
-func (t *cutoffTracker) OnRemove(p hybridq.Pair) {
+func (t *cutoffTracker) OnRemove(p *hybridq.Pair) {
 	if t.kth == nil {
 		return // bounded queue tracks only permanent witnesses
 	}

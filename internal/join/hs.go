@@ -35,9 +35,7 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	// enqueued pair contributes an upper bound, retired on expansion.
 	ct := newCutoffTracker(c, k, AllPairs)
 	results = make([]Result, 0, k)
-	if c.push(c.rootPair()) {
-		ct.OnPush(c.rootPair())
-	}
+	ct.pushCopy(c.rootPair())
 	for len(results) < k {
 		if err := c.cancelled(); err != nil {
 			return nil, err
@@ -48,18 +46,15 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		}
 		if p.IsResult() {
 			if c.needsRefinement(p) {
-				ct.OnRemove(p)
-				rp := c.refine(p)
-				if c.push(rp) {
-					ct.OnPush(rp)
-				}
+				ct.OnRemove(&p)
+				ct.pushCopy(c.refine(p))
 				continue
 			}
 			results = append(results, pairResult(p))
 			c.mc.AddResult(1)
 			continue
 		}
-		ct.OnRemove(p)
+		ct.OnRemove(&p)
 		if err := c.hsExpand(p, ct); err != nil {
 			return nil, err
 		}
@@ -117,9 +112,9 @@ func (c *execContext) hsExpand(p hybridq.Pair, ct *cutoffTracker) error {
 		if ct != nil && np.Dist > ct.Cutoff() {
 			continue
 		}
-		if c.push(np) {
+		if c.pushCopy(np) {
 			if ct != nil {
-				ct.OnPush(np)
+				ct.OnPush(&np)
 			}
 			children++
 		}
@@ -168,7 +163,7 @@ func HSIDJ(left, right *rtree.Tree, opts Options) (*HSIDJIterator, error) {
 		c.endQuery(nil)
 		return it, nil
 	}
-	c.push(c.rootPair())
+	c.pushCopy(c.rootPair())
 	return it, nil
 }
 
@@ -199,7 +194,7 @@ func (it *HSIDJIterator) Next() (Result, bool) {
 		}
 		if p.IsResult() {
 			if it.c.needsRefinement(p) {
-				it.c.push(it.c.refine(p))
+				it.c.pushCopy(it.c.refine(p))
 				continue
 			}
 			it.c.mc.AddResult(1)

@@ -241,6 +241,11 @@ type execContext struct {
 	rq          *obsrv.Query   // live registry handle (nil = no-op)
 	algo        string         // trace label: running algorithm
 	stage       string         // trace label: current stage
+	// pushFn is push bound once per query: the emit of the sweeps that
+	// queue without feeding a distance queue (AM-IDJ).
+	pushFn func(p *hybridq.Pair) bool
+	// staged is where pushCopy puts a pair its caller holds by value.
+	staged hybridq.Pair
 }
 
 // expander carries the per-goroutine state a node expansion needs: the
@@ -313,6 +318,7 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 		ctx.est = model
 	}
 	ctx.ex = expander{c: ctx, mc: opts.Metrics}
+	ctx.pushFn = ctx.push
 	if w := opts.workers(); w > 1 {
 		ctx.par = newParallelState(ctx, w)
 	}
@@ -366,20 +372,31 @@ func (c *execContext) rootPair() hybridq.Pair {
 	}
 }
 
-// push enqueues p on the main queue, counting the insertion, and
-// reports whether the pair was accepted. Under SelfJoin semantics,
-// object pairs that are identities or mirror duplicates are rejected
-// here — centrally, so every algorithm inherits the filter. (Node
-// pairs are never filtered: the mirror node pair produces the mirror
-// object pairs, which this filter dedupes.)
-func (c *execContext) push(p hybridq.Pair) bool {
+// push enqueues a copy of *p on the main queue, counting the insertion,
+// and reports whether the pair was accepted. The queue reads the pair in
+// place and does not keep the pointer, so a sweep can hand it its
+// scratch pair. Under SelfJoin semantics, object pairs that are
+// identities or mirror duplicates are rejected here — centrally, so
+// every algorithm inherits the filter. (Node pairs are never filtered:
+// the mirror node pair produces the mirror object pairs, which this
+// filter dedupes.)
+func (c *execContext) push(p *hybridq.Pair) bool {
 	if c.opts.SelfJoin && p.IsResult() && p.Left >= p.Right {
 		return false
 	}
-	c.queue.Push(p)
+	c.queue.PushFrom(p)
 	c.mc.AddMainQueueInsert(1)
 	c.mc.ObserveQueueLen(c.queue.Len())
 	return true
+}
+
+// pushCopy is push for a pair the caller holds by value — a popped pair
+// going back, a refined pair, the root. Taking the address of such a
+// local for push would move it to the heap on every loop iteration that
+// declares it; staging it here does not.
+func (c *execContext) pushCopy(p hybridq.Pair) bool {
+	c.staged = p
+	return c.push(&c.staged)
 }
 
 // refine replaces an <object,object> pair's MBR lower-bound distance
@@ -440,12 +457,6 @@ func stampChildLevels(dst *rtree.NodeSoA) {
 func (e *expander) maxDist(a, b geom.Rect) float64 {
 	e.mc.AddRealDist(1)
 	return a.MaxDist(b)
-}
-
-// minDist computes the minimum distance, counted.
-func (e *expander) minDist(a, b geom.Rect) float64 {
-	e.mc.AddRealDist(1)
-	return a.MinDist(b)
 }
 
 // refine replaces an <object,object> pair's MBR lower-bound distance

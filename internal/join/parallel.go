@@ -51,7 +51,6 @@ import (
 	"distjoin/internal/hybridq"
 	"distjoin/internal/metrics"
 	"distjoin/internal/obsrv"
-	"distjoin/internal/rtree"
 	"distjoin/internal/trace"
 )
 
@@ -98,6 +97,13 @@ type expandOut struct {
 	// given worker count regardless of goroutine scheduling.
 	events []trace.Event
 	err    error
+}
+
+// keep is the emit of every worker sweep: the sweep lends its scratch
+// pair for the call only, so the task's output takes a copy.
+func (o *expandOut) keep(p *hybridq.Pair) bool {
+	o.pairs = append(o.pairs, *p)
+	return true
 }
 
 // out resets and returns the i-th output slot for the next batch.
@@ -189,9 +195,7 @@ func (e *expander) sweepChildren(p hybridq.Pair, cutoff func() float64, out *exp
 		return
 	}
 	run.liveCutoff(cutoff)
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		out.pairs = append(out.pairs, run.childPair(le, re, d))
-	}
+	run.emit = out.keep
 	run.run()
 	e.traceExpansion(out, p, cutoff(), int64(len(out.pairs)))
 }
@@ -206,10 +210,8 @@ func (e *expander) aggressiveChildren(p hybridq.Pair, eDmax float64, cutoff func
 	}
 	run.fixCutoff(eDmax)
 	run.realCutoff = cutoff
-	run.record = true
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		out.pairs = append(out.pairs, run.childPair(le, re, d))
-	}
+	run.recordInto(run.newRanges())
+	run.emit = out.keep
 	run.run()
 	out.ci = &compInfo{pair: p, plan: run.plan, ranges: run.out, examCutoff: eDmax}
 	e.traceExpansion(out, p, eDmax, int64(len(out.pairs)))
@@ -226,9 +228,7 @@ func (e *expander) compensateChildren(p hybridq.Pair, ci *compInfo, cutoff func(
 	}
 	run.prev = &ci.ranges
 	run.liveCutoff(cutoff)
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		out.pairs = append(out.pairs, run.childPair(le, re, d))
-	}
+	run.emit = out.keep
 	run.run()
 	e.traceExpansion(out, p, cutoff(), int64(len(out.pairs)))
 }
@@ -249,10 +249,10 @@ func (e *expander) idjFreshChildren(p hybridq.Pair, cur float64, record bool, ou
 		return
 	}
 	run.fixCutoff(cur)
-	run.record = true
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		out.pairs = append(out.pairs, run.childPair(le, re, d))
+	if record {
+		run.recordInto(run.newRanges())
 	}
+	run.emit = out.keep
 	run.run()
 	if record {
 		out.ci = &compInfo{pair: p, plan: run.plan, ranges: run.out, examCutoff: cur}
@@ -270,16 +270,10 @@ func (e *expander) idjBandChildren(p hybridq.Pair, ci *compInfo, cur, prev float
 		return
 	}
 	run.prev = &ci.ranges
-	run.record = true
+	run.recordInto(run.newRanges())
 	run.fixCutoff(cur)
-	run.reexamine = func(le, re rtree.NodeEntry, d float64) {
-		if d > prev {
-			out.pairs = append(out.pairs, run.childPair(le, re, d))
-		}
-	}
-	run.emit = func(le, re rtree.NodeEntry, d float64) {
-		out.pairs = append(out.pairs, run.childPair(le, re, d))
-	}
+	run.reexamine = func(p *hybridq.Pair) bool { return p.Dist > prev && out.keep(p) }
+	run.emit = out.keep
 	run.run()
 	out.ranges = run.out
 	e.traceExpansion(out, p, cur, int64(len(out.pairs)))
@@ -311,13 +305,12 @@ func mergeTask(c *execContext, ct *cutoffTracker, out *expandOut) error {
 	if len(out.events) > 0 {
 		c.tr.EmitAll(out.events)
 	}
-	for _, np := range out.pairs {
+	for i := range out.pairs {
+		np := &out.pairs[i]
 		if !out.direct && np.Dist > ct.Cutoff() {
 			continue
 		}
-		if c.push(np) {
-			ct.OnPush(np)
-		}
+		ct.push(np)
 	}
 	return nil
 }
@@ -337,9 +330,7 @@ func bkdjParallel(c *execContext, k int) ([]Result, error) {
 	ct := newCutoffTracker(c, k, c.dqPolicy)
 	live := ct.LiveCutoff
 	results := make([]Result, 0, k)
-	if c.push(c.rootPair()) {
-		ct.OnPush(c.rootPair())
-	}
+	ct.pushCopy(c.rootPair())
 	batch := make([]hybridq.Pair, 0, ps.workers)
 	tasks := make([]ptask, 0, ps.workers)
 	for len(results) < k {
@@ -359,11 +350,11 @@ func bkdjParallel(c *execContext, k int) ([]Result, error) {
 			p := p
 			switch {
 			case !p.IsResult():
-				ct.OnRemove(p)
+				ct.OnRemove(&p)
 				out := ps.out(len(tasks))
 				tasks = append(tasks, ptask{fn: func(e *expander) { e.sweepChildren(p, live, out) }, out: out})
 			case c.needsRefinement(p):
-				ct.OnRemove(p)
+				ct.OnRemove(&p)
 				out := ps.out(len(tasks))
 				tasks = append(tasks, ptask{fn: func(e *expander) { e.refineTask(p, out) }, out: out})
 			default:
@@ -371,7 +362,7 @@ func bkdjParallel(c *execContext, k int) ([]Result, error) {
 				// emission must wait for the expansion's children, so
 				// it returns to the queue. Its cutoff witness remains
 				// registered — no OnRemove, no OnPush.
-				c.push(p)
+				c.pushCopy(p)
 			}
 		}
 		ps.run(c, tasks)
@@ -404,9 +395,7 @@ func amkdjParallel(c *execContext, k int, opts Options) ([]Result, error) {
 	results := make([]Result, 0, k)
 	var compList []*compInfo
 	compMap := make(map[pairKey]*compInfo)
-	if c.push(c.rootPair()) {
-		ct.OnPush(c.rootPair())
-	}
+	ct.pushCopy(c.rootPair())
 	batch := make([]hybridq.Pair, 0, ps.workers)
 	tasks := make([]ptask, 0, ps.workers)
 
@@ -436,8 +425,8 @@ func amkdjParallel(c *execContext, k int, opts Options) ([]Result, error) {
 				break
 			}
 		}
-		for _, p := range batch[cut:] {
-			c.push(p)
+		for i := cut; i < len(batch); i++ {
+			c.push(&batch[i])
 		}
 		if cut < len(batch) {
 			stageOne = false
@@ -453,15 +442,15 @@ func amkdjParallel(c *execContext, k int, opts Options) ([]Result, error) {
 			p := p
 			switch {
 			case !p.IsResult():
-				ct.OnRemove(p)
+				ct.OnRemove(&p)
 				out := ps.out(len(tasks))
 				tasks = append(tasks, ptask{fn: func(e *expander) { e.aggressiveChildren(p, frozen, live, out) }, out: out})
 			case c.needsRefinement(p):
-				ct.OnRemove(p)
+				ct.OnRemove(&p)
 				out := ps.out(len(tasks))
 				tasks = append(tasks, ptask{fn: func(e *expander) { e.refineTask(p, out) }, out: out})
 			default:
-				c.push(p)
+				c.pushCopy(p)
 			}
 		}
 		ps.run(c, tasks)
@@ -489,7 +478,7 @@ func amkdjParallel(c *execContext, k int, opts Options) ([]Result, error) {
 		// re-registered with the cutoff tracker (see the serial
 		// AMKDJ for the reasoning).
 		for _, ci := range compList {
-			c.push(ci.pair)
+			c.push(&ci.pair)
 		}
 		for len(results) < k {
 			if err := c.cancelled(); err != nil {
@@ -516,15 +505,15 @@ func amkdjParallel(c *execContext, k int, opts Options) ([]Result, error) {
 						ci := ci
 						tasks = append(tasks, ptask{fn: func(e *expander) { e.compensateChildren(p, ci, live, out) }, out: out})
 					} else {
-						ct.OnRemove(p)
+						ct.OnRemove(&p)
 						tasks = append(tasks, ptask{fn: func(e *expander) { e.sweepChildren(p, live, out) }, out: out})
 					}
 				case c.needsRefinement(p):
-					ct.OnRemove(p)
+					ct.OnRemove(&p)
 					out := ps.out(len(tasks))
 					tasks = append(tasks, ptask{fn: func(e *expander) { e.refineTask(p, out) }, out: out})
 				default:
-					c.push(p)
+					c.pushCopy(p)
 				}
 			}
 			ps.run(c, tasks)
@@ -596,8 +585,8 @@ func (it *AMIDJIterator) expandParallel(first hybridq.Pair) error {
 		if len(out.events) > 0 {
 			c.tr.EmitAll(out.events)
 		}
-		for _, np := range out.pairs {
-			c.push(np)
+		for i := range out.pairs {
+			c.push(&out.pairs[i])
 		}
 		p := batch[j]
 		key := keyOf(p)

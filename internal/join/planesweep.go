@@ -11,9 +11,11 @@ import (
 // index range of candidates in the opposite sorted list that were
 // examined (axis gap within the stage's cutoff). AM-KDJ's compensation
 // stage resumes each anchor at .to; AM-IDJ's band re-examination
-// revisits [.from,.to) under a grown cutoff.
+// revisits [.from,.to) under a grown cutoff. The indices are uint16
+// because a node never holds more than rtree.MaxNodeEntries entries:
+// the page header stores the entry count in sixteen bits.
 type anchorRange struct {
-	from, to int32
+	from, to uint16
 }
 
 // sweepRanges is the per-expansion compensation bookkeeping: one range
@@ -22,12 +24,23 @@ type sweepRanges struct {
 	l, r []anchorRange
 }
 
+// sweepSide is one side of a run with its columns picked by the plan's
+// axis and direction once, so that no step of the sweep re-derives them.
+type sweepSide struct {
+	n         *rtree.NodeSoA
+	key       []float64     // orders this side's entries; the other side's anchors measure gaps to it
+	base      []float64     // an anchor of this side measures its gaps from it
+	prev, out []anchorRange // this side's half of sweepRun.prev and .out
+}
+
 // sweepRun executes one bidirectional node expansion by plane sweep
 // (the PlaneSweep / AggressivePlaneSweep / CompensatePlaneSweep
 // procedures of Algorithms 1–3, unified) over the struct-of-arrays
-// node layout: both sides are rtree.NodeSoA columns, so the merge
-// loop, the axis-gap scans, and the distance kernels all read
-// contiguous float64 slices.
+// node layout: both sides are rtree.NodeSoA columns, and the sweep
+// moves indices into them, never entries. An anchor costs one load from
+// its base column plus the scan of the other side's key column; its
+// rectangle is read only when a candidate survives the axis scan, and
+// refs only when a candidate is delivered.
 //
 // L and R must already be sorted per plan. The merge loop repeatedly
 // takes the entry with the minimum sweep key as the anchor and scans
@@ -35,9 +48,19 @@ type sweepRanges struct {
 // order, breaking at the first candidate whose axis gap exceeds the
 // axis cutoff. For each surviving candidate the real distance is
 // computed (and counted) and held against the real-distance cutoff;
-// only a candidate within it is materialized into entries and handed to
-// emit, which does the queueing. Most candidates fail that filter, so
-// it runs on the bare distance (pass), before anything is built.
+// only a candidate within it is built — once, in place, in the run's
+// scratch pair — and handed to emit, which does the queueing. Most
+// candidates fail that filter, so it runs on the bare distance (pass),
+// before anything is built.
+//
+// Ownership (docs/memory.md, "Sweep data flow and ownership"). The run
+// lends emit and reexamine its one scratch pair: the pointer is valid
+// only for the call, the pair must not be modified, and whoever keeps
+// it copies it (Queue.PushFrom into the heap, a stack or output slice
+// by appending *p). They report whether they accepted the pair; the run
+// counts those in children. The run never allocates range storage: a
+// caller that wants the examined ranges hands it two slices of the
+// sides' lengths through recordInto and owns them afterwards.
 //
 // The axis cutoff comes in two forms with different scan strategies:
 //
@@ -59,27 +82,34 @@ type sweepRanges struct {
 // delivered candidate, not per candidate.
 //
 // Both paths count axis and real distance computations exactly as the
-// historical per-entry engine did and emit in the same candidate
-// order, which is what keeps results and counters byte-identical.
+// historical per-entry engine did — summed locally and added to the
+// collector once per run — and emit in the same candidate order, which
+// is what keeps results and counters byte-identical.
 //
 // Compensation: when prev is non-nil the anchor scan skips the ranges
 // examined by the earlier stage; when reexamine is additionally
 // non-nil those ranges are revisited through it first (the AM-IDJ band
-// case, where the real-distance cutoff has grown between stages).
+// case, where the real-distance cutoff has grown between stages). prev
+// and the recordInto storage may be the same slices: every anchor's
+// previous range is read before its new one is written.
 type sweepRun struct {
 	e          *expander
 	L, R       *rtree.NodeSoA
-	lObj, rObj bool // whether L / R entries are objects
 	plan       sweep.Plan
 	axisCutoff func() float64 // dynamic cutoff; nil selects the fixed batch path
 	cutoff     float64        // fixed axis cutoff, valid when axisCutoff is nil
 	realCutoff func() float64 // live real-distance cutoff; nil leaves realNow fixed
 	realNow    float64        // the real-distance cutoff in force (see pass)
-	emit       func(le, re rtree.NodeEntry, d float64)
+	emit       func(p *hybridq.Pair) bool
 	prev       *sweepRanges
-	reexamine  func(le, re rtree.NodeEntry, d float64)
-	record     bool
-	out        sweepRanges
+	reexamine  func(p *hybridq.Pair) bool
+	record     bool        // out is caller storage to write (see recordInto)
+	out        sweepRanges // the examined ranges, when record is set
+	children   int64       // candidates emit or reexamine accepted
+
+	pair         hybridq.Pair // the one candidate under construction; LeftObj/RightObj fixed per run
+	left, right  sweepSide
+	axisN, realN int64 // distance computations of this run, not yet in the collector
 }
 
 // fixCutoff declares c the axis and real-distance cutoff for the whole
@@ -95,6 +125,24 @@ func (s *sweepRun) liveCutoff(f func() float64) {
 	s.axisCutoff, s.realCutoff = f, f
 }
 
+// recordInto makes the run write every entry's examined range into rs,
+// which the caller owns: rs.l and rs.r must have the lengths of L and R.
+// Every element is written exactly once — anchors as they are swept,
+// entries that never become anchors after the merge loop — so rs need
+// not be initialized.
+func (s *sweepRun) recordInto(rs sweepRanges) {
+	s.record, s.out = true, rs
+}
+
+// newRanges allocates range storage for this run's two sides in one
+// block, for the callers whose bookkeeping is not slab-backed (AM-IDJ's
+// first expansion of a pair, the parallel tasks).
+func (s *sweepRun) newRanges() sweepRanges {
+	nl := s.L.Len()
+	buf := make([]anchorRange, nl+s.R.Len())
+	return sweepRanges{l: buf[:nl:nl], r: buf[nl:]}
+}
+
 // pass is the sweep's real-distance filter: a candidate at real
 // distance d is delivered unless d exceeds the cutoff in force.
 func (s *sweepRun) pass(d float64) bool { return !(d > s.realNow) }
@@ -106,84 +154,102 @@ func (s *sweepRun) refreshReal() {
 	}
 }
 
-// deliver materializes candidate m of o, which passed the filter at
-// real distance d, in (left, right) orientation and hands it to fn.
-func (s *sweepRun) deliver(fn func(le, re rtree.NodeEntry, d float64), fromL bool, anchor rtree.NodeEntry, o *rtree.NodeSoA, m int, d float64) {
-	le, re := orientEntries(fromL, anchor, o.Entry(m))
-	fn(le, re, d)
+// deliver builds the pair of anchor ai and candidate m, which passed the
+// filter at real distance d, in (left, right) orientation in the scratch
+// pair and lends it to fn.
+func (s *sweepRun) deliver(fn func(p *hybridq.Pair) bool, fromL bool, ai, m int, d float64) {
+	li, ri := ai, m
+	if !fromL {
+		li, ri = m, ai
+	}
+	p := &s.pair
+	p.Dist = d
+	p.Left, p.Right = s.L.Refs[li], s.R.Refs[ri]
+	p.LeftRect, p.RightRect = s.L.Rect(li), s.R.Rect(ri)
+	if fn(p) {
+		s.children++
+	}
 	s.refreshReal()
+}
+
+// set points the side at n with its columns picked by plan: a forward
+// sweep orders by lower bounds and measures gaps from an anchor's upper
+// bound to the candidates' lower bounds; a backward sweep mirrors both.
+func (sd *sweepSide) set(n *rtree.NodeSoA, plan sweep.Plan, prev, out []anchorRange) {
+	sd.n, sd.prev, sd.out = n, prev, out
+	if plan.Dir == sweep.Forward {
+		sd.key, sd.base = n.Lo(plan.Axis), n.Hi(plan.Axis)
+	} else {
+		sd.key, sd.base = n.Hi(plan.Axis), n.Lo(plan.Axis)
+	}
 }
 
 // run executes the sweep. When record is set, out holds the examined
 // ranges afterwards.
 func (s *sweepRun) run() {
 	s.refreshReal()
-	if s.record {
-		s.out.l = makeEmptyRanges(s.L.Len(), s.R.Len())
-		s.out.r = makeEmptyRanges(s.R.Len(), s.L.Len())
-	}
-	i, j := 0, 0
 	nl, nr := s.L.Len(), s.R.Len()
+	var prev sweepRanges
+	if s.prev != nil {
+		prev = *s.prev
+	}
+	if s.record && (len(s.out.l) != nl || len(s.out.r) != nr || max(nl, nr) > rtree.MaxNodeEntries) {
+		panic("join: range storage does not fit the expansion")
+	}
+	s.left.set(s.L, s.plan, prev.l, s.out.l)
+	s.right.set(s.R, s.plan, prev.r, s.out.r)
+	kl, kr := s.left.key, s.right.key
+	forward := s.plan.Dir == sweep.Forward
+	i, j := 0, 0
 	for i < nl && j < nr {
-		kl := soaKey(s.L, i, s.plan)
-		kr := soaKey(s.R, j, s.plan)
-		if kl <= kr {
-			s.sweepAnchor(true, i, j)
+		// sweep.Key is the lower bound going forward and the negated
+		// upper bound going backward; comparing the upper bounds the
+		// other way round is the same order, NaNs included.
+		fromL := kl[i] <= kr[j]
+		if !forward {
+			fromL = kl[i] >= kr[j]
+		}
+		if fromL {
+			s.sweepAnchor(&s.left, &s.right, true, i, j)
 			i++
 		} else {
-			s.sweepAnchor(false, j, i)
+			s.sweepAnchor(&s.right, &s.left, false, j, i)
 			j++
 		}
 	}
-}
-
-// soaKey is sweep.Key read straight from the coordinate columns.
-func soaKey(n *rtree.NodeSoA, i int, p sweep.Plan) float64 {
-	if p.Dir == sweep.Forward {
-		return n.Lo(p.Axis)[i]
+	if s.record {
+		// Entries that never became anchors: their pairs are all covered
+		// from the opposite side, so their range is empty-at-end.
+		fillEmptyRanges(s.out.l[i:], nr)
+		fillEmptyRanges(s.out.r[j:], nl)
 	}
-	return -n.Hi(p.Axis)[i]
+	s.e.mc.AddAxisDist(s.axisN)
+	s.e.mc.AddRealDist(s.realN)
+	s.axisN, s.realN = 0, 0
 }
 
-// makeEmptyRanges initializes per-anchor ranges to empty-at-end, the
-// correct value for entries that never become anchors (their pairs are
-// all covered from the opposite side). The slices are freshly
-// allocated on purpose: recorded ranges escape into long-lived
-// compensation bookkeeping (compInfo), so they must not alias any
-// reused scratch.
-func makeEmptyRanges(n, otherLen int) []anchorRange {
-	rs := make([]anchorRange, n)
+// fillEmptyRanges sets rs to the empty range at the end of an opposite
+// list of otherLen entries.
+func fillEmptyRanges(rs []anchorRange, otherLen int) {
+	end := anchorRange{from: uint16(otherLen), to: uint16(otherLen)}
 	for i := range rs {
-		rs[i] = anchorRange{from: int32(otherLen), to: int32(otherLen)}
+		rs[i] = end
 	}
-	return rs
 }
 
-// sweepAnchor processes one anchor: the entry at index ai on the given
-// side, with oj the current consumption point of the opposite list.
-func (s *sweepRun) sweepAnchor(fromL bool, ai, oj int) {
-	var a, o *rtree.NodeSoA
-	if fromL {
-		a, o = s.L, s.R
-	} else {
-		a, o = s.R, s.L
-	}
-	anchor := a.Entry(ai)
-
+// sweepAnchor processes one anchor: entry ai of side a, with oj the
+// current consumption point of the opposite side o. fromL tells which
+// of the two is the left side.
+func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 	start := oj
 	recFrom := oj
 	if s.prev != nil {
-		var pr anchorRange
-		if fromL {
-			pr = s.prev.l[ai]
-		} else {
-			pr = s.prev.r[ai]
-		}
+		pr := a.prev[ai]
 		if s.reexamine != nil {
 			// Band mode: the earlier stage examined [pr.from, pr.to)
 			// under a smaller real-distance cutoff; revisit them so
 			// pairs in the grown band are recovered.
-			s.scanBand(fromL, anchor, o, int(pr.from), int(pr.to))
+			s.scanBand(a, o, fromL, ai, int(pr.from), int(pr.to))
 		}
 		if int(pr.to) > start {
 			start = int(pr.to)
@@ -196,68 +262,60 @@ func (s *sweepRun) sweepAnchor(fromL bool, ai, oj int) {
 	// The axis-gap scan reads one coordinate column: the candidates'
 	// lower bounds against the anchor's upper bound for forward sweeps
 	// (and mirrored for backward), exactly sweep.AxisGap unrolled.
-	axis := s.plan.Axis
 	forward := s.plan.Dir == sweep.Forward
-	var base float64
-	var col []float64
-	if forward {
-		base = anchor.Rect.Max(axis)
-		col = o.Lo(axis)
-	} else {
-		base = anchor.Rect.Min(axis)
-		col = o.Hi(axis)
-	}
-	n := o.Len()
+	base := a.base[ai]
+	col := o.key
+	n := len(col)
 
 	stop := start
 	if s.axisCutoff == nil {
 		// Fixed cutoff: find the whole candidate window first, then
 		// compute its distances with one batch kernel call.
 		cut := s.cutoff
-		scanned := 0
 		if forward {
-			for m := start; m < n; m++ {
-				scanned++
-				g := col[m] - base
+			for ; stop < n; stop++ {
+				g := col[stop] - base
 				if g < 0 {
 					g = 0
 				}
 				if g > cut {
 					break
 				}
-				stop = m + 1
 			}
 		} else {
-			for m := start; m < n; m++ {
-				scanned++
-				g := base - col[m]
+			for ; stop < n; stop++ {
+				g := base - col[stop]
 				if g < 0 {
 					g = 0
 				}
 				if g > cut {
 					break
 				}
-				stop = m + 1
 			}
 		}
-		s.e.mc.AddAxisDist(int64(scanned))
+		s.axisN += int64(stop - start)
+		if stop < n {
+			s.axisN++ // the candidate that ended the scan was measured too
+		}
 		if stop > start {
+			on := o.n
 			dst := s.e.distScratch(stop - start)
-			geom.MinDistBatch(dst, anchor.Rect,
-				o.MinX[start:stop], o.MinY[start:stop],
-				o.MaxX[start:stop], o.MaxY[start:stop])
-			s.e.mc.AddRealDist(int64(stop - start))
+			geom.MinDistBatch(dst, a.n.Rect(ai),
+				on.MinX[start:stop], on.MinY[start:stop],
+				on.MaxX[start:stop], on.MaxY[start:stop])
+			s.realN += int64(stop - start)
 			for m := start; m < stop; m++ {
 				if d := dst[m-start]; s.pass(d) {
-					s.deliver(s.emit, fromL, anchor, o, m, d)
+					s.deliver(s.emit, fromL, ai, m, d)
 				}
 			}
 		}
 	} else {
 		// Dynamic cutoff: emissions tighten the window mid-scan, so
 		// cutoff, distance, and emit stay interleaved per candidate.
+		ar := a.n.Rect(ai)
 		for m := start; m < n; m++ {
-			s.e.mc.AddAxisDist(1)
+			s.axisN++
 			var g float64
 			if forward {
 				g = col[m] - base
@@ -270,81 +328,58 @@ func (s *sweepRun) sweepAnchor(fromL bool, ai, oj int) {
 			if g > s.axisCutoff() {
 				break
 			}
-			if d := s.e.minDist(orientRects(fromL, anchor.Rect, o.Rect(m))); s.pass(d) {
-				s.deliver(s.emit, fromL, anchor, o, m, d)
+			s.realN++
+			if d := minDistOriented(fromL, ar, o.n.Rect(m)); s.pass(d) {
+				s.deliver(s.emit, fromL, ai, m, d)
 			}
 			stop = m + 1
 		}
 	}
 
 	if s.record {
-		r := anchorRange{from: int32(recFrom), to: int32(stop)}
-		if r.to < r.from {
-			r.to = r.from
+		to := stop
+		if to < recFrom {
+			to = recFrom
 		}
-		if fromL {
-			s.out.l[ai] = r
-		} else {
-			s.out.r[ai] = r
-		}
+		a.out[ai] = anchorRange{from: uint16(recFrom), to: uint16(to)}
 	}
 }
 
 // scanBand revisits the previously examined candidate range
-// [from, to) of one anchor through reexamine, batching the distance
+// [from, to) of anchor ai through reexamine, batching the distance
 // computations when the cutoff is fixed (the only mode band
 // re-examination runs under).
-func (s *sweepRun) scanBand(fromL bool, anchor rtree.NodeEntry, o *rtree.NodeSoA, from, to int) {
+func (s *sweepRun) scanBand(a, o *sweepSide, fromL bool, ai, from, to int) {
 	if to <= from {
 		return
 	}
+	ar, on := a.n.Rect(ai), o.n
+	s.realN += int64(to - from)
 	if s.axisCutoff == nil {
 		dst := s.e.distScratch(to - from)
-		geom.MinDistBatch(dst, anchor.Rect,
-			o.MinX[from:to], o.MinY[from:to], o.MaxX[from:to], o.MaxY[from:to])
-		s.e.mc.AddRealDist(int64(to - from))
+		geom.MinDistBatch(dst, ar,
+			on.MinX[from:to], on.MinY[from:to], on.MaxX[from:to], on.MaxY[from:to])
 		for m := from; m < to; m++ {
 			if d := dst[m-from]; s.pass(d) {
-				s.deliver(s.reexamine, fromL, anchor, o, m, d)
+				s.deliver(s.reexamine, fromL, ai, m, d)
 			}
 		}
 		return
 	}
 	for m := from; m < to; m++ {
-		if d := s.e.minDist(orientRects(fromL, anchor.Rect, o.Rect(m))); s.pass(d) {
-			s.deliver(s.reexamine, fromL, anchor, o, m, d)
+		if d := minDistOriented(fromL, ar, on.Rect(m)); s.pass(d) {
+			s.deliver(s.reexamine, fromL, ai, m, d)
 		}
 	}
 }
 
-// orientEntries returns the pair in (left, right) orientation given
-// which side the anchor came from.
-func orientEntries(anchorFromL bool, anchor, other rtree.NodeEntry) (le, re rtree.NodeEntry) {
+// minDistOriented is the minimum distance between an anchor's and a
+// candidate's rectangle, computed as left-to-right.
+func minDistOriented(anchorFromL bool, anchor, other geom.Rect) float64 {
 	if anchorFromL {
-		return anchor, other
+		return anchor.MinDist(other)
 	}
-	return other, anchor
-}
-
-// orientRects is orientEntries for the rectangles alone.
-func orientRects(anchorFromL bool, anchor, other geom.Rect) (l, r geom.Rect) {
-	if anchorFromL {
-		return anchor, other
-	}
-	return other, anchor
-}
-
-// childPair builds the queue element for a candidate child pair.
-func (s *sweepRun) childPair(le, re rtree.NodeEntry, d float64) hybridq.Pair {
-	return hybridq.Pair{
-		Dist:      d,
-		LeftObj:   s.lObj,
-		RightObj:  s.rObj,
-		Left:      le.Ref,
-		Right:     re.Ref,
-		LeftRect:  le.Rect,
-		RightRect: re.Rect,
-	}
+	return other.MinDist(anchor)
 }
 
 // expansion materializes both sides of a pair for sweeping: the child
@@ -369,7 +404,9 @@ func (e *expander) expansionWithPlan(p hybridq.Pair, plan sweep.Plan) (*sweepRun
 		return nil, err
 	}
 	r := &e.run
-	*r = sweepRun{e: e, L: &e.soaL, R: &e.soaR, lObj: lObj, rObj: rObj, plan: plan}
+	*r = sweepRun{} // zeroed in place; a non-zero literal would be built aside and copied
+	r.e, r.L, r.R, r.plan = e, &e.soaL, &e.soaR, plan
+	r.pair.LeftObj, r.pair.RightObj = lObj, rObj
 	return r, nil
 }
 

@@ -31,7 +31,7 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 	if mem <= 0 {
 		mem = DefaultQueueMemBytes
 	}
-	sorter, err := extsort.NewSorter(pairCodec, func(a, b hybridq.Pair) bool { return a.Less(b) },
+	sorter, err := extsort.NewSorter(pairCodec, hybridq.PairLess,
 		extsort.Config{MemBytes: mem, Metrics: opts.Metrics, IOCost: c.ioCost})
 	if err != nil {
 		return nil, err
@@ -40,6 +40,33 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 	// Phase one: the spatial join. A DFS over node pairs; qualifying
 	// object pairs stream into the sorter.
 	stack := []hybridq.Pair{c.rootPair()}
+	// The sweep lends its scratch pair for the call only; the stack and
+	// the sorter each take a copy.
+	emit := func(np *hybridq.Pair) bool {
+		if !np.IsResult() {
+			stack = append(stack, *np)
+			return true
+		}
+		// Self-join semantics: suppress identity pairs and keep one of
+		// each mirror pair — the same filter execContext.push applies for
+		// the queue-driven algorithms. Pairs stream into the sorter
+		// directly, so the filter must be applied here. (Caught by the
+		// simtest differential oracle: the self-join workload otherwise
+		// ranks <a,a> pairs at distance zero ahead of every real result.)
+		if c.opts.SelfJoin && np.Left >= np.Right {
+			return false
+		}
+		rp := *np
+		if c.refiner != nil {
+			rp = c.refine(rp)
+			if rp.Dist > dmax {
+				return false
+			}
+		}
+		sorter.Add(rp)
+		c.mc.AddMainQueueInsert(1) // counted as the baseline's queue work
+		return true
+	}
 	for len(stack) > 0 {
 		if err := c.cancelled(); err != nil {
 			return nil, err
@@ -54,31 +81,7 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 			return nil, err
 		}
 		run.fixCutoff(dmax)
-		run.emit = func(le, re rtree.NodeEntry, d float64) {
-			np := run.childPair(le, re, d)
-			if np.IsResult() {
-				// Self-join semantics: suppress identity pairs and keep
-				// one of each mirror pair — the same filter execContext.push
-				// applies for the queue-driven algorithms. Pairs stream
-				// into the sorter directly, so the filter must be applied
-				// here. (Caught by the simtest differential oracle: the
-				// self-join workload otherwise ranks <a,a> pairs at
-				// distance zero ahead of every real result.)
-				if c.opts.SelfJoin && np.Left >= np.Right {
-					return
-				}
-				if c.refiner != nil {
-					np = c.refine(np)
-					if np.Dist > dmax {
-						return
-					}
-				}
-				sorter.Add(np)
-				c.mc.AddMainQueueInsert(1) // counted as the baseline's queue work
-			} else {
-				stack = append(stack, np)
-			}
-		}
+		run.emit = emit
 		run.run()
 	}
 	if err := sorter.Err(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"distjoin/internal/datagen"
 	"distjoin/internal/geom"
 	"distjoin/internal/hybridq"
+	"distjoin/internal/metrics"
 	"distjoin/internal/rtree"
 	"distjoin/internal/storage"
 	"distjoin/internal/sweep"
@@ -185,4 +186,88 @@ func BenchmarkExpansionOrder(b *testing.B) {
 			step(i)
 		}
 	})
+}
+
+// soaBounds is the MBR of a decoded node's entries.
+func soaBounds(s *rtree.NodeSoA) geom.Rect {
+	b := s.Rect(0)
+	for i := 1; i < s.Len(); i++ {
+		b = b.Union(s.Rect(i))
+	}
+	return b
+}
+
+// BenchmarkAggressiveSweep isolates the sweep layer: one op is one
+// recorded fixed-cutoff sweep — the shape of an AM-KDJ aggressive or
+// AM-IDJ stage expansion — of two packed leaves that lie on top of each
+// other (86 entries each: fanout 102 at the packer's fill), already
+// decoded and ordered (BenchmarkExpansionOrder times that part), with
+// warm scratch and the range storage reused as a caller would own it. The emit keeps each delivered pair with one
+// 104-byte copy, as the main queue's heap does, and nothing else, so the
+// queue (BenchmarkHeapPushPop, BenchmarkHybridQueuePushPop) stays out of
+// the number. ns/anchor divides by the entries of the two nodes;
+// realdist/op and pairs/op say how much of the op is distance kernel
+// and how much is delivery.
+func BenchmarkAggressiveSweep(b *testing.B) {
+	left, right, lids, rids := orderBenchTrees(b)
+	c, err := newContext(left, right, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// packedLeaf returns the fullest leaf whose centre is nearest to
+	// near's, or the first fullest leaf when near is nil.
+	packedLeaf := func(t *rtree.Tree, ids []storage.PageID, near *geom.Rect) (best storage.PageID, bestRect geom.Rect) {
+		bestLen, bestDist := 0, 0.0
+		var n rtree.NodeSoA
+		for _, id := range ids {
+			if err := t.ReadNodeSoA(id, &n, nil); err != nil {
+				b.Fatal(err)
+			}
+			if !n.IsLeaf() || n.Len() < bestLen {
+				continue
+			}
+			r, d := soaBounds(&n), 0.0
+			if near != nil {
+				d = near.CenterDist(r)
+			}
+			if n.Len() > bestLen || d < bestDist {
+				best, bestRect, bestLen, bestDist = id, r, n.Len(), d
+			}
+		}
+		return best, bestRect
+	}
+	rid, rRect := packedLeaf(right, rids, nil)
+	lid, lRect := packedLeaf(left, lids, &rRect)
+	p := hybridq.Pair{Dist: lRect.MinDist(rRect), Left: nodeRef(lid, 0), Right: nodeRef(rid, 0), LeftRect: lRect, RightRect: rRect}
+
+	const eDmax = 4.0
+	run, err := c.ex.expansion(p, eDmax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var kept hybridq.Pair
+	run.fixCutoff(eDmax)
+	run.recordInto(run.newRanges())
+	run.emit = func(np *hybridq.Pair) bool {
+		kept = *np
+		return true
+	}
+	var mc metrics.Collector
+	c.ex.mc = &mc
+	run.run() // size the distance scratch
+	if run.children == 0 {
+		b.Fatal("the sweep delivered nothing; the benchmark exercises no emit")
+	}
+	mc, run.children = metrics.Collector{}, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run.run()
+	}
+	b.StopTimer()
+	anchors := float64(run.L.Len() + run.R.Len())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/anchors, "ns/anchor")
+	b.ReportMetric(float64(mc.RealDistCalcs)/float64(b.N), "realdist/op")
+	b.ReportMetric(float64(run.children)/float64(b.N), "pairs/op")
+	_ = kept
 }

@@ -1,0 +1,367 @@
+package join
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"distjoin/internal/geom"
+	"distjoin/internal/hybridq"
+	"distjoin/internal/metrics"
+	"distjoin/internal/pqueue"
+	"distjoin/internal/rtree"
+	"distjoin/internal/sweep"
+)
+
+// refRange and refSweep are the plane sweep as it was before anchors
+// were read from the columns: every anchor is materialised as a
+// rtree.NodeEntry, candidates are handed on as entries, ranges are int32
+// and pre-filled by makeEmptyRefRanges. Kept as the reference the
+// column-reading sweep is compared against; nothing outside this file
+// uses it.
+type refRange struct{ from, to int32 }
+
+type refRanges struct{ l, r []refRange }
+
+type refSweep struct {
+	L, R         *rtree.NodeSoA
+	plan         sweep.Plan
+	axisCutoff   func() float64
+	cutoff       float64
+	realCutoff   func() float64
+	realNow      float64
+	emit         func(le, re rtree.NodeEntry, d float64)
+	prev         *refRanges
+	reexamine    func(le, re rtree.NodeEntry, d float64)
+	out          refRanges
+	axisN, realN int64
+}
+
+func makeEmptyRefRanges(n, otherLen int) []refRange {
+	rs := make([]refRange, n)
+	for i := range rs {
+		rs[i] = refRange{from: int32(otherLen), to: int32(otherLen)}
+	}
+	return rs
+}
+
+func (s *refSweep) pass(d float64) bool { return !(d > s.realNow) }
+
+func (s *refSweep) refreshReal() {
+	if s.realCutoff != nil {
+		s.realNow = s.realCutoff()
+	}
+}
+
+func (s *refSweep) deliver(fn func(le, re rtree.NodeEntry, d float64), fromL bool, anchor rtree.NodeEntry, o *rtree.NodeSoA, m int, d float64) {
+	if fromL {
+		fn(anchor, o.Entry(m), d)
+	} else {
+		fn(o.Entry(m), anchor, d)
+	}
+	s.refreshReal()
+}
+
+func refKey(n *rtree.NodeSoA, i int, p sweep.Plan) float64 {
+	if p.Dir == sweep.Forward {
+		return n.Lo(p.Axis)[i]
+	}
+	return -n.Hi(p.Axis)[i]
+}
+
+func (s *refSweep) run() {
+	s.refreshReal()
+	s.out.l = makeEmptyRefRanges(s.L.Len(), s.R.Len())
+	s.out.r = makeEmptyRefRanges(s.R.Len(), s.L.Len())
+	i, j := 0, 0
+	nl, nr := s.L.Len(), s.R.Len()
+	for i < nl && j < nr {
+		if refKey(s.L, i, s.plan) <= refKey(s.R, j, s.plan) {
+			s.sweepAnchor(true, i, j)
+			i++
+		} else {
+			s.sweepAnchor(false, j, i)
+			j++
+		}
+	}
+}
+
+func (s *refSweep) minDist(fromL bool, anchor, other geom.Rect) float64 {
+	s.realN++
+	if fromL {
+		return anchor.MinDist(other)
+	}
+	return other.MinDist(anchor)
+}
+
+func (s *refSweep) sweepAnchor(fromL bool, ai, oj int) {
+	a, o := s.L, s.R
+	if !fromL {
+		a, o = s.R, s.L
+	}
+	anchor := a.Entry(ai)
+
+	start := oj
+	recFrom := oj
+	if s.prev != nil {
+		var pr refRange
+		if fromL {
+			pr = s.prev.l[ai]
+		} else {
+			pr = s.prev.r[ai]
+		}
+		if s.reexamine != nil {
+			s.scanBand(fromL, anchor, o, int(pr.from), int(pr.to))
+		}
+		if int(pr.to) > start {
+			start = int(pr.to)
+		}
+		if int(pr.from) < recFrom {
+			recFrom = int(pr.from)
+		}
+	}
+
+	axis := s.plan.Axis
+	forward := s.plan.Dir == sweep.Forward
+	base, col := anchor.Rect.Max(axis), o.Lo(axis)
+	if !forward {
+		base, col = anchor.Rect.Min(axis), o.Hi(axis)
+	}
+	gap := func(m int) float64 {
+		g := col[m] - base
+		if !forward {
+			g = base - col[m]
+		}
+		if g < 0 {
+			g = 0
+		}
+		return g
+	}
+	n := o.Len()
+
+	stop := start
+	if s.axisCutoff == nil {
+		for m := start; m < n; m++ {
+			s.axisN++
+			if gap(m) > s.cutoff {
+				break
+			}
+			stop = m + 1
+		}
+		if stop > start {
+			dst := make([]float64, stop-start)
+			geom.MinDistBatch(dst, anchor.Rect,
+				o.MinX[start:stop], o.MinY[start:stop], o.MaxX[start:stop], o.MaxY[start:stop])
+			s.realN += int64(stop - start)
+			for m := start; m < stop; m++ {
+				if d := dst[m-start]; s.pass(d) {
+					s.deliver(s.emit, fromL, anchor, o, m, d)
+				}
+			}
+		}
+	} else {
+		for m := start; m < n; m++ {
+			s.axisN++
+			if gap(m) > s.axisCutoff() {
+				break
+			}
+			if d := s.minDist(fromL, anchor.Rect, o.Rect(m)); s.pass(d) {
+				s.deliver(s.emit, fromL, anchor, o, m, d)
+			}
+			stop = m + 1
+		}
+	}
+
+	r := refRange{from: int32(recFrom), to: int32(stop)}
+	if r.to < r.from {
+		r.to = r.from
+	}
+	if fromL {
+		s.out.l[ai] = r
+	} else {
+		s.out.r[ai] = r
+	}
+}
+
+func (s *refSweep) scanBand(fromL bool, anchor rtree.NodeEntry, o *rtree.NodeSoA, from, to int) {
+	if to <= from {
+		return
+	}
+	if s.axisCutoff == nil {
+		dst := make([]float64, to-from)
+		geom.MinDistBatch(dst, anchor.Rect,
+			o.MinX[from:to], o.MinY[from:to], o.MaxX[from:to], o.MaxY[from:to])
+		s.realN += int64(to - from)
+		for m := from; m < to; m++ {
+			if d := dst[m-from]; s.pass(d) {
+				s.deliver(s.reexamine, fromL, anchor, o, m, d)
+			}
+		}
+		return
+	}
+	for m := from; m < to; m++ {
+		if d := s.minDist(fromL, anchor.Rect, o.Rect(m)); s.pass(d) {
+			s.deliver(s.reexamine, fromL, anchor, o, m, d)
+		}
+	}
+}
+
+// randomSweepNode returns a node of n entries in plan's sweep order.
+// Coordinates sit on a coarse grid so that sweep keys, axis gaps and
+// distances tie often.
+func randomSweepNode(rng *rand.Rand, n int, plan sweep.Plan, refBase uint64) *rtree.NodeSoA {
+	var s rtree.NodeSoA
+	s.Reset(n)
+	for i := 0; i < n; i++ {
+		x, y := float64(rng.Intn(40)), float64(rng.Intn(40))
+		s.MinX[i], s.MinY[i] = x, y
+		s.MaxX[i], s.MaxY[i] = x+float64(rng.Intn(4)), y+float64(rng.Intn(4))
+		s.Refs[i] = refBase + uint64(i)
+	}
+	sweep.SortSoA(&s, plan)
+	return &s
+}
+
+// delivered is one candidate as emit or reexamine saw it.
+type delivered struct {
+	pair      hybridq.Pair
+	reexamine bool
+}
+
+func narrowRanges(rs []refRange) []anchorRange {
+	out := make([]anchorRange, len(rs))
+	for i, r := range rs {
+		out[i] = anchorRange{from: uint16(r.from), to: uint16(r.to)}
+	}
+	return out
+}
+
+// TestSweepMatchesEntryReference runs the column-reading sweep and the
+// entry-materialising reference over random node pairs, for every plan,
+// both cutoff forms and every compensation mode, and requires the same
+// delivered sequence, the same recorded range for every entry —
+// including the ones that never became anchors — and the same distance
+// computation totals. With an earlier stage's ranges the new sweep runs
+// twice, recording into fresh storage and in place over the ranges it is
+// reading, which must make no difference.
+func TestSweepMatchesEntryReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1601))
+	const k = 12 // distance-queue bound of the live cutoffs
+	for trial := 0; trial < 60; trial++ {
+		for _, plan := range benchPlans {
+			// Sizes include the empty node and the one-entry object side.
+			sizes := []int{0, 1, 1 + rng.Intn(8), 20 + rng.Intn(40)}
+			nl, nr := sizes[rng.Intn(len(sizes))], sizes[rng.Intn(len(sizes))]
+			L := randomSweepNode(rng, nl, plan, 1000)
+			R := randomSweepNode(rng, nr, plan, 2000)
+			lObj, rObj := nl == 1, rng.Intn(2) == 0
+			first, second := float64(1+rng.Intn(6)), float64(6+rng.Intn(10))
+
+			for _, live := range []bool{false, true} {
+				for _, mode := range []string{"fresh", "prev", "prev+reexamine"} {
+					name := fmt.Sprintf("trial %d %v live=%v %s (%dx%d)", trial, plan, live, mode, nl, nr)
+
+					// An earlier fixed-cutoff stage supplies prev.
+					var prev *refRanges
+					if mode != "fresh" {
+						stage := refSweep{L: L, R: R, plan: plan, cutoff: first, realNow: first,
+							emit: func(le, re rtree.NodeEntry, d float64) {}}
+						stage.run()
+						prev = &stage.out
+					}
+
+					var want []delivered
+					refQ := pqueue.NewDistanceQueue(k)
+					ref := refSweep{L: L, R: R, plan: plan, prev: prev}
+					refKeep := func(reex bool) func(le, re rtree.NodeEntry, d float64) {
+						return func(le, re rtree.NodeEntry, d float64) {
+							want = append(want, delivered{reexamine: reex, pair: hybridq.Pair{
+								Dist: d, LeftObj: lObj, RightObj: rObj,
+								Left: le.Ref, Right: re.Ref, LeftRect: le.Rect, RightRect: re.Rect}})
+							refQ.Insert(d)
+						}
+					}
+					ref.emit = refKeep(false)
+					if mode == "prev+reexamine" {
+						ref.reexamine = refKeep(true)
+					}
+					if live {
+						ref.axisCutoff, ref.realCutoff = refQ.Cutoff, refQ.Cutoff
+					} else {
+						ref.cutoff, ref.realNow = second, second
+					}
+					ref.run()
+
+					for _, inPlace := range []bool{false, true} {
+						if inPlace && prev == nil {
+							continue
+						}
+						var got []delivered
+						var mc metrics.Collector
+						q := pqueue.NewDistanceQueue(k)
+						run := &sweepRun{e: &expander{mc: &mc}, L: L, R: R, plan: plan}
+						run.pair.LeftObj, run.pair.RightObj = lObj, rObj
+						keep := func(reex bool) func(p *hybridq.Pair) bool {
+							return func(p *hybridq.Pair) bool {
+								got = append(got, delivered{pair: *p, reexamine: reex})
+								q.Insert(p.Dist)
+								return len(got)%3 != 0 // acceptance must not steer the sweep
+							}
+						}
+						run.emit = keep(false)
+						if mode == "prev+reexamine" {
+							run.reexamine = keep(true)
+						}
+						if live {
+							run.liveCutoff(q.Cutoff)
+						} else {
+							run.fixCutoff(second)
+						}
+						storage := run.newRanges()
+						if prev != nil {
+							earlier := sweepRanges{l: narrowRanges(prev.l), r: narrowRanges(prev.r)}
+							run.prev = &earlier
+							if inPlace {
+								storage = earlier
+							}
+						}
+						run.recordInto(storage)
+						run.run()
+
+						tag := fmt.Sprintf("%s inPlace=%v", name, inPlace)
+						if len(got) != len(want) {
+							t.Fatalf("%s: delivered %d candidates, reference %d", tag, len(got), len(want))
+						}
+						accepted := int64(0)
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%s: delivery %d is\n %+v, reference\n %+v", tag, i, got[i], want[i])
+							}
+							if (i+1)%3 != 0 {
+								accepted++
+							}
+						}
+						if run.children != accepted {
+							t.Errorf("%s: run counted %d accepted candidates, emit accepted %d", tag, run.children, accepted)
+						}
+						for side, pair := range map[string][2]any{"l": {run.out.l, ref.out.l}, "r": {run.out.r, ref.out.r}} {
+							gotR, wantR := pair[0].([]anchorRange), pair[1].([]refRange)
+							if len(gotR) != len(wantR) {
+								t.Fatalf("%s: %d %s ranges, reference %d", tag, len(gotR), side, len(wantR))
+							}
+							for i := range gotR {
+								if int32(gotR[i].from) != wantR[i].from || int32(gotR[i].to) != wantR[i].to {
+									t.Fatalf("%s: %s range %d is %+v, reference %+v", tag, side, i, gotR[i], wantR[i])
+								}
+							}
+						}
+						if mc.AxisDistCalcs != ref.axisN || mc.RealDistCalcs != ref.realN {
+							t.Errorf("%s: %d axis and %d real distance computations, reference %d and %d",
+								tag, mc.AxisDistCalcs, mc.RealDistCalcs, ref.axisN, ref.realN)
+						}
+					}
+				}
+			}
+		}
+	}
+}

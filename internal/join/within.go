@@ -44,6 +44,32 @@ func WithinJoin(left, right *rtree.Tree, maxDist float64, opts Options, fn func(
 
 	stop := false
 	stack := []hybridq.Pair{c.rootPair()}
+	// The sweep lends its scratch pair for the call only: node pairs are
+	// copied onto the stack, results are converted before fn sees them.
+	emit := func(np *hybridq.Pair) bool {
+		if stop {
+			return false
+		}
+		if !np.IsResult() {
+			stack = append(stack, *np)
+			return true
+		}
+		if c.opts.SelfJoin && np.Left >= np.Right {
+			return false
+		}
+		rp := *np
+		if c.refiner != nil {
+			rp = c.refine(rp)
+			if rp.Dist > maxDist {
+				return false
+			}
+		}
+		c.mc.AddResult(1)
+		if !fn(pairResult(rp)) {
+			stop = true
+		}
+		return true
+	}
 	for len(stack) > 0 && !stop {
 		if err := c.cancelled(); err != nil {
 			return err
@@ -57,35 +83,10 @@ func WithinJoin(left, right *rtree.Tree, maxDist float64, opts Options, fn func(
 		if err != nil {
 			return c.traceError(err)
 		}
-		var children int64
 		run.fixCutoff(maxDist)
-		run.emit = func(le, re rtree.NodeEntry, d float64) {
-			if stop {
-				return
-			}
-			np := run.childPair(le, re, d)
-			if !np.IsResult() {
-				stack = append(stack, np)
-				children++
-				return
-			}
-			if c.opts.SelfJoin && np.Left >= np.Right {
-				return
-			}
-			if c.refiner != nil {
-				np = c.refine(np)
-				if np.Dist > maxDist {
-					return
-				}
-			}
-			c.mc.AddResult(1)
-			children++
-			if !fn(pairResult(np)) {
-				stop = true
-			}
-		}
+		run.emit = emit
 		run.run()
-		c.traceExpansion(p, maxDist, children)
+		c.traceExpansion(p, maxDist, run.children)
 	}
 	return nil
 }

@@ -48,8 +48,19 @@ func (h *Heap[T]) Empty() bool { return len(h.items) == 0 }
 // Push adds v to the heap.
 func (h *Heap[T]) Push(v T) {
 	h.moving = v
-	h.items = append(h.items, v)
-	h.siftUp(len(h.items) - 1)
+	h.PushFrom(&h.moving)
+}
+
+// PushFrom adds a copy of *v to the heap, reading it in place: an
+// element that lands at the bottom (the common case for a join's child
+// pairs, which order after their parents) is copied once, into the
+// slice. The heap does not keep v, and v must not point into the heap's
+// own items. Because v is handed to the comparator, a caller's local
+// passed here is heap-allocated; pass the address of storage that
+// already lives on the heap.
+func (h *Heap[T]) PushFrom(v *T) {
+	h.items = append(h.items, *v)
+	h.siftUp(len(h.items)-1, v)
 }
 
 // Peek returns the top element without removing it. It panics on an
@@ -93,11 +104,11 @@ func (h *Heap[T]) Clear() {
 // rebuilding via NewHeapFromSlice.
 func (h *Heap[T]) Items() []T { return h.items }
 
-// siftUp places h.moving, treating index i as a hole: ancestors that
-// order after it move down one level each, and it lands where the
-// swap-based sift would have left it.
-func (h *Heap[T]) siftUp(i int) {
-	items, v := h.items, &h.moving
+// siftUp places *v, which already sits at index i, treating i as a
+// hole: ancestors that order after it move down one level each, and it
+// lands where the swap-based sift would have left it.
+func (h *Heap[T]) siftUp(i int, v *T) {
+	items, start := h.items, i
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(v, &items[parent]) {
@@ -106,7 +117,9 @@ func (h *Heap[T]) siftUp(i int) {
 		items[i] = items[parent]
 		i = parent
 	}
-	items[i] = *v
+	if i != start {
+		items[i] = *v
+	}
 }
 
 // siftDown places h.moving, treating index i as a hole: the smaller

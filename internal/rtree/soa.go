@@ -29,6 +29,12 @@ type NodeSoA struct {
 	coords []float64 // single backing array for the four columns
 }
 
+// MaxNodeEntries bounds the entries of any decoded node, whatever the
+// page size: the page header stores the entry count as a uint16. Code
+// that indexes a node's entries (the join's per-anchor ranges) may
+// therefore hold an index in sixteen bits.
+const MaxNodeEntries = math.MaxUint16
+
 // Len returns the number of entries.
 func (s *NodeSoA) Len() int { return len(s.Refs) }
 
