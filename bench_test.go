@@ -250,85 +250,43 @@ func BenchmarkOperations(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Parallel engine benchmarks: serial vs worker-pool AM-KDJ on a uniform
-// 50k x 50k workload. The parallel run returns byte-identical results;
-// the interesting number is wall time vs GOMAXPROCS (see
-// docs/parallel.md for recorded speedups). On a single-CPU host the
-// parallel path measures pure coordination overhead.
+// AM-KDJ at k = 10 000 on a uniform 50k x 50k workload.
 
-var parallelBench struct {
+var uniformBench struct {
 	once        sync.Once
 	left, right *Index
 	err         error
 }
 
-func parallelBenchIndexes(b *testing.B) (*Index, *Index) {
+func uniformBenchIndexes(b *testing.B) (*Index, *Index) {
 	b.Helper()
-	parallelBench.once.Do(func() {
+	uniformBench.once.Do(func() {
 		rng := rand.New(rand.NewSource(42))
 		a := randObjects(rng, 50000, 100000, 30)
 		c := randObjects(rng, 50000, 100000, 30)
-		parallelBench.left, parallelBench.err = NewIndex(a, &IndexConfig{BufferBytes: 8 << 20})
-		if parallelBench.err != nil {
+		uniformBench.left, uniformBench.err = NewIndex(a, &IndexConfig{BufferBytes: 8 << 20})
+		if uniformBench.err != nil {
 			return
 		}
-		parallelBench.right, parallelBench.err = NewIndex(c, &IndexConfig{BufferBytes: 8 << 20})
+		uniformBench.right, uniformBench.err = NewIndex(c, &IndexConfig{BufferBytes: 8 << 20})
 	})
-	if parallelBench.err != nil {
-		b.Fatal(parallelBench.err)
+	if uniformBench.err != nil {
+		b.Fatal(uniformBench.err)
 	}
-	return parallelBench.left, parallelBench.right
+	return uniformBench.left, uniformBench.right
 }
 
-func benchAMKDJ(b *testing.B, parallelism int) {
-	left, right := parallelBenchIndexes(b)
+func BenchmarkAMKDJSerial(b *testing.B) {
+	left, right := uniformBenchIndexes(b)
 	const k = 10000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := KDistanceJoin(left, right, k, &Options{Parallelism: parallelism})
+		got, err := KDistanceJoin(left, right, k, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(got) != k {
 			b.Fatalf("got %d results, want %d", len(got), k)
 		}
-	}
-}
-
-// BenchmarkAMKDJSerial is the single-goroutine baseline.
-func BenchmarkAMKDJSerial(b *testing.B) { benchAMKDJ(b, 1) }
-
-// BenchmarkAMKDJParallel uses one expansion worker per CPU.
-func BenchmarkAMKDJParallel(b *testing.B) { benchAMKDJ(b, AutoParallelism) }
-
-// BenchmarkAMKDJParallelWorkers sweeps fixed worker counts.
-func BenchmarkAMKDJParallelWorkers(b *testing.B) {
-	for _, p := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) { benchAMKDJ(b, p) })
-	}
-}
-
-// BenchmarkAMKDJSharded sweeps the partition-parallel executor: the
-// same 50k x 50k workload grid-partitioned into Shards shards, with
-// partition pairs joined on a per-CPU worker pool under bounds-only
-// pruning. Compare against BenchmarkAMKDJParallel — on a multi-core
-// host the sharded run's independent per-shard joins scale past the
-// single-tree engine's barrier-synchronized expansion workers.
-func BenchmarkAMKDJSharded(b *testing.B) {
-	for _, s := range []int{4, 9, 16} {
-		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
-			left, right := parallelBenchIndexes(b)
-			const k = 10000
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := KDistanceJoin(left, right, k, &Options{Shards: s, Parallelism: AutoParallelism})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(got) != k {
-					b.Fatalf("got %d results, want %d", len(got), k)
-				}
-			}
-		})
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchdiff -old BENCH_9.json -new bench-new.json [-threshold 0.25]
+//	benchdiff -old BENCH_17.json -new bench-new.json [-threshold 0.25]
 //	          [-time-threshold 0] [-abs-floor 64] [-q]
 //
 // Gating logic (see internal/benchrec): the deterministic cost
@@ -106,8 +106,8 @@ func printSummary(old, cur *benchrec.Record) {
 			oe.Name, oe.DistCalcs, ne.DistCalcs,
 			oe.QueueInserts, ne.QueueInserts, ne.WallSeconds, delta)
 	}
-	// Entries only the candidate records (e.g. the sharded AM-KDJ
-	// series before the baseline is regenerated) are fresh coverage:
+	// Entries only the candidate records (a series added before the
+	// baseline is regenerated) are fresh coverage:
 	// informational, never gating, but worth surfacing so new series
 	// don't ship invisibly.
 	first := true

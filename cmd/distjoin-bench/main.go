@@ -8,7 +8,7 @@
 //	distjoin-bench [-exp all|fig10|table2|fig11|fig12|fig13|fig14|fig15|
 //	                     ablation-sweep|ablation-dq|ablation-correction|ablation-queue|ablation-estimator|ablation-split|queue-sizes]
 //	               [-scale 0.05] [-seed N] [-queue-mem bytes] [-buffer bytes]
-//	               [-parallel N] [-csv]
+//	               [-csv]
 //
 // scale=1.0 reproduces the paper's full data sizes (633,461 streets x
 // 189,642 hydrographic objects, k up to 100,000); the default 0.05
@@ -26,8 +26,7 @@
 //
 //	-bench-json out      run the perf suite (instead of -exp) and write
 //	                     a schema-versioned record for cmd/benchdiff /
-//	                     the CI regression gate; -bench-parallel adds
-//	                     one n-worker AM-KDJ entry (default 8, 0 = none)
+//	                     the CI regression gate
 package main
 
 import (
@@ -52,7 +51,6 @@ func main() {
 		seed      = flag.Int64("seed", 0, "data generator seed (0 = default)")
 		queueMem  = flag.Int("queue-mem", 0, "in-memory main queue bytes (0 = paper's 512 KB)")
 		buffer    = flag.Int("buffer", 0, "R-tree buffer pool bytes (0 = paper's 512 KB)")
-		parallel  = flag.Int("parallel", 1, "expansion workers per query: 1 = serial (paper-exact), n > 1 = n workers, 0 = one per CPU")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		svgDir    = flag.String("svg", "", "also write one SVG line chart per chartable table into this directory")
 		tracePath = flag.String("trace", "", "run one traced AM-KDJ query (instead of -exp) and write its stage events as JSON to this file")
@@ -60,7 +58,6 @@ func main() {
 		mFormat   = flag.String("metrics-format", "", "with -trace: print the traced query's metrics to stdout as \"json\" or \"prom\"")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
 		benchJSON = flag.String("bench-json", "", "run the continuous-benchmark suite (instead of -exp) and write the perf record to this file")
-		benchPar  = flag.Int("bench-parallel", 8, "with -bench-json: worker count of the extra parallel AM-KDJ entry (0 = skip it)")
 	)
 	flag.Parse()
 
@@ -78,10 +75,6 @@ func main() {
 		Seed:          *seed,
 		QueueMemBytes: *queueMem,
 		BufferBytes:   *buffer,
-		Parallelism:   *parallel,
-	}
-	if *parallel == 0 {
-		cfg.Parallelism = join.AutoParallelism
 	}
 
 	if *mFormat != "" && *mFormat != "json" && *mFormat != "prom" {
@@ -98,7 +91,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		rec, err := experiments.PerfRecord(cfg, *benchPar)
+		rec, err := experiments.PerfRecord(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "distjoin-bench: %v\n", err)
 			os.Exit(1)

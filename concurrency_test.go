@@ -69,9 +69,8 @@ func TestConcurrentQueries(t *testing.T) {
 // sweep-order memo: N goroutines start the same join at the same moment
 // on one shared pair of indexes no query has touched, so they all sort
 // and publish the same nodes' orders at once (a primary -race target).
-// Whichever store wins each slot, every caller — serial or running its
-// own worker pool — must return exactly what a serial query on a
-// private pair of indexes returns.
+// Whichever store wins each slot, every caller must return exactly
+// what a query on a private pair of indexes returns.
 func TestConcurrentFirstTouch(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randObjects(rng, 900, 2000, 10)
@@ -96,7 +95,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		fail := make(chan string, callers)
 		var wg sync.WaitGroup
 		for w := 0; w < callers; w++ {
-			opts := &Options{Algorithm: []Algorithm{AMKDJ, BKDJ}[w%2], Parallelism: []int{1, 1, 3}[w%3]}
+			opts := &Options{Algorithm: []Algorithm{AMKDJ, BKDJ}[w%2]}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -112,7 +111,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						fail <- opts.Algorithm.String() + ": result differs from the serial run on private indexes"
+						fail <- opts.Algorithm.String() + ": result differs from the run on private indexes"
 						return
 					}
 				}
@@ -137,83 +136,6 @@ func (e errMismatch2) Error() string {
 }
 
 func errMismatch(a Algorithm, i int) error { return errMismatch2{algo: a, i: i} }
-
-// TestConcurrentParallelQueries layers worker-pool execution on top of
-// concurrent callers: many goroutines issue parallel (Parallelism > 1)
-// k-distance and incremental joins against the same two indexes
-// through a deliberately tiny shared buffer pool. Every query must
-// return exactly the serial answer — parallel execution is
-// deterministic — and the whole stampede must be race-clean (this test
-// is a primary -race target).
-func TestConcurrentParallelQueries(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randObjects(rng, 700, 2000, 10)
-	b := randObjects(rng, 700, 2000, 10)
-	left, err := NewIndex(a, &IndexConfig{BufferBytes: 8192}) // tiny buffer: heavy contention
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := NewIndex(b, &IndexConfig{BufferBytes: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := KDistanceJoin(left, right, 80, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers = 9
-	var wg sync.WaitGroup
-	fail := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			par := []int{2, 4, AutoParallelism}[w%3]
-			if w%2 == 0 {
-				// Parallel k-distance joins, alternating algorithms.
-				algo := []Algorithm{AMKDJ, BKDJ}[w%4/2]
-				for i := 0; i < 4; i++ {
-					got, err := KDistanceJoin(left, right, 80, &Options{Algorithm: algo, Parallelism: par})
-					if err != nil {
-						fail <- err.Error()
-						return
-					}
-					for j := range got {
-						if got[j] != want[j] {
-							fail <- algo.String() + ": parallel result diverged from serial"
-							return
-						}
-					}
-				}
-				return
-			}
-			// Parallel incremental iterators.
-			it, err := IncrementalJoin(left, right, &Options{BatchK: 25, Parallelism: par})
-			if err != nil {
-				fail <- err.Error()
-				return
-			}
-			for i := 0; i < len(want); i++ {
-				p, ok := it.Next()
-				if !ok {
-					fail <- "parallel iterator exhausted early"
-					return
-				}
-				if p != want[i] {
-					fail <- "parallel iterator diverged from serial"
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(fail)
-	for msg := range fail {
-		t.Fatal(msg)
-	}
-}
 
 // Concurrent incremental iterators over the same indexes are
 // independent.

@@ -42,7 +42,6 @@ import (
 	"distjoin/internal/metrics"
 	"distjoin/internal/obsrv"
 	"distjoin/internal/rtree"
-	"distjoin/internal/shard"
 	"distjoin/internal/storage"
 	"distjoin/internal/trace"
 )
@@ -91,7 +90,7 @@ type Stats = metrics.Collector
 // Tracer records structured per-query stage events — node-pair
 // expansions, aggressive/compensation stage transitions with the
 // active eDmax, hybrid-queue spills and reloads, eDmax re-estimations,
-// parallel batch barriers, and errors — into a bounded ring buffer.
+// and errors — into a bounded ring buffer.
 // Install one via Options.Trace; a nil tracer is a zero-cost no-op.
 // See NewTracer and the docs/observability.md event schema.
 type Tracer = trace.Tracer
@@ -107,19 +106,14 @@ type TraceKind = trace.Kind
 // layer's ?explain=1 digest) can interpret a recorded timeline
 // through the facade alone.
 const (
-	TraceKindExpansion       = trace.KindExpansion
-	TraceKindStageStart      = trace.KindStageStart
-	TraceKindStageEnd        = trace.KindStageEnd
-	TraceKindCompensation    = trace.KindCompensation
-	TraceKindEDmaxUpdate     = trace.KindEDmaxUpdate
-	TraceKindQueueSpill      = trace.KindQueueSpill
-	TraceKindQueueReload     = trace.KindQueueReload
-	TraceKindBarrier         = trace.KindBarrier
-	TraceKindError           = trace.KindError
-	TraceKindShardPlan       = trace.KindShardPlan
-	TraceKindShardRun        = trace.KindShardRun
-	TraceKindShardSkip       = trace.KindShardSkip
-	TraceKindCutoffBroadcast = trace.KindCutoffBroadcast
+	TraceKindExpansion    = trace.KindExpansion
+	TraceKindStageStart   = trace.KindStageStart
+	TraceKindStageEnd     = trace.KindStageEnd
+	TraceKindCompensation = trace.KindCompensation
+	TraceKindEDmaxUpdate  = trace.KindEDmaxUpdate
+	TraceKindQueueSpill   = trace.KindQueueSpill
+	TraceKindQueueReload  = trace.KindQueueReload
+	TraceKindError        = trace.KindError
 )
 
 // DefaultTraceCapacity is the event capacity NewTracer uses when given
@@ -284,24 +278,12 @@ type Options struct {
 	// candidate pair is refined exactly once, when it first reaches
 	// the head of the priority queue. The returned distance must be at
 	// least the MBR distance and at most the MBR maximum distance —
-	// true for any geometry contained in its MBR. With Parallelism > 1
-	// the refiner is invoked from worker goroutines and must be safe
-	// for concurrent use.
+	// true for any geometry contained in its MBR. The refiner is
+	// called from the query's goroutine only.
 	Refiner func(left, right Object) float64
-	// Parallelism sets the number of worker goroutines expanding R-tree
-	// node pairs concurrently. 0 or 1 runs the serial algorithms
-	// (default); n > 1 uses n workers; AutoParallelism uses
-	// runtime.GOMAXPROCS(0). Parallel runs return exactly the same
-	// pairs in the same order as serial runs — only the performance
-	// counters in Stats differ (parallel pruning is slightly more
-	// permissive). Applies to KDistanceJoin/KClosestPairs with AMKDJ or
-	// BKDJ and to IncrementalJoin with AMKDJ (AM-IDJ); the baselines
-	// and the ancillary joins always run serially.
-	Parallelism int
 	// Trace, when non-nil, receives structured stage events for the
-	// query (see Tracer). Tracing never perturbs results — parallel
-	// traced runs return exactly the pairs serial runs return — and a
-	// nil tracer adds no allocations to the query hot path.
+	// query (see Tracer). Tracing never perturbs results, and a nil
+	// tracer adds no allocations to the query hot path.
 	Trace *Tracer
 	// Registry, when non-nil, aggregates this query into the
 	// process-level observability registry: it appears in the live
@@ -317,27 +299,7 @@ type Options struct {
 	// returns it as the X-Distjoin-Query-Id header). Ignored when
 	// Registry is nil.
 	QueryID string
-	// Shards, when positive, runs KDistanceJoin / KClosestPairs with
-	// AMKDJ or BKDJ through the partition-parallel sharded executor:
-	// both datasets are grid-partitioned into roughly Shards spatial
-	// shards (rounded to the nearest square grid), each shard gets a
-	// private bulk-loaded R-tree, and partition pairs are joined on a
-	// Parallelism-sized worker pool with bounds-only pruning against a
-	// shared global cutoff. Results are byte-identical to the
-	// single-tree engine at any shard and worker count (see
-	// docs/sharding.md). Zero disables sharding (default). Paths with
-	// no sharded executor do not silently fall back: KDistanceJoin /
-	// KClosestPairs with HSKDJ or SJSort and IncrementalJoin return a
-	// configuration error when Shards > 0. The ancillary joins
-	// (WithinJoin, AllNearest, KNNJoin) ignore the field, documented
-	// here: they stream unranked or per-object results where
-	// partition-parallel ranking does not apply.
-	Shards int
 }
-
-// AutoParallelism, assigned to Options.Parallelism, sizes the worker
-// pool to runtime.GOMAXPROCS(0).
-const AutoParallelism = join.AutoParallelism
 
 // joinOptions lowers Options to the internal representation.
 func (o *Options) joinOptions() join.Options {
@@ -352,7 +314,6 @@ func (o *Options) joinOptions() join.Options {
 		Estimator:     o.Estimator,
 		SelfJoin:      o.SelfJoin,
 		Context:       o.Context,
-		Parallelism:   o.Parallelism,
 		Trace:         o.Trace,
 		Registry:      o.Registry,
 		QueryID:       o.QueryID,
@@ -516,18 +477,6 @@ func requireIndexes(op string, idxs ...*Index) error {
 	return nil
 }
 
-// rejectShards returns the configuration error for join paths that
-// have no sharded executor. Options.Shards used to be silently
-// ignored on these paths — a misconfiguration mask: the caller asked
-// for partition-parallel execution and quietly got the single-tree
-// engine instead.
-func rejectShards(algo string, opts *Options) error {
-	if opts != nil && opts.Shards > 0 {
-		return fmt.Errorf("distjoin: Options.Shards is not supported with %s (sharded execution requires AMKDJ or BKDJ via KDistanceJoin/KClosestPairs); clear Shards or switch algorithms", algo)
-	}
-	return nil
-}
-
 // KDistanceJoin returns the k nearest (left, right) object pairs in
 // nondecreasing distance order. Both indexes must be non-nil and k
 // must be positive.
@@ -549,26 +498,12 @@ func KDistanceJoin(left, right *Index, k int, opts *Options) ([]Pair, error) {
 	)
 	switch algo {
 	case AMKDJ:
-		if opts != nil && opts.Shards > 0 {
-			results, err = shard.KDJ(left.tree, right.tree, k, shard.AMKDJ, shard.Config{Shards: opts.Shards}, jo)
-			break
-		}
 		results, err = join.AMKDJ(left.tree, right.tree, k, jo)
 	case BKDJ:
-		if opts != nil && opts.Shards > 0 {
-			results, err = shard.KDJ(left.tree, right.tree, k, shard.BKDJ, shard.Config{Shards: opts.Shards}, jo)
-			break
-		}
 		results, err = join.BKDJ(left.tree, right.tree, k, jo)
 	case HSKDJ:
-		if err := rejectShards("HSKDJ", opts); err != nil {
-			return nil, err
-		}
 		results, err = join.HSKDJ(left.tree, right.tree, k, jo)
 	case SJSort:
-		if err := rejectShards("SJSort", opts); err != nil {
-			return nil, err
-		}
 		if opts == nil || opts.MaxDist <= 0 {
 			return nil, fmt.Errorf("distjoin: SJSort requires Options.MaxDist > 0")
 		}
@@ -616,9 +551,6 @@ func (it *Iterator) Close() { it.close() }
 // the HS-IDJ baseline.
 func IncrementalJoin(left, right *Index, opts *Options) (*Iterator, error) {
 	if err := requireIndexes("IncrementalJoin", left, right); err != nil {
-		return nil, err
-	}
-	if err := rejectShards("IncrementalJoin", opts); err != nil {
 		return nil, err
 	}
 	jo := opts.joinOptions()

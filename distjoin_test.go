@@ -1,7 +1,6 @@
 package distjoin
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -596,130 +595,6 @@ func TestKNNJoinFacade(t *testing.T) {
 	}
 	if err := KNNJoin(left, right, k, nil, nil); err == nil {
 		t.Fatal("nil callback must error")
-	}
-}
-
-// TestShardedJoinIdentity pins the Options.Shards contract at the
-// facade: sharded KDistanceJoin and KClosestPairs return exactly the
-// pairs the single-tree engine returns, for both eligible algorithms
-// across shard and worker counts.
-func TestShardedJoinIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a := randObjects(rng, 400, 100000, 300)
-	b := randObjects(rng, 300, 100000, 300)
-	left, err := NewIndex(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := NewIndex(b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairs := func(label string, got, want []Pair) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: got %d pairs, want %d", label, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: pair %d = %+v, want %+v", label, i, got[i], want[i])
-			}
-		}
-	}
-	for _, algo := range []Algorithm{AMKDJ, BKDJ} {
-		want, err := KDistanceJoin(left, right, 50, &Options{Algorithm: algo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{1, 4, 9} {
-			for _, par := range []int{1, 8} {
-				got, err := KDistanceJoin(left, right, 50, &Options{Algorithm: algo, Shards: shards, Parallelism: par})
-				if err != nil {
-					t.Fatalf("%v s=%d par=%d: %v", algo, shards, par, err)
-				}
-				samePairs(fmt.Sprintf("%v/s=%d/par=%d", algo, shards, par), got, want)
-			}
-		}
-	}
-	// Self-join through KClosestPairs.
-	wantSelf, err := KClosestPairs(left, 40, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSelf, err := KClosestPairs(left, 40, &Options{Shards: 4, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairs("self/s=4", gotSelf, wantSelf)
-}
-
-// TestShardsMisconfiguration pins the Options.Shards fallback
-// contract: paths with no sharded executor reject Shards > 0 with a
-// clear configuration error instead of silently running the
-// single-tree engine, while the ancillary streaming joins ignore the
-// field (documented on Options.Shards).
-func TestShardsMisconfiguration(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := randObjects(rng, 80, 500, 5)
-	b := randObjects(rng, 80, 500, 5)
-	left, _ := NewIndex(a, nil)
-	right, _ := NewIndex(b, nil)
-
-	wantErr := func(label string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s with Shards > 0: no error, want configuration error", label)
-		}
-		if !strings.Contains(err.Error(), "Shards") {
-			t.Fatalf("%s error %q does not name Options.Shards", label, err)
-		}
-	}
-
-	// KDistanceJoin: HSKDJ and SJSort have no sharded executor.
-	_, err := KDistanceJoin(left, right, 10, &Options{Algorithm: HSKDJ, Shards: 4})
-	wantErr("KDistanceJoin/HSKDJ", err)
-	_, err = KDistanceJoin(left, right, 10, &Options{Algorithm: SJSort, MaxDist: 100, Shards: 4})
-	wantErr("KDistanceJoin/SJSort", err)
-
-	// IncrementalJoin: no sharded executor for any algorithm.
-	_, err = IncrementalJoin(left, right, &Options{Shards: 4})
-	wantErr("IncrementalJoin/AMKDJ", err)
-	_, err = IncrementalJoin(left, right, &Options{Algorithm: HSKDJ, Shards: 4})
-	wantErr("IncrementalJoin/HSKDJ", err)
-
-	// KClosestPairs routes through KDistanceJoin, so the same rule
-	// applies to self-joins.
-	_, err = KClosestPairs(left, 10, &Options{Algorithm: HSKDJ, Shards: 4})
-	wantErr("KClosestPairs/HSKDJ", err)
-
-	// Eligible algorithms still shard, with and without self-join.
-	for _, algo := range []Algorithm{AMKDJ, BKDJ} {
-		if _, err := KDistanceJoin(left, right, 10, &Options{Algorithm: algo, Shards: 4}); err != nil {
-			t.Fatalf("KDistanceJoin/%v sharded: %v", algo, err)
-		}
-	}
-	if _, err := KClosestPairs(left, 10, &Options{Shards: 4}); err != nil {
-		t.Fatalf("KClosestPairs sharded: %v", err)
-	}
-
-	// Ancillary joins: Shards is documented as ignored — same results
-	// as the unsharded call, no error.
-	opts := &Options{Shards: 4}
-	var withShards, without []Pair
-	if err := WithinJoin(left, right, 50, opts, func(p Pair) bool { withShards = append(withShards, p); return true }); err != nil {
-		t.Fatalf("WithinJoin with Shards: %v", err)
-	}
-	if err := WithinJoin(left, right, 50, nil, func(p Pair) bool { without = append(without, p); return true }); err != nil {
-		t.Fatalf("WithinJoin: %v", err)
-	}
-	if len(withShards) != len(without) {
-		t.Fatalf("WithinJoin result drift with Shards set: %d vs %d", len(withShards), len(without))
-	}
-	if err := AllNearest(left, right, opts, func(Pair) bool { return true }); err != nil {
-		t.Fatalf("AllNearest with Shards: %v", err)
-	}
-	if err := KNNJoin(left, right, 2, opts, func([]Pair) bool { return true }); err != nil {
-		t.Fatalf("KNNJoin with Shards: %v", err)
 	}
 }
 

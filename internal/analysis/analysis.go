@@ -18,14 +18,14 @@
 //   - promdrift — the trace/obsrv Prometheus surfaces and the strict
 //     exposition lint's expected series cannot drift from the
 //     canonical contract;
-//   - ctxpoll — unbounded drain loops in join, shard, and serving
-//     (queue pops, spill-run merges, iterator page fills, atomic
-//     task claims) must contain the cancellation/progress poll;
+//   - ctxpoll — unbounded drain loops in join and serving (queue
+//     pops, spill-run merges, iterator page fills) must contain the
+//     cancellation/progress poll;
 //   - poolsafe — sync.Pool objects have exactly one owner between get
 //     and put: no use after put, no double put, no put of memory that
 //     escaped (docs/memory.md);
 //   - mapdet — no map iteration, wall-clock reads, or math/rand on
-//     determinism-critical paths (join, shard, hybridq, pqueue, sweep,
+//     determinism-critical paths (join, hybridq, pqueue, sweep,
 //     extsort);
 //   - atomicmix — a variable accessed via sync/atomic is never read or
 //     written plainly, and typed atomic wrappers are only touched

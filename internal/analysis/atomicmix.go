@@ -7,10 +7,11 @@ import (
 )
 
 // Atomicmix forbids mixing atomic and plain access to the same
-// variable — the data race that silently corrupts the frozen-cutoff
-// mirror (join.cutoffTracker.live) and the shard cutoff board, whose
-// whole point is lock-free publication. Two patterns are enforced,
-// package-wide:
+// variable — the data race that silently corrupts a lock-free mirror
+// such as the live inspector's view of a running query
+// (obsrv.Query.edmax and its siblings) or the trees' sweep-order memo,
+// whose whole point is lock-free publication. Two patterns are
+// enforced, package-wide:
 //
 //   - a variable that is ever passed by address to a sync/atomic
 //     function (atomic.LoadUint64(&x), atomic.StoreUint64(&x, v), …)

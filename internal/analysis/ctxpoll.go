@@ -1,48 +1,40 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// Ctxpoll requires every queue-draining loop in the join, shard, and
-// serving packages to poll for cancellation. The paper's multi-stage
+// Ctxpoll requires every queue-draining loop in the join and serving
+// packages to poll for cancellation. The paper's multi-stage
 // traversal (§4.2–§4.3) drains the hybrid priority queue and the
 // external-sort iterator in unbounded `for` loops; without a poll, a
 // cancelled or deadline-hit query spins until the queue empties — the
 // exact hang the execContext.cancelled() throttle
-// (cancelEvery/progressEvery) exists to prevent. PRs 6–8 added two
-// more drain shapes with the same failure mode: the shard executor's
-// partition-pair workers claim tasks from an atomic counter in an
-// unbounded loop, and the serving layer's cursors pull pages from the
-// public Iterator.
+// (cancelEvery/progressEvery) exists to prevent. The serving layer's
+// cursors, which pull pages from the public Iterator, are a drain
+// shape with the same failure mode.
 //
 // A loop is in scope when its body (function literals excluded — they
 // run on other goroutines or later) drains a work source:
 //
 //   - Pop or Peek on a hybridq.Queue,
 //   - Next on an extsort iterator,
-//   - Next on the public distjoin.Iterator (the serving cursor pull),
-//   - an Add on a sync/atomic counter inside an unbounded
-//     condition-less `for` (the task-claim idiom of the shard worker
-//     pool and the parallel engine).
+//   - Next on the public distjoin.Iterator (the serving cursor pull).
 //
 // Such a loop must poll cancellation in its body: a call to a method
 // or function named `cancelled` (the execContext poll), a
 // context.Context Err() check, or a same-package helper whose
 // call-graph summary (summary.go) says it polls. Loops that are
-// bounded by construction — a claim loop capped by the task list, a
-// batch fill capped by page size — are annotated with
+// bounded by construction — a batch fill capped by page size — are
+// annotated with
 // `//lint:allow ctxpoll <reason>` instead.
 var Ctxpoll = &Analyzer{
 	Name:      "ctxpoll",
-	Doc:       "queue-draining loops in join/shard/serving must poll cancellation",
+	Doc:       "queue-draining loops in join/serving must poll cancellation",
 	SkipTests: true,
 	Run:       runCtxpoll,
 }
 
 // ctxpollScopes are the package scope bases the analyzer runs in.
-var ctxpollScopes = map[string]bool{"join": true, "shard": true, "serving": true}
+var ctxpollScopes = map[string]bool{"join": true, "serving": true}
 
 func runCtxpoll(pass *Pass) error {
 	if exampleTree(pass.PkgPath) || !ctxpollScopes[scopeBase(pass.PkgPath)] {
@@ -76,9 +68,8 @@ func runCtxpoll(pass *Pass) error {
 }
 
 // ctxpollTrigger reports the first work-source drain in the loop body
-// ("" when none): hybridq.Queue Pop/Peek, an extsort Next, a
-// distjoin.Iterator Next, or — for unbounded condition-less loops —
-// an atomic task-claim Add. Function literals are skipped — their
+// ("" when none): hybridq.Queue Pop/Peek, an extsort Next, or a
+// distjoin.Iterator Next. Function literals are skipped — their
 // bodies execute elsewhere.
 func (pass *Pass) ctxpollTrigger(loop *ast.ForStmt) string {
 	trigger := ""
@@ -110,28 +101,10 @@ func (pass *Pass) ctxpollTrigger(loop *ast.ForStmt) string {
 			} else if namedTypeIn(recv, "Iterator", "distjoin") {
 				trigger = "distjoin.Iterator.Next"
 			}
-		case "Add":
-			// The task-claim idiom: `i := next.Add(1) - 1` inside a
-			// condition-less for. Only unbounded loops are in scope —
-			// `for i > 0 { seq.Add(1) }` shapes bound themselves.
-			if loop.Cond == nil && atomicCounterType(recv) {
-				trigger = "an atomic task-claim counter"
-			}
 		}
 		return true
 	})
 	return trigger
-}
-
-// atomicCounterType matches the sync/atomic integer counter types used
-// by the task-claim idiom.
-func atomicCounterType(t types.Type) bool {
-	for _, name := range [...]string{"Int32", "Int64", "Uint32", "Uint64"} {
-		if namedTypeIn(t, name, "atomic") {
-			return true
-		}
-	}
-	return false
 }
 
 // ctxpollHasPoll reports whether the loop body polls cancellation

@@ -19,8 +19,8 @@ import (
 // Comparisons against compile-time constants (`d == 0`,
 // `ratio != 1.0`) are sentinel checks, not distance identity, and are
 // not flagged; neither is the `x != x` NaN idiom. Legitimate bit-exact
-// sites — the deterministic tie-breaks the parallel engine relies on,
-// and the hybrid queue's tie-run boundary scans — carry
+// sites — the deterministic tie-breaks that fix the output order, and
+// the hybrid queue's tie-run boundary scans — carry
 // `//lint:allow floatcmp <reason>` annotations.
 var Floatcmp = &Analyzer{
 	Name:      "floatcmp",

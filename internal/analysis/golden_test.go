@@ -26,7 +26,6 @@ var goldenFixtures = []struct {
 	{Promdrift, "promdrift/obsrv"},
 	{Promdrift, "promdrift/trace"},
 	{Ctxpoll, "ctxpoll/join"},
-	{Ctxpoll, "ctxpoll/shard"},
 	{Ctxpoll, "ctxpoll/serving"},
 	{Poolsafe, "poolsafe/hybridq"},
 	{Mapdet, "mapdet/join"},

@@ -9,16 +9,15 @@ import (
 // Lockheld forbids blocking work while a hybridq or obsrv mutex is
 // held: disk I/O through storage/extsort (or os), channel sends,
 // receives and selects, and sync blocking calls (WaitGroup.Wait,
-// Cond.Wait, time.Sleep). A spill or reload that blocks under the
-// queue lock is exactly the deadlock shape the paper's hybrid
-// memory/disk queue (§4.4) invites once traversal is concurrent.
+// Cond.Wait, time.Sleep). The registry lock sits on every query's
+// begin and end and on every scrape; blocking under it stalls them
+// all. (The hybrid queue is single-goroutine and holds no lock today;
+// its scope entry now serves only the golden fixture, which models a
+// locked queue.)
 //
-// Lock acquisition is recognized in the two idioms the codebase uses:
-//
-//   - `defer q.lock()()` — the hybridq unlock-func idiom, which holds
-//     the lock for the rest of the function;
-//   - `x.mu.Lock()` / `x.mu.RLock()` on a sync.(RW)Mutex — held until
-//     the matching Unlock in the same block, or function end.
+// Lock acquisition is `x.mu.Lock()` / `x.mu.RLock()` on a
+// sync.(RW)Mutex — held until the matching Unlock in the same block,
+// or, with `defer x.mu.Unlock()`, until function end.
 //
 // Calls out of a locked region are resolved through the per-function
 // call-graph summaries (summary.go): a same-package callee that may
@@ -26,9 +25,9 @@ import (
 // caller's call site, with the witness chain in the message, so
 // `Push → spill → appendToSegment → storage.WritePage` is caught
 // without whole-program analysis. The summaries are conservative
-// (may-effects, unreachable paths included); deliberate I/O under the
-// queue's own single-owner lock is annotated at the locked call site
-// with `//lint:allow lockheld <reason>`.
+// (may-effects, unreachable paths included); deliberate I/O under a
+// single-owner lock is annotated at the locked call site with
+// `//lint:allow lockheld <reason>`.
 var Lockheld = &Analyzer{
 	Name:      "lockheld",
 	Doc:       "no I/O, channel, or sync blocking operations while a hybridq/obsrv mutex is held",
@@ -71,13 +70,6 @@ func forEachLockedStmt(pass *Pass, fd *ast.FuncDecl, check func(ast.Stmt)) {
 		for _, s := range list {
 			switch st := s.(type) {
 			case *ast.DeferStmt:
-				// defer x.lock()() — locked for the rest of the block.
-				if inner, ok := st.Call.Fun.(*ast.CallExpr); ok {
-					if sel, ok := ast.Unparen(inner.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "lock" {
-						locked = true
-						continue
-					}
-				}
 				// defer mu.Unlock() does not end the region: the lock
 				// is held until function exit.
 				continue

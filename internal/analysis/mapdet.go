@@ -6,11 +6,11 @@ import (
 )
 
 // Mapdet enforces the determinism contract on the packages whose
-// output feeds result ordering: the sharded executor's merge is
-// byte-identical across shard and worker counts (the property that
-// makes bounds-only pruning and partition-parallel evaluation safe to
-// compose), and that only holds if no code on the result path consults
-// a nondeterministic source. Three sources are banned:
+// output feeds result ordering: a query returns the same pairs in the
+// same order, with the same counters, on every run (what the simtest
+// oracle, the benchdiff counter gate and fault-schedule replay rely
+// on), and that only holds if no code on the result path consults a
+// nondeterministic source. Three sources are banned:
 //
 //   - `range` over a map — iteration order is deliberately randomized
 //     by the runtime; iterate a sorted key slice instead;
@@ -18,10 +18,10 @@ import (
 //     run to run (telemetry belongs in trace/obsrv, which are out of
 //     scope);
 //   - math/rand and math/rand/v2 — randomized choices on the result
-//     path break replay and the cross-shard identity tests.
+//     path break replay and the counter gate.
 //
-// In-scope packages are the engine core: join, shard, hybridq, pqueue,
-// sweep, extsort. Deliberate exceptions (a debug dump, a
+// In-scope packages are the engine core: join, hybridq, pqueue, sweep,
+// extsort. Deliberate exceptions (a debug dump, a
 // reproducibility-irrelevant sampling decision) are annotated with
 // `//lint:allow mapdet <reason>`.
 var Mapdet = &Analyzer{
@@ -33,8 +33,8 @@ var Mapdet = &Analyzer{
 
 // mapdetScopes are the determinism-critical package scope bases.
 var mapdetScopes = map[string]bool{
-	"join": true, "shard": true, "hybridq": true,
-	"pqueue": true, "sweep": true, "extsort": true,
+	"join": true, "hybridq": true, "pqueue": true,
+	"sweep": true, "extsort": true,
 }
 
 func runMapdet(pass *Pass) error {
@@ -63,7 +63,7 @@ func runMapdet(pass *Pass) error {
 					pass.Reportf(e.Pos(), "time.Now in determinism-critical package %s: wall-clock reads make runs diverge; thread explicit state instead, or annotate with %s mapdet <reason>",
 						base, allowPrefix)
 				case path == "math/rand" || path == "math/rand/v2":
-					pass.Reportf(e.Pos(), "math/rand call (%s.%s) in determinism-critical package %s: randomized choices on the result path break replay and cross-shard identity; annotate a deliberate use with %s mapdet <reason>",
+					pass.Reportf(e.Pos(), "math/rand call (%s.%s) in determinism-critical package %s: randomized choices on the result path break replay and the counter gate; annotate a deliberate use with %s mapdet <reason>",
 						fn.Pkg().Name(), fn.Name(), base, allowPrefix)
 				}
 			}

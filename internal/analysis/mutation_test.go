@@ -50,7 +50,7 @@ var mutations = []struct {
 		pkg:      "distjoin/internal/hybridq",
 		analyzer: "floatcmp",
 		edits: []textEdit{{
-			old: "//lint:allow floatcmp bit-exact distance tie-break IS the determinism contract the parallel engine relies on\n",
+			old: "//lint:allow floatcmp bit-exact distance tie-break IS the determinism contract: one output order for a given index\n",
 			new: "",
 		}},
 	},
@@ -64,12 +64,15 @@ var mutations = []struct {
 		}},
 	},
 	{
-		name:     "lockheld/strip-pop-allow",
-		pkg:      "distjoin/internal/hybridq",
+		// Query registration blocks while holding the registry lock:
+		// every scrape and every other query's begin and end stall
+		// behind it.
+		name:     "lockheld/sleep-under-registry-lock",
+		pkg:      "distjoin/internal/obsrv",
 		analyzer: "lockheld",
 		edits: []textEdit{{
-			old: "//lint:allow lockheld reload I/O under the queue's own single-owner lock is the §4.4 design; the lock is defense-in-depth, never contended on the hot path\nfunc (q *Queue) Pop",
-			new: "func (q *Queue) Pop",
+			old: "\tr.mu.Lock()\n\tr.nextID++\n",
+			new: "\tr.mu.Lock()\n\ttime.Sleep(time.Millisecond)\n\tr.nextID++\n",
 		}},
 	},
 	{
@@ -116,16 +119,17 @@ var mutations = []struct {
 		}},
 	},
 	{
-		// The frozen-cutoff mirror degrades to a plain field read on
-		// the worker path while the writers stay atomic.
+		// The live inspector's mirror of a running query's cutoff
+		// degrades to a plain field read on the snapshot path while the
+		// query's goroutine keeps storing atomically.
 		name:     "atomicmix/plain-read-of-live-cutoff",
-		pkg:      "distjoin/internal/join",
+		pkg:      "distjoin/internal/obsrv",
 		analyzer: "atomicmix",
 		edits: []textEdit{
-			{old: "live atomic.Uint64", new: "live uint64"},
-			{old: "t.live.Store(math.Float64bits(math.Inf(1)))", new: "atomic.StoreUint64(&t.live, math.Float64bits(math.Inf(1)))"},
-			{old: "math.Float64frombits(t.live.Load())", new: "math.Float64frombits(t.live)"},
-			{old: "t.live.Store(math.Float64bits(t.Cutoff()))", new: "atomic.StoreUint64(&t.live, math.Float64bits(t.Cutoff()))"},
+			{old: "edmax    atomic.Uint64", new: "edmax    uint64"},
+			{old: "q.edmax.Store(math.Float64bits(math.NaN()))", new: "atomic.StoreUint64(&q.edmax, math.Float64bits(math.NaN()))"},
+			{old: "q.edmax.Store(math.Float64bits(eDmax))", new: "atomic.StoreUint64(&q.edmax, math.Float64bits(eDmax))"},
+			{old: "math.Float64frombits(q.edmax.Load())", new: "math.Float64frombits(q.edmax)"},
 		},
 	},
 	{
@@ -136,17 +140,6 @@ var mutations = []struct {
 		analyzer: "servecontract",
 		edits: []textEdit{{
 			old: "\tcase errors.Is(err, context.DeadlineExceeded):\n\t\tstatus = http.StatusGatewayTimeout\n\t\ts.stats.Deadline.Add(1)\n",
-			new: "",
-		}},
-	},
-	{
-		// The shard worker's claim loop loses its cancellation poll: a
-		// cancelled query spins until the task list empties.
-		name:     "ctxpoll/drop-shard-claim-poll",
-		pkg:      "distjoin/internal/shard",
-		analyzer: "ctxpoll",
-		edits: []textEdit{{
-			old: "\t\t\t\tif opts.Context != nil {\n\t\t\t\t\tif cerr := opts.Context.Err(); cerr != nil {\n\t\t\t\t\t\tsetErr(cerr)\n\t\t\t\t\t\treturn\n\t\t\t\t\t}\n\t\t\t\t}\n",
 			new: "",
 		}},
 	},

@@ -14,10 +14,9 @@ import (
 //  1. Calls through function-valued hook fields (Config.FaultHook /
 //     Options.QueueFaultHook, stored as the hybridq `fault` field)
 //     must be dominated by an `if <field> != nil` guard.
-//  2. Calls to (*trace.Tracer).Emit / EmitAll outside package trace
-//     must be dominated by an Enabled()/!= nil guard — or, for
-//     EmitAll, a `len(events) > 0` guard on the argument — so the
-//     off path never constructs an Event or touches the tracer.
+//  2. Calls to (*trace.Tracer).Emit outside package trace must be
+//     dominated by an Enabled()/!= nil guard, so the off path never
+//     constructs an Event or touches the tracer.
 //  3. The hook provider types themselves (trace.Tracer,
 //     obsrv.Registry, obsrv.Query) must keep every exported
 //     pointer-receiver method a nil-receiver no-op: the first
@@ -80,8 +79,7 @@ func runNilhookCalls(pass *Pass) {
 			if inTrace {
 				return true
 			}
-			name := sel.Sel.Name
-			if name != "Emit" && name != "EmitAll" {
+			if sel.Sel.Name != "Emit" {
 				return true
 			}
 			fn, _ := info.Uses[sel.Sel].(*types.Func)
@@ -95,32 +93,10 @@ func runNilhookCalls(pass *Pass) {
 			recvStr := types.ExprString(sel.X)
 			posNil, negNil := nilCheckGuards(recvStr)
 			posOK := func(e ast.Expr) bool {
-				if posNil(e) {
-					return true
-				}
-				if isEnabledCall(e, recvStr) {
-					return true
-				}
-				if name == "EmitAll" && len(call.Args) == 1 {
-					return isLenPositive(e, types.ExprString(call.Args[0]))
-				}
-				return false
+				return posNil(e) || isEnabledCall(e, recvStr)
 			}
-			negOK := func(e ast.Expr) bool {
-				if negNil(e) {
-					return true
-				}
-				if name == "EmitAll" && len(call.Args) == 1 {
-					return isLenZero(e, types.ExprString(call.Args[0]))
-				}
-				return false
-			}
-			if !pass.isGuarded(call, posOK, negOK) {
-				hint := recvStr + ".Enabled()"
-				if name == "EmitAll" {
-					hint += " or len(events) > 0"
-				}
-				pass.Reportf(call.Pos(), "%s.%s without an %s guard: the off path must not build events or touch the tracer (zero-alloc discipline pinned by TestTraceOffNoAllocs)", recvStr, name, hint)
+			if !pass.isGuarded(call, posOK, negNil) {
+				pass.Reportf(call.Pos(), "%s.Emit without an %s.Enabled() guard: the off path must not build events or touch the tracer (zero-alloc discipline pinned by TestTraceOffNoAllocs)", recvStr, recvStr)
 			}
 			return true
 		})
@@ -136,41 +112,6 @@ func isEnabledCall(e ast.Expr, recvStr string) bool {
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "Enabled" && types.ExprString(sel.X) == recvStr
-}
-
-// isLenPositive matches `len(arg) > 0` / `len(arg) != 0` /
-// `0 < len(arg)` for the argument rendered as argStr.
-func isLenPositive(e ast.Expr, argStr string) bool {
-	be, ok := ast.Unparen(e).(*ast.BinaryExpr)
-	if !ok {
-		return false
-	}
-	switch be.Op {
-	case token.GTR, token.NEQ:
-		return isLenOf(be.X, argStr) && types.ExprString(be.Y) == "0"
-	case token.LSS:
-		return types.ExprString(be.X) == "0" && isLenOf(be.Y, argStr)
-	}
-	return false
-}
-
-// isLenZero matches `len(arg) == 0`.
-func isLenZero(e ast.Expr, argStr string) bool {
-	be, ok := ast.Unparen(e).(*ast.BinaryExpr)
-	if !ok || be.Op != token.EQL {
-		return false
-	}
-	return (isLenOf(be.X, argStr) && types.ExprString(be.Y) == "0") ||
-		(isLenOf(be.Y, argStr) && types.ExprString(be.X) == "0")
-}
-
-func isLenOf(e ast.Expr, argStr string) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "len" && types.ExprString(call.Args[0]) == argStr
 }
 
 // runNilhookProviders applies rule 3.

@@ -56,9 +56,9 @@ func (c *execContext) goodPolledDrain() error {
 	}
 }
 
-// goodBounded mirrors the real claim loops: bounded by construction.
+// goodBounded mirrors the real page fills: bounded by construction.
 //
-//lint:allow ctxpoll fixture demonstrates a worker-count-bounded claim loop
+//lint:allow ctxpoll fixture demonstrates a loop bounded by its count n
 func (c *execContext) goodBounded(n int) {
 	for i := 0; i < n; i++ {
 		_, ok := c.queue.Peek()

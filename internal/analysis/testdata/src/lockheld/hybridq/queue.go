@@ -1,6 +1,6 @@
 // Package hybridq is the lockheld golden fixture: blocking work under
-// both lock idioms, callees resolved through the call-graph
-// summaries, and the single-owner annotation.
+// a deferred and an explicit unlock, callees resolved through the
+// call-graph summaries, and the single-owner annotation.
 package hybridq
 
 import (
@@ -17,14 +17,9 @@ type queue struct {
 	wg    sync.WaitGroup
 }
 
-// lock mirrors the real hybridq unlock-func idiom.
-func (q *queue) lock() func() {
+func (q *queue) badDeferredUnlock(page []byte) {
 	q.mu.Lock()
-	return q.mu.Unlock
-}
-
-func (q *queue) badDeferIdiom(page []byte) {
-	defer q.lock()()
+	defer q.mu.Unlock()
 	_ = q.store.ReadPage(0, page) // want "does disk I/O while the hybridq mutex is held"
 	q.ch <- 1                     // want "channel send while a hybridq mutex is held"
 	<-q.ch                        // want "channel receive while a hybridq mutex is held"
@@ -44,7 +39,8 @@ func (q *queue) load(page []byte) {
 }
 
 func (q *queue) badViaCallee(page []byte) {
-	defer q.lock()()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.load(page) // want "call to load does disk I/O"
 }
 
@@ -55,22 +51,24 @@ func (q *queue) goodStaged(page []byte) {
 	_ = q.store.ReadPage(0, page[:n])
 }
 
-// allowedSingleOwner mirrors the real queue's deliberate design.
+// allowedSingleOwner is deliberate I/O under a single-owner lock.
 //
 //lint:allow lockheld fixture demonstrates the single-owner annotation
 func (q *queue) allowedSingleOwner(page []byte) {
-	defer q.lock()()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	_ = q.store.ReadPage(0, page)
 }
 
 // pagePool mirrors the real queue's buffer pools: sync.Pool Get and
-// Put are pointer swaps, not blocking operations, so the pooled disk
-// path recycles slabs, page buffers, and segments entirely under the
-// queue mutex without a finding.
+// Put are pointer swaps, not blocking operations, so a pooled disk
+// path may recycle slabs, page buffers, and segments entirely under a
+// mutex without a finding.
 var pagePool sync.Pool
 
 func (q *queue) goodPooledUnderLock(n int) []byte {
-	defer q.lock()()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	h, _ := pagePool.Get().(*[]byte)
 	if h == nil || cap(*h) < n {
 		b := make([]byte, n)
@@ -86,6 +84,7 @@ func (q *queue) goodPooledUnderLock(n int) []byte {
 func (q *queue) getBuf() interface{} { return pagePool.Get() }
 
 func (q *queue) goodPooledViaCallee() {
-	defer q.lock()()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	_ = q.getBuf()
 }

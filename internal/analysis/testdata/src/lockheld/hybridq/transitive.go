@@ -8,7 +8,8 @@ func (q *queue) flushPage(page []byte) { _ = q.store.WritePage(0, page) }
 func (q *queue) spill(page []byte) { q.flushPage(page) }
 
 func (q *queue) badTwoLevel(page []byte) {
-	defer q.lock()()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.spill(page) // want "call to spill does disk I/O .flushPage → storage.WritePage. while the hybridq mutex is held"
 }
 
@@ -27,6 +28,7 @@ func (q *queue) badTransitiveSend() {
 func (q *queue) staged(page []byte) int { return len(page) }
 
 func (q *queue) goodTransitive(page []byte) int {
-	defer q.lock()()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	return q.staged(page)
 }

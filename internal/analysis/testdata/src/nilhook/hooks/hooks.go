@@ -17,14 +17,13 @@ type Config struct {
 	FaultHook func(op int) error
 }
 
-func bad(q *queue, cfg Config, ev trace.Event, events []trace.Event) {
+func bad(q *queue, cfg Config, ev trace.Event) {
 	_ = q.fault(1)       // want "call through hook field q.fault without a nil guard"
 	_ = cfg.FaultHook(2) // want "call through hook field cfg.FaultHook without a nil guard"
 	q.tr.Emit(ev)        // want "without an q.tr.Enabled\\(\\) guard"
-	q.tr.EmitAll(events) // want "without an q.tr.Enabled\\(\\) or len\\(events\\) > 0 guard"
 }
 
-func good(q *queue, cfg Config, ev trace.Event, events []trace.Event) {
+func good(q *queue, cfg Config, ev trace.Event) {
 	if q.fault != nil {
 		_ = q.fault(1)
 	}
@@ -36,13 +35,6 @@ func good(q *queue, cfg Config, ev trace.Event, events []trace.Event) {
 	if q.tr.Enabled() {
 		q.tr.Emit(ev)
 	}
-	if len(events) > 0 {
-		q.tr.EmitAll(events)
-	}
-	if len(events) == 0 {
-		return
-	}
-	q.tr.EmitAll(events)
 }
 
 func earlyExit(q *queue, ev trace.Event) {

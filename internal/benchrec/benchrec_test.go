@@ -193,7 +193,7 @@ func TestFromCollector(t *testing.T) {
 	mc.AddMainQueueInsert(5)
 	mc.AddResult(2)
 	mc.WallTime = 1500 * time.Millisecond
-	e := FromCollector("AM-KDJ/k=2", "AM-KDJ", 2, 0, mc, 4096)
+	e := FromCollector("AM-KDJ/k=2", "AM-KDJ", 2, mc, 4096)
 	if e.DistCalcs != 7 || e.QueueInserts != 5 || e.Results != 2 {
 		t.Fatalf("counters not captured: %+v", e)
 	}

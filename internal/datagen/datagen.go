@@ -166,10 +166,10 @@ func TigerHydro(seed int64, n int) []rtree.Item {
 // GridStraddle returns n items deliberately hostile to grid
 // partitioning: Gaussian clusters centered on the interior cell
 // corners of a g x g grid over bounds, so item MBRs straddle partition
-// boundaries and neighboring shards end up with near-identical MBR
-// mindists, plus a heavy hotspot in one cell for population skew. It
-// stresses the sharded scheduler's pruning and determinism exactly
-// where grid partitioning is weakest. Object IDs are 0..n-1.
+// boundaries and neighboring cells end up with near-identical MBR
+// mindists, plus a heavy hotspot in one cell for population skew:
+// touching and near-identical MBRs are where tie-breaks and boundary
+// arithmetic are weakest. Object IDs are 0..n-1.
 func GridStraddle(seed int64, n, g int, bounds geom.Rect, maxSide float64) []rtree.Item {
 	if g < 2 {
 		g = 2

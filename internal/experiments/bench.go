@@ -17,12 +17,10 @@ import (
 // the CI gate diffs against the committed baseline.
 //
 // The suite covers every algorithm at two scaled cardinalities (the
-// paper's k=1,000 and k=10,000 points), each as a cold start, plus one
-// parallel AM-KDJ entry whose counters are scheduling-dependent and
-// therefore informational in the diff. Serial counters are fully
-// deterministic for a given (scale, seed), which is what makes the
-// 25% regression gate trustworthy on shared CI runners.
-func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
+// paper's k=1,000 and k=10,000 points), each as a cold start. The
+// counters are fully deterministic for a given (scale, seed), which is
+// what makes the 25% regression gate trustworthy on shared CI runners.
+func PerfRecord(cfg Config) (*benchrec.Record, error) {
 	cfg = cfg.withDefaults()
 	w, err := Load(cfg)
 	if err != nil {
@@ -46,7 +44,7 @@ func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
 		Seed:      cfg.Seed,
 	}
 
-	measure := func(name string, algo Algo, k, par int,
+	measure := func(name string, algo Algo, k int,
 		run func() (*metrics.Collector, error)) error {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -57,7 +55,7 @@ func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
 		}
 		runtime.ReadMemStats(&after)
 		rec.Entries = append(rec.Entries,
-			benchrec.FromCollector(name, string(algo), k, par, mc,
+			benchrec.FromCollector(name, string(algo), k, mc,
 				after.TotalAlloc-before.TotalAlloc))
 		return nil
 	}
@@ -67,7 +65,7 @@ func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
 		for _, algo := range []Algo{AlgoHSKDJ, AlgoBKDJ, AlgoAMKDJ, AlgoSJSort} {
 			algo := algo
 			name := fmt.Sprintf("%s/k=%d", algo, k)
-			err := measure(name, algo, k, 0, func() (*metrics.Collector, error) {
+			err := measure(name, algo, k, func() (*metrics.Collector, error) {
 				return w.RunKDJ(algo, k, join.Options{})
 			})
 			if err != nil {
@@ -77,7 +75,7 @@ func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
 		for _, algo := range []Algo{AlgoHSIDJ, AlgoAMIDJ} {
 			algo := algo
 			name := fmt.Sprintf("%s/k=%d", algo, k)
-			err := measure(name, algo, k, 0, func() (*metrics.Collector, error) {
+			err := measure(name, algo, k, func() (*metrics.Collector, error) {
 				return w.RunIDJ(algo, k, join.Options{})
 			})
 			if err != nil {
@@ -99,7 +97,7 @@ func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
 			return nil, err
 		}
 		name := fmt.Sprintf("WITHIN/k=%d", k)
-		err = measure(name, "WITHIN", k, 0, func() (*metrics.Collector, error) {
+		err = measure(name, "WITHIN", k, func() (*metrics.Collector, error) {
 			return w.RunWithin(dmax, join.Options{})
 		})
 		if err != nil {
@@ -132,33 +130,6 @@ func PerfRecord(cfg Config, parallelism int) (*benchrec.Record, error) {
 		return nil, err
 	}
 
-	// One parallel AM-KDJ point at the larger k: wall clock is the
-	// interesting signal; counters are worker-order dependent.
-	if parallelism > 1 || parallelism == join.AutoParallelism {
-		k := ks[len(ks)-1]
-		name := fmt.Sprintf("AM-KDJ/k=%d/parallel", k)
-		err := measure(name, AlgoAMKDJ, k, parallelism, func() (*metrics.Collector, error) {
-			return w.RunKDJ(AlgoAMKDJ, k, join.Options{Parallelism: parallelism})
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Sharded AM-KDJ series at the same k: partition-parallel
-		// execution over 4 and 9 shards. Entries carry Parallelism > 1,
-		// which benchrec.Compare treats as informational (non-gating) —
-		// cmd/benchdiff reports them as fresh coverage until a baseline
-		// records them.
-		for _, shards := range []int{4, 9} {
-			shards := shards
-			name := fmt.Sprintf("AM-KDJ/k=%d/sharded/s=%d", k, shards)
-			err := measure(name, AlgoAMKDJ, k, parallelism, func() (*metrics.Collector, error) {
-				return w.RunKDJSharded(k, shards, parallelism)
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
 	return rec, nil
 }
 
@@ -176,9 +147,9 @@ const (
 // that nearly every pair spills to disk and reloads. Distances come
 // from dist over a fixed-seed generator, so the spill pattern — and
 // with it the insert and page-I/O counters — is identical across runs.
-func measureQueueCycle(measure func(name string, algo Algo, k, par int,
+func measureQueueCycle(measure func(name string, algo Algo, k int,
 	run func() (*metrics.Collector, error)) error, name string, dist func(*rand.Rand) float64) error {
-	return measure(name, "QUEUE", queueCycleN, 0,
+	return measure(name, "QUEUE", queueCycleN,
 		func() (*metrics.Collector, error) {
 			mc := &metrics.Collector{}
 			mc.Start()

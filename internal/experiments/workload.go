@@ -19,7 +19,6 @@ import (
 	"distjoin/internal/join"
 	"distjoin/internal/metrics"
 	"distjoin/internal/rtree"
-	"distjoin/internal/shard"
 	"distjoin/internal/storage"
 )
 
@@ -42,13 +41,6 @@ type Config struct {
 	BufferBytes int
 	// Seed drives the synthetic data generators.
 	Seed int64
-	// Parallelism is forwarded to join.Options.Parallelism for every
-	// query the harness runs: 0 or 1 keeps the paper-exact serial
-	// execution (the default — the paper's counters assume it),
-	// n > 1 uses n expansion workers, join.AutoParallelism uses
-	// GOMAXPROCS. Results are identical either way; wall-clock and
-	// per-expansion counter totals differ.
-	Parallelism int
 }
 
 // withDefaults fills unset fields.
@@ -236,9 +228,6 @@ func (w *Workload) RunKDJ(algo Algo, k int, opts join.Options) (*metrics.Collect
 	if opts.QueueMemBytes == 0 {
 		opts.QueueMemBytes = w.Cfg.QueueMemBytes
 	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = w.Cfg.Parallelism
-	}
 	var err error
 	switch algo {
 	case AlgoHSKDJ:
@@ -273,37 +262,11 @@ func (w *Workload) RunWithin(maxDist float64, opts join.Options) (*metrics.Colle
 	if opts.QueueMemBytes == 0 {
 		opts.QueueMemBytes = w.Cfg.QueueMemBytes
 	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = w.Cfg.Parallelism
-	}
 	err := join.WithinJoin(w.Streets, w.Hydro, maxDist, opts, func(join.Result) bool {
 		return true
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: WITHIN d=%g: %w", maxDist, err)
-	}
-	return mc, nil
-}
-
-// RunKDJSharded executes one cold AM-KDJ query through the
-// partition-parallel sharded executor and returns its collected
-// metrics. Wall clock is the interesting signal; the counters are
-// worker-order dependent (pruning races the cutoff), so benchmark
-// entries recorded from this path must carry Parallelism > 1 to stay
-// informational in the regression gate.
-func (w *Workload) RunKDJSharded(k, shards, parallelism int) (*metrics.Collector, error) {
-	if err := w.coldStart(); err != nil {
-		return nil, err
-	}
-	mc := &metrics.Collector{}
-	opts := join.Options{
-		Metrics:       mc,
-		QueueMemBytes: w.Cfg.QueueMemBytes,
-		Parallelism:   parallelism,
-	}
-	cfg := shard.Config{Shards: shards}
-	if _, err := shard.KDJ(w.Streets, w.Hydro, k, shard.AMKDJ, cfg, opts); err != nil {
-		return nil, fmt.Errorf("experiments: AM-KDJ/s%d k=%d: %w", shards, k, err)
 	}
 	return mc, nil
 }
@@ -318,9 +281,6 @@ func (w *Workload) RunIDJ(algo Algo, k int, opts join.Options) (*metrics.Collect
 	opts.Metrics = mc
 	if opts.QueueMemBytes == 0 {
 		opts.QueueMemBytes = w.Cfg.QueueMemBytes
-	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = w.Cfg.Parallelism
 	}
 	mc.Start()
 	defer mc.Finish()

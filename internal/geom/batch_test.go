@@ -42,8 +42,8 @@ func batchMinDistSqAt(a, b Rect, n, idx int) float64 {
 // TestPartitionBoundaryBatch runs the batch kernels through the same
 // partition-boundary table as the scalar Rect methods: the scalar and
 // batch paths must agree exactly on touching and overlapping
-// partition boundaries, or the sharded executor's pruning decisions
-// would depend on which path computed the bound.
+// partition boundaries, or a pruning decision would depend on which
+// path computed the bound.
 func TestPartitionBoundaryBatch(t *testing.T) {
 	shapes := []struct {
 		name   string

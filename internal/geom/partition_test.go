@@ -8,11 +8,11 @@ import (
 )
 
 // boundaryCase is one partition-boundary geometry with its exact
-// MinDist and MinDistSq: the sharded executor (internal/shard) prunes
-// partition pairs on the strict comparison mindist(shardMBR, shardMBR)
-// > cutoff, so the boundary behavior — touching MBRs, overlapping
-// MBRs, degenerate zero-area MBRs — decides whether
-// boundary-straddling result pairs survive pruning.
+// MinDist and MinDistSq: any bounds-only test between partitions prunes
+// on the strict comparison mindist(tileMBR, tileMBR) > cutoff (as the
+// node-pair pruning of the joins does), so the boundary behavior —
+// touching MBRs, overlapping MBRs, degenerate zero-area MBRs — decides
+// whether boundary-straddling result pairs survive pruning.
 type boundaryCase struct {
 	name   string
 	a, b   Rect
@@ -23,8 +23,7 @@ type boundaryCase struct {
 // boundaryMinDistCases is the shared partition-boundary table: every
 // MinDist implementation — the scalar Rect methods and the batch
 // kernels over SoA columns — must produce these exact values, in both
-// argument orders (the sharded executor's cross-pair orientation
-// normalization is only bit-exact because MinDist is symmetric).
+// argument orders (MinDist must be bit-exactly symmetric).
 func boundaryMinDistCases() []boundaryCase {
 	return []boundaryCase{
 		{"edge-touching", NewRect(0, 0, 1, 1), NewRect(1, 0, 2, 1), 0, 0},
@@ -94,11 +93,10 @@ func TestPartitionAxisDistDegenerate(t *testing.T) {
 	}
 }
 
-// TestPartitionPruningSafety is the property behind the sharded
-// executor's bounds-only pruning, checked in pure geometry: partition
-// two random datasets into a grid by MBR center with tight per-cell
-// MBRs (the same scheme internal/shard uses), compute the exact k-th
-// nearest pair distance by brute force, and verify that every
+// TestPartitionPruningSafety is the property behind bounds-only
+// pruning, checked in pure geometry: partition two random datasets
+// into a grid by MBR center with tight per-cell MBRs, compute the
+// exact k-th nearest pair distance by brute force, and verify that every
 // partition pair whose MBR-to-MBR mindist strictly exceeds that k-th
 // distance contains only pairs farther than it — i.e. pruning such a
 // pair can never drop an oracle result, ties at the cutoff included.

@@ -55,12 +55,13 @@ func (p Pair) Less(o Pair) bool { return PairLess(&p, &o) }
 // has been expanded — at which point every distance-d result that will
 // ever exist is already queued, and they pop in identifier order. The
 // order is therefore a pure function of the data, independent of
-// insertion timing, which is what lets the parallel join engine emit
-// byte-identical results to the serial algorithms. (The cost: at a
-// heavily tied distance — typically 0, overlapping MBRs — all tied
-// node pairs are expanded before the first tied result is emitted.)
+// insertion timing: every algorithm returns the same pairs in the same
+// order for a given index, whatever the queue budget, spill pattern or
+// sweep policy. (The cost: at a heavily tied distance — typically 0,
+// overlapping MBRs — all tied node pairs are expanded before the first
+// tied result is emitted.)
 //
-//lint:allow floatcmp bit-exact distance tie-break IS the determinism contract the parallel engine relies on
+//lint:allow floatcmp bit-exact distance tie-break IS the determinism contract: one output order for a given index
 func PairLess(a, b *Pair) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist

@@ -14,11 +14,11 @@ import "sync"
 // sync.Pool.
 //
 // Ownership rule: a pooled object is owned by exactly one queue
-// operation between get and put, under that queue's lock (or its
-// single goroutine). Every Pair read out of a slab is copied by value
-// into the heap or encoded into a segment buffer before the slab is
-// returned, so nothing reads a pooled object after its put — the
-// -race stress test in pool_test.go pins this.
+// operation between get and put, on that queue's single goroutine.
+// Every Pair read out of a slab is copied by value into the heap or
+// encoded into a segment buffer before the slab is returned, so
+// nothing reads a pooled object after its put — the -race stress test
+// in pool_test.go pins this.
 
 // pairBuf is a reusable []Pair slab. Callers hold the *pairBuf handle
 // for the duration of the operation and put it back when every pair

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"distjoin/internal/metrics"
 	"distjoin/internal/pqueue"
@@ -14,7 +13,8 @@ import (
 
 // Queue is the hybrid memory/disk main queue. It behaves as a strict
 // priority queue over Pairs (Pop always returns the global minimum by
-// PairLess) while bounding memory to the configured budget.
+// PairLess) while bounding memory to the configured budget. A Queue
+// belongs to one query and is not safe for concurrent use.
 //
 // Storage errors are latched: after the first error every operation
 // becomes a no-op and Err reports the cause. The join algorithms check
@@ -50,13 +50,6 @@ type Queue struct {
 	splitFloor int
 	tieRun     bool
 	tieDist    float64
-	// mu serializes the public operations when the queue was built with
-	// Config.Concurrent. The parallel join engine touches the main queue
-	// only from its coordinating goroutine between worker barriers, so
-	// the lock is defense-in-depth rather than a hot-path cost; it makes
-	// the queue safe under -race for any future caller that does share
-	// it across goroutines. Nil when the queue is single-goroutine.
-	mu *sync.Mutex
 	// arg is where Push stages its by-value argument (see Push).
 	arg Pair
 }
@@ -114,10 +107,6 @@ type Config struct {
 	// IOCost charges simulated time per spilled page; zero value
 	// charges nothing.
 	IOCost metrics.IOCostModel
-	// Concurrent guards the queue with an internal mutex so its public
-	// operations are safe to call from multiple goroutines. The serial
-	// join algorithms leave it unset and pay nothing.
-	Concurrent bool
 	// Trace, when non-nil, receives queue_spill / queue_reload events
 	// with the memory-vs-disk segment depth at each heap split and
 	// segment swap-in. Nil costs nothing.
@@ -152,7 +141,7 @@ func New(cfg Config) *Queue {
 	if b := math.Sqrt(float64(capacity) * cfg.Rho); b > 0 {
 		memBound = b
 	}
-	q := &Queue{
+	return &Queue{
 		heap:     pqueue.NewHeap(PairLess),
 		capacity: capacity,
 		memBound: memBound,
@@ -164,20 +153,6 @@ func New(cfg Config) *Queue {
 		tr:       cfg.Trace,
 		fault:    cfg.FaultHook,
 	}
-	if cfg.Concurrent {
-		q.mu = new(sync.Mutex)
-	}
-	return q
-}
-
-// lock acquires the internal mutex when the queue is concurrent; it
-// returns an unlock func (a no-op for single-goroutine queues).
-func (q *Queue) lock() func() {
-	if q.mu == nil {
-		return func() {}
-	}
-	q.mu.Lock()
-	return q.mu.Unlock
 }
 
 // Capacity returns the heap capacity in pairs.
@@ -185,7 +160,6 @@ func (q *Queue) Capacity() int { return q.capacity }
 
 // Len returns the total number of queued pairs (memory + disk).
 func (q *Queue) Len() int {
-	defer q.lock()()
 	return q.heap.Len() + q.diskPairs
 }
 
@@ -194,41 +168,30 @@ func (q *Queue) Empty() bool { return q.Len() == 0 }
 
 // MemLen returns the number of pairs currently in the in-memory heap.
 func (q *Queue) MemLen() int {
-	defer q.lock()()
 	return q.heap.Len()
 }
 
 // Segments returns the number of on-disk segments.
 func (q *Queue) Segments() int {
-	defer q.lock()()
 	return len(q.segs)
 }
 
 // Depth reports the in-memory pair count, the spilled (on-disk) pair
-// count, and the number of on-disk segments under a single lock
-// acquisition — the shape the live query inspector samples, cheap
-// enough to call on the hot path at a bounded rate.
+// count, and the number of on-disk segments — the shape the live query
+// inspector samples, cheap enough to call on the hot path at a bounded
+// rate.
 func (q *Queue) Depth() (mem, disk, segments int) {
-	defer q.lock()()
 	return q.heap.Len(), q.diskPairs, len(q.segs)
 }
 
 // Err returns the first storage error encountered, if any.
 func (q *Queue) Err() error {
-	defer q.lock()()
 	return q.err
 }
 
 // Push enqueues p. It stages the argument in the queue so that PushFrom
-// can read it through a pointer without a heap allocation per call; a
-// Concurrent queue cannot stage outside its lock and allocates the copy.
+// can read it through a pointer without a heap allocation per call.
 func (q *Queue) Push(p Pair) {
-	if q.mu != nil {
-		shared := new(Pair)
-		*shared = p
-		q.PushFrom(shared)
-		return
-	}
 	q.arg = p
 	q.PushFrom(&q.arg)
 }
@@ -237,10 +200,7 @@ func (q *Queue) Push(p Pair) {
 // the in-memory heap is copied once, into the heap's slice. The queue
 // does not keep p, so the caller may reuse it as soon as the call
 // returns.
-//
-//lint:allow lockheld spill I/O under the queue's own single-owner lock is the §4.4 design; the lock is defense-in-depth, never contended on the hot path
 func (q *Queue) PushFrom(p *Pair) {
-	defer q.lock()()
 	if q.err != nil {
 		return
 	}
@@ -271,10 +231,7 @@ func (q *Queue) holdTieRun(n int) {
 
 // Pop removes and returns the minimum pair. ok is false when the
 // queue is empty or a storage error is latched.
-//
-//lint:allow lockheld reload I/O under the queue's own single-owner lock is the §4.4 design; the lock is defense-in-depth, never contended on the hot path
 func (q *Queue) Pop() (p Pair, ok bool) {
-	defer q.lock()()
 	if q.err != nil {
 		return Pair{}, false
 	}
@@ -287,10 +244,7 @@ func (q *Queue) Pop() (p Pair, ok bool) {
 }
 
 // Peek returns the minimum pair without removing it.
-//
-//lint:allow lockheld reload I/O under the queue's own single-owner lock is the §4.4 design; the lock is defense-in-depth, never contended on the hot path
 func (q *Queue) Peek() (p Pair, ok bool) {
-	defer q.lock()()
 	if q.err != nil {
 		return Pair{}, false
 	}
@@ -307,12 +261,11 @@ func (q *Queue) Peek() (p Pair, ok bool) {
 // to the split distance.
 //
 // Pairs sharing one distance are never split across the memory/disk
-// boundary: queue consumers (the parallel join engine in particular)
-// rely on equal-distance pairs popping in their full Less order, which
-// holds only if a tie run always lives in a single region. When the
-// split point lands inside a run, the whole run stays in memory — the
-// budget is temporarily exceeded by the run length — and only the
-// strictly-longer tail spills.
+// boundary: queue consumers rely on equal-distance pairs popping in
+// their full Less order, which holds only if a tie run always lives in
+// a single region. When the split point lands inside a run, the whole
+// run stays in memory — the budget is temporarily exceeded by the run
+// length — and only the strictly-longer tail spills.
 func (q *Queue) splitHeap() {
 	buf := getPairBuf(q.heap.Len())
 	items := append(buf.items, q.heap.Items()...)
@@ -613,7 +566,6 @@ func (q *Queue) swapIn() bool {
 
 // Drain removes all pairs (used between experiment stages).
 func (q *Queue) Drain() {
-	defer q.lock()()
 	q.heap.Clear()
 	for _, s := range q.segs {
 		q.free = append(q.free, s.pages...)
@@ -627,7 +579,6 @@ func (q *Queue) Drain() {
 
 // String summarizes the queue state for diagnostics.
 func (q *Queue) String() string {
-	defer q.lock()()
 	n := q.heap.Len() + q.diskPairs
 	return fmt.Sprintf("hybridq{mem=%d/%d bound=%g segs=%d total=%d}",
 		q.heap.Len(), q.capacity, q.memBound, len(q.segs), n)

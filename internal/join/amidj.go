@@ -159,11 +159,7 @@ func (it *AMIDJIterator) Next() (Result, bool) {
 			}
 			return pairResult(p), true
 		}
-		expand := it.expand
-		if it.c.par != nil {
-			expand = it.expandParallel
-		}
-		if err := expand(p); err != nil {
+		if err := it.expand(p); err != nil {
 			it.err = err
 			it.Close()
 			return Result{}, false
@@ -180,7 +176,7 @@ func (it *AMIDJIterator) Next() (Result, bool) {
 // expansion, and re-recorded in place by every later stage (the same
 // node pair under the same plan has the same lengths), so an iterator's
 // range memory follows its live compMap, not the stages it has run. A
-// slab like serial AM-KDJ's would pin every retired pair's ranges for
+// slab like AM-KDJ's would pin every retired pair's ranges for
 // the life of the iterator, so none is used here.
 func (it *AMIDJIterator) expand(p hybridq.Pair) error {
 	c := it.c

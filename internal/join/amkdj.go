@@ -13,7 +13,7 @@ type pairKey [2]uint64
 
 func keyOf(p hybridq.Pair) pairKey { return pairKey{p.Left, p.Right} }
 
-// rangeSlab is the range storage of one serial AM-KDJ query: every
+// rangeSlab is the range storage of one AM-KDJ query: every
 // aggressive expansion carves its two range slices from the current
 // chunk instead of allocating them. It is a local of the query, next to
 // compList, whose compInfos are the only holders of the carved slices,
@@ -75,9 +75,6 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	defer func() { c.endQuery(err) }() // after mc.Finish (LIFO), so WallTime is set
 	c.mc.Start()
 	defer c.mc.Finish()
-	if c.par != nil {
-		return amkdjParallel(c, k, opts)
-	}
 
 	ct := newCutoffTracker(c, k, c.dqPolicy)
 	eDmax := opts.EDmax

@@ -21,9 +21,6 @@ func BKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err e
 	defer func() { c.endQuery(err) }()
 	c.mc.Start()
 	defer c.mc.Finish()
-	if c.par != nil {
-		return bkdjParallel(c, k)
-	}
 
 	ct := newCutoffTracker(c, k, c.dqPolicy)
 	results = make([]Result, 0, k)

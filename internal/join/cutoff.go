@@ -1,9 +1,6 @@
 package join
 
 import (
-	"math"
-	"sync/atomic"
-
 	"distjoin/internal/hybridq"
 	"distjoin/internal/pqueue"
 )
@@ -33,14 +30,6 @@ type cutoffTracker struct {
 	refine bool
 	objQ   *pqueue.DistanceQueue
 	kth    *pqueue.KthTracker
-	// live mirrors Cutoff() as Float64bits for lock-free reads by
-	// parallel expansion workers. The tracker itself is mutated only
-	// by the coordinating goroutine (between worker barriers), so the
-	// heaps need no lock; workers read the atomically-maintained
-	// global cutoff through LiveCutoff. A worker may observe a value
-	// at most as stale as the last barrier — i.e. never smaller than
-	// the true qDmax — so pruning against it is always sound.
-	live atomic.Uint64
 	// cutoffFn, aggressiveFn and pushFn are Cutoff, aggressiveCutoff and
 	// push bound once, so handing a sweep its live cutoff and its emit
 	// allocates no method value or closure per expansion.
@@ -55,24 +44,8 @@ func newCutoffTracker(c *execContext, k int, policy DistanceQueuePolicy) *cutoff
 	} else {
 		t.objQ = pqueue.NewDistanceQueue(k)
 	}
-	t.live.Store(math.Float64bits(math.Inf(1)))
 	t.cutoffFn, t.aggressiveFn, t.pushFn = t.Cutoff, t.aggressiveCutoff, t.push
 	return t
-}
-
-// LiveCutoff returns the atomically-published qDmax; safe to call from
-// any goroutine.
-func (t *cutoffTracker) LiveCutoff() float64 {
-	return math.Float64frombits(t.live.Load())
-}
-
-// publish refreshes the atomic mirror after a tracker mutation. Only
-// parallel expansion workers read it, so a serial query skips the
-// Cutoff call and the store.
-func (t *cutoffTracker) publish() {
-	if t.c.par != nil {
-		t.live.Store(math.Float64bits(t.Cutoff()))
-	}
 }
 
 // useKth reports whether deletions are needed, forcing the two-heap
@@ -89,7 +62,7 @@ func (t *cutoffTracker) Cutoff() float64 {
 	return t.objQ.Cutoff()
 }
 
-// aggressiveCutoff is the real-distance cutoff of AM-KDJ's serial
+// aggressiveCutoff is the real-distance cutoff of AM-KDJ's
 // aggressive stage: qDmax, through the pruning-mutation hook (identity
 // outside harness self-tests).
 func (t *cutoffTracker) aggressiveCutoff() float64 {
@@ -122,7 +95,7 @@ func (t *cutoffTracker) pairMaxDist(p *hybridq.Pair, counted bool) float64 {
 }
 
 // push enqueues *p on the main queue and, when the queue accepts it,
-// records its bound: the emit of every serial k-join sweep.
+// records its bound: the emit of every k-join sweep.
 func (t *cutoffTracker) push(p *hybridq.Pair) bool {
 	if !t.c.push(p) {
 		return false
@@ -149,7 +122,6 @@ func (t *cutoffTracker) OnPush(p *hybridq.Pair) {
 	} else {
 		t.objQ.Insert(b)
 	}
-	t.publish()
 	t.c.mc.AddDistQueueInsert(1)
 }
 
@@ -164,6 +136,5 @@ func (t *cutoffTracker) OnRemove(p *hybridq.Pair) {
 	}
 	if b, ok := t.bound(p, false); ok {
 		t.kth.Delete(b)
-		t.publish()
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"distjoin/internal/estimate"
 	"distjoin/internal/geom"
@@ -135,33 +134,14 @@ type Options struct {
 	// refinement split that §1 of the paper shows cannot be applied
 	// naively to distance joins. The exact distance must never be
 	// smaller than the MBR distance (true for any geometry contained
-	// in its MBR); smaller return values are clamped. With
-	// Parallelism > 1 the refiner may be invoked from multiple
-	// goroutines concurrently and must be safe for concurrent use.
+	// in its MBR); smaller return values are clamped. The refiner is
+	// called from the query's goroutine only.
 	Refiner func(leftObj, rightObj int64, leftRect, rightRect geom.Rect) float64
-	// Parallelism selects the number of worker goroutines used for
-	// node expansion and plane sweeping by BKDJ, AMKDJ, and AMIDJ:
-	//
-	//   0 or 1          — the paper-exact serial path (default);
-	//   n > 1           — n expansion workers;
-	//   AutoParallelism — runtime.GOMAXPROCS(0) workers.
-	//
-	// Parallel runs return exactly the same pairs in the same order
-	// as serial runs (see the package-level determinism notes in
-	// parallel.go); only the performance counters differ, because the
-	// pruning cutoffs are frozen per expansion batch instead of
-	// tightening after every single expansion. The other algorithms
-	// (HS baselines, SJ-SORT, WithinJoin, AllNearest) ignore the
-	// field and always run serially.
-	Parallelism int
 	// Trace, when non-nil, receives structured stage events for the
 	// query: expansion rounds, aggressive-stage start/stop with the
 	// active eDmax, compensation passes, hybrid-queue spills/reloads,
-	// eDmax re-estimations, parallel batch barriers, and error
-	// events. A nil tracer is a zero-cost no-op. Under
-	// Parallelism > 1 worker events are buffered per task and merged
-	// at the batch barriers in task order, so installing a tracer
-	// never perturbs results.
+	// eDmax re-estimations, and error events. A nil tracer is a
+	// zero-cost no-op, and installing one never perturbs results.
 	Trace *trace.Tracer
 	// QueueFaultHook, when non-nil, is handed to the hybrid main queue
 	// as hybridq.Config.FaultHook: it fires at every spill (heap split
@@ -191,30 +171,6 @@ type Options struct {
 	QueryID string
 }
 
-// AutoParallelism requests one expansion worker per available CPU
-// (runtime.GOMAXPROCS(0)) without hard-coding a count.
-const AutoParallelism = -1
-
-// MaxParallelism caps the resolved worker count; beyond this the
-// sequential merge phase dominates and extra workers only add memory.
-const MaxParallelism = 64
-
-// workers resolves Options.Parallelism to an effective worker count
-// (>= 1, where 1 means the serial path).
-func (o Options) workers() int {
-	p := o.Parallelism
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		p = 1
-	}
-	if p > MaxParallelism {
-		p = MaxParallelism
-	}
-	return p
-}
-
 // DefaultQueueMemBytes is the paper's main-queue memory setting.
 const DefaultQueueMemBytes = 512 * 1024
 
@@ -235,12 +191,11 @@ type execContext struct {
 	refiner     func(leftObj, rightObj int64, leftRect, rightRect geom.Rect) float64
 	opts        Options
 	cancelTick  int
-	ex          expander       // serial expansion state (scratch + main collector)
-	par         *parallelState // non-nil when Options.Parallelism resolves to > 1
-	tr          *trace.Tracer  // optional event sink (nil = no-op)
-	rq          *obsrv.Query   // live registry handle (nil = no-op)
-	algo        string         // trace label: running algorithm
-	stage       string         // trace label: current stage
+	ex          expander      // expansion state (scratch + collector)
+	tr          *trace.Tracer // optional event sink (nil = no-op)
+	rq          *obsrv.Query  // live registry handle (nil = no-op)
+	algo        string        // trace label: running algorithm
+	stage       string        // trace label: current stage
 	// pushFn is push bound once per query: the emit of the sweeps that
 	// queue without feeding a distance queue (AM-IDJ).
 	pushFn func(p *hybridq.Pair) bool
@@ -248,13 +203,12 @@ type execContext struct {
 	staged hybridq.Pair
 }
 
-// expander carries the per-goroutine state a node expansion needs: the
+// expander carries the state a node expansion needs: the
 // struct-of-arrays decode buffers, the sweep scratch, and the metrics
-// collector the work is accounted to. The execContext owns one for the
-// serial path; the parallel engine gives each worker goroutine its
-// own, backed by a metrics shard, so expansions never share mutable
-// state. All scratch is reused across expansions, so a warm expander
-// expands nodes without allocating.
+// collector the work is accounted to. Each query's execContext owns
+// one, so concurrent queries never share mutable state. All scratch is
+// reused across expansions, so a warm expander expands nodes without
+// allocating.
 type expander struct {
 	c          *execContext
 	mc         *metrics.Collector
@@ -319,26 +273,18 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 	}
 	ctx.ex = expander{c: ctx, mc: opts.Metrics}
 	ctx.pushFn = ctx.push
-	if w := opts.workers(); w > 1 {
-		ctx.par = newParallelState(ctx, w)
-	}
 	rho := model.Rho()
 	if opts.DisableQueueModel {
 		rho = 0
 	}
 	ctx.queue = hybridq.New(hybridq.Config{
-		MemBytes: mem,
-		Rho:      rho,
-		Store:    opts.QueueStore,
-		Metrics:  opts.Metrics,
-		IOCost:   cost,
-		// Workers never touch the main queue directly — all pushes
-		// and pops happen on the coordinating goroutine between
-		// expansion barriers — but parallel runs still enable the
-		// queue's internal lock as defense in depth.
-		Concurrent: ctx.par != nil,
-		Trace:      opts.Trace,
-		FaultHook:  opts.QueueFaultHook,
+		MemBytes:  mem,
+		Rho:       rho,
+		Store:     opts.QueueStore,
+		Metrics:   opts.Metrics,
+		IOCost:    cost,
+		Trace:     opts.Trace,
+		FaultHook: opts.QueueFaultHook,
 	})
 	return ctx, nil
 }
@@ -483,10 +429,7 @@ func pairLevel(ref uint64, isObj bool) int {
 
 // expansionEvent builds the trace event for one node-pair expansion:
 // the pair's distance and levels, the cutoff active when it was
-// expanded, and how many children the expansion enqueued. It is a free
-// function so the parallel engine can build events inside worker tasks
-// (buffered per task, emitted at the barrier) without touching the
-// shared tracer.
+// expanded, and how many children the expansion enqueued.
 func expansionEvent(algo, stage string, p hybridq.Pair, eDmax float64, children int64) trace.Event {
 	return trace.Event{
 		Kind:       trace.KindExpansion,
@@ -500,7 +443,7 @@ func expansionEvent(algo, stage string, p hybridq.Pair, eDmax float64, children 
 	}
 }
 
-// traceExpansion emits an expansion event for p on the serial path.
+// traceExpansion emits an expansion event for p.
 func (c *execContext) traceExpansion(p hybridq.Pair, eDmax float64, children int64) {
 	if !c.tr.Enabled() {
 		return

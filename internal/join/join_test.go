@@ -75,6 +75,12 @@ func testWorkloads(rng *rand.Rand) map[string][2][]rtree.Item {
 			datagen.Uniform(rng.Int63(), 3, w, 10),
 			datagen.Uniform(rng.Int63(), 5, w, 10),
 		},
+		// Touching and near-identical MBRs piled on grid corners: heavy
+		// distance ties. Fixed seeds, so the rows above keep their draws.
+		"grid-straddle": {
+			datagen.GridStraddle(9, 300, 3, w, 3),
+			datagen.GridStraddle(10, 250, 3, w, 3),
+		},
 	}
 }
 

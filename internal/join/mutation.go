@@ -16,9 +16,8 @@ package join
 // exists to catch.
 //
 // The hook is process-global and not synchronized: it must only be
-// flipped on the goroutine that runs the (serial) join, with no query
-// in flight. It deliberately affects only the serial AM-KDJ path; the
-// mutation-smoke self-test runs with Parallelism <= 1.
+// flipped on the goroutine that runs the join, with no query in
+// flight.
 
 // mutantPruneScale scales the aggressive-stage real-distance cutoff.
 // 1 (the default) is the correct algorithm.

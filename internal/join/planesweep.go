@@ -135,8 +135,8 @@ func (s *sweepRun) recordInto(rs sweepRanges) {
 }
 
 // newRanges allocates range storage for this run's two sides in one
-// block, for the callers whose bookkeeping is not slab-backed (AM-IDJ's
-// first expansion of a pair, the parallel tasks).
+// block, for the caller whose bookkeeping is not slab-backed (AM-IDJ's
+// first expansion of a pair).
 func (s *sweepRun) newRanges() sweepRanges {
 	nl := s.L.Len()
 	buf := make([]anchorRange, nl+s.R.Len())

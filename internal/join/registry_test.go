@@ -97,36 +97,6 @@ func TestRegistryIntegrationBlocking(t *testing.T) {
 	}
 }
 
-// TestRegistryIntegrationParallel checks that the parallel AM-KDJ path
-// records through the same handle as the serial one: one query, one
-// estimate sample, no leaks, and identical results.
-func TestRegistryIntegrationParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	w := geom.NewRect(0, 0, 1000, 1000)
-	l := datagen.Uniform(rng.Int63(), 500, w, 10)
-	r := datagen.Uniform(rng.Int63(), 400, w, 10)
-	lt, rt := buildTree(t, l, 16), buildTree(t, r, 16)
-
-	reg := obsrv.NewRegistry()
-	res, err := AMKDJ(lt, rt, 80, Options{Registry: reg, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 80 {
-		t.Fatalf("parallel AM-KDJ returned %d results, want 80", len(res))
-	}
-	s := reg.Snapshot()
-	if len(s.InFlight) != 0 {
-		t.Fatalf("in-flight after parallel join: %+v", s.InFlight)
-	}
-	if len(s.Algos) != 1 || s.Algos[0].Queries != 1 {
-		t.Fatalf("aggregates after parallel join: %+v", s.Algos)
-	}
-	if s.Algos[0].EstimateRatio.Count != 1 {
-		t.Fatalf("parallel AM-KDJ estimate samples = %d, want 1", s.Algos[0].EstimateRatio.Count)
-	}
-}
-
 // TestRegistryIntegrationIterators covers the incremental algorithms:
 // a drained iterator ends its registry query on its own; an abandoned
 // one ends it via Close. Either way nothing is left in flight.

@@ -17,10 +17,9 @@ import (
 )
 
 // TestTraceDeterminism is the acceptance property of the observability
-// layer: installing a tracer must not perturb results, serial or
-// parallel. Every traced run must match the untraced serial baseline
-// exactly, and the trace itself must contain the expected structural
-// events (expansions everywhere, batch barriers when parallel).
+// layer: installing a tracer must not perturb results. A traced run
+// must match the untraced baseline exactly, and the trace itself must
+// contain the expected structural events.
 func TestTraceDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(500))
 	w := geom.NewRect(0, 0, 1000, 1000)
@@ -34,40 +33,30 @@ func TestTraceDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, par := range []int{1, 2, 8} {
-		tr := trace.New(1 << 14)
-		got, err := AMKDJ(left, right, k, Options{Trace: tr, Parallelism: par})
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", par, err)
+	tr := trace.New(1 << 14)
+	got, err := AMKDJ(left, right, k, Options{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(baseline) {
+		t.Fatalf("%d results, want %d", len(got), len(baseline))
+	}
+	for i := range got {
+		if got[i] != baseline[i] {
+			t.Fatalf("result %d = %+v, want %+v (tracing perturbed the join)", i, got[i], baseline[i])
 		}
-		if len(got) != len(baseline) {
-			t.Fatalf("parallelism=%d: %d results, want %d", par, len(got), len(baseline))
-		}
-		for i := range got {
-			if got[i] != baseline[i] {
-				t.Fatalf("parallelism=%d: result %d = %+v, want %+v (tracing perturbed the join)",
-					par, i, got[i], baseline[i])
-			}
-		}
-		if n := tr.CountKind(trace.KindExpansion); n == 0 {
-			t.Errorf("parallelism=%d: trace has no expansion events", par)
-		}
-		if n := tr.CountKind(trace.KindStageStart); n == 0 {
-			t.Errorf("parallelism=%d: trace has no stage_start event", par)
-		}
-		if par > 1 {
-			if n := tr.CountKind(trace.KindBarrier); n == 0 {
-				t.Errorf("parallelism=%d: parallel trace has no batch_barrier events", par)
-			}
-		}
-		// Seq numbers must be strictly increasing (gapless emission
-		// order), even when events were buffered per task and merged.
-		evs := tr.Events()
-		for i := 1; i < len(evs); i++ {
-			if evs[i].Seq <= evs[i-1].Seq {
-				t.Fatalf("parallelism=%d: event %d out of sequence: %d after %d",
-					par, i, evs[i].Seq, evs[i-1].Seq)
-			}
+	}
+	if n := tr.CountKind(trace.KindExpansion); n == 0 {
+		t.Error("trace has no expansion events")
+	}
+	if n := tr.CountKind(trace.KindStageStart); n == 0 {
+		t.Error("trace has no stage_start event")
+	}
+	// Seq numbers must be strictly increasing (gapless emission order).
+	evs := tr.Events()
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq <= evs[i-1].Seq {
+			t.Fatalf("event %d out of sequence: %d after %d", i, evs[i].Seq, evs[i-1].Seq)
 		}
 	}
 }
@@ -176,10 +165,8 @@ func TestTraceOffNoAllocs(t *testing.T) {
 		c.traceExpansion(p, 2.5, 7)
 		c.traceEDmax(4, 2)
 		c.traceStage(trace.KindStageStart, "aggressive", 2.5, 0)
-		c.traceBarrier(4)
 		_ = c.traceError(nil)
 		nilTr.Emit(trace.Event{Kind: trace.KindExpansion})
-		nilTr.EmitAll(nil)
 		// Registry-off query accounting: BeginNamed on a nil registry
 		// and estimate-mode recording on a nil collector are free.
 		c.beginQuery(100)

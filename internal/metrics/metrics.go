@@ -55,10 +55,9 @@ func (m IOCostModel) SequentialPageCost() time.Duration {
 // becomes a no-op, so library code can thread an optional collector
 // without nil checks at each call site.
 //
-// A Collector is not safe for concurrent mutation. Parallel query
-// execution gives each worker goroutine its own shard (see Shards) and
-// merges the shards into the query's collector at synchronization
-// points, so the plain int64 fields never race.
+// A Collector is not safe for concurrent mutation. Each query runs on
+// one goroutine with a collector of its own, so the plain int64 fields
+// never race.
 type Collector struct {
 	// RealDistCalcs counts real (Euclidean MBR) distance computations.
 	RealDistCalcs int64

@@ -7,8 +7,8 @@ import (
 
 // exportedNumericFields enumerates the exported fields of Collector,
 // failing the test if a field of an unexpected type sneaks in (every
-// exported field must be int64 or time.Duration so Add/Reset/isZero
-// and the trace exporters can handle it uniformly).
+// exported field must be int64 or time.Duration so Add/Reset and the
+// trace exporters can handle it uniformly).
 func exportedNumericFields(t *testing.T) []reflect.StructField {
 	t.Helper()
 	typ := reflect.TypeOf(Collector{})
@@ -30,9 +30,9 @@ func exportedNumericFields(t *testing.T) []reflect.StructField {
 }
 
 // TestCollectorFieldCoverage sets every exported Collector field to a
-// nonzero value, one at a time, and asserts that isZero notices it,
-// Add propagates it, and Reset clears it. A counter added to the
-// struct but forgotten in any of those methods fails here immediately
+// nonzero value, one at a time, and asserts that Add propagates it
+// and Reset clears it. A counter added to the struct but forgotten in
+// either of those methods fails here immediately
 // — the same safety net the reflection-based exporters in
 // internal/trace provide for the metrics export.
 func TestCollectorFieldCoverage(t *testing.T) {
@@ -41,10 +41,6 @@ func TestCollectorFieldCoverage(t *testing.T) {
 		t.Run(f.Name, func(t *testing.T) {
 			var src Collector
 			reflect.ValueOf(&src).Elem().FieldByIndex(f.Index).SetInt(7)
-
-			if src.isZero() {
-				t.Errorf("isZero ignores field %s", f.Name)
-			}
 
 			var dst Collector
 			dst.Add(&src)
@@ -56,9 +52,6 @@ func TestCollectorFieldCoverage(t *testing.T) {
 			src.Reset()
 			if v := reflect.ValueOf(&src).Elem().FieldByIndex(f.Index).Int(); v != 0 {
 				t.Errorf("Reset leaves field %s = %d", f.Name, v)
-			}
-			if !src.isZero() {
-				t.Errorf("isZero false after Reset (field %s)", f.Name)
 			}
 		})
 	}

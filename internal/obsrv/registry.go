@@ -138,9 +138,9 @@ func (r *Registry) agg(algo string) *algoAgg {
 }
 
 // Begin registers an in-flight query and returns its live handle. The
-// handle's setters are safe to call from the query's coordinating
-// goroutine while HTTP handlers snapshot concurrently. A nil registry
-// returns a nil handle, whose methods all no-op.
+// handle's setters are safe to call from the query's goroutine while
+// HTTP handlers snapshot concurrently. A nil registry returns a nil
+// handle, whose methods all no-op.
 func (r *Registry) Begin(algo string, k int) *Query {
 	return r.BeginNamed(algo, k, "")
 }

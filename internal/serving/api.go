@@ -63,8 +63,6 @@ type kDistanceRequest struct {
 	K             int     `json:"k"`
 	Algorithm     string  `json:"algorithm,omitempty"`
 	MaxDist       float64 `json:"max_dist,omitempty"` // SJ-SORT's within bound
-	Shards        int     `json:"shards,omitempty"`
-	Parallelism   int     `json:"parallelism,omitempty"`
 	QueueMemBytes int     `json:"queue_mem_bytes,omitempty"`
 	DeadlineMS    int64   `json:"deadline_ms,omitempty"`
 }
@@ -72,8 +70,6 @@ type kDistanceRequest struct {
 type kClosestRequest struct {
 	Index         string `json:"index"`
 	K             int    `json:"k"`
-	Shards        int    `json:"shards,omitempty"`
-	Parallelism   int    `json:"parallelism,omitempty"`
 	QueueMemBytes int    `json:"queue_mem_bytes,omitempty"`
 	DeadlineMS    int64  `json:"deadline_ms,omitempty"`
 }
@@ -286,12 +282,6 @@ func (s *Server) handleKDistance(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, tel, err)
 		return
 	}
-	// Mirror the facade's Shards contract at the API boundary so the
-	// client gets a 400, not a 500, for the misconfiguration.
-	if req.Shards > 0 && algo != distjoin.AMKDJ && algo != distjoin.BKDJ {
-		s.failRequest(w, tel, badRequest("shards requires algorithm am or b, got %q", req.Algorithm))
-		return
-	}
 	if algo == distjoin.SJSort && req.MaxDist <= 0 {
 		s.failRequest(w, tel, badRequest("algorithm sj requires max_dist > 0"))
 		return
@@ -322,8 +312,6 @@ func (s *Server) handleKDistance(w http.ResponseWriter, r *http.Request) {
 	opts := &distjoin.Options{
 		Algorithm:     algo,
 		MaxDist:       req.MaxDist,
-		Shards:        req.Shards,
-		Parallelism:   req.Parallelism,
 		QueueMemBytes: s.queueMem(req.QueueMemBytes),
 		Context:       ctx,
 		Stats:         &st,
@@ -387,8 +375,6 @@ func (s *Server) handleKClosest(w http.ResponseWriter, r *http.Request) {
 	var st distjoin.Stats
 	tel.st = &st
 	opts := &distjoin.Options{
-		Shards:        req.Shards,
-		Parallelism:   req.Parallelism,
 		QueueMemBytes: s.queueMem(req.QueueMemBytes),
 		Context:       ctx,
 		Stats:         &st,

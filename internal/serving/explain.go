@@ -9,11 +9,10 @@ import (
 // ?explain=1 support: the blocking /v1 query endpoints accept an
 // explain query parameter; when set, the server installs a per-request
 // tracer and the response embeds the merged trace timeline plus a
-// digest — per-stage durations, spill/reload activity, the shard plan
-// — so a client can see where its query spent its time without
-// server-side log access. The dist-calc total in the digest comes from
-// the same Stats collector as the response's stats block, so the two
-// always agree.
+// digest — per-stage durations, spill/reload activity — so a client
+// can see where its query spent its time without server-side log
+// access. The dist-calc total in the digest comes from the same Stats
+// collector as the response's stats block, so the two always agree.
 
 // wantExplain reports whether the request opted into the trace
 // timeline.
@@ -37,28 +36,17 @@ type stageSpan struct {
 	Results int64 `json:"results,omitempty"`
 }
 
-// shardPlanJSON digests the sharded executor's trace events.
-type shardPlanJSON struct {
-	Tasks       int64 `json:"tasks"`
-	LeftShards  int   `json:"left_shards"`
-	RightShards int   `json:"right_shards"`
-	Runs        int   `json:"runs"`
-	Skips       int   `json:"skips"`
-}
-
 // explainSummary is the digest of the trace timeline.
 type explainSummary struct {
-	DurationUS    int64          `json:"duration_us"`
-	Stages        []stageSpan    `json:"stages"`
-	Expansions    int            `json:"expansions"`
-	Spills        int            `json:"spills"`
-	SpilledPairs  int64          `json:"spilled_pairs"`
-	Reloads       int            `json:"reloads"`
-	ReloadedPairs int64          `json:"reloaded_pairs"`
-	EDmaxUpdates  int            `json:"edmax_updates"`
-	Compensations int            `json:"compensations"`
-	Barriers      int            `json:"barriers"`
-	ShardPlan     *shardPlanJSON `json:"shard_plan,omitempty"`
+	DurationUS    int64       `json:"duration_us"`
+	Stages        []stageSpan `json:"stages"`
+	Expansions    int         `json:"expansions"`
+	Spills        int         `json:"spills"`
+	SpilledPairs  int64       `json:"spilled_pairs"`
+	Reloads       int         `json:"reloads"`
+	ReloadedPairs int64       `json:"reloaded_pairs"`
+	EDmaxUpdates  int         `json:"edmax_updates"`
+	Compensations int         `json:"compensations"`
 	// DistCalcs and QueueInserts mirror the response's stats block
 	// (same collector), tying the timeline to the counters.
 	DistCalcs    int64 `json:"dist_calcs"`
@@ -85,7 +73,6 @@ func buildExplain(tr *distjoin.Tracer, st *distjoin.Stats) *explainJSON {
 	// (AM-IDJ runs one span per incremental stage).
 	open := make(map[string][]int) // key -> indexes into sum.Stages
 	key := func(algo, stage string) string { return algo + "\x00" + stage }
-	var shard *shardPlanJSON
 	for _, ev := range events {
 		if ev.At > sum.DurationUS {
 			sum.DurationUS = ev.At
@@ -121,22 +108,6 @@ func buildExplain(tr *distjoin.Tracer, st *distjoin.Stats) *explainJSON {
 			sum.EDmaxUpdates++
 		case distjoin.TraceKindCompensation:
 			sum.Compensations++
-		case distjoin.TraceKindBarrier:
-			sum.Barriers++
-		case distjoin.TraceKindShardPlan:
-			shard = &shardPlanJSON{
-				Tasks:       ev.Count,
-				LeftShards:  ev.LeftLevel,
-				RightShards: ev.RightLevel,
-			}
-		case distjoin.TraceKindShardRun:
-			if shard != nil {
-				shard.Runs++
-			}
-		case distjoin.TraceKindShardSkip:
-			if shard != nil {
-				shard.Skips++
-			}
 		}
 	}
 	// A stage still open at the end of the timeline (the ring dropped
@@ -148,7 +119,6 @@ func buildExplain(tr *distjoin.Tracer, st *distjoin.Stats) *explainJSON {
 			sum.Stages[i].DurationUS = sum.DurationUS - sum.Stages[i].StartUS
 		}
 	}
-	sum.ShardPlan = shard
 	if events == nil {
 		events = []distjoin.TraceEvent{}
 	}

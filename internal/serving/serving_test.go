@@ -117,17 +117,9 @@ func TestKDistanceDifferential(t *testing.T) {
 	}
 	maxDist := oracle[len(oracle)-1].Dist
 
-	for _, tc := range []struct {
-		algo   string
-		shards int
-		par    int
-	}{
-		{algo: "am"}, {algo: "b"}, {algo: "hs"}, {algo: "sj"},
-		{algo: "am", shards: 4, par: 2}, {algo: "b", shards: 4},
-	} {
-		name := fmt.Sprintf("%s/s=%d/p=%d", tc.algo, tc.shards, tc.par)
-		opts := &distjoin.Options{Shards: tc.shards, Parallelism: tc.par}
-		switch tc.algo {
+	for _, name := range []string{"am", "b", "hs", "sj"} {
+		opts := &distjoin.Options{}
+		switch name {
 		case "am":
 			opts.Algorithm = distjoin.AMKDJ
 		case "b":
@@ -142,9 +134,8 @@ func TestKDistanceDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s facade: %v", name, err)
 		}
-		req := kDistanceRequest{Left: "left", Right: "right", K: k,
-			Algorithm: tc.algo, Shards: tc.shards, Parallelism: tc.par}
-		if tc.algo == "sj" {
+		req := kDistanceRequest{Left: "left", Right: "right", K: k, Algorithm: name}
+		if name == "sj" {
 			req.MaxDist = maxDist
 		}
 		code, body := postJSON(t, h.Client(), h.URL+"/v1/join/k", req)
@@ -487,7 +478,7 @@ func TestCursorBudget(t *testing.T) {
 
 // TestValidationErrors walks the 400/404 surface.
 func TestValidationErrors(t *testing.T) {
-	_, _, _, h := testServer(t, Config{MaxK: 100})
+	srv, _, _, h := testServer(t, Config{MaxK: 100})
 	cases := []struct {
 		name string
 		path string
@@ -500,7 +491,8 @@ func TestValidationErrors(t *testing.T) {
 		{"k zero", "/v1/join/k", kDistanceRequest{Left: "left", Right: "right"}, 400},
 		{"k over budget", "/v1/join/k", kDistanceRequest{Left: "left", Right: "right", K: 101}, 400},
 		{"sj needs max_dist", "/v1/join/k", kDistanceRequest{Left: "left", Right: "right", K: 5, Algorithm: "sj"}, 400},
-		{"shards with hs", "/v1/join/k", kDistanceRequest{Left: "left", Right: "right", K: 5, Algorithm: "hs", Shards: 4}, 400},
+		{"removed field shards", "/v1/join/k", json.RawMessage(`{"left":"left","right":"right","k":5,"shards":4}`), 400},
+		{"removed field parallelism", "/v1/join/closest", json.RawMessage(`{"index":"left","k":5,"parallelism":2}`), 400},
 		{"negative max_dist", "/v1/join/within", withinRequest{Left: "left", Right: "right", MaxDist: -1}, 400},
 		{"negative limit", "/v1/join/within", withinRequest{Left: "left", Right: "right", MaxDist: 1, Limit: -2}, 400},
 		{"negative page", "/v1/join/incremental", incrementalOpenRequest{Left: "left", Right: "right", PageSize: -1}, 400},
@@ -518,6 +510,10 @@ func TestValidationErrors(t *testing.T) {
 		if e.Error == "" {
 			t.Errorf("%s: empty error message", tc.name)
 		}
+	}
+	// A rejected request holds no execution slot and no queue place.
+	if n, q := srv.gate.inFlight(), srv.gate.queued(); n != 0 || q != 0 {
+		t.Errorf("after rejected requests: inFlight=%d queued=%d, want 0/0", n, q)
 	}
 	// Malformed JSON and unknown fields are 400s too.
 	resp, err := h.Client().Post(h.URL+"/v1/join/k", "application/json", strings.NewReader("{"))

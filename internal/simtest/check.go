@@ -8,7 +8,6 @@ import (
 	"distjoin/internal/join"
 	"distjoin/internal/obsrv"
 	"distjoin/internal/rtree"
-	"distjoin/internal/shard"
 	"distjoin/internal/storage"
 )
 
@@ -26,51 +25,12 @@ func Check(s Scenario) error {
 	// Differential: every algorithm must reproduce the brute-force
 	// reference exactly — the paper's §4.1 equivalence claim.
 	for _, name := range Algorithms {
-		got, err := e.runAlgo(name, e.options(s.Parallelism, nil, nil, reg), len(e.ref))
+		got, err := e.runAlgo(name, e.options(nil, nil, reg), len(e.ref))
 		if err != nil {
 			return failf(s, nil, "differential/"+name, "unexpected error: %v", err)
 		}
 		if err := e.compareExact("differential", name, got); err != nil {
 			return err
-		}
-	}
-
-	// Cross-parallelism identity: the parallel engine's determinism
-	// contract says worker count never changes the emitted pairs.
-	for _, name := range []string{"B-KDJ", "AM-KDJ", "AM-IDJ"} {
-		for _, par := range []int{1, 2, 8} {
-			if par == s.Parallelism {
-				continue // already covered by the differential run
-			}
-			got, err := e.runAlgo(name, e.options(par, nil, nil, reg), len(e.ref))
-			if err != nil {
-				return failf(s, nil, "parallelism/"+name, "par=%d unexpected error: %v", par, err)
-			}
-			if err := e.compareExact("parallelism", fmt.Sprintf("%s(par=%d)", name, par), got); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Cross-shard-count identity: the sharded executor's determinism
-	// contract says neither the shard count nor the worker count can
-	// change the emitted pairs — every (shards, parallelism) cell must
-	// be byte-identical to the oracle.
-	for _, name := range []string{"AM-KDJ", "B-KDJ"} {
-		algo := shard.AMKDJ
-		if name == "B-KDJ" {
-			algo = shard.BKDJ
-		}
-		for _, shards := range []int{1, 4, 9} {
-			for _, par := range []int{1, 8} {
-				got, err := e.runShard(algo, shards, e.options(par, nil, nil, reg))
-				if err != nil {
-					return failf(s, nil, "shard-identity/"+name, "s=%d par=%d unexpected error: %v", shards, par, err)
-				}
-				if err := e.compareExact("shard-identity", fmt.Sprintf("%s(s=%d,par=%d)", name, shards, par), got); err != nil {
-					return err
-				}
-			}
 		}
 	}
 
@@ -110,7 +70,7 @@ func checkKPrefix(e *env, reg *obsrv.Registry) error {
 	if k2 == e.s.K {
 		return nil
 	}
-	got, err := join.AMKDJ(e.lt, e.rt, k2, e.options(e.s.Parallelism, nil, nil, reg))
+	got, err := join.AMKDJ(e.lt, e.rt, k2, e.options(nil, nil, reg))
 	if err != nil {
 		return failf(e.s, nil, "k-prefix", "AM-KDJ k=%d unexpected error: %v", k2, err)
 	}
@@ -131,7 +91,7 @@ func checkWithinSuperset(e *env, reg *obsrv.Registry) error {
 	type pairID struct{ l, r int64 }
 	seen := make(map[pairID]bool)
 	var tooFar *join.Result
-	err := join.WithinJoin(e.lt, e.rt, e.kth, e.options(e.s.Parallelism, nil, nil, reg), func(r join.Result) bool {
+	err := join.WithinJoin(e.lt, e.rt, e.kth, e.options(nil, nil, reg), func(r join.Result) bool {
 		seen[pairID{r.LeftObj, r.RightObj}] = true
 		if r.Dist > e.kth && tooFar == nil {
 			cp := r
@@ -160,7 +120,7 @@ func checkWithinSuperset(e *env, reg *obsrv.Registry) error {
 // asserts the stream stays sorted: the first len(ref) results are the
 // reference exactly, and every further result is no closer than Dmax_k.
 func checkIncrementalMonotone(e *env, reg *obsrv.Registry) error {
-	it, err := join.AMIDJ(e.lt, e.rt, e.options(e.s.Parallelism, nil, nil, reg))
+	it, err := join.AMIDJ(e.lt, e.rt, e.options(nil, nil, reg))
 	if err != nil {
 		return failf(e.s, nil, "idj-monotone", "AM-IDJ unexpected error: %v", err)
 	}
@@ -221,7 +181,7 @@ func checkTranslation(e *env, reg *obsrv.Registry) error {
 	if err != nil {
 		return failf(s, nil, "translation", "building translated environment: %v", err)
 	}
-	got, err := te.runAlgo("AM-KDJ", te.options(s.Parallelism, nil, nil, reg), len(e.ref))
+	got, err := te.runAlgo("AM-KDJ", te.options(nil, nil, reg), len(e.ref))
 	if err != nil {
 		return failf(s, nil, "translation", "AM-KDJ unexpected error: %v", err)
 	}
@@ -263,7 +223,7 @@ func checkScale(e *env, reg *obsrv.Registry) error {
 	if err != nil {
 		return failf(s, nil, "scale", "building scaled environment: %v", err)
 	}
-	got, err := se.runAlgo("AM-KDJ", se.options(s.Parallelism, nil, nil, reg), len(ref))
+	got, err := se.runAlgo("AM-KDJ", se.options(nil, nil, reg), len(ref))
 	if err != nil {
 		return failf(s, nil, "scale", "AM-KDJ unexpected error: %v", err)
 	}
@@ -277,7 +237,7 @@ func checkScale(e *env, reg *obsrv.Registry) error {
 // e's trees have served earlier checks, so their memo is (partly)
 // filled and a query on them decodes nodes straight into sweep order;
 // a freshly packed copy has an empty memo and sorts every node it
-// touches. Run serially from cold buffer pools, the two must return the
+// touches. Run from cold buffer pools, the two must return the
 // same pairs in the same order with the same deterministic counters,
 // and so must a rerun on the copy once the first run has filled it.
 func checkWarmRerun(e *env, check string, reg *obsrv.Registry) error {

@@ -10,17 +10,13 @@ import (
 	"distjoin/internal/metrics"
 	"distjoin/internal/obsrv"
 	"distjoin/internal/rtree"
-	"distjoin/internal/shard"
 	"distjoin/internal/storage"
 )
 
 // Algorithms lists every algorithm the harness drives, in run order.
 // The first entry is the paper's baseline; §4.1's equivalence claim is
-// that all of them emit exactly the same k closest pairs. The "/sN"
-// suffixed entries are the partition-parallel sharded executor over N
-// shards (internal/shard), which inherits the full differential and
-// fault battery through this list.
-var Algorithms = []string{"HS-KDJ", "B-KDJ", "AM-KDJ", "SJ-SORT", "HS-IDJ", "AM-IDJ", "AM-KDJ/s4", "B-KDJ/s9"}
+// that all of them emit exactly the same k closest pairs.
+var Algorithms = []string{"HS-KDJ", "B-KDJ", "AM-KDJ", "SJ-SORT", "HS-IDJ", "AM-IDJ"}
 
 // env is one materialized scenario: the data, the packed trees, and
 // the brute-force reference.
@@ -141,13 +137,11 @@ func (e *env) brute(k int) []join.Result {
 
 // options assembles the engine Options for this scenario.
 //
-//	par   — worker count (the scenario's own value, or an override for
-//	        the cross-parallelism identity check)
 //	qs    — main-queue store; nil uses a private MemStore
 //	hook  — hybridq spill/reload fault hook; nil disables
 //	reg   — observability registry; the harness attaches one per run
 //	        and asserts nothing is left in flight
-func (e *env) options(par int, qs storage.Store, hook func(hybridq.FaultOp) error, reg *obsrv.Registry) join.Options {
+func (e *env) options(qs storage.Store, hook func(hybridq.FaultOp) error, reg *obsrv.Registry) join.Options {
 	sp := e.s.Sweep
 	o := join.Options{
 		QueueMemBytes:     e.s.QueueMem,
@@ -158,7 +152,6 @@ func (e *env) options(par int, qs storage.Store, hook func(hybridq.FaultOp) erro
 		BatchK:            e.s.BatchK,
 		DisableQueueModel: e.s.NoQueueModel,
 		SelfJoin:          e.s.SelfJoin(),
-		Parallelism:       par,
 		Refiner:           e.refiner(),
 		QueueFaultHook:    hook,
 		Registry:          reg,
@@ -206,10 +199,6 @@ func (e *env) runAlgo(name string, opts join.Options, limit int) ([]join.Result,
 		}
 		defer func() { it.Close(); it.Close() }()
 		return drainIter(it.Next, it.Err, limit)
-	case "AM-KDJ/s4":
-		return e.runShard(shard.AMKDJ, 4, opts)
-	case "B-KDJ/s9":
-		return e.runShard(shard.BKDJ, 9, opts)
 	default:
 		return nil, fmt.Errorf("simtest: unknown algorithm %q", name)
 	}
@@ -224,7 +213,7 @@ func (e *env) coldPools() error {
 	return e.rt.Pool().Invalidate()
 }
 
-// runCounted is a serial runAlgo from cold buffer pools that also
+// runCounted is a runAlgo from cold buffer pools that also
 // returns the run's deterministic counters (everything but wall time),
 // so runs on differently warmed trees can be compared counter for
 // counter.
@@ -233,20 +222,12 @@ func (e *env) runCounted(name string, reg *obsrv.Registry) ([]join.Result, metri
 	if err := e.coldPools(); err != nil {
 		return nil, counters, err
 	}
-	opts := e.options(1, nil, nil, reg)
+	opts := e.options(nil, nil, reg)
 	opts.Metrics = &mc
 	got, err := e.runAlgo(name, opts, len(e.ref))
 	counters.Add(&mc)
 	counters.WallTime = 0
 	return got, counters, err
-}
-
-// runShard executes the partition-parallel executor over the
-// scenario's trees, reusing the scenario's index knobs for the
-// per-shard trees.
-func (e *env) runShard(algo shard.Algo, shards int, opts join.Options) ([]join.Result, error) {
-	cfg := shard.Config{Shards: shards, PageSize: e.s.PageSize, BufBytes: e.s.BufBytes}
-	return shard.KDJ(e.lt, e.rt, e.s.K, algo, cfg, opts)
 }
 
 // drainIter pulls up to limit results from an incremental iterator and

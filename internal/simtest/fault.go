@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"distjoin/internal/hybridq"
@@ -125,9 +124,9 @@ type faultCounts [numTargets]int
 // construction never consumes an armed budget), the main-queue store
 // is created fresh per run, and the hybridq spill/reload transitions
 // go through a counting hook. Each faultEnv serves one schedule (plus
-// its recovery re-run): a fresh environment per schedule keeps serial
-// runs bit-deterministic — cold buffer pools, identical page IDs —
-// so the clean-run census maps exactly onto the armed run.
+// its recovery re-run): a fresh environment per schedule keeps runs
+// bit-deterministic — cold buffer pools, identical page IDs — so the
+// clean-run census maps exactly onto the armed run.
 type faultEnv struct {
 	*env
 	lm, rm *storage.MemStore
@@ -174,14 +173,10 @@ func (fe *faultEnv) run(algo string, sched *FaultSchedule) ([]join.Result, fault
 			qf.Arm(sched.Point)
 		}
 	}
-	// The sharded executor drives concurrent inner joins through this
-	// hook (the serial engines only ever call it from the coordinating
-	// goroutine), so the counters need the mutex.
-	var hookMu sync.Mutex
+	// The engines call the hook from the query's goroutine only, so the
+	// counters need no lock.
 	var spills, reloads int
 	hook := func(op hybridq.FaultOp) error {
-		hookMu.Lock()
-		defer hookMu.Unlock()
 		n, target := &spills, TargetSpill
 		if op == hybridq.FaultReload {
 			n, target = &reloads, TargetReload
@@ -194,7 +189,7 @@ func (fe *faultEnv) run(algo string, sched *FaultSchedule) ([]join.Result, fault
 		return nil
 	}
 	l0, r0 := fe.lm.Stats(), fe.rm.Stats()
-	got, err := fe.runAlgo(algo, fe.options(fe.s.Parallelism, qf, hook, fe.reg), len(fe.ref))
+	got, err := fe.runAlgo(algo, fe.options(qf, hook, fe.reg), len(fe.ref))
 	var counts faultCounts
 	counts[TargetLeftTree] = opCount(fe.lm.Stats()) - opCount(l0)
 	counts[TargetRightTree] = opCount(fe.rm.Stats()) - opCount(r0)
@@ -208,9 +203,8 @@ func (fe *faultEnv) run(algo string, sched *FaultSchedule) ([]join.Result, fault
 // used, from cold buffer pools. The trees' sweep-order memo is now
 // filled, so expansions decode in order where the census run sorted,
 // yet every page is still fetched: the rerun must reproduce the oracle
-// and, on a deterministic serial run, the census operation for
-// operation — a memoized node that skipped its page read would also
-// skip its fault point.
+// and the census operation for operation — a memoized node that
+// skipped its page read would also skip its fault point.
 func (fe *faultEnv) checkWarmCensus(algo string, census faultCounts) error {
 	if err := fe.coldPools(); err != nil {
 		return failf(fe.s, nil, "fault-count-warm", "invalidating pool: %v", err)
@@ -222,7 +216,7 @@ func (fe *faultEnv) checkWarmCensus(algo string, census faultCounts) error {
 	if err := fe.compareExact("fault-count-warm", algo, got); err != nil {
 		return err
 	}
-	if fe.s.Parallelism <= 1 && counts != census {
+	if counts != census {
 		return failf(fe.s, nil, "fault-count-warm", "%s census changed on a warm index: %v, cold %v", algo, counts, census)
 	}
 	return nil
@@ -283,10 +277,7 @@ func ExploreFaults(s Scenario, opts ExploreOpts) error {
 		for _, target := range faultTargets {
 			for _, point := range samplePoints(counts[target], opts.MaxPointsPerTarget) {
 				sched := &FaultSchedule{Algo: algo, Target: target, Point: point}
-				// Serial execution is bit-deterministic, so an armed
-				// point below the census total MUST fire and surface.
-				mustFire := s.Parallelism <= 1
-				if err := runSchedule(s, ref, sched, baseG, mustFire); err != nil {
+				if err := runSchedule(s, ref, sched, baseG); err != nil {
 					return err
 				}
 			}
@@ -296,22 +287,19 @@ func ExploreFaults(s Scenario, opts ExploreOpts) error {
 }
 
 // ErrScheduleNeverFires reports that a -schedule repro names a fault
-// point the clean-run census proves unreachable: on a deterministic
-// serial run the armed operation would never execute, so the "repro"
-// would silently test nothing. Callers (cmd/distjoin-sim) surface it
-// instead of reporting a hollow pass.
+// point the clean-run census proves unreachable: the armed operation
+// would never execute, so the "repro" would silently test nothing.
+// Callers (cmd/distjoin-sim) surface it instead of reporting a hollow
+// pass.
 var ErrScheduleNeverFires = errors.New("simtest: schedule names a fault point that never fires")
 
 // RunSchedule reproduces one fault schedule from the command line: a
 // clean census run first (to decide whether the point is reachable),
 // then the armed run with the full fail-closed battery.
 //
-// On a serial scenario the census is bit-deterministic, so a schedule
-// point at or beyond the census total is rejected with
-// ErrScheduleNeverFires rather than degraded into a no-op run. Under
-// parallelism the census varies with scheduling, so an out-of-census
-// point is still executed (the fault legitimately may or may not
-// fire).
+// The census is bit-deterministic, so a schedule point at or beyond
+// the census total is rejected with ErrScheduleNeverFires rather than
+// degraded into a no-op run.
 func RunSchedule(s Scenario, sched *FaultSchedule) error {
 	fe, err := newFaultEnv(s, nil)
 	if err != nil {
@@ -324,42 +312,34 @@ func RunSchedule(s Scenario, sched *FaultSchedule) error {
 	if err := fe.compareExact("fault-count", sched.Algo, got); err != nil {
 		return err
 	}
-	serial := s.Parallelism <= 1
-	if serial && sched.Point >= counts[sched.Target] {
+	if sched.Point >= counts[sched.Target] {
 		return fmt.Errorf("%w: %s counted %d %s operation(s), schedule wants point %d",
 			ErrScheduleNeverFires, sched.Algo, counts[sched.Target], sched.Target, sched.Point)
 	}
-	return runSchedule(s, fe.ref, sched, runtime.NumGoroutine(), serial)
+	return runSchedule(s, fe.ref, sched, runtime.NumGoroutine())
 }
 
 // runSchedule executes one armed schedule on a fresh environment and
 // applies the fail-closed battery:
 //
-//   - a surfaced error must wrap the injected fault (storage.ErrInjected);
-//   - no surfaced error is acceptable only when the fault provably
-//     could not have fired (parallel scheduling variance, or a point
-//     beyond the census), and then the results must equal the oracle;
+//   - an error must surface (execution is bit-deterministic, so an
+//     armed point below the census total always fires) and must wrap
+//     the injected fault (storage.ErrInjected);
 //   - the observability registry must show nothing in flight;
 //   - the goroutine count must settle back to the pre-run baseline;
 //   - a disarmed re-run on the same trees must reproduce the oracle
 //     (the fault must not poison the buffer pool or tree state).
-func runSchedule(s Scenario, ref []join.Result, sched *FaultSchedule, baseG int, mustFire bool) error {
+func runSchedule(s Scenario, ref []join.Result, sched *FaultSchedule, baseG int) error {
 	fe, err := newFaultEnv(s, ref)
 	if err != nil {
 		return failf(s, sched, "fault-setup", "building environment: %v", err)
 	}
-	got, _, runErr := fe.run(sched.Algo, sched)
-	switch {
-	case runErr != nil:
-		if !errors.Is(runErr, storage.ErrInjected) {
-			return failf(s, sched, "fault", "%s surfaced an error that does not wrap the injected fault: %v", sched.Algo, runErr)
-		}
-	case mustFire:
-		return failf(s, sched, "fault", "%s swallowed the injected fault: no error surfaced on a deterministic serial run", sched.Algo)
-	default:
-		if err := fe.compareExact("fault", sched.Algo+" (fault unreached)", got); err != nil {
-			return err
-		}
+	_, _, runErr := fe.run(sched.Algo, sched)
+	if runErr == nil {
+		return failf(s, sched, "fault", "%s swallowed the injected fault: no error surfaced", sched.Algo)
+	}
+	if !errors.Is(runErr, storage.ErrInjected) {
+		return failf(s, sched, "fault", "%s surfaced an error that does not wrap the injected fault: %v", sched.Algo, runErr)
 	}
 	if n := fe.reg.InFlight(); n != 0 {
 		return failf(s, sched, "fault", "%d queries still in flight after faulted %s run", n, sched.Algo)
@@ -384,7 +364,7 @@ func runSchedule(s Scenario, ref []join.Result, sched *FaultSchedule, baseG int,
 }
 
 // settleGoroutines waits for the goroutine count to return to (near)
-// the baseline, catching leaked expansion workers. The small slack
+// the baseline, catching a leaked goroutine. The small slack
 // absorbs runtime-internal goroutines (GC workers) starting up.
 func settleGoroutines(base int) error {
 	const slack = 2

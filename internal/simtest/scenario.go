@@ -100,7 +100,6 @@ type Scenario struct {
 	K            int
 	BatchK       int // AM-IDJ stage growth
 	QueueMem     int // hybrid main-queue memory budget, bytes
-	Parallelism  int // 1, 2, or 8
 	EDmaxMode    EDmaxMode
 	Sweep        join.SweepPolicy
 	DQPolicy     join.DistanceQueuePolicy
@@ -137,15 +136,15 @@ func FromSeed(seed int64) Scenario {
 		PageSize: []int{1024, 2048, 4096}[rng.Intn(3)],
 		BufBytes: 4096 * (1 + rng.Intn(32)),
 
-		BatchK:       0, // filled below from K
-		QueueMem:     512 * (1 + rng.Intn(16)),
-		Parallelism:  []int{1, 2, 8}[rng.Intn(3)],
-		EDmaxMode:    EDmaxMode(rng.Intn(int(numEDmaxModes))),
-		DQPolicy:     join.DistanceQueuePolicy(rng.Intn(2)),
-		Correction:   estimate.Mode(rng.Intn(4)),
-		NoQueueModel: rng.Intn(4) == 0,
-		Refine:       rng.Intn(4) == 0,
+		BatchK:   0, // filled below from K
+		QueueMem: 512 * (1 + rng.Intn(16)),
 	}
+	rng.Intn(3) // a retired knob's draw: dropping it would remap every logged seed and fuzz corpus entry
+	s.EDmaxMode = EDmaxMode(rng.Intn(int(numEDmaxModes)))
+	s.DQPolicy = join.DistanceQueuePolicy(rng.Intn(2))
+	s.Correction = estimate.Mode(rng.Intn(4))
+	s.NoQueueModel = rng.Intn(4) == 0
+	s.Refine = rng.Intn(4) == 0
 	if s.Workload == WorkloadSelf {
 		s.NRight = s.NLeft
 		s.SubSeedR = s.SubSeedL
@@ -194,9 +193,9 @@ func FromBytes(data []byte) Scenario {
 			s.SubSeedR = s.SubSeedL
 		}
 	}
-	if b, ok := get(1); ok {
-		s.Parallelism = []int{1, 2, 8}[int(b)%3]
-	}
+	// Override byte 1 is reserved: it set a retired knob, and the
+	// later bytes keep their positions so corpus entries still decode
+	// to the same scenarios.
 	if b, ok := get(2); ok {
 		s.EDmaxMode = EDmaxMode(int(b) % int(numEDmaxModes))
 	}
@@ -234,9 +233,9 @@ func FromBytes(data []byte) Scenario {
 
 // String renders the scenario as one line, led by the seed repro.
 func (s Scenario) String() string {
-	return fmt.Sprintf("seed=%d %s |L|=%d |R|=%d k=%d batchK=%d qmem=%d par=%d eDmax=%s sweep=%+v dq=%d corr=%s page=%d fanout=%d refine=%v noqm=%v",
+	return fmt.Sprintf("seed=%d %s |L|=%d |R|=%d k=%d batchK=%d qmem=%d eDmax=%s sweep=%+v dq=%d corr=%s page=%d fanout=%d refine=%v noqm=%v",
 		s.Seed, s.Workload, s.NLeft, s.NRight, s.K, s.BatchK, s.QueueMem,
-		s.Parallelism, s.EDmaxMode, s.Sweep, s.DQPolicy, s.Correction,
+		s.EDmaxMode, s.Sweep, s.DQPolicy, s.Correction,
 		s.PageSize, s.Fanout, s.Refine, s.NoQueueModel)
 }
 

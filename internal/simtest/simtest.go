@@ -11,7 +11,7 @@
 //   - metamorphically, through invariants that need no oracle at all:
 //     translation invariance, power-of-two scale equivariance,
 //     k-prefix monotonicity, WithinJoin(Dmax_k) ⊇ top-k, and
-//     result-set identity across Parallelism 1/2/8;
+//     warm-index rerun identity (results and counters);
 //   - under fault schedules: every I/O point (R-tree page reads, main
 //     queue store operations, hybridq spill/reload transitions) is
 //     counted on a clean run and then failed one at a time, proving

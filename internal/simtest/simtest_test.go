@@ -26,10 +26,10 @@ func TestCheckSeeds(t *testing.T) {
 }
 
 // TestFaultSchedules explores injected-fault schedules for a handful
-// of scenarios chosen to cover serial and parallel execution, tight
-// queue memory (spill/reload traffic), and self-join semantics. Point
-// sampling keeps the default run quick; the nightly soak explores
-// exhaustively via cmd/distjoin-sim -faults -points=0.
+// of scenarios chosen to cover tight queue memory (spill/reload
+// traffic) and self-join semantics. Point sampling keeps the default
+// run quick; the nightly soak explores exhaustively via
+// cmd/distjoin-sim -faults -points=0.
 func TestFaultSchedules(t *testing.T) {
 	points := 6
 	seeds := []int64{2, 3, 15}
@@ -47,8 +47,7 @@ func TestFaultSchedules(t *testing.T) {
 // TestMutationSmoke validates the harness itself: with a deliberately
 // broken pruning cutoff installed, the differential oracle must catch
 // the wrong results within a bounded number of seeds — a harness that
-// cannot fail proves nothing. The mutation only affects the serial
-// AM-KDJ path, so the run is pinned to Parallelism 1.
+// cannot fail proves nothing.
 func TestMutationSmoke(t *testing.T) {
 	const maxSeeds = 100
 	restore := join.SetPruneMutation(0.85)
@@ -59,7 +58,7 @@ func TestMutationSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, err := e.runAlgo("AM-KDJ", e.options(1, nil, nil, obsrv.NewRegistry()), len(e.ref))
+		got, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -69,7 +68,7 @@ func TestMutationSmoke(t *testing.T) {
 			// The restored algorithm must pass again on the same seed —
 			// pinning that the failure came from the mutation, not the
 			// harness.
-			got, err := e.runAlgo("AM-KDJ", e.options(1, nil, nil, obsrv.NewRegistry()), len(e.ref))
+			got, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref))
 			if err != nil {
 				t.Fatalf("seed %d after restore: %v", seed, err)
 			}
@@ -169,21 +168,11 @@ func TestRunScheduleRepro(t *testing.T) {
 			t.Fatalf("%s: %v", spec, err)
 		}
 	}
-	// A point the serial census proves unreachable is a usage error —
-	// the "repro" would test nothing — not a hollow pass.
-	serial := s
-	serial.Parallelism = 1
+	// A point the census proves unreachable is a usage error — the
+	// "repro" would test nothing — not a hollow pass.
 	sched := &FaultSchedule{Algo: "AM-KDJ", Target: TargetLeftTree, Point: 1 << 20}
-	if err := RunSchedule(serial, sched); !errors.Is(err, ErrScheduleNeverFires) {
-		t.Fatalf("unreachable serial point: got %v, want ErrScheduleNeverFires", err)
-	}
-	// Under parallelism the census varies with scheduling, so the armed
-	// run still executes; with the fault unreached it must simply
-	// reproduce the oracle (not report a swallowed fault).
-	par := s
-	par.Parallelism = 2
-	if err := RunSchedule(par, sched); err != nil {
-		t.Fatalf("unreachable parallel point: %v", err)
+	if err := RunSchedule(s, sched); !errors.Is(err, ErrScheduleNeverFires) {
+		t.Fatalf("unreachable point: got %v, want ErrScheduleNeverFires", err)
 	}
 }
 

@@ -34,8 +34,7 @@ func TestSoAIdentityBattery(t *testing.T) {
 // handling installed (the last lane of every batch duplicates its
 // neighbor — the classic vectorized-rewrite failure), the differential
 // oracle must flag wrong results within a bounded number of seeds.
-// Mirrors TestMutationSmoke's pruning-cutoff mutation; the hook is
-// process-global, so the run is pinned to serial AM-KDJ.
+// Mirrors TestMutationSmoke's pruning-cutoff mutation.
 func TestBatchTailMutationSmoke(t *testing.T) {
 	const maxSeeds = 100
 	restore := geom.SetBatchTailMutation()
@@ -46,7 +45,7 @@ func TestBatchTailMutationSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, err := e.runAlgo("AM-KDJ", e.options(1, nil, nil, obsrv.NewRegistry()), len(e.ref))
+		got, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -55,7 +54,7 @@ func TestBatchTailMutationSmoke(t *testing.T) {
 			restore()
 			// The restored kernel must pass again on the same seed,
 			// pinning that the failure came from the mutation.
-			got, err := e.runAlgo("AM-KDJ", e.options(1, nil, nil, obsrv.NewRegistry()), len(e.ref))
+			got, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref))
 			if err != nil {
 				t.Fatalf("seed %d after restore: %v", seed, err)
 			}

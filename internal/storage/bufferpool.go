@@ -17,8 +17,8 @@ import (
 //
 // Concurrency: all operations are serialized on an internal mutex, so
 // the pool may be shared by multiple goroutines. For read-only
-// workloads (Get without Put — how the join algorithms use R-tree
-// pools, including parallel expansion workers) the slices Get returns
+// workloads (Get without Put — how concurrent queries on one index use
+// its R-tree pool) the slices Get returns
 // stay valid and immutable even across later pool operations: frame
 // contents are only ever rewritten by Put, and eviction merely drops
 // the pool's reference. Mixed Get/Put use from multiple goroutines
@@ -82,8 +82,9 @@ func (p *BufferPool) Get(id PageID) (data []byte, hit bool, err error) {
 // Access describes one buffer pool access for per-query attribution:
 // whether it hit, and how many frames the access evicted (always zero
 // on a hit). Aggregate pool statistics remain available via Stats;
-// Access lets a query charge its own share to a metrics.Collector
-// shard without sharing mutable counters across goroutines.
+// Access lets each of the queries sharing a pool charge its own share
+// to its own metrics.Collector, with no mutable counter shared across
+// goroutines.
 type Access struct {
 	Hit       bool
 	Evictions int64

@@ -9,7 +9,7 @@ import (
 // TestBufferPoolConcurrentReads hammers a small shared pool from many
 // goroutines with a working set far larger than the frame capacity, so
 // every goroutine constantly evicts frames other goroutines just
-// fetched. This is the parallel join engine's access pattern (read-only
+// fetched. This is the access pattern of concurrent queries (read-only
 // R-tree pages through a shared pool) and must be race-free with every
 // returned page intact. Run under -race for full value.
 func TestBufferPoolConcurrentReads(t *testing.T) {

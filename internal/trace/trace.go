@@ -2,9 +2,8 @@
 // records structured stage events — node-pair expansions, the adaptive
 // algorithms' aggressive-stage start/stop with the active eDmax,
 // compensation passes, hybrid-queue spills and reloads with
-// memory-vs-disk depth, eDmax re-estimations, and parallel batch
-// barriers — into a bounded ring buffer, cheap enough to leave on in
-// production.
+// memory-vs-disk depth, and eDmax re-estimations — into a bounded ring
+// buffer, cheap enough to leave on in production.
 //
 // The paper's whole argument is quantitative (distance calculations,
 // queue inserts, node accesses, stage transitions; Figures 10–15), so
@@ -21,14 +20,6 @@
 // BenchmarkAMKDJTraceOff in internal/join). A non-nil Tracer
 // allocates its ring buffer once, up front; recording an event is a
 // mutex acquire plus a struct copy.
-//
-// # Parallel determinism
-//
-// Under join.Options.Parallelism > 1, expansion events are buffered
-// per worker task (alongside the task's candidate pairs) and merged
-// into the Tracer at the existing batch barriers in task order, so
-// installing a tracer never perturbs the engine's scheduling and a
-// traced parallel run returns byte-identical results to a serial run.
 package trace
 
 import (
@@ -68,34 +59,11 @@ const (
 	// segment back into memory. Count is the number of pairs loaded;
 	// MemLen/DiskLen/Segments snapshot the queue afterwards.
 	KindQueueReload Kind = "queue_reload"
-	// KindBarrier marks a parallel batch barrier: Count workers' task
-	// outputs were merged on the coordinating goroutine.
-	KindBarrier Kind = "batch_barrier"
 	// KindError records a query aborting with an error (storage fault,
 	// cancellation); Err carries the message. Emitted so an aborted
 	// run is distinguishable from one that legitimately produced few
 	// results.
 	KindError Kind = "error"
-	// KindShardPlan records the sharded scheduler's plan: Count is the
-	// number of partition-pair tasks, LeftLevel / RightLevel the number
-	// of non-empty left / right shards.
-	KindShardPlan Kind = "shard_plan"
-	// KindShardRun records one partition pair joined: LeftLevel /
-	// RightLevel are the shard ordinals, Dist the pair's MBR-to-MBR
-	// mindist, EDmax the global cutoff observed when the task started,
-	// and Count the distance calculations the inner join performed
-	// (per-shard dist-calc attribution).
-	KindShardRun Kind = "shard_run"
-	// KindShardSkip records one partition pair pruned by the
-	// bounds-only test: LeftLevel / RightLevel are the shard ordinals,
-	// Dist the pair's MBR-to-MBR mindist, EDmax the cutoff that proved
-	// the pair cannot contribute (Dist > EDmax).
-	KindShardSkip Kind = "shard_skip"
-	// KindCutoffBroadcast records the shared global cutoff tightening
-	// after a task's results merged: EDmax is the new k-th distance
-	// upper bound, Count the broadcast sequence number (total number
-	// of tightenings so far).
-	KindCutoffBroadcast Kind = "cutoff_broadcast"
 )
 
 // Event is one structured trace record. Numeric fields are reused
@@ -106,10 +74,8 @@ type Event struct {
 	// even when the ring buffer drops old events).
 	Seq uint64 `json:"seq"`
 	// At is the event's recording time in microseconds since the
-	// tracer was constructed, assigned together with Seq. Worker
-	// events buffered under Parallelism > 1 are stamped when they
-	// merge at the batch barrier, so At is monotone with Seq and
-	// recording never perturbs worker scheduling.
+	// tracer was constructed, assigned together with Seq, so At is
+	// monotone with Seq.
 	At int64 `json:"at_us,omitempty"`
 	// Kind classifies the event.
 	Kind Kind `json:"kind"`
@@ -123,7 +89,7 @@ type Event struct {
 	// Dist is the driving pair's distance, where meaningful.
 	Dist float64 `json:"dist,omitempty"`
 	// Count is the kind-specific cardinality (children emitted, pairs
-	// spilled, batch size, ...).
+	// spilled, results so far, ...).
 	Count int64 `json:"count,omitempty"`
 	// LeftLevel / RightLevel are the expanded pair's node levels
 	// (0 = leaf, -1 = object side).
@@ -166,10 +132,10 @@ const DefaultCapacity = 4096
 // (see the package comment), which is how library code threads an
 // optional tracer without call-site nil checks.
 //
-// A Tracer is safe for concurrent use; in practice the join engine
-// emits only from its coordinating goroutine (worker events are
-// buffered per task and merged at barriers), so the internal mutex is
-// uncontended.
+// A Tracer is safe for concurrent use: the query's goroutine is the
+// only emitter, and readers (Events, WriteJSON, the server's explain
+// digest) may snapshot it from another goroutine, so the internal
+// mutex is all but uncontended.
 type Tracer struct {
 	mu      sync.Mutex
 	buf     []Event
@@ -203,37 +169,19 @@ func (t *Tracer) Emit(ev Event) {
 		return
 	}
 	t.mu.Lock()
-	t.emitLocked(ev)
-	t.mu.Unlock()
-}
-
-// EmitAll records evs in order under one lock acquisition — how the
-// parallel engine merges a task's buffered events at a batch barrier.
-// Safe on a nil receiver.
-func (t *Tracer) EmitAll(evs []Event) {
-	if t == nil || len(evs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	for _, ev := range evs {
-		t.emitLocked(ev)
-	}
-	t.mu.Unlock()
-}
-
-func (t *Tracer) emitLocked(ev Event) {
 	t.seq++
 	ev.Seq = t.seq
 	ev.At = int64(time.Since(t.start) / time.Microsecond)
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, ev)
 		t.n++
-		return
+	} else {
+		// Ring full: overwrite the oldest.
+		t.buf[t.head] = ev
+		t.head = (t.head + 1) % len(t.buf)
+		t.dropped++
 	}
-	// Ring full: overwrite the oldest.
-	t.buf[t.head] = ev
-	t.head = (t.head + 1) % len(t.buf)
-	t.dropped++
+	t.mu.Unlock()
 }
 
 // Len returns the number of buffered events.

@@ -55,7 +55,6 @@ func TestNilTracerSafe(t *testing.T) {
 		t.Error("nil tracer reports Enabled")
 	}
 	tr.Emit(Event{Kind: KindError}) // must not panic
-	tr.EmitAll([]Event{{Kind: KindError}})
 	tr.Reset()
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.CountKind(KindError) != 0 {
 		t.Error("nil tracer reports nonzero state")
@@ -94,14 +93,12 @@ func TestResetKeepsSequence(t *testing.T) {
 	}
 }
 
-func TestEmitAllOrderAndCountKind(t *testing.T) {
+func TestCountKind(t *testing.T) {
 	tr := New(16)
 	tr.Emit(Event{Kind: KindStageStart, Algo: "AM-KDJ"})
-	tr.EmitAll([]Event{
-		{Kind: KindExpansion, Count: 1},
-		{Kind: KindExpansion, Count: 2},
-		{Kind: KindQueueSpill, Count: 50},
-	})
+	tr.Emit(Event{Kind: KindExpansion, Count: 1})
+	tr.Emit(Event{Kind: KindExpansion, Count: 2})
+	tr.Emit(Event{Kind: KindQueueSpill, Count: 50})
 	tr.Emit(Event{Kind: KindStageEnd})
 	if got := tr.CountKind(KindExpansion); got != 2 {
 		t.Errorf("CountKind(expansion) = %d, want 2", got)
@@ -114,9 +111,6 @@ func TestEmitAllOrderAndCountKind(t *testing.T) {
 		if want := uint64(i + 1); ev.Seq != want {
 			t.Fatalf("event %d Seq = %d, want %d", i, ev.Seq, want)
 		}
-	}
-	if evs[1].Count != 1 || evs[2].Count != 2 {
-		t.Errorf("EmitAll did not preserve order: %+v", evs[1:3])
 	}
 }
 
@@ -155,12 +149,11 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 }
 
 // A cutoff that has not tightened yet is +Inf (e.g. B-KDJ's starting
-// qDmax, or a sharded task launched before k results exist), and
-// encoding/json rejects infinities — WriteJSON must render such events
-// with the field absent instead of failing the whole dump.
+// qDmax), and encoding/json rejects infinities — WriteJSON must render
+// such events with the field absent instead of failing the whole dump.
 func TestWriteJSONNonFiniteEDmax(t *testing.T) {
 	tr := New(8)
-	tr.Emit(Event{Kind: KindShardRun, Algo: "AM-KDJ", EDmax: math.Inf(1), Dist: 1.5, Count: 3})
+	tr.Emit(Event{Kind: KindExpansion, Algo: "B-KDJ", EDmax: math.Inf(1), Dist: 1.5, Count: 3})
 	tr.Emit(Event{Kind: KindEDmaxUpdate, Algo: "B-KDJ", EDmax: 2.5, Dist: math.Inf(1)})
 	tr.Emit(Event{Kind: KindExpansion, Algo: "AM-KDJ", EDmax: math.NaN()})
 	var buf bytes.Buffer

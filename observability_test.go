@@ -106,24 +106,23 @@ func TestTraceThroughFacade(t *testing.T) {
 		t.Error("prom stats missing distjoin_real_dist_calcs_total")
 	}
 
-	// A second traced run with parallel workers must match the serial
-	// results through the facade too.
-	tr2 := NewTracer(0)
-	par, err := KDistanceJoin(left, right, 100, &Options{Trace: tr2, Parallelism: 4})
+	// Tracing never perturbs results.
+	untraced, err := KDistanceJoin(left, right, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range par {
-		if par[i] != pairs[i] {
-			t.Fatalf("parallel traced pair %d = %+v, want %+v", i, par[i], pairs[i])
+	for i := range untraced {
+		if untraced[i] != pairs[i] {
+			t.Fatalf("traced pair %d = %+v, untraced %+v", i, pairs[i], untraced[i])
 		}
 	}
 }
 
 // TestRegistryThroughFacade is the PR's acceptance test: the
 // observability handler serves /metrics, /queries, /healthz, and
-// /debug/pprof/ concurrently with an 8-worker parallel join (run under
-// -race in CI), and the registry ends up with consistent aggregates.
+// /debug/pprof/ while several concurrent joins share one pair of
+// indexes and one registry (run under -race in CI), and the registry
+// ends up with consistent aggregates.
 func TestRegistryThroughFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	left, err := NewIndex(randObjects(rng, 1500, 10000, 10), nil)
@@ -139,25 +138,23 @@ func TestRegistryThroughFacade(t *testing.T) {
 	srv := httptest.NewServer(ObservabilityHandler(reg))
 	defer srv.Close()
 
-	const rounds = 3
+	const callers, rounds = 4, 3
 	var wg sync.WaitGroup
-	wg.Add(1)
-	errs := make(chan error, rounds)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			_, err := KDistanceJoin(left, right, 400, &Options{
-				Registry:    reg,
-				Parallelism: 8,
-			})
-			if err != nil {
-				errs <- err
-				return
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := KDistanceJoin(left, right, 400, &Options{Registry: reg}); err != nil {
+					errs <- err
+					return
+				}
 			}
-		}
-	}()
+		}()
+	}
 
-	// Hammer every endpoint while the parallel joins run.
+	// Hammer every endpoint while the joins run.
 	joinsDone := make(chan struct{})
 	go func() { wg.Wait(); close(joinsDone) }()
 	paths := []string{"/metrics", "/queries", "/healthz", "/debug/pprof/"}
@@ -170,15 +167,15 @@ func TestRegistryThroughFacade(t *testing.T) {
 		for _, p := range paths {
 			resp, err := srv.Client().Get(srv.URL + p)
 			if err != nil {
-				t.Fatalf("GET %s during parallel join: %v", p, err)
+				t.Fatalf("GET %s during the joins: %v", p, err)
 			}
 			body, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != 200 {
-				t.Fatalf("GET %s during parallel join: status %d, read err %v", p, resp.StatusCode, err)
+				t.Fatalf("GET %s during the joins: status %d, read err %v", p, resp.StatusCode, err)
 			}
 			if p == "/queries" && !json.Valid(body) {
-				t.Fatalf("/queries invalid JSON during parallel join:\n%.200s", body)
+				t.Fatalf("/queries invalid JSON during the joins:\n%.200s", body)
 			}
 		}
 	}
@@ -192,10 +189,11 @@ func TestRegistryThroughFacade(t *testing.T) {
 	if len(s.InFlight) != 0 {
 		t.Fatalf("in-flight after joins finished: %+v", s.InFlight)
 	}
-	if len(s.Algos) != 1 || s.Algos[0].Algo != "AM-KDJ" || s.Algos[0].Queries != rounds {
-		t.Fatalf("aggregates = %+v, want %d AM-KDJ queries", s.Algos, rounds)
+	const queries = callers * rounds
+	if len(s.Algos) != 1 || s.Algos[0].Algo != "AM-KDJ" || s.Algos[0].Queries != queries {
+		t.Fatalf("aggregates = %+v, want %d AM-KDJ queries", s.Algos, queries)
 	}
-	if s.Algos[0].Latency.Count != rounds || s.Algos[0].EstimateRatio.Count != rounds {
+	if s.Algos[0].Latency.Count != queries || s.Algos[0].EstimateRatio.Count != queries {
 		t.Fatalf("histograms not fed: %+v", s.Algos[0])
 	}
 
@@ -208,7 +206,7 @@ func TestRegistryThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), `distjoin_queries_total{algo="AM-KDJ"} `+strconv.Itoa(rounds)) {
+	if !strings.Contains(string(body), `distjoin_queries_total{algo="AM-KDJ"} `+strconv.Itoa(queries)) {
 		t.Fatalf("/metrics missing the completed queries:\n%.400s", body)
 	}
 }
