@@ -33,7 +33,7 @@ SIM_POINTS ?= 4
 # Continuous-benchmark knobs: the committed baseline was produced with
 # these values, so candidates must use the same ones to be comparable.
 BENCH_SCALE ?= 0.02
-BENCH_BASELINE ?= BENCH_17.json
+BENCH_BASELINE ?= BENCH_18.json
 BENCH_NEW ?= bench-new.json
 BENCH_THRESHOLD ?= 0.25
 
@@ -188,7 +188,7 @@ bench-diff: bench-json
 	@if [ ! -f "$(BENCH_BASELINE)" ]; then \
 		echo "bench-diff: baseline $(BENCH_BASELINE) not found." >&2; \
 		echo "bench-diff: record one first with: make bench-baseline" >&2; \
-		echo "bench-diff: (baselines are host-specific for wall time; counters are portable)" >&2; \
+		echo "bench-diff: (the record holds deterministic counters only, so any host will do)" >&2; \
 		exit 1; \
 	fi
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $(BENCH_NEW) -threshold $(BENCH_THRESHOLD)

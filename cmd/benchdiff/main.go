@@ -4,17 +4,16 @@
 //
 // Usage:
 //
-//	benchdiff -old BENCH_17.json -new bench-new.json [-threshold 0.25]
-//	          [-time-threshold 0] [-abs-floor 64] [-q]
+//	benchdiff -old BENCH_18.json -new bench-new.json [-threshold 0.25]
+//	          [-abs-floor 64] [-q]
 //
 // Gating logic (see internal/benchrec): the deterministic cost
-// counters of serial entries (distance computations, queue insertions,
-// node accesses, modeled page I/O, compensation stages, result
-// cardinality) fail the gate when they grow more than -threshold
-// relative to the baseline and by at least -abs-floor units. Wall
-// clock and parallel-entry counters are reported as notes only, unless
-// -time-threshold is set, which turns wall-clock growth into a gating
-// failure too (for dedicated, quiet benchmark hosts).
+// counters (distance computations, queue insertions, node accesses,
+// modeled page I/O, compensation stages) fail the gate when they grow
+// more than -threshold relative to the baseline and by at least
+// -abs-floor units; a changed result cardinality always fails it. The
+// records hold no wall-clock time: that is the repository benchmark's
+// (benchmark/).
 package main
 
 import (
@@ -30,7 +29,6 @@ func main() {
 		oldPath   = flag.String("old", "", "baseline record (required)")
 		newPath   = flag.String("new", "", "candidate record (required)")
 		threshold = flag.Float64("threshold", 0.25, "relative counter growth that fails the gate")
-		timeThr   = flag.Float64("time-threshold", 0, "relative wall-clock growth that fails the gate (0 = wall time is informational)")
 		absFloor  = flag.Int64("abs-floor", 64, "ignore counter growth below this many units")
 		quiet     = flag.Bool("q", false, "print only findings (suppress the per-entry summary)")
 	)
@@ -50,9 +48,8 @@ func main() {
 		fatal(err)
 	}
 	findings, err := benchrec.Compare(old, cur, benchrec.Options{
-		Threshold:     *threshold,
-		TimeThreshold: *timeThr,
-		AbsFloor:      *absFloor,
+		Threshold: *threshold,
+		AbsFloor:  *absFloor,
 	})
 	if err != nil {
 		fatal(err)
@@ -64,15 +61,11 @@ func main() {
 	for _, f := range findings {
 		fmt.Println(f)
 	}
-	if benchrec.Gating(findings) {
+	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: FAIL: regression past %.0f%% threshold\n", *threshold*100)
 		os.Exit(1)
 	}
-	if len(findings) == 0 {
-		fmt.Println("benchdiff: OK: no findings")
-	} else {
-		fmt.Println("benchdiff: OK: notes only, nothing gating")
-	}
+	fmt.Println("benchdiff: OK: no findings")
 }
 
 func fatal(err error) {
@@ -89,8 +82,7 @@ func printSummary(old, cur *benchrec.Record) {
 	}
 	fmt.Printf("baseline scale=%g seed=%d (%s), candidate (%s)\n",
 		old.Scale, old.Seed, old.CreatedAt, cur.CreatedAt)
-	fmt.Printf("%-24s %14s %14s %10s %12s\n",
-		"entry", "dist calcs", "queue inserts", "wall (s)", "wall Δ")
+	fmt.Printf("%-24s %14s %14s\n", "entry", "dist calcs", "queue inserts")
 	baseline := make(map[string]bool, len(old.Entries))
 	for _, oe := range old.Entries {
 		baseline[oe.Name] = true
@@ -98,13 +90,8 @@ func printSummary(old, cur *benchrec.Record) {
 		if !ok {
 			continue // Compare already errored on this
 		}
-		delta := "n/a"
-		if oe.WallSeconds > 0 {
-			delta = fmt.Sprintf("%+.1f%%", (ne.WallSeconds/oe.WallSeconds-1)*100)
-		}
-		fmt.Printf("%-24s %6d → %6d %6d → %6d %10.4f %12s\n",
-			oe.Name, oe.DistCalcs, ne.DistCalcs,
-			oe.QueueInserts, ne.QueueInserts, ne.WallSeconds, delta)
+		fmt.Printf("%-24s %6d → %6d %6d → %6d\n",
+			oe.Name, oe.DistCalcs, ne.DistCalcs, oe.QueueInserts, ne.QueueInserts)
 	}
 	// Entries only the candidate records (a series added before the
 	// baseline is regenerated) are fresh coverage:
@@ -119,7 +106,6 @@ func printSummary(old, cur *benchrec.Record) {
 			fmt.Println("new series (informational, not in baseline):")
 			first = false
 		}
-		fmt.Printf("%-32s %14d %14d %10.4f\n",
-			ne.Name, ne.DistCalcs, ne.QueueInserts, ne.WallSeconds)
+		fmt.Printf("%-32s %14d %14d\n", ne.Name, ne.DistCalcs, ne.QueueInserts)
 	}
 }

@@ -7,11 +7,9 @@
 //	distjoin-server -addr 127.0.0.1:0 -demo 5000 -addr-file /tmp/a &
 //	distjoin-load -addr "$(cat /tmp/a)" -clients 8 -duration 10s
 //
-// -quick selects a small preset suitable for CI smoke tests. With
-// -bench-json the latency percentiles are written as a benchrec
-// record: the "serve/..." series is absent from counter baselines and
-// all entries are marked parallel, so benchdiff treats it as
-// informational, never gating.
+// -quick selects a small preset suitable for CI smoke tests. The
+// percentiles are printed, not recorded: the repository benchmark
+// (benchmark/) owns the measured serving numbers.
 package main
 
 import (
@@ -29,7 +27,7 @@ import (
 	"sync"
 	"time"
 
-	"distjoin/internal/benchrec"
+	"distjoin/internal/serving"
 )
 
 // opKind indexes the traffic families.
@@ -87,7 +85,6 @@ func main() {
 		page     = flag.Int("page", 64, "incremental page size")
 		pages    = flag.Int("pages", 3, "pages pulled per incremental query")
 		quick    = flag.Bool("quick", false, "CI smoke preset: 4 clients, 2s, small queries")
-		outJSON  = flag.String("bench-json", "", "write latency percentiles as a benchrec record to this file")
 		explain  = flag.Bool("check-explain", false, "after the run, issue one ?explain=1 query and validate the embedded trace timeline")
 		valLog   = flag.String("validate-log", "", "validate a server request-log file (one parseable \"request\" line with the documented keys) and exit; no load is generated")
 	)
@@ -163,7 +160,6 @@ func main() {
 	}
 
 	fmt.Printf("distjoin-load: %d clients for %v against %s\n", *clients, *duration, base)
-	var entries []benchrec.Entry
 	total := 0
 	for op := opKind(0); op < numOps; op++ {
 		ls := merged[op]
@@ -175,19 +171,6 @@ func main() {
 		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 		p50, p90, p99 := percentile(ls, 50), percentile(ls, 90), percentile(ls, 99)
 		fmt.Printf("  %-12s n=%-6d p50=%-10v p90=%-10v p99=%v\n", op, len(ls), p50, p90, p99)
-		for _, p := range []struct {
-			name string
-			v    time.Duration
-		}{{"p50", p50}, {"p90", p90}, {"p99", p99}} {
-			entries = append(entries, benchrec.Entry{
-				Name:        fmt.Sprintf("serve/%s/%s", op, p.name),
-				Algo:        "serve",
-				K:           *k,
-				Parallelism: *clients, // parallel: latency never gates
-				WallSeconds: p.v.Seconds(),
-				Results:     int64(len(ls)),
-			})
-		}
 		// Server-measured admission wait, reported separately so
 		// queueing inside the server is distinguishable from network
 		// and execution time in the client-observed latency above.
@@ -195,19 +178,6 @@ func main() {
 		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 		w50, w99 := percentile(ws, 50), percentile(ws, 99)
 		fmt.Printf("  %-12s admission-wait(server) p50=%-10v p99=%v\n", "", w50, w99)
-		for _, p := range []struct {
-			name string
-			v    time.Duration
-		}{{"wait_p50", w50}, {"wait_p99", w99}} {
-			entries = append(entries, benchrec.Entry{
-				Name:        fmt.Sprintf("serve/%s/%s", op, p.name),
-				Algo:        "serve",
-				K:           *k,
-				Parallelism: *clients,
-				WallSeconds: p.v.Seconds(),
-				Results:     int64(len(ws)),
-			})
-		}
 	}
 	fmt.Printf("  completed=%d shed(429/503)=%d errors=%d\n", total, shed, len(errs))
 	for _, e := range errs {
@@ -220,23 +190,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("  explain roundtrip ok")
-	}
-
-	if *outJSON != "" {
-		rec := &benchrec.Record{
-			Schema:    benchrec.SchemaVersion,
-			CreatedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion: runtime.Version(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			Scale:     float64(*clients),
-			Entries:   entries,
-		}
-		if err := benchrec.WriteFile(*outJSON, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "distjoin-load: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("  wrote %s\n", *outJSON)
 	}
 
 	if len(errs) > 0 || total == 0 {
@@ -397,9 +350,10 @@ func checkExplain(client *http.Client, base string, p opParams) error {
 }
 
 // validateRequestLog asserts that path holds at least one structured
-// request-log line: parseable JSON with msg "request" and the keys the
-// serving layer documents (docs/observability.md). The CI smoke test
-// runs this against the demo server's stderr.
+// request-log line: parseable JSON with msg "request" and every key of
+// the serving layer's schema (serving.RequestLogKeys, documented in
+// docs/observability.md). The CI smoke test runs this against the demo
+// server's stderr.
 func validateRequestLog(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -418,11 +372,7 @@ func validateRequestLog(path string) error {
 		if rec["msg"] != "request" {
 			continue
 		}
-		for _, key := range []string{
-			"query_id", "family", "status", "admission_wait_us",
-			"queue_depth_at_entry", "deadline_ms", "elapsed_ms",
-			"dist_calcs", "results", "slow",
-		} {
+		for _, key := range serving.RequestLogKeys() {
 			if _, ok := rec[key]; !ok {
 				return fmt.Errorf("%s: request log line missing key %q: %s", path, key, sc.Text())
 			}

@@ -1,7 +1,6 @@
 // Command distjoin-vet is the project lint suite driver. It runs the
-// nine internal/analysis analyzers (floatcmp, nilhook, lockheld,
-// promdrift, ctxpoll, poolsafe, mapdet, atomicmix, servecontract) in
-// two modes:
+// seven internal/analysis analyzers (floatcmp, nilhook, lockheld,
+// ctxpoll, poolsafe, mapdet, servecontract) in two modes:
 //
 //	go vet -vettool=$(pwd)/bin/distjoin-vet ./...
 //

@@ -148,11 +148,29 @@ type RegistrySnapshot = obsrv.Snapshot
 
 // ServingMetrics aggregates HTTP serving-layer telemetry — per-family
 // request counts and latency histograms, the admission-wait
-// distribution, shed/drain/cursor counters, and point-in-time gauges —
+// distribution, the ServingCounter counters, and point-in-time gauges —
 // into the registry's Prometheus surface as the distjoin_serving_*
-// families. Obtain one with Registry.Serving(); a nil *ServingMetrics
-// is a valid no-op sink.
+// families. Obtain one with Registry.Serving(); a nil registry hands
+// out a working one that is exported nowhere.
 type ServingMetrics = obsrv.ServingMetrics
+
+// ServingCounter names one serving-layer event counter, incremented
+// with ServingMetrics.Inc.
+type ServingCounter = obsrv.ServingCounter
+
+// The serving counters, re-exported so the serving layer can count
+// through the facade alone.
+const (
+	ServingAccepted         = obsrv.ServingAccepted
+	ServingShed             = obsrv.ServingShed
+	ServingRejectedDraining = obsrv.ServingRejectedDraining
+	ServingDeadlineExceeded = obsrv.ServingDeadlineExceeded
+	ServingClientGone       = obsrv.ServingClientGone
+	ServingFailed           = obsrv.ServingFailed
+	ServingSlowQueries      = obsrv.ServingSlowQueries
+	ServingCursorsOpened    = obsrv.ServingCursorsOpened
+	ServingCursorsExpired   = obsrv.ServingCursorsExpired
+)
 
 // ServingGauges is the point-in-time serving state a gauge provider
 // hands to ServingMetrics.SetGauges.
@@ -252,10 +270,6 @@ type Options struct {
 	// MaxDist is the within-distance bound for SJSort (ignored by the
 	// other algorithms).
 	MaxDist float64
-	// DisableSweepOptimization turns off the sweeping-axis and
-	// direction selection of §3.2–3.3 (always x-axis, forward), the
-	// configuration the paper's Figure 11 compares against.
-	DisableSweepOptimization bool
 	// BatchK sets the stage size of incremental AM-IDJ joins.
 	BatchK int
 	// Estimator overrides the eDmax estimator used by the adaptive
@@ -317,10 +331,6 @@ func (o *Options) joinOptions() join.Options {
 		Trace:         o.Trace,
 		Registry:      o.Registry,
 		QueryID:       o.QueryID,
-	}
-	if o.DisableSweepOptimization {
-		sp := join.FixedSweep
-		jo.Sweep = &sp
 	}
 	if o.Refiner != nil {
 		refine := o.Refiner

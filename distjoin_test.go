@@ -255,35 +255,6 @@ func TestIncrementalJoin(t *testing.T) {
 	}
 }
 
-func TestSweepOptimizationToggle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randObjects(rng, 400, 2000, 10)
-	b := randObjects(rng, 400, 2000, 10)
-	left, _ := NewIndex(a, nil)
-	right, _ := NewIndex(b, nil)
-
-	on, off := &Stats{}, &Stats{}
-	p1, err := KDistanceJoin(left, right, 100, &Options{Algorithm: BKDJ, Stats: on})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := KDistanceJoin(left, right, 100, &Options{
-		Algorithm: BKDJ, Stats: off, DisableSweepOptimization: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p1 {
-		if math.Abs(p1[i].Dist-p2[i].Dist) > 1e-9 {
-			t.Fatalf("optimization changed results at %d", i)
-		}
-	}
-	if on.DistCalcs() > off.DistCalcs() {
-		t.Fatalf("optimized sweep used MORE distance calcs (%d > %d)",
-			on.DistCalcs(), off.DistCalcs())
-	}
-}
-
 func TestEmptyIndexJoins(t *testing.T) {
 	empty, err := NewIndex(nil, nil)
 	if err != nil {

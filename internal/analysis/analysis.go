@@ -1,6 +1,6 @@
 // Package analysis is the distjoin-vet lint suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) carrying nine project-specific
+// vocabulary (Analyzer, Pass, Diagnostic) carrying seven project-specific
 // analyzers that turn the engine's correctness conventions into
 // compile-time-checked invariants:
 //
@@ -15,9 +15,6 @@
 //     blocking call while a hybridq/obsrv mutex is held, resolved to
 //     arbitrary depth through per-function call-graph summaries (see
 //     summary.go);
-//   - promdrift — the trace/obsrv Prometheus surfaces and the strict
-//     exposition lint's expected series cannot drift from the
-//     canonical contract;
 //   - ctxpoll — unbounded drain loops in join and serving (queue
 //     pops, spill-run merges, iterator page fills) must contain the
 //     cancellation/progress poll;
@@ -27,13 +24,9 @@
 //   - mapdet — no map iteration, wall-clock reads, or math/rand on
 //     determinism-critical paths (join, hybridq, pqueue, sweep,
 //     extsort);
-//   - atomicmix — a variable accessed via sync/atomic is never read or
-//     written plainly, and typed atomic wrappers are only touched
-//     through their methods or by address;
 //   - servecontract — serving handlers snapshot-then-render, keep the
-//     canonical 400/404/429/499/503/504 status table, emit the
-//     structured request-log record, and register every
-//     distjoin_serving_* metric family in the promdrift contract.
+//     canonical 400/404/429/499/503/504 status table, and send error
+//     statuses only through it.
 //
 // Suppressions use the annotation grammar
 //
@@ -132,11 +125,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Suite returns the nine distjoin-vet analyzers in reporting order.
+// Suite returns the seven distjoin-vet analyzers in reporting order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		Floatcmp, Nilhook, Lockheld, Promdrift, Ctxpoll,
-		Poolsafe, Mapdet, Atomicmix, Servecontract,
+		Floatcmp, Nilhook, Lockheld, Ctxpoll,
+		Poolsafe, Mapdet, Servecontract,
 	}
 }
 

@@ -23,13 +23,10 @@ var goldenFixtures = []struct {
 	{Nilhook, "nilhook/hooks"},
 	{Nilhook, "nilhook/trace"},
 	{Lockheld, "lockheld/hybridq"},
-	{Promdrift, "promdrift/obsrv"},
-	{Promdrift, "promdrift/trace"},
 	{Ctxpoll, "ctxpoll/join"},
 	{Ctxpoll, "ctxpoll/serving"},
 	{Poolsafe, "poolsafe/hybridq"},
 	{Mapdet, "mapdet/join"},
-	{Atomicmix, "atomicmix/cutoff"},
 	{Servecontract, "servecontract/serving"},
 }
 

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -201,23 +200,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// calleePkgBase returns the scope base of the called function's
-// defining package ("" when unresolvable or builtin).
-func calleePkgBase(info *types.Info, call *ast.CallExpr) string {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return scopeBase(fn.Pkg().Path())
-}
-
-// constString returns the compile-time string value of e, if any.
-func constString(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

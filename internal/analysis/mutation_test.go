@@ -35,8 +35,8 @@ func TestSuiteCleanOnTree(t *testing.T) {
 type textEdit struct{ old, new string }
 
 // mutations plants one regression per analyzer into a real package —
-// deleting an annotation, widening a guard, renaming a metric family,
-// dropping a cancellation poll, retaining a recycled slab — and
+// deleting an annotation, widening a guard, dropping a cancellation
+// poll, retaining a recycled slab — and
 // demands the suite catch it. This is the "removing any annotation or
 // guard fails CI" acceptance bar.
 var mutations = []struct {
@@ -76,18 +76,6 @@ var mutations = []struct {
 		}},
 	},
 	{
-		name:     "promdrift/rename-family",
-		pkg:      "distjoin/internal/obsrv",
-		analyzer: "promdrift",
-		edits:    []textEdit{{old: `"distjoin_queries_total"`, new: `"distjoin_queries_renamed_total"`}},
-	},
-	{
-		name:     "promdrift/rename-serving-family",
-		pkg:      "distjoin/internal/obsrv",
-		analyzer: "promdrift",
-		edits:    []textEdit{{old: `"distjoin_serving_requests_total"`, new: `"distjoin_serving_reqs_total"`}},
-	},
-	{
 		name:     "ctxpoll/drop-drain-poll",
 		pkg:      "distjoin/internal/join",
 		analyzer: "ctxpoll",
@@ -119,27 +107,13 @@ var mutations = []struct {
 		}},
 	},
 	{
-		// The live inspector's mirror of a running query's cutoff
-		// degrades to a plain field read on the snapshot path while the
-		// query's goroutine keeps storing atomically.
-		name:     "atomicmix/plain-read-of-live-cutoff",
-		pkg:      "distjoin/internal/obsrv",
-		analyzer: "atomicmix",
-		edits: []textEdit{
-			{old: "edmax    atomic.Uint64", new: "edmax    uint64"},
-			{old: "q.edmax.Store(math.Float64bits(math.NaN()))", new: "atomic.StoreUint64(&q.edmax, math.Float64bits(math.NaN()))"},
-			{old: "q.edmax.Store(math.Float64bits(eDmax))", new: "atomic.StoreUint64(&q.edmax, math.Float64bits(eDmax))"},
-			{old: "math.Float64frombits(q.edmax.Load())", new: "math.Float64frombits(q.edmax)"},
-		},
-	},
-	{
 		// The 504 row disappears from the canonical status table:
 		// deadline-exceeded queries silently become 500s.
 		name:     "servecontract/drop-504-mapping",
 		pkg:      "distjoin/internal/serving",
 		analyzer: "servecontract",
 		edits: []textEdit{{
-			old: "\tcase errors.Is(err, context.DeadlineExceeded):\n\t\tstatus = http.StatusGatewayTimeout\n\t\ts.stats.Deadline.Add(1)\n",
+			old: "\tcase errors.Is(err, context.DeadlineExceeded):\n\t\tstatus = http.StatusGatewayTimeout\n\t\ts.metrics.Inc(distjoin.ServingDeadlineExceeded)\n",
 			new: "",
 		}},
 	},

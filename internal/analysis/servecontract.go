@@ -3,9 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
-	"regexp"
-	"sort"
-	"strings"
 )
 
 // Servecontract pins the serving layer's externally observable
@@ -29,18 +26,14 @@ import (
 //     WriteHeader(4xx/5xx) calls bypass the table and the telemetry
 //     classification.
 //
-//  4. the structured request log: recordRequest must emit the
-//     "request" record with the canonical attribute set — the fields
-//     cmd/distjoin-load -validate-log and the serve-smoke CI job
-//     parse.
-//
-//  5. serving metric families: every distjoin_serving_* literal must
-//     be a family of the promdrift registry contract, so a new family
-//     joins the canonical scrape surface instead of drifting beside
-//     it.
+// The request-log keys and the serving metric families need no rule
+// here: the log attributes are generated from the slowLogEntry schema
+// and the families from obsrv's counter table, and both are pinned as
+// rendered bytes by tests (TestRequestRecordGolden, TestWritePromGolden,
+// TestPromExpositionLint).
 var Servecontract = &Analyzer{
 	Name:      "servecontract",
-	Doc:       "serving handlers must snapshot-then-render, keep the canonical status table, and emit the request-log contract",
+	Doc:       "serving handlers must snapshot-then-render, keep the canonical status table, and send error statuses only through it",
 	SkipTests: true,
 	Run:       runServecontract,
 }
@@ -48,14 +41,6 @@ var Servecontract = &Analyzer{
 // servecontractRenderScopes are the packages under the
 // snapshot-then-render rule (rule 1).
 var servecontractRenderScopes = map[string]bool{"serving": true, "obsrv": true}
-
-// requestLogKeys is the canonical attribute set of the "request"
-// record (telemetry.go), mirrored by cmd/distjoin-load -validate-log.
-var requestLogKeys = []string{
-	"query_id", "family", "index", "k", "status",
-	"admission_wait_us", "queue_depth_at_entry", "deadline_ms",
-	"elapsed_ms", "dist_calcs", "edmax_mode", "results", "slow", "error",
-}
 
 // statusTableRows are the identifiers writeError must keep using, one
 // per row of the canonical error table.
@@ -72,8 +57,6 @@ var statusTableRows = []struct {
 	{"Canceled", "the 499 client-gone row (context.Canceled → statusClientClosedRequest)"},
 	{"statusClientClosedRequest", "the 499 client-gone row (context.Canceled → statusClientClosedRequest)"},
 }
-
-var servingFamilyRE = regexp.MustCompile(`^distjoin_serving_[a-z0-9_]+$`)
 
 func runServecontract(pass *Pass) error {
 	base := scopeBase(pass.PkgPath)
@@ -92,15 +75,11 @@ func runServecontract(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			switch fd.Name.Name {
-			case "writeError":
+			if fd.Name.Name == "writeError" {
 				pass.serveStatusTable(fd)
-			case "recordRequest":
-				pass.serveRequestLog(fd)
 			}
 		}
 		pass.serveDirectStatus(f)
-		pass.serveFamilies(f)
 	}
 	return nil
 }
@@ -162,55 +141,6 @@ func (pass *Pass) serveStatusTable(fd *ast.FuncDecl) {
 	}
 }
 
-// serveRequestLog enforces rule 4 on the recordRequest declaration:
-// the LogAttrs "request" record exists and carries every canonical
-// key.
-func (pass *Pass) serveRequestLog(fd *ast.FuncDecl) {
-	var logCall *ast.CallExpr
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if logCall != nil {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "LogAttrs" || len(call.Args) < 3 {
-			return true
-		}
-		if msg, ok := constString(pass.TypesInfo, call.Args[2]); ok && msg == "request" {
-			logCall = call
-		}
-		return true
-	})
-	if logCall == nil {
-		pass.Reportf(fd.Name.Pos(), "recordRequest no longer emits the structured \"request\" log record: cmd/distjoin-load -validate-log and the serve-smoke CI job parse it (docs/serving.md)")
-		return
-	}
-	have := map[string]bool{}
-	for _, arg := range logCall.Args[3:] {
-		call, ok := ast.Unparen(arg).(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			continue
-		}
-		if key, ok := constString(pass.TypesInfo, call.Args[0]); ok {
-			have[key] = true
-		}
-	}
-	var missing []string
-	for _, key := range requestLogKeys {
-		if !have[key] {
-			missing = append(missing, key)
-		}
-	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		pass.Reportf(logCall.Pos(), "the \"request\" log record is missing canonical key%s %s: the request-log schema is parsed by cmd/distjoin-load -validate-log and the serve-smoke CI job (docs/serving.md)",
-			plural(len(missing), "", "s"), strings.Join(missing, ", "))
-	}
-}
-
 // serveDirectStatus enforces rule 3: error statuses reach the client
 // only through writeError/writeJSON.
 func (pass *Pass) serveDirectStatus(f *ast.File) {
@@ -240,25 +170,6 @@ func (pass *Pass) serveDirectStatus(f *ast.File) {
 			}
 		}
 		return true
-	})
-}
-
-// serveFamilies enforces rule 5: distjoin_serving_* literals must be
-// contract families.
-func (pass *Pass) serveFamilies(f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		e, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		v, isConst := constString(pass.TypesInfo, e)
-		if !isConst || !servingFamilyRE.MatchString(v) {
-			return true
-		}
-		if _, ok := registryContract[v]; !ok {
-			pass.Reportf(e.Pos(), "serving Prometheus family %q is not in the promdrift registry contract: new distjoin_serving_* families must be added to internal/analysis/promdrift.go (and obsrv/serving.go) so the scrape surface stays canonical", v)
-		}
-		return false
 	})
 }
 

@@ -1,13 +1,11 @@
 // Package serving is the servecontract golden fixture: the canonical
-// status table, the structured request-log record, direct statuses,
-// snapshot-then-render, and the serving metric-family contract.
+// status table, direct statuses, and snapshot-then-render.
 package serving
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"log/slog"
 	"net/http"
 	"sync"
 )
@@ -37,25 +35,6 @@ func writeError(w http.ResponseWriter, err error) { // want "writeError no longe
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// recordRequest has dropped the error attribute from the record.
-func recordRequest(lg *slog.Logger, status int) {
-	lg.LogAttrs(context.Background(), slog.LevelInfo, "request", // want "missing canonical key error"
-		slog.String("query_id", "q1"),
-		slog.String("family", "knn"),
-		slog.String("index", "pt"),
-		slog.Int("k", 1),
-		slog.Int("status", status),
-		slog.Int64("admission_wait_us", 0),
-		slog.Int("queue_depth_at_entry", 0),
-		slog.Int64("deadline_ms", 0),
-		slog.Float64("elapsed_ms", 0),
-		slog.Int64("dist_calcs", 0),
-		slog.String("edmax_mode", "off"),
-		slog.Int("results", 0),
-		slog.Bool("slow", false),
-	)
 }
 
 func badNotFound(w http.ResponseWriter, r *http.Request) {
@@ -99,9 +78,3 @@ func (t *table) goodSnapshotThenRender(w http.ResponseWriter) {
 	t.mu.Unlock()
 	_ = json.NewEncoder(w).Encode(rows)
 }
-
-// A family outside the promdrift registry contract drifts beside the
-// canonical scrape surface.
-const badFamily = "distjoin_serving_bogus_total" // want "not in the promdrift registry contract"
-
-const goodFamily = "distjoin_serving_requests_total"

@@ -6,11 +6,12 @@
 // seed) plus one Entry per benchmarked query. Entries carry the
 // deterministic cost counters of internal/metrics (distance
 // computations, queue insertions, node accesses, modeled page I/O) and
-// the noisy wall-clock/allocation measurements. Comparison gates on
-// the deterministic counters — two runs at the same scale and seed
-// execute the identical serial query plan, so any counter growth is a
-// real algorithmic regression, not scheduler jitter — while wall time
-// stays informational unless a time threshold is explicitly set.
+// the bytes allocated, which are informational. Comparison gates on
+// the deterministic counters: two runs at the same scale and seed
+// execute the identical query plan, so any counter growth is a real
+// algorithmic regression, not scheduler jitter. The record holds no
+// wall-clock time; the repository benchmark (benchmark/) is the one
+// clock.
 package benchrec
 
 import (
@@ -25,7 +26,7 @@ import (
 // SchemaVersion is bumped whenever Record/Entry change incompatibly.
 // benchdiff refuses to compare records with mismatched schemas rather
 // than misreading old fields as zeros.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Record is one full harness run.
 type Record struct {
@@ -45,16 +46,14 @@ type Record struct {
 
 // Entry is one benchmarked query.
 type Entry struct {
-	Name        string `json:"name"` // unique key, e.g. "AM-KDJ/k=200"
-	Algo        string `json:"algo"`
-	K           int    `json:"k"`
-	Parallelism int    `json:"parallelism,omitempty"` // 0/1 = serial
+	Name string `json:"name"` // unique key, e.g. "AM-KDJ/k=200"
+	Algo string `json:"algo"`
+	K    int    `json:"k"`
 
-	// Noisy measurements: informational by default.
-	WallSeconds float64 `json:"wall_seconds"`
-	AllocBytes  uint64  `json:"alloc_bytes"`
+	// AllocBytes varies with the runtime; informational, never compared.
+	AllocBytes uint64 `json:"alloc_bytes"`
 
-	// Deterministic cost counters (serial runs).
+	// Deterministic cost counters.
 	DistCalcs     int64 `json:"dist_calcs"`
 	QueueInserts  int64 `json:"queue_inserts"`
 	NodesLogical  int64 `json:"nodes_logical"`
@@ -71,7 +70,6 @@ func FromCollector(name, algo string, k int, mc *metrics.Collector, allocBytes u
 		Name:          name,
 		Algo:          algo,
 		K:             k,
-		WallSeconds:   mc.WallTime.Seconds(),
 		AllocBytes:    allocBytes,
 		DistCalcs:     mc.DistCalcs(),
 		QueueInserts:  mc.QueueInserts(),
@@ -124,10 +122,6 @@ type Options struct {
 	// Threshold is the relative counter-growth gate: new > old*(1+T)
 	// flags a regression. The CI pipeline uses 0.25.
 	Threshold float64
-	// TimeThreshold, when > 0, additionally gates wall-clock growth.
-	// Zero (the default) keeps wall time informational: shared CI
-	// runners make it too noisy to fail a build on.
-	TimeThreshold float64
 	// AbsFloor suppresses counter findings whose absolute growth is
 	// below this many units; tiny workloads otherwise trip the
 	// relative gate on single-digit deltas. Default 64.
@@ -145,15 +139,12 @@ func (o Options) withDefaults() Options {
 }
 
 // Finding is one metric of one entry that grew past its threshold.
+// Every finding fails the gate.
 type Finding struct {
 	Entry  string
 	Metric string
 	Old    float64
 	New    float64
-	// Gating findings fail the gate; non-gating ones (wall time
-	// without -time-threshold, and the numbers of entries marked
-	// parallel, which are scheduling-dependent) are reported but don't.
-	Gating bool
 }
 
 // Ratio returns New/Old (Inf when Old is zero).
@@ -168,12 +159,8 @@ func (f Finding) Ratio() float64 {
 }
 
 func (f Finding) String() string {
-	tag := "regression"
-	if !f.Gating {
-		tag = "note"
-	}
-	return fmt.Sprintf("%-10s %s %s: %.6g -> %.6g (%+.1f%%)",
-		tag, f.Entry, f.Metric, f.Old, f.New, (f.Ratio()-1)*100)
+	return fmt.Sprintf("regression %s %s: %.6g -> %.6g (%+.1f%%)",
+		f.Entry, f.Metric, f.Old, f.New, (f.Ratio()-1)*100)
 }
 
 // counterOf enumerates the gated counters of an entry.
@@ -213,14 +200,10 @@ func Compare(old, new *Record, opts Options) ([]Finding, error) {
 		if !ok {
 			return nil, fmt.Errorf("baseline entry %q missing from new record (coverage lost)", oe.Name)
 		}
-		// Engine counters are deterministic; the entries marked parallel
-		// (distjoin-load's serve series) carry latencies measured under
-		// concurrent clients, so their findings never gate.
-		gating := oe.Parallelism <= 1 && ne.Parallelism <= 1
-		if oe.Results != ne.Results && gating {
+		if oe.Results != ne.Results {
 			findings = append(findings, Finding{
 				Entry: oe.Name, Metric: "results",
-				Old: float64(oe.Results), New: float64(ne.Results), Gating: true,
+				Old: float64(oe.Results), New: float64(ne.Results),
 			})
 		}
 		for _, c := range counters {
@@ -231,16 +214,9 @@ func Compare(old, new *Record, opts Options) ([]Finding, error) {
 			if float64(nv) > float64(ov)*(1+opts.Threshold) {
 				findings = append(findings, Finding{
 					Entry: oe.Name, Metric: c.name,
-					Old: float64(ov), New: float64(nv), Gating: gating,
+					Old: float64(ov), New: float64(nv),
 				})
 			}
-		}
-		if oe.WallSeconds > 0 && ne.WallSeconds > oe.WallSeconds*(1+wallThreshold(opts)) {
-			findings = append(findings, Finding{
-				Entry: oe.Name, Metric: "wall_seconds",
-				Old: oe.WallSeconds, New: ne.WallSeconds,
-				Gating: opts.TimeThreshold > 0,
-			})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -250,24 +226,4 @@ func Compare(old, new *Record, opts Options) ([]Finding, error) {
 		return findings[i].Metric < findings[j].Metric
 	})
 	return findings, nil
-}
-
-// wallThreshold picks the wall-clock reporting threshold: the explicit
-// gate when set, otherwise the counter threshold (for informational
-// notes).
-func wallThreshold(opts Options) float64 {
-	if opts.TimeThreshold > 0 {
-		return opts.TimeThreshold
-	}
-	return opts.Threshold
-}
-
-// Gating reports whether any finding should fail the gate.
-func Gating(findings []Finding) bool {
-	for _, f := range findings {
-		if f.Gating {
-			return true
-		}
-	}
-	return false
 }

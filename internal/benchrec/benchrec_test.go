@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"distjoin/internal/metrics"
 )
@@ -17,10 +16,10 @@ func baseRecord() *Record {
 		Seed:   20000516,
 		Entries: []Entry{
 			{Name: "AM-KDJ/k=200", Algo: "AM-KDJ", K: 200,
-				WallSeconds: 0.5, DistCalcs: 10000, QueueInserts: 5000,
+				DistCalcs: 10000, QueueInserts: 5000,
 				NodesLogical: 400, NodesPhysical: 100, Results: 200, CompStages: 1},
-			{Name: "AM-KDJ/k=200/parallel", Algo: "AM-KDJ", K: 200, Parallelism: 8,
-				WallSeconds: 0.2, DistCalcs: 10000, QueueInserts: 5000, Results: 200},
+			{Name: "B-KDJ/k=200", Algo: "B-KDJ", K: 200,
+				DistCalcs: 10000, QueueInserts: 5000, Results: 200},
 		},
 	}
 }
@@ -49,7 +48,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 0 || Gating(findings) {
+	if len(findings) != 0 {
 		t.Fatalf("identical records produced findings: %v", findings)
 	}
 }
@@ -67,8 +66,9 @@ func TestReadFileRejectsBadRecords(t *testing.T) {
 		name, body, wantErr string
 	}{
 		{"schema.json", `{"schema": 99, "entries": []}`, "schema 99"},
-		{"dup.json", `{"schema": 1, "entries": [{"name":"a"},{"name":"a"}]}`, "duplicate"},
-		{"unnamed.json", `{"schema": 1, "entries": [{"algo":"x"}]}`, "empty name"},
+		{"old.json", `{"schema": 1, "entries": [{"name":"a"}]}`, "schema 1"},
+		{"dup.json", `{"schema": 2, "entries": [{"name":"a"},{"name":"a"}]}`, "duplicate"},
+		{"unnamed.json", `{"schema": 2, "entries": [{"algo":"x"}]}`, "empty name"},
 		{"garbage.json", `{]`, "invalid"},
 	} {
 		if _, err := ReadFile(write(tc.name, tc.body)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -86,11 +86,8 @@ func TestCompareGatesCounterRegressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 || findings[0].Metric != "dist_calcs" || !findings[0].Gating {
-		t.Fatalf("findings = %v, want one gating dist_calcs regression", findings)
-	}
-	if !Gating(findings) {
-		t.Fatal("gate did not fail")
+	if len(findings) != 1 || findings[0].Metric != "dist_calcs" {
+		t.Fatalf("findings = %v, want one dist_calcs regression", findings)
 	}
 	// Just under threshold: clean.
 	cur.Entries[0].DistCalcs = 12400 // +24%
@@ -113,44 +110,6 @@ func TestCompareAbsFloorSuppressesTinyDeltas(t *testing.T) {
 	}
 }
 
-func TestCompareWallTimeInformationalByDefault(t *testing.T) {
-	old := baseRecord()
-	cur := clone(old)
-	cur.Entries[0].WallSeconds = 5 // 10x slower
-
-	findings, err := Compare(old, cur, Options{Threshold: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 || findings[0].Metric != "wall_seconds" || findings[0].Gating {
-		t.Fatalf("findings = %v, want one non-gating wall_seconds note", findings)
-	}
-	if Gating(findings) {
-		t.Fatal("wall time gated without -time-threshold")
-	}
-	// With an explicit time threshold it gates.
-	findings, err = Compare(old, cur, Options{Threshold: 0.25, TimeThreshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Gating(findings) {
-		t.Fatal("wall time did not gate with TimeThreshold set")
-	}
-}
-
-func TestCompareParallelEntriesNeverGate(t *testing.T) {
-	old := baseRecord()
-	cur := clone(old)
-	cur.Entries[1].DistCalcs = 100000 // 10x, but parallel
-	findings, err := Compare(old, cur, Options{Threshold: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 || findings[0].Gating {
-		t.Fatalf("findings = %v, want one non-gating parallel note", findings)
-	}
-}
-
 func TestCompareResultCardinalityChangeGates(t *testing.T) {
 	old := baseRecord()
 	cur := clone(old)
@@ -159,7 +118,7 @@ func TestCompareResultCardinalityChangeGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Gating(findings) {
+	if len(findings) != 1 || findings[0].Metric != "results" {
 		t.Fatalf("result-count change did not gate: %v", findings)
 	}
 }
@@ -192,12 +151,11 @@ func TestFromCollector(t *testing.T) {
 	mc.AddAxisDist(4)
 	mc.AddMainQueueInsert(5)
 	mc.AddResult(2)
-	mc.WallTime = 1500 * time.Millisecond
 	e := FromCollector("AM-KDJ/k=2", "AM-KDJ", 2, mc, 4096)
 	if e.DistCalcs != 7 || e.QueueInserts != 5 || e.Results != 2 {
 		t.Fatalf("counters not captured: %+v", e)
 	}
-	if e.WallSeconds != 1.5 || e.AllocBytes != 4096 {
-		t.Fatalf("measurements not captured: %+v", e)
+	if e.AllocBytes != 4096 {
+		t.Fatalf("allocation not captured: %+v", e)
 	}
 }

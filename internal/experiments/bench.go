@@ -28,7 +28,7 @@ func PerfRecord(cfg Config) (*benchrec.Record, error) {
 	}
 	// Resolve the SJ-SORT distance oracle once up front so its
 	// brute-force pass isn't attributed to the first SJ-SORT entry's
-	// wall clock or allocations.
+	// allocations.
 	ks := scaleKSeries([]int{1000, 10000}, cfg.Scale)
 	if _, err := w.Dmax(ks[len(ks)-1]); err != nil {
 		return nil, err
@@ -119,8 +119,10 @@ func PerfRecord(cfg Config) (*benchrec.Record, error) {
 	// The same cycle with three pairs in four tied at distance zero, the
 	// shape overlapping data gives the main queue: the heap overflows
 	// while holding nothing but the tie run, which may not be split
-	// across memory and disk. The counters gate the spill pattern; the
-	// wall clock shows whether an unsplittable overflow stays O(1).
+	// across memory and disk. The counters gate the spill pattern;
+	// whether an unsplittable overflow stays O(1) is a wall-clock
+	// question, which the repository benchmark's bigk-spill workload
+	// answers.
 	if err := measureQueueCycle(measure, "QUEUE/tie-run", func(rng *rand.Rand) float64 {
 		if rng.Intn(4) > 0 {
 			return 0

@@ -155,9 +155,6 @@ func New(cfg Config) *Queue {
 	}
 }
 
-// Capacity returns the heap capacity in pairs.
-func (q *Queue) Capacity() int { return q.capacity }
-
 // Len returns the total number of queued pairs (memory + disk).
 func (q *Queue) Len() int {
 	return q.heap.Len() + q.diskPairs

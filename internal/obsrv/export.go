@@ -1,11 +1,8 @@
 package obsrv
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"distjoin/internal/trace"
 )
@@ -18,82 +15,15 @@ import (
 // emitted once per algorithm with an {algo="..."} label, followed by
 // the registry-only families: query/error counts, the log-bucketed
 // histograms (`_bucket`/`_sum`/`_count` with cumulative `le` series),
-// and the eDmax-estimator accuracy metrics.
+// and the eDmax-estimator accuracy metrics. Both exporters write
+// through the one trace.PromWriter.
 
-// promEscape escapes a label value per the exposition format:
-// backslash, double-quote, and newline.
-func promEscape(v string) string {
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+// writeHistogram emits one series of a histogram family.
+func writeHistogram(p *trace.PromWriter, name, labels string, h HistogramSnapshot) {
+	p.Histogram(name, labels, h.Bounds, h.Counts, h.Sum, h.Count)
 }
 
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// promW accumulates exposition lines, latching the first write error.
-type promW struct {
-	w   io.Writer
-	err error
-}
-
-func (p *promW) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-// header emits the HELP/TYPE preamble of one metric family.
-func (p *promW) header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// sample emits one sample line; labels is the pre-rendered label set
-// without braces ("" for none).
-func (p *promW) sample(name, labels string, v float64) {
-	if labels == "" {
-		p.printf("%s %s\n", name, promFloat(v))
-		return
-	}
-	p.printf("%s{%s} %s\n", name, labels, promFloat(v))
-}
-
-// histogram emits one algorithm's series of a histogram family:
-// cumulative _bucket samples (le ascending, +Inf last), then _sum and
-// _count.
-func (p *promW) histogram(name, labels string, h HistogramSnapshot) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i, bound := range h.Bounds {
-		cum += h.Counts[i]
-		p.printf("%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, promFloat(bound), cum)
-	}
-	p.printf("%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.Count)
-	p.sample(name+"_sum", labels, h.Sum)
-	p.printf("%s_count{%s} %d\n", name, labels, h.Count)
-}
-
-func algoLabel(algo string) string {
-	// promEscape already produces exposition-format escapes; quoting
-	// with %q would double-escape.
-	return `algo="` + promEscape(algo) + `"`
-}
+func algoLabel(algo string) string { return trace.PromLabel("algo", algo) }
 
 // registryHistogram describes one per-algorithm histogram family.
 type registryHistogram struct {
@@ -133,46 +63,41 @@ func (r *Registry) WriteProm(w io.Writer) error {
 }
 
 func writeProm(w io.Writer, s Snapshot) error {
-	p := &promW{w: w}
+	p := trace.NewPromWriter(w)
 
-	p.header("distjoin_registry_uptime_seconds", "Seconds since the observability registry was created.", "gauge")
-	p.sample("distjoin_registry_uptime_seconds", "", s.UptimeSeconds)
-	p.header("distjoin_inflight_queries", "Number of queries currently executing.", "gauge")
-	p.sample("distjoin_inflight_queries", "", float64(len(s.InFlight)))
+	p.Header("distjoin_registry_uptime_seconds", "Seconds since the observability registry was created.", "gauge")
+	p.Sample("distjoin_registry_uptime_seconds", "", s.UptimeSeconds)
+	p.Header("distjoin_inflight_queries", "Number of queries currently executing.", "gauge")
+	p.Sample("distjoin_inflight_queries", "", float64(len(s.InFlight)))
 
 	if len(s.Algos) > 0 {
-		p.header("distjoin_queries_total", "Completed queries, by algorithm.", "counter")
+		p.Header("distjoin_queries_total", "Completed queries, by algorithm.", "counter")
 		for _, a := range s.Algos {
-			p.sample("distjoin_queries_total", algoLabel(a.Algo), float64(a.Queries))
+			p.Sample("distjoin_queries_total", algoLabel(a.Algo), float64(a.Queries))
 		}
-		p.header("distjoin_query_errors_total", "Completed queries that returned an error, by algorithm.", "counter")
+		p.Header("distjoin_query_errors_total", "Completed queries that returned an error, by algorithm.", "counter")
 		for _, a := range s.Algos {
-			p.sample("distjoin_query_errors_total", algoLabel(a.Algo), float64(a.Errors))
+			p.Sample("distjoin_query_errors_total", algoLabel(a.Algo), float64(a.Errors))
 		}
 
 		// The per-query Collector families, aggregated per algorithm.
 		// trace.PromFields enumerates by reflection, so a counter added
 		// to metrics.Collector automatically appears here too.
 		for _, f := range trace.PromFields() {
-			typ := "counter"
-			if f.Gauge {
-				typ = "gauge"
-			}
-			p.header(f.Name, f.Help+" Aggregated across completed queries, by algorithm.", typ)
+			p.Header(f.Name, f.Help+" Aggregated across completed queries, by algorithm.", f.Type())
 			for _, a := range s.Algos {
-				a := a
-				p.sample(f.Name, algoLabel(a.Algo), f.Value(&a.Stats))
+				p.Sample(f.Name, algoLabel(a.Algo), f.Value(&a.Stats))
 			}
 		}
 
 		for _, rh := range registryHistograms {
-			p.header(rh.name, rh.help, "histogram")
+			p.Header(rh.name, rh.help, "histogram")
 			for _, a := range s.Algos {
-				p.histogram(rh.name, algoLabel(a.Algo), rh.get(a))
+				writeHistogram(p, rh.name, algoLabel(a.Algo), rh.get(a))
 			}
 		}
 
-		p.header("distjoin_edmax_corrections_total",
+		p.Header("distjoin_edmax_corrections_total",
 			"eDmax estimates recorded, by algorithm and correction mode (initial = Eq. 3, arithmetic = Eq. 4, geometric = Eq. 5, override = caller-supplied).",
 			"counter")
 		for _, a := range s.Algos {
@@ -182,24 +107,24 @@ func writeProm(w io.Writer, s Snapshot) error {
 			}
 			sort.Strings(modes)
 			for _, m := range modes {
-				p.sample("distjoin_edmax_corrections_total",
-					algoLabel(a.Algo)+`,mode="`+promEscape(m)+`"`,
+				p.Sample("distjoin_edmax_corrections_total",
+					algoLabel(a.Algo)+","+trace.PromLabel("mode", m),
 					float64(a.Corrections[m]))
 			}
 		}
-		p.header("distjoin_edmax_underestimates_total",
+		p.Header("distjoin_edmax_underestimates_total",
 			"eDmax estimates that undershot the realized cutoff (compensation territory), by algorithm.", "counter")
 		for _, a := range s.Algos {
-			p.sample("distjoin_edmax_underestimates_total", algoLabel(a.Algo), float64(a.Underestimates))
+			p.Sample("distjoin_edmax_underestimates_total", algoLabel(a.Algo), float64(a.Underestimates))
 		}
-		p.header("distjoin_edmax_overestimates_total",
+		p.Header("distjoin_edmax_overestimates_total",
 			"eDmax estimates at or above the realized cutoff, by algorithm.", "counter")
 		for _, a := range s.Algos {
-			p.sample("distjoin_edmax_overestimates_total", algoLabel(a.Algo), float64(a.Overestimates))
+			p.Sample("distjoin_edmax_overestimates_total", algoLabel(a.Algo), float64(a.Overestimates))
 		}
 	}
 	if s.Serving != nil {
 		writeServingProm(p, s.Serving)
 	}
-	return p.err
+	return p.Err()
 }

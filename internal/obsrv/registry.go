@@ -164,11 +164,12 @@ func (r *Registry) BeginNamed(algo string, k int, queryID string) *Query {
 }
 
 // Serving returns the registry's serving-layer telemetry, creating it
-// on first use. A nil registry returns a nil *ServingMetrics, itself
-// a valid no-op sink.
+// on first use. A nil registry has nothing to attach to: each call
+// returns a fresh ServingMetrics that counts but is never exported, so
+// a server without a registry still owns one counter set.
 func (r *Registry) Serving() *ServingMetrics {
 	if r == nil {
-		return nil
+		return newServingMetrics()
 	}
 	if sm := r.serving.Load(); sm != nil {
 		return sm

@@ -1,24 +1,90 @@
 package obsrv
 
 import (
+	"bytes"
+	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"distjoin/internal/trace"
 )
+
+// ServingCounter names one scalar counter of the serving layer. The
+// constants index servingCounters, the one table every surface that
+// shows a serving counter is rendered from.
+type ServingCounter int
+
+// The serving counters. Each serving event is counted by exactly one
+// Inc call (see internal/serving), so the surfaces cannot disagree.
+const (
+	ServingAccepted ServingCounter = iota
+	ServingShed
+	ServingRejectedDraining
+	ServingDeadlineExceeded
+	ServingClientGone
+	ServingFailed
+	ServingSlowQueries
+	ServingCursorsOpened
+	ServingCursorsExpired
+	numServingCounters
+)
+
+// servingCounters is the serving counter table: for each counter its
+// Prometheus family and HELP text on /metrics, its key in the /v1/stats
+// body, and its key in the serving block of /debug/vars. An empty name
+// keeps the counter off that surface. A new counter is one constant
+// above and one row here.
+var servingCounters = [numServingCounters]struct {
+	prom, help string
+	stats      string
+	vars       string
+}{
+	ServingAccepted: {stats: "accepted_total"},
+	ServingShed: {
+		prom: "distjoin_serving_shed_total", help: "Requests rejected with 429 because the admission queue was full.",
+		stats: "rejected_queue_full_total", vars: "shed",
+	},
+	ServingRejectedDraining: {
+		prom: "distjoin_serving_rejected_draining_total", help: "Requests rejected with 503 during graceful drain.",
+		stats: "rejected_draining_total", vars: "rejected_draining",
+	},
+	ServingDeadlineExceeded: {
+		prom: "distjoin_serving_deadline_exceeded_total", help: "Requests that exceeded their deadline budget (504).",
+		stats: "deadline_exceeded_total", vars: "deadline_exceeded",
+	},
+	ServingClientGone: {
+		prom: "distjoin_serving_client_gone_total", help: "Requests abandoned by their client before completion (499).",
+		stats: "client_gone_total", vars: "client_gone",
+	},
+	ServingFailed: {
+		prom: "distjoin_serving_failed_total", help: "Requests that failed with a server-side error.",
+		stats: "failed_total", vars: "failed",
+	},
+	ServingSlowQueries: {
+		prom: "distjoin_serving_slow_queries_total", help: "Requests slower than the configured slow-query threshold.",
+		vars: "slow_queries",
+	},
+	ServingCursorsOpened: {
+		prom: "distjoin_serving_cursors_opened_total", help: "Incremental cursors opened.",
+		vars: "cursors_opened",
+	},
+	ServingCursorsExpired: {
+		prom: "distjoin_serving_cursors_expired_total", help: "Incremental cursors reaped by the idle sweep.",
+		vars: "cursors_expired",
+	},
+}
 
 // ServingMetrics aggregates the HTTP serving layer's telemetry —
 // per-family request counts and latency distributions, the admission
-// queue's wait distribution, shed/drain/cursor counters, and
-// point-in-time gauges — into the same Prometheus surface the query
-// registry exports. The serving layer obtains one from
-// Registry.Serving and feeds it through the public facade, keeping
-// every distjoin_serving_* family literal inside this package where
-// the promdrift contract can see it.
+// queue's wait distribution, the scalar counters of servingCounters,
+// and point-in-time gauges. The serving layer obtains one from
+// Registry.Serving, which also attaches it to the registry's
+// Prometheus surface, and feeds it through the public facade.
 //
 // A nil *ServingMetrics is a valid no-op sink, the same discipline as
-// the Registry itself, so a server constructed without a registry
-// costs nothing. All methods are safe for concurrent use.
+// the Registry itself. All methods are safe for concurrent use.
 type ServingMetrics struct {
 	mu       sync.Mutex
 	families map[string]*servingFamily
@@ -26,14 +92,7 @@ type ServingMetrics struct {
 
 	admissionWait *Histogram
 
-	shed             uint64
-	rejectedDraining uint64
-	deadlineExceeded uint64
-	clientGone       uint64
-	failed           uint64
-	slowQueries      uint64
-	cursorsOpened    uint64
-	cursorsExpired   uint64
+	counters [numServingCounters]atomic.Uint64
 
 	// gauges is the serving layer's point-in-time state provider,
 	// installed with SetGauges. It is invoked with no obsrv lock held:
@@ -114,74 +173,11 @@ func (m *ServingMetrics) ObserveRequest(family string, latency, admissionWait ti
 	m.mu.Unlock()
 }
 
-// The Inc* methods are nil-safe: each guards the receiver before
-// taking a field address (evaluating &m.field on a nil receiver would
-// itself panic, so the guard cannot live inside inc alone).
-
-// IncShed counts one request rejected with 429 (admission queue full).
-func (m *ServingMetrics) IncShed() {
+// Inc counts one occurrence of c.
+func (m *ServingMetrics) Inc(c ServingCounter) {
 	if m != nil {
-		m.inc(&m.shed)
+		m.counters[c].Add(1)
 	}
-}
-
-// IncRejectedDraining counts one request rejected with 503 because the
-// server was draining.
-func (m *ServingMetrics) IncRejectedDraining() {
-	if m != nil {
-		m.inc(&m.rejectedDraining)
-	}
-}
-
-// IncDeadlineExceeded counts one request that ran out of deadline
-// budget (504).
-func (m *ServingMetrics) IncDeadlineExceeded() {
-	if m != nil {
-		m.inc(&m.deadlineExceeded)
-	}
-}
-
-// IncClientGone counts one request abandoned by its client (499).
-func (m *ServingMetrics) IncClientGone() {
-	if m != nil {
-		m.inc(&m.clientGone)
-	}
-}
-
-// IncFailed counts one request that failed with a server-side error.
-func (m *ServingMetrics) IncFailed() {
-	if m != nil {
-		m.inc(&m.failed)
-	}
-}
-
-// IncSlowQuery counts one request whose latency exceeded the
-// configured slow-query threshold.
-func (m *ServingMetrics) IncSlowQuery() {
-	if m != nil {
-		m.inc(&m.slowQueries)
-	}
-}
-
-// IncCursorOpened counts one incremental cursor opened.
-func (m *ServingMetrics) IncCursorOpened() {
-	if m != nil {
-		m.inc(&m.cursorsOpened)
-	}
-}
-
-// IncCursorExpired counts one incremental cursor reaped by the idle
-// sweep (as opposed to an explicit close).
-func (m *ServingMetrics) IncCursorExpired() {
-	if m != nil {
-		m.inc(&m.cursorsExpired)
-	}
-}
-
-func (m *ServingMetrics) inc(counter *uint64) {
-	m.mu.Lock()
-	*counter++
-	m.mu.Unlock()
 }
 
 // ServingFamilySnapshot is one request family's aggregate as rendered
@@ -195,19 +191,11 @@ type ServingFamilySnapshot struct {
 // ServingSnapshot is an immutable copy of the serving telemetry,
 // embedded in the registry Snapshot when a serving layer is attached.
 type ServingSnapshot struct {
-	Families      []ServingFamilySnapshot `json:"families"`
-	AdmissionWait HistogramSnapshot       `json:"admission_wait_seconds"`
-
-	Shed             uint64 `json:"shed"`
-	RejectedDraining uint64 `json:"rejected_draining"`
-	DeadlineExceeded uint64 `json:"deadline_exceeded"`
-	ClientGone       uint64 `json:"client_gone"`
-	Failed           uint64 `json:"failed"`
-	SlowQueries      uint64 `json:"slow_queries"`
-	CursorsOpened    uint64 `json:"cursors_opened"`
-	CursorsExpired   uint64 `json:"cursors_expired"`
-
-	Gauges ServingGauges `json:"gauges"`
+	Families      []ServingFamilySnapshot
+	AdmissionWait HistogramSnapshot
+	// Counters is indexed by ServingCounter.
+	Counters [numServingCounters]uint64
+	Gauges   ServingGauges
 }
 
 // Snapshot copies the serving telemetry. The gauge provider runs
@@ -218,25 +206,17 @@ func (m *ServingMetrics) Snapshot() ServingSnapshot {
 	if m == nil {
 		return ServingSnapshot{}
 	}
-	var g ServingGauges
+	var s ServingSnapshot
 	if p := m.gauges.Load(); p != nil {
-		g = (*p)()
+		s.Gauges = (*p)()
+	}
+	for c := range m.counters {
+		s.Counters[c] = m.counters[c].Load()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := ServingSnapshot{
-		Families:         make([]ServingFamilySnapshot, 0, len(m.names)),
-		AdmissionWait:    m.admissionWait.Snapshot(),
-		Shed:             m.shed,
-		RejectedDraining: m.rejectedDraining,
-		DeadlineExceeded: m.deadlineExceeded,
-		ClientGone:       m.clientGone,
-		Failed:           m.failed,
-		SlowQueries:      m.slowQueries,
-		CursorsOpened:    m.cursorsOpened,
-		CursorsExpired:   m.cursorsExpired,
-		Gauges:           g,
-	}
+	s.Families = make([]ServingFamilySnapshot, 0, len(m.names))
+	s.AdmissionWait = m.admissionWait.Snapshot()
 	for _, name := range m.names {
 		f := m.families[name]
 		s.Families = append(s.Families, ServingFamilySnapshot{
@@ -248,54 +228,106 @@ func (m *ServingMetrics) Snapshot() ServingSnapshot {
 	return s
 }
 
-// familyLabel renders the {family="..."} label set of the serving
-// families.
-func familyLabel(family string) string {
-	return `family="` + promEscape(family) + `"`
+// jsonMember is one key of a JSON object rendered in a fixed order.
+type jsonMember struct {
+	key   string
+	value any
+}
+
+// marshalObject renders members as one JSON object, in order.
+func marshalObject(members []jsonMember) ([]byte, error) {
+	var b bytes.Buffer
+	b.WriteByte('{')
+	for i, m := range members {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		key, _ := json.Marshal(m.key) // a string always marshals
+		b.Write(key)
+		b.WriteByte(':')
+		value, err := json.Marshal(m.value)
+		if err != nil {
+			return nil, err
+		}
+		b.Write(value)
+	}
+	b.WriteByte('}')
+	return b.Bytes(), nil
+}
+
+// MarshalJSON renders the serving block of /debug/vars: the request
+// families, the admission-wait histogram, every counter with a vars
+// key, and the gauges.
+func (s ServingSnapshot) MarshalJSON() ([]byte, error) {
+	members := []jsonMember{
+		{"families", s.Families},
+		{"admission_wait_seconds", s.AdmissionWait},
+	}
+	for c, d := range servingCounters {
+		if d.vars != "" {
+			members = append(members, jsonMember{d.vars, s.Counters[c]})
+		}
+	}
+	return marshalObject(append(members, jsonMember{"gauges", s.Gauges}))
+}
+
+// StatsJSON renders the body of the serving layer's /v1/stats: the
+// gauges around every counter with a stats key.
+func (s ServingSnapshot) StatsJSON() ([]byte, error) {
+	members := []jsonMember{
+		{"in_flight", s.Gauges.InFlight},
+		{"queued", s.Gauges.Queued},
+		{"open_cursors", s.Gauges.OpenCursors},
+	}
+	for c, d := range servingCounters {
+		if d.stats != "" {
+			members = append(members, jsonMember{d.stats, s.Counters[c]})
+		}
+	}
+	return marshalObject(append(members, jsonMember{"draining", s.Gauges.Draining}))
 }
 
 // writeServingProm appends the distjoin_serving_* families to the
 // exposition. Called by writeProm when the snapshot carries serving
 // telemetry.
-func writeServingProm(p *promW, s *ServingSnapshot) {
-	p.header("distjoin_serving_requests_total", "HTTP requests served, by request family.", "counter")
+func writeServingProm(p *trace.PromWriter, s *ServingSnapshot) {
+	const (
+		requests = "distjoin_serving_requests_total"
+		latency  = "distjoin_serving_request_latency_seconds"
+		wait     = "distjoin_serving_admission_wait_seconds"
+	)
+	p.Header(requests, "HTTP requests served, by request family.", "counter")
 	for _, f := range s.Families {
-		p.sample("distjoin_serving_requests_total", familyLabel(f.Family), float64(f.Requests))
+		p.Sample(requests, trace.PromLabel("family", f.Family), float64(f.Requests))
 	}
-	p.header("distjoin_serving_request_latency_seconds", "End-to-end request latency (admission wait + execution), by request family.", "histogram")
+	p.Header(latency, "End-to-end request latency (admission wait + execution), by request family.", "histogram")
 	for _, f := range s.Families {
-		p.histogram("distjoin_serving_request_latency_seconds", familyLabel(f.Family), f.Latency)
+		writeHistogram(p, latency, trace.PromLabel("family", f.Family), f.Latency)
 	}
-	p.header("distjoin_serving_admission_wait_seconds", "Time requests spent waiting for an admission slot.", "histogram")
-	p.histogram("distjoin_serving_admission_wait_seconds", "", s.AdmissionWait)
+	p.Header(wait, "Time requests spent waiting for an admission slot.", "histogram")
+	writeHistogram(p, wait, "", s.AdmissionWait)
 
-	p.header("distjoin_serving_shed_total", "Requests rejected with 429 because the admission queue was full.", "counter")
-	p.sample("distjoin_serving_shed_total", "", float64(s.Shed))
-	p.header("distjoin_serving_rejected_draining_total", "Requests rejected with 503 during graceful drain.", "counter")
-	p.sample("distjoin_serving_rejected_draining_total", "", float64(s.RejectedDraining))
-	p.header("distjoin_serving_deadline_exceeded_total", "Requests that exceeded their deadline budget (504).", "counter")
-	p.sample("distjoin_serving_deadline_exceeded_total", "", float64(s.DeadlineExceeded))
-	p.header("distjoin_serving_client_gone_total", "Requests abandoned by their client before completion (499).", "counter")
-	p.sample("distjoin_serving_client_gone_total", "", float64(s.ClientGone))
-	p.header("distjoin_serving_failed_total", "Requests that failed with a server-side error.", "counter")
-	p.sample("distjoin_serving_failed_total", "", float64(s.Failed))
-	p.header("distjoin_serving_slow_queries_total", "Requests slower than the configured slow-query threshold.", "counter")
-	p.sample("distjoin_serving_slow_queries_total", "", float64(s.SlowQueries))
-	p.header("distjoin_serving_cursors_opened_total", "Incremental cursors opened.", "counter")
-	p.sample("distjoin_serving_cursors_opened_total", "", float64(s.CursorsOpened))
-	p.header("distjoin_serving_cursors_expired_total", "Incremental cursors reaped by the idle sweep.", "counter")
-	p.sample("distjoin_serving_cursors_expired_total", "", float64(s.CursorsExpired))
+	for c, d := range servingCounters {
+		if d.prom != "" {
+			p.Header(d.prom, d.help, "counter")
+			p.Sample(d.prom, "", float64(s.Counters[c]))
+		}
+	}
 
-	p.header("distjoin_serving_inflight_queries", "Queries currently executing in the serving layer.", "gauge")
-	p.sample("distjoin_serving_inflight_queries", "", float64(s.Gauges.InFlight))
-	p.header("distjoin_serving_queued_requests", "Admitted requests waiting for an execution slot.", "gauge")
-	p.sample("distjoin_serving_queued_requests", "", float64(s.Gauges.Queued))
-	p.header("distjoin_serving_open_cursors", "Live incremental cursors.", "gauge")
-	p.sample("distjoin_serving_open_cursors", "", float64(s.Gauges.OpenCursors))
-	draining := 0.0
+	draining := 0
 	if s.Gauges.Draining {
 		draining = 1
 	}
-	p.header("distjoin_serving_draining", "1 while the server is draining for graceful shutdown, else 0.", "gauge")
-	p.sample("distjoin_serving_draining", "", draining)
+	for _, g := range []struct {
+		name, help string
+		value      int
+	}{
+		{"distjoin_serving_inflight_queries", "Queries currently executing in the serving layer.", s.Gauges.InFlight},
+		{"distjoin_serving_queued_requests", "Admitted requests waiting for an execution slot.", s.Gauges.Queued},
+		{"distjoin_serving_open_cursors", "Live incremental cursors.", s.Gauges.OpenCursors},
+		{"distjoin_serving_draining", "1 while the server is draining for graceful shutdown, else 0.", draining},
+	} {
+		p.Header(g.name, g.help, "gauge")
+		p.Sample(g.name, "", float64(g.value))
+	}
 }

@@ -7,29 +7,31 @@ import (
 	"time"
 )
 
-// TestServingMetricsNilSafe: a server without a registry holds a nil
-// *ServingMetrics; every method must no-op rather than panic, matching
-// the Registry's own nil discipline.
+// TestServingMetricsNilSafe: every method of a nil *ServingMetrics
+// must no-op rather than panic, matching the Registry's own nil
+// discipline.
 func TestServingMetricsNilSafe(t *testing.T) {
 	var m *ServingMetrics
 	m.ObserveRequest("join/k", time.Millisecond, time.Microsecond)
-	m.IncShed()
-	m.IncRejectedDraining()
-	m.IncDeadlineExceeded()
-	m.IncClientGone()
-	m.IncFailed()
-	m.IncSlowQuery()
-	m.IncCursorOpened()
-	m.IncCursorExpired()
+	for c := ServingCounter(0); c < numServingCounters; c++ {
+		m.Inc(c)
+	}
 	m.SetGauges(func() ServingGauges { return ServingGauges{InFlight: 1} })
-	if s := m.Snapshot(); len(s.Families) != 0 || s.Shed != 0 {
+	if s := m.Snapshot(); len(s.Families) != 0 || s.Counters[ServingShed] != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", s)
 	}
 
-	// A nil Registry hands out a nil ServingMetrics.
+	// A nil Registry has nowhere to attach serving telemetry, but a
+	// server without a registry still needs one counter set: it gets a
+	// working, unexported one.
 	var r *Registry
-	if r.Serving() != nil {
-		t.Fatal("nil Registry.Serving() must be nil")
+	um := r.Serving()
+	um.Inc(ServingShed)
+	if n := um.Snapshot().Counters[ServingShed]; n != 1 {
+		t.Fatalf("unattached ServingMetrics counted %d sheds, want 1", n)
+	}
+	if r.Snapshot().Serving != nil {
+		t.Fatal("nil Registry snapshot carries a serving block")
 	}
 }
 
@@ -50,13 +52,13 @@ func TestServingSnapshot(t *testing.T) {
 	m.ObserveRequest("join/k", 10*time.Millisecond, time.Millisecond)
 	m.ObserveRequest("join/k", 20*time.Millisecond, time.Millisecond)
 	m.ObserveRequest("incremental/open", time.Millisecond, 0)
-	m.IncShed()
-	m.IncShed()
-	m.IncCursorOpened()
+	m.Inc(ServingShed)
+	m.Inc(ServingShed)
+	m.Inc(ServingCursorsOpened)
 	m.SetGauges(func() ServingGauges {
 		// Reading the metrics from inside the provider must not
 		// deadlock: Snapshot invokes it before taking the lock.
-		m.IncFailed()
+		m.Inc(ServingFailed)
 		return ServingGauges{InFlight: 3, Queued: 2, OpenCursors: 1, Draining: true}
 	})
 
@@ -70,8 +72,8 @@ func TestServingSnapshot(t *testing.T) {
 	if s.Families[1].Requests != 2 {
 		t.Fatalf("join/k requests = %d, want 2", s.Families[1].Requests)
 	}
-	if s.Shed != 2 || s.CursorsOpened != 1 || s.Failed != 1 {
-		t.Fatalf("counters shed=%d cursors=%d failed=%d, want 2/1/1", s.Shed, s.CursorsOpened, s.Failed)
+	if c := s.Counters; c[ServingShed] != 2 || c[ServingCursorsOpened] != 1 || c[ServingFailed] != 1 {
+		t.Fatalf("counters shed=%d cursors=%d failed=%d, want 2/1/1", c[ServingShed], c[ServingCursorsOpened], c[ServingFailed])
 	}
 	if s.AdmissionWait.Count != 3 {
 		t.Fatalf("admission-wait count %d, want 3", s.AdmissionWait.Count)
@@ -85,8 +87,8 @@ func TestServingSnapshot(t *testing.T) {
 	if reg.Serving == nil {
 		t.Fatal("registry snapshot has no serving block after Serving()")
 	}
-	if reg.Serving.Shed != 2 {
-		t.Fatalf("embedded serving shed = %d, want 2", reg.Serving.Shed)
+	if n := reg.Serving.Counters[ServingShed]; n != 2 {
+		t.Fatalf("embedded serving shed = %d, want 2", n)
 	}
 
 	// And the exposition carries the serving families.
@@ -142,9 +144,9 @@ func TestServingMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				m.ObserveRequest("join/k", time.Millisecond, time.Microsecond)
-				m.IncShed()
-				m.IncCursorOpened()
-				m.IncSlowQuery()
+				m.Inc(ServingShed)
+				m.Inc(ServingCursorsOpened)
+				m.Inc(ServingSlowQueries)
 			}
 		}(g)
 	}
@@ -157,7 +159,7 @@ func TestServingMetricsConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	s := m.Snapshot()
-	if s.Shed != 800 || s.Families[0].Requests != 800 {
-		t.Fatalf("lost updates: shed=%d requests=%d, want 800/800", s.Shed, s.Families[0].Requests)
+	if n := s.Counters[ServingShed]; n != 800 || s.Families[0].Requests != 800 {
+		t.Fatalf("lost updates: shed=%d requests=%d, want 800/800", n, s.Families[0].Requests)
 	}
 }

@@ -181,10 +181,6 @@ func (t *Tree) ResizeBuffer(bytes int) {
 	t.pool = storage.NewBufferPool(t.pool.Store(), bytes)
 }
 
-// SetIOCostModel replaces the cost model used to charge simulated I/O
-// time on buffer misses.
-func (t *Tree) SetIOCostModel(m metrics.IOCostModel) { t.cost = m }
-
 // ReadNode fetches and decodes the node on page id, reusing dst. The
 // access is recorded against mc (which may be nil): one logical node
 // access, whether it was physical (buffer miss), and the buffer pool

@@ -131,7 +131,10 @@ func notFound(format string, args ...any) *apiError {
 // writeError renders err with the right status and counts it. The
 // mapping is the budget contract of the API: admission overflow → 429
 // (shed load, retry later), shutdown → 503, deadline → 504, client
-// disconnect → 499, malformed request → 400.
+// disconnect → 499, malformed request → 400. This is the one place a
+// failed request is counted, before the response is written, so a
+// client that has read a status already finds it on /v1/stats and
+// /metrics.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var ae *apiError
@@ -140,6 +143,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status = ae.status
 	case errors.Is(err, errQueueFull):
 		status = http.StatusTooManyRequests
+		s.metrics.Inc(distjoin.ServingShed)
 		// Retry-After is priced from the observed drain rate: roughly
 		// how long until the queue ahead of this client has drained.
 		// X-Queue-Depth lets clients back off proportionally.
@@ -149,15 +153,16 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		w.Header().Set("X-Queue-Depth", strconv.Itoa(depth))
 	case errors.Is(err, errDraining):
 		status = http.StatusServiceUnavailable
+		s.metrics.Inc(distjoin.ServingRejectedDraining)
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
-		s.stats.Deadline.Add(1)
+		s.metrics.Inc(distjoin.ServingDeadlineExceeded)
 	case errors.Is(err, context.Canceled):
 		status = statusClientClosedRequest
-		s.stats.ClientGone.Add(1)
+		s.metrics.Inc(distjoin.ServingClientGone)
 	}
 	if status == http.StatusInternalServerError {
-		s.stats.Failed.Add(1)
+		s.metrics.Inc(distjoin.ServingFailed)
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
@@ -584,7 +589,7 @@ func (s *Server) handleIncrementalOpen(w http.ResponseWriter, r *http.Request) {
 			s.failRequest(w, tel, err)
 			return
 		}
-		s.metrics.IncCursorOpened()
+		s.metrics.Inc(distjoin.ServingCursorsOpened)
 		resp.Cursor = id
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -692,31 +697,15 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats serves GET /v1/stats: the server's own admission and
-// scheduling counters (the engine-level view lives on /metrics).
+// scheduling counters, the same ones /metrics exports as
+// distjoin_serving_* (the engine-level view lives on /metrics only).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		InFlight      int   `json:"in_flight"`
-		Queued        int   `json:"queued"`
-		OpenCursors   int   `json:"open_cursors"`
-		Accepted      int64 `json:"accepted_total"`
-		RejectedFull  int64 `json:"rejected_queue_full_total"`
-		RejectedDown  int64 `json:"rejected_draining_total"`
-		DeadlineTotal int64 `json:"deadline_exceeded_total"`
-		ClientGone    int64 `json:"client_gone_total"`
-		Failed        int64 `json:"failed_total"`
-		Draining      bool  `json:"draining"`
-	}{
-		InFlight:      s.gate.inFlight(),
-		Queued:        s.gate.queued(),
-		OpenCursors:   s.cursors.open(),
-		Accepted:      s.stats.Accepted.Load(),
-		RejectedFull:  s.stats.RejectedFull.Load(),
-		RejectedDown:  s.stats.RejectedDown.Load(),
-		DeadlineTotal: s.stats.Deadline.Load(),
-		ClientGone:    s.stats.ClientGone.Load(),
-		Failed:        s.stats.Failed.Load(),
-		Draining:      s.Draining(),
-	})
+	body, err := s.metrics.Snapshot().StatsJSON()
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, json.RawMessage(body))
 }
 
 // drainBody fully reads and closes a response body so the HTTP client

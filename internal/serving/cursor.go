@@ -85,8 +85,7 @@ type cursorTable struct {
 
 	// expired, when non-nil, is called once per cursor reaped by the
 	// idle sweep (never for explicit closes), outside the table lock —
-	// the serving metrics hook behind
-	// distjoin_serving_cursors_expired_total.
+	// the hook that counts ServingCursorsExpired.
 	expired func()
 }
 

@@ -80,9 +80,10 @@ type Config struct {
 	MaxCursors int
 	// Registry, when non-nil, aggregates every served query into the
 	// process observability registry and backs the mounted /metrics,
-	// /queries, and /debug endpoints. The server additionally feeds the
-	// registry's serving telemetry (Registry.Serving): the
-	// distjoin_serving_* Prometheus families on /metrics.
+	// /queries, and /debug endpoints. The server's serving telemetry
+	// (Registry.Serving) is attached to it: the distjoin_serving_*
+	// Prometheus families on /metrics read the same counters as
+	// /v1/stats.
 	Registry *distjoin.Registry
 	// Logger, when non-nil, receives one structured record per /v1
 	// request ("request" at Info, or Warn when over the slow-query
@@ -93,8 +94,8 @@ type Config struct {
 	Logger *slog.Logger
 	// SlowQueryThreshold classifies a request as slow when its total
 	// latency strictly exceeds it (default 1s). Slow requests are
-	// logged at Warn, counted in distjoin_serving_slow_queries_total,
-	// and retained in the /debug/slowlog ring.
+	// logged at Warn, counted as ServingSlowQueries, and retained in
+	// the /debug/slowlog ring.
 	SlowQueryThreshold time.Duration
 	// SlowLogCapacity bounds the /debug/slowlog ring (default 128);
 	// once full, each new slow query evicts the oldest entry.
@@ -185,18 +186,6 @@ var (
 	errDraining  = errors.New("serving: server is shutting down")
 )
 
-// counters aggregates the server's own request accounting, separate
-// from the engine-level registry: how traffic was admitted, rejected,
-// and completed. Exposed as JSON on /v1/stats.
-type counters struct {
-	Accepted     atomic.Int64
-	RejectedFull atomic.Int64
-	RejectedDown atomic.Int64
-	Deadline     atomic.Int64
-	ClientGone   atomic.Int64
-	Failed       atomic.Int64
-}
-
 // Server serves distance-join queries over a fixed set of named
 // indexes. Build one with New, register datasets with AddIndex, mount
 // Handler on an HTTP server (obsrv.ServeHandler pairs naturally), and
@@ -209,12 +198,12 @@ type Server struct {
 	indexes map[string]*distjoin.Index
 
 	cursors *cursorTable
-	stats   counters
 
-	// Telemetry: metrics is the registry's serving-metrics sink (a
-	// nil-safe no-op without a registry), slow the /debug/slowlog
-	// ring, drain the completion-rate tracker pricing Retry-After,
-	// and qidPrefix/qidSeq the query-ID mint.
+	// Telemetry: metrics is the server's one counter set, behind both
+	// /v1/stats and (when Config.Registry is set, which then exports
+	// it) the distjoin_serving_* families of /metrics; slow the
+	// /debug/slowlog ring, drain the completion-rate tracker pricing
+	// Retry-After, and qidPrefix/qidSeq the query-ID mint.
 	metrics   *distjoin.ServingMetrics
 	slow      *slowLog
 	drain     drainTracker
@@ -254,7 +243,7 @@ func New(cfg Config) *Server {
 		slow:      newSlowLog(cfg.slowLogCapacity()),
 		qidPrefix: newQIDPrefix(),
 	}
-	s.cursors.expired = s.metrics.IncCursorExpired
+	s.cursors.expired = func() { s.metrics.Inc(distjoin.ServingCursorsExpired) }
 	// The gauge provider reads the server's own admission gate and
 	// lifecycle state; obsrv invokes it outside its locks.
 	s.metrics.SetGauges(func() distjoin.ServingGauges {
@@ -316,17 +305,13 @@ func (s *Server) indexNames() []string {
 // draining; the caller must call the returned release exactly once.
 func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	if !s.begin() {
-		s.stats.RejectedDown.Add(1)
 		return nil, errDraining
 	}
 	if err := s.gate.acquire(ctx); err != nil {
 		s.end()
-		if errors.Is(err, errQueueFull) {
-			s.stats.RejectedFull.Add(1)
-		}
 		return nil, err
 	}
-	s.stats.Accepted.Add(1)
+	s.metrics.Inc(distjoin.ServingAccepted)
 	var once sync.Once
 	return func() {
 		once.Do(func() {

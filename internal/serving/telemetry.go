@@ -7,7 +7,9 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,16 +141,18 @@ func (s *Server) admitTimed(ctx context.Context, tel *reqTelemetry) (func(), err
 }
 
 // finish closes out the request: one structured log line per request,
-// a slow-ring entry and counter when over threshold, and the metric
-// family samples. Deferred at handler entry so every exit path —
-// success, validation failure, shed, deadline — is recorded.
+// a slow-ring entry and counter when over threshold, and the latency
+// samples of a served one. Deferred at handler entry so every exit
+// path — success, validation failure, shed, deadline — is recorded.
 func (t *reqTelemetry) finish() {
 	t.s.recordRequest(t, time.Since(t.start))
 }
 
-// slowLogEntry is the JSON schema of one slow-query record, shared by
-// the request log's attribute set and /debug/slowlog. Field order and
-// names are pinned by TestSlowLogSchema.
+// slowLogEntry is the schema of one request record: /debug/slowlog
+// serves it as JSON, and the request log's attributes are generated
+// from its fields (requestLogFields), so the two cannot drift. Every
+// field is a string, an integer or a float. Names, order and rendered
+// bytes are pinned by TestRequestRecordGolden.
 type slowLogEntry struct {
 	QueryID           string  `json:"query_id"`
 	Family            string  `json:"family"`
@@ -163,6 +167,63 @@ type slowLogEntry struct {
 	EDmaxMode         string  `json:"edmax_mode,omitempty"`
 	Results           int     `json:"results"`
 	Error             string  `json:"error,omitempty"`
+}
+
+// logField is one attribute of the request log: its key and the
+// slowLogEntry field it reads, or index -1 for the slow flag.
+type logField struct {
+	key   string
+	index int
+}
+
+// requestLogFields is the request log's schema, resolved once from
+// slowLogEntry: one attribute per field, keyed by the JSON tag's name,
+// in declaration order — plus "slow", the one key that is not an entry
+// field (everything in the slow log is slow), logged just ahead of the
+// trailing "error".
+var requestLogFields = func() (fields []logField) {
+	t := reflect.TypeOf(slowLogEntry{})
+	for i := 0; i < t.NumField(); i++ {
+		key, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		if key == "error" {
+			fields = append(fields, logField{"slow", -1})
+		}
+		fields = append(fields, logField{key, i})
+	}
+	return fields
+}()
+
+// RequestLogKeys returns the attribute keys of the "request" log
+// record, in the order they are logged: the schema that
+// distjoin-load -validate-log and the tests check a log line against.
+func RequestLogKeys() []string {
+	keys := make([]string, len(requestLogFields))
+	for i, f := range requestLogFields {
+		keys[i] = f.key
+	}
+	return keys
+}
+
+// logAttrs renders e as the request log's attributes. Unlike the JSON
+// form, the log line carries every key, empty or not.
+func (e *slowLogEntry) logAttrs(slow bool) []slog.Attr {
+	v := reflect.ValueOf(e).Elem()
+	attrs := make([]slog.Attr, len(requestLogFields))
+	for i, f := range requestLogFields {
+		if f.index < 0 {
+			attrs[i] = slog.Bool(f.key, slow)
+			continue
+		}
+		switch fv := v.Field(f.index); fv.Kind() {
+		case reflect.String:
+			attrs[i] = slog.String(f.key, fv.String())
+		case reflect.Float64:
+			attrs[i] = slog.Float64(f.key, fv.Float())
+		default:
+			attrs[i] = slog.Int64(f.key, fv.Int())
+		}
+	}
+	return attrs
 }
 
 // recordRequest classifies and records one finished request. Split
@@ -194,26 +255,11 @@ func (s *Server) recordRequest(t *reqTelemetry, elapsed time.Duration) {
 	slow := elapsed > s.cfg.slowQueryThreshold()
 	if slow {
 		s.slow.push(entry)
+		s.metrics.Inc(distjoin.ServingSlowQueries)
 	}
-
-	switch status {
-	case http.StatusOK:
+	// Error statuses were counted by writeError when they were chosen.
+	if status == http.StatusOK {
 		s.metrics.ObserveRequest(t.family, elapsed, t.admissionWait)
-	case http.StatusTooManyRequests:
-		s.metrics.IncShed()
-	case http.StatusServiceUnavailable:
-		s.metrics.IncRejectedDraining()
-	case http.StatusGatewayTimeout:
-		s.metrics.IncDeadlineExceeded()
-	case statusClientClosedRequest:
-		s.metrics.IncClientGone()
-	default:
-		if status >= 500 {
-			s.metrics.IncFailed()
-		}
-	}
-	if slow {
-		s.metrics.IncSlowQuery()
 	}
 
 	if lg := s.cfg.Logger; lg != nil {
@@ -221,22 +267,7 @@ func (s *Server) recordRequest(t *reqTelemetry, elapsed time.Duration) {
 		if slow {
 			level = slog.LevelWarn
 		}
-		lg.LogAttrs(context.Background(), level, "request",
-			slog.String("query_id", entry.QueryID),
-			slog.String("family", entry.Family),
-			slog.String("index", entry.Index),
-			slog.Int("k", entry.K),
-			slog.Int("status", entry.Status),
-			slog.Int64("admission_wait_us", entry.AdmissionWaitUS),
-			slog.Int("queue_depth_at_entry", entry.QueueDepthAtEntry),
-			slog.Int64("deadline_ms", entry.DeadlineMS),
-			slog.Float64("elapsed_ms", entry.ElapsedMS),
-			slog.Int64("dist_calcs", entry.DistCalcs),
-			slog.String("edmax_mode", entry.EDmaxMode),
-			slog.Int("results", entry.Results),
-			slog.Bool("slow", slow),
-			slog.String("error", entry.Error),
-		)
+		lg.LogAttrs(context.Background(), level, "request", entry.logAttrs(slow)...)
 	}
 }
 

@@ -40,7 +40,7 @@ func TestSlowThresholdBoundary(t *testing.T) {
 	if got := s.slow.snapshot(); len(got) != 0 {
 		t.Fatalf("elapsed == threshold logged as slow: %+v", got)
 	}
-	if n := s.metrics.Snapshot().SlowQueries; n != 0 {
+	if n := s.metrics.Snapshot().Counters[distjoin.ServingSlowQueries]; n != 0 {
 		t.Fatalf("slow counter after exactly-at-threshold request: %d, want 0", n)
 	}
 
@@ -53,7 +53,7 @@ func TestSlowThresholdBoundary(t *testing.T) {
 	if got[0].QueryID != over.queryID {
 		t.Fatalf("slow entry query_id %q, want %q", got[0].QueryID, over.queryID)
 	}
-	if n := s.metrics.Snapshot().SlowQueries; n != 1 {
+	if n := s.metrics.Snapshot().Counters[distjoin.ServingSlowQueries]; n != 1 {
 		t.Fatalf("slow counter: %d, want 1", n)
 	}
 }
@@ -96,10 +96,10 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestRequestLogSchema pins the structured request log's JSON shape:
-// one parseable line per request carrying the documented keys with the
-// documented types. Runs under -race in CI, guarding the logging path
-// against data races with concurrent telemetry.
+// TestRequestLogSchema: a request served over a real listener logs one
+// parseable line carrying every key of RequestLogKeys. Runs under
+// -race in CI, guarding the logging path against data races with
+// concurrent telemetry.
 func TestRequestLogSchema(t *testing.T) {
 	var logBuf syncBuffer
 	_, left, right, h := testServer(t, Config{
@@ -129,19 +129,11 @@ func TestRequestLogSchema(t *testing.T) {
 	if rec["level"] != "WARN" {
 		t.Fatalf("slow request logged at %v, want WARN", rec["level"])
 	}
-	// Schema: key -> required JSON type. Renaming or dropping one of
-	// these breaks downstream log pipelines; this test is the contract.
-	wantString := []string{"query_id", "family", "index", "edmax_mode", "error"}
-	wantNumber := []string{"k", "status", "admission_wait_us", "queue_depth_at_entry",
-		"deadline_ms", "elapsed_ms", "dist_calcs", "results"}
-	for _, key := range wantString {
-		if _, ok := rec[key].(string); !ok {
-			t.Errorf("log key %q: %T(%v), want string", key, rec[key], rec[key])
-		}
-	}
-	for _, key := range wantNumber {
-		if _, ok := rec[key].(float64); !ok {
-			t.Errorf("log key %q: %T(%v), want number", key, rec[key], rec[key])
+	// Every key of the exported schema is on the line (the rendered
+	// bytes are pinned by TestRequestRecordGolden).
+	for _, key := range RequestLogKeys() {
+		if _, ok := rec[key]; !ok {
+			t.Errorf("log line has no key %q", key)
 		}
 	}
 	if slow, ok := rec["slow"].(bool); !ok || !slow {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -26,6 +24,8 @@ import (
 // reflection, so a counter added to the Collector can never be
 // silently dropped from the export — the same property the
 // reflection test in internal/metrics enforces for Add/Reset/isZero.
+// The exposition text itself is written by PromWriter (prom.go), which
+// the process-level registry exporter of internal/obsrv shares.
 
 // promNamespace prefixes every exported Prometheus metric name.
 const promNamespace = "distjoin"
@@ -40,53 +40,6 @@ var promGaugeFields = map[string]bool{
 // durationType identifies time.Duration fields, exported as *_seconds
 // gauges.
 var durationType = reflect.TypeOf(time.Duration(0))
-
-// collectorField is one exported Collector field resolved by
-// reflection.
-type collectorField struct {
-	Name     string // Go field name
-	Prom     string // full Prometheus metric name
-	Gauge    bool
-	Seconds  bool // value is a duration, exported in seconds
-	Index    int  // struct field index
-	DocBrief string
-}
-
-// collectorFields enumerates the exported numeric fields of
-// metrics.Collector in declaration order. Computed once at package
-// init; a non-numeric exported field would be a programming error
-// caught by the panic (and by TestPromExportCoversCollector).
-var collectorFields = enumerateCollectorFields()
-
-func enumerateCollectorFields() []collectorField {
-	t := reflect.TypeOf(metrics.Collector{})
-	fields := make([]collectorField, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		cf := collectorField{Name: f.Name, Index: i}
-		switch {
-		case f.Type == durationType:
-			cf.Seconds = true
-			cf.Gauge = true
-			cf.Prom = fmt.Sprintf("%s_%s_seconds", promNamespace, snakeCase(f.Name))
-		case f.Type.Kind() == reflect.Int64:
-			cf.Gauge = promGaugeFields[f.Name]
-			suffix := "_total"
-			if cf.Gauge {
-				suffix = ""
-			}
-			cf.Prom = fmt.Sprintf("%s_%s%s", promNamespace, snakeCase(f.Name), suffix)
-		default:
-			panic(fmt.Sprintf("trace: unsupported Collector field %s of type %s", f.Name, f.Type))
-		}
-		cf.DocBrief = fmt.Sprintf("Collector field %s.", f.Name)
-		fields = append(fields, cf)
-	}
-	return fields
-}
 
 // snakeCase converts a Go CamelCase identifier to snake_case
 // ("NodeAccessesLogical" -> "node_accesses_logical", "IOTime" ->
@@ -109,85 +62,13 @@ func snakeCase(s string) string {
 	return b.String()
 }
 
-// derived Prometheus metrics computed from the collector rather than
-// read from a field.
-type derivedMetric struct {
-	Name  string
-	Help  string
-	Gauge bool
-	Value func(c *metrics.Collector) float64
-}
-
-var derivedMetrics = []derivedMetric{
-	{
-		Name:  promNamespace + "_buffer_hit_ratio",
-		Help:  "Buffer pool hit ratio: hits / (hits + misses); 0 before any access.",
-		Gauge: true,
-		Value: func(c *metrics.Collector) float64 { return c.BufferHitRatio() },
-	},
-	{
-		Name:  promNamespace + "_dist_calcs_total",
-		Help:  "Total distance computations (axis + real), the quantity of Figures 10(a)/12(a)/14(a).",
-		Value: func(c *metrics.Collector) float64 { return float64(c.DistCalcs()) },
-	},
-	{
-		Name:  promNamespace + "_queue_inserts_total",
-		Help:  "Total queue insertions across all queues, the quantity of Figures 10(b)/12(b)/14(b).",
-		Value: func(c *metrics.Collector) float64 { return float64(c.QueueInserts()) },
-	},
-	{
-		Name:  promNamespace + "_response_time_seconds",
-		Help:  "Modeled response time: wall clock plus charged I/O time.",
-		Gauge: true,
-		Value: func(c *metrics.Collector) float64 { return c.ResponseTime().Seconds() },
-	},
-}
-
-// WriteMetricsProm writes c as Prometheus text exposition format
-// (version 0.0.4): one HELP line, one TYPE line, and one sample per
-// metric, all under the "distjoin_" namespace. A nil collector
-// exports all zeros.
-func WriteMetricsProm(w io.Writer, c *metrics.Collector) error {
-	if c == nil {
-		c = &metrics.Collector{}
-	}
-	v := reflect.ValueOf(c).Elem()
-	for _, f := range collectorFields {
-		val := float64(v.Field(f.Index).Int())
-		if f.Seconds {
-			val = time.Duration(v.Field(f.Index).Int()).Seconds()
-		}
-		if err := writePromSample(w, f.Prom, f.DocBrief, f.Gauge, val); err != nil {
-			return err
-		}
-	}
-	for _, d := range derivedMetrics {
-		if err := writePromSample(w, d.Name, d.Help, d.Gauge, d.Value(c)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writePromSample(w io.Writer, name, help string, gauge bool, val float64) error {
-	typ := "counter"
-	if gauge {
-		typ = "gauge"
-	}
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
-		name, help, name, typ, name, strconv.FormatFloat(val, 'g', -1, 64))
-	return err
-}
-
 // PromField is one Prometheus metric derivable from a
-// metrics.Collector snapshot — the unit the process-level registry
-// exporter (internal/obsrv) reuses to emit the same metric families
-// with per-algorithm labels. The set covers every exported Collector
-// field (by reflection, so new counters are never silently dropped)
-// plus the derived totals.
+// metrics.Collector snapshot: the unit WriteMetricsProm emits
+// unlabeled and the process-level registry exporter (internal/obsrv)
+// emits once per algorithm.
 type PromField struct {
 	// Name is the full Prometheus metric name ("distjoin_..." with
-	// the _total/_seconds suffix conventions of WriteMetricsProm).
+	// the _total/_seconds suffix conventions).
 	Name string
 	// Help is the HELP text.
 	Help string
@@ -198,58 +79,95 @@ type PromField struct {
 	Value func(c *metrics.Collector) float64
 }
 
-// PromFields enumerates every metric WriteMetricsProm emits, in
-// emission order.
-func PromFields() []PromField {
-	out := make([]PromField, 0, len(collectorFields)+len(derivedMetrics))
-	for _, f := range collectorFields {
-		f := f
-		out = append(out, PromField{
-			Name:  f.Prom,
-			Help:  f.DocBrief,
-			Gauge: f.Gauge,
-			Value: func(c *metrics.Collector) float64 {
-				if c == nil {
-					return 0
-				}
-				raw := reflect.ValueOf(c).Elem().Field(f.Index).Int()
-				if f.Seconds {
-					return time.Duration(raw).Seconds()
-				}
-				return float64(raw)
-			},
-		})
+// Type returns the exposition TYPE of the field.
+func (f PromField) Type() string {
+	if f.Gauge {
+		return "gauge"
 	}
-	for _, d := range derivedMetrics {
-		d := d
-		out = append(out, PromField{
-			Name:  d.Name,
-			Help:  d.Help,
-			Gauge: d.Gauge,
-			Value: func(c *metrics.Collector) float64 {
-				if c == nil {
-					return 0
-				}
-				return d.Value(c)
-			},
-		})
-	}
-	return out
+	return "counter"
 }
 
-// PromMetricNames returns the sorted metric names WriteMetricsProm
-// emits — exposed so tests (and documentation generators) can assert
-// export completeness.
-func PromMetricNames() []string {
-	names := make([]string, 0, len(collectorFields)+len(derivedMetrics))
-	for _, f := range collectorFields {
-		names = append(names, f.Prom)
+// promFields is the one enumeration of the Collector-derived
+// families: every exported numeric field of metrics.Collector in
+// declaration order (the struct is the table, so a counter added to it
+// can never be silently dropped from an exporter), then the derived
+// totals. Computed once at package init; a non-numeric exported field
+// is a programming error caught by the panic.
+var promFields = enumeratePromFields()
+
+func enumeratePromFields() []PromField {
+	t := reflect.TypeOf(metrics.Collector{})
+	raw := func(c *metrics.Collector, i int) int64 {
+		if c == nil {
+			return 0
+		}
+		return reflect.ValueOf(c).Elem().Field(i).Int()
 	}
-	for _, d := range derivedMetrics {
-		names = append(names, d.Name)
+	var out []PromField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		pf := PromField{Help: fmt.Sprintf("Collector field %s.", f.Name)}
+		base := promNamespace + "_" + snakeCase(f.Name)
+		switch {
+		case f.Type == durationType:
+			pf.Name, pf.Gauge = base+"_seconds", true
+			pf.Value = func(c *metrics.Collector) float64 { return time.Duration(raw(c, i)).Seconds() }
+		case f.Type.Kind() == reflect.Int64:
+			pf.Name, pf.Gauge = base+"_total", promGaugeFields[f.Name]
+			if pf.Gauge {
+				pf.Name = base
+			}
+			pf.Value = func(c *metrics.Collector) float64 { return float64(raw(c, i)) }
+		default:
+			panic(fmt.Sprintf("trace: unsupported Collector field %s of type %s", f.Name, f.Type))
+		}
+		out = append(out, pf)
 	}
-	sort.Strings(names)
-	return names
+	// The derived totals; the Collector methods behind them are
+	// nil-receiver safe.
+	return append(out,
+		PromField{
+			Name:  promNamespace + "_buffer_hit_ratio",
+			Help:  "Buffer pool hit ratio: hits / (hits + misses); 0 before any access.",
+			Gauge: true,
+			Value: func(c *metrics.Collector) float64 { return c.BufferHitRatio() },
+		},
+		PromField{
+			Name:  promNamespace + "_dist_calcs_total",
+			Help:  "Total distance computations (axis + real), the quantity of Figures 10(a)/12(a)/14(a).",
+			Value: func(c *metrics.Collector) float64 { return float64(c.DistCalcs()) },
+		},
+		PromField{
+			Name:  promNamespace + "_queue_inserts_total",
+			Help:  "Total queue insertions across all queues, the quantity of Figures 10(b)/12(b)/14(b).",
+			Value: func(c *metrics.Collector) float64 { return float64(c.QueueInserts()) },
+		},
+		PromField{
+			Name:  promNamespace + "_response_time_seconds",
+			Help:  "Modeled response time: wall clock plus charged I/O time.",
+			Gauge: true,
+			Value: func(c *metrics.Collector) float64 { return c.ResponseTime().Seconds() },
+		},
+	)
+}
+
+// PromFields returns every Collector-derived metric, in emission
+// order. The slice is shared; callers must not modify it.
+func PromFields() []PromField { return promFields }
+
+// WriteMetricsProm writes c as Prometheus text exposition format
+// (version 0.0.4): one HELP line, one TYPE line, and one sample per
+// PromFields entry. A nil collector exports all zeros.
+func WriteMetricsProm(w io.Writer, c *metrics.Collector) error {
+	p := NewPromWriter(w)
+	for _, f := range promFields {
+		p.Header(f.Name, f.Help, f.Type())
+		p.Sample(f.Name, "", f.Value(c))
+	}
+	return p.Err()
 }
 
 // WriteMetricsJSON writes c as one JSON object: every exported
@@ -261,10 +179,12 @@ func WriteMetricsJSON(w io.Writer, c *metrics.Collector) error {
 	if c == nil {
 		c = &metrics.Collector{}
 	}
-	obj := make(map[string]any, len(collectorFields)+4)
 	v := reflect.ValueOf(c).Elem()
-	for _, f := range collectorFields {
-		obj[f.Name] = v.Field(f.Index).Int()
+	obj := make(map[string]any, v.NumField()+4)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() {
+			obj[f.Name] = v.Field(i).Int()
+		}
 	}
 	obj["DistCalcs"] = c.DistCalcs()
 	obj["QueueInserts"] = c.QueueInserts()

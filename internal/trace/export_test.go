@@ -51,8 +51,8 @@ func populatedCollector(t *testing.T) *metrics.Collector {
 
 // TestPromExportCoversCollector asserts that every exported Collector
 // field appears in the Prometheus output with its populated value, that
-// the text parses as exposition format, and that PromMetricNames
-// matches what is actually written.
+// the text parses as exposition format, and that PromFields matches
+// what is actually written.
 func TestPromExportCoversCollector(t *testing.T) {
 	c := populatedCollector(t)
 	var buf bytes.Buffer
@@ -89,21 +89,21 @@ func TestPromExportCoversCollector(t *testing.T) {
 		samples[f[0]] = val
 	}
 
-	// Every name from PromMetricNames is present exactly once, with
-	// HELP and TYPE comments; and vice versa.
-	names := PromMetricNames()
-	if len(samples) != len(names) {
-		t.Fatalf("output has %d samples, PromMetricNames lists %d", len(samples), len(names))
+	// Every PromFields entry is present exactly once, with HELP and
+	// TYPE comments; and vice versa.
+	fields := PromFields()
+	if len(samples) != len(fields) {
+		t.Fatalf("output has %d samples, PromFields lists %d", len(samples), len(fields))
 	}
-	for _, name := range names {
-		if _, ok := samples[name]; !ok {
-			t.Errorf("declared metric %s missing from output", name)
+	for _, f := range fields {
+		if _, ok := samples[f.Name]; !ok {
+			t.Errorf("declared metric %s missing from output", f.Name)
 		}
-		if !helps[name] {
-			t.Errorf("metric %s has no HELP line", name)
+		if !helps[f.Name] {
+			t.Errorf("metric %s has no HELP line", f.Name)
 		}
-		if typ := types[name]; typ != "counter" && typ != "gauge" {
-			t.Errorf("metric %s has TYPE %q", name, typ)
+		if types[f.Name] != f.Type() {
+			t.Errorf("metric %s has TYPE %q, want %q", f.Name, types[f.Name], f.Type())
 		}
 	}
 
