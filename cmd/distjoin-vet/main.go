@@ -1,6 +1,6 @@
 // Command distjoin-vet is the project lint suite driver. It runs the
-// seven internal/analysis analyzers (floatcmp, nilhook, lockheld,
-// ctxpoll, poolsafe, mapdet, servecontract) in two modes:
+// five internal/analysis analyzers (floatcmp, lockheld, ctxpoll,
+// mapdet, servecontract) in two modes:
 //
 //	go vet -vettool=$(pwd)/bin/distjoin-vet ./...
 //

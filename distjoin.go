@@ -548,11 +548,13 @@ func (it *Iterator) Next() (Pair, bool) {
 // Err returns the first error encountered during iteration.
 func (it *Iterator) Err() error { return it.err() }
 
-// Close finalizes the query's observability accounting (its
-// Options.Registry entry, if any). It is idempotent and optional when
-// the iterator is driven to exhaustion — the terminal Next call
-// finalizes implicitly — but should be called when abandoning an
-// iterator early, so the query does not linger in the live inspector.
+// Close ends the iteration: it finalizes the query's observability
+// accounting (its Options.Registry entry, if any) and releases the
+// engine's queue memory for the next query, so every later Next returns
+// false; Err is unaffected. It is idempotent and optional when the
+// iterator is driven to exhaustion — the terminal Next call closes
+// implicitly — but should be called when abandoning an iterator early,
+// so the query does not linger in the live inspector.
 func (it *Iterator) Close() { it.close() }
 
 // IncrementalJoin starts an incremental distance join — no stopping

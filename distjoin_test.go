@@ -252,6 +252,20 @@ func TestIncrementalJoin(t *testing.T) {
 		if it.Err() != nil {
 			t.Fatal(it.Err())
 		}
+		// Close ends the iteration with most of the join still unproduced:
+		// the queue is released, so Next must stop, not run on from an
+		// emptied queue.
+		it.Close()
+		if p, ok := it.Next(); ok {
+			t.Fatalf("%v: Next after Close produced %+v", algo, p)
+		}
+		if it.Err() != nil {
+			t.Fatalf("%v: Err after Close = %v, want nil", algo, it.Err())
+		}
+		it.Close() // idempotent
+		if _, ok := it.Next(); ok {
+			t.Fatalf("%v: Next after second Close produced a pair", algo)
+		}
 	}
 }
 

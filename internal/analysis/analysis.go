@@ -1,32 +1,25 @@
 // Package analysis is the distjoin-vet lint suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) carrying seven project-specific
+// vocabulary (Analyzer, Pass, Diagnostic) carrying five project-specific
 // analyzers that turn the engine's correctness conventions into
 // compile-time-checked invariants:
 //
 //   - floatcmp — no ==/!=/switch on non-constant float64 distance
 //     values and no NaN-unsafe builtin min/max, outside annotated
 //     bit-exact sites;
-//   - nilhook — every Options.Trace / Options.Registry /
-//     Config.FaultHook / Options.QueueFaultHook call is nil-guarded
-//     (or the provider method is a nil-receiver no-op), preserving the
-//     zero-alloc off path pinned by TestTraceOffNoAllocs;
-//   - lockheld — no storage/extsort I/O, channel operation, or sync
-//     blocking call while a hybridq/obsrv mutex is held, resolved to
-//     arbitrary depth through per-function call-graph summaries (see
-//     summary.go);
+//   - lockheld — no storage/extsort I/O, channel operation, sync
+//     blocking call, or HTTP response write while an obsrv/serving
+//     mutex is held, resolved to arbitrary depth through per-function
+//     call-graph summaries (see summary.go);
 //   - ctxpoll — unbounded drain loops in join and serving (queue
 //     pops, spill-run merges, iterator page fills) must contain the
 //     cancellation/progress poll;
-//   - poolsafe — sync.Pool objects have exactly one owner between get
-//     and put: no use after put, no double put, no put of memory that
-//     escaped (docs/memory.md);
 //   - mapdet — no map iteration, wall-clock reads, or math/rand on
 //     determinism-critical paths (join, hybridq, pqueue, sweep,
 //     extsort);
-//   - servecontract — serving handlers snapshot-then-render, keep the
-//     canonical 400/404/429/499/503/504 status table, and send error
-//     statuses only through it.
+//   - servecontract — serving handlers send error statuses only
+//     through writeError/writeJSON, never by a direct http.Error,
+//     http.NotFound or WriteHeader(4xx/5xx).
 //
 // Suppressions use the annotation grammar
 //
@@ -58,9 +51,9 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// SkipTests excludes _test.go files from the pass. Most of the
-	// suite guards production hot paths; tests legitimately compare
-	// floats bit-exactly and call hooks directly.
+	// SkipTests excludes _test.go files from the pass. The suite guards
+	// production paths; tests legitimately compare floats bit-exactly
+	// and block under the locks they set up.
 	SkipTests bool
 	// Run performs the check, reporting findings through pass.Reportf.
 	Run func(pass *Pass) error
@@ -125,12 +118,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Suite returns the seven distjoin-vet analyzers in reporting order.
+// Suite returns the five distjoin-vet analyzers in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{
-		Floatcmp, Nilhook, Lockheld, Ctxpoll,
-		Poolsafe, Mapdet, Servecontract,
-	}
+	return []*Analyzer{Floatcmp, Lockheld, Ctxpoll, Mapdet, Servecontract}
 }
 
 // RunUnit applies analyzers to one unit and returns the findings

@@ -14,18 +14,16 @@ var sharedLoader = &Loader{}
 // goldenFixtures maps each analyzer to its testdata fixture packages.
 // The synthetic import path ends with the directory's base name, which
 // is how fixtures opt into scope-restricted analyzers (a path ending
-// in /hybridq is "package hybridq" to the scope check).
+// in /obsrv is "package obsrv" to the scope check).
 var goldenFixtures = []struct {
 	analyzer *Analyzer
 	dir      string // under testdata/src
 }{
 	{Floatcmp, "floatcmp/a"},
-	{Nilhook, "nilhook/hooks"},
-	{Nilhook, "nilhook/trace"},
-	{Lockheld, "lockheld/hybridq"},
+	{Lockheld, "lockheld/obsrv"},
+	{Lockheld, "lockheld/serving"},
 	{Ctxpoll, "ctxpoll/join"},
 	{Ctxpoll, "ctxpoll/serving"},
-	{Poolsafe, "poolsafe/hybridq"},
 	{Mapdet, "mapdet/join"},
 	{Servecontract, "servecontract/serving"},
 }

@@ -3,17 +3,18 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// Lockheld forbids blocking work while a hybridq or obsrv mutex is
+// Lockheld forbids blocking work while an obsrv or serving mutex is
 // held: disk I/O through storage/extsort (or os), channel sends,
-// receives and selects, and sync blocking calls (WaitGroup.Wait,
-// Cond.Wait, time.Sleep). The registry lock sits on every query's
-// begin and end and on every scrape; blocking under it stalls them
-// all. (The hybrid queue is single-goroutine and holds no lock today;
-// its scope entry now serves only the golden fixture, which models a
-// locked queue.)
+// receives and selects, sync blocking calls (WaitGroup.Wait, Cond.Wait,
+// time.Sleep), and writing an HTTP response (ResponseWriter.Write and
+// WriteHeader, http.Error, http.NotFound, json.Encoder.Encode). The
+// registry lock sits on every query's begin and end and on every
+// scrape, the cursor-table lock on every cursor request; blocking under
+// one stalls them all, and a response written under one hands the stall
+// to the slowest client. Handlers copy state out under the lock and
+// render after releasing it.
 //
 // Lock acquisition is `x.mu.Lock()` / `x.mu.RLock()` on a
 // sync.(RW)Mutex — held until the matching Unlock in the same block,
@@ -23,23 +24,38 @@ import (
 // call-graph summaries (summary.go): a same-package callee that may
 // block — at any depth of same-package calls — is reported at the
 // caller's call site, with the witness chain in the message, so
-// `Push → spill → appendToSegment → storage.WritePage` is caught
-// without whole-program analysis. The summaries are conservative
-// (may-effects, unreachable paths included); deliberate I/O under a
-// single-owner lock is annotated at the locked call site with
+// `get → render → json.Encoder.Encode` is caught without whole-program
+// analysis. The summaries are conservative (may-effects, unreachable
+// paths included); deliberate blocking under a single-owner lock is
+// annotated at the locked call site with
 // `//lint:allow lockheld <reason>`.
 var Lockheld = &Analyzer{
 	Name:      "lockheld",
-	Doc:       "no I/O, channel, or sync blocking operations while a hybridq/obsrv mutex is held",
+	Doc:       "no I/O, channel, sync blocking or response-writing operations while an obsrv/serving mutex is held",
 	SkipTests: true,
 	Run:       runLockheld,
 }
 
 // lockheldScopes are the package scope bases the analyzer runs in.
-var lockheldScopes = map[string]bool{"hybridq": true, "obsrv": true}
+var lockheldScopes = map[string]bool{"obsrv": true, "serving": true}
 
 // lockheldIOPkgs are packages whose calls count as I/O under a lock.
 var lockheldIOPkgs = map[string]bool{"storage": true, "extsort": true, "os": true}
+
+// lockheldDoes words each effect for a finding: "<callee> <does> while
+// a <pkg> mutex is held".
+var lockheldDoes = [numEffects]string{
+	effIO:       "does disk I/O",
+	effChanSend: "performs a channel send",
+	effChanRecv: "performs a channel receive",
+	effSelect:   "runs a select",
+	effSyncWait: "waits on other goroutines (blocking sync Wait)",
+	effSleep:    "sleeps",
+	effRender:   "writes an HTTP response",
+}
+
+// lockheldAdvice closes every call finding.
+const lockheldAdvice = "everything behind the lock stalls with it; copy what is needed under the lock and do this after releasing it, or annotate a single-owner design with " + allowPrefix + " lockheld <reason>"
 
 func runLockheld(pass *Pass) error {
 	if exampleTree(pass.PkgPath) || !lockheldScopes[scopeBase(pass.PkgPath)] {
@@ -62,7 +78,6 @@ func runLockheld(pass *Pass) error {
 
 // forEachLockedStmt walks fd's body tracking the mutex-held state and
 // invokes check on every statement that executes with a lock held.
-// Shared by lockheld and servecontract (render-under-lock).
 func forEachLockedStmt(pass *Pass, fd *ast.FuncDecl, check func(ast.Stmt)) {
 	var checkBlock func(list []ast.Stmt, locked bool)
 	checkBlock = func(list []ast.Stmt, locked bool) {
@@ -154,13 +169,13 @@ func (pass *Pass) lockheldViolations(n ast.Node, fd *ast.FuncDecl, sums *summary
 		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
-			pass.Reportf(e.Pos(), "channel send while a %s mutex is held: a blocked receiver deadlocks every queue operation; move the send outside the locked region", scopeBase(pass.PkgPath))
+			pass.Reportf(e.Pos(), "channel send while the %s mutex is held: a blocked receiver stalls everything behind the lock; move the send outside the locked region", scopeBase(pass.PkgPath))
 		case *ast.UnaryExpr:
 			if e.Op.String() == "<-" {
-				pass.Reportf(e.Pos(), "channel receive while a %s mutex is held: move the receive outside the locked region", scopeBase(pass.PkgPath))
+				pass.Reportf(e.Pos(), "channel receive while the %s mutex is held: move the receive outside the locked region", scopeBase(pass.PkgPath))
 			}
 		case *ast.SelectStmt:
-			pass.Reportf(e.Pos(), "select while a %s mutex is held: move channel operations outside the locked region", scopeBase(pass.PkgPath))
+			pass.Reportf(e.Pos(), "select while the %s mutex is held: move channel operations outside the locked region", scopeBase(pass.PkgPath))
 		case *ast.CallExpr:
 			pass.lockheldCall(e, fd, sums)
 		}
@@ -169,59 +184,25 @@ func (pass *Pass) lockheldViolations(n ast.Node, fd *ast.FuncDecl, sums *summary
 }
 
 // lockheldCall classifies one call inside a locked region: a direct
-// blocking primitive, or a same-package callee whose summary says it
-// may block.
+// blocking or rendering primitive, or a same-package callee whose
+// summary says it may reach one.
 func (pass *Pass) lockheldCall(call *ast.CallExpr, fd *ast.FuncDecl, sums *summaryTable) {
-	fn := calleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil {
+	lockPkg := scopeBase(pass.PkgPath)
+	if k, what, ok := callEffect(pass.TypesInfo, call); ok {
+		pass.Reportf(call.Pos(), "%s %s while the %s mutex is held: %s", what, lockheldDoes[k], lockPkg, lockheldAdvice)
 		return
 	}
-	base := scopeBase(fn.Pkg().Path())
-	lockPkg := scopeBase(pass.PkgPath)
-	switch {
-	case lockheldIOPkgs[base]:
-		pass.Reportf(call.Pos(), "%s.%s does disk I/O while the %s mutex is held: a slow or faulted page operation stalls every caller of the queue; stage the I/O outside the lock or annotate the single-owner design with %s lockheld <reason>",
-			base, fn.Name(), lockPkg, allowPrefix)
-	case base == "sync" && fn.Name() == "Wait":
-		pass.Reportf(call.Pos(), "blocking sync Wait while the %s mutex is held: waiting for other goroutines under the lock deadlocks when they need it", lockPkg)
-	case base == "time" && fn.Name() == "Sleep":
-		pass.Reportf(call.Pos(), "time.Sleep while the %s mutex is held", lockPkg)
-	case fn.Pkg() == pass.Pkg:
-		// Same-package callee: consult its call-graph summary. Skip
-		// self-recursion — the function's own region is checked
-		// directly.
-		if sums.declFor(fn) == fd {
+	// Same-package callee: consult its call-graph summary. Skip
+	// self-recursion — the function's own region is checked directly.
+	fn := calleeFunc(pass.TypesInfo, call)
+	s := sums.summaryFor(fn)
+	if s == nil || sums.declFor(fn) == fd {
+		return
+	}
+	for k, witness := range s.effects {
+		if witness != "" {
+			pass.Reportf(call.Pos(), "call to %s %s (%s) while the %s mutex is held: %s", fn.Name(), lockheldDoes[k], witness, lockPkg, lockheldAdvice)
 			return
 		}
-		s := sums.summaryFor(fn)
-		if s == nil {
-			return
-		}
-		name := fn.Name()
-		switch {
-		case s.effects[effIO] != "":
-			pass.Reportf(call.Pos(), "call to %s does disk I/O (%s) while the %s mutex is held; stage the I/O outside the lock or annotate the single-owner design with %s lockheld <reason>",
-				name, s.effects[effIO], lockPkg, allowPrefix)
-		case s.effects[effChanSend] != "":
-			pass.Reportf(call.Pos(), "call to %s performs a channel send while the %s mutex is held%s", name, lockPkg, viaClause(s.effects[effChanSend]))
-		case s.effects[effChanRecv] != "":
-			pass.Reportf(call.Pos(), "call to %s performs a channel receive while the %s mutex is held%s", name, lockPkg, viaClause(s.effects[effChanRecv]))
-		case s.effects[effSelect] != "":
-			pass.Reportf(call.Pos(), "call to %s runs a select while the %s mutex is held%s", name, lockPkg, viaClause(s.effects[effSelect]))
-		case s.effects[effSyncWait] != "":
-			pass.Reportf(call.Pos(), "call to %s waits on other goroutines (blocking sync Wait) while the %s mutex is held%s", name, lockPkg, viaClause(s.effects[effSyncWait]))
-		case s.effects[effSleep] != "":
-			pass.Reportf(call.Pos(), "call to %s sleeps (time.Sleep) while the %s mutex is held%s", name, lockPkg, viaClause(s.effects[effSleep]))
-		}
 	}
-}
-
-// viaClause renders a witness path as a " (via …)" suffix when the
-// effect is reached through intermediate callees, and as nothing when
-// the callee performs it directly.
-func viaClause(witness string) string {
-	if strings.Contains(witness, "→") {
-		return " (via " + witness + ")"
-	}
-	return ""
 }

@@ -34,10 +34,10 @@ func TestSuiteCleanOnTree(t *testing.T) {
 // package's files in listing order) with new.
 type textEdit struct{ old, new string }
 
-// mutations plants one regression per analyzer into a real package —
-// deleting an annotation, widening a guard, dropping a cancellation
-// poll, retaining a recycled slab — and
-// demands the suite catch it. This is the "removing any annotation or
+// mutations plants regressions into real packages — deleting an
+// annotation, blocking or rendering under a lock, dropping a
+// cancellation poll, ranging over a map — at least one per analyzer,
+// and demands the suite catch it. This is the "removing any annotation or
 // guard fails CI" acceptance bar.
 var mutations = []struct {
 	name     string
@@ -55,15 +55,6 @@ var mutations = []struct {
 		}},
 	},
 	{
-		name:     "nilhook/widen-fault-guard",
-		pkg:      "distjoin/internal/hybridq",
-		analyzer: "nilhook",
-		edits: []textEdit{{
-			old: "if q.fault != nil {\n\t\tif err := q.fault(FaultSpill); err != nil {",
-			new: "if true {\n\t\tif err := q.fault(FaultSpill); err != nil {",
-		}},
-	},
-	{
 		// Query registration blocks while holding the registry lock:
 		// every scrape and every other query's begin and end stall
 		// behind it.
@@ -76,23 +67,24 @@ var mutations = []struct {
 		}},
 	},
 	{
+		// The close handler looks the cursor up itself and answers the
+		// unknown-cursor case before unlocking: the 404 is written to the
+		// client under cursorTable.mu, which every cursor request crosses.
+		name:     "lockheld/write-response-under-cursor-table-lock",
+		pkg:      "distjoin/internal/serving",
+		analyzer: "lockheld",
+		edits: []textEdit{{
+			old: "\tcur, ok := s.cursors.remove(req.Cursor)\n\tif !ok {\n\t\ts.failRequest(w, tel, notFound(\"unknown cursor %q (closed, expired, or never opened)\", req.Cursor))\n\t\treturn\n\t}\n\tcur.close()\n",
+			new: "\ts.cursors.mu.Lock()\n\tcur, ok := s.cursors.byID[req.Cursor]\n\tif !ok {\n\t\ts.failRequest(w, tel, notFound(\"unknown cursor %q (closed, expired, or never opened)\", req.Cursor))\n\t\ts.cursors.mu.Unlock()\n\t\treturn\n\t}\n\tdelete(s.cursors.byID, req.Cursor)\n\ts.cursors.mu.Unlock()\n\tcur.close()\n",
+		}},
+	},
+	{
 		name:     "ctxpoll/drop-drain-poll",
 		pkg:      "distjoin/internal/join",
 		analyzer: "ctxpoll",
 		edits: []textEdit{{
 			old: "if err := c.cancelled(); err != nil {\n\t\t\treturn nil, err\n\t\t}\n\t\tp, ok := it.Next()",
 			new: "p, ok := it.Next()",
-		}},
-	},
-	{
-		// The slab is touched after splitHeap recycles it: the next
-		// spill's owner would race the read.
-		name:     "poolsafe/retain-slab-after-put",
-		pkg:      "distjoin/internal/hybridq",
-		analyzer: "poolsafe",
-		edits: []textEdit{{
-			old: "\tbuf.items = items\n\tputPairBuf(buf)\n\tif q.tr.Enabled() {",
-			new: "\tbuf.items = items\n\tputPairBuf(buf)\n\tspilled = len(buf.items)\n\tif q.tr.Enabled() {",
 		}},
 	},
 	{
@@ -107,13 +99,13 @@ var mutations = []struct {
 		}},
 	},
 	{
-		// The 504 row disappears from the canonical status table:
-		// deadline-exceeded queries silently become 500s.
-		name:     "servecontract/drop-504-mapping",
+		// The root mux fallback loses its stated reason for sending a
+		// 404 past writeError.
+		name:     "servecontract/strip-fallback-allow",
 		pkg:      "distjoin/internal/serving",
 		analyzer: "servecontract",
 		edits: []textEdit{{
-			old: "\tcase errors.Is(err, context.DeadlineExceeded):\n\t\tstatus = http.StatusGatewayTimeout\n\t\ts.metrics.Inc(distjoin.ServingDeadlineExceeded)\n",
+			old: "//lint:allow servecontract the root mux fallback has no query context; a plain 404 matches net/http convention for unknown paths\n",
 			new: "",
 		}},
 	},

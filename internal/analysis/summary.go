@@ -7,14 +7,14 @@ import (
 
 // Conservative per-function call-graph summaries.
 //
-// PR 9 layered helpers between the public queue operations and the
-// blocking primitives they eventually reach (Push → spill →
-// appendToSegment → flushSegmentPage → storage.WritePage), which put
-// the interesting operations out of reach of lockheld's original
-// one-level callee walk. The summaries below close that gap: for every
-// function declared in the unit we compute, once per package load, the
-// set of *effects* the function may perform directly or through any
-// chain of same-package static calls.
+// Helpers sit between a locked region or a drain loop and the
+// primitive it eventually reaches (a handler's lookup → render →
+// json.Encoder.Encode; a loop body's step → cancelled), out of reach
+// of a one-level callee walk. The summaries below close that gap: for
+// every function declared in the unit we compute, once per package
+// load, the set of *effects* the function may perform directly or
+// through any chain of same-package static calls. lockheld reads the
+// effects, ctxpoll the poll bit.
 //
 // The analysis is deliberately conservative (a may-analysis):
 //
@@ -29,8 +29,8 @@ import (
 //     an analyzer walks the literal itself;
 //   - dynamic calls (function values, interface methods outside the
 //     recognized sets) contribute nothing — the recognized leaf sets
-//     (storage/extsort/os I/O, sync.Wait, channel ops, pool Get/Put,
-//     context polls, HTTP rendering) are what the invariants name.
+//     (storage/extsort/os I/O, sync.Wait, channel ops, context polls,
+//     HTTP rendering) are what the invariants name.
 //
 // Consequently a summary-based finding can be a false positive on a
 // path that never executes; such sites are suppressed at the *report
@@ -67,21 +67,6 @@ type funcSummary struct {
 	// polls: the function calls a cancellation poll (a function or
 	// method named `cancelled`, or context.Context.Err) on some path.
 	polls bool
-	// getsPool: the function's own body obtains an object from a
-	// sync.Pool. Deliberately NOT propagated through call edges —
-	// poolsafe uses it to recognize get-helpers (getPairBuf,
-	// getSegment), whose return value is the pooled object; a deeper
-	// caller's return value usually is not.
-	getsPool bool
-	// putParams marks parameter indices whose argument is returned to
-	// a sync.Pool by the call (directly, through a holder object, or
-	// via a deeper put-helper). Receiver parameters are index -1.
-	// This one IS propagated: a wrapper that forwards its parameter to
-	// putSegment returns it to the pool too.
-	putParams map[int]bool
-	// putsPool: the function's own body calls sync.Pool.Put
-	// (not propagated; see getsPool).
-	putsPool bool
 }
 
 // summaryTable holds the unit-wide summaries, built lazily once per
@@ -136,32 +121,26 @@ func buildSummaries(u *Unit) *summaryTable {
 			}
 		}
 	}
-	// calls[caller] lists the same-package static calls in caller's
-	// body (function literals excluded), kept as AST nodes so the
-	// putParams propagation can map arguments to parameters.
-	calls := make(map[*types.Func][]*ast.CallExpr)
+	// calls[caller] lists the same-package functions caller's body
+	// calls statically (function literals excluded).
+	calls := make(map[*types.Func][]*types.Func)
 	for fn, fd := range t.decls {
-		s := &funcSummary{putParams: make(map[int]bool)}
+		s := &funcSummary{}
 		t.sums[fn] = s
-		directEffects(u.Info, fd, s, func(call *ast.CallExpr, callee *types.Func) {
-			if _, ok := t.decls[callee]; ok {
-				calls[fn] = append(calls[fn], call)
+		directEffects(u.Info, fd, s, func(callee *types.Func) {
+			if _, ok := t.decls[callee]; ok && callee != fn {
+				calls[fn] = append(calls[fn], callee)
 			}
 		})
-		markDirectPutParams(u.Info, fd, s)
 	}
 	// Fixpoint propagation. Every iteration can only set bits that
 	// were clear, so the loop terminates.
 	for changed := true; changed; {
 		changed = false
-		for fn, fd := range t.decls {
+		for fn := range t.decls {
 			s := t.sums[fn]
-			for _, call := range calls[fn] {
-				callee := calleeFunc(u.Info, call)
+			for _, callee := range calls[fn] {
 				cs := t.sums[callee]
-				if cs == nil || callee == fn {
-					continue
-				}
 				for k := effectKind(0); k < numEffects; k++ {
 					if s.effects[k] == "" && cs.effects[k] != "" {
 						s.effects[k] = callee.Name() + " → " + cs.effects[k]
@@ -172,64 +151,15 @@ func buildSummaries(u *Unit) *summaryTable {
 					s.polls = true
 					changed = true
 				}
-				// A parameter handed straight to a pool-putting callee
-				// parameter is itself returned to the pool.
-				for j, arg := range call.Args {
-					if !cs.putParams[j] {
-						continue
-					}
-					id, ok := ast.Unparen(arg).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					if i := paramIndex(u.Info, fd, id); i != putParamNone && !s.putParams[i] {
-						s.putParams[i] = true
-						changed = true
-					}
-				}
 			}
 		}
 	}
 	return t
 }
 
-// putParamNone marks "not a parameter" for paramIndex.
-const putParamNone = -2
-
-// paramIndex returns the parameter index of id within fd (receiver =
-// -1), or putParamNone.
-func paramIndex(info *types.Info, fd *ast.FuncDecl, id *ast.Ident) int {
-	obj := info.Uses[id]
-	if obj == nil {
-		return putParamNone
-	}
-	if fd.Recv != nil {
-		for _, field := range fd.Recv.List {
-			for _, name := range field.Names {
-				if info.Defs[name] == obj {
-					return -1
-				}
-			}
-		}
-	}
-	i := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if info.Defs[name] == obj {
-				return i
-			}
-			i++
-		}
-		if len(field.Names) == 0 {
-			i++
-		}
-	}
-	return putParamNone
-}
-
 // directEffects records fd's own effects into s and hands every
-// resolvable call to onCall. Function literal bodies are skipped.
-func directEffects(info *types.Info, fd *ast.FuncDecl, s *funcSummary, onCall func(*ast.CallExpr, *types.Func)) {
+// resolvable callee to onCall. Function literal bodies are skipped.
+func directEffects(info *types.Info, fd *ast.FuncDecl, s *funcSummary, onCall func(*types.Func)) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.FuncLit:
@@ -247,29 +177,40 @@ func directEffects(info *types.Info, fd *ast.FuncDecl, s *funcSummary, onCall fu
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
-			base := scopeBase(fn.Pkg().Path())
-			name := fn.Name()
-			switch {
-			case lockheldIOPkgs[base]:
-				s.setEffect(effIO, base+"."+name)
-			case base == "sync" && name == "Wait":
-				s.setEffect(effSyncWait, "sync Wait")
-			case base == "time" && name == "Sleep":
-				s.setEffect(effSleep, "time.Sleep")
-			case isPoolMethod(e, info, "Put"):
-				s.putsPool = true
-			case isPoolMethod(e, info, "Get"):
-				s.getsPool = true
-			case renderCall(info, e) != "":
-				s.setEffect(effRender, renderCall(info, e))
+			if k, what, ok := callEffect(info, e); ok {
+				s.setEffect(k, what)
 			}
-			if name == "cancelled" || (base == "context" && name == "Err") {
+			if fn.Name() == "cancelled" || (scopeBase(fn.Pkg().Path()) == "context" && fn.Name() == "Err") {
 				s.polls = true
 			}
-			onCall(e, fn)
+			onCall(fn)
 		}
 		return true
 	})
+}
+
+// callEffect classifies a call to one of the recognized leaf
+// primitives: the effect it has and the name it goes by in a witness
+// path. ok is false for every other call.
+func callEffect(info *types.Info, call *ast.CallExpr) (k effectKind, what string, ok bool) {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return 0, "", false
+	}
+	base := scopeBase(fn.Pkg().Path())
+	name := fn.Name()
+	switch {
+	case lockheldIOPkgs[base]:
+		return effIO, base + "." + name, true
+	case base == "sync" && name == "Wait":
+		return effSyncWait, "sync Wait", true
+	case base == "time" && name == "Sleep":
+		return effSleep, "time.Sleep", true
+	}
+	if r := renderCall(info, call); r != "" {
+		return effRender, r, true
+	}
+	return 0, "", false
 }
 
 // setEffect records the first witness for an effect kind.
@@ -279,19 +220,10 @@ func (s *funcSummary) setEffect(k effectKind, witness string) {
 	}
 }
 
-// isPoolMethod matches a call to (sync.Pool).<name>.
-func isPoolMethod(call *ast.CallExpr, info *types.Info, name string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	return namedTypeIn(info.Types[sel.X].Type, "Pool", "sync")
-}
-
 // renderCall classifies a call that writes an HTTP response ("" when
 // it does not): http.ResponseWriter Write/WriteHeader, http.Error and
-// http.NotFound, and (json.Encoder).Encode — the primitives the
-// serving snapshot-then-render contract cares about.
+// http.NotFound, and (json.Encoder).Encode — the primitives lockheld's
+// snapshot-then-render rule cares about.
 func renderCall(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -318,67 +250,4 @@ func renderCall(info *types.Info, call *ast.CallExpr) string {
 		return "json.Encoder.Encode"
 	}
 	return ""
-}
-
-// markDirectPutParams marks fd parameters that reach a sync.Pool.Put
-// in fd's own body. Two shapes are recognized:
-//
-//   - the parameter is itself an argument of a (sync.Pool).Put call
-//     (putPairBuf, putSegment);
-//   - the function calls (sync.Pool).Put at all and the parameter is
-//     the source of an assignment through a pointer or into a
-//     structure (putPageBuf's holder indirection: `*h = b;
-//     pagePool.Put(h)`). This is the conservative half: any
-//     store-then-put pattern counts.
-//
-// Only pointer-, slice-, map-, chan-, and interface-typed parameters
-// are considered; a put cannot retain a plain scalar.
-func markDirectPutParams(info *types.Info, fd *ast.FuncDecl, s *funcSummary) {
-	if !s.putsPool || fd.Type.Params == nil {
-		return
-	}
-	poolable := func(obj types.Object) bool {
-		if obj == nil {
-			return false
-		}
-		switch obj.Type().Underlying().(type) {
-		case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface:
-			return true
-		}
-		return false
-	}
-	mark := func(id *ast.Ident) {
-		if obj := info.Uses[id]; poolable(obj) {
-			if i := paramIndex(info, fd, id); i != putParamNone {
-				s.putParams[i] = true
-			}
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if isPoolMethod(e, info, "Put") {
-				for _, arg := range e.Args {
-					if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-						mark(id)
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range e.Lhs {
-				if i >= len(e.Rhs) {
-					break
-				}
-				switch ast.Unparen(lhs).(type) {
-				case *ast.StarExpr, *ast.SelectorExpr, *ast.IndexExpr:
-					if id, ok := ast.Unparen(e.Rhs[i]).(*ast.Ident); ok {
-						mark(id)
-					}
-				}
-			}
-		}
-		return true
-	})
 }

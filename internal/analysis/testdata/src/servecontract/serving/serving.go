@@ -1,5 +1,5 @@
-// Package serving is the servecontract golden fixture: the canonical
-// status table, direct statuses, and snapshot-then-render.
+// Package serving is the servecontract golden fixture: error statuses
+// sent past writeError/writeJSON.
 package serving
 
 import (
@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync"
 )
 
 var (
@@ -17,15 +16,17 @@ var (
 
 const statusClientClosedRequest = 499
 
-// writeError has lost its 504 row: context.DeadlineExceeded now falls
-// through to the 500 default.
-func writeError(w http.ResponseWriter, err error) { // want "writeError no longer maps the 504 deadline row"
+// writeError is the one place an error becomes a status; what it and
+// writeJSON send is the table, not a bypass.
+func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, errQueueFull):
 		status = http.StatusTooManyRequests
 	case errors.Is(err, errDraining):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		status = statusClientClosedRequest
 	}
@@ -45,36 +46,21 @@ func badWriteHeader(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusBadGateway) // want "WriteHeader.502. bypasses the canonical status table"
 }
 
+func badHTTPError(w http.ResponseWriter) {
+	http.Error(w, "busy", http.StatusTooManyRequests) // want "http.Error bypasses the canonical status table"
+}
+
 func goodViaTable(w http.ResponseWriter) {
 	writeError(w, errQueueFull)
 }
 
-type table struct {
-	mu   sync.Mutex
-	rows []string
+func goodSuccessHeader(w http.ResponseWriter) {
+	w.WriteHeader(http.StatusNoContent) // below 400: not an error status
 }
 
-func (t *table) badRenderLocked(w http.ResponseWriter) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_ = json.NewEncoder(w).Encode(t.rows) // want "json.Encoder.Encode while a serving mutex is held"
-}
-
-// render is the transitive case: its summary carries the render
-// effect, so calling it under the lock is the same bug.
-func (t *table) render(w http.ResponseWriter) {
-	_ = json.NewEncoder(w).Encode(t.rows)
-}
-
-func (t *table) badTransitiveRender(w http.ResponseWriter) {
-	t.mu.Lock()
-	t.render(w) // want "call to render renders an HTTP response .json.Encoder.Encode. while a serving mutex is held"
-	t.mu.Unlock()
-}
-
-func (t *table) goodSnapshotThenRender(w http.ResponseWriter) {
-	t.mu.Lock()
-	rows := append([]string(nil), t.rows...)
-	t.mu.Unlock()
-	_ = json.NewEncoder(w).Encode(rows)
+// allowedFallback is the annotated exception: a mux fallback with no
+// query context.
+func allowedFallback(w http.ResponseWriter, r *http.Request) {
+	//lint:allow servecontract fixture demonstrates the annotated exception
+	http.NotFound(w, r)
 }

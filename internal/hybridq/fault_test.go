@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"distjoin/internal/storage"
@@ -128,5 +129,56 @@ func TestFaultHookErrorLatches(t *testing.T) {
 				t.Fatalf("%s point %d: error not sticky", op, point)
 			}
 		}
+	}
+}
+
+// TestFaultedQueueRelease: a queue latched by an injected spill or
+// reload fault gives its scratch back whole and keeps no way to reach
+// it — no scratch, no segment, no heap content — so the scratch's next
+// owner cannot be disturbed by the failed queue, which stays a no-op.
+func TestFaultedQueueRelease(t *testing.T) {
+	sentinel := errors.New("injected transition fault")
+	for _, op := range []FaultOp{FaultSpill, FaultReload} {
+		q := faultQueue(t, func(got FaultOp) error {
+			if got == op {
+				return sentinel
+			}
+			return nil
+		})
+		rng := rand.New(rand.NewSource(3))
+		const n = 200
+		for i := 0; i < n; i++ {
+			q.Push(pairWithDist(rng.Float64()*1000, uint64(i)))
+		}
+		for i := 0; i < n; i++ {
+			if _, ok := q.Pop(); !ok {
+				break
+			}
+		}
+		if !errors.Is(q.Err(), sentinel) {
+			t.Fatalf("%s: Err() = %v, want the injected fault", op, q.Err())
+		}
+		q.Release()
+		if q.sc != nil || len(q.segs) != 0 || q.MemLen() != 0 || q.Len() != 0 {
+			t.Fatalf("%s: released failed queue still reaches scratch=%v segs=%d mem=%d len=%d",
+				op, q.sc != nil, len(q.segs), q.MemLen(), q.Len())
+		}
+		q.Push(pairWithDist(1, 1))
+		if q.sc != nil || q.Len() != 0 || !errors.Is(q.Err(), sentinel) {
+			t.Fatalf("%s: failed queue came back to life after Release", op)
+		}
+
+		// The next owner of whatever the failed queue gave back.
+		next := faultQueue(t, nil)
+		dists := make([]float64, n)
+		for i := range dists {
+			dists[i] = rng.Float64() * 1000
+		}
+		out := pushPopCycle(next, dists, nil)
+		if len(out) != n || !sort.Float64sAreSorted(out) {
+			t.Fatalf("%s: queue after a failed one popped %d of %d pairs, sorted=%v",
+				op, len(out), n, sort.Float64sAreSorted(out))
+		}
+		next.Release()
 	}
 }

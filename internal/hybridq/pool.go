@@ -2,94 +2,58 @@ package hybridq
 
 import "sync"
 
-// Scratch pooling for the queue's disk path. A heap split copies the
-// whole heap into a []Pair slab to sort it, and a segment swap-in
-// decodes every spilled record into one; both also need page-size
-// byte buffers (segment write buffers, the reload read page). Without
+// Scratch for the queue's disk path. A heap split copies the whole
+// heap into a []Pair slab to sort it, and a segment swap-in decodes
+// every spilled record into one; a swap-in also needs a page-size read
+// buffer, and every segment carries a page-size write buffer. Without
 // reuse each spill/reload event allocates the slab and the buffers
 // afresh — on reload-heavy runs (HS-IDJ drains and refills the heap
 // constantly) that is the dominant allocation source of the whole
-// join. The pools below make the steady state allocation-free: slabs
-// and buffers cycle between concurrently running queues via
-// sync.Pool.
+// join.
 //
-// Ownership rule: a pooled object is owned by exactly one queue
-// operation between get and put, on that queue's single goroutine.
-// Every Pair read out of a slab is copied by value into the heap or
-// encoded into a segment buffer before the slab is returned, so
-// nothing reads a pooled object after its put — the -race stress test
-// in pool_test.go pins this.
-
-// pairBuf is a reusable []Pair slab. Callers hold the *pairBuf handle
-// for the duration of the operation and put it back when every pair
-// has been copied out.
-type pairBuf struct{ items []Pair }
-
-var pairBufPool = sync.Pool{New: func() any { return new(pairBuf) }}
-
-// getPairBuf returns a slab with len 0 and capacity at least capHint.
-func getPairBuf(capHint int) *pairBuf {
-	b := pairBufPool.Get().(*pairBuf)
-	if cap(b.items) < capHint {
-		b.items = make([]Pair, 0, capHint)
-	}
-	b.items = b.items[:0]
-	return b
+// A scratch bundles all three. A queue takes one from scratchPool at
+// its first spill and keeps it until Queue.Release, the only Put in
+// the package: between the two the scratch belongs to that queue and
+// its single goroutine, so no function can touch memory it has already
+// given back, and a collection in the middle of a query cannot take the
+// slab away from a live queue. A queue that is never released leaves
+// its scratch to the collector.
+type scratch struct {
+	items []Pair     // sort slab of a heap split, decode slab of a swap-in
+	page  []byte     // read buffer of a swap-in
+	segs  []*segment // consumed segments, write buffers attached
 }
 
-// putPairBuf recycles the slab. The caller must not touch b.items
-// afterwards.
-func putPairBuf(b *pairBuf) { pairBufPool.Put(b) }
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Page buffers are pooled as plain []byte. To keep the put side
-// allocation-free the slice headers travel in dedicated holder
-// objects: pagePool holds full buffers, pageHolderPool recycles the
-// emptied holders for the next put.
-var (
-	pagePool       sync.Pool // *[]byte with a buffer attached
-	pageHolderPool sync.Pool // *[]byte with nil contents
-)
-
-// getPageBuf returns a zeroed-length-irrelevant buffer of exactly
-// size bytes. A pooled buffer of a different page size (stores can be
-// configured independently) is dropped and a fresh one allocated.
-func getPageBuf(size int) []byte {
-	if h, _ := pagePool.Get().(*[]byte); h != nil {
-		b := *h
-		*h = nil
-		pageHolderPool.Put(h)
-		if cap(b) >= size {
-			return b[:size]
-		}
+// slab returns the pair slab with len 0 and capacity at least n. The
+// caller appends at most n pairs, so the slab never moves.
+func (sc *scratch) slab(n int) []Pair {
+	if cap(sc.items) < n {
+		sc.items = make([]Pair, 0, n)
 	}
-	return make([]byte, size)
+	return sc.items[:0]
 }
 
-// putPageBuf recycles a buffer obtained from getPageBuf. nil is a
-// no-op, so callers can retire segment buffers unconditionally.
-func putPageBuf(b []byte) {
-	if cap(b) == 0 {
-		return
+// pageBuf returns the read buffer, exactly size bytes long. A buffer
+// left by a queue over a smaller page size is replaced.
+func (sc *scratch) pageBuf(size int) []byte {
+	if cap(sc.page) < size {
+		sc.page = make([]byte, size)
 	}
-	h, _ := pageHolderPool.Get().(*[]byte)
-	if h == nil {
-		h = new([]byte)
-	}
-	*h = b
-	pagePool.Put(h)
+	return sc.page[:size]
 }
 
-// Segments recycle whole — header, page-ID list, and write buffer
-// together — so a steady spill/reload rhythm allocates no segment
-// state at all. The buffer stays attached across recycles; a queue
-// whose store uses a larger page size than the pooled segment's
-// buffer gets a fresh buffer on get.
-var segPool = sync.Pool{New: func() any { return new(segment) }}
-
-// getSegment returns an empty segment covering [lo, hi) with a
-// pageSize write buffer.
-func getSegment(lo, hi float64, pageSize int) *segment {
-	s := segPool.Get().(*segment)
+// segment returns an empty segment covering [lo, hi) with a pageSize
+// write buffer, reusing a consumed one (header, page-ID list and
+// buffer together) when the free list has any.
+func (sc *scratch) segment(lo, hi float64, pageSize int) *segment {
+	var s *segment
+	if n := len(sc.segs); n > 0 {
+		s, sc.segs = sc.segs[n-1], sc.segs[:n-1]
+	} else {
+		s = new(segment)
+	}
 	if cap(s.buf) < pageSize {
 		s.buf = make([]byte, pageSize)
 	}
@@ -101,9 +65,8 @@ func getSegment(lo, hi float64, pageSize int) *segment {
 	return s
 }
 
-// putSegment recycles a consumed segment. The caller must copy out
-// any field it still needs (bounds, page IDs) before the put.
-func putSegment(s *segment) { segPool.Put(s) }
+// retire puts a segment nothing reads any more on the free list.
+func (sc *scratch) retire(s *segment) { sc.segs = append(sc.segs, s) }
 
 // byPairOrder sorts a slab by PairLess without the per-call closure
 // allocation of sort.Slice. Both stdlib entry points instantiate the

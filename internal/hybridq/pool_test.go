@@ -51,9 +51,9 @@ func TestSteadyStatePushPopNoAllocs(t *testing.T) {
 	}
 }
 
-// TestSpillReloadSteadyStateAllocs pins the pooled disk path: after a
-// warm-up cycle has populated the pair-slab and page-buffer pools,
-// a full spill/reload cycle must not allocate per pair — only small
+// TestSpillReloadSteadyStateAllocs pins the disk path's reuse: after a
+// warm-up cycle has sized the queue's scratch (slab, read page, segment
+// free list), a full spill/reload cycle must not allocate per pair — only small
 // per-event bookkeeping (segment headers, sort boxing) remains, far
 // under one allocation per ten pairs. Before pooling this cycle
 // allocated a fresh slab per heap split and a fresh page buffer per
@@ -73,7 +73,7 @@ func TestSpillReloadSteadyStateAllocs(t *testing.T) {
 		dists[i] = rng.Float64() * 1000
 	}
 	var out []float64
-	out = pushPopCycle(q, dists, out) // warm-up: populate pools
+	out = pushPopCycle(q, dists, out) // warm-up: size the scratch
 	if len(out) != n {
 		t.Fatalf("warm-up cycle returned %d pairs, want %d", len(out), n)
 	}
@@ -91,10 +91,10 @@ func TestSpillReloadSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkHybridQueueSpillReload measures the pooled disk path: a
-// tiny memory budget forces every push/pop cycle through heap splits,
-// segment spills, and swap-ins, so the pair-slab, page-buffer, and
-// segment pools dominate the allocation profile. Run with -benchmem;
+// BenchmarkHybridQueueSpillReload measures the disk path: a tiny
+// memory budget forces every push/pop cycle through heap splits,
+// segment spills, and swap-ins, so reuse of the scratch's slab, read
+// page and segments dominates the allocation profile. Run with -benchmem;
 // before pooling this cycle allocated a fresh slab per split and a
 // fresh page buffer per segment and reload.
 func BenchmarkHybridQueueSpillReload(b *testing.B) {
@@ -106,7 +106,7 @@ func BenchmarkHybridQueueSpillReload(b *testing.B) {
 		dists[i] = rng.Float64() * 1000
 	}
 	var out []float64
-	out = pushPopCycle(q, dists, out) // warm the pools
+	out = pushPopCycle(q, dists, out) // size the scratch
 	if len(out) != n {
 		b.Fatalf("warm-up popped %d pairs, want %d", len(out), n)
 	}
@@ -123,13 +123,13 @@ func BenchmarkHybridQueueSpillReload(b *testing.B) {
 	}
 }
 
-// TestPoolReuseStress proves no pair record or page buffer is read
-// after its return to the shared pools: several goroutines run
-// private queues through constant spill/reload cycles, so slabs and
-// buffers migrate between goroutines continuously. Any read of a
-// pooled object after put is a data race with the next owner's writes
-// — the race detector (make race) turns it into a hard failure — and
-// any cross-queue corruption shows up as a wrong pop sequence.
+// TestPoolReuseStress proves no pair record, page buffer or segment is
+// read after its scratch went back to the pool: several goroutines run
+// private queues through spill/reload cycles and release them between
+// rounds, so scratches migrate between goroutines continuously. Any
+// read of a released scratch is a data race with the next owner's
+// writes — the race detector (make race) turns it into a hard failure —
+// and any cross-queue corruption shows up as a wrong pop sequence.
 func TestPoolReuseStress(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -142,8 +142,8 @@ func TestPoolReuseStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Distinct memory budgets: pooled page buffers cross between
-			// queues of different fill patterns.
+			// Distinct memory budgets: a scratch crosses between queues
+			// of different fill patterns.
 			q := New(Config{MemBytes: (32 + 8*w) * RecordSize})
 			rng := rand.New(rand.NewSource(int64(w)))
 			dists := make([]float64, n)
@@ -153,7 +153,7 @@ func TestPoolReuseStress(t *testing.T) {
 			want := append([]float64(nil), dists...)
 			sort.Float64s(want)
 			var out []float64
-			for round := 0; round < 3; round++ {
+			for round := 0; round < 6; round++ {
 				out = pushPopCycle(q, dists, out)
 				if err := q.Err(); err != nil {
 					errs <- err
@@ -170,6 +170,15 @@ func TestPoolReuseStress(t *testing.T) {
 						return
 					}
 				}
+				// Odd rounds release a queue that still holds segments:
+				// they travel with the scratch to its next owner.
+				if round%2 == 1 {
+					for i, d := range dists {
+						q.Push(pairWithDist(d, uint64(i)))
+					}
+				}
+				q.Release()
+				runtime.Gosched()
 			}
 		}(w)
 	}
@@ -177,5 +186,111 @@ func TestPoolReuseStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestReleaseIdempotent: Release on a queue that never spilled, and a
+// second Release, touch nothing; a released queue is empty and usable.
+func TestReleaseIdempotent(t *testing.T) {
+	q := New(Config{MemBytes: 1 << 20})
+	q.Release()
+	q.Push(pairWithDist(1, 1))
+	if q.sc != nil {
+		t.Fatal("an in-memory queue took a scratch")
+	}
+	q.Release()
+	q.Release()
+	if !q.Empty() {
+		t.Fatalf("released queue holds %d pairs", q.Len())
+	}
+
+	q = New(Config{MemBytes: 4 * RecordSize})
+	for i := 0; i < 100; i++ {
+		q.Push(pairWithDist(float64(i), uint64(i)))
+	}
+	if q.sc == nil || q.Segments() == 0 {
+		t.Fatal("a spilled queue holds no scratch")
+	}
+	q.Release()
+	if q.sc != nil || !q.Empty() || q.Segments() != 0 {
+		t.Fatalf("after Release: scratch held=%v, %d pairs, %d segments", q.sc != nil, q.Len(), q.Segments())
+	}
+	q.Release()
+	if err := q.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleasedQueueReusable: a released queue pushed to again takes a
+// fresh scratch at its next spill and spills and reloads correctly,
+// whether it was released drained or with segments still on disk.
+func TestReleasedQueueReusable(t *testing.T) {
+	const n = 600
+	q := New(Config{MemBytes: 16 * RecordSize, Rho: 0.5})
+	rng := rand.New(rand.NewSource(5))
+	dists := make([]float64, n)
+	for i := range dists {
+		dists[i] = rng.Float64() * 300
+	}
+	want := append([]float64(nil), dists...)
+	sort.Float64s(want)
+	var out []float64
+	for round := 0; round < 4; round++ {
+		if round%2 == 1 {
+			// Leave pairs in memory and on disk for Release to drop.
+			for i, d := range dists[:n/2] {
+				q.Push(pairWithDist(d, uint64(i)))
+			}
+			q.Release()
+		}
+		out = pushPopCycle(q, dists, out)
+		if len(out) != n {
+			t.Fatalf("round %d: popped %d pairs, want %d", round, len(out), n)
+		}
+		for i := range out {
+			if out[i] != want[i] {
+				t.Fatalf("round %d: pop %d = %g, want %g", round, i, out[i], want[i])
+			}
+		}
+		if q.sc == nil {
+			t.Fatalf("round %d: a cycle over a 16-pair budget took no scratch", round)
+		}
+		q.Release()
+	}
+	if err := q.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmPoolAllocs: a queue that takes its scratch from a warm pool
+// allocates no slab, no read page and no segment — a cycle that starts
+// from a released queue costs exactly what a cycle costs a queue that
+// kept its scratch (the per-event sort boxing of
+// TestSpillReloadSteadyStateAllocs).
+func TestWarmPoolAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomizes reuse under the race detector; allocation counts are not meaningful")
+	}
+	const n = 2000
+	q := New(Config{MemBytes: 48 * RecordSize})
+	rng := rand.New(rand.NewSource(42))
+	dists := make([]float64, n)
+	for i := range dists {
+		dists[i] = rng.Float64() * 1000
+	}
+	var out []float64
+	out = pushPopCycle(q, dists, out) // size the scratch
+	held := testing.AllocsPerRun(5, func() {
+		out = pushPopCycle(q, dists, out)
+	})
+	released := testing.AllocsPerRun(5, func() {
+		out = pushPopCycle(q, dists, out)
+		q.Release()
+	})
+	if len(out) != n {
+		t.Fatalf("cycle returned %d pairs, want %d", len(out), n)
+	}
+	if released > held {
+		t.Errorf("a cycle from the warm pool allocates %v, %v with the scratch held: slab or segments were not reused", released, held)
 	}
 }

@@ -52,6 +52,9 @@ type Queue struct {
 	tieDist    float64
 	// arg is where Push stages its by-value argument (see Push).
 	arg Pair
+	// sc is the disk path's scratch (pool.go): nil until the first
+	// spill, held until Release.
+	sc *scratch
 }
 
 // FaultOp identifies one injectable disk-path operation of the queue,
@@ -264,36 +267,19 @@ func (q *Queue) Peek() (p Pair, ok bool) {
 // run stays in memory — the budget is temporarily exceeded by the run
 // length — and only the strictly-longer tail spills.
 func (q *Queue) splitHeap() {
-	buf := getPairBuf(q.heap.Len())
-	items := append(buf.items, q.heap.Items()...)
-	sort.Sort(byPairOrder(items))
-	keep := len(items) / 2
-	if keep < 1 {
-		keep = 1
+	sc := q.scratch()
+	items := append(sc.slab(q.heap.Len()), q.heap.Items()...)
+	want := len(items) / 2
+	if want < 1 {
+		want = 1
 	}
-	split := items[keep].Dist
-	// Keep strictly-below-split pairs in memory so that the routing
-	// invariant (heap holds only dist < memBound) is preserved; pairs
-	// equal to the split distance spill with the long half.
-	//lint:allow floatcmp tie-run boundary scan is bit-exact by design: equal distances must never straddle the memory/disk boundary
-	for keep > 0 && items[keep-1].Dist == split {
-		keep--
-	}
-	bound := split
-	if keep == 0 {
-		// The split point landed inside a single-distance run: keep
-		// the entire run, spill only pairs strictly beyond it.
-		bound = math.Nextafter(split, math.Inf(1))
-		keep = sort.Search(len(items), func(i int) bool { return items[i].Dist > split })
-	}
+	keep, bound := tieSafeSplit(items, want)
 	if keep == len(items) {
 		// Nothing spillable — the whole heap is one tie run. Leave it
 		// in memory, shrink the bound so longer pairs spill directly,
 		// and stop re-splitting until the heap can actually shed load.
-		q.tieRun, q.tieDist = true, split
+		q.tieRun, q.tieDist = true, items[0].Dist
 		q.holdTieRun(len(items))
-		buf.items = items
-		putPairBuf(buf)
 		return
 	}
 
@@ -303,15 +289,13 @@ func (q *Queue) splitHeap() {
 	if q.fault != nil {
 		if err := q.fault(FaultSpill); err != nil {
 			q.err = err
-			buf.items = items
-			putPairBuf(buf)
 			return
 		}
 	}
 	hi := q.memBound
 	q.memBound = bound
 	q.splitFloor = 0
-	seg := getSegment(bound, hi, q.store.PageSize())
+	seg := sc.segment(bound, hi, q.store.PageSize())
 	for i := keep; i < len(items); i++ {
 		q.appendToSegment(seg, &items[i])
 	}
@@ -322,10 +306,6 @@ func (q *Queue) splitHeap() {
 	for i := range items[:keep] {
 		q.heap.PushFrom(&items[i])
 	}
-	// Every pair is now copied into the heap or encoded into the
-	// segment buffer; the slab can recycle.
-	buf.items = items
-	putPairBuf(buf)
 	if q.tr.Enabled() {
 		q.tr.Emit(trace.Event{
 			Kind:     trace.KindQueueSpill,
@@ -336,6 +316,32 @@ func (q *Queue) splitHeap() {
 			Segments: len(q.segs),
 		})
 	}
+}
+
+// tieSafeSplit sorts items and places the memory/disk boundary so that
+// about want pairs stay in memory: items[:keep] stay and bound is the
+// exclusive upper distance of the kept range. want must be below
+// len(items).
+//
+// Pairs at the split distance spill with the long half, so that the
+// routing invariant (the heap holds only dist < memBound) is kept.
+// When that would leave nothing in memory the split point lies inside
+// a single-distance run: the whole run stays, even over capacity, and
+// only pairs strictly beyond it spill. keep == len(items) then means
+// nothing is spillable: every pair shares one distance.
+func tieSafeSplit(items []Pair, want int) (keep int, bound float64) {
+	sort.Sort(byPairOrder(items))
+	keep, bound = want, items[want].Dist
+	//lint:allow floatcmp tie-run boundary scan is bit-exact by design: equal distances must never straddle the memory/disk boundary
+	for keep > 0 && items[keep-1].Dist == bound {
+		keep--
+	}
+	if keep > 0 {
+		return keep, bound
+	}
+	split := bound
+	keep = sort.Search(len(items), func(i int) bool { return items[i].Dist > split })
+	return keep, math.Nextafter(split, math.Inf(1))
 }
 
 // spill routes p to the disk segment covering its distance, creating a
@@ -370,7 +376,7 @@ func (q *Queue) segmentFor(dist float64) *segment {
 			hi = above.lo
 		}
 	}
-	seg := getSegment(lo, hi, q.store.PageSize())
+	seg := q.scratch().segment(lo, hi, q.store.PageSize())
 	q.insertSegment(seg)
 	return seg
 }
@@ -481,16 +487,12 @@ func (q *Queue) swapIn() bool {
 	q.diskPairs -= seg.count
 	q.splitFloor, q.tieRun = 0, false // heap is empty; any previous overrun is gone
 
-	buf := getPairBuf(seg.count)
-	items := buf.items
-	page := getPageBuf(q.store.PageSize())
+	sc := q.scratch()
+	items := sc.slab(seg.count)
+	page := sc.pageBuf(q.store.PageSize())
 	for _, id := range seg.pages {
 		if err := q.store.ReadPage(id, page); err != nil {
 			q.err = err
-			buf.items = items
-			putPairBuf(buf)
-			putPageBuf(page)
-			putSegment(seg)
 			return false
 		}
 		q.mc.QueueIO(1, 0, q.ioCost.SequentialPageCost())
@@ -499,32 +501,18 @@ func (q *Queue) swapIn() bool {
 		}
 		q.free = append(q.free, id)
 	}
-	putPageBuf(page)
 	for i := 0; i < seg.bufCount; i++ {
 		items = append(items, decodePair(seg.buf[i*RecordSize:]))
 	}
 
+	q.memBound = seg.hi
 	if len(items) > q.capacity {
-		sort.Sort(byPairOrder(items))
-		keep := q.capacity
-		split := items[keep].Dist
-		//lint:allow floatcmp tie-run boundary scan is bit-exact by design: equal distances must never straddle the memory/disk boundary
-		for keep > 0 && items[keep-1].Dist == split {
-			keep--
-		}
-		bound := split
-		if keep == 0 {
-			// As in splitHeap: never straddle a tie run across the
-			// boundary — keep the whole run, even over capacity.
-			bound = math.Nextafter(split, math.Inf(1))
-			keep = sort.Search(len(items), func(i int) bool { return items[i].Dist > split })
-		}
+		keep, bound := tieSafeSplit(items, q.capacity)
 		if keep == len(items) {
-			q.memBound = seg.hi
 			q.splitFloor = len(items)
-			q.tieRun, q.tieDist = true, split
+			q.tieRun, q.tieDist = true, items[0].Dist
 		} else {
-			rest := getSegment(bound, seg.hi, q.store.PageSize())
+			rest := sc.segment(bound, seg.hi, q.store.PageSize())
 			for i := keep; i < len(items); i++ {
 				q.appendToSegment(rest, &items[i])
 			}
@@ -532,19 +520,12 @@ func (q *Queue) swapIn() bool {
 			items = items[:keep]
 			q.memBound = bound
 		}
-	} else {
-		q.memBound = seg.hi
 	}
 
 	for i := range items {
 		q.heap.PushFrom(&items[i])
 	}
 	loaded := len(items)
-	// Everything is copied into the heap (or re-encoded into rest's
-	// buffer above); recycle the slab before the possible tail call so
-	// a chain of empty segments reuses one slab.
-	buf.items = items
-	putPairBuf(buf)
 	if q.tr.Enabled() {
 		q.tr.Emit(trace.Event{
 			Kind:     trace.KindQueueReload,
@@ -556,17 +537,40 @@ func (q *Queue) swapIn() bool {
 		})
 	}
 	// The segment is fully consumed — every record decoded and copied
-	// onward — so it recycles whole (header, page list, write buffer).
-	putSegment(seg)
+	// onward — so the next spill can reuse it whole.
+	sc.retire(seg)
 	return loaded > 0 || q.swapIn()
 }
 
-// Drain removes all pairs (used between experiment stages).
+// scratch returns the queue's scratch, taking one from the pool at the
+// first spill.
+func (q *Queue) scratch() *scratch {
+	if q.sc == nil {
+		q.sc = scratchPool.Get().(*scratch)
+	}
+	return q.sc
+}
+
+// Release empties the queue and gives its scratch back to the pool: a
+// query calls it once its results are out. It is idempotent, and a
+// queue that never spilled has no scratch to give back; a latched error
+// stays latched. A released queue may be pushed to again and takes a
+// fresh scratch at its next spill.
+func (q *Queue) Release() {
+	q.Drain()
+	if q.sc != nil {
+		scratchPool.Put(q.sc)
+		q.sc = nil
+	}
+}
+
+// Drain removes all pairs and keeps the scratch: the segments go to its
+// free list, their pages to the queue's.
 func (q *Queue) Drain() {
 	q.heap.Clear()
 	for _, s := range q.segs {
 		q.free = append(q.free, s.pages...)
-		putSegment(s)
+		q.sc.retire(s)
 	}
 	q.segs = nil
 	q.diskPairs = 0

@@ -25,8 +25,10 @@ type AMIDJIterator struct {
 	produced  int
 	lastDist  float64
 	maxd      float64
-	exhausted bool
-	err       error
+	// done is set by Close, which every terminal path of Next goes
+	// through: exhausted, failed, cancelled, or closed by the caller.
+	done bool
+	err  error
 	// modeLabel names the source of the current stage cutoff for the
 	// registry's eDmax-accuracy sample: "initial" (Eq. 3), "arithmetic"
 	// (Eq. 4), "geometric" (Eq. 5), or "override" (caller-supplied
@@ -61,8 +63,7 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*AMIDJIterator, error) {
 	c.algo = "AM-IDJ"
 	c.beginQuery(batch)
 	if c.left.Size() == 0 || c.right.Size() == 0 {
-		it.exhausted = true
-		c.endQuery(nil)
+		it.Close()
 		return it, nil
 	}
 	switch {
@@ -84,11 +85,16 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*AMIDJIterator, error) {
 	return it, nil
 }
 
-// Close completes the query's registry entry (latency, counters,
-// error outcome). It is idempotent and safe on iterators without a
-// registry; Next's terminal paths call it implicitly, so Close is
-// only required when abandoning an iterator early.
-func (it *AMIDJIterator) Close() { it.c.endQuery(it.err) }
+// Close ends the iteration: it completes the query's registry entry
+// (latency, counters, error outcome) and releases the main queue, so
+// every later Next returns false; Err keeps what it reported. It is
+// idempotent and safe on iterators without a registry; Next's terminal
+// paths call it implicitly, so Close is only required when abandoning
+// an iterator early.
+func (it *AMIDJIterator) Close() {
+	it.done = true
+	it.c.endQuery(it.err)
+}
 
 // Produced returns the number of results emitted so far.
 func (it *AMIDJIterator) Produced() int { return it.produced }
@@ -102,7 +108,7 @@ func (it *AMIDJIterator) Err() error { return it.err }
 // Next returns the next nearest pair. ok is false when the join is
 // exhausted or an error occurred (check Err).
 func (it *AMIDJIterator) Next() (Result, bool) {
-	if it.exhausted || it.err != nil {
+	if it.done {
 		return Result{}, false
 	}
 	for {
@@ -119,7 +125,6 @@ func (it *AMIDJIterator) Next() (Result, bool) {
 				return Result{}, false
 			}
 			if !it.advanceStage() {
-				it.exhausted = true
 				it.Close()
 				return Result{}, false
 			}
@@ -138,7 +143,6 @@ func (it *AMIDJIterator) Next() (Result, bool) {
 				it.c.pushCopy(p) // advanceStage re-seeds tracked pairs itself
 			}
 			if !it.advanceStage() {
-				it.exhausted = true
 				it.Close()
 				return Result{}, false
 			}

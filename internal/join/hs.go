@@ -159,36 +159,37 @@ func HSIDJ(left, right *rtree.Tree, opts Options) (*HSIDJIterator, error) {
 	c.beginQuery(0)
 	it := &HSIDJIterator{c: c}
 	if c.left.Size() == 0 || c.right.Size() == 0 {
-		it.done = true
-		c.endQuery(nil)
+		it.Close()
 		return it, nil
 	}
 	c.pushCopy(c.rootPair())
 	return it, nil
 }
 
-// Close completes the query's registry entry. It is idempotent; Next's
-// terminal paths call it implicitly, so Close is only required when
-// abandoning an iterator early.
-func (it *HSIDJIterator) Close() { it.c.endQuery(it.err) }
+// Close ends the iteration: it completes the query's registry entry and
+// releases the main queue, so every later Next returns false. It is
+// idempotent; Next's terminal paths call it implicitly, so Close is
+// only required when abandoning an iterator early.
+func (it *HSIDJIterator) Close() {
+	it.done = true
+	it.c.endQuery(it.err)
+}
 
 // Next returns the next nearest pair. ok is false when the join is
 // exhausted or an error occurred (check Err).
 func (it *HSIDJIterator) Next() (Result, bool) {
-	if it.done || it.err != nil {
+	if it.done {
 		return Result{}, false
 	}
 	for {
 		if err := it.c.cancelled(); err != nil {
 			it.err = err
-			it.done = true
 			it.Close()
 			return Result{}, false
 		}
 		p, ok := it.c.queue.Pop()
 		if !ok {
 			it.err = it.c.traceError(it.c.queue.Err())
-			it.done = true
 			it.Close()
 			return Result{}, false
 		}
@@ -202,7 +203,6 @@ func (it *HSIDJIterator) Next() (Result, bool) {
 		}
 		if err := it.c.hsExpand(p, nil); err != nil {
 			it.err = err
-			it.done = true
 			it.Close()
 			return Result{}, false
 		}

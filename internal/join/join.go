@@ -526,10 +526,13 @@ func (c *execContext) beginQuery(k int) {
 }
 
 // endQuery completes the registry entry, folding in the final counters
-// and the error outcome. Idempotent: safe to call from both an
-// iterator's terminal paths and its Close.
+// and the error outcome, and releases the main queue: whatever it still
+// holds is dropped and its scratch goes back to the pool for the next
+// query. Idempotent: safe to call from both an iterator's terminal
+// paths and its Close.
 func (c *execContext) endQuery(err error) {
 	c.rq.End(c.mc, err)
+	c.queue.Release()
 }
 
 // recordEstimate reports one eDmax-estimator accuracy sample — the

@@ -7,6 +7,7 @@ import (
 
 	"distjoin/internal/datagen"
 	"distjoin/internal/geom"
+	"distjoin/internal/hybridq"
 	"distjoin/internal/obsrv"
 )
 
@@ -15,7 +16,8 @@ import (
 // Options.Registry nil, the begin/progress/end hooks sitting on the
 // per-expansion hot path must not allocate.
 func TestRegistryOffNoAllocs(t *testing.T) {
-	c := &execContext{algo: "AM-KDJ", stage: "aggressive"} // opts.Registry == nil
+	// opts.Registry == nil
+	c := &execContext{algo: "AM-KDJ", stage: "aggressive", queue: hybridq.New(hybridq.Config{})}
 	allocs := testing.AllocsPerRun(200, func() {
 		c.beginQuery(10) // nil registry -> nil handle
 		c.rq.SetStage("aggressive")

@@ -34,58 +34,20 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 	sorter, err := extsort.NewSorter(pairCodec, hybridq.PairLess,
 		extsort.Config{MemBytes: mem, Metrics: opts.Metrics, IOCost: c.ioCost})
 	if err != nil {
-		return nil, err
+		return nil, c.traceError(err)
 	}
 
-	// Phase one: the spatial join. A DFS over node pairs; qualifying
-	// object pairs stream into the sorter.
-	stack := []hybridq.Pair{c.rootPair()}
-	// The sweep lends its scratch pair for the call only; the stack and
-	// the sorter each take a copy.
-	emit := func(np *hybridq.Pair) bool {
-		if !np.IsResult() {
-			stack = append(stack, *np)
-			return true
-		}
-		// Self-join semantics: suppress identity pairs and keep one of
-		// each mirror pair — the same filter execContext.push applies for
-		// the queue-driven algorithms. Pairs stream into the sorter
-		// directly, so the filter must be applied here. (Caught by the
-		// simtest differential oracle: the self-join workload otherwise
-		// ranks <a,a> pairs at distance zero ahead of every real result.)
-		if c.opts.SelfJoin && np.Left >= np.Right {
-			return false
-		}
-		rp := *np
-		if c.refiner != nil {
-			rp = c.refine(rp)
-			if rp.Dist > dmax {
-				return false
-			}
-		}
+	// Phase one: the spatial join. Qualifying object pairs stream into
+	// the sorter.
+	if err := c.withinDescent(dmax, func(rp hybridq.Pair) bool {
 		sorter.Add(rp)
 		c.mc.AddMainQueueInsert(1) // counted as the baseline's queue work
 		return true
-	}
-	for len(stack) > 0 {
-		if err := c.cancelled(); err != nil {
-			return nil, err
-		}
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if p.Dist > dmax {
-			continue
-		}
-		run, err := c.ex.expansion(p, dmax)
-		if err != nil {
-			return nil, err
-		}
-		run.fixCutoff(dmax)
-		run.emit = emit
-		run.run()
+	}); err != nil {
+		return nil, err
 	}
 	if err := sorter.Err(); err != nil {
-		return nil, err
+		return nil, c.traceError(err)
 	}
 
 	// Phase two: external sort, then emit the first k.
@@ -93,7 +55,7 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 	c.rq.SetStage("sort")
 	it, err := sorter.Sort()
 	if err != nil {
-		return nil, err
+		return nil, c.traceError(err)
 	}
 	results = make([]Result, 0, k)
 	for len(results) < k {
@@ -110,7 +72,7 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 		c.mc.AddResult(1)
 	}
 	if err := it.Err(); err != nil {
-		return nil, err
+		return nil, c.traceError(err)
 	}
 	return results, nil
 }

@@ -42,10 +42,23 @@ func WithinJoin(left, right *rtree.Tree, maxDist float64, opts Options, fn func(
 	c.mc.Start()
 	defer c.mc.Finish()
 
+	return c.withinDescent(maxDist, func(rp hybridq.Pair) bool {
+		c.mc.AddResult(1)
+		return fn(pairResult(rp))
+	})
+}
+
+// withinDescent is the within(maxDist) traversal shared by WithinJoin
+// and SJ-SORT's first phase: a synchronized depth-first descent over
+// node pairs with plane-sweep pruning. Every qualifying object pair —
+// past the self-join filter, refined and re-checked against maxDist
+// when a refiner is installed — is handed to sink; sink returning false
+// stops the traversal.
+func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) bool) error {
 	stop := false
 	stack := []hybridq.Pair{c.rootPair()}
 	// The sweep lends its scratch pair for the call only: node pairs are
-	// copied onto the stack, results are converted before fn sees them.
+	// copied onto the stack, results reach sink by value.
 	emit := func(np *hybridq.Pair) bool {
 		if stop {
 			return false
@@ -54,6 +67,12 @@ func WithinJoin(left, right *rtree.Tree, maxDist float64, opts Options, fn func(
 			stack = append(stack, *np)
 			return true
 		}
+		// Self-join semantics: suppress identity pairs and keep one of
+		// each mirror pair — the same filter execContext.push applies for
+		// the queue-driven algorithms, which these pairs never pass
+		// through. (Caught by the simtest differential oracle: the
+		// self-join workload otherwise ranks <a,a> pairs at distance zero
+		// ahead of every real result.)
 		if c.opts.SelfJoin && np.Left >= np.Right {
 			return false
 		}
@@ -64,10 +83,7 @@ func WithinJoin(left, right *rtree.Tree, maxDist float64, opts Options, fn func(
 				return false
 			}
 		}
-		c.mc.AddResult(1)
-		if !fn(pairResult(rp)) {
-			stop = true
-		}
+		stop = !sink(rp)
 		return true
 	}
 	for len(stack) > 0 && !stop {

@@ -3,23 +3,13 @@ package metrics
 import (
 	"testing"
 	"time"
+
+	"distjoin/internal/niltest"
 )
 
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
-	c.Start()
-	c.Finish()
-	c.Reset()
-	c.AddRealDist(1)
-	c.AddAxisDist(1)
-	c.AddMainQueueInsert(1)
-	c.AddDistQueueInsert(1)
-	c.AddCompQueueInsert(1)
-	c.NodeAccess(true, time.Millisecond)
-	c.QueueIO(1, 1, time.Millisecond)
-	c.SortIO(1, 1, time.Millisecond)
-	c.AddResult(1)
-	c.AddCompensationStage()
+	niltest.CallAll(t, c) // every method, present and future, must not panic
 	c.Add(&Collector{})
 	if c.DistCalcs() != 0 || c.QueueInserts() != 0 || c.ResponseTime() != 0 {
 		t.Fatal("nil collector must report zeros")

@@ -9,20 +9,18 @@ import (
 	"testing"
 
 	"distjoin/internal/metrics"
+	"distjoin/internal/niltest"
 )
 
 func TestNilRegistryAndNilQueryNoOp(t *testing.T) {
 	var r *Registry
-	q := r.Begin("AM-KDJ", 10)
-	if q != nil {
+	// Every method of the registry and of the handle, present and
+	// future, must be callable on nil.
+	niltest.CallAll(t, r)
+	niltest.CallAll(t, (*Query)(nil))
+	if q := r.Begin("AM-KDJ", 10); q != nil {
 		t.Fatalf("nil registry Begin returned non-nil handle %v", q)
 	}
-	// Every handle method must be callable on nil.
-	q.SetStage("aggressive")
-	q.SetEDmax(1.5)
-	q.SetQueueDepth(1, 2, 3)
-	q.RecordEstimate(1, 2, ModeInitial)
-	q.End(nil, nil)
 	if r.InFlight() != 0 || r.Uptime() != 0 {
 		t.Fatal("nil registry reported non-zero state")
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"distjoin/internal/niltest"
 )
 
 // TestServingMetricsNilSafe: every method of a nil *ServingMetrics
@@ -12,11 +14,7 @@ import (
 // discipline.
 func TestServingMetricsNilSafe(t *testing.T) {
 	var m *ServingMetrics
-	m.ObserveRequest("join/k", time.Millisecond, time.Microsecond)
-	for c := ServingCounter(0); c < numServingCounters; c++ {
-		m.Inc(c)
-	}
-	m.SetGauges(func() ServingGauges { return ServingGauges{InFlight: 1} })
+	niltest.CallAll(t, m) // every method, present and future, must not panic
 	if s := m.Snapshot(); len(s.Families) != 0 || s.Counters[ServingShed] != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", s)
 	}

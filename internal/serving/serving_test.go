@@ -431,7 +431,7 @@ func TestDeadlineMidQuery(t *testing.T) {
 func TestCursorExpiry(t *testing.T) {
 	s, _, _, h := testServer(t, Config{})
 	code, body := postJSON(t, h.Client(), h.URL+"/v1/join/incremental",
-		incrementalOpenRequest{Left: "left", Right: "right", PageSize: 5, DeadlineMS: 40})
+		incrementalOpenRequest{Left: "left", Right: "right", PageSize: 5, DeadlineMS: 100})
 	if code != http.StatusOK {
 		t.Fatalf("open: %d: %s", code, body)
 	}
@@ -440,10 +440,23 @@ func TestCursorExpiry(t *testing.T) {
 	if resp.Cursor == "" {
 		t.Fatal("no cursor")
 	}
+	cur, ok := s.cursors.get(resp.Cursor, time.Now())
+	if !ok {
+		t.Fatal("cursor not registered")
+	}
 	waitFor(t, time.Second, func() bool {
 		_, ok := s.cursors.get(resp.Cursor, time.Now())
 		return !ok
 	})
+	// The sweep closed the iterator with the join barely started: a
+	// handler that still holds the cursor gets no pairs from it, and the
+	// engine iterator underneath has stopped for good.
+	if pairs, done, _, err := cur.next(5); len(pairs) != 0 || !done || err == nil {
+		t.Fatalf("next on swept cursor: %d pairs, done=%v, err=%v", len(pairs), done, err)
+	}
+	if p, ok := cur.it.Next(); ok {
+		t.Fatalf("closed cursor's iterator produced %+v", p)
+	}
 	code, body = postJSON(t, h.Client(), h.URL+"/v1/join/incremental/next",
 		incrementalNextRequest{Cursor: resp.Cursor})
 	if code != http.StatusNotFound {

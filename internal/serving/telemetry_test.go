@@ -188,43 +188,48 @@ func TestQueryIDCorrelation(t *testing.T) {
 
 // TestExplainRoundtrip: ?explain=1 embeds the trace timeline, and its
 // dist-calc total matches the response's stats block exactly (both
-// read the same collector).
+// read the same collector). SJ-SORT has no stage events; its timeline
+// is the expansions of its spatial-join phase.
 func TestExplainRoundtrip(t *testing.T) {
 	_, _, _, h := testServer(t, Config{Registry: distjoin.NewRegistry()})
 
-	code, body := postJSON(t, http.DefaultClient, h.URL+"/v1/join/k?explain=1",
-		kDistanceRequest{Left: "left", Right: "right", K: 25})
-	if code != http.StatusOK {
-		t.Fatalf("explain query: %d: %s", code, body)
-	}
-	var out queryResponse
-	decodeInto(t, body, &out)
-	if out.Explain == nil {
-		t.Fatal("?explain=1 response has no explain block")
-	}
-	ex := out.Explain
-	if len(ex.Events) == 0 {
-		t.Fatal("explain block has no trace events")
-	}
-	if len(ex.Summary.Stages) == 0 {
-		t.Fatal("explain summary has no stage spans")
-	}
-	for _, sp := range ex.Summary.Stages {
-		if sp.EndUS < sp.StartUS {
-			t.Fatalf("stage %s/%s: end %d before start %d", sp.Algo, sp.Stage, sp.EndUS, sp.StartUS)
+	for _, req := range []kDistanceRequest{
+		{Left: "left", Right: "right", K: 25},
+		{Left: "left", Right: "right", K: 25, Algorithm: "sj", MaxDist: 50},
+	} {
+		code, body := postJSON(t, http.DefaultClient, h.URL+"/v1/join/k?explain=1", req)
+		if code != http.StatusOK {
+			t.Fatalf("explain query %+v: %d: %s", req, code, body)
 		}
-	}
-	if ex.Summary.DistCalcs != out.Stats.DistCalcs {
-		t.Fatalf("explain dist_calcs %d != stats dist_calcs %d (must share one collector)",
-			ex.Summary.DistCalcs, out.Stats.DistCalcs)
-	}
-	if ex.Summary.QueueInserts != out.Stats.QueueInserts {
-		t.Fatalf("explain queue_inserts %d != stats queue_inserts %d",
-			ex.Summary.QueueInserts, out.Stats.QueueInserts)
+		var out queryResponse
+		decodeInto(t, body, &out)
+		if out.Explain == nil {
+			t.Fatalf("%+v: ?explain=1 response has no explain block", req)
+		}
+		ex := out.Explain
+		if len(ex.Events) == 0 || ex.Summary.Expansions == 0 {
+			t.Fatalf("%+v: explain block has %d trace events, %d expansions", req, len(ex.Events), ex.Summary.Expansions)
+		}
+		if req.Algorithm == "" && len(ex.Summary.Stages) == 0 {
+			t.Fatal("explain summary has no stage spans")
+		}
+		for _, sp := range ex.Summary.Stages {
+			if sp.EndUS < sp.StartUS {
+				t.Fatalf("stage %s/%s: end %d before start %d", sp.Algo, sp.Stage, sp.EndUS, sp.StartUS)
+			}
+		}
+		if ex.Summary.DistCalcs != out.Stats.DistCalcs {
+			t.Fatalf("%+v: explain dist_calcs %d != stats dist_calcs %d (must share one collector)",
+				req, ex.Summary.DistCalcs, out.Stats.DistCalcs)
+		}
+		if ex.Summary.QueueInserts != out.Stats.QueueInserts {
+			t.Fatalf("%+v: explain queue_inserts %d != stats queue_inserts %d",
+				req, ex.Summary.QueueInserts, out.Stats.QueueInserts)
+		}
 	}
 
 	// Without the parameter the block is absent.
-	code, body = postJSON(t, http.DefaultClient, h.URL+"/v1/join/k",
+	code, body := postJSON(t, http.DefaultClient, h.URL+"/v1/join/k",
 		kDistanceRequest{Left: "left", Right: "right", K: 25})
 	if code != http.StatusOK {
 		t.Fatalf("plain query: %d: %s", code, body)
