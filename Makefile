@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples serve-smoke ci clean
+.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples serve-smoke ci clean
 
 # Coverage floor for the cover-check gate: the suite sits above 80%,
 # so the floor guards against untested subsystems landing, with a
@@ -120,6 +120,13 @@ test-short:
 
 race:
 	$(GO) test -race ./...
+
+# The sweep-order memo's shared decoded nodes under the race detector,
+# without -short and repeated: racing first-touch publication, several
+# queries sweeping one node in place, and the before/after digests that
+# show no engine path writes through sweepRun.L/R.
+race-memo:
+	$(GO) test -race -count=3 -run 'SweepOrderMemo|SharedNodes|OrderedDecode|DecodedNodeRoom|ResizeBuffer|ConcurrentFirstTouch' ./internal/rtree ./internal/join .
 
 cover:
 	$(GO) test -cover ./...

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"distjoin/internal/memotest"
 )
 
 // Indexes are safe for concurrent queries: the buffer pool serializes
@@ -70,7 +72,13 @@ func TestConcurrentQueries(t *testing.T) {
 // on one shared pair of indexes no query has touched, so they all sort
 // and publish the same nodes' orders at once (a primary -race target).
 // Whichever store wins each slot, every caller must return exactly
-// what a query on a private pair of indexes returns.
+// what a query on a private pair of indexes returns. The default pools
+// hold these indexes with room to spare, so what is published are
+// decoded nodes that all later callers sweep in place: after the race
+// they must be bit for bit the nodes the private pair published on one
+// goroutine, and a second race over the now-filled memo — eight callers
+// reading the same nodes at once — must leave every one of them the
+// same node with the same bits.
 func TestConcurrentFirstTouch(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randObjects(rng, 900, 2000, 10)
@@ -83,13 +91,23 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		return idx
 	}
 	const k = 120
-	want, err := KDistanceJoin(build(a), build(b), k, nil)
+	privLeft, privRight := build(a), build(b)
+	want, err := KDistanceJoin(privLeft, privRight, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// B-KDJ orders nodes AM-KDJ's plans never ask for; the racing callers
+	// run both, so the private pair does too.
+	if _, err := KDistanceJoin(privLeft, privRight, k, &Options{Algorithm: BKDJ}); err != nil {
+		t.Fatal(err)
+	}
+	private := [2]memotest.Survey{memotest.Read(t, privLeft.tree), memotest.Read(t, privRight.tree)}
+	if len(private[0].Nodes) == 0 || len(private[1].Nodes) == 0 {
+		t.Fatal("the default pools left no room for decoded nodes; the race would publish permutations only")
+	}
 
-	for round := 0; round < 3; round++ {
-		left, right := build(a), build(b) // fresh: every slot still empty
+	race := func(left, right *Index) {
+		t.Helper()
 		const callers = 8
 		start := make(chan struct{})
 		fail := make(chan string, callers)
@@ -123,6 +141,24 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		for msg := range fail {
 			t.Fatal(msg)
 		}
+	}
+	for round := 0; round < 3; round++ {
+		left, right := build(a), build(b) // fresh: every slot still empty
+		race(left, right)
+		published := [2]memotest.Survey{memotest.Read(t, left.tree), memotest.Read(t, right.tree)}
+		for side, pub := range published {
+			if len(pub.Nodes) != len(private[side].Nodes) {
+				t.Fatalf("side %d: the race published %d nodes, one goroutine %d", side, len(pub.Nodes), len(private[side].Nodes))
+			}
+			for cell, n := range pub.Nodes {
+				if n.Digest != private[side].Nodes[cell].Digest {
+					t.Fatalf("side %d, page %d slot %d: the raced node differs from the one a single goroutine published", side, cell.ID, cell.Slot)
+				}
+			}
+		}
+		race(left, right)
+		memotest.Unchanged(t, "left index, second race", published[0], memotest.Read(t, left.tree))
+		memotest.Unchanged(t, "right index, second race", published[1], memotest.Read(t, right.tree))
 	}
 }
 

@@ -352,7 +352,10 @@ type IndexConfig struct {
 	// paper's setting).
 	PageSize int
 	// BufferBytes is the R-tree buffer pool capacity (default 512 KB,
-	// the paper's setting).
+	// the paper's setting). Capacity beyond the index's own pages is
+	// not wasted: the index keeps that many bytes of its nodes decoded
+	// for the joins to sweep in place (docs/memory.md, "Sweep-order
+	// memo").
 	BufferBytes int
 }
 

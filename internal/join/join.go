@@ -206,13 +206,14 @@ type execContext struct {
 // expander carries the state a node expansion needs: the
 // struct-of-arrays decode buffers, the sweep scratch, and the metrics
 // collector the work is accounted to. Each query's execContext owns
-// one, so concurrent queries never share mutable state. All scratch is
-// reused across expansions, so a warm expander expands nodes without
-// allocating.
+// one, so concurrent queries never share mutable state — the one thing
+// they do share, a tree's finished nodes (sideSorted), is read-only.
+// All scratch is reused across expansions, so a warm expander expands
+// nodes without allocating.
 type expander struct {
 	c          *execContext
 	mc         *metrics.Collector
-	soaL, soaR rtree.NodeSoA   // reused SoA decode buffers for sideSoA
+	soaL, soaR rtree.NodeSoA   // reused SoA decode buffers, where the tree lends no node of its own
 	sorter     sweep.SoASorter // reused sweep-order sorter (memo misses only)
 	run        sweepRun        // reused sweep state, handed out by expansion
 	distBuf    []float64       // reused batch distance kernel output

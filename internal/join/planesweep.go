@@ -42,7 +42,9 @@ type sweepSide struct {
 // rectangle is read only when a candidate survives the axis scan, and
 // refs only when a candidate is delivered.
 //
-// L and R must already be sorted per plan. The merge loop repeatedly
+// L and R must already be sorted per plan, and the run only ever reads
+// them: either may be the tree's own finished node, shared with every
+// other query on the index (expander.sideSorted). The merge loop repeatedly
 // takes the entry with the minimum sweep key as the anchor and scans
 // the not-yet-anchored prefix-remainder of the opposite list in key
 // order, breaking at the first candidate whose axis gap exceeds the
@@ -385,8 +387,9 @@ func minDistOriented(anchorFromL bool, anchor, other geom.Rect) float64 {
 // expansion materializes both sides of a pair for sweeping: the child
 // entries in SoA form, their kind, and the sweep plan (per-pair axis
 // and direction selection of §3.2/§3.3, or the fixed policy for the
-// ablation). The returned run is the expander's reusable scratch: it
-// is valid until the expander's next expansion.
+// ablation). The returned run is the expander's reusable scratch: it,
+// and the nodes it points at, are valid until the expander's next
+// expansion.
 func (e *expander) expansion(p hybridq.Pair, cutoff float64) (*sweepRun, error) {
 	return e.expansionWithPlan(p, e.c.choosePlan(p, cutoff))
 }
@@ -395,42 +398,57 @@ func (e *expander) expansion(p hybridq.Pair, cutoff float64) (*sweepRun, error) 
 // compensation stage to reproduce the stage-one sweep order exactly.
 func (e *expander) expansionWithPlan(p hybridq.Pair, plan sweep.Plan) (*sweepRun, error) {
 	c := e.c
-	lObj, err := e.sideSorted(c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL, plan)
+	l, lObj, err := e.sideSorted(c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL, plan)
 	if err != nil {
 		return nil, err
 	}
-	rObj, err := e.sideSorted(c.right, p.Right, p.RightObj, p.RightRect, &e.soaR, plan)
+	r, rObj, err := e.sideSorted(c.right, p.Right, p.RightObj, p.RightRect, &e.soaR, plan)
 	if err != nil {
 		return nil, err
 	}
-	r := &e.run
-	*r = sweepRun{} // zeroed in place; a non-zero literal would be built aside and copied
-	r.e, r.L, r.R, r.plan = e, &e.soaL, &e.soaR, plan
-	r.pair.LeftObj, r.pair.RightObj = lObj, rObj
-	return r, nil
+	run := &e.run
+	*run = sweepRun{} // zeroed in place; a non-zero literal would be built aside and copied
+	run.e, run.L, run.R, run.plan = e, l, r, plan
+	run.pair.LeftObj, run.pair.RightObj = lObj, rObj
+	return run, nil
 }
 
-// sideSorted is sideSoA with the entries in plan's sweep order. The
-// order of a packed node under one plan never changes, so the tree
-// memoizes it: the first expansion of a node sorts it exactly as every
-// expansion used to and publishes the permutation; later ones decode
-// the page straight into that order. Either way the page is fetched
-// through the buffer pool and accounted once.
-func (e *expander) sideSorted(tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, dst *rtree.NodeSoA, plan sweep.Plan) (childIsObj bool, err error) {
+// sideSorted is sideSoA with the entries in plan's sweep order, and the
+// one place that order is established. The page is fetched through the
+// buffer pool and accounted on every call; what follows depends on what
+// the tree's sweep-order memo holds for (node, plan):
+//
+//   - the finished node: it is returned in place of scratch. It is the
+//     tree's, shared with every query on the index and never written —
+//     the sweep only reads its columns.
+//   - the permutation: the page was decoded through it into scratch;
+//     only the child levels remain to be stamped.
+//   - nothing: scratch is sorted exactly as every expansion used to
+//     sort it.
+//
+// In the last two cases the finished scratch is offered back to the
+// tree, which keeps a copy of it if it has room for decoded nodes and
+// the permutation otherwise.
+func (e *expander) sideSorted(tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, scratch *rtree.NodeSoA, plan sweep.Plan) (n *rtree.NodeSoA, childIsObj bool, err error) {
 	if isObj {
-		dst.SetSingle(rect, ref)
-		return true, nil
+		scratch.SetSingle(rect, ref)
+		return scratch, true, nil
 	}
 	page, slot := refPage(ref), plan.Slot()
-	ordered, err := tree.ReadNodeSoAOrdered(page, slot, dst, e.mc)
+	n, ordered, err := tree.ReadNodeSoAOrdered(page, slot, scratch, e.mc)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
+	if n != scratch {
+		return n, n.IsLeaf(), nil
+	}
+	var perm []uint16
 	if !ordered {
-		tree.PublishSweepOrder(page, slot, e.sorter.SortTracked(dst, plan))
+		perm = e.sorter.SortTracked(scratch, plan)
 	}
-	stampChildLevels(dst)
-	return dst.IsLeaf(), nil
+	stampChildLevels(scratch)
+	tree.PublishSweepOrder(page, slot, perm, scratch)
+	return scratch, scratch.IsLeaf(), nil
 }
 
 // choosePlan applies the sweep policy.

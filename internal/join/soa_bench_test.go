@@ -122,30 +122,27 @@ func BenchmarkSoASorter(b *testing.B) {
 
 // BenchmarkExpansionOrder measures expansionWithPlan — page fetch,
 // decode and ordering of both sides, the whole cost of establishing
-// node order — where the sweep-order memo misses and where it hits. One
-// op is one node-pair expansion (two nodes: ns/node is half of ns/op).
-// miss runs every expansion on a (node, plan) no query has ordered yet,
+// node order — for each thing the sweep-order memo can hold. One op is
+// one node-pair expansion (two nodes: ns/node is half of ns/op). miss
+// runs every expansion on a (node, plan) no query has ordered yet,
 // reopening both trees — outside the timed region — once every slot has
 // been filled: sort plus publish, 4 allocations per op (two published
-// permutations). hit runs over a filled memo: ordered decode, 0
+// permutations). hit runs over a memo filled with permutations (pools
+// that hold exactly the trees, so no room for decoded nodes): ordered
+// decode, 0 allocations. resident runs over a memo filled with finished
+// nodes (pools with room): two pool hits and two pointer loads, 0
 // allocations.
 func BenchmarkExpansionOrder(b *testing.B) {
 	left, right, lids, rids := orderBenchTrees(b)
 	n := min(len(lids), len(rids))
 	var c *execContext
-	reopen := func() {
-		l, err := rtree.Open(left.Pool().Store(), 1<<24)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := rtree.Open(right.Pool().Store(), 1<<24)
-		if err != nil {
-			b.Fatal(err)
-		}
+	reopen := func(spare int) {
+		l, r := reopened(b, left, spare), reopened(b, right, spare)
+		var err error
 		if c, err = newContext(l, r, Options{}); err != nil {
 			b.Fatal(err)
 		}
-		// Fault every page in, so both variants time pool hits.
+		// Fault every page in, so all variants time pool hits.
 		for i := 0; i < n; i++ {
 			if err := l.ReadNodeSoA(lids[i], &c.ex.soaL, nil); err != nil {
 				b.Fatal(err)
@@ -169,23 +166,31 @@ func BenchmarkExpansionOrder(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if i%(4*n) == 0 {
 				b.StopTimer()
-				reopen()
+				reopen(0)
 				b.StartTimer()
 			}
 			step(i)
 		}
 	})
-	b.Run("hit", func(b *testing.B) {
-		reopen()
-		for i := 0; i < 4*n; i++ {
-			step(i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step(i)
-		}
-	})
+	for _, filled := range []struct {
+		name  string
+		spare int
+	}{{"hit", 0}, {"resident", 1 << 12}} {
+		b.Run(filled.name, func(b *testing.B) {
+			reopen(filled.spare)
+			for i := 0; i < 4*n; i++ {
+				step(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+			if shared := c.ex.run.L != &c.ex.soaL; shared != (filled.spare > 0) {
+				b.Fatalf("the run sweeps a shared node: %v", shared)
+			}
+		})
+	}
 }
 
 // soaBounds is the MBR of a decoded node's entries.

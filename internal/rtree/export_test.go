@@ -10,3 +10,18 @@ func EncodeTestNode(page []byte, level int, entries []NodeEntry) error {
 	}
 	return encodeNode(page, level, encs)
 }
+
+// DecodedBytes is what a finished node of n entries is charged against
+// a tree's room.
+func DecodedBytes(n int) int64 { return decodedBytes(n) }
+
+// DecodedNodes counts the finished nodes the sweep-order memo holds and
+// reports the bytes charged for them and the room they are charged to.
+func (t *Tree) DecodedNodes() (nodes int, used, room int64) {
+	for i := range t.orders {
+		if c := t.orders[i].Load(); c != nil && c.node != nil {
+			nodes++
+		}
+	}
+	return nodes, t.nodeBytes.Load(), t.nodeRoom
+}

@@ -59,6 +59,18 @@ func (s *NodeSoA) Reset(n int) {
 	s.Refs = s.Refs[:n]
 }
 
+// clone returns a copy of s that shares no memory with it.
+func (s *NodeSoA) clone() *NodeSoA {
+	c := &NodeSoA{Level: s.Level}
+	c.Reset(s.Len())
+	copy(c.MinX, s.MinX)
+	copy(c.MinY, s.MinY)
+	copy(c.MaxX, s.MaxX)
+	copy(c.MaxY, s.MaxY)
+	copy(c.Refs, s.Refs)
+	return c
+}
+
 // SetSingle makes the node a one-entry leaf holding r with the given
 // ref — the singleton list a join expansion uses for an object side.
 func (s *NodeSoA) SetSingle(r geom.Rect, ref uint64) {

@@ -34,9 +34,23 @@ type Tree struct {
 	numNodes int
 	bounds   geom.Rect
 	// orders is the sweep-order memo (order.go): SweepSlots cells per
-	// page, filled lazily by queries and never invalidated — it depends
-	// only on the immutable page contents, not on the buffer pool.
-	orders []atomic.Pointer[sweepOrder]
+	// page, filled lazily by queries. What a cell describes depends only
+	// on the immutable page contents; which form it takes depends on
+	// nodeRoom, the bytes finished nodes may occupy (derived from the
+	// pool, see decodedRoom), of which nodeBytes are charged.
+	orders    []atomic.Pointer[sweepCell]
+	nodeRoom  int64
+	nodeBytes atomic.Int64
+}
+
+// newTree completes t, whose shape fields are set, with a cold buffer
+// pool of bufferBytes over store and an empty sweep-order memo.
+func newTree(t *Tree, store storage.Store, bufferBytes int) *Tree {
+	t.pool = storage.NewBufferPool(store, bufferBytes)
+	t.cost = metrics.DefaultIOCostModel()
+	t.orders = newOrderMemo(store)
+	t.nodeRoom = decodedRoom(t.pool)
+	return t
 }
 
 // Pack serializes the builder's current contents onto store (page 0
@@ -112,16 +126,13 @@ func (b *Builder) Pack(store storage.Store, bufferBytes int) (*Tree, error) {
 		return nil, err
 	}
 
-	return &Tree{
-		pool:     storage.NewBufferPool(store, bufferBytes),
-		cost:     metrics.DefaultIOCostModel(),
+	return newTree(&Tree{
 		rootPage: ids[b.root],
 		height:   b.height,
 		size:     b.size,
 		numNodes: len(order),
 		bounds:   bounds,
-		orders:   newOrderMemo(store),
-	}, nil
+	}, store, bufferBytes), nil
 }
 
 // Open reads the metadata page of a previously packed store and
@@ -137,9 +148,7 @@ func Open(store storage.Store, bufferBytes int) (*Tree, error) {
 	if string(meta[:8]) != metaMagic {
 		return nil, ErrNotRTree
 	}
-	t := &Tree{
-		pool:     storage.NewBufferPool(store, bufferBytes),
-		cost:     metrics.DefaultIOCostModel(),
+	return newTree(&Tree{
 		rootPage: storage.PageID(binary.LittleEndian.Uint32(meta[8:])),
 		height:   int(binary.LittleEndian.Uint32(meta[12:])),
 		size:     int(binary.LittleEndian.Uint64(meta[16:])),
@@ -150,9 +159,7 @@ func Open(store storage.Store, bufferBytes int) (*Tree, error) {
 			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(meta[44:])),
 			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(meta[52:])),
 		},
-		orders: newOrderMemo(store),
-	}
-	return t, nil
+	}, store, bufferBytes), nil
 }
 
 // Root returns the root node's page ID.
@@ -175,10 +182,13 @@ func (t *Tree) Bounds() geom.Rect { return t.bounds }
 func (t *Tree) Pool() *storage.BufferPool { return t.pool }
 
 // ResizeBuffer replaces the buffer pool with a fresh (cold) one of the
-// given byte capacity. Used by the memory-sensitivity experiments
-// (paper Figure 13).
+// given byte capacity and re-derives the room for finished nodes from
+// it: a pool that no longer holds the tree keeps none of them. Used by
+// the memory-sensitivity experiments (paper Figure 13), between
+// queries — it must not run while one is reading the tree.
 func (t *Tree) ResizeBuffer(bytes int) {
 	t.pool = storage.NewBufferPool(t.pool.Store(), bytes)
+	t.rederiveRoom()
 }
 
 // ReadNode fetches and decodes the node on page id, reusing dst. The

@@ -60,7 +60,8 @@ func newEnvItems(s Scenario, l, r []rtree.Item, lstore, rstore storage.Store, re
 
 // buildTree packs items into a paged R-tree per the scenario's index
 // knobs: an explicit fanout when set, otherwise the page-size-derived
-// maximum.
+// maximum; and a pool of BufBytes, or one sized against the packed tree
+// when PoolSpare says so (the page count is only known after packing).
 func buildTree(s Scenario, items []rtree.Item, store storage.Store) (*rtree.Tree, error) {
 	var (
 		b   *rtree.Builder
@@ -75,7 +76,11 @@ func buildTree(s Scenario, items []rtree.Item, store storage.Store) (*rtree.Tree
 		return nil, err
 	}
 	b.BulkLoad(items)
-	return b.Pack(store, s.BufBytes)
+	t, err := b.Pack(store, s.BufBytes)
+	if err == nil && s.PoolSpare != 0 {
+		t.ResizeBuffer(max(1, store.NumPages()+s.PoolSpare) * store.PageSize())
+	}
+	return t, err
 }
 
 // pairDist is the scenario's ranking metric: exact center distance for

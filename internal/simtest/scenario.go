@@ -94,7 +94,13 @@ type Scenario struct {
 	// Index shape.
 	Fanout   int // R-tree fanout; 0 means PageSize-derived
 	PageSize int // store page size for the trees
-	BufBytes int // buffer-pool bytes per tree
+	BufBytes int // buffer-pool bytes per tree, when PoolSpare is 0
+	// PoolSpare sizes each tree's pool relative to the tree itself, in
+	// pages: negative, that many pages short of holding it (evictions,
+	// and a sweep-order memo of permutations only); positive, that many
+	// pages beyond it (room for decoded nodes, for some of them or for
+	// all); zero leaves BufBytes in force, on whichever side it falls.
+	PoolSpare int
 
 	// Query shape.
 	K            int
@@ -166,6 +172,16 @@ func FromSeed(seed int64) Scenario {
 		{SelectDirection: true},
 	}
 	s.Sweep = sweeps[rng.Intn(len(sweeps))]
+	// Drawn last, so every earlier knob of a logged seed keeps its value.
+	// Spare pages start small: one page is room for one or two decoded
+	// nodes, after which the memo goes on with permutations.
+	side, size := rng.Intn(3), rng.Intn(4)
+	switch side {
+	case 1:
+		s.PoolSpare = -(1 + size)
+	case 2:
+		s.PoolSpare = []int{1, 2, 4, 48}[size]
+	}
 	return s
 }
 
@@ -233,10 +249,14 @@ func FromBytes(data []byte) Scenario {
 
 // String renders the scenario as one line, led by the seed repro.
 func (s Scenario) String() string {
-	return fmt.Sprintf("seed=%d %s |L|=%d |R|=%d k=%d batchK=%d qmem=%d eDmax=%s sweep=%+v dq=%d corr=%s page=%d fanout=%d refine=%v noqm=%v",
+	pool := fmt.Sprintf("%dB", s.BufBytes)
+	if s.PoolSpare != 0 {
+		pool = fmt.Sprintf("tree%+dp", s.PoolSpare)
+	}
+	return fmt.Sprintf("seed=%d %s |L|=%d |R|=%d k=%d batchK=%d qmem=%d eDmax=%s sweep=%+v dq=%d corr=%s page=%d fanout=%d pool=%s refine=%v noqm=%v",
 		s.Seed, s.Workload, s.NLeft, s.NRight, s.K, s.BatchK, s.QueueMem,
 		s.EDmaxMode, s.Sweep, s.DQPolicy, s.Correction,
-		s.PageSize, s.Fanout, s.Refine, s.NoQueueModel)
+		s.PageSize, s.Fanout, pool, s.Refine, s.NoQueueModel)
 }
 
 // World returns the scenario's coordinate universe.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"distjoin/internal/join"
+	"distjoin/internal/memotest"
 	"distjoin/internal/obsrv"
 	"distjoin/internal/storage"
 )
@@ -127,6 +128,44 @@ func TestSelfJoinScenarioShape(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no self-join workload in 64 seeds — workload distribution broken")
+	}
+}
+
+// TestPoolRegimesCovered pins that the scenario generator draws the
+// tree pools on both sides of "holds the tree", so that warm-rerun and
+// fault-count-warm compare fresh and used trees under every form the
+// sweep-order memo takes: after one AM-KDJ run some scenario's left
+// tree hands out no decoded node (pool short of the tree: permutations
+// only), some hands out nothing else, and some ran out of room midway
+// and holds both forms in one table.
+func TestPoolRegimesCovered(t *testing.T) {
+	var none, all, mixed int
+	for seed := int64(1); seed <= 40; seed++ {
+		s := FromSeed(seed)
+		e, err := newEnv(s, storage.NewMemStore(s.PageSize), storage.NewMemStore(s.PageSize), nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if _, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		memo := memotest.Read(t, e.lt)
+		nodes, perms := len(memo.Nodes), memo.Perms
+		holds := e.lt.Pool().Frames() > e.lt.Pool().Store().NumPages()
+		switch {
+		case nodes > 0 && !holds:
+			t.Fatalf("%s: %d decoded nodes in a tree whose pool has no room for them", s, nodes)
+		case nodes == 0 && perms > 0:
+			none++
+		case nodes > 0 && perms == 0:
+			all++
+		case nodes > 0:
+			mixed++
+		}
+	}
+	if none == 0 || all == 0 || mixed == 0 {
+		t.Fatalf("40 seeds reached permutations only %d times, decoded nodes only %d, both %d: each regime must occur",
+			none, all, mixed)
 	}
 }
 

@@ -172,24 +172,36 @@ func overlapLen(x0, x1, y0, y1 float64) float64 {
 // continuous and piecewise linear with breakpoints at b0-d, b1-d, b0,
 // and b1, so integrating each linear piece with the trapezoid rule is
 // exact. These are the closed forms of Table 1, generalized.
+//
+// Choose runs this four times per node expansion, so the six
+// breakpoints are sorted in place on the stack and the integrand is
+// written out twice instead of called. The sort is sort.Float64s's at
+// this length — a stable insertion sort, NaNs first — and the pieces are
+// summed in the same order, so every value is bit-identical to the
+// slice-and-closure form the test file keeps as the reference.
 func integrateWindowOverlap(d, a0, a1, b0, b1 float64) float64 {
-	f := func(u float64) float64 {
-		v := math.Min(u+d, b1) - math.Max(u, b0)
-		if v < 0 {
-			return 0
+	br := [6]float64{a0, a1, b0 - d, b1 - d, b0, b1}
+	for i := 1; i < len(br); i++ {
+		for j := i; j > 0 && (br[j] < br[j-1] || (math.IsNaN(br[j]) && !math.IsNaN(br[j-1]))); j-- {
+			br[j], br[j-1] = br[j-1], br[j]
 		}
-		return v
 	}
-	breaks := []float64{a0, a1, b0 - d, b1 - d, b0, b1}
-	sort.Float64s(breaks)
 	var total float64
-	for i := 0; i < len(breaks)-1; i++ {
-		lo := math.Max(breaks[i], a0)
-		hi := math.Min(breaks[i+1], a1)
+	for i := 0; i < len(br)-1; i++ {
+		lo := math.Max(br[i], a0)
+		hi := math.Min(br[i+1], a1)
 		if hi <= lo {
 			continue
 		}
-		total += (f(lo) + f(hi)) / 2 * (hi - lo)
+		flo := math.Min(lo+d, b1) - math.Max(lo, b0)
+		if flo < 0 {
+			flo = 0
+		}
+		fhi := math.Min(hi+d, b1) - math.Max(hi, b0)
+		if fhi < 0 {
+			fhi = 0
+		}
+		total += (flo + fhi) / 2 * (hi - lo)
 	}
 	return total
 }

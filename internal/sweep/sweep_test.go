@@ -271,6 +271,84 @@ func TestSweepOrderFirstIsAnchor(t *testing.T) {
 	}
 }
 
+// integrateWindowOverlapRef is integrateWindowOverlap as it stood before
+// it was flattened onto the stack: a heap slice, sort.Float64s and a
+// closure. It is the reference the flattened form must equal bit for bit.
+func integrateWindowOverlapRef(d, a0, a1, b0, b1 float64) float64 {
+	f := func(u float64) float64 {
+		v := math.Min(u+d, b1) - math.Max(u, b0)
+		if v < 0 {
+			return 0
+		}
+		return v
+	}
+	breaks := []float64{a0, a1, b0 - d, b1 - d, b0, b1}
+	sort.Float64s(breaks)
+	var total float64
+	for i := 0; i < len(breaks)-1; i++ {
+		lo := math.Max(breaks[i], a0)
+		hi := math.Min(breaks[i+1], a1)
+		if hi <= lo {
+			continue
+		}
+		total += (f(lo) + f(hi)) / 2 * (hi - lo)
+	}
+	return total
+}
+
+// TestIntegrateWindowOverlapBitIdentical holds the in-place form to the
+// reference on random configurations and on the degenerate ones a join
+// produces (zero extent, touching, nested, equal and signed-zero
+// breakpoints) or a hostile page could (NaN, ±Inf, inverted intervals),
+// so every sweep.Index value, and with it every chosen plan, is the one
+// the reference would have produced.
+func TestIntegrateWindowOverlapBitIdentical(t *testing.T) {
+	check := func(d, a0, a1, b0, b1 float64) {
+		t.Helper()
+		got, want := integrateWindowOverlap(d, a0, a1, b0, b1), integrateWindowOverlapRef(d, a0, a1, b0, b1)
+		// A NaN result (NaN or opposed infinities going in) is held to
+		// being NaN only: which operand's payload an x86 add propagates
+		// is the compiler's choice, and Choose only ever compares with <.
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("integrateWindowOverlap(%v, %v, %v, %v, %v) = %v (%#x), reference %v (%#x)",
+				d, a0, a1, b0, b1, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 120000; i++ {
+		a0, b0 := rng.Float64()*100-50, rng.Float64()*100-50
+		check(rng.Float64()*40, a0, a0+rng.Float64()*30, b0, b0+rng.Float64()*30)
+	}
+	// Small integer coordinates: breakpoints coincide, intervals touch,
+	// nest and collapse, and b0-d lands exactly on other breakpoints.
+	for i := 0; i < 60000; i++ {
+		a0, b0 := float64(rng.Intn(7)-3), float64(rng.Intn(7)-3)
+		check(float64(rng.Intn(5)), a0, a0+float64(rng.Intn(4)), b0, b0+float64(rng.Intn(4)))
+	}
+	special := []float64{math.Copysign(0, -1), 0, 1, -1, 2.5, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, d := range special {
+		for _, a0 := range special {
+			for _, a1 := range special {
+				for _, b0 := range special {
+					for _, b1 := range special {
+						check(d, a0, a1, b0, b1)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIndexAllocatesNothing: the sweeping index runs on the stack.
+func TestIndexAllocatesNothing(t *testing.T) {
+	r, s := geom.NewRect(0, 0, 10, 20), geom.NewRect(5, 15, 18, 40)
+	var sink Plan
+	if avg := testing.AllocsPerRun(100, func() { sink = Choose(r, s, 7) }); avg != 0 {
+		t.Errorf("Choose allocates %v, want 0", avg)
+	}
+	_ = sink
+}
+
 func BenchmarkIndex(b *testing.B) {
 	r := geom.NewRect(0, 0, 10, 20)
 	s := geom.NewRect(5, 15, 18, 40)
