@@ -134,12 +134,12 @@ func (idx *Index) Stats() (TreeStats, error) {
 	}
 	capacity := rtree.PageCapacity(st.PageSize)
 	leafEntries := 0
-	err := idx.tree.Walk(func(_ storage.PageID, n *rtree.Node) error {
+	err := idx.tree.Walk(func(_ storage.PageID, n *rtree.NodeSoA) error {
 		if n.Level < len(st.NodesPerLevel) {
 			st.NodesPerLevel[n.Level]++
 		}
 		if n.IsLeaf() {
-			leafEntries += len(n.Entries)
+			leafEntries += n.Len()
 		}
 		return nil
 	})

@@ -1,0 +1,262 @@
+package distjoin
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"strings"
+	"testing"
+
+	"distjoin/internal/metrics"
+	"distjoin/internal/rtree"
+	"distjoin/internal/storage"
+)
+
+// descentObjects draws n small rectangles in a 1000×1000 square.
+func descentObjects(rng *rand.Rand, n int) []Object {
+	objs := make([]Object, n)
+	for i := range objs {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		objs[i] = Object{ID: int64(i), Rect: NewRect(x, y, x+rng.Float64()*20, y+rng.Float64()*20)}
+	}
+	return objs
+}
+
+// descentTranscript runs every single-tree descent (Walk, Search,
+// NearestNeighbors) and the facade entry points built on them over one
+// fixed pair of three-level trees behind pools of bufferBytes, and
+// writes down what each visited, in order, with the work it counted.
+func descentTranscript(t *testing.T, bufferBytes int) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(21))
+	cfg := &IndexConfig{PageSize: 256, BufferBytes: bufferBytes}
+	left, err := NewIndex(descentObjects(rng, 90), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := NewIndex(descentObjects(rng, 60), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left.Height() != 3 || right.Height() != 3 {
+		t.Fatalf("heights %d, %d: the fixture is meant to be two three-level trees", left.Height(), right.Height())
+	}
+
+	var b strings.Builder
+	counters := func(mc *metrics.Collector) {
+		fmt.Fprintf(&b, "  logical=%d physical=%d evictions=%d realdist=%d results=%d\n",
+			mc.NodeAccessesLogical, mc.NodeAccessesPhysical, mc.BufferEvictions, mc.RealDistCalcs, mc.ResultsProduced)
+	}
+	for _, side := range []struct {
+		name string
+		idx  *Index
+	}{{"left", left}, {"right", right}} {
+		fmt.Fprintf(&b, "walk %s\n", side.name)
+		if err := side.idx.tree.Walk(func(id storage.PageID, n *rtree.NodeSoA) error {
+			fmt.Fprintf(&b, "  page=%d level=%d entries=%d\n", id, n.Level, n.Len())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := side.idx.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "stats %s\n  %+v fill=%016x\n", side.name, st, math.Float64bits(st.AvgLeafFill))
+	}
+
+	search := func(name string, q Rect, limit int) {
+		fmt.Fprintf(&b, "search %s\n ", name)
+		var mc metrics.Collector
+		seen := 0
+		if err := left.tree.Search(q, &mc, func(it rtree.Item) bool {
+			fmt.Fprintf(&b, " %d", it.Obj)
+			seen++
+			return seen != limit
+		}); err != nil {
+			t.Fatal(err)
+		}
+		b.WriteByte('\n')
+		counters(&mc)
+	}
+	search("window", NewRect(200, 200, 600, 500), -1)
+	search("full", left.Bounds(), -1)
+	search("full-stopped-at-17", left.Bounds(), 17)
+
+	for _, k := range []int{1, 10, right.Len() + 1} {
+		fmt.Fprintf(&b, "nearest k=%d\n", k)
+		var mc metrics.Collector
+		ns, err := right.tree.NearestNeighbors(NewRect(480, 510, 490, 515), k, &mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range ns {
+			fmt.Fprintf(&b, "  %d %016x\n", n.Item.Obj, math.Float64bits(n.Dist))
+		}
+		counters(&mc)
+	}
+	objs, dists, err := right.Nearest(NewRect(10, 990, 11, 991), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("facade nearest k=5\n")
+	for i, o := range objs {
+		fmt.Fprintf(&b, "  %d %016x\n", o.ID, math.Float64bits(dists[i]))
+	}
+
+	pair := func(p Pair) { fmt.Fprintf(&b, " %d:%d:%016x", p.LeftID, p.RightID, math.Float64bits(p.Dist)) }
+	b.WriteString("allnearest\n")
+	var st Stats
+	if err := AllNearest(left, right, &Options{Stats: &st}, func(p Pair) bool {
+		b.WriteString(" ")
+		pair(p)
+		b.WriteByte('\n')
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	counters(&st)
+	b.WriteString("knnjoin k=3\n")
+	st = Stats{}
+	if err := KNNJoin(left, right, 3, &Options{Stats: &st}, func(ps []Pair) bool {
+		b.WriteString(" ")
+		for _, p := range ps {
+			pair(p)
+		}
+		b.WriteByte('\n')
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	counters(&st)
+
+	est, err := NewHistogramEstimator(left, right, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("histogram initial\n")
+	for _, k := range []int{1, 10, 100, 1000} {
+		fmt.Fprintf(&b, "  k=%d %016x\n", k, math.Float64bits(est.Initial(k)))
+	}
+	return b.String()
+}
+
+// TestDescentGolden pins the order in which the single-tree descents
+// visit nodes and objects and the work they count, for a pool that
+// holds both trees and one of four frames. testdata/descent.golden was
+// recorded on the commit before the row-major node was deleted; there
+// is no update flag, a deliberate change edits it from the failure
+// output.
+func TestDescentGolden(t *testing.T) {
+	var got strings.Builder
+	for _, regime := range []struct {
+		name        string
+		bufferBytes int
+	}{{"resident", 1 << 20}, {"four-frames", 4 * 256}} {
+		fmt.Fprintf(&got, "== %s ==\n%s", regime.name, descentTranscript(t, regime.bufferBytes))
+	}
+	want, err := os.ReadFile("testdata/descent.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d:\n got %q\nwant %q", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("transcript has %d lines, golden %d", len(gl), len(wl))
+}
+
+// TestDamagedDescentSurfaces: every facade entry point built on a
+// single-tree descent hands a damaged child ref on as the named error,
+// for the damage cases of rtree's TestDescentRejectsDamagedRefs. The
+// pages are patched as bytes: uint16 level at offset 0, entry i's ref
+// at 8 + 40*i + 32.
+func TestDamagedDescentSurfaces(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfg := &IndexConfig{PageSize: 256}
+	objs := descentObjects(rng, 90)
+	sound, err := NewIndex(descentObjects(rng, 60), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const firstRef = 8 + 32
+	for _, tc := range []struct {
+		name   string
+		damage func(root, mid, leaf []byte, rootID, leafID storage.PageID, numPages int)
+		want   error
+	}{
+		{"root lists itself", func(root, mid, leaf []byte, rootID, leafID storage.PageID, numPages int) {
+			binary.LittleEndian.PutUint64(root[firstRef:], uint64(rootID))
+		}, rtree.ErrCorruptNode},
+		{"root lists a leaf", func(root, mid, leaf []byte, rootID, leafID storage.PageID, numPages int) {
+			binary.LittleEndian.PutUint64(root[firstRef:], uint64(leafID))
+		}, rtree.ErrCorruptNode},
+		{"ref past the last page", func(root, mid, leaf []byte, rootID, leafID storage.PageID, numPages int) {
+			binary.LittleEndian.PutUint64(mid[firstRef:], uint64(numPages))
+		}, storage.ErrPageOutOfRange},
+		{"leaf claims level 1", func(root, mid, leaf []byte, rootID, leafID storage.PageID, numPages int) {
+			binary.LittleEndian.PutUint16(leaf, 1)
+		}, rtree.ErrCorruptNode},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			built, err := NewIndex(objs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if built.Height() != 3 {
+				t.Fatalf("height %d, the fixture is meant to have three levels", built.Height())
+			}
+			store := built.tree.Pool().Store()
+			ids := [3]storage.PageID{built.tree.Root()}
+			var pages [3][]byte
+			for i := range pages {
+				pages[i] = make([]byte, store.PageSize())
+				if err := store.ReadPage(ids[i], pages[i]); err != nil {
+					t.Fatal(err)
+				}
+				if i+1 < len(ids) {
+					ids[i+1] = storage.PageID(binary.LittleEndian.Uint64(pages[i][firstRef:]))
+				}
+			}
+			tc.damage(pages[0], pages[1], pages[2], ids[0], ids[2], store.NumPages())
+			for i := range pages {
+				if err := store.WritePage(ids[i], pages[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tree, err := rtree.Open(store, 1<<20) // a cold pool: no sound page survives
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := &Index{tree: tree}
+
+			check := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, tc.want) {
+					t.Errorf("%s: error %v, want %v", what, err, tc.want)
+				}
+			}
+			_, err = damaged.Stats()
+			check("Stats", err)
+			check("Search", damaged.Search(damaged.Bounds(), func(Object) bool { return true }))
+			_, _, err = damaged.Nearest(damaged.Bounds(), damaged.Len()+1)
+			check("Nearest", err)
+			check("AllNearest left", AllNearest(damaged, sound, nil, func(Pair) bool { return true }))
+			check("AllNearest right", AllNearest(sound, damaged, nil, func(Pair) bool { return true }))
+			check("KNNJoin left", KNNJoin(damaged, sound, 2, nil, func([]Pair) bool { return true }))
+			check("KNNJoin right", KNNJoin(sound, damaged, damaged.Len()+1, nil, func([]Pair) bool { return true }))
+			_, err = NewHistogramEstimator(damaged, sound, 8)
+			check("NewHistogramEstimator left", err)
+			_, err = NewHistogramEstimator(sound, damaged, 8)
+			check("NewHistogramEstimator right", err)
+		})
+	}
+}

@@ -6,8 +6,8 @@ import "math"
 // (rtree.NodeSoA) stores node MBRs as four parallel coordinate slices;
 // these kernels compute one fixed rectangle's distance against every
 // slice element in a single pass over contiguous float64 memory. Each
-// kernel is bit-identical to its scalar reference (AxisDist, MinDistSq,
-// MinDist applied element-wise): the same IEEE operations in the same
+// kernel is bit-identical to its scalar reference (MinDistSq, MinDist
+// applied element-wise): the same IEEE operations in the same
 // order, so NaN, ±Inf, and signed-zero inputs produce exactly the
 // scalar results. FuzzBatchKernels pins that equivalence.
 //
@@ -15,30 +15,6 @@ import "math"
 // the loops: after one explicit check against the final index, the
 // compiler proves every in-loop access in range and drops the per-
 // element checks.
-
-// AxisDistBatch writes into dst[i] the axis distance between the fixed
-// interval [qlo, qhi] and each interval [lo[i], hi[i]]: zero when the
-// projections overlap, otherwise the gap between them. It is the batch
-// form of Rect.AxisDist with q as the first operand. lo, hi, and dst
-// must have equal length.
-func AxisDistBatch(dst []float64, qlo, qhi float64, lo, hi []float64) {
-	n := len(lo)
-	if n == 0 {
-		return
-	}
-	_ = dst[n-1]
-	_ = hi[n-1]
-	for i := 0; i < n; i++ {
-		d := 0.0
-		switch {
-		case qhi < lo[i]:
-			d = lo[i] - qhi
-		case hi[i] < qlo:
-			d = qlo - hi[i]
-		}
-		dst[i] = d
-	}
-}
 
 // MinDistSqBatch writes into dst[i] the squared minimum Euclidean
 // distance between q and the rectangle [minX[i],maxX[i]] x

@@ -64,22 +64,6 @@ func TestPartitionBoundaryBatch(t *testing.T) {
 	}
 }
 
-// TestBatchAxisDistBoundary pins AxisDistBatch against the scalar
-// AxisDist on the boundary table, per axis.
-func TestBatchAxisDistBoundary(t *testing.T) {
-	for _, tc := range boundaryMinDistCases() {
-		dst := make([]float64, 1)
-		for axis := 0; axis < Dims; axis++ {
-			lo := []float64{tc.b.Min(axis)}
-			hi := []float64{tc.b.Max(axis)}
-			AxisDistBatch(dst, tc.a.Min(axis), tc.a.Max(axis), lo, hi)
-			if want := tc.a.AxisDist(tc.b, axis); dst[0] != want {
-				t.Errorf("%s: AxisDistBatch axis %d = %v, scalar %v", tc.name, axis, dst[0], want)
-			}
-		}
-	}
-}
-
 // TestBatchKernelsZeroAlloc pins the hot-path contract: with a
 // caller-provided destination the kernels allocate nothing, so the
 // leaf-pair refinement loops stay allocation-free per pair. Sits
@@ -99,11 +83,6 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 		MinDistBatch(dst, q, minX, minY, maxX, maxY)
 	}); avg != 0 {
 		t.Errorf("MinDistBatch allocates %v per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		AxisDistBatch(dst, 0.25, 0.75, minX, maxX)
-	}); avg != 0 {
-		t.Errorf("AxisDistBatch allocates %v per call, want 0", avg)
 	}
 }
 
@@ -132,8 +111,8 @@ func TestSetBatchTailMutation(t *testing.T) {
 // kernels: for arbitrary rectangle slices — including NaN, ±Inf,
 // inverted intervals, and degenerate zero-area rects — the batch
 // results must be bit-identical (Float64bits, so NaN payloads and
-// signed zeros count) to the scalar AxisDist/MinDistSq/MinDist
-// applied element-wise.
+// signed zeros count) to the scalar MinDistSq/MinDist applied
+// element-wise.
 func FuzzBatchKernels(f *testing.F) {
 	le := binary.LittleEndian
 	mk := func(vals ...float64) []byte {
@@ -199,18 +178,6 @@ func FuzzBatchKernels(f *testing.F) {
 			if rev := lane(i).MinDist(q); valid(q) && valid(lane(i)) &&
 				math.Float64bits(dst[i]) != math.Float64bits(rev) {
 				t.Fatalf("MinDist asymmetric at lane %d: %x vs %x", i, math.Float64bits(dst[i]), math.Float64bits(rev))
-			}
-		}
-		for axis := 0; axis < Dims; axis++ {
-			lo, hi := minX, maxX
-			if axis == 1 {
-				lo, hi = minY, maxY
-			}
-			AxisDistBatch(dst, q.Min(axis), q.Max(axis), lo, hi)
-			for i := 0; i < n; i++ {
-				if want := q.AxisDist(lane(i), axis); math.Float64bits(dst[i]) != math.Float64bits(want) {
-					t.Fatalf("AxisDistBatch axis %d lane %d: %x, scalar %x", axis, i, math.Float64bits(dst[i]), math.Float64bits(want))
-				}
 			}
 		}
 	})

@@ -40,9 +40,6 @@ type Pair struct {
 // a producible query result.
 func (p *Pair) IsResult() bool { return p.LeftObj && p.RightObj }
 
-// Less reports whether p orders before o; see PairLess.
-func (p Pair) Less(o Pair) bool { return PairLess(&p, &o) }
-
 // PairLess is the one definition of the main-queue order: by distance
 // with a deterministic tie-break, expandable (non-result) pairs before
 // results, then by identifiers. It takes pointers so that the heap, the

@@ -93,19 +93,19 @@ func (c *execContext) hsExpand(p hybridq.Pair, ct *cutoffTracker) error {
 	ex.mc.AddRealDist(int64(n))
 	var children int64
 	for i := 0; i < n; i++ {
-		e := soa.Entry(i)
+		childRef, childRect := soa.Refs[i], soa.Rect(i)
 		var np hybridq.Pair
 		if expandLeft {
 			np = hybridq.Pair{
 				LeftObj: childIsObj, RightObj: p.RightObj,
-				Left: e.Ref, Right: p.Right,
-				LeftRect: e.Rect, RightRect: p.RightRect,
+				Left: childRef, Right: p.Right,
+				LeftRect: childRect, RightRect: p.RightRect,
 			}
 		} else {
 			np = hybridq.Pair{
 				LeftObj: p.LeftObj, RightObj: childIsObj,
-				Left: p.Left, Right: e.Ref,
-				LeftRect: p.LeftRect, RightRect: e.Rect,
+				Left: p.Left, Right: childRef,
+				LeftRect: p.LeftRect, RightRect: childRect,
 			}
 		}
 		np.Dist = dists[i]

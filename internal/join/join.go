@@ -84,9 +84,6 @@ type Options struct {
 	QueueStore storage.Store
 	// Metrics receives all counters; may be nil.
 	Metrics *metrics.Collector
-	// IOCost charges simulated time for page traffic (default: the
-	// paper's disk, metrics.DefaultIOCostModel).
-	IOCost *metrics.IOCostModel
 	// Sweep selects the plane-sweep optimization policy (default
 	// OptimizedSweep).
 	Sweep *SweepPolicy
@@ -182,7 +179,6 @@ const DefaultBatchK = 1024
 type execContext struct {
 	left, right *rtree.Tree
 	mc          *metrics.Collector
-	ioCost      metrics.IOCostModel
 	sweepPolicy SweepPolicy
 	dqPolicy    DistanceQueuePolicy
 	model       estimate.Model
@@ -238,10 +234,6 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 	if mem <= 0 {
 		mem = DefaultQueueMemBytes
 	}
-	cost := metrics.DefaultIOCostModel()
-	if opts.IOCost != nil {
-		cost = *opts.IOCost
-	}
 	sp := OptimizedSweep
 	if opts.Sweep != nil {
 		sp = *opts.Sweep
@@ -260,7 +252,6 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 		left:        left,
 		right:       right,
 		mc:          opts.Metrics,
-		ioCost:      cost,
 		sweepPolicy: sp,
 		dqPolicy:    opts.DistanceQueue,
 		model:       model,
@@ -283,7 +274,7 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 		Rho:       rho,
 		Store:     opts.QueueStore,
 		Metrics:   opts.Metrics,
-		IOCost:    cost,
+		IOCost:    metrics.DefaultIOCostModel(),
 		Trace:     opts.Trace,
 		FaultHook: opts.QueueFaultHook,
 	})

@@ -204,7 +204,7 @@ func (s *sweepRun) run() {
 	forward := s.plan.Dir == sweep.Forward
 	i, j := 0, 0
 	for i < nl && j < nr {
-		// sweep.Key is the lower bound going forward and the negated
+		// The sweep key is the lower bound going forward and the negated
 		// upper bound going backward; comparing the upper bounds the
 		// other way round is the same order, NaNs included.
 		fromL := kl[i] <= kr[j]
@@ -263,7 +263,7 @@ func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 
 	// The axis-gap scan reads one coordinate column: the candidates'
 	// lower bounds against the anchor's upper bound for forward sweeps
-	// (and mirrored for backward), exactly sweep.AxisGap unrolled.
+	// (and mirrored for backward).
 	forward := s.plan.Dir == sweep.Forward
 	base := a.base[ai]
 	col := o.key

@@ -3,6 +3,7 @@ package join
 import (
 	"distjoin/internal/extsort"
 	"distjoin/internal/hybridq"
+	"distjoin/internal/metrics"
 	"distjoin/internal/rtree"
 )
 
@@ -32,7 +33,7 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 		mem = DefaultQueueMemBytes
 	}
 	sorter, err := extsort.NewSorter(pairCodec, hybridq.PairLess,
-		extsort.Config{MemBytes: mem, Metrics: opts.Metrics, IOCost: c.ioCost})
+		extsort.Config{MemBytes: mem, Metrics: opts.Metrics, IOCost: metrics.DefaultIOCostModel()})
 	if err != nil {
 		return nil, c.traceError(err)
 	}

@@ -61,7 +61,7 @@ func orderBenchTrees(b *testing.B) (left, right *rtree.Tree, lids, rids []storag
 			b.Fatal(err)
 		}
 		var ids []storage.PageID
-		if err := t.Walk(func(id storage.PageID, _ *rtree.Node) error {
+		if err := t.Walk(func(id storage.PageID, _ *rtree.NodeSoA) error {
 			ids = append(ids, id)
 			return nil
 		}); err != nil {

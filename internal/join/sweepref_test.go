@@ -13,9 +13,18 @@ import (
 	"distjoin/internal/sweep"
 )
 
+// refEntry is one node entry in row-major form, what the reference
+// sweep hands around.
+type refEntry struct {
+	Rect geom.Rect
+	Ref  uint64
+}
+
+func entryAt(n *rtree.NodeSoA, i int) refEntry { return refEntry{Rect: n.Rect(i), Ref: n.Refs[i]} }
+
 // refRange and refSweep are the plane sweep as it was before anchors
 // were read from the columns: every anchor is materialised as a
-// rtree.NodeEntry, candidates are handed on as entries, ranges are int32
+// refEntry, candidates are handed on as entries, ranges are int32
 // and pre-filled by makeEmptyRefRanges. Kept as the reference the
 // column-reading sweep is compared against; nothing outside this file
 // uses it.
@@ -30,9 +39,9 @@ type refSweep struct {
 	cutoff       float64
 	realCutoff   func() float64
 	realNow      float64
-	emit         func(le, re rtree.NodeEntry, d float64)
+	emit         func(le, re refEntry, d float64)
 	prev         *refRanges
-	reexamine    func(le, re rtree.NodeEntry, d float64)
+	reexamine    func(le, re refEntry, d float64)
 	out          refRanges
 	axisN, realN int64
 }
@@ -53,11 +62,11 @@ func (s *refSweep) refreshReal() {
 	}
 }
 
-func (s *refSweep) deliver(fn func(le, re rtree.NodeEntry, d float64), fromL bool, anchor rtree.NodeEntry, o *rtree.NodeSoA, m int, d float64) {
+func (s *refSweep) deliver(fn func(le, re refEntry, d float64), fromL bool, anchor refEntry, o *rtree.NodeSoA, m int, d float64) {
 	if fromL {
-		fn(anchor, o.Entry(m), d)
+		fn(anchor, entryAt(o, m), d)
 	} else {
-		fn(o.Entry(m), anchor, d)
+		fn(entryAt(o, m), anchor, d)
 	}
 	s.refreshReal()
 }
@@ -99,7 +108,7 @@ func (s *refSweep) sweepAnchor(fromL bool, ai, oj int) {
 	if !fromL {
 		a, o = s.R, s.L
 	}
-	anchor := a.Entry(ai)
+	anchor := entryAt(a, ai)
 
 	start := oj
 	recFrom := oj
@@ -183,7 +192,7 @@ func (s *refSweep) sweepAnchor(fromL bool, ai, oj int) {
 	}
 }
 
-func (s *refSweep) scanBand(fromL bool, anchor rtree.NodeEntry, o *rtree.NodeSoA, from, to int) {
+func (s *refSweep) scanBand(fromL bool, anchor refEntry, o *rtree.NodeSoA, from, to int) {
 	if to <= from {
 		return
 	}
@@ -218,7 +227,8 @@ func randomSweepNode(rng *rand.Rand, n int, plan sweep.Plan, refBase uint64) *rt
 		s.MaxX[i], s.MaxY[i] = x+float64(rng.Intn(4)), y+float64(rng.Intn(4))
 		s.Refs[i] = refBase + uint64(i)
 	}
-	sweep.SortSoA(&s, plan)
+	var sorter sweep.SoASorter
+	sorter.Sort(&s, plan)
 	return &s
 }
 
@@ -265,7 +275,7 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 					var prev *refRanges
 					if mode != "fresh" {
 						stage := refSweep{L: L, R: R, plan: plan, cutoff: first, realNow: first,
-							emit: func(le, re rtree.NodeEntry, d float64) {}}
+							emit: func(le, re refEntry, d float64) {}}
 						stage.run()
 						prev = &stage.out
 					}
@@ -273,8 +283,8 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 					var want []delivered
 					refQ := pqueue.NewDistanceQueue(k)
 					ref := refSweep{L: L, R: R, plan: plan, prev: prev}
-					refKeep := func(reex bool) func(le, re rtree.NodeEntry, d float64) {
-						return func(le, re rtree.NodeEntry, d float64) {
+					refKeep := func(reex bool) func(le, re refEntry, d float64) {
+						return func(le, re refEntry, d float64) {
 							want = append(want, delivered{reexamine: reex, pair: hybridq.Pair{
 								Dist: d, LeftObj: lObj, RightObj: rObj,
 								Left: le.Ref, Right: re.Ref, LeftRect: le.Rect, RightRect: re.Rect}})

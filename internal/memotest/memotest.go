@@ -42,7 +42,7 @@ func Read(t testing.TB, tr *rtree.Tree) Survey {
 	t.Helper()
 	s := Survey{Nodes: map[Cell]Shared{}}
 	var scratch rtree.NodeSoA
-	err := tr.Walk(func(id storage.PageID, _ *rtree.Node) error {
+	err := tr.Walk(func(id storage.PageID, _ *rtree.NodeSoA) error {
 		for slot := 0; slot < rtree.SweepSlots; slot++ {
 			n, ordered, err := tr.ReadNodeSoAOrdered(id, slot, &scratch, nil)
 			switch {

@@ -28,17 +28,6 @@ func NewHeap[T any](less func(a, b *T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
 }
 
-// NewHeapFromSlice heapifies items in place (O(n)) and returns a heap
-// that owns the slice.
-func NewHeapFromSlice[T any](items []T, less func(a, b *T) bool) *Heap[T] {
-	h := &Heap[T]{items: items, less: less}
-	for i := len(items)/2 - 1; i >= 0; i-- {
-		h.moving = items[i]
-		h.siftDown(i)
-	}
-	return h
-}
-
 // Len returns the number of elements.
 func (h *Heap[T]) Len() int { return len(h.items) }
 
@@ -100,8 +89,7 @@ func (h *Heap[T]) Clear() {
 }
 
 // Items exposes the raw heap-ordered backing slice (top at index 0).
-// Callers must not reorder it; it is intended for draining or for
-// rebuilding via NewHeapFromSlice.
+// Callers must not reorder it; it is intended for draining.
 func (h *Heap[T]) Items() []T { return h.items }
 
 // siftUp places *v, which already sits at index i, treating i as a

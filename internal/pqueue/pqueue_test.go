@@ -43,21 +43,11 @@ func TestHeapPopPanicsEmpty(t *testing.T) {
 	NewHeap(func(a, b *int) bool { return *a < *b }).Pop()
 }
 
-func TestHeapFromSlice(t *testing.T) {
-	items := []int{9, 4, 7, 1, 3, 8, 2}
-	h := NewHeapFromSlice(items, func(a, b *int) bool { return *a < *b })
-	prev := math.MinInt
-	for !h.Empty() {
-		v := h.Pop()
-		if v < prev {
-			t.Fatalf("heap order violated: %d after %d", v, prev)
-		}
-		prev = v
-	}
-}
-
 func TestHeapReplaceTop(t *testing.T) {
-	h := NewHeapFromSlice([]int{1, 5, 3}, func(a, b *int) bool { return *a < *b })
+	h := NewHeap(func(a, b *int) bool { return *a < *b })
+	for _, v := range []int{1, 5, 3} {
+		h.Push(v)
+	}
 	if got := h.ReplaceTop(10); got != 1 {
 		t.Fatalf("ReplaceTop returned %d, want 1", got)
 	}
@@ -286,28 +276,6 @@ func TestHeapWideInterleavedAgainstReference(t *testing.T) {
 	}
 	if len(live) != 0 {
 		t.Fatalf("%d elements never dequeued", len(live))
-	}
-}
-
-func TestHeapFromSliceWide(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{0, 1, 2, 3, 10, 257} {
-		items := make([]wide, n)
-		var keys []float64
-		live := map[uint64]wide{}
-		for i := range items {
-			items[i] = newWide(float64(rng.Intn(8)), uint64(i))
-			keys = append(keys, items[i].key)
-			live[items[i].id] = items[i]
-		}
-		sort.Float64s(keys)
-		h := NewHeapFromSlice(items, wideLess)
-		for op := 0; !h.Empty(); op++ {
-			checkWide(t, op, h.Pop(), &keys, live)
-		}
-		if len(live) != 0 {
-			t.Fatalf("n=%d: %d elements lost by heapify", n, len(live))
-		}
 	}
 }
 

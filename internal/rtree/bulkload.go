@@ -3,8 +3,6 @@ package rtree
 import (
 	"math"
 	"sort"
-
-	"distjoin/internal/geom"
 )
 
 // bulkFillRatio is the target node utilization for bulk loading.
@@ -113,46 +111,4 @@ func minEntriesFor(perNode int) int {
 		m = 2
 	}
 	return m
-}
-
-// SortItemsHilbert sorts items by the Hilbert value of their center on
-// a 2^order x 2^order grid over bounds. Exposed for alternative
-// bulk-loading orders and for generating spatially correlated object
-// IDs in the data generator.
-func SortItemsHilbert(items []Item, bounds geom.Rect, order uint) {
-	side := uint32(1) << order
-	sx := float64(side-1) / math.Max(bounds.Side(0), 1e-300)
-	sy := float64(side-1) / math.Max(bounds.Side(1), 1e-300)
-	key := func(it Item) uint64 {
-		c := it.Rect.Center()
-		x := uint32((c.X - bounds.MinX) * sx)
-		y := uint32((c.Y - bounds.MinY) * sy)
-		return hilbertD(order, x, y)
-	}
-	sort.Slice(items, func(i, j int) bool { return key(items[i]) < key(items[j]) })
-}
-
-// hilbertD converts (x, y) on a 2^order grid to its distance along the
-// Hilbert curve.
-func hilbertD(order uint, x, y uint32) uint64 {
-	var d uint64
-	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
-		var rx, ry uint32
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		// Rotate quadrant.
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - x
-				y = s - 1 - y
-			}
-			x, y = y, x
-		}
-	}
-	return d
 }

@@ -1,9 +1,17 @@
 package rtree
 
+import "distjoin/internal/geom"
+
+// TestEntry is one entry of a node page in row-major form.
+type TestEntry struct {
+	Rect geom.Rect
+	Ref  uint64
+}
+
 // EncodeTestNode serializes entries as a node page, for the external
 // tests that need pages no Builder would produce (NaN and infinite
 // keys, empty nodes).
-func EncodeTestNode(page []byte, level int, entries []NodeEntry) error {
+func EncodeTestNode(page []byte, level int, entries []TestEntry) error {
 	encs := make([]encEntry, len(entries))
 	for i, e := range entries {
 		encs[i] = encEntry{rect: e.Rect, ref: e.Ref}

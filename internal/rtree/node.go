@@ -70,37 +70,10 @@ func PageCapacity(pageSize int) int {
 	return (pageSize - nodeHeaderSize) / entrySize
 }
 
-// NodeEntry is one decoded slot of a paged node.
-type NodeEntry struct {
-	// Rect is the entry's MBR.
-	Rect geom.Rect
-	// Ref is the child page ID at internal nodes and the object ID at
-	// leaves.
-	Ref uint64
-}
-
-// Node is a decoded paged R-tree node.
-type Node struct {
-	// Level is the node's height above the leaves; 0 means leaf.
-	Level int
-	// Entries are the node's slots.
-	Entries []NodeEntry
-}
-
-// IsLeaf reports whether the node is a leaf.
-func (n *Node) IsLeaf() bool { return n.Level == 0 }
-
-// MBR returns the union of the node's entry rectangles.
-func (n *Node) MBR() geom.Rect {
-	if len(n.Entries) == 0 {
-		return geom.Rect{}
-	}
-	r := n.Entries[0].Rect
-	for _, e := range n.Entries[1:] {
-		r = r.Union(e.Rect)
-	}
-	return r
-}
+// Node is the old name of the decoded node, kept only because
+// benchmark/probes.go spells Walk's callback with it; the next
+// [benchmark] PR drops it.
+type Node = NodeSoA
 
 // encodeNode serializes n into page, which must be large enough.
 func encodeNode(page []byte, level int, entries []encEntry) error {
@@ -131,37 +104,4 @@ func encodeNode(page []byte, level int, entries []encEntry) error {
 type encEntry struct {
 	rect geom.Rect
 	ref  uint64
-}
-
-// decodeNode parses a page into dst, reusing dst.Entries capacity.
-func decodeNode(page []byte, dst *Node) error {
-	if len(page) < nodeHeaderSize {
-		return fmt.Errorf("rtree: page too small: %d bytes", len(page))
-	}
-	level := int(binary.LittleEndian.Uint16(page[0:]))
-	count := int(binary.LittleEndian.Uint16(page[2:]))
-	if count > PageCapacity(len(page)) {
-		return fmt.Errorf("rtree: corrupt page: count %d exceeds capacity %d",
-			count, PageCapacity(len(page)))
-	}
-	dst.Level = level
-	if cap(dst.Entries) < count {
-		dst.Entries = make([]NodeEntry, count)
-	} else {
-		dst.Entries = dst.Entries[:count]
-	}
-	off := nodeHeaderSize
-	for i := 0; i < count; i++ {
-		dst.Entries[i] = NodeEntry{
-			Rect: geom.Rect{
-				MinX: math.Float64frombits(binary.LittleEndian.Uint64(page[off:])),
-				MinY: math.Float64frombits(binary.LittleEndian.Uint64(page[off+8:])),
-				MaxX: math.Float64frombits(binary.LittleEndian.Uint64(page[off+16:])),
-				MaxY: math.Float64frombits(binary.LittleEndian.Uint64(page[off+24:])),
-			},
-			Ref: binary.LittleEndian.Uint64(page[off+32:]),
-		}
-		off += entrySize
-	}
-	return nil
 }

@@ -57,9 +57,9 @@ func hostileStore(t testing.TB, rng *rand.Rand, pageSize int, counts []int) (sto
 	page := make([]byte, pageSize)
 	var ids []storage.PageID
 	for _, n := range counts {
-		entries := make([]rtree.NodeEntry, n)
+		entries := make([]rtree.TestEntry, n)
 		for i := range entries {
-			entries[i] = rtree.NodeEntry{
+			entries[i] = rtree.TestEntry{
 				Rect: geom.Rect{MinX: coord(), MinY: coord(), MaxX: coord(), MaxY: coord()},
 				Ref:  uint64(i),
 			}

@@ -260,16 +260,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := encodeNode(page, 3, entries); err != nil {
 		t.Fatal(err)
 	}
-	var n Node
-	if err := decodeNode(page, &n); err != nil {
+	var n NodeSoA
+	if err := decodeNodeSoA(page, &n); err != nil {
 		t.Fatal(err)
 	}
-	if n.Level != 3 || len(n.Entries) != 3 {
-		t.Fatalf("decoded level/count = %d/%d", n.Level, len(n.Entries))
+	if n.Level != 3 || n.Len() != 3 {
+		t.Fatalf("decoded level/count = %d/%d", n.Level, n.Len())
 	}
 	for i, e := range entries {
-		if n.Entries[i].Rect != e.rect || n.Entries[i].Ref != e.ref {
-			t.Fatalf("entry %d mismatch: %+v vs %+v", i, n.Entries[i], e)
+		if n.Rect(i) != e.rect || n.Refs[i] != e.ref {
+			t.Fatalf("entry %d mismatch: %v %d vs %+v", i, n.Rect(i), n.Refs[i], e)
 		}
 	}
 	if n.IsLeaf() {
@@ -286,13 +286,13 @@ func TestEncodeNodeOverflow(t *testing.T) {
 }
 
 func TestDecodeCorruptPage(t *testing.T) {
-	var n Node
-	if err := decodeNode(make([]byte, 4), &n); err == nil {
+	var n NodeSoA
+	if err := decodeNodeSoA(make([]byte, 4), &n); err == nil {
 		t.Fatal("short page must fail")
 	}
 	page := make([]byte, 128)
 	page[2] = 200 // count 200 > capacity 3
-	if err := decodeNode(page, &n); err == nil {
+	if err := decodeNodeSoA(page, &n); err == nil {
 		t.Fatal("corrupt count must fail")
 	}
 }
@@ -408,6 +408,18 @@ func TestOpenRejectsNonRTree(t *testing.T) {
 	}
 }
 
+// nodeMBR is the union of n's entry rectangles.
+func nodeMBR(n *NodeSoA) geom.Rect {
+	if n.Len() == 0 {
+		return geom.Rect{}
+	}
+	r := n.Rect(0)
+	for i := 1; i < n.Len(); i++ {
+		r = r.Union(n.Rect(i))
+	}
+	return r
+}
+
 // Lemma 1 of the paper: for every parent entry and each entry of the
 // child node it references, dist(query, parent) <= dist(query, child)
 // is implied by containment; verify containment structurally.
@@ -415,21 +427,21 @@ func TestLemma1Containment(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	items := randItems(rng, 3000)
 	tree := packTestTree(t, items, 32, 1<<22)
-	err := tree.Walk(func(id storage.PageID, n *Node) error {
+	err := tree.Walk(func(id storage.PageID, n *NodeSoA) error {
 		if n.IsLeaf() {
 			return nil
 		}
-		var child Node
-		for _, e := range n.Entries {
-			if err := tree.ReadNode(storage.PageID(e.Ref), &child, nil); err != nil {
+		var child NodeSoA
+		for i := 0; i < n.Len(); i++ {
+			if err := tree.ReadNodeSoA(storage.PageID(n.Refs[i]), &child, nil); err != nil {
 				return err
 			}
-			if got := child.MBR(); e.Rect != got {
-				t.Fatalf("parent entry rect %v != child MBR %v", e.Rect, got)
+			if got := nodeMBR(&child); n.Rect(i) != got {
+				t.Fatalf("parent entry rect %v != child MBR %v", n.Rect(i), got)
 			}
-			for _, ce := range child.Entries {
-				if !e.Rect.Contains(ce.Rect) {
-					t.Fatalf("child entry %v escapes parent %v", ce.Rect, e.Rect)
+			for c := 0; c < child.Len(); c++ {
+				if !n.Rect(i).Contains(child.Rect(c)) {
+					t.Fatalf("child entry %v escapes parent %v", child.Rect(c), n.Rect(i))
 				}
 			}
 		}
@@ -441,18 +453,18 @@ func TestLemma1Containment(t *testing.T) {
 	// The distance consequence, sampled: for random probes r,
 	// minDist(r, parent) <= minDist(r, any child entry).
 	probe := geom.NewRect(-50, -50, -40, -40)
-	err = tree.Walk(func(id storage.PageID, n *Node) error {
+	err = tree.Walk(func(id storage.PageID, n *NodeSoA) error {
 		if n.IsLeaf() {
 			return nil
 		}
-		var child Node
-		for _, e := range n.Entries {
-			pd := probe.MinDist(e.Rect)
-			if err := tree.ReadNode(storage.PageID(e.Ref), &child, nil); err != nil {
+		var child NodeSoA
+		for i := 0; i < n.Len(); i++ {
+			pd := probe.MinDist(n.Rect(i))
+			if err := tree.ReadNodeSoA(storage.PageID(n.Refs[i]), &child, nil); err != nil {
 				return err
 			}
-			for _, ce := range child.Entries {
-				if cd := probe.MinDist(ce.Rect); cd < pd-1e-9 {
+			for c := 0; c < child.Len(); c++ {
+				if cd := probe.MinDist(child.Rect(c)); cd < pd-1e-9 {
 					t.Fatalf("Lemma 1 violated: parent %g > child %g", pd, cd)
 				}
 			}
@@ -545,45 +557,6 @@ func TestNearestNeighborsEdgeCases(t *testing.T) {
 	}
 	if got[0].Dist != 4 {
 		t.Fatalf("dist = %g, want 4", got[0].Dist)
-	}
-}
-
-func TestHilbertSortLocality(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	items := randItems(rng, 1000)
-	bounds := items[0].Rect
-	for _, it := range items[1:] {
-		bounds = bounds.Union(it.Rect)
-	}
-	before := totalHopDistance(items)
-	SortItemsHilbert(items, bounds, 16)
-	after := totalHopDistance(items)
-	if after >= before {
-		t.Fatalf("hilbert sort did not improve locality: %g >= %g", after, before)
-	}
-}
-
-func totalHopDistance(items []Item) float64 {
-	var total float64
-	for i := 1; i < len(items); i++ {
-		total += items[i-1].Rect.CenterDist(items[i].Rect)
-	}
-	return total
-}
-
-func TestHilbertDistinctCells(t *testing.T) {
-	seen := map[uint64]bool{}
-	for x := uint32(0); x < 8; x++ {
-		for y := uint32(0); y < 8; y++ {
-			d := hilbertD(3, x, y)
-			if seen[d] {
-				t.Fatalf("duplicate hilbert index %d at (%d,%d)", d, x, y)
-			}
-			seen[d] = true
-			if d >= 64 {
-				t.Fatalf("hilbert index %d out of range for order 3", d)
-			}
-		}
 	}
 }
 

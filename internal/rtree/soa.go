@@ -8,11 +8,11 @@ import (
 	"distjoin/internal/geom"
 )
 
-// NodeSoA is a struct-of-arrays decoding of one paged node: the entry
-// MBRs as four parallel coordinate slices plus the refs. The plane
-// sweep and the geom batch distance kernels scan these slices as
-// contiguous float64 memory instead of striding over 40-byte
-// NodeEntry records.
+// NodeSoA is the decoded form of one paged node, struct-of-arrays: the
+// entry MBRs as four parallel coordinate slices plus the refs. The
+// plane sweep and the geom batch distance kernels scan these slices as
+// contiguous float64 memory instead of striding over the page's
+// 40-byte entry records.
 //
 // All five slices share one backing allocation (coords for the four
 // coordinate columns, refs for the references), sized once and reused
@@ -85,11 +85,6 @@ func (s *NodeSoA) Rect(i int) geom.Rect {
 	return geom.Rect{MinX: s.MinX[i], MinY: s.MinY[i], MaxX: s.MaxX[i], MaxY: s.MaxY[i]}
 }
 
-// Entry returns the i-th entry in NodeEntry form.
-func (s *NodeSoA) Entry(i int) NodeEntry {
-	return NodeEntry{Rect: s.Rect(i), Ref: s.Refs[i]}
-}
-
 // Swap exchanges entries i and j across all columns.
 func (s *NodeSoA) Swap(i, j int) {
 	s.MinX[i], s.MinX[j] = s.MinX[j], s.MinX[i]
@@ -116,7 +111,7 @@ func (s *NodeSoA) Hi(axis int) []float64 {
 }
 
 // decodeNodeSoA parses a page into dst column-wise, reusing dst's
-// backing arrays. The page layout is the row-major one of decodeNode.
+// backing arrays. The page layout (node.go) is row-major.
 func decodeNodeSoA(page []byte, dst *NodeSoA) error {
 	if len(page) < nodeHeaderSize {
 		return fmt.Errorf("rtree: page too small: %d bytes", len(page))

@@ -8,8 +8,8 @@ import (
 )
 
 // randomNodePage encodes a node with n random entries at the given
-// level into a fresh page.
-func randomNodePage(t *testing.T, rng *rand.Rand, pageSize, level, n int) []byte {
+// level into a fresh page and returns the entries with it.
+func randomNodePage(t *testing.T, rng *rand.Rand, pageSize, level, n int) ([]byte, []encEntry) {
 	t.Helper()
 	page := make([]byte, pageSize)
 	entries := make([]encEntry, n)
@@ -23,40 +23,32 @@ func randomNodePage(t *testing.T, rng *rand.Rand, pageSize, level, n int) []byte
 	if err := encodeNode(page, level, entries); err != nil {
 		t.Fatal(err)
 	}
-	return page
+	return page, entries
 }
 
-// TestDecodeNodeSoAMatchesDecodeNode pins the SoA decoder against the
-// row-major reference on the same pages: level, count, every MBR, and
-// every ref must agree entry-for-entry. The SoA buffer is reused
-// across decodes of different sizes — growing and shrinking — because
-// that is exactly how the join expander uses it.
+// TestDecodeNodeSoAMatchesDecodeNode pins the decoder against what the
+// encoder was given (the row-major decoder it is named for is gone):
+// level, count, every MBR, and every ref must agree entry-for-entry.
+// The SoA buffer is reused across decodes of different sizes — growing
+// and shrinking — because that is exactly how the join expander uses it.
 func TestDecodeNodeSoAMatchesDecodeNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const pageSize = 1024
 	var soa NodeSoA
 	for _, n := range []int{0, 1, 3, 17, PageCapacity(pageSize), 2, 5} {
-		page := randomNodePage(t, rng, pageSize, n%3, n)
-		var node Node
-		if err := decodeNode(page, &node); err != nil {
-			t.Fatalf("n=%d: decodeNode: %v", n, err)
-		}
+		page, entries := randomNodePage(t, rng, pageSize, n%3, n)
 		if err := decodeNodeSoA(page, &soa); err != nil {
 			t.Fatalf("n=%d: decodeNodeSoA: %v", n, err)
 		}
-		if soa.Level != node.Level || soa.Len() != len(node.Entries) {
-			t.Fatalf("n=%d: level/len mismatch: SoA (%d,%d) vs node (%d,%d)",
-				n, soa.Level, soa.Len(), node.Level, len(node.Entries))
+		if soa.Level != n%3 || soa.Len() != n {
+			t.Fatalf("n=%d: level/len (%d,%d), encoded (%d,%d)", n, soa.Level, soa.Len(), n%3, n)
 		}
-		if soa.IsLeaf() != (node.Level == 0) {
+		if soa.IsLeaf() != (n%3 == 0) {
 			t.Fatalf("n=%d: IsLeaf mismatch", n)
 		}
-		for i, e := range node.Entries {
-			if got := soa.Entry(i); got != e {
-				t.Fatalf("n=%d entry %d: SoA %+v vs node %+v", n, i, got, e)
-			}
-			if soa.Rect(i) != e.Rect {
-				t.Fatalf("n=%d entry %d: Rect mismatch", n, i)
+		for i, e := range entries {
+			if soa.Rect(i) != e.rect || soa.Refs[i] != e.ref {
+				t.Fatalf("n=%d entry %d: decoded %v %d, encoded %+v", n, i, soa.Rect(i), soa.Refs[i], e)
 			}
 		}
 	}
@@ -66,7 +58,7 @@ func TestDecodeNodeSoAMatchesDecodeNode(t *testing.T) {
 // buffer has grown to a node's size, re-decoding allocates nothing.
 func TestDecodeNodeSoAWarmNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	page := randomNodePage(t, rng, 1024, 0, 20)
+	page, _ := randomNodePage(t, rng, 1024, 0, 20)
 	var soa NodeSoA
 	if err := decodeNodeSoA(page, &soa); err != nil {
 		t.Fatal(err)
@@ -80,8 +72,8 @@ func TestDecodeNodeSoAWarmNoAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeNodeSoARejectsCorruptPages mirrors decodeNode's error
-// contract on truncated and count-corrupted pages.
+// TestDecodeNodeSoARejectsCorruptPages: truncated and count-corrupted
+// pages are errors.
 func TestDecodeNodeSoARejectsCorruptPages(t *testing.T) {
 	var soa NodeSoA
 	if err := decodeNodeSoA([]byte{1, 2}, &soa); err == nil {

@@ -20,6 +20,15 @@ const metaMagic = "DJRT0001"
 // packed R-tree.
 var ErrNotRTree = errors.New("rtree: store does not contain a packed R-tree")
 
+// ErrCorruptNode is returned, wrapped, by a descent (Search,
+// NearestNeighbors, Walk) that follows a child ref to a page which
+// cannot be that child: its header does not claim the level below its
+// parent's, or the ref is no page ID at all. Levels falling by one per
+// step is what bounds a descent over damaged pages by the height the
+// headers claim; a ref past the store's last page is the pool's
+// storage.ErrPageOutOfRange instead.
+var ErrCorruptNode = errors.New("rtree: corrupt node")
+
 // Tree is a read-only paged R-tree: the query-time image of a Builder,
 // read through a buffer pool. All node fetches are counted against the
 // supplied metrics collector, distinguishing logical accesses from
@@ -191,21 +200,9 @@ func (t *Tree) ResizeBuffer(bytes int) {
 	t.rederiveRoom()
 }
 
-// ReadNode fetches and decodes the node on page id, reusing dst. The
-// access is recorded against mc (which may be nil): one logical node
-// access, whether it was physical (buffer miss), and the buffer pool
-// hit/miss/eviction attribution.
-func (t *Tree) ReadNode(id storage.PageID, dst *Node, mc *metrics.Collector) error {
-	page, err := t.fetchNode(id, mc)
-	if err != nil {
-		return err
-	}
-	return decodeNode(page, dst)
-}
-
 // fetchNode returns node id's page through the buffer pool and records
-// the access against mc: the one fetch-and-account step every node
-// decoder (ReadNode, ReadNodeSoA, ReadNodeSoAOrdered) starts with.
+// the access against mc: the one fetch-and-account step both node
+// reads (ReadNodeSoA, ReadNodeSoAOrdered) start with.
 func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) ([]byte, error) {
 	page, acc, err := t.pool.GetAccounted(id)
 	if err != nil {
@@ -216,9 +213,10 @@ func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) ([]byte, erro
 	return page, nil
 }
 
-// ReadNodeSoA is ReadNode decoding into the struct-of-arrays layout:
-// the same page fetch and metrics accounting, with the entry columns
-// written into dst's reusable backing arrays.
+// ReadNodeSoA fetches and decodes the node on page id in page order,
+// reusing dst's backing arrays. The access is recorded against mc
+// (which may be nil): one logical node access, whether it was physical
+// (buffer miss), and the buffer pool hit/miss/eviction attribution.
 func (t *Tree) ReadNodeSoA(id storage.PageID, dst *NodeSoA, mc *metrics.Collector) error {
 	page, err := t.fetchNode(id, mc)
 	if err != nil {
@@ -227,34 +225,60 @@ func (t *Tree) ReadNodeSoA(id storage.PageID, dst *NodeSoA, mc *metrics.Collecto
 	return decodeNodeSoA(page, dst)
 }
 
-// Search invokes fn for every object whose MBR intersects q, counting
-// node accesses against mc. Returning false stops early.
-func (t *Tree) Search(q geom.Rect, mc *metrics.Collector, fn func(Item) bool) error {
-	_, err := t.searchPage(t.rootPage, q, mc, fn)
-	return err
+// visit is one pending step of a descent: the child ref to follow and
+// the level the page behind it must claim (anyLevel for the root, which
+// has no parent to contradict).
+type visit struct {
+	ref   uint64
+	level int
 }
 
-func (t *Tree) searchPage(id storage.PageID, q geom.Rect, mc *metrics.Collector, fn func(Item) bool) (bool, error) {
-	var n Node
-	if err := t.ReadNode(id, &n, mc); err != nil {
-		return false, err
+const anyLevel = -1
+
+// readVisit is ReadNodeSoA for a descent: the same fetch and the same
+// accounting, and then the check that v led where its parent said.
+func (t *Tree) readVisit(v visit, dst *NodeSoA, mc *metrics.Collector) error {
+	if v.ref > math.MaxUint32 {
+		return fmt.Errorf("%w: child ref %#x is not a page id", ErrCorruptNode, v.ref)
 	}
-	for _, e := range n.Entries {
-		if !e.Rect.Intersects(q) {
-			continue
+	if err := t.ReadNodeSoA(storage.PageID(v.ref), dst, mc); err != nil {
+		return err
+	}
+	if v.level != anyLevel && dst.Level != v.level {
+		return fmt.Errorf("%w: page %d claims level %d, its parent's entry level %d",
+			ErrCorruptNode, v.ref, dst.Level, v.level)
+	}
+	return nil
+}
+
+// Search invokes fn for every object whose MBR intersects q, counting
+// node accesses against mc. Returning false stops early. Nodes are read
+// and objects reported depth first in entry order: the stack takes a
+// node's children last entry first.
+func (t *Tree) Search(q geom.Rect, mc *metrics.Collector, fn func(Item) bool) error {
+	var n NodeSoA
+	stack := []visit{{ref: uint64(t.rootPage), level: anyLevel}}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if err := t.readVisit(v, &n, mc); err != nil {
+			return err
 		}
 		if n.IsLeaf() {
-			if !fn(Item{Rect: e.Rect, Obj: int64(e.Ref)}) {
-				return false, nil
+			for i := 0; i < n.Len(); i++ {
+				if r := n.Rect(i); r.Intersects(q) && !fn(Item{Rect: r, Obj: int64(n.Refs[i])}) {
+					return nil
+				}
 			}
-		} else {
-			cont, err := t.searchPage(storage.PageID(e.Ref), q, mc, fn)
-			if err != nil || !cont {
-				return cont, err
+			continue
+		}
+		for i := n.Len() - 1; i >= 0; i-- {
+			if n.Rect(i).Intersects(q) {
+				stack = append(stack, visit{ref: n.Refs[i], level: n.Level - 1})
 			}
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // Neighbor is one result of a nearest-neighbor query.
@@ -271,58 +295,59 @@ func (t *Tree) NearestNeighbors(q geom.Rect, k int, mc *metrics.Collector) ([]Ne
 	if k <= 0 || t.size == 0 {
 		return nil, nil
 	}
+	// A queue element is one node entry, an object or the child to
+	// read next, in 56 bytes: the heap copies it at every sift.
 	type qe struct {
 		dist  float64
+		rect  geom.Rect // the object's MBR
+		ref   uint64    // the object's ID, or the child's page
+		level int32     // the level the child must claim
 		isObj bool
-		page  storage.PageID
-		item  Item
 	}
 	h := pqueue.NewHeap(func(a, b *qe) bool { return a.dist < b.dist })
-	h.Push(qe{dist: 0, page: t.rootPage})
+	h.Push(qe{ref: uint64(t.rootPage), level: anyLevel})
 	var out []Neighbor
-	var n Node
+	var n NodeSoA
 	for !h.Empty() && len(out) < k {
 		top := h.Pop()
 		if top.isObj {
-			out = append(out, Neighbor{Item: top.item, Dist: top.dist})
+			out = append(out, Neighbor{Item: Item{Rect: top.rect, Obj: int64(top.ref)}, Dist: top.dist})
 			continue
 		}
-		if err := t.ReadNode(top.page, &n, mc); err != nil {
+		if err := t.readVisit(visit{ref: top.ref, level: int(top.level)}, &n, mc); err != nil {
 			return nil, err
 		}
-		for _, e := range n.Entries {
-			d := q.MinDist(e.Rect)
+		for i := 0; i < n.Len(); i++ {
+			e := qe{rect: n.Rect(i), ref: n.Refs[i], level: int32(n.Level - 1), isObj: n.IsLeaf()}
+			e.dist = q.MinDist(e.rect)
 			mc.AddRealDist(1)
-			if n.IsLeaf() {
-				h.Push(qe{dist: d, isObj: true, item: Item{Rect: e.Rect, Obj: int64(e.Ref)}})
-			} else {
-				h.Push(qe{dist: d, page: storage.PageID(e.Ref)})
-			}
+			h.Push(e)
 		}
 	}
 	return out, nil
 }
 
-// Walk visits every node top-down, invoking fn with each node's page
-// ID and decoded contents. Used by tests and tooling.
-func (t *Tree) Walk(fn func(id storage.PageID, n *Node) error) error {
-	return t.walkPage(t.rootPage, fn)
-}
-
-func (t *Tree) walkPage(id storage.PageID, fn func(storage.PageID, *Node) error) error {
-	var n Node
-	if err := t.ReadNode(id, &n, nil); err != nil {
-		return err
-	}
-	if err := fn(id, &n); err != nil {
-		return err
-	}
-	if n.IsLeaf() {
-		return nil
-	}
-	for _, e := range n.Entries {
-		if err := t.walkPage(storage.PageID(e.Ref), fn); err != nil {
+// Walk visits every node top-down, depth first in entry order,
+// invoking fn with each node's page ID and decoded contents. n is one
+// node reused from call to call: fn must not write it or keep it. Used
+// by tests and tooling.
+func (t *Tree) Walk(fn func(id storage.PageID, n *NodeSoA) error) error {
+	var n NodeSoA
+	stack := []visit{{ref: uint64(t.rootPage), level: anyLevel}}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if err := t.readVisit(v, &n, nil); err != nil {
 			return err
+		}
+		if err := fn(storage.PageID(v.ref), &n); err != nil {
+			return err
+		}
+		if n.IsLeaf() {
+			continue
+		}
+		for i := n.Len() - 1; i >= 0; i-- {
+			stack = append(stack, visit{ref: n.Refs[i], level: n.Level - 1})
 		}
 	}
 	return nil

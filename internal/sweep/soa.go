@@ -20,9 +20,9 @@ func (o *soaOrder) Len() int { return o.s.Len() }
 
 func (o *soaOrder) Less(i, j int) bool {
 	// Forward sweeps order by Min(axis) ascending; backward sweeps by
-	// -Max(axis) ascending, exactly Key's values. Comparing the negated
-	// keys directly (rather than key[j] < key[i]) keeps the NaN
-	// semantics bit-for-bit those of SortEntries.
+	// -Max(axis) ascending. Comparing the negated keys directly (rather
+	// than key[j] < key[i]) keeps the NaN semantics bit-for-bit those of
+	// sorting by that key, which the tests' reference sort does.
 	if o.backward {
 		return -o.key[i] < -o.key[j]
 	}
@@ -51,12 +51,11 @@ type SoASorter struct {
 	t trackedOrder
 }
 
-// Sort permutes s into sweep order for plan p. The permutation is
-// identical to SortEntries on the equivalent entry slice: both run the
-// standard library's pdqsort over the same length and the same
-// less-relation, so equal-key runs land in the same order — which is
-// what keeps SoA sweeps byte-identical to the entry-slice engine they
-// replaced.
+// Sort permutes s into sweep order for plan p: lower bound ascending
+// going forward, upper bound descending going backward, equal keys in
+// the order the standard library's pdqsort leaves them for this length
+// and less-relation (sort.Slice over row-major entries, the tests'
+// reference, leaves the same).
 func (ss *SoASorter) Sort(s *rtree.NodeSoA, p Plan) {
 	ss.o = newSoaOrder(s, p)
 	sort.Sort(&ss.o)
@@ -90,10 +89,4 @@ func (ss *SoASorter) SortTracked(s *rtree.NodeSoA, p Plan) (perm []uint16) {
 	sort.Sort(&ss.t)
 	ss.t.soaOrder = soaOrder{}
 	return ss.t.idx
-}
-
-// SortSoA sorts s in sweep order for the given plan.
-func SortSoA(s *rtree.NodeSoA, p Plan) {
-	var ss SoASorter
-	ss.Sort(s, p)
 }

@@ -2,16 +2,14 @@
 // paper §3: selecting a sweeping axis by the "sweeping index" metric
 // (Eq. 2, with the closed forms of Table 1 generalized to every node
 // configuration), selecting a sweeping direction from the projected
-// intervals (§3.3), and the sorting/pruning primitives the node
-// expansion loops are built from.
+// intervals (§3.3), and sorting a node's entries into the chosen sweep
+// order (soa.go).
 package sweep
 
 import (
 	"math"
-	"sort"
 
 	"distjoin/internal/geom"
-	"distjoin/internal/rtree"
 )
 
 // Direction is the plane-sweep scan direction along the chosen axis.
@@ -204,40 +202,4 @@ func integrateWindowOverlap(d, a0, a1, b0, b1 float64) float64 {
 		total += (flo + fhi) / 2 * (hi - lo)
 	}
 	return total
-}
-
-// Key returns the sort key of a rectangle for a sweep along axis in
-// the given direction: the lower corner ascending for forward sweeps,
-// the negated upper corner (so that larger coordinates come first) for
-// backward sweeps.
-func Key(r geom.Rect, axis int, dir Direction) float64 {
-	if dir == Forward {
-		return r.Min(axis)
-	}
-	return -r.Max(axis)
-}
-
-// SortEntries sorts entries in sweep order for the given plan.
-func SortEntries(entries []rtree.NodeEntry, p Plan) {
-	sort.Slice(entries, func(i, j int) bool {
-		return Key(entries[i].Rect, p.Axis, p.Dir) < Key(entries[j].Rect, p.Axis, p.Dir)
-	})
-}
-
-// AxisGap returns the axis distance between the anchor and a candidate
-// encountered later in sweep order. Because the anchor holds the
-// minimum sweep key, the gap is monotone nondecreasing along the
-// candidate list, which is what makes the early break of the sweep
-// pruning loop safe (SweepPruning line 16 of Algorithm 1).
-func AxisGap(anchor, other geom.Rect, axis int, dir Direction) float64 {
-	var g float64
-	if dir == Forward {
-		g = other.Min(axis) - anchor.Max(axis)
-	} else {
-		g = anchor.Min(axis) - other.Max(axis)
-	}
-	if g < 0 {
-		return 0
-	}
-	return g
 }

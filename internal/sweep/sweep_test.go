@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"distjoin/internal/geom"
-	"distjoin/internal/rtree"
 )
 
 // numericIndexTerm evaluates one term of Eq. 2 with brute-force
@@ -198,44 +197,44 @@ func TestChooseDirection(t *testing.T) {
 }
 
 func TestKeyAndSortEntries(t *testing.T) {
-	entries := []rtree.NodeEntry{
+	entries := []entry{
 		{Rect: geom.NewRect(5, 0, 6, 1), Ref: 0},
 		{Rect: geom.NewRect(1, 0, 9, 1), Ref: 1},
 		{Rect: geom.NewRect(3, 0, 4, 1), Ref: 2},
 	}
-	fwd := append([]rtree.NodeEntry(nil), entries...)
-	SortEntries(fwd, Plan{Axis: 0, Dir: Forward})
+	fwd := append([]entry(nil), entries...)
+	sortEntries(fwd, Plan{Axis: 0, Dir: Forward})
 	if fwd[0].Ref != 1 || fwd[1].Ref != 2 || fwd[2].Ref != 0 {
 		t.Fatalf("forward order = %v", []uint64{fwd[0].Ref, fwd[1].Ref, fwd[2].Ref})
 	}
-	bwd := append([]rtree.NodeEntry(nil), entries...)
-	SortEntries(bwd, Plan{Axis: 0, Dir: Backward})
+	bwd := append([]entry(nil), entries...)
+	sortEntries(bwd, Plan{Axis: 0, Dir: Backward})
 	// Backward: descending Max => 9, 6, 4.
 	if bwd[0].Ref != 1 || bwd[1].Ref != 0 || bwd[2].Ref != 2 {
 		t.Fatalf("backward order = %v", []uint64{bwd[0].Ref, bwd[1].Ref, bwd[2].Ref})
 	}
 }
 
-// Property: along a sorted candidate list, AxisGap from the current
+// Property: along a sorted candidate list, axisGap from the current
 // anchor is monotone nondecreasing (break safety) and always a lower
 // bound on the true axis distance, hence on MinDist.
 func TestAxisGapMonotoneAndSafe(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
-		var entries []rtree.NodeEntry
+		var entries []entry
 		for i := 0; i < 20; i++ {
 			x, y := rng.Float64()*100, rng.Float64()*100
-			entries = append(entries, rtree.NodeEntry{
+			entries = append(entries, entry{
 				Rect: geom.NewRect(x, y, x+rng.Float64()*10, y+rng.Float64()*10),
 			})
 		}
 		for _, dir := range []Direction{Forward, Backward} {
 			p := Plan{Axis: trial % 2, Dir: dir}
-			SortEntries(entries, p)
+			sortEntries(entries, p)
 			anchor := entries[0]
 			prev := -1.0
 			for _, m := range entries[1:] {
-				g := AxisGap(anchor.Rect, m.Rect, p.Axis, dir)
+				g := axisGap(anchor.Rect, m.Rect, p.Axis, dir)
 				if g < prev-1e-12 {
 					t.Fatalf("gap not monotone: %g after %g (%v)", g, prev, dir)
 				}
@@ -251,23 +250,23 @@ func TestAxisGapMonotoneAndSafe(t *testing.T) {
 	}
 }
 
-// Property: the sweep key order itself is consistent: sorting by Key
+// Property: the sweep key order itself is consistent: sorting by key
 // groups anchors so the minimum key is first.
 func TestSweepOrderFirstIsAnchor(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	entries := make([]rtree.NodeEntry, 50)
+	entries := make([]entry, 50)
 	for i := range entries {
 		x := rng.Float64() * 100
-		entries[i] = rtree.NodeEntry{Rect: geom.NewRect(x, 0, x+rng.Float64()*5, 1)}
+		entries[i] = entry{Rect: geom.NewRect(x, 0, x+rng.Float64()*5, 1)}
 	}
 	p := Plan{Axis: 0, Dir: Forward}
-	SortEntries(entries, p)
+	sortEntries(entries, p)
 	keys := make([]float64, len(entries))
 	for i, e := range entries {
-		keys[i] = Key(e.Rect, p.Axis, p.Dir)
+		keys[i] = key(e.Rect, p.Axis, p.Dir)
 	}
 	if !sort.Float64sAreSorted(keys) {
-		t.Fatal("entries not in key order after SortEntries")
+		t.Fatal("entries not in key order after sortEntries")
 	}
 }
 
