@@ -152,7 +152,10 @@ sim-soak:
 	$(GO) run -race ./cmd/distjoin-sim -duration $(SIM_SOAK_DURATION) -faults -points $(SIM_POINTS) -out sim-failures.txt
 
 # Run every fuzz target for FUZZTIME each: 20s by hand, 10s in CI
-# (fuzz-smoke), 2m in the nightly workflow.
+# (fuzz-smoke), 2m in the nightly workflow. FuzzEndpoint drives a live
+# server, whose coverage depends on the clock and on earlier requests:
+# left at the default minute per input, the fuzzer spends most of its
+# time failing to minimise inputs whose coverage does not reproduce.
 FUZZTIME ?= 20s
 
 fuzz:
@@ -162,6 +165,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/geom
 	$(GO) test -fuzz=FuzzIndex -fuzztime=$(FUZZTIME) ./internal/sweep
 	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) ./internal/simtest
+	$(GO) test -fuzz=FuzzEndpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/serving
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

@@ -1,6 +1,6 @@
 // Command distjoin-vet is the project lint suite driver. It runs the
-// five internal/analysis analyzers (floatcmp, lockheld, ctxpoll,
-// mapdet, servecontract) in two modes:
+// four internal/analysis analyzers (floatcmp, lockheld, ctxpoll,
+// mapdet) in two modes:
 //
 //	go vet -vettool=$(pwd)/bin/distjoin-vet ./...
 //

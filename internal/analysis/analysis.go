@@ -1,6 +1,6 @@
 // Package analysis is the distjoin-vet lint suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) carrying five project-specific
+// vocabulary (Analyzer, Pass, Diagnostic) carrying four project-specific
 // analyzers that turn the engine's correctness conventions into
 // compile-time-checked invariants:
 //
@@ -16,10 +16,7 @@
 //     cancellation/progress poll;
 //   - mapdet — no map iteration, wall-clock reads, or math/rand on
 //     determinism-critical paths (join, hybridq, pqueue, sweep,
-//     extsort);
-//   - servecontract — serving handlers send error statuses only
-//     through writeError/writeJSON, never by a direct http.Error,
-//     http.NotFound or WriteHeader(4xx/5xx).
+//     extsort).
 //
 // Suppressions use the annotation grammar
 //
@@ -118,9 +115,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Suite returns the five distjoin-vet analyzers in reporting order.
+// Suite returns the four distjoin-vet analyzers in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Floatcmp, Lockheld, Ctxpoll, Mapdet, Servecontract}
+	return []*Analyzer{Floatcmp, Lockheld, Ctxpoll, Mapdet}
 }
 
 // RunUnit applies analyzers to one unit and returns the findings

@@ -25,7 +25,6 @@ var goldenFixtures = []struct {
 	{Ctxpoll, "ctxpoll/join"},
 	{Ctxpoll, "ctxpoll/serving"},
 	{Mapdet, "mapdet/join"},
-	{Servecontract, "servecontract/serving"},
 }
 
 // wantRE matches analysistest-style expectations: a `// want "regex"`

@@ -67,15 +67,17 @@ var mutations = []struct {
 		}},
 	},
 	{
-		// The close handler looks the cursor up itself and answers the
-		// unknown-cursor case before unlocking: the 404 is written to the
-		// client under cursorTable.mu, which every cursor request crosses.
+		// The pipeline holds the cursor table still while it renders, so
+		// that no sweep can drop the cursor a response names: the body is
+		// written to the client under cursorTable.mu, which every cursor
+		// request crosses. An endpoint cannot plant this (it has no
+		// writer); the pipeline's respond is where rendering lives.
 		name:     "lockheld/write-response-under-cursor-table-lock",
 		pkg:      "distjoin/internal/serving",
 		analyzer: "lockheld",
 		edits: []textEdit{{
-			old: "\tcur, ok := s.cursors.remove(req.Cursor)\n\tif !ok {\n\t\ts.failRequest(w, tel, notFound(\"unknown cursor %q (closed, expired, or never opened)\", req.Cursor))\n\t\treturn\n\t}\n\tcur.close()\n",
-			new: "\ts.cursors.mu.Lock()\n\tcur, ok := s.cursors.byID[req.Cursor]\n\tif !ok {\n\t\ts.failRequest(w, tel, notFound(\"unknown cursor %q (closed, expired, or never opened)\", req.Cursor))\n\t\ts.cursors.mu.Unlock()\n\t\treturn\n\t}\n\tdelete(s.cursors.byID, req.Cursor)\n\ts.cursors.mu.Unlock()\n\tcur.close()\n",
+			old: "\twriteJSON(w, http.StatusOK, v)\n\treturn http.StatusOK\n",
+			new: "\ts.cursors.mu.Lock()\n\twriteJSON(w, http.StatusOK, v)\n\ts.cursors.mu.Unlock()\n\treturn http.StatusOK\n",
 		}},
 	},
 	{
@@ -96,17 +98,6 @@ var mutations = []struct {
 		edits: []textEdit{{
 			old: "for _, key := range it.compOrder {",
 			new: "for key := range it.compMap {",
-		}},
-	},
-	{
-		// The root mux fallback loses its stated reason for sending a
-		// 404 past writeError.
-		name:     "servecontract/strip-fallback-allow",
-		pkg:      "distjoin/internal/serving",
-		analyzer: "servecontract",
-		edits: []textEdit{{
-			old: "//lint:allow servecontract the root mux fallback has no query context; a plain 404 matches net/http convention for unknown paths\n",
-			new: "",
 		}},
 	},
 }

@@ -20,9 +20,9 @@ func TestWriteSARIFRoundTrip(t *testing.T) {
 			Message:  "storage.WritePage does disk I/O while the hybridq mutex is held",
 		},
 		{
-			Analyzer: "servecontract",
+			Analyzer: "ctxpoll",
 			Pos:      token.Position{Filename: "/elsewhere/outside.go", Line: 7},
-			Message:  "http.NotFound bypasses the canonical status table",
+			Message:  "loop drains it.Next without a cancellation/progress poll",
 		},
 		{
 			// An analyzer not in the suite (e.g. the "allow"

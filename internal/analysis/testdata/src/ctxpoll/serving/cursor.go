@@ -41,7 +41,7 @@ func (c *cursor) goodPolledFill(n int) ([]distjoin.Pair, error) {
 	return pairs, nil
 }
 
-// allowedBounded mirrors the real cursor.next: bounded by the page
+// allowedBounded mirrors the real cursor.pull: bounded by the page
 // size, with the engine iterator polling Options.Context internally.
 //
 //lint:allow ctxpoll fixture demonstrates the page-bounded annotation

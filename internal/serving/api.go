@@ -3,12 +3,9 @@ package serving
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -27,6 +24,14 @@ const statusClientClosedRequest = 499
 
 // maxBodyBytes bounds one request body; query requests are small.
 const maxBodyBytes = 1 << 20
+
+// maxResults bounds how many pairs a within query may return in one
+// response; larger result sets are truncated and flagged in the
+// response. maxPageSize bounds one incremental page.
+const (
+	maxResults  = 100_000
+	maxPageSize = 4096
+)
 
 type pairJSON struct {
 	Left  int64   `json:"left"`
@@ -128,75 +133,6 @@ func notFound(format string, args ...any) *apiError {
 	return &apiError{status: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
 }
 
-// writeError renders err with the right status and counts it. The
-// mapping is the budget contract of the API: admission overflow → 429
-// (shed load, retry later), shutdown → 503, deadline → 504, client
-// disconnect → 499, malformed request → 400. This is the one place a
-// failed request is counted, before the response is written, so a
-// client that has read a status already finds it on /v1/stats and
-// /metrics.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	var ae *apiError
-	switch {
-	case errors.As(err, &ae):
-		status = ae.status
-	case errors.Is(err, errQueueFull):
-		status = http.StatusTooManyRequests
-		s.metrics.Inc(distjoin.ServingShed)
-		// Retry-After is priced from the observed drain rate: roughly
-		// how long until the queue ahead of this client has drained.
-		// X-Queue-Depth lets clients back off proportionally.
-		depth := s.gate.queued()
-		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterSeconds(depth, s.drain.ratePerSec(time.Now()))))
-		w.Header().Set("X-Queue-Depth", strconv.Itoa(depth))
-	case errors.Is(err, errDraining):
-		status = http.StatusServiceUnavailable
-		s.metrics.Inc(distjoin.ServingRejectedDraining)
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-		s.metrics.Inc(distjoin.ServingDeadlineExceeded)
-	case errors.Is(err, context.Canceled):
-		status = statusClientClosedRequest
-		s.metrics.Inc(distjoin.ServingClientGone)
-	}
-	if status == http.StatusInternalServerError {
-		s.metrics.Inc(distjoin.ServingFailed)
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// failRequest records err on the request's telemetry, then renders it.
-func (s *Server) failRequest(w http.ResponseWriter, tel *reqTelemetry, err error) {
-	tel.err = err
-	s.writeError(w, err)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		// The response is already streaming; an error here means the
-		// client went away.
-		_ = err
-	}
-}
-
-// decode reads one JSON request body into v.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("invalid request body: %v", err)
-	}
-	if dec.More() {
-		return badRequest("invalid request body: trailing data")
-	}
-	return nil
-}
-
 // parseAlgorithm maps the wire names onto Algorithm values.
 func parseAlgorithm(name string) (distjoin.Algorithm, error) {
 	switch strings.ToLower(name) {
@@ -211,6 +147,17 @@ func parseAlgorithm(name string) (distjoin.Algorithm, error) {
 	default:
 		return 0, badRequest("unknown algorithm %q (want am, b, hs, or sj)", name)
 	}
+}
+
+// resolveBoth looks up the two sides of a join.
+func (s *Server) resolveBoth(leftName, rightName string) (left, right *distjoin.Index, err error) {
+	if left, err = s.resolve("left", leftName); err != nil {
+		return nil, nil, err
+	}
+	if right, err = s.resolve("right", rightName); err != nil {
+		return nil, nil, err
+	}
+	return left, right, nil
 }
 
 // resolve looks up a dataset by name with a 404-mapped error.
@@ -230,21 +177,20 @@ func (s *Server) checkK(k int) error {
 	if k <= 0 {
 		return badRequest("k must be positive, got %d", k)
 	}
-	if m := s.cfg.maxK(); k > m {
-		return badRequest("k %d exceeds the server budget %d", k, m)
+	if k > s.cfg.MaxK {
+		return badRequest("k %d exceeds the server budget %d", k, s.cfg.MaxK)
 	}
 	return nil
 }
 
 // pageSize resolves a requested incremental page size against the
 // budget (0 selects the maximum).
-func (s *Server) pageSize(req int) (int, error) {
-	m := s.cfg.maxPageSize()
+func pageSize(req int) (int, error) {
 	if req < 0 {
 		return 0, badRequest("page_size must be non-negative, got %d", req)
 	}
-	if req == 0 || req > m {
-		return m, nil
+	if req == 0 || req > maxPageSize {
+		return maxPageSize, nil
 	}
 	return req, nil
 }
@@ -267,224 +213,41 @@ func makePairs(pairs []distjoin.Pair) []pairJSON {
 	return out
 }
 
-// handleKDistance serves POST /v1/join/k.
-func (s *Server) handleKDistance(w http.ResponseWriter, r *http.Request) {
-	tel, w := s.beginRequest(w, "join/k")
-	defer tel.finish()
-	var req kDistanceRequest
-	if err := decode(r, &req); err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	tel.index = req.Left + "," + req.Right
-	tel.k = req.K
-	algo, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	if err := s.checkK(req.K); err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	if algo == distjoin.SJSort && req.MaxDist <= 0 {
-		s.failRequest(w, tel, badRequest("algorithm sj requires max_dist > 0"))
-		return
-	}
-	left, err := s.resolve("left", req.Left)
-	if err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	right, err := s.resolve("right", req.Right)
-	if err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-
-	tel.deadline = s.deadline(req.DeadlineMS)
-	ctx, cancel := context.WithTimeout(r.Context(), tel.deadline)
-	defer cancel()
-	release, err := s.admitTimed(ctx, tel)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
-
-	var st distjoin.Stats
-	tel.st = &st
-	opts := &distjoin.Options{
-		Algorithm:     algo,
-		MaxDist:       req.MaxDist,
-		QueueMemBytes: s.queueMem(req.QueueMemBytes),
-		Context:       ctx,
-		Stats:         &st,
-		Registry:      s.cfg.Registry,
-		QueryID:       tel.queryID,
-	}
-	var tr *distjoin.Tracer
-	if wantExplain(r) {
-		tr = distjoin.NewTracer(0)
-		opts.Trace = tr
-	}
-	start := time.Now()
-	pairs, err := distjoin.KDistanceJoin(left, right, req.K, opts)
-	if err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	tel.results = len(pairs)
-	resp := queryResponse{
-		QueryID: tel.queryID,
-		Pairs:   makePairs(pairs),
-		Stats:   makeStats(&st, time.Since(start)),
-	}
-	if tr != nil {
-		resp.Explain = buildExplain(tr, &st)
-	}
-	writeJSON(w, http.StatusOK, resp)
+// blockingQuery is a validated blocking join: the budgets the request
+// asked for plus the engine call. opts carries what the request chose
+// (algorithm, distance bound, queue memory); serve adds what the server
+// owns. run reports whether it cut the result short.
+type blockingQuery struct {
+	deadlineMS int64
+	opts       distjoin.Options
+	run        func(opts *distjoin.Options) (pairs []distjoin.Pair, truncated bool, err error)
 }
 
-// handleKClosest serves POST /v1/join/closest.
-func (s *Server) handleKClosest(w http.ResponseWriter, r *http.Request) {
-	tel, w := s.beginRequest(w, "join/closest")
-	defer tel.finish()
-	var req kClosestRequest
-	if err := decode(r, &req); err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	tel.index = req.Index
-	tel.k = req.K
-	if err := s.checkK(req.K); err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	idx, err := s.resolve("index", req.Index)
+// serve admits the query under its deadline, runs it and builds the
+// response: the one copy of the blocking-join lifecycle.
+func (q blockingQuery) serve(s *Server, tel *reqTelemetry, r *http.Request) (any, error) {
+	tel.deadline = s.deadline(q.deadlineMS)
+	ctx, err := s.admit(tel, r.Context(), time.Now().Add(tel.deadline))
 	if err != nil {
-		s.failRequest(w, tel, err)
-		return
+		return nil, err
 	}
-
-	tel.deadline = s.deadline(req.DeadlineMS)
-	ctx, cancel := context.WithTimeout(r.Context(), tel.deadline)
-	defer cancel()
-	release, err := s.admitTimed(ctx, tel)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
-
 	var st distjoin.Stats
-	tel.st = &st
-	opts := &distjoin.Options{
-		QueueMemBytes: s.queueMem(req.QueueMemBytes),
-		Context:       ctx,
-		Stats:         &st,
-		Registry:      s.cfg.Registry,
-		QueryID:       tel.queryID,
-	}
+	opts := q.opts
+	opts.Context = ctx
+	opts.Stats = &st
+	opts.Registry = s.cfg.Registry
+	opts.QueryID = tel.queryID
 	var tr *distjoin.Tracer
 	if wantExplain(r) {
 		tr = distjoin.NewTracer(0)
 		opts.Trace = tr
 	}
 	start := time.Now()
-	pairs, err := distjoin.KClosestPairs(idx, req.K, opts)
+	pairs, truncated, err := q.run(&opts)
+	// An aborted run is recorded with the work it did.
+	tel.distCalcs, tel.edmaxMode = st.DistCalcs(), st.EstimateMode()
 	if err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	tel.results = len(pairs)
-	resp := queryResponse{
-		QueryID: tel.queryID,
-		Pairs:   makePairs(pairs),
-		Stats:   makeStats(&st, time.Since(start)),
-	}
-	if tr != nil {
-		resp.Explain = buildExplain(tr, &st)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleWithin serves POST /v1/join/within. Pairs stream from the
-// engine in no particular order; the response carries up to the
-// requested limit (clamped to the server budget) and flags
-// truncation.
-func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
-	tel, w := s.beginRequest(w, "join/within")
-	defer tel.finish()
-	var req withinRequest
-	if err := decode(r, &req); err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	tel.index = req.Left + "," + req.Right
-	if req.MaxDist < 0 || math.IsNaN(req.MaxDist) {
-		s.failRequest(w, tel, badRequest("max_dist must be a non-negative number"))
-		return
-	}
-	limit := s.cfg.maxResults()
-	if req.Limit < 0 {
-		s.failRequest(w, tel, badRequest("limit must be non-negative, got %d", req.Limit))
-		return
-	}
-	if req.Limit > 0 && req.Limit < limit {
-		limit = req.Limit
-	}
-	left, err := s.resolve("left", req.Left)
-	if err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	right, err := s.resolve("right", req.Right)
-	if err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-
-	tel.deadline = s.deadline(req.DeadlineMS)
-	ctx, cancel := context.WithTimeout(r.Context(), tel.deadline)
-	defer cancel()
-	release, err := s.admitTimed(ctx, tel)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
-
-	var st distjoin.Stats
-	tel.st = &st
-	opts := &distjoin.Options{
-		QueueMemBytes: s.queueMem(req.QueueMemBytes),
-		Context:       ctx,
-		Stats:         &st,
-		Registry:      s.cfg.Registry,
-		QueryID:       tel.queryID,
-	}
-	var tr *distjoin.Tracer
-	if wantExplain(r) {
-		tr = distjoin.NewTracer(0)
-		opts.Trace = tr
-	}
-	var (
-		pairs     []distjoin.Pair
-		truncated bool
-	)
-	start := time.Now()
-	err = distjoin.WithinJoin(left, right, req.MaxDist, opts, func(p distjoin.Pair) bool {
-		if len(pairs) >= limit {
-			truncated = true
-			return false
-		}
-		pairs = append(pairs, p)
-		return true
-	})
-	if err != nil {
-		s.failRequest(w, tel, err)
-		return
+		return nil, err
 	}
 	tel.results = len(pairs)
 	resp := queryResponse{
@@ -496,180 +259,205 @@ func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		resp.Explain = buildExplain(tr, &st)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// handleIncrementalOpen serves POST /v1/join/incremental: it opens an
+// kDistance serves POST /v1/join/k.
+func (s *Server) kDistance(tel *reqTelemetry, r *http.Request, req *kDistanceRequest) (any, error) {
+	tel.index = req.Left + "," + req.Right
+	tel.k = req.K
+	algo, err := parseAlgorithm(req.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkK(req.K); err != nil {
+		return nil, err
+	}
+	if algo == distjoin.SJSort && req.MaxDist <= 0 {
+		return nil, badRequest("algorithm sj requires max_dist > 0")
+	}
+	left, right, err := s.resolveBoth(req.Left, req.Right)
+	if err != nil {
+		return nil, err
+	}
+	return blockingQuery{
+		deadlineMS: req.DeadlineMS,
+		opts: distjoin.Options{
+			Algorithm:     algo,
+			MaxDist:       req.MaxDist,
+			QueueMemBytes: s.queueMem(req.QueueMemBytes),
+		},
+		run: func(opts *distjoin.Options) ([]distjoin.Pair, bool, error) {
+			pairs, err := distjoin.KDistanceJoin(left, right, req.K, opts)
+			return pairs, false, err
+		},
+	}.serve(s, tel, r)
+}
+
+// kClosest serves POST /v1/join/closest.
+func (s *Server) kClosest(tel *reqTelemetry, r *http.Request, req *kClosestRequest) (any, error) {
+	tel.index = req.Index
+	tel.k = req.K
+	if err := s.checkK(req.K); err != nil {
+		return nil, err
+	}
+	idx, err := s.resolve("index", req.Index)
+	if err != nil {
+		return nil, err
+	}
+	return blockingQuery{
+		deadlineMS: req.DeadlineMS,
+		opts:       distjoin.Options{QueueMemBytes: s.queueMem(req.QueueMemBytes)},
+		run: func(opts *distjoin.Options) ([]distjoin.Pair, bool, error) {
+			pairs, err := distjoin.KClosestPairs(idx, req.K, opts)
+			return pairs, false, err
+		},
+	}.serve(s, tel, r)
+}
+
+// within serves POST /v1/join/within. Pairs stream from the engine in
+// no particular order; the response carries up to the requested limit
+// (clamped to maxResults) and flags truncation.
+func (s *Server) within(tel *reqTelemetry, r *http.Request, req *withinRequest) (any, error) {
+	tel.index = req.Left + "," + req.Right
+	if req.MaxDist < 0 || math.IsNaN(req.MaxDist) {
+		return nil, badRequest("max_dist must be a non-negative number")
+	}
+	limit := maxResults
+	if req.Limit < 0 {
+		return nil, badRequest("limit must be non-negative, got %d", req.Limit)
+	}
+	if req.Limit > 0 && req.Limit < limit {
+		limit = req.Limit
+	}
+	left, right, err := s.resolveBoth(req.Left, req.Right)
+	if err != nil {
+		return nil, err
+	}
+	return blockingQuery{
+		deadlineMS: req.DeadlineMS,
+		opts:       distjoin.Options{QueueMemBytes: s.queueMem(req.QueueMemBytes)},
+		run: func(opts *distjoin.Options) (pairs []distjoin.Pair, truncated bool, err error) {
+			err = distjoin.WithinJoin(left, right, req.MaxDist, opts, func(p distjoin.Pair) bool {
+				if len(pairs) >= limit {
+					truncated = true
+					return false
+				}
+				pairs = append(pairs, p)
+				return true
+			})
+			return pairs, truncated, err
+		},
+	}.serve(s, tel, r)
+}
+
+// incrementalOpen serves POST /v1/join/incremental: it opens an
 // incremental join, pulls the first page, and — unless the join is
 // already exhausted — registers a cursor whose remaining pages are
 // fetched with /v1/join/incremental/next. The deadline covers the
 // cursor's whole lifetime.
-func (s *Server) handleIncrementalOpen(w http.ResponseWriter, r *http.Request) {
-	tel, w := s.beginRequest(w, "incremental/open")
-	defer tel.finish()
-	var req incrementalOpenRequest
-	if err := decode(r, &req); err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
+func (s *Server) incrementalOpen(tel *reqTelemetry, r *http.Request, req *incrementalOpenRequest) (any, error) {
 	tel.index = req.Left + "," + req.Right
-	page, err := s.pageSize(req.PageSize)
+	page, err := pageSize(req.PageSize)
 	if err != nil {
-		s.failRequest(w, tel, err)
-		return
+		return nil, err
 	}
 	if req.BatchK < 0 {
-		s.failRequest(w, tel, badRequest("batch_k must be non-negative, got %d", req.BatchK))
-		return
+		return nil, badRequest("batch_k must be non-negative, got %d", req.BatchK)
 	}
-	left, err := s.resolve("left", req.Left)
+	left, right, err := s.resolveBoth(req.Left, req.Right)
 	if err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	right, err := s.resolve("right", req.Right)
-	if err != nil {
-		s.failRequest(w, tel, err)
-		return
+		return nil, err
 	}
 
-	d := s.deadline(req.DeadlineMS)
-	tel.deadline = d
-	deadline := time.Now().Add(d)
+	tel.deadline = s.deadline(req.DeadlineMS)
+	deadline := time.Now().Add(tel.deadline)
 	// Admission waits under the request context; the iterator runs
 	// under a cursor context rooted in the server's base context (it
 	// must outlive this request), sharing the same absolute deadline.
-	ctx, cancel := context.WithDeadline(r.Context(), deadline)
-	defer cancel()
-	release, err := s.admitTimed(ctx, tel)
-	if err != nil {
-		s.writeError(w, err)
-		return
+	if _, err := s.admit(tel, r.Context(), deadline); err != nil {
+		return nil, err
 	}
-	defer release()
-
+	id, err := newID()
+	if err != nil {
+		return nil, err
+	}
 	curCtx, curCancel := context.WithDeadline(s.base, deadline)
-	it, err := distjoin.IncrementalJoin(left, right, &distjoin.Options{
+	cur := &cursor{id: id, index: tel.index, deadline: deadline, cancel: curCancel}
+	cur.it, err = distjoin.IncrementalJoin(left, right, &distjoin.Options{
 		BatchK:        req.BatchK,
 		QueueMemBytes: s.queueMem(req.QueueMemBytes),
 		Context:       curCtx,
+		Stats:         &cur.st,
 		Registry:      s.cfg.Registry,
 		QueryID:       tel.queryID,
 	})
 	if err != nil {
 		curCancel()
-		s.failRequest(w, tel, err)
-		return
+		return nil, err
 	}
-	id, err := newID()
-	if err != nil {
-		it.Close()
-		curCancel()
-		s.failRequest(w, tel, err)
-		return
-	}
-	cur := &cursor{id: id, deadline: deadline, cancel: curCancel, it: it}
 
-	pairs, done, returned, err := cur.next(page)
+	resp, err := cur.pull(tel, page)
 	if err != nil {
-		s.failRequest(w, tel, err)
-		return
+		return nil, err
 	}
-	tel.results = len(pairs)
-	resp := incrementalResponse{
-		QueryID:    tel.queryID,
-		Pairs:      makePairs(pairs),
-		Done:       done,
-		Returned:   returned,
-		DeadlineMS: time.Until(deadline).Milliseconds(),
-	}
-	if !done {
+	if !resp.Done {
 		if err := s.cursors.add(cur, time.Now()); err != nil {
 			cur.close()
-			s.failRequest(w, tel, err)
-			return
+			return nil, err
 		}
 		s.metrics.Inc(distjoin.ServingCursorsOpened)
 		resp.Cursor = id
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// handleIncrementalNext serves POST /v1/join/incremental/next.
-func (s *Server) handleIncrementalNext(w http.ResponseWriter, r *http.Request) {
-	tel, w := s.beginRequest(w, "incremental/next")
-	defer tel.finish()
-	var req incrementalNextRequest
-	if err := decode(r, &req); err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
-	page, err := s.pageSize(req.PageSize)
+// incrementalNext serves POST /v1/join/incremental/next.
+func (s *Server) incrementalNext(tel *reqTelemetry, r *http.Request, req *incrementalNextRequest) (any, error) {
+	page, err := pageSize(req.PageSize)
 	if err != nil {
-		s.failRequest(w, tel, err)
-		return
+		return nil, err
 	}
 	cur, ok := s.cursors.get(req.Cursor, time.Now())
 	if !ok {
-		s.failRequest(w, tel, notFound("unknown cursor %q (closed, expired, or never opened)", req.Cursor))
-		return
+		return nil, notFound("unknown cursor %q (closed, expired, or never opened)", req.Cursor)
 	}
+	tel.index = cur.index
 
 	// Bound the admission wait by the cursor's remaining lifetime.
 	tel.deadline = time.Until(cur.deadline)
-	ctx, cancel := context.WithDeadline(r.Context(), cur.deadline)
-	defer cancel()
-	release, err := s.admitTimed(ctx, tel)
-	if err != nil {
-		s.writeError(w, err)
-		return
+	if _, err := s.admit(tel, r.Context(), cur.deadline); err != nil {
+		return nil, err
 	}
-	defer release()
-
-	pairs, done, returned, err := cur.next(page)
-	if done {
+	resp, err := cur.pull(tel, page)
+	if resp.Done {
 		s.cursors.remove(cur.id)
 	}
 	if err != nil {
-		s.failRequest(w, tel, err)
-		return
+		return nil, err
 	}
-	tel.results = len(pairs)
-	writeJSON(w, http.StatusOK, incrementalResponse{
-		QueryID:    tel.queryID,
-		Cursor:     req.Cursor,
-		Pairs:      makePairs(pairs),
-		Done:       done,
-		Returned:   returned,
-		DeadlineMS: time.Until(cur.deadline).Milliseconds(),
-	})
+	resp.Cursor = req.Cursor
+	return resp, nil
 }
 
-// handleIncrementalClose serves POST /v1/join/incremental/close.
-// Closing releases the cursor's engine iterator (idempotent at the
-// iterator level) and its registry entry.
-func (s *Server) handleIncrementalClose(w http.ResponseWriter, r *http.Request) {
-	tel, w := s.beginRequest(w, "incremental/close")
-	defer tel.finish()
-	var req incrementalCloseRequest
-	if err := decode(r, &req); err != nil {
-		s.failRequest(w, tel, err)
-		return
-	}
+// incrementalClose serves POST /v1/join/incremental/close. Closing
+// releases the cursor's engine iterator (idempotent at the iterator
+// level) and its registry entry.
+func (s *Server) incrementalClose(tel *reqTelemetry, _ *http.Request, req *incrementalCloseRequest) (any, error) {
 	cur, ok := s.cursors.remove(req.Cursor)
 	if !ok {
-		s.failRequest(w, tel, notFound("unknown cursor %q (closed, expired, or never opened)", req.Cursor))
-		return
+		return nil, notFound("unknown cursor %q (closed, expired, or never opened)", req.Cursor)
 	}
+	tel.index = cur.index
 	cur.close()
-	writeJSON(w, http.StatusOK, struct {
+	return struct {
 		QueryID string `json:"query_id"`
 		Closed  bool   `json:"closed"`
-	}{tel.queryID, true})
+	}{tel.queryID, true}, nil
 }
 
-// handleIndexes serves GET /v1/indexes.
-func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
+// indexesView serves GET /v1/indexes.
+func (s *Server) indexesView() (any, error) {
 	type indexJSON struct {
 		Name   string     `json:"name"`
 		Len    int        `json:"len"`
@@ -691,27 +479,15 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 			Bounds: [4]float64{b.MinX, b.MinY, b.MaxX, b.MaxY},
 		})
 	}
-	writeJSON(w, http.StatusOK, struct {
+	return struct {
 		Indexes []indexJSON `json:"indexes"`
-	}{out})
+	}{out}, nil
 }
 
-// handleStats serves GET /v1/stats: the server's own admission and
+// statsView serves GET /v1/stats: the server's own admission and
 // scheduling counters, the same ones /metrics exports as
 // distjoin_serving_* (the engine-level view lives on /metrics only).
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) statsView() (any, error) {
 	body, err := s.metrics.Snapshot().StatsJSON()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, json.RawMessage(body))
-}
-
-// drainBody fully reads and closes a response body so the HTTP client
-// can reuse the connection; shared by the in-repo API clients
-// (cmd/distjoin-load and the tests).
-func drainBody(body io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, body)
-	_ = body.Close()
+	return json.RawMessage(body), err
 }

@@ -19,42 +19,60 @@ import (
 // when the deadline passes aborts at the next cancellation poll).
 type cursor struct {
 	id       string
+	index    string // "left,right", for the request record
 	deadline time.Time
 	cancel   func() // cancels the iterator's context
 
-	mu       sync.Mutex // serializes page pulls on one cursor
-	it       *distjoin.Iterator
+	mu sync.Mutex // serializes page pulls on one cursor
+	it *distjoin.Iterator
+	// st is the iterator's Options.Stats. The engine writes it only
+	// inside it.Next and it.Close, both called under mu, so pages read
+	// it under mu too.
+	st       distjoin.Stats
 	returned int64
-	done     bool
 	closed   bool
 }
 
-// next pulls up to n pairs, returning the cursor's running total of
-// returned pairs alongside. done reports exhaustion; after an engine
-// error the cursor is closed and the error returned.
-func (c *cursor) next(n int) (pairs []distjoin.Pair, done bool, returned int64, err error) {
+// pull serves one page of up to n pairs: it fills in the page's share
+// of tel — result count, the collector's dist-calc delta over this pull
+// and its latest eDmax mode — and builds the response, less the cursor
+// ID. The response's Done reports exhaustion; after an engine error the
+// cursor is closed and the error returned.
+func (c *cursor) pull(tel *reqTelemetry, n int) (incrementalResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, true, c.returned, fmt.Errorf("serving: cursor %s is closed", c.id)
+		return incrementalResponse{Done: true}, fmt.Errorf("serving: cursor %s is closed", c.id)
 	}
-	if c.done {
-		return nil, true, c.returned, nil
-	}
+	before := c.st.DistCalcs()
+	var (
+		pairs []distjoin.Pair
+		done  bool
+		err   error
+	)
 	//lint:allow ctxpoll bounded by the page size n; the engine iterator polls Options.Context between batches
 	for len(pairs) < n {
 		p, ok := c.it.Next()
 		if !ok {
-			c.done = true
-			err := c.it.Err()
-			c.returned += int64(len(pairs))
+			done = true
+			err = c.it.Err()
 			c.closeLocked()
-			return pairs, true, c.returned, err
+			break
 		}
 		pairs = append(pairs, p)
 	}
 	c.returned += int64(len(pairs))
-	return pairs, false, c.returned, nil
+	if err == nil {
+		tel.results = len(pairs)
+	}
+	tel.distCalcs, tel.edmaxMode = c.st.DistCalcs()-before, c.st.EstimateMode()
+	return incrementalResponse{
+		QueryID:    tel.queryID,
+		Pairs:      makePairs(pairs),
+		Done:       done,
+		Returned:   c.returned,
+		DeadlineMS: time.Until(c.deadline).Milliseconds(),
+	}, err
 }
 
 // closeLocked releases the iterator and its context; callers hold

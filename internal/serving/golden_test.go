@@ -238,10 +238,17 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 // the wall clock.
 var clockValuesRE = regexp.MustCompile(`"(admission_wait_us|elapsed_ms)":[^,}]+`)
 
+// nextDeadlineRE matches the deadline budget of an incremental/next
+// record: what was left of the cursor's lifetime when the page was
+// asked for.
+var nextDeadlineRE = regexp.MustCompile(`("family":"incremental/next"[^}]*"deadline_ms":)\d+`)
+
 // TestRequestRecordGolden pins the request log line and the
 // /debug/slowlog entry byte for byte — keys, their order, value types,
 // and which keys the slow log omits when empty — for one served and
-// one rejected request.
+// one rejected request, and for a cursor's open and next page, whose
+// dist_calcs are each page's own: what the cursor's collector counted
+// over that pull.
 func TestRequestRecordGolden(t *testing.T) {
 	var logBuf syncBuffer
 	dropTime := func(_ []string, a slog.Attr) slog.Attr {
@@ -263,16 +270,37 @@ func TestRequestRecordGolden(t *testing.T) {
 	if rec := serve(t, s, bg, http.MethodPost, "/v1/join/k", kDistanceRequest{Left: "nope", Right: "right", K: 5}); rec.Code != 404 {
 		t.Fatalf("unknown dataset: %d: %s", rec.Code, rec.Body)
 	}
-	mask := func(b string) string { return clockValuesRE.ReplaceAllString(b, `"$1":"<clock>"`) }
+	rec := serve(t, s, bg, http.MethodPost, "/v1/join/incremental",
+		incrementalOpenRequest{Left: "left", Right: "right", PageSize: 20, BatchK: 16})
+	var open incrementalResponse
+	decodeInto(t, rec.Body.Bytes(), &open)
+	cur, ok := s.cursors.get(open.Cursor, time.Now())
+	if !ok {
+		t.Fatalf("open: %d: %s", rec.Code, rec.Body)
+	}
+	firstPage := cur.st.DistCalcs() // no pull is running: the cursor is idle between requests
+	if rec := serve(t, s, bg, http.MethodPost, "/v1/join/incremental/next",
+		incrementalNextRequest{Cursor: open.Cursor, PageSize: 20}); rec.Code != 200 {
+		t.Fatalf("next: %d: %s", rec.Code, rec.Body)
+	}
+	if first, second := firstPage, cur.st.DistCalcs()-firstPage; first != 7580 || second != 6728 {
+		t.Errorf("the cursor's collector counted %d dist-calcs over the open and %d over the next page; the records below say 7580 and 6728", first, second)
+	}
+	mask := func(b string) string {
+		b = clockValuesRE.ReplaceAllString(b, `"$1":"<clock>"`)
+		return nextDeadlineRE.ReplaceAllString(b, `$1"<clock>"`)
+	}
 
 	const wantLog = `{"level":"WARN","msg":"request","query_id":"pin-1","family":"join/k","index":"left,right","k":5,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":6070,"edmax_mode":"initial","results":5,"slow":true,"error":""}
 {"level":"WARN","msg":"request","query_id":"pin-2","family":"join/k","index":"nope,right","k":5,"status":404,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":0,"elapsed_ms":"<clock>","dist_calcs":0,"edmax_mode":"","results":0,"slow":true,"error":"left: unknown dataset \"nope\""}
+{"level":"WARN","msg":"request","query_id":"pin-3","family":"incremental/open","index":"left,right","k":0,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":7580,"edmax_mode":"initial","results":20,"slow":true,"error":""}
+{"level":"WARN","msg":"request","query_id":"pin-4","family":"incremental/next","index":"left,right","k":0,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":"<clock>","elapsed_ms":"<clock>","dist_calcs":6728,"edmax_mode":"initial","results":20,"slow":true,"error":""}
 `
 	if got := mask(logBuf.String()); got != wantLog {
 		t.Errorf("request log:\n got %s\nwant %s", got, wantLog)
 	}
 
-	const wantSlow = `{"threshold_ms":0,"entries":[{"query_id":"pin-1","family":"join/k","index":"left,right","k":5,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":6070,"edmax_mode":"initial","results":5},{"query_id":"pin-2","family":"join/k","index":"nope,right","k":5,"status":404,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":0,"elapsed_ms":"<clock>","dist_calcs":0,"results":0,"error":"left: unknown dataset \"nope\""}]}
+	const wantSlow = `{"threshold_ms":0,"entries":[{"query_id":"pin-1","family":"join/k","index":"left,right","k":5,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":6070,"edmax_mode":"initial","results":5},{"query_id":"pin-2","family":"join/k","index":"nope,right","k":5,"status":404,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":0,"elapsed_ms":"<clock>","dist_calcs":0,"results":0,"error":"left: unknown dataset \"nope\""},{"query_id":"pin-3","family":"incremental/open","index":"left,right","status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":7580,"edmax_mode":"initial","results":20},{"query_id":"pin-4","family":"incremental/next","index":"left,right","status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":"<clock>","elapsed_ms":"<clock>","dist_calcs":6728,"edmax_mode":"initial","results":20}]}
 `
 	if got := mask(serve(t, s, bg, http.MethodGet, "/debug/slowlog", nil).Body.String()); got != wantSlow {
 		t.Errorf("/debug/slowlog:\n got %s\nwant %s", got, wantSlow)

@@ -68,12 +68,6 @@ type Config struct {
 	// MaxK bounds the k of ranked queries (default 100000). Larger
 	// requests are rejected with 400 rather than silently truncated.
 	MaxK int
-	// MaxResults bounds how many pairs a within query may return in
-	// one response (default 100000); larger result sets are truncated
-	// and flagged in the response.
-	MaxResults int
-	// MaxPageSize bounds one incremental page (default 4096).
-	MaxPageSize int
 	// MaxCursors bounds how many incremental cursors may be open at
 	// once (default 64); each holds a live engine iterator and its
 	// queue memory until closed, exhausted, or expired.
@@ -102,81 +96,26 @@ type Config struct {
 	SlowLogCapacity int
 }
 
-func (c Config) maxInFlight() int {
-	if c.MaxInFlight > 0 {
-		return c.MaxInFlight
-	}
-	return runtime.GOMAXPROCS(0)
+// withDefaults resolves every unset field to its default; New applies
+// it once and the server reads plain fields after.
+func (c Config) withDefaults() Config {
+	c.MaxInFlight = orDefault(c.MaxInFlight, runtime.GOMAXPROCS(0))
+	c.MaxQueued = orDefault(c.MaxQueued, 2*c.MaxInFlight)
+	c.DefaultDeadline = orDefault(c.DefaultDeadline, 30*time.Second)
+	c.MaxDeadline = orDefault(c.MaxDeadline, 2*time.Minute)
+	c.MaxQueueMemBytes = orDefault(c.MaxQueueMemBytes, 8<<20)
+	c.MaxK = orDefault(c.MaxK, 100_000)
+	c.MaxCursors = orDefault(c.MaxCursors, 64)
+	c.SlowQueryThreshold = orDefault(c.SlowQueryThreshold, time.Second)
+	c.SlowLogCapacity = orDefault(c.SlowLogCapacity, 128)
+	return c
 }
 
-func (c Config) maxQueued() int {
-	if c.MaxQueued > 0 {
-		return c.MaxQueued
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return 2 * c.maxInFlight()
-}
-
-func (c Config) defaultDeadline() time.Duration {
-	if c.DefaultDeadline > 0 {
-		return c.DefaultDeadline
-	}
-	return 30 * time.Second
-}
-
-func (c Config) maxDeadline() time.Duration {
-	if c.MaxDeadline > 0 {
-		return c.MaxDeadline
-	}
-	return 2 * time.Minute
-}
-
-func (c Config) maxQueueMemBytes() int {
-	if c.MaxQueueMemBytes > 0 {
-		return c.MaxQueueMemBytes
-	}
-	return 8 << 20
-}
-
-func (c Config) maxK() int {
-	if c.MaxK > 0 {
-		return c.MaxK
-	}
-	return 100_000
-}
-
-func (c Config) maxResults() int {
-	if c.MaxResults > 0 {
-		return c.MaxResults
-	}
-	return 100_000
-}
-
-func (c Config) maxPageSize() int {
-	if c.MaxPageSize > 0 {
-		return c.MaxPageSize
-	}
-	return 4096
-}
-
-func (c Config) maxCursors() int {
-	if c.MaxCursors > 0 {
-		return c.MaxCursors
-	}
-	return 64
-}
-
-func (c Config) slowQueryThreshold() time.Duration {
-	if c.SlowQueryThreshold > 0 {
-		return c.SlowQueryThreshold
-	}
-	return time.Second
-}
-
-func (c Config) slowLogCapacity() int {
-	if c.SlowLogCapacity > 0 {
-		return c.SlowLogCapacity
-	}
-	return 128
+	return def
 }
 
 // Sentinel errors of the admission and lifecycle paths; the API layer
@@ -230,17 +169,18 @@ type Server struct {
 
 // New returns a server with no datasets registered.
 func New(cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
-		gate:      newGate(cfg.maxInFlight(), cfg.maxQueued()),
+		gate:      newGate(cfg.MaxInFlight, cfg.MaxQueued),
 		indexes:   make(map[string]*distjoin.Index),
-		cursors:   newCursorTable(cfg.maxCursors()),
+		cursors:   newCursorTable(cfg.MaxCursors),
 		drained:   make(chan struct{}),
 		base:      base,
 		baseStop:  stop,
 		metrics:   cfg.Registry.Serving(),
-		slow:      newSlowLog(cfg.slowLogCapacity()),
+		slow:      newSlowLog(cfg.SlowLogCapacity),
 		qidPrefix: newQIDPrefix(),
 	}
 	s.cursors.expired = func() { s.metrics.Inc(distjoin.ServingCursorsExpired) }
@@ -297,30 +237,6 @@ func (s *Server) indexNames() []string {
 	return names
 }
 
-// admit runs the admission path for one query: reject when draining,
-// then acquire an execution slot, waiting in the bounded admission
-// queue if the server is saturated. ctx bounds the wait (it carries
-// the query deadline, so a query never waits longer than it is
-// allowed to run). On success the query is tracked for shutdown
-// draining; the caller must call the returned release exactly once.
-func (s *Server) admit(ctx context.Context) (release func(), err error) {
-	if !s.begin() {
-		return nil, errDraining
-	}
-	if err := s.gate.acquire(ctx); err != nil {
-		s.end()
-		return nil, err
-	}
-	s.metrics.Inc(distjoin.ServingAccepted)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.gate.release()
-			s.end()
-		})
-	}, nil
-}
-
 // begin registers a query for drain tracking; it reports false — the
 // query must be rejected — once draining has started.
 func (s *Server) begin() bool {
@@ -348,14 +264,11 @@ func (s *Server) end() {
 // deadline resolves a client-requested deadline (milliseconds; 0
 // means "server default") to a duration, clamped to MaxDeadline.
 func (s *Server) deadline(deadlineMS int64) time.Duration {
-	d := s.cfg.defaultDeadline()
+	d := s.cfg.DefaultDeadline
 	if deadlineMS > 0 {
 		d = time.Duration(deadlineMS) * time.Millisecond
 	}
-	if m := s.cfg.maxDeadline(); d > m {
-		d = m
-	}
-	return d
+	return min(d, s.cfg.MaxDeadline)
 }
 
 // queueMem resolves a client-requested queue-memory budget (bytes; 0
@@ -365,10 +278,7 @@ func (s *Server) queueMem(req int) int {
 	if req > 0 {
 		m = req
 	}
-	if cap := s.cfg.maxQueueMemBytes(); m > cap {
-		m = cap
-	}
-	return m
+	return min(m, s.cfg.MaxQueueMemBytes)
 }
 
 // Shutdown gracefully stops the server: new queries are rejected with
@@ -422,17 +332,17 @@ func (s *Server) Draining() bool {
 // wire schema.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/join/k", s.handleKDistance)
-	mux.HandleFunc("POST /v1/join/closest", s.handleKClosest)
-	mux.HandleFunc("POST /v1/join/within", s.handleWithin)
-	mux.HandleFunc("POST /v1/join/incremental", s.handleIncrementalOpen)
-	mux.HandleFunc("POST /v1/join/incremental/next", s.handleIncrementalNext)
-	mux.HandleFunc("POST /v1/join/incremental/close", s.handleIncrementalClose)
-	mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("POST /v1/join/k", endpoint(s, "join/k", s.kDistance))
+	mux.HandleFunc("POST /v1/join/closest", endpoint(s, "join/closest", s.kClosest))
+	mux.HandleFunc("POST /v1/join/within", endpoint(s, "join/within", s.within))
+	mux.HandleFunc("POST /v1/join/incremental", endpoint(s, "incremental/open", s.incrementalOpen))
+	mux.HandleFunc("POST /v1/join/incremental/next", endpoint(s, "incremental/next", s.incrementalNext))
+	mux.HandleFunc("POST /v1/join/incremental/close", endpoint(s, "incremental/close", s.incrementalClose))
+	mux.HandleFunc("GET /v1/indexes", s.view(s.indexesView))
+	mux.HandleFunc("GET /v1/stats", s.view(s.statsView))
 	// More specific than the /debug/ catch-all below, so it wins the
 	// ServeMux precedence contest.
-	mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
+	mux.HandleFunc("GET /debug/slowlog", s.view(s.slowLogView))
 
 	// Observability endpoints share the mux, so one listener serves
 	// both the query API and the scrape surface.
@@ -443,7 +353,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/debug/", obs)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
-			//lint:allow servecontract the root mux fallback has no query context; a plain 404 matches net/http convention for unknown paths
+			// No query context here: a plain 404 matches net/http
+			// convention for unknown paths.
 			http.NotFound(w, r)
 			return
 		}

@@ -82,6 +82,13 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (int, []b
 	return resp.StatusCode, out
 }
 
+// drainBody fully reads and closes a response body so the HTTP client
+// can reuse the connection.
+func drainBody(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, body)
+	_ = body.Close()
+}
+
 func decodeInto(t *testing.T, b []byte, v any) {
 	t.Helper()
 	if err := json.Unmarshal(b, v); err != nil {
@@ -451,8 +458,8 @@ func TestCursorExpiry(t *testing.T) {
 	// The sweep closed the iterator with the join barely started: a
 	// handler that still holds the cursor gets no pairs from it, and the
 	// engine iterator underneath has stopped for good.
-	if pairs, done, _, err := cur.next(5); len(pairs) != 0 || !done || err == nil {
-		t.Fatalf("next on swept cursor: %d pairs, done=%v, err=%v", len(pairs), done, err)
+	if page, err := cur.pull(&reqTelemetry{}, 5); len(page.Pairs) != 0 || !page.Done || err == nil {
+		t.Fatalf("pull on swept cursor: %d pairs, done=%v, err=%v", len(page.Pairs), page.Done, err)
 	}
 	if p, ok := cur.it.Next(); ok {
 		t.Fatalf("closed cursor's iterator produced %+v", p)

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +16,7 @@ import (
 	"distjoin"
 )
 
-// Request telemetry: every /v1 request is minted a query ID at entry
+// Request telemetry: every /v1 POST is minted a query ID at entry
 // (returned as the X-Distjoin-Query-Id header and threaded into the
 // engine's registry entry via Options.QueryID), timed through
 // admission and execution, recorded in the structured request log,
@@ -56,96 +55,38 @@ func newQIDPrefix() string {
 	return hex.EncodeToString(b[:])
 }
 
-// statusRecorder captures the status code a handler writes so the
-// deferred telemetry finisher can classify the request after the fact.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(status int) {
-	if r.status == 0 {
-		r.status = status
-	}
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// reqTelemetry accumulates one request's telemetry as the handler
-// progresses; finish (deferred at handler entry) turns it into the
-// log record, the slow-query ring entry, and the metric samples.
+// reqTelemetry is one /v1 POST's record. The pipeline (pipeline.go)
+// creates it, the endpoint fills it in as the request is resolved, and
+// finish turns it into the log record, the slow-query ring entry, and
+// the metric samples.
 type reqTelemetry struct {
 	s       *Server
-	w       *statusRecorder
 	family  string
 	queryID string
 	start   time.Time
+	// header is the response's header map: the one part of the
+	// ResponseWriter an endpoint may touch.
+	header http.Header
 
-	// Set by admitTimed.
+	// Set by Server.admit: until is the request's absolute deadline,
+	// cancel the deadline context's, admitted whether a slot is held.
+	until             time.Time
+	cancel            context.CancelFunc
+	admitted          bool
 	admissionWait     time.Duration
 	queueDepthAtEntry int
 
-	// Set by the handler as the request is resolved.
-	index    string        // dataset name(s), comma-joined for two-sided joins
-	k        int           // ranked-query k, 0 where not applicable
-	deadline time.Duration // resolved deadline budget
-	st       *distjoin.Stats
-	results  int
-	err      error
-}
+	// Set by the endpoint as the request is resolved.
+	index     string        // dataset name(s), comma-joined for two-sided joins
+	k         int           // ranked-query k, 0 where not applicable
+	deadline  time.Duration // resolved deadline budget
+	distCalcs int64         // the engine's work for this request; for a cursor page, the page's
+	edmaxMode string
+	results   int
 
-// beginRequest starts telemetry for one /v1 request: mints the query
-// ID, exposes it as a response header, and wraps the ResponseWriter so
-// the final status is observable. Callers defer tel.finish()
-// immediately.
-func (s *Server) beginRequest(w http.ResponseWriter, family string) (*reqTelemetry, http.ResponseWriter) {
-	rec := &statusRecorder{ResponseWriter: w}
-	tel := &reqTelemetry{
-		s:       s,
-		w:       rec,
-		family:  family,
-		queryID: s.mintQueryID(),
-		start:   time.Now(),
-	}
-	rec.Header().Set("X-Distjoin-Query-Id", tel.queryID)
-	return tel, rec
-}
-
-// admitTimed is admit with the wait measured into tel and surfaced as
-// the X-Distjoin-Admission-Wait response header (integer microseconds)
-// so load generators can separate queueing from execution. The queue
-// depth observed at entry — before this request joined the line — is
-// recorded alongside. Completions feed the drain-rate tracker that
-// prices Retry-After on 429s.
-func (s *Server) admitTimed(ctx context.Context, tel *reqTelemetry) (func(), error) {
-	tel.queueDepthAtEntry = s.gate.queued()
-	waitStart := time.Now()
-	release, err := s.admit(ctx)
-	tel.admissionWait = time.Since(waitStart)
-	if err != nil {
-		tel.err = err
-		return nil, err
-	}
-	tel.w.Header().Set("X-Distjoin-Admission-Wait",
-		strconv.FormatInt(tel.admissionWait.Microseconds(), 10))
-	return func() {
-		release()
-		s.drain.observe()
-	}, nil
-}
-
-// finish closes out the request: one structured log line per request,
-// a slow-ring entry and counter when over threshold, and the latency
-// samples of a served one. Deferred at handler entry so every exit
-// path — success, validation failure, shed, deadline — is recorded.
-func (t *reqTelemetry) finish() {
-	t.s.recordRequest(t, time.Since(t.start))
+	// Set by the pipeline once the response is chosen.
+	status int
+	err    error
 }
 
 // slowLogEntry is the schema of one request record: /debug/slowlog
@@ -231,34 +172,30 @@ func (e *slowLogEntry) logAttrs(slow bool) []slog.Attr {
 // unit-testable without clock control: a request is slow iff
 // elapsed is strictly greater than the threshold.
 func (s *Server) recordRequest(t *reqTelemetry, elapsed time.Duration) {
-	status := t.w.status
-	if status == 0 {
-		status = http.StatusOK
-	}
 	entry := slowLogEntry{
 		QueryID:           t.queryID,
 		Family:            t.family,
 		Index:             t.index,
 		K:                 t.k,
-		Status:            status,
+		Status:            t.status,
 		AdmissionWaitUS:   t.admissionWait.Microseconds(),
 		QueueDepthAtEntry: t.queueDepthAtEntry,
 		DeadlineMS:        t.deadline.Milliseconds(),
 		ElapsedMS:         float64(elapsed.Microseconds()) / 1e3,
-		DistCalcs:         t.st.DistCalcs(),
-		EDmaxMode:         t.st.EstimateMode(),
+		DistCalcs:         t.distCalcs,
+		EDmaxMode:         t.edmaxMode,
 		Results:           t.results,
 	}
 	if t.err != nil {
 		entry.Error = t.err.Error()
 	}
-	slow := elapsed > s.cfg.slowQueryThreshold()
+	slow := elapsed > s.cfg.SlowQueryThreshold
 	if slow {
 		s.slow.push(entry)
 		s.metrics.Inc(distjoin.ServingSlowQueries)
 	}
 	// Error statuses were counted by writeError when they were chosen.
-	if status == http.StatusOK {
+	if t.status == http.StatusOK {
 		s.metrics.ObserveRequest(t.family, elapsed, t.admissionWait)
 	}
 
@@ -308,16 +245,16 @@ func (l *slowLog) snapshot() []slowLogEntry {
 	return out
 }
 
-// handleSlowLog serves GET /debug/slowlog: the retained slow-query
+// slowLogView serves GET /debug/slowlog: the retained slow-query
 // records, oldest first, under the schema of slowLogEntry.
-func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+func (s *Server) slowLogView() (any, error) {
+	return struct {
 		ThresholdMS int64          `json:"threshold_ms"`
 		Entries     []slowLogEntry `json:"entries"`
 	}{
-		ThresholdMS: s.cfg.slowQueryThreshold().Milliseconds(),
+		ThresholdMS: s.cfg.SlowQueryThreshold.Milliseconds(),
 		Entries:     s.slow.snapshot(),
-	})
+	}, nil
 }
 
 // drainTracker observes request completions and derives the server's

@@ -15,13 +15,12 @@ import (
 	"distjoin"
 )
 
-// newTelemetry builds a finished-looking reqTelemetry against s with
-// the recorder already carrying status.
+// newTelemetry builds a finished-looking reqTelemetry against s,
+// already carrying status.
 func newTelemetry(s *Server, family string, status int) *reqTelemetry {
-	rec := &statusRecorder{ResponseWriter: httptest.NewRecorder(), status: status}
 	return &reqTelemetry{
 		s:       s,
-		w:       rec,
+		status:  status,
 		family:  family,
 		queryID: s.mintQueryID(),
 		start:   time.Now(),
