@@ -267,7 +267,8 @@ serve-smoke:
 	bin/distjoin-load -validate-log bin/serve-log.jsonl
 
 # Everything the CI workflow (.github/workflows/ci.yml) runs, locally:
-# lint gate, build, tests with coverage + floor gate, race detector,
+# lint gate, build, tests with coverage + floor gate, race detector
+# (short suite, then the sweep-order memo's tests unshortened),
 # simulation smoke, fuzz smoke, server smoke, one-iteration benchmark
 # smoke, bench regression gate, repository-benchmark module check.
 ci: lint build
@@ -275,6 +276,7 @@ ci: lint build
 	$(GO) tool cover -func=coverage.out | tail -n 1
 	$(MAKE) cover-check
 	$(GO) test -race -short ./...
+	$(MAKE) race-memo
 	$(MAKE) sim-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke

@@ -5,10 +5,11 @@
 //
 // Usage:
 //
-//	distjoin-bench [-exp all|fig10|table2|fig11|fig12|fig13|fig14|fig15|
-//	                     ablation-sweep|ablation-dq|ablation-correction|ablation-queue|ablation-estimator|ablation-split|queue-sizes]
-//	               [-scale 0.05] [-seed N] [-queue-mem bytes] [-buffer bytes]
-//	               [-csv]
+//	distjoin-bench [-exp all|<id>] [-scale 0.05] [-seed N]
+//	               [-queue-mem bytes] [-buffer bytes] [-csv]
+//
+// The experiment ids are the rows of experiments.Experiments;
+// `distjoin-bench -h` lists them.
 //
 // scale=1.0 reproduces the paper's full data sizes (633,461 streets x
 // 189,642 hydrographic objects, k up to 100,000); the default 0.05
@@ -36,6 +37,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"distjoin/internal/benchrec"
 	"distjoin/internal/experiments"
@@ -46,7 +48,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (all, fig10, table2, fig11, fig12, fig13, fig14, fig15, ablation-sweep, ablation-dq, ablation-correction, ablation-queue, ablation-estimator, ablation-split, queue-sizes)")
+		exp       = flag.String("exp", "all", "experiment id ("+strings.Join(expIDs(), ", ")+")")
 		scale     = flag.Float64("scale", 0.05, "workload scale relative to the paper's data sizes")
 		seed      = flag.Int64("seed", 0, "data generator seed (0 = default)")
 		queueMem  = flag.Int("queue-mem", 0, "in-memory main queue bytes (0 = paper's 512 KB)")
@@ -239,45 +241,15 @@ func runTracedKDJ(w *experiments.Workload, k int, opts join.Options) (tracedRun,
 	return tracedRun{pairs: pairs, mc: mc}, nil
 }
 
+// expIDs lists what -exp accepts, in the order "all" runs them.
+func expIDs() []string {
+	ids := []string{"all"}
+	for _, e := range experiments.Experiments {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
+
 func run(exp string, cfg experiments.Config) ([]*experiments.Table, error) {
-	one := func(t *experiments.Table, err error) ([]*experiments.Table, error) {
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{t}, nil
-	}
-	switch exp {
-	case "all":
-		return experiments.All(cfg)
-	case "fig10":
-		return experiments.Fig10(cfg)
-	case "table2":
-		return one(experiments.Table2(cfg))
-	case "fig11":
-		return one(experiments.Fig11(cfg))
-	case "fig12":
-		return experiments.Fig12(cfg)
-	case "fig13":
-		return one(experiments.Fig13(cfg))
-	case "fig14":
-		return experiments.Fig14(cfg)
-	case "fig15":
-		return one(experiments.Fig15(cfg))
-	case "ablation-sweep":
-		return one(experiments.AblationSweep(cfg))
-	case "ablation-dq":
-		return one(experiments.AblationDQ(cfg))
-	case "ablation-correction":
-		return one(experiments.AblationCorrection(cfg))
-	case "ablation-queue":
-		return one(experiments.AblationQueue(cfg))
-	case "ablation-estimator":
-		return one(experiments.AblationEstimator(cfg))
-	case "ablation-split":
-		return one(experiments.AblationSplit(cfg))
-	case "queue-sizes":
-		return one(experiments.QueueSizes(cfg))
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", exp)
-	}
+	return experiments.Run(exp, cfg)
 }

@@ -260,3 +260,157 @@ func TestDamagedDescentSurfaces(t *testing.T) {
 		})
 	}
 }
+
+// damagedIndex builds a three-level index over objs, hands the first
+// root entry's child (mid) and that child's first child (leaf) to
+// damage as page bytes (uint16 level at offset 0), writes them back and
+// reopens the store behind a cold pool, so no sound page survives.
+func damagedIndex(t *testing.T, objs []Object, cfg *IndexConfig, damage func(mid, leaf []byte)) *Index {
+	t.Helper()
+	built, err := NewIndex(objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Height() != 3 {
+		t.Fatalf("height %d, the fixture is meant to have three levels", built.Height())
+	}
+	const firstRef = 8 + 32
+	store := built.tree.Pool().Store()
+	ids := [3]storage.PageID{built.tree.Root()}
+	var pages [3][]byte
+	for i := range pages {
+		pages[i] = make([]byte, store.PageSize())
+		if err := store.ReadPage(ids[i], pages[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 < len(ids) {
+			ids[i+1] = storage.PageID(binary.LittleEndian.Uint64(pages[i][firstRef:]))
+		}
+	}
+	damage(pages[1], pages[2])
+	for i := 1; i < len(pages); i++ {
+		if err := store.WritePage(ids[i], pages[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree, err := rtree.Open(store, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Index{tree: tree}
+}
+
+// TestDamagedJoinDescent: the joins' own descent applies the level rule
+// of the single-tree descents. With a leaf that claims level 1 (its
+// object IDs would be followed as pages) or an internal page that claims
+// level 0 (its child page IDs would be joined as object IDs), on either
+// side, every join returns the exact answer or an error wrapping
+// rtree.ErrCorruptNode or storage.ErrPageOutOfRange: never a wrong
+// pair, a panic or a hang. The joins run to the full cross product, so
+// each of them reaches the damaged page.
+func TestDamagedJoinDescent(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfg := &IndexConfig{PageSize: 256}
+	lobjs, robjs := descentObjects(rng, 90), descentObjects(rng, 60)
+	soundL, err := NewIndex(lobjs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soundR, err := NewIndex(robjs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := len(lobjs) * len(robjs)
+	want, err := KDistanceJoin(soundL, soundR, all, &Options{Algorithm: BKDJ})
+	if err != nil || len(want) != all {
+		t.Fatalf("reference join: %d pairs, %v", len(want), err)
+	}
+	far := want[all-1].Dist
+
+	drain := func(l, r *Index, algo Algorithm) ([]Pair, error) {
+		it, err := IncrementalJoin(l, r, &Options{Algorithm: algo, BatchK: 500})
+		if err != nil {
+			return nil, err
+		}
+		defer it.Close()
+		var out []Pair
+		for len(out) <= all { // one past the cross product: a hang would otherwise be silent
+			p, ok := it.Next()
+			if !ok {
+				break
+			}
+			out = append(out, p)
+		}
+		return out, it.Err()
+	}
+	joins := []struct {
+		name   string
+		ranked bool
+		run    func(l, r *Index) ([]Pair, error)
+	}{
+		{"AM-KDJ", true, func(l, r *Index) ([]Pair, error) { return KDistanceJoin(l, r, all, &Options{Algorithm: AMKDJ}) }},
+		{"B-KDJ", true, func(l, r *Index) ([]Pair, error) { return KDistanceJoin(l, r, all, &Options{Algorithm: BKDJ}) }},
+		{"HS-KDJ", true, func(l, r *Index) ([]Pair, error) { return KDistanceJoin(l, r, all, &Options{Algorithm: HSKDJ}) }},
+		{"SJ-SORT", true, func(l, r *Index) ([]Pair, error) {
+			return KDistanceJoin(l, r, all, &Options{Algorithm: SJSort, MaxDist: far})
+		}},
+		{"AM-IDJ", true, func(l, r *Index) ([]Pair, error) { return drain(l, r, AMKDJ) }},
+		{"HS-IDJ", true, func(l, r *Index) ([]Pair, error) { return drain(l, r, HSKDJ) }},
+		{"WithinJoin", false, func(l, r *Index) ([]Pair, error) {
+			var out []Pair
+			err := WithinJoin(l, r, far, nil, func(p Pair) bool { out = append(out, p); return len(out) <= all })
+			return out, err
+		}},
+	}
+	// The exact answer as a set, for the join that promises no order.
+	pairID := func(p Pair) [2]int64 { return [2]int64{p.LeftID, p.RightID} }
+	wantSet := make(map[[2]int64]Pair, all)
+	for _, p := range want {
+		wantSet[pairID(p)] = p
+	}
+	exact := func(got []Pair, ranked bool) bool {
+		if len(got) != all {
+			return false
+		}
+		for i, p := range got {
+			if ranked && p != want[i] {
+				return false
+			}
+			if w, ok := wantSet[pairID(p)]; !ok || w != p {
+				return false
+			}
+		}
+		return true
+	}
+
+	for _, tc := range []struct {
+		name   string
+		damage func(mid, leaf []byte)
+	}{
+		{"leaf claims level 1", func(mid, leaf []byte) { binary.LittleEndian.PutUint16(leaf, 1) }},
+		{"internal page claims level 0", func(mid, leaf []byte) { binary.LittleEndian.PutUint16(mid, 0) }},
+	} {
+		for _, side := range []string{"left", "right"} {
+			for _, j := range joins {
+				t.Run(tc.name+"/"+side+"/"+j.name, func(t *testing.T) {
+					// A fresh damaged tree per join: a memo filled by an
+					// earlier one must not decide what this one reads.
+					l, r := soundL, soundR
+					if side == "left" {
+						l = damagedIndex(t, lobjs, cfg, tc.damage)
+					} else {
+						r = damagedIndex(t, robjs, cfg, tc.damage)
+					}
+					got, err := j.run(l, r)
+					switch {
+					case errors.Is(err, rtree.ErrCorruptNode), errors.Is(err, storage.ErrPageOutOfRange):
+					case err != nil:
+						t.Fatalf("error %v, want one wrapping rtree.ErrCorruptNode or storage.ErrPageOutOfRange", err)
+					case !exact(got, j.ranked):
+						t.Fatalf("no error and %d pairs that are not the exact answer (%d pairs)", len(got), all)
+					}
+				})
+			}
+		}
+	}
+}

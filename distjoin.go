@@ -533,15 +533,13 @@ func KDistanceJoin(left, right *Index, k int, opts *Options) ([]Pair, error) {
 // Iterator produces incremental distance join results one pair at a
 // time, in nondecreasing distance order.
 type Iterator struct {
-	next  func() (join.Result, bool)
-	err   func() error
-	close func()
+	it *join.Iterator
 }
 
 // Next returns the next nearest pair; ok is false when the join is
 // exhausted or an error occurred (check Err).
 func (it *Iterator) Next() (Pair, bool) {
-	r, ok := it.next()
+	r, ok := it.it.Next()
 	if !ok {
 		return Pair{}, false
 	}
@@ -549,7 +547,7 @@ func (it *Iterator) Next() (Pair, bool) {
 }
 
 // Err returns the first error encountered during iteration.
-func (it *Iterator) Err() error { return it.err() }
+func (it *Iterator) Err() error { return it.it.Err() }
 
 // Close ends the iteration: it finalizes the query's observability
 // accounting (its Options.Registry entry, if any) and releases the
@@ -558,7 +556,7 @@ func (it *Iterator) Err() error { return it.err() }
 // iterator is driven to exhaustion — the terminal Next call closes
 // implicitly — but should be called when abandoning an iterator early,
 // so the query does not linger in the live inspector.
-func (it *Iterator) Close() { it.close() }
+func (it *Iterator) Close() { it.it.Close() }
 
 // IncrementalJoin starts an incremental distance join — no stopping
 // cardinality required; pull as many pairs as needed from the
@@ -573,22 +571,19 @@ func IncrementalJoin(left, right *Index, opts *Options) (*Iterator, error) {
 	if opts != nil {
 		algo = opts.Algorithm
 	}
+	start := join.AMIDJ
 	switch algo {
 	case AMKDJ:
-		it, err := join.AMIDJ(left.tree, right.tree, jo)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{next: it.Next, err: it.Err, close: it.Close}, nil
 	case HSKDJ:
-		it, err := join.HSIDJ(left.tree, right.tree, jo)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{next: it.Next, err: it.Err, close: it.Close}, nil
+		start = join.HSIDJ
 	default:
 		return nil, fmt.Errorf("distjoin: algorithm %v does not support incremental joins", algo)
 	}
+	it, err := start(left.tree, right.tree, jo)
+	if err != nil {
+		return nil, err
+	}
+	return &Iterator{it: it}, nil
 }
 
 func convertResults(rs []join.Result) []Pair {

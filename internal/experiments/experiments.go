@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"distjoin/internal/datagen"
 	"distjoin/internal/estimate"
@@ -11,15 +12,69 @@ import (
 	"distjoin/internal/storage"
 )
 
-// Fig10 reproduces Figure 10 — k-distance join performance vs k:
-// (a) number of distance computations, (b) number of queue insertions,
-// (c) response time — for HS-KDJ, B-KDJ, AM-KDJ, and SJ-SORT.
-func Fig10(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
+// Experiment is one row of the evaluation: the ID `distjoin-bench -exp`
+// accepts and the function that produces its tables.
+type Experiment struct {
+	ID  string
+	run func(*Workload) ([]*Table, error)
+}
+
+// Experiments is the evaluation, in the order "all" runs and prints it:
+// the paper's figures and tables first (§5), then the ablations beyond
+// them (DESIGN.md A1–A6) and the §5.6 queue-size observation. A new
+// experiment is one row here; cmd/distjoin-bench builds its -exp help
+// from the IDs.
+var Experiments = []Experiment{
+	{"fig10", fig10},
+	{"table2", table2},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"fig13", fig13},
+	{"fig14", fig14},
+	{"fig15", fig15},
+	{"ablation-sweep", ablationSweep},
+	{"ablation-dq", ablationDQ},
+	{"ablation-correction", ablationCorrection},
+	{"ablation-queue", ablationQueue},
+	{"ablation-estimator", ablationEstimator},
+	{"ablation-split", ablationSplit},
+	{"queue-sizes", queueSizes},
+}
+
+// Run runs the experiment named id, or every experiment in table order
+// for "all", on cfg's workload, which is loaded once.
+func Run(id string, cfg Config) ([]*Table, error) {
+	sel := Experiments
+	if id != "all" {
+		i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.ID == id })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		sel = Experiments[i : i+1]
+	}
 	w, err := Load(cfg)
 	if err != nil {
 		return nil, err
 	}
+	var out []*Table
+	for _, e := range sel {
+		tabs, err := e.run(w)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tabs...)
+	}
+	return out, nil
+}
+
+// All runs every experiment in paper order.
+func All(cfg Config) ([]*Table, error) { return Run("all", cfg) }
+
+// fig10 reproduces Figure 10 — k-distance join performance vs k:
+// (a) number of distance computations, (b) number of queue insertions,
+// (c) response time — for HS-KDJ, B-KDJ, AM-KDJ, and SJ-SORT.
+func fig10(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	algos := []Algo{AlgoHSKDJ, AlgoBKDJ, AlgoAMKDJ, AlgoSJSort}
 	tabs := newMetricTables("fig10", "k-distance join vs k", "k", algos, cfg)
 	for _, k := range cfg.KSeries() {
@@ -36,15 +91,11 @@ func Fig10(cfg Config) ([]*Table, error) {
 	return tabs, nil
 }
 
-// Table2 reproduces Table 2 — the number of R-tree nodes fetched from
+// table2 reproduces Table 2 — the number of R-tree nodes fetched from
 // disk per algorithm and k, with the parenthesized "no buffer" number
 // (every logical access physical) alongside.
-func Table2(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func table2(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	algos := []Algo{AlgoHSKDJ, AlgoBKDJ, AlgoAMKDJ, AlgoSJSort}
 	t := &Table{
 		ID:      "table2",
@@ -67,18 +118,14 @@ func Table2(cfg Config) (*Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// Fig11 reproduces Figure 11 — the improvement from the optimized
+// fig11 reproduces Figure 11 — the improvement from the optimized
 // plane sweep: axis and real distance computations of B-KDJ with the
 // sweeping axis/direction selection on vs fixed (x-axis, forward).
-func Fig11(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func fig11(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	t := &Table{
 		ID:    "fig11",
 		Title: "B-KDJ distance computations: optimized vs fixed plane sweep",
@@ -106,18 +153,14 @@ func Fig11(cfg Config) (*Table, error) {
 			fmtInt(off.AxisDistCalcs), fmtInt(off.RealDistCalcs), fmtInt(off.DistCalcs()),
 			fmt.Sprintf("%.1f", saved))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// Fig12 reproduces Figure 12 — incremental distance join performance
+// fig12 reproduces Figure 12 — incremental distance join performance
 // vs k for HS-IDJ and AM-IDJ: distance computations, queue insertions,
 // response time.
-func Fig12(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func fig12(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	algos := []Algo{AlgoHSIDJ, AlgoAMIDJ}
 	tabs := newMetricTables("fig12", "incremental distance join vs k", "k", algos, cfg)
 	for _, k := range cfg.KSeries() {
@@ -138,15 +181,11 @@ func Fig12(cfg Config) ([]*Table, error) {
 	return tabs, nil
 }
 
-// Fig13 reproduces Figure 13 — response time vs memory size (the
+// fig13 reproduces Figure 13 — response time vs memory size (the
 // in-memory main-queue portion and R-tree buffer are both set to each
 // size), at the largest k of the series.
-func Fig13(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func fig13(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	algos := []Algo{AlgoHSKDJ, AlgoBKDJ, AlgoAMKDJ, AlgoSJSort}
 	t := &Table{
 		ID:      "fig13",
@@ -180,18 +219,14 @@ func Fig13(cfg Config) (*Table, error) {
 	// Restore the default buffer size for subsequent experiments.
 	w.Streets.ResizeBuffer(cfg.BufferBytes)
 	w.Hydro.ResizeBuffer(cfg.BufferBytes)
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// Fig14 reproduces Figure 14 — AM-KDJ performance vs the accuracy of
+// fig14 reproduces Figure 14 — AM-KDJ performance vs the accuracy of
 // the eDmax estimate, sweeping eDmax from 0.1x to 10x the real Dmax at
 // the largest k; B-KDJ and HS-KDJ appear as flat references.
-func Fig14(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func fig14(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	k := cfg.KSeries()[len(cfg.KSeries())-1]
 	dmax, err := w.Dmax(k)
 	if err != nil {
@@ -229,17 +264,13 @@ func Fig14(cfg Config) ([]*Table, error) {
 	return []*Table{ta, tb, tc}, nil
 }
 
-// Fig15 reproduces Figure 15 — stepwise incremental execution: users
+// fig15 reproduces Figure 15 — stepwise incremental execution: users
 // repeatedly request the next batch of nearest pairs until ten batches
 // are delivered. HS-IDJ and AM-IDJ run once each (cumulative time
 // recorded at each checkpoint); SJ-SORT restarts per step with the
 // oracle Dmax and its measurements accumulate, as in the paper.
-func Fig15(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func fig15(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	batch := scaleK(10000, cfg.Scale)
 	const steps = 10
 	t := &Table{
@@ -257,28 +288,16 @@ func Fig15(cfg Config) (*Table, error) {
 		mc := &metrics.Collector{}
 		opts.Metrics = mc
 		opts.QueueMemBytes = cfg.QueueMemBytes
-		var next func() (join.Result, bool)
-		var errf func() error
-		switch algo {
-		case AlgoHSIDJ:
-			it, err := join.HSIDJ(w.Streets, w.Hydro, opts)
-			if err != nil {
-				return nil, err
-			}
-			next, errf = it.Next, it.Err
-		case AlgoAMIDJ:
-			it, err := join.AMIDJ(w.Streets, w.Hydro, opts)
-			if err != nil {
-				return nil, err
-			}
-			next, errf = it.Next, it.Err
+		it, err := w.startIDJ(algo, opts)
+		if err != nil {
+			return nil, err
 		}
 		mc.Start()
 		snaps := make([]metrics.Collector, 0, steps)
 		for s := 0; s < steps; s++ {
 			for i := 0; i < batch; i++ {
-				if _, ok := next(); !ok {
-					if err := errf(); err != nil {
+				if _, ok := it.Next(); !ok {
+					if err := it.Err(); err != nil {
 						return nil, err
 					}
 					break // join exhausted; later checkpoints repeat
@@ -324,7 +343,7 @@ func Fig15(cfg Config) (*Table, error) {
 			fmtDur(realSnaps[s-1].ResponseTime()),
 			fmtDur(sjCum.ResponseTime()))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // newMetricTables builds the (a) distance computations, (b) queue
@@ -374,13 +393,9 @@ func scaleNotes(cfg Config) []string {
 
 // Ablations beyond the paper's figures (DESIGN.md A1–A4).
 
-// AblationSweep (A1) isolates axis selection vs direction selection.
-func AblationSweep(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+// ablationSweep (A1) isolates axis selection vs direction selection.
+func ablationSweep(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	k := cfg.KSeries()[len(cfg.KSeries())-1]
 	t := &Table{
 		ID:      "ablation-sweep",
@@ -406,18 +421,14 @@ func AblationSweep(cfg Config) (*Table, error) {
 		t.AddRow(p.name, fmtInt(mc.AxisDistCalcs), fmtInt(mc.RealDistCalcs),
 			fmtInt(mc.DistCalcs()), fmtInt(mc.QueueInserts()), fmtDur(mc.ResponseTime()))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// AblationDQ (A2) compares the distance-queue feed policies of
+// ablationDQ (A2) compares the distance-queue feed policies of
 // footnote 1: object pairs only (the paper's choice) vs all pairs with
 // retired upper bounds (Hjaltason & Samet's scheme).
-func AblationDQ(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func ablationDQ(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	t := &Table{
 		ID:      "ablation-dq",
 		Title:   "B-KDJ distance-queue policy ablation",
@@ -438,17 +449,13 @@ func AblationDQ(cfg Config) (*Table, error) {
 			fmtInt(objOnly.QueueInserts()), fmtInt(all.QueueInserts()),
 			fmtDur(objOnly.ResponseTime()), fmtDur(all.ResponseTime()))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// AblationCorrection (A3) compares the eDmax correction combinations
+// ablationCorrection (A3) compares the eDmax correction combinations
 // of §4.3.2 for AM-IDJ.
-func AblationCorrection(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func ablationCorrection(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	k := cfg.KSeries()[len(cfg.KSeries())-1]
 	batch := k / 10
 	if batch < 1 {
@@ -471,17 +478,13 @@ func AblationCorrection(cfg Config) (*Table, error) {
 		t.AddRow(mode.String(), fmtInt(mc.DistCalcs()), fmtInt(mc.QueueInserts()),
 			fmtInt(mc.CompensationStages), fmtDur(mc.ResponseTime()))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// AblationQueue (A4) compares the §4.4 model-based hybrid queue
+// ablationQueue (A4) compares the §4.4 model-based hybrid queue
 // boundaries against pure overflow splitting, under tight memory.
-func AblationQueue(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func ablationQueue(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	k := cfg.KSeries()[len(cfg.KSeries())-1]
 	t := &Table{
 		ID:      "ablation-queue",
@@ -504,81 +507,15 @@ func AblationQueue(cfg Config) (*Table, error) {
 			fmtInt(splits.QueuePageReads+splits.QueuePageWrites),
 			fmtDur(model.ResponseTime()), fmtDur(splits.ResponseTime()))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// All runs every experiment in paper order.
-func All(cfg Config) ([]*Table, error) {
-	var out []*Table
-	add := func(ts []*Table, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, ts...)
-		return nil
-	}
-	one := func(t *Table, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, t)
-		return nil
-	}
-	if err := add(Fig10(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(Table2(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(Fig11(cfg)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig12(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(Fig13(cfg)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig14(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(Fig15(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(AblationSweep(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(AblationDQ(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(AblationCorrection(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(AblationQueue(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(AblationEstimator(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(AblationSplit(cfg)); err != nil {
-		return nil, err
-	}
-	if err := one(QueueSizes(cfg)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AblationEstimator (A5) compares the uniform eDmax model (Eq. 3)
+// ablationEstimator (A5) compares the uniform eDmax model (Eq. 3)
 // against the grid-histogram estimator (the §6 future-work strategy)
 // on the skewed TIGER-like workload: estimate accuracy, compensation
 // stages, and total work for AM-KDJ and AM-IDJ.
-func AblationEstimator(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func ablationEstimator(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	k := cfg.KSeries()[len(cfg.KSeries())-1]
 	dmax, err := w.Dmax(k)
 	if err != nil {
@@ -635,20 +572,16 @@ func AblationEstimator(cfg Config) (*Table, error) {
 			fmtInt(idj.DistCalcs()), fmtInt(idj.QueueInserts()),
 			fmtInt(idj.CompensationStages), fmtDur(idj.ResponseTime()))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// QueueSizes reproduces the §5.6 queue-size observation: the
+// queueSizes reproduces the §5.6 queue-size observation: the
 // compensation queue stays orders of magnitude smaller than the main
 // queue ("less than 0.5 percent" in the paper's runs). Measured per k
 // for AM-KDJ with a deliberately underestimated eDmax so the
 // compensation machinery is actually exercised.
-func QueueSizes(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	w, err := Load(cfg)
-	if err != nil {
-		return nil, err
-	}
+func queueSizes(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	t := &Table{
 		ID:      "queue-sizes",
 		Title:   "AM-KDJ queue populations (eDmax = 0.5 x real Dmax)",
@@ -675,16 +608,16 @@ func QueueSizes(cfg Config) (*Table, error) {
 		t.AddRow(fmtInt(int64(k)), fmtInt(mc.MainQueuePeak), fmtInt(mc.MainQueueInserts),
 			fmtInt(mc.CompQueueInserts), fmt.Sprintf("%.2f", ratio))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
-// AblationSplit (A6) studies how index quality feeds join cost: trees
+// ablationSplit (A6) studies how index quality feeds join cost: trees
 // are built by one-at-a-time insertion under the R* split (the paper's
 // setting), Guttman's quadratic split, and Guttman's linear split, and
 // B-KDJ runs over each. Bulk loading is bypassed on purpose — split
 // quality only matters for dynamically built trees.
-func AblationSplit(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
+func ablationSplit(w *Workload) ([]*Table, error) {
+	cfg := w.Cfg
 	// Insertion-built trees are expensive; use a reduced slice of the
 	// workload regardless of the configured scale.
 	nStreets := int(float64(FullStreets) * cfg.Scale / 2)
@@ -747,5 +680,5 @@ func AblationSplit(cfg Config) (*Table, error) {
 		t.AddRow(p.String(), fmtF(ovL+ovR), fmtInt(int64(left.NumNodes()+right.NumNodes())),
 			fmtInt(mc.DistCalcs()), fmtInt(mc.NodeAccessesLogical), fmtDur(mc.ResponseTime()))
 	}
-	return t, nil
+	return []*Table{t}, nil
 }

@@ -134,7 +134,7 @@ func TestFmtTick(t *testing.T) {
 
 // Real experiment tables at tiny scale render.
 func TestSVGOnRealExperiment(t *testing.T) {
-	tabs, err := Fig12(tinyConfig())
+	tabs, err := Run("fig12", tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

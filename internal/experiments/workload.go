@@ -284,31 +284,29 @@ func (w *Workload) RunIDJ(algo Algo, k int, opts join.Options) (*metrics.Collect
 	}
 	mc.Start()
 	defer mc.Finish()
-	pull := func(next func() (join.Result, bool), errf func() error) error {
+	it, err := w.startIDJ(algo, opts)
+	if err == nil {
 		for i := 0; i < k; i++ {
-			if _, ok := next(); !ok {
-				return errf()
+			if _, ok := it.Next(); !ok {
+				break
 			}
 		}
-		return errf()
-	}
-	var err error
-	switch algo {
-	case AlgoHSIDJ:
-		var it *join.HSIDJIterator
-		if it, err = join.HSIDJ(w.Streets, w.Hydro, opts); err == nil {
-			err = pull(it.Next, it.Err)
-		}
-	case AlgoAMIDJ:
-		var it *join.AMIDJIterator
-		if it, err = join.AMIDJ(w.Streets, w.Hydro, opts); err == nil {
-			err = pull(it.Next, it.Err)
-		}
-	default:
-		err = fmt.Errorf("experiments: unknown IDJ algorithm %q", algo)
+		err = it.Err()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s k=%d: %w", algo, k, err)
 	}
 	return mc, nil
+}
+
+// startIDJ opens the named incremental join on the workload's trees.
+func (w *Workload) startIDJ(algo Algo, opts join.Options) (*join.Iterator, error) {
+	switch algo {
+	case AlgoHSIDJ:
+		return join.HSIDJ(w.Streets, w.Hydro, opts)
+	case AlgoAMIDJ:
+		return join.AMIDJ(w.Streets, w.Hydro, opts)
+	default:
+		return nil, fmt.Errorf("experiments: unknown IDJ algorithm %q", algo)
+	}
 }

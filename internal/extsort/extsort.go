@@ -33,7 +33,6 @@ type Sorter[T any] struct {
 	less     func(a, b *T) bool
 	store    storage.Store
 	mc       *metrics.Collector
-	ioCost   metrics.IOCostModel
 	memCap   int // records held in memory before a run spills
 	perPage  int
 	buf      []T
@@ -59,8 +58,6 @@ type Config struct {
 	Store storage.Store
 	// Metrics receives sort I/O accounting (may be nil).
 	Metrics *metrics.Collector
-	// IOCost charges simulated time per run page.
-	IOCost metrics.IOCostModel
 }
 
 // NewSorter returns an empty sorter for records ordered by less, which
@@ -84,7 +81,6 @@ func NewSorter[T any](codec Codec[T], less func(a, b *T) bool, cfg Config) (*Sor
 		less:    less,
 		store:   st,
 		mc:      cfg.Metrics,
-		ioCost:  cfg.IOCost,
 		memCap:  memCap,
 		perPage: st.PageSize() / codec.Size,
 	}, nil
@@ -133,7 +129,7 @@ func (s *Sorter[T]) spillRun() {
 			s.err = err
 			return
 		}
-		s.mc.SortIO(0, 1, s.ioCost.SequentialPageCost())
+		s.mc.SortIO(0, 1, metrics.SequentialPageCost)
 		r.pages = append(r.pages, id)
 		n = 0
 	}
@@ -260,7 +256,7 @@ func (s *Sorter[T]) pageOf(runIdx, pageIdx int) ([]byte, error) {
 	if err := s.store.ReadPage(r.pages[pageIdx], c.data); err != nil {
 		return nil, err
 	}
-	s.mc.SortIO(1, 0, s.ioCost.SequentialPageCost())
+	s.mc.SortIO(1, 0, metrics.SequentialPageCost)
 	c.pageIdx = pageIdx
 	return c.data, nil
 }

@@ -38,7 +38,6 @@ func sortAll(t *testing.T, vals []float64, memBytes int, mc *metrics.Collector) 
 	s, err := NewSorter(f64Codec, f64Less, Config{
 		MemBytes: memBytes,
 		Metrics:  mc,
-		IOCost:   metrics.DefaultIOCostModel(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,6 @@ type Queue struct {
 	free     []storage.PageID
 	perPage  int
 	mc       *metrics.Collector
-	ioCost   metrics.IOCostModel
 	tr       *trace.Tracer
 	fault    func(op FaultOp) error
 	err      error
@@ -107,9 +106,6 @@ type Config struct {
 	Store storage.Store
 	// Metrics receives queue page I/O accounting (may be nil).
 	Metrics *metrics.Collector
-	// IOCost charges simulated time per spilled page; zero value
-	// charges nothing.
-	IOCost metrics.IOCostModel
 	// Trace, when non-nil, receives queue_spill / queue_reload events
 	// with the memory-vs-disk segment depth at each heap split and
 	// segment swap-in. Nil costs nothing.
@@ -152,7 +148,6 @@ func New(cfg Config) *Queue {
 		store:    st,
 		perPage:  st.PageSize() / RecordSize,
 		mc:       cfg.Metrics,
-		ioCost:   cfg.IOCost,
 		tr:       cfg.Trace,
 		fault:    cfg.FaultHook,
 	}
@@ -453,7 +448,7 @@ func (q *Queue) flushSegmentPage(seg *segment) {
 		q.err = err
 		return
 	}
-	q.mc.QueueIO(0, 1, q.ioCost.SequentialPageCost())
+	q.mc.QueueIO(0, 1, metrics.SequentialPageCost)
 	seg.pages = append(seg.pages, id)
 	seg.bufCount = 0
 }
@@ -495,7 +490,7 @@ func (q *Queue) swapIn() bool {
 			q.err = err
 			return false
 		}
-		q.mc.QueueIO(1, 0, q.ioCost.SequentialPageCost())
+		q.mc.QueueIO(1, 0, metrics.SequentialPageCost)
 		for i := 0; i < q.perPage; i++ {
 			items = append(items, decodePair(page[i*RecordSize:]))
 		}

@@ -115,7 +115,6 @@ func TestSpillAndSwapIn(t *testing.T) {
 	q := New(Config{
 		MemBytes: 4 * RecordSize,
 		Metrics:  mc,
-		IOCost:   metrics.DefaultIOCostModel(),
 	})
 	rng := rand.New(rand.NewSource(3))
 	const n = 500

@@ -8,27 +8,20 @@ import (
 	"distjoin/internal/trace"
 )
 
-// AMIDJIterator produces join results incrementally with AM-IDJ
-// (paper §4.2). Each stage prunes with a fixed estimated cutoff
-// eDmax_s; when the queue drains, a compensation stage begins with a
-// grown cutoff eDmax_{s+1}, re-expanding the bookkept node pairs and
-// recovering exactly the pairs in the band (eDmax_s, eDmax_{s+1}].
+// amidjStages is the stage state of AM-IDJ (paper §4.2), embedded in
+// the Iterator that runs it. Each stage prunes with a fixed estimated
+// cutoff eDmax_s; when the queue drains, a compensation stage begins
+// with a grown cutoff eDmax_{s+1}, re-expanding the bookkept node pairs
+// and recovering exactly the pairs in the band (eDmax_s, eDmax_{s+1}].
 // This continues until the caller stops asking or every pair has been
 // produced.
-type AMIDJIterator struct {
-	c         *execContext
+type amidjStages struct {
 	compMap   map[pairKey]*compInfo
 	compOrder []pairKey
 	eDmax     float64
 	stageK    int
 	batchK    int
-	produced  int
-	lastDist  float64
 	maxd      float64
-	// done is set by Close, which every terminal path of Next goes
-	// through: exhausted, failed, cancelled, or closed by the caller.
-	done bool
-	err  error
 	// modeLabel names the source of the current stage cutoff for the
 	// registry's eDmax-accuracy sample: "initial" (Eq. 3), "arithmetic"
 	// (Eq. 4), "geometric" (Eq. 5), or "override" (caller-supplied
@@ -43,7 +36,7 @@ type AMIDJIterator struct {
 
 // AMIDJ starts the adaptive multi-stage incremental distance join;
 // results are pulled with Next.
-func AMIDJ(left, right *rtree.Tree, opts Options) (*AMIDJIterator, error) {
+func AMIDJ(left, right *rtree.Tree, opts Options) (*Iterator, error) {
 	c, err := newContext(left, right, opts)
 	if err != nil {
 		return nil, err
@@ -52,13 +45,13 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*AMIDJIterator, error) {
 	if batch <= 0 {
 		batch = DefaultBatchK
 	}
-	it := &AMIDJIterator{
-		c:       c,
+	it := &Iterator{amidjStages: amidjStages{
 		compMap: make(map[pairKey]*compInfo),
 		batchK:  batch,
 		stageK:  batch,
 		maxd:    c.exhaustiveDist(),
-	}
+	}}
+	it.bestFirst = bestFirst{c: c, node: it.expand, gate: it.holdBack, drained: it.advanceStage}
 	it.bandFn = it.pushBand
 	c.algo = "AM-IDJ"
 	c.beginQuery(batch)
@@ -85,90 +78,31 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*AMIDJIterator, error) {
 	return it, nil
 }
 
-// Close ends the iteration: it completes the query's registry entry
-// (latency, counters, error outcome) and releases the main queue, so
-// every later Next returns false; Err keeps what it reported. It is
-// idempotent and safe on iterators without a registry; Next's terminal
-// paths call it implicitly, so Close is only required when abandoning
-// an iterator early.
-func (it *AMIDJIterator) Close() {
-	it.done = true
-	it.c.endQuery(it.err)
-}
+// EDmax returns AM-IDJ's current stage cutoff (exposed for
+// experiments).
+func (it *Iterator) EDmax() float64 { return it.eDmax }
 
-// Produced returns the number of results emitted so far.
-func (it *AMIDJIterator) Produced() int { return it.produced }
-
-// EDmax returns the current stage cutoff (exposed for experiments).
-func (it *AMIDJIterator) EDmax() float64 { return it.eDmax }
-
-// Err returns the first error encountered.
-func (it *AMIDJIterator) Err() error { return it.err }
-
-// Next returns the next nearest pair. ok is false when the join is
-// exhausted or an error occurred (check Err).
-func (it *AMIDJIterator) Next() (Result, bool) {
-	if it.done {
-		return Result{}, false
+// holdBack is AM-IDJ's gate. Pairs beyond the current stage cutoff —
+// refined object pairs whose exact distance exceeds it, re-seeded
+// compensation entries, or an initially distant root pair — wait for the
+// next stage: closer pairs may still be pending compensation. (Once the
+// cutoff has reached the exhaustive bound nothing is pruned anymore, so
+// remaining pairs flow in queue order; this also tolerates refiners that
+// exceed the MBR maximum distance in violation of their contract.)
+func (it *Iterator) holdBack(p hybridq.Pair) bool {
+	if !(p.Dist > it.eDmax && it.eDmax < it.maxd) {
+		return false
 	}
-	for {
-		if err := it.c.cancelled(); err != nil {
-			it.err = err
-			it.Close()
-			return Result{}, false
-		}
-		p, ok := it.c.queue.Pop()
-		if !ok {
-			if err := it.c.queue.Err(); err != nil {
-				it.err = it.c.traceError(err)
-				it.Close()
-				return Result{}, false
-			}
-			if !it.advanceStage() {
-				it.Close()
-				return Result{}, false
-			}
-			continue
-		}
-		// Pairs beyond the current stage cutoff — refined object pairs
-		// whose exact distance exceeds it, re-seeded compensation
-		// entries, or an initially distant root pair — wait for the
-		// next stage: closer pairs may still be pending compensation.
-		// (Once the cutoff has reached the exhaustive bound nothing is
-		// pruned anymore, so remaining pairs flow in queue order; this
-		// also tolerates refiners that exceed the MBR maximum distance
-		// in violation of their contract.)
-		if p.Dist > it.eDmax && it.eDmax < it.maxd {
-			if _, tracked := it.compMap[keyOf(p)]; !tracked {
-				it.c.pushCopy(p) // advanceStage re-seeds tracked pairs itself
-			}
-			if !it.advanceStage() {
-				it.Close()
-				return Result{}, false
-			}
-			continue
-		}
-		if p.IsResult() {
-			if it.c.needsRefinement(p) {
-				it.c.pushCopy(it.c.refine(p))
-				continue
-			}
-			it.produced++
-			it.lastDist = p.Dist
-			it.c.mc.AddResult(1)
-			if it.produced == it.stageK {
-				// The stage cutoff was estimated to yield stageK results;
-				// the stageK-th distance just realized is its ground truth.
-				it.c.recordEstimate(it.eDmax, p.Dist, it.modeLabel)
-			}
-			return pairResult(p), true
-		}
-		if err := it.expand(p); err != nil {
-			it.err = err
-			it.Close()
-			return Result{}, false
-		}
+	// advanceStage re-seeds the bookkept pairs itself; everything else
+	// goes back. Only a node pair can be bookkept, and a result must not
+	// even be looked up: compMap is keyed by the two refs, which for a
+	// leaf-level node pair are bare page IDs and for a result are object
+	// IDs, both small dense integers, so a refined result could pass for
+	// a bookkept leaf pair and be dropped.
+	if p.IsResult() || it.compMap[keyOf(p)] == nil {
+		it.c.pushCopy(p)
 	}
+	return true
 }
 
 // expand processes one node pair under the current stage cutoff.
@@ -182,7 +116,7 @@ func (it *AMIDJIterator) Next() (Result, bool) {
 // range memory follows its live compMap, not the stages it has run. A
 // slab like AM-KDJ's would pin every retired pair's ranges for
 // the life of the iterator, so none is used here.
-func (it *AMIDJIterator) expand(p hybridq.Pair) error {
+func (it *Iterator) expand(p hybridq.Pair) error {
 	c := it.c
 	cur := it.eDmax
 	key := keyOf(p)
@@ -238,14 +172,15 @@ func (it *AMIDJIterator) expand(p hybridq.Pair) error {
 // pushBand is the reexamine of a band re-expansion: of the candidates
 // an earlier stage already examined, only those beyond the cutoff it
 // examined them under are new.
-func (it *AMIDJIterator) pushBand(p *hybridq.Pair) bool {
+func (it *Iterator) pushBand(p *hybridq.Pair) bool {
 	return p.Dist > it.bandFloor && it.c.push(p)
 }
 
-// advanceStage grows the cutoff and re-seeds the queue with the
-// compensation entries. It returns false when the previous stage
-// already covered the entire distance range (join exhausted).
-func (it *AMIDJIterator) advanceStage() bool {
+// advanceStage is AM-IDJ's drained: it grows the cutoff and re-seeds
+// the queue with the compensation entries. It returns false when the
+// previous stage already covered the entire distance range (join
+// exhausted).
+func (it *Iterator) advanceStage() bool {
 	if it.eDmax >= it.maxd {
 		return false
 	}

@@ -70,11 +70,7 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	if k <= 0 || c.left.Size() == 0 || c.right.Size() == 0 {
 		return nil, nil
 	}
-	c.algo = "AM-KDJ"
-	c.beginQuery(k)
-	defer func() { c.endQuery(err) }() // after mc.Finish (LIFO), so WallTime is set
-	c.mc.Start()
-	defer c.mc.Finish()
+	defer c.begin("AM-KDJ", "", k)(&err)
 
 	ct := newCutoffTracker(c, k, c.dqPolicy)
 	eDmax := opts.EDmax
@@ -88,21 +84,13 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	est0 := eDmax
 	c.traceStage(trace.KindStageStart, "aggressive", eDmax, 0)
 
-	results = make([]Result, 0, k)
 	var compList []*compInfo
 	var slab rangeSlab // backs every compInfo.ranges in compList
 	compMap := make(map[pairKey]*compInfo)
 
 	// Stage one: aggressive pruning (Algorithm 2).
-	ct.pushCopy(c.rootPair())
-	for len(results) < k {
-		if err := c.cancelled(); err != nil {
-			return nil, err
-		}
-		p, ok := c.queue.Pop()
-		if !ok {
-			break
-		}
+	loop := bestFirst{c: c, ct: ct}
+	loop.gate = func(p hybridq.Pair) bool {
 		// Line 8: an overestimated eDmax is detected once qDmax drops
 		// to it; from then on eDmax tracks qDmax and AM-KDJ behaves
 		// exactly like B-KDJ.
@@ -118,32 +106,29 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		// is reinserted for the compensation stage.
 		if p.Dist > eDmax {
 			c.pushCopy(p)
-			break
+			return true
 		}
-		if p.IsResult() {
-			if c.needsRefinement(p) {
-				ct.OnRemove(&p)
-				ct.pushCopy(c.refine(p))
-				continue
-			}
-			results = append(results, pairResult(p))
-			c.mc.AddResult(1)
-			continue
-		}
-		ct.OnRemove(&p)
+		return false
+	}
+	loop.node = func(p hybridq.Pair) error {
 		ci, err := c.amAggressiveSweep(p, eDmax, ct, &slab)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		compList = append(compList, ci)
 		compMap[keyOf(p)] = ci
 		c.mc.AddCompQueueInsert(1)
+		return nil
+	}
+	ct.pushCopy(c.rootPair())
+	if results, err = loop.collect(make([]Result, 0, k), k); err != nil {
+		return nil, err
 	}
 	c.traceStage(trace.KindStageEnd, "aggressive", eDmax, int64(len(results)))
 
 	// Stage two: compensation (Algorithm 3), needed only when the
 	// aggressive stage fell short (line 12).
-	if len(results) < k && c.queue.Err() == nil {
+	if len(results) < k {
 		c.mc.AddCompensationStage()
 		c.traceStage(trace.KindCompensation, "compensation", eDmax, int64(len(compList)))
 		// Re-seed the main queue with the bookkept pairs. Their bounds
@@ -155,40 +140,19 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		for _, ci := range compList {
 			c.push(&ci.pair)
 		}
-		for len(results) < k {
-			if err := c.cancelled(); err != nil {
-				return nil, err
+		loop.gate = nil
+		loop.node = func(p hybridq.Pair) error {
+			key := keyOf(p)
+			ci := compMap[key]
+			if ci == nil {
+				return c.bkdjPlaneSweep(p, ct)
 			}
-			p, ok := c.queue.Pop()
-			if !ok {
-				break
-			}
-			if p.IsResult() {
-				if c.needsRefinement(p) {
-					ct.OnRemove(&p)
-					ct.pushCopy(c.refine(p))
-					continue
-				}
-				results = append(results, pairResult(p))
-				c.mc.AddResult(1)
-				continue
-			}
-			if ci := compMap[keyOf(p)]; ci != nil {
-				// No OnRemove: this pair's bound was not re-registered.
-				delete(compMap, keyOf(p))
-				if err := c.amCompensateSweep(p, ci, ct); err != nil {
-					return nil, err
-				}
-			} else {
-				ct.OnRemove(&p)
-				if err := c.bkdjPlaneSweep(p, ct); err != nil {
-					return nil, err
-				}
-			}
+			delete(compMap, key)
+			return c.amCompensateSweep(p, ci, ct)
 		}
-	}
-	if err := c.queue.Err(); err != nil {
-		return nil, c.traceError(err)
+		if results, err = loop.collect(results, k); err != nil {
+			return nil, err
+		}
 	}
 	if len(results) == k {
 		c.recordEstimate(est0, results[k-1].Dist, estMode)
@@ -201,6 +165,7 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 // the live qDmax (as in B-KDJ), with per-anchor bookkeeping of the
 // examined ranges (lines 19/21), which are carved from the query's slab.
 func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker, slab *rangeSlab) (*compInfo, error) {
+	ct.OnRemove(&p)
 	run, err := c.ex.expansion(p, eDmax)
 	if err != nil {
 		return nil, c.traceError(err)
@@ -219,7 +184,8 @@ func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutof
 // stage never examined. The prefix skip is safe because the stage-one
 // real-distance cutoff (qDmax) only shrinks: anything examined and
 // rejected then would be rejected now, and anything accepted is
-// already in the main queue.
+// already in the main queue. The re-seeded pair has no bound to retire:
+// it was not re-registered.
 func (c *execContext) amCompensateSweep(p hybridq.Pair, ci *compInfo, ct *cutoffTracker) error {
 	run, err := c.ex.expansionWithPlan(p, ci.plan)
 	if err != nil {

@@ -135,6 +135,19 @@ func TestJoinsSurfaceQueueStorageFaults(t *testing.T) {
 		t.Fatal("test premise broken: no queue page writes happened")
 	}
 
+	// The incremental joins pull as far as the k-distance joins rank.
+	pull := func(it *Iterator, err error) error {
+		if err != nil {
+			return err
+		}
+		defer it.Close()
+		for i := 0; i < 300; i++ {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+		}
+		return it.Err()
+	}
 	for name, run := range map[string]func(qs storage.Store) error{
 		"B-KDJ": func(qs storage.Store) error {
 			_, err := BKDJ(left, right, 300, opts(qs))
@@ -147,6 +160,12 @@ func TestJoinsSurfaceQueueStorageFaults(t *testing.T) {
 		"HS-KDJ": func(qs storage.Store) error {
 			_, err := HSKDJ(left, right, 300, opts(qs))
 			return err
+		},
+		"HS-IDJ": func(qs storage.Store) error { return pull(HSIDJ(left, right, opts(qs))) },
+		"AM-IDJ": func(qs storage.Store) error {
+			o := opts(qs)
+			o.BatchK = 64
+			return pull(AMIDJ(left, right, o))
 		},
 	} {
 		qStore := storage.NewFaultStore(storage.NewMemStore(4096), 2)

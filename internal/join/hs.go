@@ -25,44 +25,14 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	if k <= 0 || c.left.Size() == 0 || c.right.Size() == 0 {
 		return nil, nil
 	}
-	c.algo, c.stage = "HS-KDJ", "expand"
-	c.beginQuery(k)
-	defer func() { c.endQuery(err) }()
-	c.mc.Start()
-	defer c.mc.Finish()
+	defer c.begin("HS-KDJ", "expand", k)(&err)
 
 	// HS-KDJ prunes with the all-pairs distance queue of [13]: every
 	// enqueued pair contributes an upper bound, retired on expansion.
 	ct := newCutoffTracker(c, k, AllPairs)
-	results = make([]Result, 0, k)
+	loop := bestFirst{c: c, ct: ct, node: func(p hybridq.Pair) error { return c.hsExpand(p, ct) }}
 	ct.pushCopy(c.rootPair())
-	for len(results) < k {
-		if err := c.cancelled(); err != nil {
-			return nil, err
-		}
-		p, ok := c.queue.Pop()
-		if !ok {
-			break
-		}
-		if p.IsResult() {
-			if c.needsRefinement(p) {
-				ct.OnRemove(&p)
-				ct.pushCopy(c.refine(p))
-				continue
-			}
-			results = append(results, pairResult(p))
-			c.mc.AddResult(1)
-			continue
-		}
-		ct.OnRemove(&p)
-		if err := c.hsExpand(p, ct); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.queue.Err(); err != nil {
-		return nil, c.traceError(err)
-	}
-	return results, nil
+	return loop.collect(make([]Result, 0, k), k)
 }
 
 // hsExpand performs one uni-directional expansion: the non-object side
@@ -72,8 +42,11 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 // distances to the fixed other side come from one batch kernel call —
 // the uni-directional baseline is the most distance-computation-bound
 // algorithm of the suite, so it benefits the most from the contiguous
-// scan.
+// scan. ct is nil for HS-IDJ, which has no k to prune by.
 func (c *execContext) hsExpand(p hybridq.Pair, ct *cutoffTracker) error {
+	if ct != nil {
+		ct.OnRemove(&p)
+	}
 	expandLeft := c.hsPickSide(p)
 	tree, ref, isObj, rect := c.left, p.Left, p.LeftObj, p.LeftRect
 	otherRect := p.RightRect
@@ -141,23 +114,16 @@ func (c *execContext) hsPickSide(p hybridq.Pair) (expandLeft bool) {
 	}
 }
 
-// HSIDJIterator produces join results incrementally with HS-IDJ.
-type HSIDJIterator struct {
-	c    *execContext
-	err  error
-	done bool
-}
-
 // HSIDJ starts the baseline incremental distance join; results are
 // pulled with Next.
-func HSIDJ(left, right *rtree.Tree, opts Options) (*HSIDJIterator, error) {
+func HSIDJ(left, right *rtree.Tree, opts Options) (*Iterator, error) {
 	c, err := newContext(left, right, opts)
 	if err != nil {
 		return nil, err
 	}
 	c.algo, c.stage = "HS-IDJ", "expand"
 	c.beginQuery(0)
-	it := &HSIDJIterator{c: c}
+	it := &Iterator{bestFirst: bestFirst{c: c, node: func(p hybridq.Pair) error { return c.hsExpand(p, nil) }}}
 	if c.left.Size() == 0 || c.right.Size() == 0 {
 		it.Close()
 		return it, nil
@@ -165,49 +131,3 @@ func HSIDJ(left, right *rtree.Tree, opts Options) (*HSIDJIterator, error) {
 	c.pushCopy(c.rootPair())
 	return it, nil
 }
-
-// Close ends the iteration: it completes the query's registry entry and
-// releases the main queue, so every later Next returns false. It is
-// idempotent; Next's terminal paths call it implicitly, so Close is
-// only required when abandoning an iterator early.
-func (it *HSIDJIterator) Close() {
-	it.done = true
-	it.c.endQuery(it.err)
-}
-
-// Next returns the next nearest pair. ok is false when the join is
-// exhausted or an error occurred (check Err).
-func (it *HSIDJIterator) Next() (Result, bool) {
-	if it.done {
-		return Result{}, false
-	}
-	for {
-		if err := it.c.cancelled(); err != nil {
-			it.err = err
-			it.Close()
-			return Result{}, false
-		}
-		p, ok := it.c.queue.Pop()
-		if !ok {
-			it.err = it.c.traceError(it.c.queue.Err())
-			it.Close()
-			return Result{}, false
-		}
-		if p.IsResult() {
-			if it.c.needsRefinement(p) {
-				it.c.pushCopy(it.c.refine(p))
-				continue
-			}
-			it.c.mc.AddResult(1)
-			return pairResult(p), true
-		}
-		if err := it.c.hsExpand(p, nil); err != nil {
-			it.err = err
-			it.Close()
-			return Result{}, false
-		}
-	}
-}
-
-// Err returns the first error encountered.
-func (it *HSIDJIterator) Err() error { return it.err }

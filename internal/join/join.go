@@ -274,7 +274,6 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 		Rho:       rho,
 		Store:     opts.QueueStore,
 		Metrics:   opts.Metrics,
-		IOCost:    metrics.DefaultIOCostModel(),
 		Trace:     opts.Trace,
 		FaultHook: opts.QueueFaultHook,
 	})
@@ -374,8 +373,25 @@ func (e *expander) sideSoA(tree *rtree.Tree, ref uint64, isObj bool, rect geom.R
 	if err := tree.ReadNodeSoA(refPage(ref), dst, e.mc); err != nil {
 		return false, err
 	}
+	if dst.Level != refLevel(ref) {
+		return false, levelError(ref, dst)
+	}
 	stampChildLevels(dst)
 	return dst.IsLeaf(), nil
+}
+
+// levelError reports a breach of the level rule of the single-tree
+// descents (rtree.ErrCorruptNode) in the join's own, where sideSoA and
+// sideSorted check it after every node read: the page a node ref leads
+// to must claim the level the ref carries, which is its parent's minus
+// one. Without the check an internal page whose header claims level 0
+// would have its child page IDs joined as object IDs, and a leaf
+// claiming a higher level its object IDs followed as pages: a silently
+// wrong answer. With it the levels fall by one per step, which also
+// bounds the descent over damaged pages.
+func levelError(ref uint64, n *rtree.NodeSoA) error {
+	return fmt.Errorf("%w: page %d claims level %d, its parent's entry level %d",
+		rtree.ErrCorruptNode, refPage(ref), n.Level, refLevel(ref))
 }
 
 // stampChildLevels rewrites an internal node's child page IDs into
@@ -510,9 +526,9 @@ func (c *execContext) cancelled() error {
 
 // beginQuery registers the query with the configured registry (a nil
 // registry yields a nil handle; every handle method is a nil-safe
-// no-op). Callers pair it with a deferred endQuery *registered before*
-// mc.Start's deferred Finish, so Finish runs first and the collector's
-// WallTime is populated when the registry folds it in.
+// no-op). The blocking joins call it through begin, whose closer pairs
+// it with endQuery; the two incremental joins call it themselves and
+// end the query in Iterator.Close.
 func (c *execContext) beginQuery(k int) {
 	c.rq = c.opts.Registry.BeginNamed(c.algo, k, c.opts.QueryID)
 }

@@ -439,6 +439,9 @@ func (e *expander) sideSorted(tree *rtree.Tree, ref uint64, isObj bool, rect geo
 	if err != nil {
 		return nil, false, err
 	}
+	if n.Level != refLevel(ref) {
+		return nil, false, levelError(ref, n)
+	}
 	if n != scratch {
 		return n, n.IsLeaf(), nil
 	}

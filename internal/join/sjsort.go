@@ -3,7 +3,6 @@ package join
 import (
 	"distjoin/internal/extsort"
 	"distjoin/internal/hybridq"
-	"distjoin/internal/metrics"
 	"distjoin/internal/rtree"
 )
 
@@ -22,18 +21,14 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 	if k <= 0 || c.left.Size() == 0 || c.right.Size() == 0 {
 		return nil, nil
 	}
-	c.algo, c.stage = "SJ-SORT", "spatial-join"
-	c.beginQuery(k)
-	defer func() { c.endQuery(err) }()
-	c.mc.Start()
-	defer c.mc.Finish()
+	defer c.begin("SJ-SORT", "spatial-join", k)(&err)
 
 	mem := opts.QueueMemBytes
 	if mem <= 0 {
 		mem = DefaultQueueMemBytes
 	}
 	sorter, err := extsort.NewSorter(pairCodec, hybridq.PairLess,
-		extsort.Config{MemBytes: mem, Metrics: opts.Metrics, IOCost: metrics.DefaultIOCostModel()})
+		extsort.Config{MemBytes: mem, Metrics: opts.Metrics})
 	if err != nil {
 		return nil, c.traceError(err)
 	}

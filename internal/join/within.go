@@ -36,11 +36,7 @@ func WithinJoin(left, right *rtree.Tree, maxDist float64, opts Options, fn func(
 	if maxDist < 0 || c.left.Size() == 0 || c.right.Size() == 0 {
 		return nil
 	}
-	c.algo, c.stage = "WITHIN", "descend"
-	c.beginQuery(0)
-	defer func() { c.endQuery(err) }()
-	c.mc.Start()
-	defer c.mc.Finish()
+	defer c.begin("WITHIN", "descend", 0)(&err)
 
 	return c.withinDescent(maxDist, func(rp hybridq.Pair) bool {
 		c.mc.AddResult(1)
@@ -132,11 +128,7 @@ func AllNearest(left, right *rtree.Tree, opts Options, fn func(left Result) bool
 	if c.right.Size() == 0 {
 		return fmt.Errorf("join: AllNearest requires a non-empty right tree")
 	}
-	c.algo, c.stage = "ALL-NN", "scan"
-	c.beginQuery(1)
-	defer func() { c.endQuery(err) }()
-	c.mc.Start()
-	defer c.mc.Finish()
+	defer c.begin("ALL-NN", "scan", 1)(&err)
 
 	var innerErr error
 	err = left.Search(left.Bounds(), c.mc, func(it rtree.Item) bool {
@@ -192,11 +184,7 @@ func AllKNearest(left, right *rtree.Tree, k int, opts Options, fn func(neighbors
 	if c.right.Size() == 0 {
 		return fmt.Errorf("join: AllKNearest requires a non-empty right tree")
 	}
-	c.algo, c.stage = "ALL-KNN", "scan"
-	c.beginQuery(k)
-	defer func() { c.endQuery(err) }()
-	c.mc.Start()
-	defer c.mc.Finish()
+	defer c.begin("ALL-KNN", "scan", k)(&err)
 
 	batch := make([]Result, 0, k)
 	var innerErr error

@@ -11,44 +11,16 @@ import (
 	"time"
 )
 
-// IOCostModel charges simulated time for page I/O. The defaults mirror
-// the testbed of the paper's §5.1: a disk delivering about 0.5 MB/s for
-// random accesses and 5 MB/s for sequential accesses with 4 KB pages.
-type IOCostModel struct {
-	// PageSize is the page size in bytes used to convert bandwidths
-	// into per-page costs.
-	PageSize int
-	// RandomBytesPerSec is the sustained random-access bandwidth.
-	RandomBytesPerSec float64
-	// SequentialBytesPerSec is the sustained sequential bandwidth.
-	SequentialBytesPerSec float64
-}
-
-// DefaultIOCostModel returns the cost model of the paper's testbed.
-func DefaultIOCostModel() IOCostModel {
-	return IOCostModel{
-		PageSize:              4096,
-		RandomBytesPerSec:     512 * 1024,
-		SequentialBytesPerSec: 5 * 1024 * 1024,
-	}
-}
-
-// RandomPageCost returns the charged duration of one random page I/O.
-func (m IOCostModel) RandomPageCost() time.Duration {
-	if m.RandomBytesPerSec <= 0 {
-		return 0
-	}
-	return time.Duration(float64(m.PageSize) / m.RandomBytesPerSec * float64(time.Second))
-}
-
-// SequentialPageCost returns the charged duration of one sequential
-// page I/O.
-func (m IOCostModel) SequentialPageCost() time.Duration {
-	if m.SequentialBytesPerSec <= 0 {
-		return 0
-	}
-	return time.Duration(float64(m.PageSize) / m.SequentialBytesPerSec * float64(time.Second))
-}
+// The simulated time charged per page I/O, after the testbed of the
+// paper's §5.1: a disk delivering about 0.5 MB/s for random accesses
+// and 5 MB/s for sequential accesses, with 4 KB pages. Tree node reads
+// are charged the random cost; queue spills, reloads and sort runs the
+// sequential one.
+const (
+	modelPageBytes     = 4096
+	RandomPageCost     = time.Second * modelPageBytes / (512 * 1024)
+	SequentialPageCost = time.Second * modelPageBytes / (5 * 1024 * 1024)
+)
 
 // Collector accumulates the counters for one query execution. The zero
 // value is ready to use. A nil *Collector is also safe: every method
@@ -106,7 +78,8 @@ type Collector struct {
 	// the pool (LRU victims, whether or not dirty).
 	BufferEvictions int64
 
-	// ModeledIOTime is simulated time charged by the IOCostModel for
+	// ModeledIOTime is simulated time charged (RandomPageCost,
+	// SequentialPageCost) for
 	// every physical page access.
 	ModeledIOTime time.Duration
 	// WallTime is the measured wall-clock time, set by Finish.

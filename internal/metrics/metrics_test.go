@@ -103,18 +103,13 @@ func TestReset(t *testing.T) {
 }
 
 func TestIOCostModel(t *testing.T) {
-	m := DefaultIOCostModel()
 	// 4096 bytes at 512 KB/s = 7.8125 ms per random page.
-	if got, want := m.RandomPageCost(), time.Duration(7.8125*float64(time.Millisecond)); got != want {
+	if got, want := RandomPageCost, time.Duration(7.8125*float64(time.Millisecond)); got != want {
 		t.Fatalf("RandomPageCost = %v, want %v", got, want)
 	}
 	// 4096 bytes at 5 MB/s = 0.78125 ms per sequential page.
-	if got, want := m.SequentialPageCost(), time.Duration(0.78125*float64(time.Millisecond)); got != want {
+	if got, want := SequentialPageCost, time.Duration(0.78125*float64(time.Millisecond)); got != want {
 		t.Fatalf("SequentialPageCost = %v, want %v", got, want)
-	}
-	zero := IOCostModel{PageSize: 4096}
-	if zero.RandomPageCost() != 0 || zero.SequentialPageCost() != 0 {
-		t.Fatal("zero-bandwidth model must charge nothing")
 	}
 }
 

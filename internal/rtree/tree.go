@@ -21,7 +21,8 @@ const metaMagic = "DJRT0001"
 var ErrNotRTree = errors.New("rtree: store does not contain a packed R-tree")
 
 // ErrCorruptNode is returned, wrapped, by a descent (Search,
-// NearestNeighbors, Walk) that follows a child ref to a page which
+// NearestNeighbors, Walk, and the joins' own in internal/join) that
+// follows a child ref to a page which
 // cannot be that child: its header does not claim the level below its
 // parent's, or the ref is no page ID at all. Levels falling by one per
 // step is what bounds a descent over damaged pages by the height the
@@ -36,7 +37,6 @@ var ErrCorruptNode = errors.New("rtree: corrupt node")
 // paper's Table 2.
 type Tree struct {
 	pool     *storage.BufferPool
-	cost     metrics.IOCostModel
 	rootPage storage.PageID
 	height   int
 	size     int
@@ -56,7 +56,6 @@ type Tree struct {
 // pool of bufferBytes over store and an empty sweep-order memo.
 func newTree(t *Tree, store storage.Store, bufferBytes int) *Tree {
 	t.pool = storage.NewBufferPool(store, bufferBytes)
-	t.cost = metrics.DefaultIOCostModel()
 	t.orders = newOrderMemo(store)
 	t.nodeRoom = decodedRoom(t.pool)
 	return t
@@ -204,11 +203,11 @@ func (t *Tree) ResizeBuffer(bytes int) {
 // the access against mc: the one fetch-and-account step both node
 // reads (ReadNodeSoA, ReadNodeSoAOrdered) start with.
 func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) ([]byte, error) {
-	page, acc, err := t.pool.GetAccounted(id)
+	page, acc, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	mc.NodeAccess(!acc.Hit, t.cost.RandomPageCost())
+	mc.NodeAccess(!acc.Hit, metrics.RandomPageCost)
 	mc.BufferAccess(acc.Hit, acc.Evictions)
 	return page, nil
 }

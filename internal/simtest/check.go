@@ -125,7 +125,7 @@ func checkIncrementalMonotone(e *env, reg *obsrv.Registry) error {
 		return failf(e.s, nil, "idj-monotone", "AM-IDJ unexpected error: %v", err)
 	}
 	defer func() { it.Close(); it.Close() }()
-	got, err := drainIter(it.Next, it.Err, len(e.ref)+3)
+	got, err := drainIter(it, len(e.ref)+3)
 	if err != nil {
 		return failf(e.s, nil, "idj-monotone", "AM-IDJ unexpected error: %v", err)
 	}

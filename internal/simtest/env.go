@@ -190,20 +190,17 @@ func (e *env) runAlgo(name string, opts join.Options, limit int) ([]join.Result,
 		// dmax plays the oracle role exactly as in the paper's §5: the
 		// true k-th distance.
 		return join.SJSort(e.lt, e.rt, e.s.K, e.kth, opts)
-	case "HS-IDJ":
-		it, err := join.HSIDJ(e.lt, e.rt, opts)
+	case "HS-IDJ", "AM-IDJ":
+		start := join.HSIDJ
+		if name == "AM-IDJ" {
+			start = join.AMIDJ
+		}
+		it, err := start(e.lt, e.rt, opts)
 		if err != nil {
 			return nil, err
 		}
 		defer func() { it.Close(); it.Close() }()
-		return drainIter(it.Next, it.Err, limit)
-	case "AM-IDJ":
-		it, err := join.AMIDJ(e.lt, e.rt, opts)
-		if err != nil {
-			return nil, err
-		}
-		defer func() { it.Close(); it.Close() }()
-		return drainIter(it.Next, it.Err, limit)
+		return drainIter(it, limit)
 	default:
 		return nil, fmt.Errorf("simtest: unknown algorithm %q", name)
 	}
@@ -238,19 +235,19 @@ func (e *env) runCounted(name string, reg *obsrv.Registry) ([]join.Result, metri
 // drainIter pulls up to limit results from an incremental iterator and
 // verifies terminal-state stability: once Next reports !ok it must
 // keep doing so.
-func drainIter(next func() (join.Result, bool), errf func() error, limit int) ([]join.Result, error) {
+func drainIter(it *join.Iterator, limit int) ([]join.Result, error) {
 	var out []join.Result
 	for len(out) < limit {
-		res, ok := next()
+		res, ok := it.Next()
 		if !ok {
-			if _, again := next(); again {
+			if _, again := it.Next(); again {
 				return out, fmt.Errorf("simtest: iterator produced a result after reporting exhaustion")
 			}
 			break
 		}
 		out = append(out, res)
 	}
-	return out, errf()
+	return out, it.Err()
 }
 
 // compareExact checks got against the oracle reference: same length,

@@ -78,9 +78,14 @@ func (m EDmaxMode) String() string {
 
 // Scenario is one fully-determined simulation configuration: the data,
 // the query, and every engine knob. It is a pure function of its Seed
-// (see FromSeed), so any failure reproduces from one integer.
+// (see FromSeed), so any failure reproduces from one integer, or, for a
+// scenario the fuzzer built, of its Bytes (see FromBytes).
 type Scenario struct {
 	Seed int64
+	// Bytes is the fuzz input the scenario was decoded from, empty for
+	// one built by FromSeed. FromBytes clamps and overrides knobs, so the
+	// seed alone does not rebuild such a scenario; the bytes do.
+	Bytes string
 
 	// Data shape.
 	Workload           Workload
@@ -195,6 +200,7 @@ func FromBytes(data []byte) Scenario {
 	var buf [8]byte
 	copy(buf[:], data)
 	s := FromSeed(int64(binary.LittleEndian.Uint64(buf[:])))
+	s.Bytes = string(data)
 	// Knob overrides from trailing bytes (each optional).
 	get := func(i int) (byte, bool) {
 		if len(data) > 8+i {

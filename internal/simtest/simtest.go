@@ -22,7 +22,9 @@
 //
 // Every failure renders as a single line carrying the -seed= (and,
 // for fault failures, -schedule=) flags that reproduce it under
-// cmd/distjoin-sim. The harness is itself validated by a mutation
+// cmd/distjoin-sim; a failure on a scenario the fuzzer decoded from
+// bytes carries those bytes as a corpus file instead, because the seed
+// alone builds a different scenario. The harness is itself validated by a mutation
 // smoke test: with a deliberately broken pruning cutoff installed
 // (join.SetPruneMutation) the differential oracle must catch the bug
 // within a bounded number of seeds.
@@ -46,12 +48,22 @@ type Failure struct {
 
 // Error renders the failure with its one-line repro.
 func (f *Failure) Error() string {
-	repro := fmt.Sprintf("-seed=%d", f.Scenario.Seed)
+	return fmt.Sprintf("simtest FAIL [%s] %s | scenario: %s | repro: %s",
+		f.Check, f.Detail, f.Scenario, f.repro())
+}
+
+// repro is the command that rebuilds the failing scenario: the seed for
+// distjoin-sim, or, for a scenario FromBytes decoded, its input as a
+// fuzz corpus file and the go test line that replays it.
+func (f *Failure) repro() string {
+	if b := f.Scenario.Bytes; b != "" {
+		return fmt.Sprintf("save the two lines \"go test fuzz v1\" and []byte(%q) as internal/simtest/testdata/fuzz/FuzzScenario/<name>, then go test -run 'FuzzScenario/<name>' ./internal/simtest", b)
+	}
+	repro := fmt.Sprintf("go run ./cmd/distjoin-sim -seed=%d", f.Scenario.Seed)
 	if f.Schedule != nil {
 		repro += fmt.Sprintf(" -schedule=%s", f.Schedule)
 	}
-	return fmt.Sprintf("simtest FAIL [%s] %s | scenario: %s | repro: go run ./cmd/distjoin-sim %s",
-		f.Check, f.Detail, f.Scenario, repro)
+	return repro
 }
 
 // failf builds a *Failure as an error.

@@ -2,7 +2,9 @@ package simtest
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -249,6 +251,32 @@ func TestFailureRepro(t *testing.T) {
 		if !contains(msg, want) {
 			t.Fatalf("failure message %q missing %q", msg, want)
 		}
+	}
+}
+
+// TestFailureReproFromBytes pins the repro of a scenario the fuzzer
+// decoded: FromBytes clamps sizes and k, so `-seed=` would rebuild a
+// different scenario; the message carries the input as a corpus-file
+// literal that decodes back to the failing scenario.
+func TestFailureReproFromBytes(t *testing.T) {
+	in := []byte(",\x01\x00\x00\x00\x00\x00\x00") // the committed amidj-refined-key-collision input
+	s := FromBytes(in)
+	if s == FromSeed(s.Seed) {
+		t.Fatal("FromBytes built what FromSeed builds; the test needs an input it clamps")
+	}
+	msg := (&Failure{Scenario: s, Check: "differential", Detail: "boom"}).Error()
+	lit := fmt.Sprintf("[]byte(%q)", in)
+	for _, want := range []string{lit, "go test fuzz v1", "go test -run 'FuzzScenario/", "./internal/simtest"} {
+		if !contains(msg, want) {
+			t.Fatalf("failure message %q missing %q", msg, want)
+		}
+	}
+	if contains(msg, "-seed=") {
+		t.Fatalf("failure message %q offers a seed repro that does not reproduce", msg)
+	}
+	back, err := strconv.Unquote(lit[len("[]byte(") : len(lit)-1])
+	if err != nil || FromBytes([]byte(back)) != s {
+		t.Fatalf("literal %s does not decode back to the scenario (%v)", lit, err)
 	}
 }
 

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 )
 
@@ -11,19 +10,17 @@ import (
 // buffer from 64 KB to 1024 KB in Figure 13) and converted into whole
 // page frames.
 //
-// The pool is write-back: dirty frames are flushed when evicted or on
-// Flush. Get reports whether the access was a buffer hit, so callers
-// can attribute logical vs physical node accesses (Table 2).
+// The pool is read-only, as every caller is: trees are immutable once
+// packed, and Pack, the hybrid queue and the external sorter write to
+// their stores directly. Get reports whether the access was a buffer
+// hit, so callers can attribute logical vs physical node accesses
+// (Table 2).
 //
 // Concurrency: all operations are serialized on an internal mutex, so
-// the pool may be shared by multiple goroutines. For read-only
-// workloads (Get without Put — how concurrent queries on one index use
-// its R-tree pool) the slices Get returns
-// stay valid and immutable even across later pool operations: frame
-// contents are only ever rewritten by Put, and eviction merely drops
-// the pool's reference. Mixed Get/Put use from multiple goroutines
-// must instead copy under the caller's own coordination, per Get's
-// aliasing contract.
+// the pool may be shared by multiple goroutines (how concurrent queries
+// on one index use its R-tree pool). The slices Get returns stay valid
+// and immutable across later pool operations: a frame's contents are
+// never rewritten, and eviction merely drops the pool's reference.
 type BufferPool struct {
 	mu     sync.Mutex
 	store  Store
@@ -34,9 +31,8 @@ type BufferPool struct {
 }
 
 type frame struct {
-	id    PageID
-	data  []byte
-	dirty bool
+	id   PageID
+	data []byte
 }
 
 // BufferStats counts buffer pool activity.
@@ -44,7 +40,6 @@ type BufferStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Flushes   int64
 }
 
 // NewBufferPool returns a pool over store holding at most capacityBytes
@@ -71,14 +66,6 @@ func (p *BufferPool) PageSize() int { return p.store.PageSize() }
 // Store returns the underlying store.
 func (p *BufferPool) Store() Store { return p.store }
 
-// Get returns the contents of page id and whether it was a buffer hit.
-// The returned slice aliases the cached frame and is valid until the
-// next pool operation; callers that retain data must copy it.
-func (p *BufferPool) Get(id PageID) (data []byte, hit bool, err error) {
-	data, acc, err := p.GetAccounted(id)
-	return data, acc.Hit, err
-}
-
 // Access describes one buffer pool access for per-query attribution:
 // whether it hit, and how many frames the access evicted (always zero
 // on a hit). Aggregate pool statistics remain available via Stats;
@@ -90,10 +77,10 @@ type Access struct {
 	Evictions int64
 }
 
-// GetAccounted is Get with per-access attribution: the returned
-// Access reports the hit/miss outcome and the evictions this access
-// caused. The data aliasing contract is the same as Get's.
-func (p *BufferPool) GetAccounted(id PageID) (data []byte, acc Access, err error) {
+// Get returns the contents of page id, with the hit/miss outcome and
+// the evictions this access caused. The returned slice aliases the
+// cached frame and must not be written.
+func (p *BufferPool) Get(id PageID) (data []byte, acc Access, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if el, ok := p.table[id]; ok {
@@ -106,82 +93,21 @@ func (p *BufferPool) GetAccounted(id PageID) (data []byte, acc Access, err error
 	if err := p.store.ReadPage(id, buf); err != nil {
 		return nil, Access{}, err
 	}
-	evicted, err := p.insertLocked(&frame{id: id, data: buf})
-	if err != nil {
-		return nil, Access{}, err
-	}
-	return buf, Access{Evictions: evicted}, nil
-}
-
-// Put installs data as the contents of page id and marks it dirty. The
-// data is copied into the frame.
-func (p *BufferPool) Put(id PageID, data []byte) error {
-	if len(data) != p.store.PageSize() {
-		return ErrBadPageSize
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.table[id]; ok {
-		f := el.Value.(*frame)
-		copy(f.data, data)
-		f.dirty = true
-		p.lru.MoveToFront(el)
-		return nil
-	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	_, err := p.insertLocked(&frame{id: id, data: buf, dirty: true})
-	return err
-}
-
-// insertLocked adds f to the pool, evicting LRU frames if full, and
-// returns how many frames were evicted.
-func (p *BufferPool) insertLocked(f *frame) (evicted int64, err error) {
 	for p.lru.Len() >= p.frames {
 		back := p.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*frame)
-		if victim.dirty {
-			if err := p.store.WritePage(victim.id, victim.data); err != nil {
-				return evicted, fmt.Errorf("storage: evict page %d: %w", victim.id, err)
-			}
-			p.stats.Flushes++
-		}
 		p.lru.Remove(back)
-		delete(p.table, victim.id)
+		delete(p.table, back.Value.(*frame).id)
 		p.stats.Evictions++
-		evicted++
+		acc.Evictions++
 	}
-	p.table[f.id] = p.lru.PushFront(f)
-	return evicted, nil
+	p.table[id] = p.lru.PushFront(&frame{id: id, data: buf})
+	return buf, acc, nil
 }
 
-// Flush writes all dirty frames back to the store without evicting.
-func (p *BufferPool) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		f := el.Value.(*frame)
-		if !f.dirty {
-			continue
-		}
-		if err := p.store.WritePage(f.id, f.data); err != nil {
-			return fmt.Errorf("storage: flush page %d: %w", f.id, err)
-		}
-		f.dirty = false
-		p.stats.Flushes++
-	}
-	return nil
-}
-
-// Invalidate drops every cached frame after flushing dirty ones; used
-// between experiment runs to cold-start the cache.
+// Invalidate drops every cached frame; used between experiment runs to
+// cold-start the cache. It cannot fail: the pool holds nothing a store
+// has not; the error is always nil.
 func (p *BufferPool) Invalidate() error {
-	if err := p.Flush(); err != nil {
-		return err
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.table = make(map[PageID]*list.Element, p.frames)
@@ -194,11 +120,4 @@ func (p *BufferPool) Stats() BufferStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// ResetStats zeroes the pool statistics (the cache contents remain).
-func (p *BufferPool) ResetStats() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats = BufferStats{}
 }
