@@ -242,11 +242,13 @@ examples:
 # Query-server smoke test (docs/serving.md): bring up a demo
 # distjoin-server on an ephemeral port with a 1ms slow-query threshold
 # (so real queries land in the slow log), drive it with mixed traffic
-# from distjoin-load -quick plus an ?explain=1 roundtrip check, then
+# from distjoin-load -quick plus an ?explain=1 roundtrip check, again
+# with 2048-pair cursor pages (above DefaultBatchK, so the cursors run
+# the page-sized AM-IDJ stages an omitted batch_k selects), then
 # SIGTERM it and require a clean load run, a clean graceful exit
-# (drain, code 0), and at least one parseable structured request-log
-# line on the server's stderr (kept at bin/serve-log.jsonl; the CI
-# serve job uploads it as an artifact).
+# (drain, code 0), and structured request-log lines on the server's
+# stderr, at least one and every one carrying every key (kept at
+# bin/serve-log.jsonl; the CI serve job uploads it as an artifact).
 serve-smoke:
 	$(GO) build -o bin/distjoin-server ./cmd/distjoin-server
 	$(GO) build -o bin/distjoin-load ./cmd/distjoin-load
@@ -260,6 +262,7 @@ serve-smoke:
 	fi; \
 	addr="$$(cat bin/serve-addr.txt)"; \
 	load=0; bin/distjoin-load -addr "$$addr" -quick -check-explain || load=$$?; \
+	[ "$$load" -ne 0 ] || bin/distjoin-load -addr "$$addr" -quick -page 2048 || load=$$?; \
 	kill -TERM $$pid; \
 	srv=0; wait $$pid || srv=$$?; \
 	echo "serve-smoke: load exit $$load, server exit $$srv"; \

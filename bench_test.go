@@ -17,8 +17,10 @@ import (
 	"sync"
 	"testing"
 
+	"distjoin/internal/datagen"
 	"distjoin/internal/experiments"
 	"distjoin/internal/join"
+	"distjoin/internal/rtree"
 )
 
 // benchConfig is deliberately small so the whole suite runs in tens of
@@ -288,5 +290,71 @@ func BenchmarkAMKDJSerial(b *testing.B) {
 		if len(got) != k {
 			b.Fatalf("got %d results, want %d", len(got), k)
 		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// AM-IDJ stage cost: 8 192 pairs at three stage sizes.
+
+var tigerBench struct {
+	once        sync.Once
+	left, right *Index
+	err         error
+}
+
+// tigerBenchIndexes builds the TIGER-like pair at the repository
+// benchmark's size (the paper's × 0.1) with the default 512 KB pools,
+// which is what distjoin-server serves.
+func tigerBenchIndexes(b *testing.B) (*Index, *Index) {
+	b.Helper()
+	tigerBench.once.Do(func() {
+		objects := func(items []rtree.Item) []Object {
+			objs := make([]Object, len(items))
+			for i, it := range items {
+				objs[i] = Object{ID: it.Obj, Rect: it.Rect}
+			}
+			return objs
+		}
+		tigerBench.left, tigerBench.err = NewIndex(objects(datagen.TigerStreets(1, 63346)), nil)
+		if tigerBench.err != nil {
+			return
+		}
+		tigerBench.right, tigerBench.err = NewIndex(objects(datagen.TigerHydro(2, 18964)), nil)
+	})
+	if tigerBench.err != nil {
+		b.Fatal(tigerBench.err)
+	}
+	return tigerBench.left, tigerBench.right
+}
+
+// BenchmarkIncrementalStages pulls 8 192 pairs through AM-IDJ at stage
+// sizes 1 024 (DefaultBatchK), 4 096 and 8 192. Every stage after the
+// first is a compensation stage that re-expands each live bookkept node
+// pair, so the work follows the number of stages, not of pairs: these
+// are the counts a cheaper stage in the engine (NOTES.md §5) has to
+// beat.
+func BenchmarkIncrementalStages(b *testing.B) {
+	left, right := tigerBenchIndexes(b)
+	const pull = 8192
+	for _, batch := range []int{DefaultBatchK, 4096, 8192} {
+		b.Run(fmt.Sprintf("BatchK=%d", batch), func(b *testing.B) {
+			var st Stats
+			for i := 0; i < b.N; i++ {
+				st = Stats{}
+				it, err := IncrementalJoin(left, right, &Options{BatchK: batch, Stats: &st})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for n := 0; n < pull; n++ {
+					if _, ok := it.Next(); !ok {
+						b.Fatalf("join ended after %d pairs: %v", n, it.Err())
+					}
+				}
+				it.Close()
+			}
+			b.ReportMetric(float64(st.CompensationStages), "comp_stages/op")
+			b.ReportMetric(float64(st.DistCalcs()), "dist_calcs/op")
+			b.ReportMetric(float64(st.NodeAccessesLogical), "nodes/op")
+		})
 	}
 }

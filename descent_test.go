@@ -306,8 +306,10 @@ func damagedIndex(t *testing.T, objs []Object, cfg *IndexConfig, damage func(mid
 // level 0 (its child page IDs would be joined as object IDs), on either
 // side, every join returns the exact answer or an error wrapping
 // rtree.ErrCorruptNode or storage.ErrPageOutOfRange: never a wrong
-// pair, a panic or a hang. The joins run to the full cross product, so
-// each of them reaches the damaged page.
+// pair, a panic or a hang. An internal page's child ref wider than a
+// page ID is rtree.ErrCorruptNode from every join, as it is from
+// readVisit. The joins run to the full cross product, so each of them
+// reaches the damaged page.
 func TestDamagedJoinDescent(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cfg := &IndexConfig{PageSize: 256}
@@ -386,9 +388,17 @@ func TestDamagedJoinDescent(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		damage func(mid, leaf []byte)
+		// corrupt: only rtree.ErrCorruptNode will do. A child ref with a
+		// bit set above the page ID's 32 still leads to the sound page once
+		// truncated, so the exact answer would hide that it was followed.
+		corrupt bool
 	}{
-		{"leaf claims level 1", func(mid, leaf []byte) { binary.LittleEndian.PutUint16(leaf, 1) }},
-		{"internal page claims level 0", func(mid, leaf []byte) { binary.LittleEndian.PutUint16(mid, 0) }},
+		{"leaf claims level 1", func(mid, leaf []byte) { binary.LittleEndian.PutUint16(leaf, 1) }, false},
+		{"internal page claims level 0", func(mid, leaf []byte) { binary.LittleEndian.PutUint16(mid, 0) }, false},
+		{"child ref wider than a page id", func(mid, leaf []byte) {
+			ref := mid[8+32:] // the first entry's child ref, after the page header and the entry's MBR
+			binary.LittleEndian.PutUint64(ref, binary.LittleEndian.Uint64(ref)|1<<40)
+		}, true},
 	} {
 		for _, side := range []string{"left", "right"} {
 			for _, j := range joins {
@@ -403,6 +413,8 @@ func TestDamagedJoinDescent(t *testing.T) {
 					}
 					got, err := j.run(l, r)
 					switch {
+					case tc.corrupt && !errors.Is(err, rtree.ErrCorruptNode):
+						t.Fatalf("error %v and %d pairs, want an error wrapping rtree.ErrCorruptNode", err, len(got))
 					case errors.Is(err, rtree.ErrCorruptNode), errors.Is(err, storage.ErrPageOutOfRange):
 					case err != nil:
 						t.Fatalf("error %v, want one wrapping rtree.ErrCorruptNode or storage.ErrPageOutOfRange", err)

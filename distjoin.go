@@ -253,6 +253,10 @@ func (a Algorithm) String() string {
 	}
 }
 
+// DefaultBatchK is the stage size of an incremental AM-IDJ join whose
+// Options.BatchK is 0.
+const DefaultBatchK = join.DefaultBatchK
+
 // Options tunes a join query. The zero value (or a nil *Options)
 // selects the paper's defaults: AM-KDJ, 512 KB of main-queue memory,
 // fully optimized plane sweep.
@@ -270,7 +274,9 @@ type Options struct {
 	// MaxDist is the within-distance bound for SJSort (ignored by the
 	// other algorithms).
 	MaxDist float64
-	// BatchK sets the stage size of incremental AM-IDJ joins.
+	// BatchK sets the stage size of incremental AM-IDJ joins: each
+	// stage targets BatchK more results, and every stage after the
+	// first is a compensation stage. 0 selects DefaultBatchK.
 	BatchK int
 	// Estimator overrides the eDmax estimator used by the adaptive
 	// multi-stage algorithms (AMKDJ and incremental AM-IDJ). Nil

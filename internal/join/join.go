@@ -376,7 +376,9 @@ func (e *expander) sideSoA(tree *rtree.Tree, ref uint64, isObj bool, rect geom.R
 	if dst.Level != refLevel(ref) {
 		return false, levelError(ref, dst)
 	}
-	stampChildLevels(dst)
+	if err := stampChildLevels(dst); err != nil {
+		return false, err
+	}
 	return dst.IsLeaf(), nil
 }
 
@@ -395,15 +397,23 @@ func levelError(ref uint64, n *rtree.NodeSoA) error {
 }
 
 // stampChildLevels rewrites an internal node's child page IDs into
-// level-carrying node refs. Leaves are left alone.
-func stampChildLevels(dst *rtree.NodeSoA) {
+// level-carrying node refs. Leaves are left alone. A child ref wider
+// than a page ID is the single-tree descents' rtree.ErrCorruptNode too:
+// truncated, it would lead the join to some other page. The check runs
+// once per decode, before a node can be published to the sweep-order
+// memo, so a finished node read in place is never re-checked.
+func stampChildLevels(dst *rtree.NodeSoA) error {
 	if dst.IsLeaf() {
-		return
+		return nil
 	}
 	lvl := dst.Level - 1
 	for i, r := range dst.Refs {
+		if r > math.MaxUint32 {
+			return fmt.Errorf("%w: child ref %#x is not a page id", rtree.ErrCorruptNode, r)
+		}
 		dst.Refs[i] = nodeRef(storage.PageID(r), lvl)
 	}
+	return nil
 }
 
 // maxDist computes the maximum distance between two rects, counted as

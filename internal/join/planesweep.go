@@ -449,7 +449,9 @@ func (e *expander) sideSorted(tree *rtree.Tree, ref uint64, isObj bool, rect geo
 	if !ordered {
 		perm = e.sorter.SortTracked(scratch, plan)
 	}
-	stampChildLevels(scratch)
+	if err := stampChildLevels(scratch); err != nil {
+		return nil, false, err
+	}
 	tree.PublishSweepOrder(page, slot, perm, scratch)
 	return scratch, scratch.IsLeaf(), nil
 }

@@ -245,7 +245,7 @@ func (q blockingQuery) serve(s *Server, tel *reqTelemetry, r *http.Request) (any
 	start := time.Now()
 	pairs, truncated, err := q.run(&opts)
 	// An aborted run is recorded with the work it did.
-	tel.distCalcs, tel.edmaxMode = st.DistCalcs(), st.EstimateMode()
+	tel.distCalcs, tel.compStages, tel.edmaxMode = st.DistCalcs(), st.CompensationStages, st.EstimateMode()
 	if err != nil {
 		return nil, err
 	}
@@ -365,6 +365,15 @@ func (s *Server) incrementalOpen(tel *reqTelemetry, r *http.Request, req *increm
 	if req.BatchK < 0 {
 		return nil, badRequest("batch_k must be non-negative, got %d", req.BatchK)
 	}
+	// Every AM-IDJ stage after the first is a compensation stage, which
+	// re-expands every live bookkept node pair. An omitted batch_k makes
+	// a stage at least one page long, so a large page pays for about one
+	// stage rather than one per DefaultBatchK pairs (docs/serving.md,
+	// "Stage size"). An explicit batch_k is honoured as given.
+	batchK := req.BatchK
+	if batchK == 0 {
+		batchK = max(distjoin.DefaultBatchK, page)
+	}
 	left, right, err := s.resolveBoth(req.Left, req.Right)
 	if err != nil {
 		return nil, err
@@ -385,7 +394,7 @@ func (s *Server) incrementalOpen(tel *reqTelemetry, r *http.Request, req *increm
 	curCtx, curCancel := context.WithDeadline(s.base, deadline)
 	cur := &cursor{id: id, index: tel.index, deadline: deadline, cancel: curCancel}
 	cur.it, err = distjoin.IncrementalJoin(left, right, &distjoin.Options{
-		BatchK:        req.BatchK,
+		BatchK:        batchK,
 		QueueMemBytes: s.queueMem(req.QueueMemBytes),
 		Context:       curCtx,
 		Stats:         &cur.st,

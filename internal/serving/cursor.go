@@ -33,20 +33,21 @@ type cursor struct {
 	closed   bool
 }
 
-// pull serves one page of up to n pairs: it fills in the page's share
-// of tel — result count, the collector's dist-calc delta over this pull
-// and its latest eDmax mode — and builds the response, less the cursor
-// ID. The response's Done reports exhaustion; after an engine error the
-// cursor is closed and the error returned.
+// pull serves one page of up to n pairs (n is at most maxPageSize): it
+// fills in the page's share of tel — result count, the collector's
+// dist-calc and compensation-stage deltas over this pull and its latest
+// eDmax mode — and builds the response, less the cursor ID. The
+// response's Done reports exhaustion; after an engine error the cursor
+// is closed and the error returned.
 func (c *cursor) pull(tel *reqTelemetry, n int) (incrementalResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return incrementalResponse{Done: true}, fmt.Errorf("serving: cursor %s is closed", c.id)
 	}
-	before := c.st.DistCalcs()
+	calcs, stages := c.st.DistCalcs(), c.st.CompensationStages
 	var (
-		pairs []distjoin.Pair
+		pairs = make([]distjoin.Pair, 0, n)
 		done  bool
 		err   error
 	)
@@ -65,7 +66,7 @@ func (c *cursor) pull(tel *reqTelemetry, n int) (incrementalResponse, error) {
 	if err == nil {
 		tel.results = len(pairs)
 	}
-	tel.distCalcs, tel.edmaxMode = c.st.DistCalcs()-before, c.st.EstimateMode()
+	tel.distCalcs, tel.compStages, tel.edmaxMode = c.st.DistCalcs()-calcs, c.st.CompensationStages-stages, c.st.EstimateMode()
 	return incrementalResponse{
 		QueryID:    tel.queryID,
 		Pairs:      makePairs(pairs),

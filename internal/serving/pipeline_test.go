@@ -207,9 +207,9 @@ func TestWriteDeadline(t *testing.T) {
 }
 
 // TestSharedCursorPages: clients pulling pages from one cursor at once
-// each get their own page's dist-calcs on their record — the records
-// add up to what the cursor's collector counted — and nothing races the
-// collector (run with -race).
+// each get their own page's dist-calcs and compensation stages on their
+// record — the records add up to what the cursor's collector counted —
+// and nothing races the collector (run with -race).
 func TestSharedCursorPages(t *testing.T) {
 	var logBuf syncBuffer
 	s, _, _, _ := testServer(t, Config{Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
@@ -236,11 +236,12 @@ func TestSharedCursorPages(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var sum int64
+	var sum, stages int64
 	for _, l := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
 		var line struct {
-			Index     string `json:"index"`
-			DistCalcs int64  `json:"dist_calcs"`
+			Index      string `json:"index"`
+			DistCalcs  int64  `json:"dist_calcs"`
+			CompStages int64  `json:"comp_stages"`
 		}
 		if err := json.Unmarshal([]byte(l), &line); err != nil {
 			t.Fatal(err)
@@ -249,8 +250,12 @@ func TestSharedCursorPages(t *testing.T) {
 			t.Errorf("record index %q, want left,right: %s", line.Index, l)
 		}
 		sum += line.DistCalcs
+		stages += line.CompStages
 	}
 	if total := cur.st.DistCalcs(); sum != total || total == 0 {
 		t.Errorf("the 21 records' dist_calcs add up to %d, the cursor's collector counted %d", sum, total)
+	}
+	if total := cur.st.CompensationStages; stages != total || total == 0 {
+		t.Errorf("the 21 records' comp_stages add up to %d, the cursor's collector counted %d", stages, total)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
@@ -16,6 +17,8 @@ import (
 	"time"
 
 	"distjoin"
+	"distjoin/internal/datagen"
+	"distjoin/internal/rtree"
 )
 
 // testObjects builds n point-ish objects, mixing a few clusters with
@@ -291,6 +294,100 @@ func TestIncrementalPagination(t *testing.T) {
 		incrementalNextRequest{Cursor: resp.Cursor})
 	if code != http.StatusNotFound {
 		t.Fatalf("next after close: %d, want 404", code)
+	}
+}
+
+// TestCursorPagesIndependentOfStageSize: a cursor's pages do not depend
+// on its AM-IDJ stage size. On TIGER-like data, two pages drained with
+// batch_k omitted (a stage of at least one page), 16, the page size and
+// DefaultBatchK are byte for byte the B-KDJ answer at their total. The
+// stage size moves only the work, which the pages' comp_stages records
+// show: two 2 048-pair pages run 1 compensation stage with batch_k
+// omitted and 3 at batch_k 1024 (197 at batch_k 16), and two 256-pair
+// pages, which the default rule leaves at DefaultBatchK, run none
+// either way.
+func TestCursorPagesIndependentOfStageSize(t *testing.T) {
+	objects := func(items []rtree.Item) []distjoin.Object {
+		objs := make([]distjoin.Object, len(items))
+		for i, it := range items {
+			objs[i] = distjoin.Object{ID: it.Obj, Rect: it.Rect}
+		}
+		return objs
+	}
+	left, err := distjoin.NewIndex(objects(datagen.TigerStreets(1, 6000)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := distjoin.NewIndex(objects(datagen.TigerHydro(2, 2000)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logBuf syncBuffer
+	s := New(Config{Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
+	t.Cleanup(s.Close)
+	for name, idx := range map[string]*distjoin.Index{"left": left, "right": right} {
+		if err := s.AddIndex(name, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bg := context.Background()
+
+	// drain opens a cursor, pulls its first two pages and closes it. It
+	// returns the pages' pairs and the compensation stages their request
+	// records report.
+	drain := func(page, batchK int) ([]pairJSON, int64) {
+		t.Helper()
+		logged := len(logBuf.String())
+		var open, next incrementalResponse
+		decodeInto(t, serve(t, s, bg, http.MethodPost, "/v1/join/incremental",
+			incrementalOpenRequest{Left: "left", Right: "right", PageSize: page, BatchK: batchK}).Body.Bytes(), &open)
+		if open.Cursor == "" {
+			t.Fatalf("page %d, batch_k %d: open returned no cursor", page, batchK)
+		}
+		decodeInto(t, serve(t, s, bg, http.MethodPost, "/v1/join/incremental/next",
+			incrementalNextRequest{Cursor: open.Cursor, PageSize: page}).Body.Bytes(), &next)
+		serve(t, s, bg, http.MethodPost, "/v1/join/incremental/close", incrementalCloseRequest{Cursor: open.Cursor})
+		var stages int64
+		for _, l := range strings.Split(strings.TrimSpace(logBuf.String()[logged:]), "\n") {
+			var line struct {
+				CompStages int64 `json:"comp_stages"`
+			}
+			decodeInto(t, []byte(l), &line)
+			stages += line.CompStages
+		}
+		return append(open.Pairs, next.Pairs...), stages
+	}
+
+	for _, page := range []int{256, 2048} {
+		want, err := distjoin.KDistanceJoin(left, right, 2*page, &distjoin.Options{Algorithm: distjoin.BKDJ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(makePairs(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages := map[int]int64{}
+		for _, batchK := range []int{0, 16, page, distjoin.DefaultBatchK} {
+			got, n := drain(page, batchK)
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("page %d, batch_k %d: %d pairs that are not B-KDJ's %d", page, batchK, len(got), len(want))
+			}
+			stages[batchK] = n
+		}
+		t.Logf("page %d: compensation stages by batch_k (0 = omitted): %v", page, stages)
+		switch {
+		case page <= distjoin.DefaultBatchK && stages[0] != stages[distjoin.DefaultBatchK]:
+			t.Errorf("page %d: %d compensation stages with batch_k omitted, %d at batch_k %d; the default rule should not apply",
+				page, stages[0], stages[distjoin.DefaultBatchK], distjoin.DefaultBatchK)
+		case page > distjoin.DefaultBatchK && stages[0] >= stages[distjoin.DefaultBatchK]:
+			t.Errorf("page %d: %d compensation stages with batch_k omitted, not fewer than the %d at batch_k %d",
+				page, stages[0], stages[distjoin.DefaultBatchK], distjoin.DefaultBatchK)
+		}
 	}
 }
 

@@ -77,12 +77,13 @@ type reqTelemetry struct {
 	queueDepthAtEntry int
 
 	// Set by the endpoint as the request is resolved.
-	index     string        // dataset name(s), comma-joined for two-sided joins
-	k         int           // ranked-query k, 0 where not applicable
-	deadline  time.Duration // resolved deadline budget
-	distCalcs int64         // the engine's work for this request; for a cursor page, the page's
-	edmaxMode string
-	results   int
+	index      string        // dataset name(s), comma-joined for two-sided joins
+	k          int           // ranked-query k, 0 where not applicable
+	deadline   time.Duration // resolved deadline budget
+	distCalcs  int64         // the engine's work for this request; for a cursor page, the page's
+	compStages int64         // compensation stages run, counted like distCalcs
+	edmaxMode  string
+	results    int
 
 	// Set by the pipeline once the response is chosen.
 	status int
@@ -105,6 +106,7 @@ type slowLogEntry struct {
 	DeadlineMS        int64   `json:"deadline_ms"`
 	ElapsedMS         float64 `json:"elapsed_ms"`
 	DistCalcs         int64   `json:"dist_calcs"`
+	CompStages        int64   `json:"comp_stages"`
 	EDmaxMode         string  `json:"edmax_mode,omitempty"`
 	Results           int     `json:"results"`
 	Error             string  `json:"error,omitempty"`
@@ -183,6 +185,7 @@ func (s *Server) recordRequest(t *reqTelemetry, elapsed time.Duration) {
 		DeadlineMS:        t.deadline.Milliseconds(),
 		ElapsedMS:         float64(elapsed.Microseconds()) / 1e3,
 		DistCalcs:         t.distCalcs,
+		CompStages:        t.compStages,
 		EDmaxMode:         t.edmaxMode,
 		Results:           t.results,
 	}
