@@ -21,20 +21,7 @@ var memoQueries = map[string]func(l, r *rtree.Tree, o Options) ([]Result, error)
 	"AM-KDJ": func(l, r *rtree.Tree, o Options) ([]Result, error) { return AMKDJ(l, r, 150, o) },
 	"B-KDJ":  func(l, r *rtree.Tree, o Options) ([]Result, error) { return BKDJ(l, r, 150, o) },
 	"AM-IDJ": func(l, r *rtree.Tree, o Options) ([]Result, error) {
-		it, err := AMIDJ(l, r, o)
-		if err != nil {
-			return nil, err
-		}
-		defer it.Close()
-		var out []Result
-		for len(out) < 400 {
-			res, ok := it.Next()
-			if !ok {
-				break
-			}
-			out = append(out, res)
-		}
-		return out, it.Err()
+		return drained(func() (*Iterator, error) { return AMIDJ(l, r, o) }, 400)
 	},
 	"WITHIN": func(l, r *rtree.Tree, o Options) ([]Result, error) {
 		var out []Result

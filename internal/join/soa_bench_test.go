@@ -46,11 +46,13 @@ func BenchmarkLeafSweepSoA(b *testing.B) {
 
 // orderBenchTrees packs the two sides of the ordering benchmarks at the
 // page-derived fanout (102 entries per 4 KB node, as the facade builds
-// them) and returns each tree with its node page IDs.
-func orderBenchTrees(b *testing.B) (left, right *rtree.Tree, lids, rids []storage.PageID) {
+// them) and returns each tree with the refs of its nodes: page IDs
+// stamped with the level each page claims, as a parent's entry carries
+// them.
+func orderBenchTrees(b *testing.B) (left, right *rtree.Tree, lrefs, rrefs []uint64) {
 	rng := rand.New(rand.NewSource(812))
 	w := geom.NewRect(0, 0, 1000, 1000)
-	pack := func(items []rtree.Item) (*rtree.Tree, []storage.PageID) {
+	pack := func(items []rtree.Item) (*rtree.Tree, []uint64) {
 		bld, err := rtree.NewBuilderForPageSize(4096)
 		if err != nil {
 			b.Fatal(err)
@@ -60,18 +62,18 @@ func orderBenchTrees(b *testing.B) (left, right *rtree.Tree, lids, rids []storag
 		if err != nil {
 			b.Fatal(err)
 		}
-		var ids []storage.PageID
-		if err := t.Walk(func(id storage.PageID, _ *rtree.NodeSoA) error {
-			ids = append(ids, id)
+		var refs []uint64
+		if err := t.Walk(func(id storage.PageID, n *rtree.NodeSoA) error {
+			refs = append(refs, nodeRef(id, n.Level))
 			return nil
 		}); err != nil {
 			b.Fatal(err)
 		}
-		return t, ids
+		return t, refs
 	}
-	left, lids = pack(datagen.GaussianClusters(rng.Int63(), 12000, 8, w, 60, 8))
-	right, rids = pack(datagen.Uniform(rng.Int63(), 12000, w, 10))
-	return left, right, lids, rids
+	left, lrefs = pack(datagen.GaussianClusters(rng.Int63(), 12000, 8, w, 60, 8))
+	right, rrefs = pack(datagen.Uniform(rng.Int63(), 12000, w, 10))
+	return left, right, lrefs, rrefs
 }
 
 var benchPlans = [rtree.SweepSlots]sweep.Plan{
@@ -85,10 +87,10 @@ var benchPlans = [rtree.SweepSlots]sweep.Plan{
 // column copy that restores page order before each sort is inside the
 // timed region; the copy sub-benchmark is that cost alone, to subtract.
 func BenchmarkSoASorter(b *testing.B) {
-	tree, _, ids, _ := orderBenchTrees(b)
-	nodes := make([]rtree.NodeSoA, len(ids))
-	for i, id := range ids {
-		if err := tree.ReadNodeSoA(id, &nodes[i], nil); err != nil {
+	tree, _, refs, _ := orderBenchTrees(b)
+	nodes := make([]rtree.NodeSoA, len(refs))
+	for i, ref := range refs {
+		if err := tree.ReadNodeSoA(refPage(ref), &nodes[i], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,8 +135,8 @@ func BenchmarkSoASorter(b *testing.B) {
 // nodes (pools with room): two pool hits and two pointer loads, 0
 // allocations.
 func BenchmarkExpansionOrder(b *testing.B) {
-	left, right, lids, rids := orderBenchTrees(b)
-	n := min(len(lids), len(rids))
+	left, right, lrefs, rrefs := orderBenchTrees(b)
+	n := min(len(lrefs), len(rrefs))
 	var c *execContext
 	reopen := func(spare int) {
 		l, r := reopened(b, left, spare), reopened(b, right, spare)
@@ -144,19 +146,19 @@ func BenchmarkExpansionOrder(b *testing.B) {
 		}
 		// Fault every page in, so all variants time pool hits.
 		for i := 0; i < n; i++ {
-			if err := l.ReadNodeSoA(lids[i], &c.ex.soaL, nil); err != nil {
+			if err := l.ReadNodeSoA(refPage(lrefs[i]), &c.ex.soaL, nil); err != nil {
 				b.Fatal(err)
 			}
-			if err := r.ReadNodeSoA(rids[i], &c.ex.soaR, nil); err != nil {
+			if err := r.ReadNodeSoA(refPage(rrefs[i]), &c.ex.soaR, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	// step expands the i-th node pair of the cycle: every (node, plan)
-	// combination of both sides exactly once per 4n steps.
+	// combination of both sides exactly once per 4n steps. The refs carry
+	// each page's own level, which the expansion checks against the page.
 	step := func(i int) {
-		// Levels are irrelevant to ordering; level 0 refs are page IDs.
-		p := hybridq.Pair{Left: nodeRef(lids[i%n], 0), Right: nodeRef(rids[i%n], 0)}
+		p := hybridq.Pair{Left: lrefs[i%n], Right: rrefs[i%n]}
 		if _, err := c.ex.expansionWithPlan(p, benchPlans[i/n%len(benchPlans)]); err != nil {
 			b.Fatal(err)
 		}
@@ -214,17 +216,18 @@ func soaBounds(s *rtree.NodeSoA) geom.Rect {
 // realdist/op and pairs/op say how much of the op is distance kernel
 // and how much is delivery.
 func BenchmarkAggressiveSweep(b *testing.B) {
-	left, right, lids, rids := orderBenchTrees(b)
+	left, right, lrefs, rrefs := orderBenchTrees(b)
 	c, err := newContext(left, right, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	// packedLeaf returns the fullest leaf whose centre is nearest to
 	// near's, or the first fullest leaf when near is nil.
-	packedLeaf := func(t *rtree.Tree, ids []storage.PageID, near *geom.Rect) (best storage.PageID, bestRect geom.Rect) {
+	packedLeaf := func(t *rtree.Tree, refs []uint64, near *geom.Rect) (best storage.PageID, bestRect geom.Rect) {
 		bestLen, bestDist := 0, 0.0
 		var n rtree.NodeSoA
-		for _, id := range ids {
+		for _, ref := range refs {
+			id := refPage(ref)
 			if err := t.ReadNodeSoA(id, &n, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -241,8 +244,8 @@ func BenchmarkAggressiveSweep(b *testing.B) {
 		}
 		return best, bestRect
 	}
-	rid, rRect := packedLeaf(right, rids, nil)
-	lid, lRect := packedLeaf(left, lids, &rRect)
+	rid, rRect := packedLeaf(right, rrefs, nil)
+	lid, lRect := packedLeaf(left, lrefs, &rRect)
 	p := hybridq.Pair{Dist: lRect.MinDist(rRect), Left: nodeRef(lid, 0), Right: nodeRef(rid, 0), LeftRect: lRect, RightRect: rRect}
 
 	const eDmax = 4.0

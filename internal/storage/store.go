@@ -42,6 +42,8 @@ type Store interface {
 	// Alloc appends a zeroed page and returns its ID.
 	Alloc() (PageID, error)
 	// ReadPage copies page id into buf, which must be PageSize() long.
+	// A BufferPool reads through it on a miss, except over a MemStore,
+	// which lends the pool its page instead of copying it.
 	ReadPage(id PageID, buf []byte) error
 	// WritePage copies buf, which must be PageSize() long, into page id.
 	WritePage(id PageID, buf []byte) error
@@ -61,12 +63,21 @@ type StoreStats struct {
 // MemStore is an in-memory Store. It is the default backing for
 // simulated experiments: physically "on disk" pages are still counted
 // (so I/O cost models apply) without touching the file system.
+//
+// A BufferPool over a MemStore does not copy a page on a miss: the
+// store lends the pool the page itself (lend), counted as one read.
+// From the first lend on, WritePage is copy-on-write: it installs a
+// fresh slice for the page instead of writing into the old one, so a
+// lent slice never changes, and a pool that reads the page afterwards
+// gets the new bytes. Stores that are never read through a pool (spill
+// stores) keep writing in place.
 type MemStore struct {
 	mu       sync.Mutex
 	pageSize int
 	pages    [][]byte
 	stats    StoreStats
 	closed   bool
+	lent     bool // some page has been lent: writes replace, never overwrite
 }
 
 // NewMemStore returns an empty in-memory store with the given page
@@ -100,6 +111,17 @@ func (s *MemStore) Alloc() (PageID, error) {
 	return PageID(len(s.pages) - 1), nil
 }
 
+// check returns nil if page id may be read or written; s.mu is held.
+func (s *MemStore) check(id PageID) error {
+	if s.closed {
+		return ErrClosed
+	}
+	if int(id) >= len(s.pages) {
+		return fmt.Errorf("%w: %d >= %d", ErrPageOutOfRange, id, len(s.pages))
+	}
+	return nil
+}
+
 // ReadPage implements Store.
 func (s *MemStore) ReadPage(id PageID, buf []byte) error {
 	if len(buf) != s.pageSize {
@@ -107,15 +129,26 @@ func (s *MemStore) ReadPage(id PageID, buf []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if int(id) >= len(s.pages) {
-		return fmt.Errorf("%w: %d >= %d", ErrPageOutOfRange, id, len(s.pages))
+	if err := s.check(id); err != nil {
+		return err
 	}
 	copy(buf, s.pages[id])
 	s.stats.Reads++
 	return nil
+}
+
+// lend is ReadPage without the copy: it returns page id itself, capped
+// at the page size, and counts one read. The slice never changes
+// afterwards (see MemStore), so a BufferPool keeps it as its frame.
+func (s *MemStore) lend(id PageID) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.check(id); err != nil {
+		return nil, err
+	}
+	s.lent = true
+	s.stats.Reads++
+	return s.pages[id][:s.pageSize:s.pageSize], nil
 }
 
 // WritePage implements Store.
@@ -125,13 +158,14 @@ func (s *MemStore) WritePage(id PageID, buf []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.check(id); err != nil {
+		return err
 	}
-	if int(id) >= len(s.pages) {
-		return fmt.Errorf("%w: %d >= %d", ErrPageOutOfRange, id, len(s.pages))
+	if s.lent {
+		s.pages[id] = append(make([]byte, 0, s.pageSize), buf...)
+	} else {
+		copy(s.pages[id], buf)
 	}
-	copy(s.pages[id], buf)
 	s.stats.Writes++
 	return nil
 }
