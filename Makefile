@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples serve-smoke ci clean
+.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short alloc-pins race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples serve-smoke ci clean
 
 # Coverage floor for the cover-check gate: the suite sits above 80%,
 # so the floor guards against untested subsystems landing, with a
@@ -117,6 +117,13 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# The allocation pins (every test named *Allocs*) twenty times over. What
+# several of them count depends on sync.Pool state that other tests in
+# the package leave behind, so a pin that passes once can still fail
+# one run in two; repetition is what surfaces that.
+alloc-pins:
+	$(GO) test -count=20 -run 'Allocs' ./internal/hybridq ./internal/pqueue ./internal/storage ./internal/join
 
 race:
 	$(GO) test -race ./...
@@ -270,7 +277,8 @@ serve-smoke:
 	bin/distjoin-load -validate-log bin/serve-log.jsonl
 
 # Everything the CI workflow (.github/workflows/ci.yml) runs, locally:
-# lint gate, build, tests with coverage + floor gate, race detector
+# lint gate, build, tests with coverage + floor gate, repeated
+# allocation pins, race detector
 # (short suite, then the sweep-order memo's tests unshortened),
 # simulation smoke, fuzz smoke, server smoke, one-iteration benchmark
 # smoke, bench regression gate, repository-benchmark module check.
@@ -278,6 +286,7 @@ ci: lint build
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 	$(MAKE) cover-check
+	$(MAKE) alloc-pins
 	$(GO) test -race -short ./...
 	$(MAKE) race-memo
 	$(MAKE) sim-smoke

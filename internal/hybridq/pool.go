@@ -1,6 +1,10 @@
 package hybridq
 
-import "sync"
+import (
+	"sync"
+
+	"distjoin/internal/storage"
+)
 
 // Scratch for the queue's disk path. A heap split copies the whole
 // heap into a []Pair slab to sort it, and a segment swap-in decodes
@@ -11,20 +15,77 @@ import "sync"
 // constantly) that is the dominant allocation source of the whole
 // join.
 //
-// A scratch bundles all three. A queue takes one from scratchPool at
-// its first spill and keeps it until Queue.Release, the only Put in
-// the package: between the two the scratch belongs to that queue and
-// its single goroutine, so no function can touch memory it has already
-// given back, and a collection in the middle of a query cannot take the
-// slab away from a live queue. A queue that is never released leaves
-// its scratch to the collector.
+// A scratch bundles all three, and a fourth thing: the spill store of
+// a queue built without Config.Store, with the list of its pages no
+// segment holds. The store is only a page table: its pages come from
+// pagePool and go back there at Release, so the next query's spills
+// write into them wherever its scratch comes from. A queue with its own
+// store uses the slab, page and segments and leaves the spill store
+// and its free list empty.
+//
+// A queue takes a scratch from scratchPool at its first spill and keeps
+// it until Queue.Release, the only Put of a scratch or a page in the
+// package: between the two the scratch and its pages belong to that
+// queue and its single goroutine, so no function can touch memory it
+// has already given back, and a collection in the middle of a query
+// cannot take the slab or the pages away from a live queue. A queue
+// that is never released leaves its scratch and pages to the
+// collector.
 type scratch struct {
-	items []Pair     // sort slab of a heap split, decode slab of a swap-in
-	page  []byte     // read buffer of a swap-in
-	segs  []*segment // consumed segments, write buffers attached
+	items []Pair           // sort slab of a heap split, decode slab of a swap-in
+	order byPairOrder      // the slab prefix tieSafeSplit sorts
+	page  []byte           // read buffer of a swap-in
+	segs  []*segment       // consumed segments, write buffers attached
+	spill spillStore       // a private queue's pages, empty while pooled
+	free  []storage.PageID // spill's pages no segment holds, empty while pooled
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// spillPage is one page of a private queue's spill store.
+type spillPage = [storage.DefaultPageSize]byte
+
+// pagePool holds the spill pages released queues gave back. Pages are
+// interchangeable: a query whose scratch last served a smaller one
+// still finds the pages the queries before it released. A page no spill
+// takes within two collections is dropped, so what the pool keeps
+// follows the spill volume of recent queries, not the largest query
+// ever run.
+var pagePool = sync.Pool{New: func() any { return new(spillPage) }}
+
+// spillStore is the spill store of a queue built without Config.Store:
+// a table of pages from pagePool, indexed by PageID. A page holds
+// whatever its last query wrote until the queue writes it, and the
+// queue reads no page it has not written.
+type spillStore struct{ pages []*spillPage }
+
+// Alloc takes a page from pagePool.
+func (s *spillStore) Alloc() (storage.PageID, error) {
+	s.pages = append(s.pages, pagePool.Get().(*spillPage))
+	return storage.PageID(len(s.pages) - 1), nil
+}
+
+// ReadPage copies page id into buf.
+func (s *spillStore) ReadPage(id storage.PageID, buf []byte) error {
+	copy(buf, s.pages[id][:])
+	return nil
+}
+
+// WritePage copies buf into page id.
+func (s *spillStore) WritePage(id storage.PageID, buf []byte) error {
+	copy(s.pages[id][:], buf)
+	return nil
+}
+
+// release gives every page back to pagePool and empties the table,
+// keeping its capacity.
+func (s *spillStore) release() {
+	for i, p := range s.pages {
+		pagePool.Put(p)
+		s.pages[i] = nil
+	}
+	s.pages = s.pages[:0]
+}
 
 // slab returns the pair slab with len 0 and capacity at least n. The
 // caller appends at most n pairs, so the slab never moves.

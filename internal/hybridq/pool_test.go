@@ -1,11 +1,15 @@
 package hybridq
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
+
+	"distjoin/internal/metrics"
+	"distjoin/internal/storage"
 )
 
 // pushPopCycle pushes n pairs with the given distance permutation and
@@ -53,12 +57,11 @@ func TestSteadyStatePushPopNoAllocs(t *testing.T) {
 
 // TestSpillReloadSteadyStateAllocs pins the disk path's reuse: after a
 // warm-up cycle has sized the queue's scratch (slab, read page, segment
-// free list), a full spill/reload cycle must not allocate per pair — only small
-// per-event bookkeeping (segment headers, sort boxing) remains, far
-// under one allocation per ten pairs. Before pooling this cycle
+// free list, spill pages) and its segment list, a full spill/reload
+// cycle of 2,000 pairs allocates nothing. Before pooling this cycle
 // allocated a fresh slab per heap split and a fresh page buffer per
-// segment and reload, several allocations — and kilobytes — per
-// spill event.
+// segment and reload, several allocations — and kilobytes — per spill
+// event.
 func TestSpillReloadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomizes reuse under the race detector; allocation counts are not meaningful")
@@ -83,8 +86,8 @@ func TestSpillReloadSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("cycle returned %d pairs, want %d", len(out), n)
 		}
 	})
-	if perPair := avg / n; perPair > 0.1 {
-		t.Errorf("spill/reload cycle allocates %v per cycle = %v per pair, want < 0.1", avg, perPair)
+	if avg != 0 {
+		t.Errorf("spill/reload cycle of %d pairs allocates %v, want 0", n, avg)
 	}
 	if err := q.Err(); err != nil {
 		t.Fatal(err)
@@ -263,10 +266,21 @@ func TestReleasedQueueReusable(t *testing.T) {
 }
 
 // TestWarmPoolAllocs: a queue that takes its scratch from a warm pool
-// allocates no slab, no read page and no segment — a cycle that starts
-// from a released queue costs exactly what a cycle costs a queue that
-// kept its scratch (the per-event sort boxing of
+// allocates no slab, no read page, no segment and no spill page — a
+// cycle that starts from a released queue costs no more than a cycle
+// costs a queue that kept its scratch (nothing, see
 // TestSpillReloadSteadyStateAllocs).
+//
+// The scratch the pool hands back need not be the one just put: other
+// tests leave theirs, and sync.Pool returns a per-P private entry
+// before the one a Put has just pushed onto the shared list. Such a
+// scratch may have served a smaller query. Were spill pages kept with
+// the scratch, it would bring too few and the cycle would allocate the
+// rest, one per page; they are pooled one by one instead, so the cycle
+// finds the pages the last Release put back. What such a scratch can
+// still cost is a slice grown once per query (slab, page table, free
+// list), which AllocsPerRun's integer mean over five cycles does not
+// count while it stays under five.
 func TestWarmPoolAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomizes reuse under the race detector; allocation counts are not meaningful")
@@ -292,5 +306,181 @@ func TestWarmPoolAllocs(t *testing.T) {
 	}
 	if released > held {
 		t.Errorf("a cycle from the warm pool allocates %v, %v with the scratch held: slab or segments were not reused", released, held)
+	}
+}
+
+// TestPooledSpillPagesAllocs: a queue built without a store that is
+// released and spills again writes into the pages it gave back. With
+// the pool warm, a spill/reload cycle followed by Release allocates
+// nothing, whichever scratch the next cycle takes: pages are
+// interchangeable, and Release has just put back as many as the cycle
+// needs. With a fresh spill store per query the cycle allocated every
+// page.
+func TestPooledSpillPagesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomizes reuse under the race detector; allocation counts are not meaningful")
+	}
+	const n = 3000
+	q := New(Config{MemBytes: 64 * RecordSize})
+	rng := rand.New(rand.NewSource(8))
+	dists := make([]float64, n)
+	for i := range dists {
+		dists[i] = rng.Float64() * 500
+	}
+	out := pushPopCycle(q, dists, nil)
+	if q.Segments() != 0 || q.sc == nil || len(q.sc.spill.pages) == 0 {
+		t.Fatal("the warm-up cycle spilled nothing into pooled pages")
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		out = pushPopCycle(q, dists, out)
+		q.Release()
+	}); avg != 0 {
+		t.Errorf("a released queue's spill/reload cycle allocates %v, want 0 (a page per spill?)", avg)
+	}
+	if len(out) != n {
+		t.Fatalf("cycle returned %d pairs, want %d", len(out), n)
+	}
+	if err := q.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// observedOps runs ops against q — a non-negative entry pushes
+// pairs[op], -1 pops — and returns every popped pair.
+func observedOps(q *Queue, pairs []Pair, ops []int) []Pair {
+	var popped []Pair
+	for _, op := range ops {
+		if op >= 0 {
+			q.Push(pairs[op])
+		} else if p, ok := q.Pop(); ok {
+			popped = append(popped, p)
+		}
+	}
+	for {
+		p, ok := q.Pop()
+		if !ok {
+			return popped
+		}
+		popped = append(popped, p)
+	}
+}
+
+// TestPooledSpillStoreMatchesFreshStore: a query's queue that spills
+// into pages earlier queries left in the pool — stale records in them,
+// some queues released with segments still on disk — pops exactly what
+// a queue with a fresh store of its own pops, and does the same page
+// I/O and fires the same spill and reload points.
+func TestPooledSpillStoreMatchesFreshStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for round := 0; round < 12; round++ {
+		capacity := 4 + rng.Intn(40)
+		rho := []float64{0, 0.5, 0.01}[round%3]
+		pairs := make([]Pair, 600)
+		for i := range pairs {
+			pairs[i] = pairWithDist(math.Floor(rng.Float64()*200)/4, uint64(i)) // ties across the split points
+			pairs[i].RightObj = rng.Intn(2) == 0
+		}
+		var ops []int
+		for i := range pairs {
+			ops = append(ops, i)
+			if rng.Intn(3) == 0 {
+				ops = append(ops, -1)
+			}
+		}
+		run := func(st storage.Store) ([]Pair, *Queue, metrics.Collector, [2]int) {
+			var mc metrics.Collector
+			var fired [2]int
+			q := New(Config{MemBytes: capacity * RecordSize, Rho: rho, Store: st, Metrics: &mc,
+				FaultHook: func(op FaultOp) error { fired[op]++; return nil }})
+			return observedOps(q, pairs, ops), q, mc, fired
+		}
+		gotPops, pooled, gotIO, gotFired := run(nil)
+		wantPops, fresh, wantIO, wantFired := run(storage.NewMemStore(storage.DefaultPageSize))
+		if len(gotPops) != len(pairs) || len(wantPops) != len(pairs) {
+			t.Fatalf("round %d: popped %d (pooled) and %d (fresh) of %d pairs", round, len(gotPops), len(wantPops), len(pairs))
+		}
+		for i := range wantPops {
+			if gotPops[i] != wantPops[i] {
+				t.Fatalf("round %d pop %d: pooled store %+v, fresh store %+v", round, i, gotPops[i], wantPops[i])
+			}
+		}
+		if gotIO.QueuePageReads != wantIO.QueuePageReads || gotIO.QueuePageWrites != wantIO.QueuePageWrites || gotFired != wantFired {
+			t.Fatalf("round %d: pooled store did %d/%d page reads/writes and %v spills/reloads, fresh store %d/%d and %v",
+				round, gotIO.QueuePageReads, gotIO.QueuePageWrites, gotFired, wantIO.QueuePageReads, wantIO.QueuePageWrites, wantFired)
+		}
+		if gotIO.QueuePageWrites == 0 {
+			t.Fatalf("round %d: nothing spilled", round)
+		}
+		if err := pooled.Err(); err != nil {
+			t.Fatal(err)
+		}
+		// Odd rounds hand the pool a store with segments still on it.
+		if round%2 == 1 {
+			for _, p := range pairs[:200] {
+				pooled.Push(p)
+			}
+		}
+		pooled.Release()
+		fresh.Release()
+	}
+}
+
+// TestOwnStoreStaysOutOfPool: a queue built with Config.Store spills
+// only into that store, whatever scratch it takes from the pool, and
+// Release gives back the scratch without any of its pages: the scratch's
+// spill page table and free list stay empty, and later queues built
+// without a store never write into the queue's own.
+func TestOwnStoreStaysOutOfPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	dists := make([]float64, 800)
+	for i := range dists {
+		dists[i] = rng.Float64() * 100
+	}
+	// Leave released pages, and a scratch with a grown page table and
+	// free list, in the pools.
+	priv := New(Config{MemBytes: 8 * RecordSize})
+	pushPopCycle(priv, dists, nil)
+	priv.Release()
+
+	own := storage.NewFaultStore(storage.NewMemStore(storage.DefaultPageSize), -1) // disarmed
+	q := New(Config{MemBytes: 8 * RecordSize, Store: own})
+	for i, d := range dists {
+		q.Push(pairWithDist(d, uint64(i)))
+	}
+	if q.sc == nil || q.Segments() == 0 {
+		t.Fatal("the queue with its own store never spilled")
+	}
+	sc := q.sc
+	for i := 0; i < len(dists)/2; i++ {
+		q.Pop()
+	}
+	if q.store != pageStore(own) {
+		t.Fatalf("a queue given a store spills into %T", q.store)
+	}
+	if len(sc.spill.pages) != 0 || len(sc.free) != 0 {
+		t.Fatalf("a queue given a store took %d pooled pages and %d pooled free IDs", len(sc.spill.pages), len(sc.free))
+	}
+	q.Release() // with segments still on disk: their pages go to q's own free list
+	if err := q.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if q.store != pageStore(own) || len(q.free) == 0 {
+		t.Fatalf("after Release the queue holds store %T and %d free pages, want its own and its pages", q.store, len(q.free))
+	}
+	if len(sc.spill.pages) != 0 || len(sc.free) != 0 {
+		t.Fatalf("the scratch came back with %d spill pages and %d free IDs, want none", len(sc.spill.pages), len(sc.free))
+	}
+
+	ownStats := own.Stats()
+	for round := 0; round < 4; round++ {
+		p := New(Config{MemBytes: 8 * RecordSize})
+		pushPopCycle(p, dists, nil)
+		if p.store == nil || p.store == pageStore(own) {
+			t.Fatalf("round %d: a queue without a store spilled into %v", round, p.store)
+		}
+		p.Release()
+	}
+	if own.Stats() != ownStats {
+		t.Fatalf("queues without a store wrote into another queue's own store: %+v, was %+v", own.Stats(), ownStats)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"distjoin/internal/metrics"
-	"distjoin/internal/pqueue"
 	"distjoin/internal/storage"
 	"distjoin/internal/trace"
 )
@@ -20,13 +19,19 @@ import (
 // becomes a no-op and Err reports the cause. The join algorithms check
 // Err once at the end of a run.
 type Queue struct {
-	heap     *pqueue.Heap[Pair]
+	heap     pairHeap
 	capacity int     // max heap elements (n of §4.4)
 	memBound float64 // exclusive upper bound of the in-memory range
 	rho      float64 // density factor for model boundaries, 0 disables
 	segs     []*segment
-	store    storage.Store
+	// store holds the spilled pages, free lists those no segment holds.
+	// With Config.Store both are the queue's for its lifetime. A
+	// private queue (no Config.Store) borrows both from its scratch:
+	// they are nil until the first spill and go back with Release.
+	store    pageStore
 	free     []storage.PageID
+	private  bool
+	pageSize int // store's page size, known before the store is bound
 	perPage  int
 	mc       *metrics.Collector
 	tr       *trace.Tracer
@@ -82,6 +87,14 @@ func (op FaultOp) String() string {
 	}
 }
 
+// pageStore is the part of a store the queue spills through: a
+// Config.Store, or a private queue's pooled spillStore.
+type pageStore interface {
+	Alloc() (storage.PageID, error)
+	ReadPage(id storage.PageID, buf []byte) error
+	WritePage(id storage.PageID, buf []byte) error
+}
+
 // segment is one on-disk unsorted pile covering the distance range
 // [lo, hi).
 type segment struct {
@@ -101,8 +114,13 @@ type Config struct {
 	// model-based segment boundaries. Zero disables model boundaries:
 	// the queue then relies purely on overflow splits.
 	Rho float64
-	// Store holds spilled segments; nil allocates a private MemStore
-	// with the default page size.
+	// Store holds spilled segments. Nil spills into in-memory pages of
+	// the default page size that outlive the query (pool.go): the
+	// queue takes them from a pool as it spills and Release gives them
+	// all back, so the next query's spills write into them. The pool
+	// drops pages no spill takes within two collections. A queue given
+	// a Store never sees the pooled pages, and its own pages never
+	// enter the pool.
 	Store storage.Store
 	// Metrics receives queue page I/O accounting (may be nil).
 	Metrics *metrics.Collector
@@ -124,9 +142,9 @@ type Config struct {
 
 // New returns an empty hybrid queue.
 func New(cfg Config) *Queue {
-	st := cfg.Store
-	if st == nil {
-		st = storage.NewMemStore(storage.DefaultPageSize)
+	pageSize := storage.DefaultPageSize
+	if cfg.Store != nil {
+		pageSize = cfg.Store.PageSize()
 	}
 	capacity := cfg.MemBytes / RecordSize
 	if capacity < 1 {
@@ -141,12 +159,13 @@ func New(cfg Config) *Queue {
 		memBound = b
 	}
 	return &Queue{
-		heap:     pqueue.NewHeap(PairLess),
 		capacity: capacity,
 		memBound: memBound,
 		rho:      cfg.Rho,
-		store:    st,
-		perPage:  st.PageSize() / RecordSize,
+		store:    cfg.Store,
+		private:  cfg.Store == nil,
+		pageSize: pageSize,
+		perPage:  pageSize / RecordSize,
 		mc:       cfg.Metrics,
 		tr:       cfg.Trace,
 		fault:    cfg.FaultHook,
@@ -230,7 +249,7 @@ func (q *Queue) Pop() (p Pair, ok bool) {
 	if q.err != nil {
 		return Pair{}, false
 	}
-	if q.heap.Empty() {
+	if q.heap.Len() == 0 {
 		if !q.swapIn() {
 			return Pair{}, false
 		}
@@ -243,7 +262,7 @@ func (q *Queue) Peek() (p Pair, ok bool) {
 	if q.err != nil {
 		return Pair{}, false
 	}
-	if q.heap.Empty() {
+	if q.heap.Len() == 0 {
 		if !q.swapIn() {
 			return Pair{}, false
 		}
@@ -268,7 +287,7 @@ func (q *Queue) splitHeap() {
 	if want < 1 {
 		want = 1
 	}
-	keep, bound := tieSafeSplit(items, want)
+	keep, bound := sc.tieSafeSplit(items, want)
 	if keep == len(items) {
 		// Nothing spillable — the whole heap is one tie run. Leave it
 		// in memory, shrink the bound so longer pairs spill directly,
@@ -290,7 +309,7 @@ func (q *Queue) splitHeap() {
 	hi := q.memBound
 	q.memBound = bound
 	q.splitFloor = 0
-	seg := sc.segment(bound, hi, q.store.PageSize())
+	seg := sc.segment(bound, hi, q.pageSize)
 	for i := keep; i < len(items); i++ {
 		q.appendToSegment(seg, &items[i])
 	}
@@ -324,8 +343,12 @@ func (q *Queue) splitHeap() {
 // a single-distance run: the whole run stays, even over capacity, and
 // only pairs strictly beyond it spill. keep == len(items) then means
 // nothing is spillable: every pair shares one distance.
-func tieSafeSplit(items []Pair, want int) (keep int, bound float64) {
-	sort.Sort(byPairOrder(items))
+func (sc *scratch) tieSafeSplit(items []Pair, want int) (keep int, bound float64) {
+	// A pointer to the scratch's field converts to sort.Interface
+	// without allocating; the slice itself would be boxed every call.
+	sc.order = items
+	sort.Sort(&sc.order)
+	sc.order = nil
 	keep, bound = want, items[want].Dist
 	//lint:allow floatcmp tie-run boundary scan is bit-exact by design: equal distances must never straddle the memory/disk boundary
 	for keep > 0 && items[keep-1].Dist == bound {
@@ -371,7 +394,7 @@ func (q *Queue) segmentFor(dist float64) *segment {
 			hi = above.lo
 		}
 	}
-	seg := q.scratch().segment(lo, hi, q.store.PageSize())
+	seg := q.scratch().segment(lo, hi, q.pageSize)
 	q.insertSegment(seg)
 	return seg
 }
@@ -477,14 +500,18 @@ func (q *Queue) swapIn() bool {
 			return false
 		}
 	}
+	// Shift rather than re-slice, so the list keeps its capacity and
+	// insertSegment's append stays allocation-free.
 	seg := q.segs[0]
-	q.segs = q.segs[1:]
+	n := copy(q.segs, q.segs[1:])
+	q.segs[n] = nil
+	q.segs = q.segs[:n]
 	q.diskPairs -= seg.count
 	q.splitFloor, q.tieRun = 0, false // heap is empty; any previous overrun is gone
 
 	sc := q.scratch()
 	items := sc.slab(seg.count)
-	page := sc.pageBuf(q.store.PageSize())
+	page := sc.pageBuf(q.pageSize)
 	for _, id := range seg.pages {
 		if err := q.store.ReadPage(id, page); err != nil {
 			q.err = err
@@ -502,12 +529,12 @@ func (q *Queue) swapIn() bool {
 
 	q.memBound = seg.hi
 	if len(items) > q.capacity {
-		keep, bound := tieSafeSplit(items, q.capacity)
+		keep, bound := sc.tieSafeSplit(items, q.capacity)
 		if keep == len(items) {
 			q.splitFloor = len(items)
 			q.tieRun, q.tieDist = true, items[0].Dist
 		} else {
-			rest := sc.segment(bound, seg.hi, q.store.PageSize())
+			rest := sc.segment(bound, seg.hi, q.pageSize)
 			for i := keep; i < len(items); i++ {
 				q.appendToSegment(rest, &items[i])
 			}
@@ -538,10 +565,15 @@ func (q *Queue) swapIn() bool {
 }
 
 // scratch returns the queue's scratch, taking one from the pool at the
-// first spill.
+// first spill. A private queue binds the scratch's spill store and free
+// list here, both empty, so every use of q.store or q.free comes after
+// a call to scratch.
 func (q *Queue) scratch() *scratch {
 	if q.sc == nil {
 		q.sc = scratchPool.Get().(*scratch)
+		if q.private {
+			q.store, q.free = &q.sc.spill, q.sc.free
+		}
 	}
 	return q.sc
 }
@@ -549,25 +581,33 @@ func (q *Queue) scratch() *scratch {
 // Release empties the queue and gives its scratch back to the pool: a
 // query calls it once its results are out. It is idempotent, and a
 // queue that never spilled has no scratch to give back; a latched error
-// stays latched. A released queue may be pushed to again and takes a
-// fresh scratch at its next spill.
+// stays latched. A private queue gives every spill page back to
+// pagePool and hands the scratch its emptied page table and free list.
+// A released queue may be pushed to again and takes a fresh scratch at
+// its next spill.
 func (q *Queue) Release() {
 	q.Drain()
 	if q.sc != nil {
+		if q.private {
+			q.sc.spill.release()
+			q.sc.free = q.free[:0]
+			q.store, q.free = nil, nil
+		}
 		scratchPool.Put(q.sc)
 		q.sc = nil
 	}
 }
 
 // Drain removes all pairs and keeps the scratch: the segments go to its
-// free list, their pages to the queue's.
+// free list, their pages to q.free.
 func (q *Queue) Drain() {
 	q.heap.Clear()
 	for _, s := range q.segs {
 		q.free = append(q.free, s.pages...)
 		q.sc.retire(s)
 	}
-	q.segs = nil
+	clear(q.segs)
+	q.segs = q.segs[:0]
 	q.diskPairs = 0
 	q.memBound = math.Inf(1)
 	q.splitFloor, q.tieRun = 0, false

@@ -356,26 +356,41 @@ func BenchmarkHybridQueuePushPop(b *testing.B) {
 }
 
 // BenchmarkHeapPushPop/pair104 is the main queue's in-memory heap alone
-// — pqueue.Heap over real 104-byte Pairs, ordered by PairLess, fed
-// through PushFrom from one reused scratch pair as the sweep feeds it.
-// It lives here rather than beside pqueue's own BenchmarkHeapPushPop
-// because pqueue cannot import hybridq.
+// — the Pair heap over real 104-byte Pairs, fed through PushFrom from
+// one reused scratch pair as the sweep feeds it. pair104-generic is the
+// same on pqueue.Heap ordered by PairLess, which calls the comparator
+// through a function value: the difference is what inlining PairLess
+// saves. It lives here rather than beside pqueue's own
+// BenchmarkHeapPushPop because pqueue cannot import hybridq.
 func BenchmarkHeapPushPop(b *testing.B) {
-	b.Run("pair104", func(b *testing.B) {
-		h := pqueue.NewHeap(PairLess)
-		rng := rand.New(rand.NewSource(1))
-		scratch := new(Pair)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			*scratch = pairWithDist(rng.Float64()*100, uint64(i))
-			scratch.LeftObj, scratch.RightObj = i%3 == 0, i%3 == 0
-			h.PushFrom(scratch)
-			if h.Len() > 1024 {
-				h.Pop()
+	type pairPusher interface {
+		PushFrom(*Pair)
+		Pop() Pair
+		Len() int
+	}
+	for _, c := range []struct {
+		name string
+		heap pairPusher
+	}{
+		{"pair104", new(pairHeap)},
+		{"pair104-generic", pqueue.NewHeap(PairLess)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			h := c.heap
+			rng := rand.New(rand.NewSource(1))
+			scratch := new(Pair)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				*scratch = pairWithDist(rng.Float64()*100, uint64(i))
+				scratch.LeftObj, scratch.RightObj = i%3 == 0, i%3 == 0
+				h.PushFrom(scratch)
+				if h.Len() > 1024 {
+					h.Pop()
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func TestModelSegmentCountBounded(t *testing.T) {

@@ -20,7 +20,7 @@ func pushSplittingEveryOverflow(q *Queue, p Pair) {
 		return
 	}
 	if p.Dist < q.memBound {
-		q.heap.Push(p)
+		q.heap.PushFrom(&p)
 		if q.heap.Len() > q.capacity && q.heap.Len() > q.splitFloor {
 			q.splitHeap()
 		}

@@ -79,8 +79,8 @@ type Options struct {
 	// QueueMemBytes bounds the in-memory portion of the main queue
 	// (default 512 KB, the paper's setting).
 	QueueMemBytes int
-	// QueueStore backs spilled queue segments (default: private
-	// MemStore).
+	// QueueStore backs spilled queue segments (default: in-memory pages
+	// pooled across queries, see hybridq.Config.Store).
 	QueueStore storage.Store
 	// Metrics receives all counters; may be nil.
 	Metrics *metrics.Collector

@@ -11,7 +11,8 @@ import "math"
 // construction (a min-heap when less is "*a < *b").
 //
 // The comparator takes pointers so that ordering a large element (the
-// main queue's 104-byte pair) copies nothing per comparison, and the
+// external sort's merge heads, 104-byte pairs in SJ-SORT) copies
+// nothing per comparison, and the
 // sifts move elements into a travelling hole instead of swapping: one
 // copy per level plus one in and one out. The element being placed
 // rides in the heap's own moving field, not in a local, because a
@@ -136,9 +137,17 @@ func (h *Heap[T]) siftDown(i int) {
 // smallest distances inserted so far. While fewer than k distances are
 // held the cutoff qDmax is +Inf; afterwards it is the k-th smallest
 // distance, i.e. the maximum element.
+//
+// Every pair a join accepts is offered here, and nearly every offer is
+// kept (a sweep only delivers pairs within the cutoff), so Insert is a
+// full sift on the join's hot path: the heap is a flat []float64 with
+// the comparison written inline, not a Heap[float64] calling a
+// comparator per level. Its sifts are Heap's with less(a, b) = a > b,
+// the same comparisons in the same order, so the cutoff sequence is
+// bit-identical to a Heap-based queue's, NaN and ±0 included.
 type DistanceQueue struct {
-	k    int
-	heap *Heap[float64]
+	k     int
+	items []float64 // max-heap: items[0] is the largest retained distance
 }
 
 // NewDistanceQueue returns a distance queue bounded to k distances.
@@ -147,37 +156,65 @@ func NewDistanceQueue(k int) *DistanceQueue {
 	if k <= 0 {
 		panic("pqueue: DistanceQueue requires k > 0")
 	}
-	return &DistanceQueue{
-		k:    k,
-		heap: NewHeap(func(a, b *float64) bool { return *a > *b }), // max-heap
-	}
+	return &DistanceQueue{k: k}
 }
 
 // K returns the bound.
 func (q *DistanceQueue) K() int { return q.k }
 
 // Len returns the number of retained distances.
-func (q *DistanceQueue) Len() int { return q.heap.Len() }
+func (q *DistanceQueue) Len() int { return len(q.items) }
 
 // Insert offers distance d. It returns true if d was retained (i.e. it
 // is among the k smallest seen so far).
 func (q *DistanceQueue) Insert(d float64) bool {
-	if q.heap.Len() < q.k {
-		q.heap.Push(d)
+	items := q.items
+	if len(items) < q.k {
+		// Heap.Push: d enters at the bottom hole and ancestors smaller
+		// than d move down one level each.
+		items = append(items, d)
+		i := len(items) - 1
+		for i > 0 {
+			parent := (i - 1) / 2
+			if !(d > items[parent]) {
+				break
+			}
+			items[i] = items[parent]
+			i = parent
+		}
+		items[i] = d
+		q.items = items
 		return true
 	}
-	if d < q.heap.Peek() {
-		q.heap.ReplaceTop(d)
-		return true
+	if !(d < items[0]) {
+		return false
 	}
-	return false
+	// Heap.ReplaceTop: d enters at the root hole and the larger child
+	// moves up while it is larger than d.
+	i, n := 0, len(items)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && items[right] > items[child] {
+			child = right
+		}
+		if !(items[child] > d) {
+			break
+		}
+		items[i] = items[child]
+		i = child
+	}
+	items[i] = d
+	return true
 }
 
 // Cutoff returns qDmax: +Inf until k distances are held, then the
 // current k-th smallest distance.
 func (q *DistanceQueue) Cutoff() float64 {
-	if q.heap.Len() < q.k {
+	if len(q.items) < q.k {
 		return math.Inf(1)
 	}
-	return q.heap.Peek()
+	return q.items[0]
 }

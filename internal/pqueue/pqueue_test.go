@@ -322,15 +322,127 @@ func BenchmarkHeapPushPop(b *testing.B) {
 	})
 }
 
-func BenchmarkDistanceQueueInsert(b *testing.B) {
-	for _, k := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			q := NewDistanceQueue(k)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Insert(rng.Float64())
+// heapDistanceQueue is DistanceQueue as it was written on Heap[float64]
+// with a max-heap comparator: the reference the flat heap must match
+// bit for bit.
+type heapDistanceQueue struct {
+	k    int
+	heap *Heap[float64]
+}
+
+func newHeapDistanceQueue(k int) *heapDistanceQueue {
+	return &heapDistanceQueue{k: k, heap: NewHeap(func(a, b *float64) bool { return *a > *b })}
+}
+
+func (q *heapDistanceQueue) Insert(d float64) bool {
+	if q.heap.Len() < q.k {
+		q.heap.Push(d)
+		return true
+	}
+	if d < q.heap.Peek() {
+		q.heap.ReplaceTop(d)
+		return true
+	}
+	return false
+}
+
+func (q *heapDistanceQueue) Cutoff() float64 {
+	if q.heap.Len() < q.k {
+		return math.Inf(1)
+	}
+	return q.heap.Peek()
+}
+
+// TestDistanceQueueMatchesHeapReference: over random offer sequences
+// rich in duplicates, +Inf, ±0 and NaN, the flat DistanceQueue keeps
+// exactly what the Heap-based one kept, offer by offer: the same Insert
+// result and the same Cutoff bits, so a join's pruning sequence cannot
+// tell the two apart. Odd trials draw from five signed values only:
+// negative offers (which no join makes) keep replacing a top of ±0, so
+// the sifts meet every kind of tie, and which of +0 and −0 they move up
+// shows in the Cutoff bits.
+func TestDistanceQueueMatchesHeapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	special := []float64{math.Inf(1), 0, math.Copysign(0, -1), math.NaN()}
+	signed := []float64{-2, -1, math.Copysign(0, -1), 0, 1}
+	for _, k := range []int{1, 2, 7, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			got, want := NewDistanceQueue(k), newHeapDistanceQueue(k)
+			n := 3*k + rng.Intn(200)
+			for i := 0; i < n; i++ {
+				var d float64
+				switch r := rng.Intn(20); {
+				case trial%2 == 1:
+					d = signed[rng.Intn(len(signed))]
+				case r == 0:
+					d = special[rng.Intn(len(special))]
+				case r < 8:
+					d = float64(rng.Intn(8)) // duplicates
+				case r < 12:
+					d = want.Cutoff() * (1 - 0.01*rng.Float64()) // accepted, as in a join
+				default:
+					d = rng.Float64() * 10
+				}
+				g, w := got.Insert(d), want.Insert(d)
+				if g != w {
+					t.Fatalf("k=%d trial %d offer %d (%g): Insert = %v, reference %v", k, trial, i, d, g, w)
+				}
+				if gc, wc := got.Cutoff(), want.Cutoff(); math.Float64bits(gc) != math.Float64bits(wc) {
+					t.Fatalf("k=%d trial %d offer %d (%g): Cutoff = %g (%#x), reference %g (%#x)",
+						k, trial, i, d, gc, math.Float64bits(gc), wc, math.Float64bits(wc))
+				}
 			}
-		})
+			if got.Len() != want.heap.Len() {
+				t.Fatalf("k=%d trial %d: Len = %d, reference %d", k, trial, got.Len(), want.heap.Len())
+			}
+		}
+	}
+}
+
+// TestDistanceQueueInsertAllocs: once k distances are held, an offer,
+// kept or rejected, allocates nothing.
+func TestDistanceQueueInsertAllocs(t *testing.T) {
+	const k = 1000
+	q := NewDistanceQueue(k)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < k; i++ {
+		q.Insert(rng.Float64())
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		q.Insert(q.Cutoff() * (1 - 1e-3*rng.Float64()))
+		q.Insert(2)
+	}); avg != 0 {
+		t.Errorf("an accepted and a rejected offer allocate %v, want 0", avg)
+	}
+}
+
+// BenchmarkDistanceQueueInsert times one offer to a full queue. reject
+// offers uniform random distances, which after warm-up almost never
+// beat the cutoff: the cost of one comparison. accept offers
+// Cutoff·(1−ε·u), which is always kept, as nearly every offer is in a
+// join (a sweep only delivers pairs within the cutoff): the cost of a
+// full sift.
+func BenchmarkDistanceQueueInsert(b *testing.B) {
+	const eps = 1e-3
+	for _, mode := range []string{"reject", "accept"} {
+		for _, k := range []int{1000, 10000} {
+			b.Run(fmt.Sprintf("%s/k=%d", mode, k), func(b *testing.B) {
+				q := NewDistanceQueue(k)
+				rng := rand.New(rand.NewSource(1))
+				for i := 0; i < k; i++ {
+					q.Insert(rng.Float64())
+				}
+				b.ResetTimer()
+				if mode == "reject" {
+					for i := 0; i < b.N; i++ {
+						q.Insert(rng.Float64())
+					}
+					return
+				}
+				for i := 0; i < b.N; i++ {
+					q.Insert(q.Cutoff() * (1 - eps*rng.Float64()))
+				}
+			})
+		}
 	}
 }

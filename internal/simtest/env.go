@@ -142,7 +142,7 @@ func (e *env) brute(k int) []join.Result {
 
 // options assembles the engine Options for this scenario.
 //
-//	qs    — main-queue store; nil uses a private MemStore
+//	qs    — main-queue store; nil spills into pooled in-memory pages
 //	hook  — hybridq spill/reload fault hook; nil disables
 //	reg   — observability registry; the harness attaches one per run
 //	        and asserts nothing is left in flight
