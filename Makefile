@@ -123,7 +123,7 @@ test-short:
 # the package leave behind, so a pin that passes once can still fail
 # one run in two; repetition is what surfaces that.
 alloc-pins:
-	$(GO) test -count=20 -run 'Allocs' ./internal/hybridq ./internal/pqueue ./internal/storage ./internal/join
+	$(GO) test -count=20 -run 'Allocs' . ./internal/hybridq ./internal/pqueue ./internal/storage ./internal/join ./internal/serving
 
 race:
 	$(GO) test -race ./...
@@ -173,6 +173,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIndex -fuzztime=$(FUZZTIME) ./internal/sweep
 	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) ./internal/simtest
 	$(GO) test -fuzz=FuzzEndpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/serving
+	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=$(FUZZTIME) ./internal/serving
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

@@ -34,7 +34,9 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"distjoin/internal/estimate"
 	"distjoin/internal/geom"
@@ -74,6 +76,10 @@ type Object struct {
 
 // Pair is one distance join result, produced in nondecreasing Dist
 // order.
+//
+// A Pair is the engine's join.Result under the facade's field names:
+// the two are one memory layout, so the facade hands the engine's
+// answer over in place (asPairs) instead of copying it.
 type Pair struct {
 	LeftID    int64
 	RightID   int64
@@ -81,6 +87,29 @@ type Pair struct {
 	RightRect Rect
 	Dist      float64
 }
+
+// Pair and join.Result agree in size and in every field's offset; each
+// of these fails to compile the day they do not. TestPairIsResult
+// checks the field types.
+var (
+	_ [unsafe.Sizeof(Pair{})]byte             = [unsafe.Sizeof(join.Result{})]byte{}
+	_ [unsafe.Offsetof(Pair{}.LeftID)]byte    = [unsafe.Offsetof(join.Result{}.LeftObj)]byte{}
+	_ [unsafe.Offsetof(Pair{}.RightID)]byte   = [unsafe.Offsetof(join.Result{}.RightObj)]byte{}
+	_ [unsafe.Offsetof(Pair{}.LeftRect)]byte  = [unsafe.Offsetof(join.Result{}.LeftRect)]byte{}
+	_ [unsafe.Offsetof(Pair{}.RightRect)]byte = [unsafe.Offsetof(join.Result{}.RightRect)]byte{}
+	_ [unsafe.Offsetof(Pair{}.Dist)]byte      = [unsafe.Offsetof(join.Result{}.Dist)]byte{}
+)
+
+// asPairs returns rs as Pairs, sharing its memory.
+func asPairs(rs []join.Result) []Pair {
+	if rs == nil {
+		return nil
+	}
+	return unsafe.Slice((*Pair)(unsafe.Pointer(unsafe.SliceData(rs))), len(rs))
+}
+
+// asPair returns *r as a Pair.
+func asPair(r *join.Result) Pair { return *(*Pair)(unsafe.Pointer(r)) }
 
 // Stats exposes the per-query performance counters of the paper's
 // evaluation: distance computations, queue insertions, R-tree node
@@ -533,7 +562,7 @@ func KDistanceJoin(left, right *Index, k int, opts *Options) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	return convertResults(results), nil
+	return asPairs(results), nil
 }
 
 // Iterator produces incremental distance join results one pair at a
@@ -549,7 +578,7 @@ func (it *Iterator) Next() (Pair, bool) {
 	if !ok {
 		return Pair{}, false
 	}
-	return convertResult(r), true
+	return asPair(&r), true
 }
 
 // Err returns the first error encountered during iteration.
@@ -590,27 +619,6 @@ func IncrementalJoin(left, right *Index, opts *Options) (*Iterator, error) {
 		return nil, err
 	}
 	return &Iterator{it: it}, nil
-}
-
-func convertResults(rs []join.Result) []Pair {
-	if rs == nil {
-		return nil
-	}
-	out := make([]Pair, len(rs))
-	for i, r := range rs {
-		out[i] = convertResult(r)
-	}
-	return out
-}
-
-func convertResult(r join.Result) Pair {
-	return Pair{
-		LeftID:    r.LeftObj,
-		RightID:   r.RightObj,
-		LeftRect:  r.LeftRect,
-		RightRect: r.RightRect,
-		Dist:      r.Dist,
-	}
 }
 
 // SegmentRefiner builds an exact-distance refiner for data sets whose
@@ -654,7 +662,7 @@ func WithinJoin(left, right *Index, maxDist float64, opts *Options, fn func(Pair
 		return fmt.Errorf("distjoin: WithinJoin maxDist must not be NaN")
 	}
 	return join.WithinJoin(left.tree, right.tree, maxDist, opts.joinOptions(), func(r join.Result) bool {
-		return fn(convertResult(r))
+		return fn(asPair(&r))
 	})
 }
 
@@ -669,7 +677,7 @@ func AllNearest(left, right *Index, opts *Options, fn func(Pair) bool) error {
 		return err
 	}
 	return join.AllNearest(left.tree, right.tree, opts.joinOptions(), func(r join.Result) bool {
-		return fn(convertResult(r))
+		return fn(asPair(&r))
 	})
 }
 
@@ -694,10 +702,6 @@ func KNNJoin(left, right *Index, k int, opts *Options, fn func(neighbors []Pair)
 	return join.AllKNearest(left.tree, right.tree, k, opts.joinOptions(), func(ns []join.Result) bool {
 		// A fresh slice per callback: reusing one buffer across
 		// callbacks silently corrupted any retained neighbor lists.
-		neighbors := make([]Pair, len(ns))
-		for i, n := range ns {
-			neighbors[i] = convertResult(n)
-		}
-		return fn(neighbors)
+		return fn(slices.Clone(asPairs(ns)))
 	})
 }

@@ -1,15 +1,32 @@
 package hybridq
 
+import (
+	"slices"
+	"sync"
+)
+
 // pairHeap is the queue's in-memory min-heap: pqueue.Heap specialised
 // to Pair, so that its sifts call PairLess directly and the compiler
 // inlines it, where pqueue.Heap calls its comparator through a function
 // value at every level. The sifts are pqueue.Heap's, comparison for
 // comparison, so the pop order is identical to a pqueue.Heap ordered by
 // PairLess, among pairs PairLess ranks equal too.
+//
+// The backing array is pooled: the first push takes one from
+// heapSlabs, a full heap grows it by append, and release gives it
+// back, so a query on a warm pool pushes into an array an earlier
+// query grew and allocates none.
 type pairHeap struct {
 	items  []Pair
-	moving Pair // the last pair Pop's sift places; stale between operations
+	slab   *[]Pair // the pooled box items came from; nil while items is nil
+	moving Pair    // the last pair Pop's sift places; stale between operations
 }
+
+// heapSlabs holds the backing arrays released heaps gave back, each as
+// large as the largest heap it has served: at most a queue's capacity
+// plus one, or a tie run kept in memory whole. Pairs hold no pointers,
+// so a pooled array pins nothing else.
+var heapSlabs = sync.Pool{New: func() any { return new([]Pair) }}
 
 // Len returns the number of pairs.
 func (h *pairHeap) Len() int { return len(h.items) }
@@ -17,6 +34,9 @@ func (h *pairHeap) Len() int { return len(h.items) }
 // PushFrom adds a copy of *p, which must not point into the heap's own
 // items.
 func (h *pairHeap) PushFrom(p *Pair) {
+	if len(h.items) == cap(h.items) {
+		h.grow()
+	}
 	h.items = append(h.items, *p)
 	h.siftUp(len(h.items)-1, p)
 }
@@ -38,6 +58,27 @@ func (h *pairHeap) Pop() Pair {
 
 // Clear removes all pairs, retaining capacity.
 func (h *pairHeap) Clear() { h.items = h.items[:0] }
+
+// grow makes room for one more pair: an empty heap without an array
+// takes one from heapSlabs, a full one grows the one it has.
+func (h *pairHeap) grow() {
+	if h.slab == nil {
+		h.slab = heapSlabs.Get().(*[]Pair)
+		h.items = (*h.slab)[:0]
+	}
+	h.items = slices.Grow(h.items, 1)
+}
+
+// release empties the heap and gives its array back to heapSlabs; the
+// next push takes one again. A heap without an array has none to give.
+func (h *pairHeap) release() {
+	if h.slab == nil {
+		return
+	}
+	*h.slab = h.items[:0]
+	heapSlabs.Put(h.slab)
+	h.slab, h.items = nil, nil
+}
 
 // Items exposes the heap-ordered backing slice (minimum at index 0).
 func (h *pairHeap) Items() []Pair { return h.items }

@@ -1,6 +1,7 @@
 package hybridq
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -483,4 +484,67 @@ func TestOwnStoreStaysOutOfPool(t *testing.T) {
 	if own.Stats() != ownStats {
 		t.Fatalf("queues without a store wrote into another queue's own store: %+v, was %+v", own.Stats(), ownStats)
 	}
+}
+
+// TestHeapSlabOwnership: a queue takes its heap's array at its first
+// push and gives it back at Release, once, whether or not a fault
+// latched; a released queue pushed to again takes a fresh one.
+// Concurrent queues never share an array: TestPoolReuseStress releases
+// queues between rounds on several goroutines, under the race detector
+// in make race.
+func TestHeapSlabOwnership(t *testing.T) {
+	fault := errors.New("injected spill fault")
+	faulted := New(Config{MemBytes: 8 * RecordSize, FaultHook: func(op FaultOp) error {
+		if op == FaultSpill {
+			return fault
+		}
+		return nil
+	}})
+	clean := New(Config{MemBytes: 8 * RecordSize})
+	for _, q := range []*Queue{faulted, clean} {
+		if q.heap.slab != nil {
+			t.Fatal("a new queue holds a heap array")
+		}
+		for i := 0; i < 40; i++ {
+			q.Push(pairWithDist(float64(i%13), uint64(i)))
+		}
+		if q.heap.slab == nil {
+			t.Fatal("a queue that was pushed to holds no heap array")
+		}
+	}
+	if !errors.Is(faulted.Err(), fault) {
+		t.Fatalf("the faulted queue latched %v", faulted.Err())
+	}
+	for _, q := range []*Queue{faulted, clean} {
+		q.Release()
+		if q.heap.slab != nil || q.heap.items != nil {
+			t.Fatal("Release kept the heap array")
+		}
+		q.Release()
+	}
+	// Each Release put its array back once: no array comes out of the
+	// pool twice. (Other tests' arrays may come out too; under the race
+	// detector the pool drops some puts, which only shortens the list.)
+	seen := map[*[]Pair]bool{}
+	var taken []*[]Pair
+	for i := 0; i < 16; i++ {
+		s := heapSlabs.Get().(*[]Pair)
+		if seen[s] {
+			t.Fatal("a heap array was given back twice")
+		}
+		seen[s] = true
+		taken = append(taken, s)
+	}
+	for _, s := range taken {
+		heapSlabs.Put(s)
+	}
+
+	clean.Push(pairWithDist(1, 1))
+	if clean.heap.slab == nil || cap(clean.heap.items) == 0 {
+		t.Fatal("a released queue pushed to again took no heap array")
+	}
+	if p, ok := clean.Pop(); !ok || p.Left != 1 {
+		t.Fatalf("released queue popped %+v, %v", p, ok)
+	}
+	clean.Release()
 }

@@ -578,15 +578,17 @@ func (q *Queue) scratch() *scratch {
 	return q.sc
 }
 
-// Release empties the queue and gives its scratch back to the pool: a
-// query calls it once its results are out. It is idempotent, and a
-// queue that never spilled has no scratch to give back; a latched error
-// stays latched. A private queue gives every spill page back to
-// pagePool and hands the scratch its emptied page table and free list.
-// A released queue may be pushed to again and takes a fresh scratch at
-// its next spill.
+// Release empties the queue and gives its heap's array and its scratch
+// back to their pools: a query calls it once its results are out. It is
+// idempotent, and a queue that never spilled has no scratch to give
+// back; a latched error stays latched. A private queue gives every
+// spill page back to pagePool and hands the scratch its emptied page
+// table and free list. A released queue may be pushed to again: it
+// takes a fresh array at its next push and a fresh scratch at its next
+// spill.
 func (q *Queue) Release() {
 	q.Drain()
+	q.heap.release()
 	if q.sc != nil {
 		if q.private {
 			q.sc.spill.release()

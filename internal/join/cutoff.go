@@ -37,6 +37,8 @@ type cutoffTracker struct {
 	pushFn                 func(p *hybridq.Pair) bool
 }
 
+// newCutoffTracker returns the query's tracker and registers it with c,
+// whose endQuery gives its heap back.
 func newCutoffTracker(c *execContext, k int, policy DistanceQueuePolicy) *cutoffTracker {
 	t := &cutoffTracker{c: c, policy: policy, refine: c.refiner != nil}
 	if t.useKth() {
@@ -45,7 +47,19 @@ func newCutoffTracker(c *execContext, k int, policy DistanceQueuePolicy) *cutoff
 		t.objQ = pqueue.NewDistanceQueue(k)
 	}
 	t.cutoffFn, t.aggressiveFn, t.pushFn = t.Cutoff, t.aggressiveCutoff, t.push
+	c.ct = t
 	return t
+}
+
+// release gives the tracker's heap back to its pool. The query calls
+// it once, from endQuery, after its last cutoff.
+func (t *cutoffTracker) release() {
+	if t.kth != nil {
+		t.kth.Release()
+		t.kth = nil
+	} else {
+		t.objQ.Release()
+	}
 }
 
 // useKth reports whether deletions are needed, forcing the two-heap

@@ -197,6 +197,10 @@ type execContext struct {
 	pushFn func(p *hybridq.Pair) bool
 	// staged is where pushCopy puts a pair its caller holds by value.
 	staged hybridq.Pair
+	// ct is the k-bounded joins' qDmax bookkeeping, set by
+	// newCutoffTracker. Its heap is pooled; endQuery gives it back, with
+	// the queue's.
+	ct *cutoffTracker
 }
 
 // expander carries the state a node expansion needs: the
@@ -544,13 +548,19 @@ func (c *execContext) beginQuery(k int) {
 }
 
 // endQuery completes the registry entry, folding in the final counters
-// and the error outcome, and releases the main queue: whatever it still
-// holds is dropped and its scratch goes back to the pool for the next
-// query. Idempotent: safe to call from both an iterator's terminal
-// paths and its Close.
+// and the error outcome, and gives back everything the query took from
+// a pool: the main queue's heap array and scratch (whatever the queue
+// still holds is dropped) and the distance queue's heap. It is the one
+// place a query returns pooled memory, on every path: finished, failed
+// or cancelled. Idempotent: safe to call from both an iterator's
+// terminal paths and its Close.
 func (c *execContext) endQuery(err error) {
 	c.rq.End(c.mc, err)
 	c.queue.Release()
+	if c.ct != nil {
+		c.ct.release()
+		c.ct = nil
+	}
 }
 
 // recordEstimate reports one eDmax-estimator accuracy sample — the

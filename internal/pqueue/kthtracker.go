@@ -1,6 +1,9 @@
 package pqueue
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // KthTracker maintains the k-th smallest value of a dynamic multiset
 // under insertions and value deletions, using the classic two-heap
@@ -27,19 +30,38 @@ type KthTracker struct {
 	hiSize int // alive values logically in hi
 }
 
-// NewKthTracker returns a tracker for the k-th smallest value. k must
-// be positive.
-func NewKthTracker(k int) *KthTracker {
-	if k <= 0 {
-		panic("pqueue: KthTracker requires k > 0")
-	}
+// kthTrackers holds the trackers Release gave back, empty, with their
+// heaps' arrays and their maps' buckets.
+var kthTrackers = sync.Pool{New: func() any {
 	return &KthTracker{
-		k:     k,
 		lo:    NewHeap(func(a, b *float64) bool { return *a > *b }),
 		hi:    NewHeap(func(a, b *float64) bool { return *a < *b }),
 		loDel: make(map[float64]int),
 		hiDel: make(map[float64]int),
 	}
+}}
+
+// NewKthTracker returns a tracker for the k-th smallest value, taken
+// from the trackers released queries gave back. k must be positive.
+func NewKthTracker(k int) *KthTracker {
+	if k <= 0 {
+		panic("pqueue: KthTracker requires k > 0")
+	}
+	t := kthTrackers.Get().(*KthTracker)
+	t.k = k
+	return t
+}
+
+// Release empties t and gives it back for a later NewKthTracker. The
+// caller must not use t again, nor release it twice: the next query may
+// already hold it.
+func (t *KthTracker) Release() {
+	t.lo.Clear()
+	t.hi.Clear()
+	clear(t.loDel)
+	clear(t.hiDel)
+	t.loSize, t.hiSize = 0, 0
+	kthTrackers.Put(t)
 }
 
 // Len returns the number of alive values.

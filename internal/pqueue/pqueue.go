@@ -5,7 +5,11 @@
 // pruning cutoff qDmax.
 package pqueue
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sync"
+)
 
 // Heap is a binary heap ordered by the less function supplied at
 // construction (a min-heap when less is "*a < *b").
@@ -145,10 +149,19 @@ func (h *Heap[T]) siftDown(i int) {
 // comparator per level. Its sifts are Heap's with less(a, b) = a > b,
 // the same comparisons in the same order, so the cutoff sequence is
 // bit-identical to a Heap-based queue's, NaN and ±0 included.
+//
+// The heap's array is pooled like the main queue's: the first Insert
+// takes one from distSlabs, a heap short of k grows it by append, and
+// Release gives it back.
 type DistanceQueue struct {
 	k     int
-	items []float64 // max-heap: items[0] is the largest retained distance
+	items []float64  // max-heap: items[0] is the largest retained distance
+	slab  *[]float64 // the pooled box items came from; nil while items is nil
 }
+
+// distSlabs holds the arrays released distance queues gave back, each
+// as long as the largest k it has served.
+var distSlabs = sync.Pool{New: func() any { return new([]float64) }}
 
 // NewDistanceQueue returns a distance queue bounded to k distances.
 // k must be positive.
@@ -172,6 +185,9 @@ func (q *DistanceQueue) Insert(d float64) bool {
 	if len(items) < q.k {
 		// Heap.Push: d enters at the bottom hole and ancestors smaller
 		// than d move down one level each.
+		if len(items) == cap(items) {
+			items = q.grow()
+		}
 		items = append(items, d)
 		i := len(items) - 1
 		for i > 0 {
@@ -217,4 +233,28 @@ func (q *DistanceQueue) Cutoff() float64 {
 		return math.Inf(1)
 	}
 	return q.items[0]
+}
+
+// grow returns the items with room for one more distance: an empty
+// queue without an array takes one from distSlabs, a full one grows the
+// one it has.
+func (q *DistanceQueue) grow() []float64 {
+	if q.slab == nil {
+		q.slab = distSlabs.Get().(*[]float64)
+		q.items = (*q.slab)[:0]
+	}
+	q.items = slices.Grow(q.items, 1)
+	return q.items
+}
+
+// Release empties the queue and gives its array back to distSlabs: a
+// query calls it after its last Cutoff. It is idempotent, and a
+// released queue may be inserted into again; it takes a fresh array.
+func (q *DistanceQueue) Release() {
+	if q.slab == nil {
+		return
+	}
+	*q.slab = q.items[:0]
+	distSlabs.Put(q.slab)
+	q.slab, q.items = nil, nil
 }

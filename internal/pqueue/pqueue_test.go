@@ -416,6 +416,81 @@ func TestDistanceQueueInsertAllocs(t *testing.T) {
 	}
 }
 
+// TestDistanceQueueRelease: Release empties the queue and gives its
+// array back once, however often it is called; the queue is then a
+// fresh one, taking a new array at its next Insert, and a query on a
+// warm pool fills all k slots without allocating.
+func TestDistanceQueueRelease(t *testing.T) {
+	const k = 500
+	q := NewDistanceQueue(k)
+	fill := func() {
+		for i := 0; i < 2*k; i++ {
+			q.Insert(float64((i * 7919) % 1000))
+		}
+	}
+	fill()
+	if q.Len() != k || q.Cutoff() != 499 {
+		t.Fatalf("Len %d, Cutoff %g after the first fill", q.Len(), q.Cutoff())
+	}
+	q.Release()
+	q.Release()
+	if q.Len() != 0 || !math.IsInf(q.Cutoff(), 1) || q.slab != nil {
+		t.Fatalf("after Release: Len %d, Cutoff %g, array held %v", q.Len(), q.Cutoff(), q.slab != nil)
+	}
+	seen := map[*[]float64]bool{}
+	var taken []*[]float64
+	for i := 0; i < 16; i++ {
+		s := distSlabs.Get().(*[]float64)
+		if seen[s] {
+			t.Fatal("an array was given back twice")
+		}
+		seen[s] = true
+		taken = append(taken, s)
+	}
+	for _, s := range taken {
+		distSlabs.Put(s)
+	}
+	fill()
+	if q.Len() != k || q.Cutoff() != 499 {
+		t.Fatalf("Len %d, Cutoff %g after refilling a released queue", q.Len(), q.Cutoff())
+	}
+	if !raceEnabled {
+		if avg := testing.AllocsPerRun(10, func() { q.Release(); fill() }); avg != 0 {
+			t.Errorf("a released queue's refill allocates %v, want 0", avg)
+		}
+	}
+	q.Release()
+}
+
+// TestKthTrackerRelease: a released tracker comes back from
+// NewKthTracker empty, under its new k.
+func TestKthTrackerRelease(t *testing.T) {
+	tr := NewKthTracker(3)
+	for _, v := range []float64{5, 1, 4, 2, 8} {
+		tr.Insert(v)
+	}
+	tr.Delete(1)
+	tr.Delete(8)
+	tr.Release()
+	for i := 0; i < 4; i++ {
+		got := NewKthTracker(2)
+		if got.Len() != 0 || !math.IsInf(got.Cutoff(), 1) {
+			t.Fatalf("a tracker from the pool holds %d values, cutoff %g", got.Len(), got.Cutoff())
+		}
+		got.Insert(9)
+		got.Insert(3)
+		got.Insert(7)
+		if got.Cutoff() != 7 {
+			t.Fatalf("k=2 cutoff of {9,3,7} = %g, want 7", got.Cutoff())
+		}
+		got.Delete(3)
+		if got.Cutoff() != 9 {
+			t.Fatalf("after deleting 3 the cutoff is %g, want 9", got.Cutoff())
+		}
+		got.Release()
+	}
+}
+
 // BenchmarkDistanceQueueInsert times one offer to a full queue. reject
 // offers uniform random distances, which after warm-up almost never
 // beat the cutoff: the cost of one comparison. accept offers

@@ -33,12 +33,6 @@ const (
 	maxPageSize = 4096
 )
 
-type pairJSON struct {
-	Left  int64   `json:"left"`
-	Right int64   `json:"right"`
-	Dist  float64 `json:"dist"`
-}
-
 type statsJSON struct {
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	DistCalcs    int64   `json:"dist_calcs"`
@@ -46,16 +40,21 @@ type statsJSON struct {
 	NodesRead    int64   `json:"nodes_read"`
 }
 
+// queryResponse is a blocking query's response. The append encoder
+// (encode.go) renders it as the object
+// {"query_id","pairs":[{"left","right","dist"}...],"truncated","stats","explain"},
+// leaving out an empty query_id, a false truncated and a nil explain.
 type queryResponse struct {
 	// QueryID echoes the X-Distjoin-Query-Id header so the response
 	// body is self-describing in logs and captures.
-	QueryID   string     `json:"query_id,omitempty"`
-	Pairs     []pairJSON `json:"pairs"`
-	Truncated bool       `json:"truncated,omitempty"`
-	Stats     statsJSON  `json:"stats"`
+	QueryID   string
+	Pairs     []distjoin.Pair
+	Truncated bool
+	Stats     statsJSON
 	// Explain carries the per-query trace timeline when the request
-	// opted in with ?explain=1.
-	Explain *explainJSON `json:"explain,omitempty"`
+	// opted in with ?explain=1; explainBytes is its encoding/json form.
+	Explain      *explainJSON
+	explainBytes []byte
 }
 
 type errorResponse struct {
@@ -106,15 +105,18 @@ type incrementalCloseRequest struct {
 	Cursor string `json:"cursor"`
 }
 
+// incrementalResponse is one cursor page. The append encoder renders it
+// as {"query_id","cursor","pairs","done","returned","deadline_ms"},
+// leaving out an empty query_id and an empty cursor.
 type incrementalResponse struct {
-	QueryID  string     `json:"query_id,omitempty"`
-	Cursor   string     `json:"cursor,omitempty"`
-	Pairs    []pairJSON `json:"pairs"`
-	Done     bool       `json:"done"`
-	Returned int64      `json:"returned"`
+	QueryID  string
+	Cursor   string
+	Pairs    []distjoin.Pair
+	Done     bool
+	Returned int64
 	// DeadlineMS is how long the cursor has left, so clients can pace
 	// their pagination.
-	DeadlineMS int64 `json:"deadline_ms"`
+	DeadlineMS int64
 }
 
 // apiError pairs an HTTP status with a client-facing message.
@@ -205,14 +207,6 @@ func makeStats(st *distjoin.Stats, elapsed time.Duration) statsJSON {
 	}
 }
 
-func makePairs(pairs []distjoin.Pair) []pairJSON {
-	out := make([]pairJSON, len(pairs))
-	for i, p := range pairs {
-		out[i] = pairJSON{Left: p.LeftID, Right: p.RightID, Dist: p.Dist}
-	}
-	return out
-}
-
 // blockingQuery is a validated blocking join: the budgets the request
 // asked for plus the engine call. opts carries what the request chose
 // (algorithm, distance bound, queue memory); serve adds what the server
@@ -250,9 +244,9 @@ func (q blockingQuery) serve(s *Server, tel *reqTelemetry, r *http.Request) (any
 		return nil, err
 	}
 	tel.results = len(pairs)
-	resp := queryResponse{
+	resp := &queryResponse{
 		QueryID:   tel.queryID,
-		Pairs:     makePairs(pairs),
+		Pairs:     pairs,
 		Truncated: truncated,
 		Stats:     makeStats(&st, time.Since(start)),
 	}

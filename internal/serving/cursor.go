@@ -39,11 +39,11 @@ type cursor struct {
 // eDmax mode — and builds the response, less the cursor ID. The
 // response's Done reports exhaustion; after an engine error the cursor
 // is closed and the error returned.
-func (c *cursor) pull(tel *reqTelemetry, n int) (incrementalResponse, error) {
+func (c *cursor) pull(tel *reqTelemetry, n int) (*incrementalResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return incrementalResponse{Done: true}, fmt.Errorf("serving: cursor %s is closed", c.id)
+		return &incrementalResponse{Done: true}, fmt.Errorf("serving: cursor %s is closed", c.id)
 	}
 	calcs, stages := c.st.DistCalcs(), c.st.CompensationStages
 	var (
@@ -67,9 +67,9 @@ func (c *cursor) pull(tel *reqTelemetry, n int) (incrementalResponse, error) {
 		tel.results = len(pairs)
 	}
 	tel.distCalcs, tel.compStages, tel.edmaxMode = c.st.DistCalcs()-calcs, c.st.CompensationStages-stages, c.st.EstimateMode()
-	return incrementalResponse{
+	return &incrementalResponse{
 		QueryID:    tel.queryID,
-		Pairs:      makePairs(pairs),
+		Pairs:      pairs,
 		Done:       done,
 		Returned:   c.returned,
 		DeadlineMS: time.Until(c.deadline).Milliseconds(),

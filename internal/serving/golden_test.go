@@ -272,7 +272,7 @@ func TestRequestRecordGolden(t *testing.T) {
 	}
 	rec := serve(t, s, bg, http.MethodPost, "/v1/join/incremental",
 		incrementalOpenRequest{Left: "left", Right: "right", PageSize: 20, BatchK: 16})
-	var open incrementalResponse
+	var open incrementalJSON
 	decodeInto(t, rec.Body.Bytes(), &open)
 	cur, ok := s.cursors.get(open.Cursor, time.Now())
 	if !ok {

@@ -49,13 +49,14 @@ func endpoint[Req any](s *Server, family string, fn func(*reqTelemetry, *http.Re
 			resp, err = fn(tel, r, req)
 		}
 		if !tel.until.IsZero() {
-			// The slot is held until the body is written and encoding/json
-			// writes it in one Write: without a write deadline a client that
-			// stops reading holds the slot for as long as it likes. The
-			// server clears the deadline after each request, so keep-alive
-			// connections are not poisoned. Writers that cannot set one
-			// (test recorders) return http.ErrNotSupported; the response is
-			// written either way.
+			// The slot is held until the body is written, which for a
+			// response with pairs is a Write per chunk: without a write
+			// deadline a client that stops reading holds the slot for as
+			// long as it likes. One deadline bounds every chunk of the
+			// body. The server clears it after each request, so
+			// keep-alive connections are not poisoned. Writers that
+			// cannot set one (test recorders) return
+			// http.ErrNotSupported; the response is written either way.
 			_ = http.NewResponseController(w).SetWriteDeadline(tel.until.Add(writeGrace))
 		}
 		tel.err = err
@@ -123,11 +124,18 @@ func (s *Server) writeError(w http.ResponseWriter, err error) int {
 	return status
 }
 
+// writeJSON writes v as encoding/json's Encoder would: a response that
+// carries pairs through the append encoder (encode.go), in chunks,
+// anything else through encoding/json, in one Write.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	// The response is already streaming; an error here means the client
 	// went away.
+	if r, ok := v.(pairsResponse); ok {
+		_ = writeAppended(w, r)
+		return
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 

@@ -185,7 +185,7 @@ func TestWriteDeadline(t *testing.T) {
 	// A cursor's deadline is kept on the cursor: the open and every page
 	// are written under exactly that plus the grace.
 	rec, _, _ = serveDeadline("/v1/join/incremental", `{"left":"left","right":"right","page_size":5}`, 200)
-	var open incrementalResponse
+	var open incrementalJSON
 	decodeInto(t, rec.Body.Bytes(), &open)
 	cur, ok := s.cursors.get(open.Cursor, time.Now())
 	if !ok {
@@ -215,7 +215,7 @@ func TestSharedCursorPages(t *testing.T) {
 	s, _, _, _ := testServer(t, Config{Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
 	rec := httptest.NewRecorder()
 	post(s, rec, "/v1/join/incremental", `{"left":"left","right":"right","page_size":10,"batch_k":16}`)
-	var open incrementalResponse
+	var open incrementalJSON
 	decodeInto(t, rec.Body.Bytes(), &open)
 	cur, ok := s.cursors.get(open.Cursor, time.Now())
 	if !ok {

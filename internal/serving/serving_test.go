@@ -152,7 +152,7 @@ func TestKDistanceDifferential(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", name, code, body)
 		}
-		var resp queryResponse
+		var resp queryJSON
 		decodeInto(t, body, &resp)
 		samePairs(t, name, resp.Pairs, want)
 		if resp.Stats.DistCalcs == 0 {
@@ -175,7 +175,7 @@ func TestKClosestAndWithinDifferential(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("closest: %d: %s", code, body)
 	}
-	var resp queryResponse
+	var resp queryJSON
 	decodeInto(t, body, &resp)
 	samePairs(t, "closest", resp.Pairs, want)
 
@@ -193,7 +193,7 @@ func TestKClosestAndWithinDifferential(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("within: %d: %s", code, body)
 	}
-	var wresp queryResponse
+	var wresp queryJSON
 	decodeInto(t, body, &wresp)
 	if wresp.Truncated {
 		t.Fatalf("within: unexpected truncation at %d pairs", len(wresp.Pairs))
@@ -249,7 +249,7 @@ func TestIncrementalPagination(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("open: %d: %s", code, body)
 	}
-	var resp incrementalResponse
+	var resp incrementalJSON
 	decodeInto(t, body, &resp)
 	if resp.Cursor == "" || resp.Done {
 		t.Fatalf("open: cursor %q done %v, want live cursor", resp.Cursor, resp.Done)
@@ -264,7 +264,7 @@ func TestIncrementalPagination(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("next at %d: %d: %s", len(got), code, body)
 		}
-		var next incrementalResponse
+		var next incrementalJSON
 		decodeInto(t, body, &next)
 		got = append(got, next.Pairs...)
 		if next.Done {
@@ -338,7 +338,7 @@ func TestCursorPagesIndependentOfStageSize(t *testing.T) {
 	drain := func(page, batchK int) ([]pairJSON, int64) {
 		t.Helper()
 		logged := len(logBuf.String())
-		var open, next incrementalResponse
+		var open, next incrementalJSON
 		decodeInto(t, serve(t, s, bg, http.MethodPost, "/v1/join/incremental",
 			incrementalOpenRequest{Left: "left", Right: "right", PageSize: page, BatchK: batchK}).Body.Bytes(), &open)
 		if open.Cursor == "" {
@@ -363,7 +363,7 @@ func TestCursorPagesIndependentOfStageSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantJSON, err := json.Marshal(makePairs(want))
+		wantJSON, err := json.Marshal(wirePairs(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,7 +539,7 @@ func TestCursorExpiry(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("open: %d: %s", code, body)
 	}
-	var resp incrementalResponse
+	var resp incrementalJSON
 	decodeInto(t, body, &resp)
 	if resp.Cursor == "" {
 		t.Fatal("no cursor")
@@ -574,10 +574,10 @@ func TestCursorExpiry(t *testing.T) {
 // TestCursorBudget: the cursor table bounds open cursors with 429.
 func TestCursorBudget(t *testing.T) {
 	_, _, _, h := testServer(t, Config{MaxCursors: 2})
-	open := func() (int, incrementalResponse) {
+	open := func() (int, incrementalJSON) {
 		code, body := postJSON(t, h.Client(), h.URL+"/v1/join/incremental",
 			incrementalOpenRequest{Left: "left", Right: "right", PageSize: 1})
-		var resp incrementalResponse
+		var resp incrementalJSON
 		if code == http.StatusOK {
 			decodeInto(t, body, &resp)
 		}
@@ -712,7 +712,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("open cursor: %d", code)
 	}
-	var cresp incrementalResponse
+	var cresp incrementalJSON
 	decodeInto(t, body, &cresp)
 
 	// Park workers inside admit by holding both slots, so queries are
@@ -836,7 +836,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 						errCh <- fmt.Errorf("k: %d: %s", code, body)
 						return
 					}
-					var resp queryResponse
+					var resp queryJSON
 					if err := json.Unmarshal(body, &resp); err != nil {
 						errCh <- err
 						return
@@ -861,7 +861,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 						errCh <- fmt.Errorf("incr open: %d: %s", code, body)
 						return
 					}
-					var resp incrementalResponse
+					var resp incrementalJSON
 					if err := json.Unmarshal(body, &resp); err != nil {
 						errCh <- err
 						return

@@ -166,7 +166,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 	if resp.Header.Get("X-Distjoin-Admission-Wait") == "" {
 		t.Fatal("no X-Distjoin-Admission-Wait response header")
 	}
-	var out queryResponse
+	var out queryJSON
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestExplainRoundtrip(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("explain query %+v: %d: %s", req, code, body)
 		}
-		var out queryResponse
+		var out queryJSON
 		decodeInto(t, body, &out)
 		if out.Explain == nil {
 			t.Fatalf("%+v: ?explain=1 response has no explain block", req)
@@ -233,7 +233,7 @@ func TestExplainRoundtrip(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("plain query: %d: %s", code, body)
 	}
-	var plain queryResponse
+	var plain queryJSON
 	decodeInto(t, body, &plain)
 	if plain.Explain != nil {
 		t.Fatal("explain block present without ?explain=1")
