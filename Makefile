@@ -123,7 +123,7 @@ test-short:
 # the package leave behind, so a pin that passes once can still fail
 # one run in two; repetition is what surfaces that.
 alloc-pins:
-	$(GO) test -count=20 -run 'Allocs' . ./internal/hybridq ./internal/pqueue ./internal/storage ./internal/join ./internal/serving
+	$(GO) test -count=20 -run 'Allocs' . ./internal/geom ./internal/hybridq ./internal/pqueue ./internal/rtree ./internal/serving ./internal/storage ./internal/sweep ./internal/join
 
 race:
 	$(GO) test -race ./...

@@ -101,12 +101,12 @@ func BenchmarkFig11_SweepOptimization(b *testing.B) {
 	w := loadBenchWorkload(b)
 	ks := benchConfig().KSeries()
 	k := ks[len(ks)-1]
-	fixed := join.FixedSweep
 	b.Run("optimized", func(b *testing.B) {
 		reportKDJ(b, w, experiments.AlgoBKDJ, k, join.Options{})
 	})
 	b.Run("fixed", func(b *testing.B) {
-		reportKDJ(b, w, experiments.AlgoBKDJ, k, join.Options{Sweep: &fixed})
+		fixed := join.Ablation{FixedAxis: true, FixedDirection: true}
+		reportKDJ(b, w, experiments.AlgoBKDJ, k, join.Options{Ablation: fixed})
 	})
 }
 

@@ -318,7 +318,9 @@ type Options struct {
 	// SelfJoin adapts result semantics for joining an index with
 	// itself: identity pairs are suppressed and each unordered pair is
 	// produced once (LeftID < RightID). KClosestPairs sets this
-	// automatically.
+	// automatically. The per-object joins, AllNearest and KNNJoin,
+	// suppress identity pairs only: there an object's neighbors are its
+	// nearest other objects, so a and b may each list the other.
 	SelfJoin bool
 	// Refiner, when non-nil, supplies the exact distance between two
 	// objects (e.g. between the true geometries their MBRs bound).
@@ -669,6 +671,8 @@ func WithinJoin(left, right *Index, maxDist float64, opts *Options, fn func(Pair
 // AllNearest reports, for every object in left, its nearest object in
 // right (an all-nearest-neighbors semi-join). Returning false from fn
 // stops early. The right index must be non-empty unless left is empty.
+// Under Options.SelfJoin an object's nearest other object is reported,
+// and an object with no other object yields no pair.
 func AllNearest(left, right *Index, opts *Options, fn func(Pair) bool) error {
 	if fn == nil {
 		return fmt.Errorf("distjoin: AllNearest requires a callback")
@@ -684,7 +688,9 @@ func AllNearest(left, right *Index, opts *Options, fn func(Pair) bool) error {
 // KNNJoin reports, for every object in left, its k nearest objects in
 // right in nondecreasing distance order — one callback per left
 // object, whose pairs all share the same LeftID. Returning false stops
-// early. The right index must be non-empty unless left is empty.
+// early. The right index must be non-empty unless left is empty. Under
+// Options.SelfJoin the neighbors are an object's k nearest other
+// objects, and an object with no other object gets no callback.
 //
 // Each callback receives a freshly allocated slice: the callback may
 // retain it (e.g. append it to a per-object result map) without it

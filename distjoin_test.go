@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -463,6 +464,71 @@ func TestAllNearestFacade(t *testing.T) {
 	}
 	if err := AllNearest(left, right, nil, nil); err == nil {
 		t.Fatal("nil callback must error")
+	}
+}
+
+// TestSelfJoinPerObject: under SelfJoin, AllNearest and KNNJoin never
+// make an object its own neighbor, and an object with no other object
+// gets nothing. The unordered-pair rule of the pair joins does not
+// apply: 1 and 2 are each other's nearest.
+func TestSelfJoinPerObject(t *testing.T) {
+	pt := func(id int64, x float64) Object { return Object{ID: id, Rect: NewRect(x, 0, x, 0)} }
+	idx, err := NewIndex([]Object{pt(1, 0), pt(2, 1), pt(3, 5)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := &Options{SelfJoin: true}
+	nearest := map[int64]Pair{}
+	if err := AllNearest(idx, idx, self, func(p Pair) bool {
+		nearest[p.LeftID] = p
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wantNearest := map[int64]Pair{
+		1: {LeftID: 1, RightID: 2, Dist: 1},
+		2: {LeftID: 2, RightID: 1, Dist: 1},
+		3: {LeftID: 3, RightID: 2, Dist: 4},
+	}
+	for id, w := range wantNearest {
+		if g := nearest[id]; g.LeftID != w.LeftID || g.RightID != w.RightID || g.Dist != w.Dist {
+			t.Errorf("AllNearest: object %d got %+v, want %+v", id, g, w)
+		}
+	}
+	if len(nearest) != len(wantNearest) {
+		t.Errorf("AllNearest reported %d objects, want %d", len(nearest), len(wantNearest))
+	}
+
+	knn := map[int64][]int64{}
+	if err := KNNJoin(idx, idx, 2, self, func(ns []Pair) bool {
+		for _, n := range ns {
+			knn[n.LeftID] = append(knn[n.LeftID], n.RightID)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for id, w := range map[int64][]int64{1: {2, 3}, 2: {1, 3}, 3: {2, 1}} {
+		if !slices.Equal(knn[id], w) {
+			t.Errorf("KNNJoin: object %d got neighbors %v, want %v", id, knn[id], w)
+		}
+	}
+
+	one, err := NewIndex([]Object{pt(7, 3)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AllNearest(one, one, self, func(p Pair) bool {
+		t.Errorf("AllNearest on a one-object self-join reported %+v", p)
+		return true
+	}); err != nil {
+		t.Errorf("AllNearest on a one-object self-join: %v", err)
+	}
+	if err := KNNJoin(one, one, 3, self, func(ns []Pair) bool {
+		t.Errorf("KNNJoin on a one-object self-join reported %+v", ns)
+		return true
+	}); err != nil {
+		t.Errorf("KNNJoin on a one-object self-join: %v", err)
 	}
 }
 

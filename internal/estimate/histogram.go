@@ -8,8 +8,9 @@ import (
 )
 
 // Estimator produces and corrects estimates of the k-th nearest pair
-// distance. Model (the paper's uniform Eq. 3-5) and Histogram (the
-// §6 future-work direction for non-uniform data) both implement it.
+// distance. Model (the paper's uniform Eq. 3-5), Histogram (the §6
+// future-work direction for non-uniform data) and Exact (an oracle)
+// implement it.
 type Estimator interface {
 	// Initial estimates the distance of the k-th nearest pair.
 	Initial(k int) float64
@@ -20,6 +21,19 @@ type Estimator interface {
 
 // Model implements Estimator.
 var _ Estimator = Model{}
+
+// Exact is the estimator that knows the answer: the join's true pair
+// distances in nondecreasing order, at least one of them. Initial(k)
+// and every correction return the k-th, or the last for a k past the
+// end. AM-IDJ run with it is Figure 15's "real Dmax" variant, the bound
+// no estimator can beat.
+type Exact []float64
+
+// Initial returns the k-th true distance.
+func (e Exact) Initial(k int) float64 { return e[min(max(k, 1), len(e))-1] }
+
+// Correct returns the k-th true distance, whatever has been produced.
+func (e Exact) Correct(_ Mode, k, _ int, _ float64) float64 { return e.Initial(k) }
 
 // Histogram estimates join selectivity from per-cell object counts on
 // a g x g grid over the join area — the paper's §6 future work for

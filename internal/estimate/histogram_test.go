@@ -206,3 +206,19 @@ func BenchmarkHistogramInitial(b *testing.B) {
 		h.Initial(1000)
 	}
 }
+
+// TestExact: the oracle returns the k-th true distance whatever it is
+// asked, clamped to the distances it holds.
+func TestExact(t *testing.T) {
+	e := Exact{1, 2, 4}
+	for k, want := range map[int]float64{0: 1, 1: 1, 2: 2, 3: 4, 9: 4} {
+		if got := e.Initial(k); got != want {
+			t.Errorf("Initial(%d) = %g, want %g", k, got, want)
+		}
+		for _, mode := range []Mode{Aggressive, Conservative, ArithmeticOnly, GeometricOnly} {
+			if got := e.Correct(mode, k, 1, 0.5); got != want {
+				t.Errorf("Correct(%v, %d, 1, 0.5) = %g, want %g", mode, k, got, want)
+			}
+		}
+	}
+}

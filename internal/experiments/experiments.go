@@ -134,13 +134,13 @@ func fig11(w *Workload) ([]*Table, error) {
 			"axis(fixed)", "real(fixed)", "total(fixed)", "saved%"},
 		Notes: scaleNotes(cfg),
 	}
-	fixed := join.FixedSweep
+	fixed := join.Ablation{FixedAxis: true, FixedDirection: true}
 	for _, k := range cfg.KSeries() {
 		on, err := w.RunKDJ(AlgoBKDJ, k, join.Options{})
 		if err != nil {
 			return nil, err
 		}
-		off, err := w.RunKDJ(AlgoBKDJ, k, join.Options{Sweep: &fixed})
+		off, err := w.RunKDJ(AlgoBKDJ, k, join.Options{Ablation: fixed})
 		if err != nil {
 			return nil, err
 		}
@@ -317,14 +317,13 @@ func fig15(w *Workload) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracleHook := func(k, produced int, lastDist float64) float64 {
-		d, err := w.Dmax(k)
-		if err != nil {
-			return lastDist * 2
-		}
-		return d
+	// The "real Dmax" variant runs with an estimator that knows every
+	// k-th distance. The oracle run happens here, before the cold start
+	// of the measured run, and only here can it fail.
+	if _, err := w.Dmax(batch); err != nil {
+		return nil, err
 	}
-	realSnaps, err := checkpointed(AlgoAMIDJ, join.Options{BatchK: batch, EDmaxForK: oracleHook})
+	realSnaps, err := checkpointed(AlgoAMIDJ, join.Options{BatchK: batch, Estimator: estimate.Exact(w.oracle)})
 	if err != nil {
 		return nil, err
 	}
@@ -405,16 +404,15 @@ func ablationSweep(w *Workload) ([]*Table, error) {
 	}
 	policies := []struct {
 		name string
-		sp   join.SweepPolicy
+		a    join.Ablation
 	}{
-		{"neither (fixed x, forward)", join.FixedSweep},
-		{"axis only", join.SweepPolicy{SelectAxis: true}},
-		{"direction only", join.SweepPolicy{SelectDirection: true}},
-		{"both (paper)", join.OptimizedSweep},
+		{"neither (fixed x, forward)", join.Ablation{FixedAxis: true, FixedDirection: true}},
+		{"axis only", join.Ablation{FixedDirection: true}},
+		{"direction only", join.Ablation{FixedAxis: true}},
+		{"both (paper)", join.Ablation{}},
 	}
 	for _, p := range policies {
-		sp := p.sp
-		mc, err := w.RunKDJ(AlgoBKDJ, k, join.Options{Sweep: &sp})
+		mc, err := w.RunKDJ(AlgoBKDJ, k, join.Options{Ablation: p.a})
 		if err != nil {
 			return nil, err
 		}
@@ -436,11 +434,11 @@ func ablationDQ(w *Workload) ([]*Table, error) {
 		Notes:   scaleNotes(cfg),
 	}
 	for _, k := range cfg.KSeries() {
-		objOnly, err := w.RunKDJ(AlgoBKDJ, k, join.Options{DistanceQueue: join.ObjectPairsOnly})
+		objOnly, err := w.RunKDJ(AlgoBKDJ, k, join.Options{})
 		if err != nil {
 			return nil, err
 		}
-		all, err := w.RunKDJ(AlgoBKDJ, k, join.Options{DistanceQueue: join.AllPairs})
+		all, err := w.RunKDJ(AlgoBKDJ, k, join.Options{Ablation: join.Ablation{AllPairs: true}})
 		if err != nil {
 			return nil, err
 		}
@@ -471,7 +469,7 @@ func ablationCorrection(w *Workload) ([]*Table, error) {
 		estimate.Aggressive, estimate.Conservative,
 		estimate.ArithmeticOnly, estimate.GeometricOnly,
 	} {
-		mc, err := w.RunIDJ(AlgoAMIDJ, k, join.Options{BatchK: batch, Correction: mode})
+		mc, err := w.RunIDJ(AlgoAMIDJ, k, join.Options{BatchK: batch, Ablation: join.Ablation{Correction: mode}})
 		if err != nil {
 			return nil, err
 		}
@@ -498,7 +496,7 @@ func ablationQueue(w *Workload) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		splits, err := w.RunKDJ(AlgoBKDJ, k, join.Options{QueueMemBytes: mem, DisableQueueModel: true})
+		splits, err := w.RunKDJ(AlgoBKDJ, k, join.Options{QueueMemBytes: mem, Ablation: join.Ablation{NoQueueModel: true}})
 		if err != nil {
 			return nil, err
 		}

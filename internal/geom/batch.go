@@ -46,7 +46,6 @@ func MinDistSqBatch(dst []float64, q Rect, minX, minY, maxX, maxY []float64) {
 		}
 		dst[i] = dx*dx + dy*dy
 	}
-	mutateBatchTail(dst)
 }
 
 // MinDistBatch writes into dst[i] the minimum Euclidean distance

@@ -24,8 +24,7 @@ type amidjStages struct {
 	maxd      float64
 	// modeLabel names the source of the current stage cutoff for the
 	// registry's eDmax-accuracy sample: "initial" (Eq. 3), "arithmetic"
-	// (Eq. 4), "geometric" (Eq. 5), or "override" (caller-supplied
-	// EDmax / EDmaxForK).
+	// (Eq. 4), "geometric" (Eq. 5), or "override" (the caller's EDmax).
 	modeLabel string
 	// bandFn is pushBand bound once, the reexamine of every band
 	// re-expansion; bandFloor is the cutoff the pair being re-expanded was
@@ -59,14 +58,10 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*Iterator, error) {
 		it.Close()
 		return it, nil
 	}
-	switch {
-	case opts.EDmax > 0:
+	if opts.EDmax > 0 {
 		it.eDmax = opts.EDmax
 		it.modeLabel = obsrv.ModeOverride
-	case opts.EDmaxForK != nil:
-		it.eDmax = opts.EDmaxForK(batch, 0, 0)
-		it.modeLabel = obsrv.ModeOverride
-	default:
+	} else {
 		it.eDmax = c.est.Initial(batch)
 		it.modeLabel = obsrv.ModeInitial
 	}
@@ -186,12 +181,9 @@ func (it *Iterator) advanceStage() bool {
 	}
 	it.stageK = it.produced + it.batchK
 	var next float64
-	switch {
-	case it.c.opts.EDmaxForK != nil:
-		next = it.c.opts.EDmaxForK(it.stageK, it.produced, it.lastDist)
-		it.modeLabel = obsrv.ModeOverride
-	case it.produced > 0 && it.lastDist > 0:
-		next = it.c.est.Correct(it.c.opts.Correction, it.stageK, it.produced, it.lastDist)
+	if it.produced > 0 && it.lastDist > 0 {
+		mode := it.c.opts.Ablation.Correction
+		next = it.c.est.Correct(mode, it.stageK, it.produced, it.lastDist)
 		if it.c.rq != nil {
 			// Resolve which equation won under the combined modes so the
 			// registry can attribute the accuracy sample: re-evaluate the
@@ -205,10 +197,10 @@ func (it *Iterator) advanceStage() bool {
 			case it.c.est.Correct(estimate.GeometricOnly, it.stageK, it.produced, it.lastDist):
 				it.modeLabel = obsrv.ModeGeometric
 			default:
-				it.modeLabel = it.c.opts.Correction.String()
+				it.modeLabel = mode.String()
 			}
 		}
-	default:
+	} else {
 		next = it.c.est.Initial(it.stageK)
 		it.modeLabel = obsrv.ModeInitial
 	}

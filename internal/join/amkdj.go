@@ -76,7 +76,13 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	}
 	defer c.begin("AM-KDJ", "", k)(&err)
 
-	ct := newCutoffTracker(c, k, c.dqPolicy)
+	ct := newCutoffTracker(c, k, opts.Ablation.AllPairs)
+	// The aggressive stage filters real distances against qDmax, or
+	// against a scaled qDmax when the query plants the pruning bug.
+	realCutoff := ct.cutoffFn
+	if s := opts.Ablation.PruneScale; s != 0 {
+		realCutoff = func() float64 { return ct.Cutoff() * s }
+	}
 	eDmax := opts.EDmax
 	estMode := obsrv.ModeOverride
 	if eDmax <= 0 {
@@ -115,7 +121,7 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		return false
 	}
 	loop.node = func(p hybridq.Pair) error {
-		ci, err := c.amAggressiveSweep(p, eDmax, ct, &slab)
+		ci, err := c.amAggressiveSweep(p, eDmax, ct, realCutoff, &slab)
 		if err != nil {
 			return err
 		}
@@ -166,16 +172,17 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 
 // amAggressiveSweep is AggressivePlaneSweep of Algorithm 2: axis
 // pruning against eDmax (line 22), real-distance filtering against
-// the live qDmax (as in B-KDJ), with per-anchor bookkeeping of the
-// examined ranges (lines 19/21), which are carved from the query's slab.
-func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker, slab *rangeSlab) (*compInfo, error) {
+// the live qDmax (as in B-KDJ; realCutoff reads it), with per-anchor
+// bookkeeping of the examined ranges (lines 19/21), which are carved
+// from the query's slab.
+func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker, realCutoff func() float64, slab *rangeSlab) (*compInfo, error) {
 	ct.OnRemove(&p)
 	run, err := c.ex.expansion(p, eDmax)
 	if err != nil {
 		return nil, c.traceError(err)
 	}
 	run.fixCutoff(eDmax)
-	run.realCutoff = ct.aggressiveFn
+	run.realCutoff = realCutoff
 	run.recordInto(sweepRanges{l: slab.carve(run.L.Len()), r: slab.carve(run.R.Len())})
 	run.emit = ct.pushFn
 	run.run()

@@ -18,7 +18,7 @@ func BKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err e
 	}
 	defer c.begin("B-KDJ", "sweep", k)(&err)
 
-	ct := newCutoffTracker(c, k, c.dqPolicy)
+	ct := newCutoffTracker(c, k, opts.Ablation.AllPairs)
 	loop := bestFirst{c: c, ct: ct, node: func(p hybridq.Pair) error { return c.bkdjPlaneSweep(p, ct) }}
 	ct.pushCopy(c.rootPair())
 	return loop.collect(make([]Result, 0, k), k)

@@ -6,13 +6,13 @@ import (
 )
 
 // cutoffTracker maintains qDmax — the pruning cutoff drawn from the
-// distance queue — under the configured policy (§3.1 footnote 1).
+// distance queue — under one of the two feeds of §3.1 footnote 1.
 //
-//   - ObjectPairsOnly (the paper's choice): the k smallest object-pair
+//   - Object pairs only (the paper's choice): the k smallest object-pair
 //     distances. Without a refiner, object pairs carry their final
 //     distances and are permanent witnesses, so a simple bounded
 //     max-heap suffices and no removal is ever needed.
-//   - AllPairs (Hjaltason & Samet's scheme): additionally tracks the
+//   - All pairs (Hjaltason & Samet's scheme): additionally tracks the
 //     maximum distance of every *enqueued* node pair. Soundness then
 //     requires removing a node pair's bound when it is dequeued for
 //     expansion — its children's bounds replace it — because a parent
@@ -25,28 +25,29 @@ import (
 // bound on the exact distance) is tracked and retired when the pair is
 // refined. Both removal cases need the KthTracker.
 type cutoffTracker struct {
-	c      *execContext
-	policy DistanceQueuePolicy
-	refine bool
-	objQ   *pqueue.DistanceQueue
-	kth    *pqueue.KthTracker
-	// cutoffFn, aggressiveFn and pushFn are Cutoff, aggressiveCutoff and
-	// push bound once, so handing a sweep its live cutoff and its emit
-	// allocates no method value or closure per expansion.
-	cutoffFn, aggressiveFn func() float64
-	pushFn                 func(p *hybridq.Pair) bool
+	c        *execContext
+	allPairs bool
+	refine   bool
+	objQ     *pqueue.DistanceQueue
+	kth      *pqueue.KthTracker
+	// cutoffFn and pushFn are Cutoff and push bound once, so handing a
+	// sweep its live cutoff and its emit allocates no method value or
+	// closure per expansion.
+	cutoffFn func() float64
+	pushFn   func(p *hybridq.Pair) bool
 }
 
 // newCutoffTracker returns the query's tracker and registers it with c,
-// whose endQuery gives its heap back.
-func newCutoffTracker(c *execContext, k int, policy DistanceQueuePolicy) *cutoffTracker {
-	t := &cutoffTracker{c: c, policy: policy, refine: c.refiner != nil}
+// whose endQuery gives its heap back. allPairs selects Hjaltason &
+// Samet's feed.
+func newCutoffTracker(c *execContext, k int, allPairs bool) *cutoffTracker {
+	t := &cutoffTracker{c: c, allPairs: allPairs, refine: c.refiner != nil}
 	if t.useKth() {
 		t.kth = pqueue.NewKthTracker(k)
 	} else {
 		t.objQ = pqueue.NewDistanceQueue(k)
 	}
-	t.cutoffFn, t.aggressiveFn, t.pushFn = t.Cutoff, t.aggressiveCutoff, t.push
+	t.cutoffFn, t.pushFn = t.Cutoff, t.push
 	c.ct = t
 	return t
 }
@@ -65,7 +66,7 @@ func (t *cutoffTracker) release() {
 // useKth reports whether deletions are needed, forcing the two-heap
 // tracker.
 func (t *cutoffTracker) useKth() bool {
-	return t.refine || t.policy == AllPairs
+	return t.refine || t.allPairs
 }
 
 // Cutoff returns the current qDmax.
@@ -76,15 +77,8 @@ func (t *cutoffTracker) Cutoff() float64 {
 	return t.objQ.Cutoff()
 }
 
-// aggressiveCutoff is the real-distance cutoff of AM-KDJ's
-// aggressive stage: qDmax, through the pruning-mutation hook (identity
-// outside harness self-tests).
-func (t *cutoffTracker) aggressiveCutoff() float64 {
-	return mutatedCutoff(t.Cutoff())
-}
-
 // bound returns the upper-bound distance contributed by p and whether
-// p is tracked at all under the policy. The counted parameter selects
+// p is tracked at all under the feed. The counted parameter selects
 // whether a fresh MaxDist computation is charged as a real distance
 // computation (insertions are; retirement recomputation is
 // bookkeeping).
@@ -95,7 +89,7 @@ func (t *cutoffTracker) bound(p *hybridq.Pair, counted bool) (float64, bool) {
 		}
 		return p.Dist, true
 	}
-	if t.policy == AllPairs {
+	if t.allPairs {
 		return t.pairMaxDist(p, counted), true
 	}
 	return 0, false

@@ -120,11 +120,11 @@ func TestJoinsSurfaceQueueStorageFaults(t *testing.T) {
 	left := buildTree(t, l, 16)
 	right := buildTree(t, r, 16)
 
-	// DisableQueueModel concentrates spills into one overflow segment
-	// so page I/O actually happens at this small scale (the model's
-	// many narrow segments would otherwise sit in write buffers).
+	// NoQueueModel concentrates spills into one overflow segment so
+	// page I/O actually happens at this small scale (the model's many
+	// narrow segments would otherwise sit in write buffers).
 	opts := func(qs storage.Store) Options {
-		return Options{QueueMemBytes: 1024, QueueStore: qs, DisableQueueModel: true}
+		return Options{QueueMemBytes: 1024, QueueStore: qs, Ablation: Ablation{NoQueueModel: true}}
 	}
 	// Sanity: the configuration does reach the store at all.
 	plain := storage.NewMemStore(4096)

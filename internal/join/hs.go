@@ -29,7 +29,7 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 
 	// HS-KDJ prunes with the all-pairs distance queue of [13]: every
 	// enqueued pair contributes an upper bound, retired on expansion.
-	ct := newCutoffTracker(c, k, AllPairs)
+	ct := newCutoffTracker(c, k, true)
 	loop := bestFirst{c: c, ct: ct, node: func(p hybridq.Pair) error { return c.hsExpand(p, ct) }}
 	ct.pushCopy(c.rootPair())
 	return loop.collect(make([]Result, 0, k), k)
@@ -63,6 +63,7 @@ func (c *execContext) hsExpand(p hybridq.Pair, ct *cutoffTracker) error {
 	n := soa.Len()
 	dists := ex.distScratch(n)
 	geom.MinDistBatch(dists, otherRect, soa.MinX, soa.MinY, soa.MaxX, soa.MaxY)
+	ex.plantBatchTail(dists)
 	ex.mc.AddRealDist(int64(n))
 	var children int64
 	for i := 0; i < n; i++ {

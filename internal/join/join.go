@@ -39,42 +39,48 @@ type Result struct {
 	Dist      float64
 }
 
-// DistanceQueuePolicy selects which pairs feed the distance queue
-// (paper §3.1 footnote 1).
-type DistanceQueuePolicy int
-
-const (
-	// ObjectPairsOnly inserts only <object,object> real distances —
-	// the paper's choice.
-	ObjectPairsOnly DistanceQueuePolicy = iota
-	// AllPairs additionally inserts the *maximum* distance of every
-	// non-object pair, as Hjaltason & Samet's algorithms do. Exposed
-	// for the A2 ablation and used by the HS baselines.
-	AllPairs
-)
-
-// SweepPolicy controls the §3.2/§3.3 plane-sweep optimizations,
-// exposed separately for the Figure 11 experiment and the A1 ablation.
-type SweepPolicy struct {
-	// SelectAxis enables sweeping-axis selection by sweeping index;
-	// disabled, the x axis is always used.
-	SelectAxis bool
-	// SelectDirection enables direction selection from the projected
-	// intervals; disabled, the sweep is always forward.
-	SelectDirection bool
+// Ablation departs from the paper's algorithm one design choice at a
+// time, for the experiments that measure what each choice is worth
+// (EXPERIMENTS.md, DESIGN.md A1–A4), and plants the two bugs the
+// simulation harness must prove it catches. The zero value is the
+// paper's algorithm. It belongs to one query: two queries with
+// different ablations may run at once on the same trees.
+type Ablation struct {
+	// FixedAxis sweeps every node pair along x instead of the axis the
+	// sweeping index selects (§3.2; Figure 11, A1).
+	FixedAxis bool
+	// FixedDirection sweeps every node pair forward instead of in the
+	// direction the projected intervals select (§3.3; Figure 11, A1).
+	FixedDirection bool
+	// AllPairs feeds the distance queue the maximum distance of every
+	// queued node pair as well as the object-pair distances, retiring a
+	// node pair's bound when it is expanded: Hjaltason & Samet's scheme,
+	// which the paper declines (§3.1 footnote 1, A2). HS-KDJ uses it
+	// regardless.
+	AllPairs bool
+	// Correction selects how AM-IDJ combines the Eq. 4 and Eq. 5
+	// corrections of the estimated cutoff (§4.3.2, A3). Its zero value,
+	// estimate.Aggressive, is the smaller of the two.
+	Correction estimate.Mode
+	// NoQueueModel turns off the model-based segment boundaries of the
+	// hybrid main queue, leaving only overflow splits (§4.4, A4).
+	NoQueueModel bool
+	// PruneScale, when non-zero, scales the real-distance cutoff of
+	// AM-KDJ's aggressive stage: a planted bug. Below 1 it discards child
+	// pairs whose distance lies in (PruneScale·qDmax, qDmax], and since
+	// the compensation stage replays only the unexamined remainder of a
+	// bookkept pair, they are lost and the join returns wrong pairs.
+	PruneScale float64
+	// BatchTail overwrites the last distance of every batched distance
+	// computation with the one before it, as a vectorized kernel that
+	// handles the tail of a slice one element short would: a planted
+	// bug in the sweeps' and HS expansion's batched distances.
+	BatchTail bool
 }
 
-// OptimizedSweep is the default fully-enabled sweep policy.
-var OptimizedSweep = SweepPolicy{SelectAxis: true, SelectDirection: true}
-
-// FixedSweep disables both optimizations (fixed x axis, forward), the
-// configuration Figure 11 compares against.
-var FixedSweep = SweepPolicy{}
-
-// Options configures a join execution. The zero value is usable: it
-// means the paper's defaults (512 KB queue memory, optimized sweep,
-// object-pairs-only distance queue, Eq. 3 initial estimate, aggressive
-// correction).
+// Options configures a join execution: what a query asks for. The zero
+// value is usable: it means the paper's defaults (512 KB queue memory,
+// the Eq. 3 initial estimate, the paper's algorithm).
 type Options struct {
 	// QueueMemBytes bounds the in-memory portion of the main queue
 	// (default 512 KB, the paper's setting).
@@ -84,29 +90,16 @@ type Options struct {
 	QueueStore storage.Store
 	// Metrics receives all counters; may be nil.
 	Metrics *metrics.Collector
-	// Sweep selects the plane-sweep optimization policy (default
-	// OptimizedSweep).
-	Sweep *SweepPolicy
-	// DistanceQueue selects the distance queue feed policy.
-	DistanceQueue DistanceQueuePolicy
 	// EDmax overrides the initial estimated maximum distance for the
 	// adaptive multi-stage algorithms. Zero means "estimate with
 	// Eq. 3". Ignored by HS-KDJ, B-KDJ, and SJ-SORT.
 	EDmax float64
-	// Correction selects how Eq. 4/5 corrections combine (AM-IDJ).
-	Correction estimate.Mode
 	// BatchK is AM-IDJ's stage growth: each stage targets BatchK more
 	// results than already produced (default 1024).
 	BatchK int
-	// EDmaxForK, when non-nil, supplies the per-stage cutoff for
-	// AM-IDJ given the stage target k, results produced so far, and
-	// the last produced distance. Used by the Figure 15 "real Dmax"
-	// variant. When nil the estimate model is used.
-	EDmaxForK func(k, produced int, lastDist float64) float64
-	// DisableQueueModel turns off the §4.4 model-based segment
-	// boundaries of the hybrid main queue, leaving only overflow
-	// splits (the A4 ablation).
-	DisableQueueModel bool
+	// Ablation departs from the paper's algorithm for experiments and
+	// harness self-tests; the zero value is the paper's algorithm.
+	Ablation Ablation
 	// Context, when non-nil, cancels a running join: the algorithms
 	// poll it between queue operations and return ctx.Err(). Nil means
 	// no cancellation.
@@ -115,12 +108,14 @@ type Options struct {
 	// identity pairs (same object on both sides) are suppressed and
 	// each unordered pair is produced exactly once (left ID < right
 	// ID). The k closest pairs of one set are then simply the join of
-	// its tree with itself.
+	// its tree with itself. AllNearest and AllKNearest suppress identity
+	// pairs only: a per-object join lists each object's nearest others.
 	SelfJoin bool
 	// Estimator overrides the eDmax estimator used by the adaptive
 	// multi-stage algorithms. Nil selects the paper's uniform model
 	// (Eq. 3-5); NewHistogramEstimator builds the non-uniform
-	// alternative of §6's future work.
+	// alternative of §6's future work, and an estimator that knows the
+	// true k-th distances is Figure 15's "real Dmax" variant.
 	Estimator estimate.Estimator
 	// Refiner, when non-nil, supplies the exact distance between two
 	// objects given their IDs and MBRs. The joins then rank results by
@@ -179,8 +174,6 @@ const DefaultBatchK = 1024
 type execContext struct {
 	left, right *rtree.Tree
 	mc          *metrics.Collector
-	sweepPolicy SweepPolicy
-	dqPolicy    DistanceQueuePolicy
 	model       estimate.Model
 	est         estimate.Estimator
 	queue       *hybridq.Queue
@@ -217,6 +210,7 @@ type expander struct {
 	sorter     sweep.SoASorter // reused sweep-order sorter (memo misses only)
 	run        sweepRun        // reused sweep state, handed out by expansion
 	distBuf    []float64       // reused batch distance kernel output
+	batchTail  bool            // the query's Ablation.BatchTail (see plantBatchTail)
 }
 
 // distScratch returns a length-n float64 scratch slice, growing the
@@ -229,6 +223,16 @@ func (e *expander) distScratch(n int) []float64 {
 	return e.distBuf[:n]
 }
 
+// plantBatchTail follows every geom.MinDistBatch call of the engine's
+// expansions: the one place Ablation.BatchTail plants its bug in the
+// distances just computed. It is small enough to inline, so the paper's
+// algorithm pays one predictable branch per batch.
+func (e *expander) plantBatchTail(dst []float64) {
+	if n := len(dst); n >= 2 && e.batchTail {
+		dst[n-1] = dst[n-2]
+	}
+}
+
 // newContext validates inputs and builds the shared state.
 func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 	if left == nil || right == nil {
@@ -237,10 +241,6 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 	mem := opts.QueueMemBytes
 	if mem <= 0 {
 		mem = DefaultQueueMemBytes
-	}
-	sp := OptimizedSweep
-	if opts.Sweep != nil {
-		sp = *opts.Sweep
 	}
 	model, err := estimate.NewModel(left.Bounds(), max(left.Size(), 1),
 		right.Bounds(), max(right.Size(), 1))
@@ -253,24 +253,22 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 		opts.Metrics = &metrics.Collector{}
 	}
 	ctx := &execContext{
-		left:        left,
-		right:       right,
-		mc:          opts.Metrics,
-		sweepPolicy: sp,
-		dqPolicy:    opts.DistanceQueue,
-		model:       model,
-		est:         opts.Estimator,
-		refiner:     opts.Refiner,
-		opts:        opts,
-		tr:          opts.Trace,
+		left:    left,
+		right:   right,
+		mc:      opts.Metrics,
+		model:   model,
+		est:     opts.Estimator,
+		refiner: opts.Refiner,
+		opts:    opts,
+		tr:      opts.Trace,
 	}
 	if ctx.est == nil {
 		ctx.est = model
 	}
-	ctx.ex = expander{c: ctx, mc: opts.Metrics}
+	ctx.ex = expander{c: ctx, mc: opts.Metrics, batchTail: opts.Ablation.BatchTail}
 	ctx.pushFn = ctx.push
 	rho := model.Rho()
-	if opts.DisableQueueModel {
+	if opts.Ablation.NoQueueModel {
 		rho = 0
 	}
 	ctx.queue = hybridq.New(hybridq.Config{

@@ -1,8 +1,13 @@
 package join
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"distjoin/internal/datagen"
@@ -112,9 +117,8 @@ func TestKDJWithUnoptimizedSweep(t *testing.T) {
 	l := datagen.Uniform(rng.Int63(), 300, w, 10)
 	r := datagen.Uniform(rng.Int63(), 300, w, 10)
 	left, right := buildTree(t, l, 8), buildTree(t, r, 8)
-	for _, sp := range []SweepPolicy{FixedSweep, {SelectAxis: true}, {SelectDirection: true}} {
-		sp := sp
-		got, err := BKDJ(left, right, 100, Options{Sweep: &sp})
+	for _, a := range []Ablation{{FixedAxis: true, FixedDirection: true}, {FixedDirection: true}, {FixedAxis: true}} {
+		got, err := BKDJ(left, right, 100, Options{Ablation: a})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,6 +287,13 @@ func TestIDJExhaustion(t *testing.T) {
 	}
 }
 
+// TestAMIDJWithOracleEDmax is Figure 15's "real Dmax" variant in
+// miniature: AM-IDJ with an estimator that knows every stage's true
+// k-th distance. testdata/amidj_oracle.golden holds the 300 results and
+// the counters of the same run recorded when the oracle was a per-stage
+// cutoff hook of its own (Options.EDmaxForK); through the Estimator it
+// must be the same run, pair for pair and counter for counter. There is
+// no update flag.
 func TestAMIDJWithOracleEDmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	w := geom.NewRect(0, 0, 1000, 1000)
@@ -290,26 +301,42 @@ func TestAMIDJWithOracleEDmax(t *testing.T) {
 	r := datagen.Uniform(rng.Int63(), 200, w, 10)
 	left, right := buildTree(t, l, 8), buildTree(t, r, 8)
 	want := BruteForce(l, r, 300)
-	// Oracle hook supplying the true k-th distance per stage (the
-	// Figure 15 "real Dmax" variant).
-	oracle := func(k, produced int, lastDist float64) float64 {
-		if k > len(want) {
-			k = len(want)
-		}
-		return want[k-1].Dist
+	oracle := make(estimate.Exact, len(want))
+	for i := range want {
+		oracle[i] = want[i].Dist
 	}
-	it, err := AMIDJ(left, right, Options{BatchK: 60, EDmaxForK: oracle})
+	mc := &metrics.Collector{}
+	it, err := AMIDJ(left, right, Options{BatchK: 60, Estimator: oracle, Metrics: mc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var b strings.Builder
 	for i := 0; i < 300; i++ {
 		res, ok := it.Next()
 		if !ok {
 			t.Fatalf("exhausted at %d: %v", i, it.Err())
 		}
-		if math.Abs(res.Dist-want[i].Dist) > 1e-9 {
-			t.Fatalf("result %d dist %.12g want %.12g", i, res.Dist, want[i].Dist)
+		fmt.Fprintf(&b, "%d %d %s\n", res.LeftObj, res.RightObj, strconv.FormatFloat(res.Dist, 'g', -1, 64))
+	}
+	counters := reflect.ValueOf(*mc)
+	var line []string
+	for i := 0; i < counters.NumField(); i++ {
+		if f := counters.Type().Field(i); f.IsExported() {
+			line = append(line, fmt.Sprintf("%s=%d", f.Name, counters.Field(i).Int()))
 		}
+	}
+	golden, err := os.ReadFile("testdata/amidj_oracle.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := "collector " + strings.Join(line, " ") + "\n" + b.String(); got != string(golden) {
+		g, w := strings.Split(got, "\n"), strings.Split(string(golden), "\n")
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if g[i] != w[i] {
+				t.Fatalf("line %d: got %q, recorded %q", i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("got %d lines, recorded %d", len(g), len(w))
 	}
 	if it.Produced() != 300 {
 		t.Fatalf("Produced = %d", it.Produced())
@@ -460,8 +487,8 @@ func TestDistanceQueuePolicies(t *testing.T) {
 	l := datagen.Uniform(rng.Int63(), 250, w, 10)
 	r := datagen.Uniform(rng.Int63(), 250, w, 10)
 	left, right := buildTree(t, l, 8), buildTree(t, r, 8)
-	for _, pol := range []DistanceQueuePolicy{ObjectPairsOnly, AllPairs} {
-		got, err := BKDJ(left, right, 120, Options{DistanceQueue: pol})
+	for _, allPairs := range []bool{false, true} {
+		got, err := BKDJ(left, right, 120, Options{Ablation: Ablation{AllPairs: allPairs}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +505,7 @@ func TestCorrectionModesAMIDJ(t *testing.T) {
 	want := BruteForce(l, r, 250)
 	for _, mode := range []estimate.Mode{estimate.Aggressive, estimate.Conservative,
 		estimate.ArithmeticOnly, estimate.GeometricOnly} {
-		it, err := AMIDJ(left, right, Options{BatchK: 40, Correction: mode})
+		it, err := AMIDJ(left, right, Options{BatchK: 40, Ablation: Ablation{Correction: mode}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -617,7 +644,7 @@ func TestExhaustiveDistDegenerate(t *testing.T) {
 	}
 }
 
-// Regression: AM-KDJ under the AllPairs distance-queue policy with a
+// Regression: AM-KDJ under the all-pairs distance-queue feed with a
 // forced compensation stage. Re-seeded compensation pairs must not
 // act as qDmax witnesses (their unexamined remainder may be empty), or
 // the cutoff can undershoot and dismiss true results.
@@ -632,8 +659,8 @@ func TestAMKDJAllPairsCompensation(t *testing.T) {
 		want := BruteForce(l, r, k)
 		for _, f := range []float64{1e-6, 0.1, 0.4, 0.9} {
 			got, err := AMKDJ(left, right, k, Options{
-				EDmax:         want[k-1].Dist * f,
-				DistanceQueue: AllPairs,
+				EDmax:    want[k-1].Dist * f,
+				Ablation: Ablation{AllPairs: true},
 			})
 			if err != nil {
 				t.Fatalf("trial %d f=%g: %v", trial, f, err)

@@ -51,7 +51,7 @@ func TestQueuedPairSurvivesScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := newCutoffTracker(c, 50, c.dqPolicy)
+	ct := newCutoffTracker(c, 50, c.opts.Ablation.AllPairs)
 	run, err := c.ex.expansion(c.rootPair(), 400)
 	if err != nil {
 		t.Fatal(err)

@@ -305,6 +305,7 @@ func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 			geom.MinDistBatch(dst, a.n.Rect(ai),
 				on.MinX[start:stop], on.MinY[start:stop],
 				on.MaxX[start:stop], on.MaxY[start:stop])
+			s.e.plantBatchTail(dst)
 			s.realN += int64(stop - start)
 			for m := start; m < stop; m++ {
 				if d := dst[m-start]; s.pass(d) {
@@ -361,6 +362,7 @@ func (s *sweepRun) scanBand(a, o *sweepSide, fromL bool, ai, from, to int) {
 		dst := s.e.distScratch(to - from)
 		geom.MinDistBatch(dst, ar,
 			on.MinX[from:to], on.MinY[from:to], on.MaxX[from:to], on.MaxY[from:to])
+		s.e.plantBatchTail(dst)
 		for m := from; m < to; m++ {
 			if d := dst[m-from]; s.pass(d) {
 				s.deliver(s.reexamine, fromL, ai, m, d)
@@ -456,16 +458,18 @@ func (e *expander) sideSorted(tree *rtree.Tree, ref uint64, isObj bool, rect geo
 	return scratch, scratch.IsLeaf(), nil
 }
 
-// choosePlan applies the sweep policy.
+// choosePlan selects the pair's sweep axis and direction (§3.2/§3.3),
+// or fixes either as the query's ablation says.
 func (c *execContext) choosePlan(p hybridq.Pair, cutoff float64) sweep.Plan {
+	a := &c.opts.Ablation
 	switch {
-	case c.sweepPolicy.SelectAxis && c.sweepPolicy.SelectDirection:
+	case !a.FixedAxis && !a.FixedDirection:
 		return sweep.Choose(p.LeftRect, p.RightRect, cutoff)
-	case c.sweepPolicy.SelectAxis:
+	case !a.FixedAxis:
 		plan := sweep.Choose(p.LeftRect, p.RightRect, cutoff)
 		plan.Dir = sweep.Forward
 		return plan
-	case c.sweepPolicy.SelectDirection:
+	case !a.FixedDirection:
 		return sweep.Plan{Axis: 0, Dir: sweep.ChooseDirection(p.LeftRect, p.RightRect, 0)}
 	default:
 		return sweep.Plan{Axis: 0, Dir: sweep.Forward}

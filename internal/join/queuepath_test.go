@@ -129,12 +129,12 @@ func TestSweepStageAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := newCutoffTracker(c, 50, c.dqPolicy)
+	ct := newCutoffTracker(c, 50, c.opts.Ablation.AllPairs)
 	root := c.rootPair()
 	var slab rangeSlab
 	aggressive := func() {
 		c.queue.Drain()
-		if _, err := c.amAggressiveSweep(root, 400, ct, &slab); err != nil {
+		if _, err := c.amAggressiveSweep(root, 400, ct, ct.cutoffFn, &slab); err != nil {
 			t.Fatal(err)
 		}
 	}

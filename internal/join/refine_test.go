@@ -80,7 +80,7 @@ func TestRefinedKDJWithAllPairsPolicy(t *testing.T) {
 	left, right := buildTree(t, l, 8), buildTree(t, r, 8)
 	k := 80
 	want := bruteRefined(l, r, k)
-	got, err := BKDJ(left, right, k, Options{Refiner: centerRefiner, DistanceQueue: AllPairs})
+	got, err := BKDJ(left, right, k, Options{Refiner: centerRefiner, Ablation: Ablation{AllPairs: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestPooledScratchOwnership(t *testing.T) {
 	opts := Options{BatchK: 40, QueueMemBytes: 64 * hybridq.RecordSize}
 
 	// Query i uses the distance queue when i is even and the two-heap
-	// tracker (AllPairs) when it is odd.
+	// tracker (the all-pairs feed) when it is odd.
 	const live, steps, eDmax = 4, 400, 60
 	type query struct {
 		c    *execContext
@@ -44,12 +44,12 @@ func TestPooledScratchOwnership(t *testing.T) {
 	}
 	begin := func(i int) *query {
 		o := opts
-		o.DistanceQueue = DistanceQueuePolicy(i % 2)
+		o.Ablation.AllPairs = i%2 == 1
 		c, err := newContext(lt, rt, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := &query{c: c, ct: newCutoffTracker(c, 2000, c.dqPolicy)}
+		q := &query{c: c, ct: newCutoffTracker(c, 2000, o.Ablation.AllPairs)}
 		c.queue.Push(c.rootPair())
 		return q
 	}
@@ -58,7 +58,7 @@ func TestPooledScratchOwnership(t *testing.T) {
 		if !ok || p.IsResult() {
 			return
 		}
-		if _, err := q.c.amAggressiveSweep(p, eDmax, q.ct, &q.slab); err != nil {
+		if _, err := q.c.amAggressiveSweep(p, eDmax, q.ct, q.ct.cutoffFn, &q.slab); err != nil {
 			t.Fatal(err)
 		}
 	}

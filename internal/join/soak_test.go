@@ -12,8 +12,8 @@ import (
 )
 
 // TestSoakCrossAlgorithmAgreement runs randomized configurations —
-// workload shape, sizes, k, queue memory, fanout, sweep policy,
-// distance-queue policy, eDmax estimates — and demands that every
+// workload shape, sizes, k, queue memory, fanout, sweep axis and
+// direction, distance-queue feed, eDmax estimates — and demands that every
 // algorithm produce the identical distance sequence. B-KDJ with ample
 // memory serves as the reference; it is itself validated against brute
 // force elsewhere. This is the long-haul confidence test for the
@@ -60,34 +60,29 @@ func TestSoakCrossAlgorithmAgreement(t *testing.T) {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
 
-		sweeps := []SweepPolicy{OptimizedSweep, FixedSweep,
-			{SelectAxis: true}, {SelectDirection: true}}
-		sp := sweeps[rng.Intn(len(sweeps))]
-		dq := DistanceQueuePolicy(rng.Intn(2))
+		sweeps := []Ablation{{}, {FixedAxis: true, FixedDirection: true},
+			{FixedDirection: true}, {FixedAxis: true}}
+		a := sweeps[rng.Intn(len(sweeps))]
+		a.AllPairs = rng.Intn(2) == 1
 		eDmax := 0.0
 		if rng.Intn(2) == 0 && len(ref) > 0 {
 			eDmax = ref[len(ref)-1].Dist * math.Pow(10, rng.Float64()*4-2)
 		}
-		opts := Options{
-			QueueMemBytes:     queueMem,
-			Sweep:             &sp,
-			DistanceQueue:     dq,
-			EDmax:             eDmax,
-			DisableQueueModel: rng.Intn(4) == 0,
-		}
+		a.NoQueueModel = rng.Intn(4) == 0
+		opts := Options{QueueMemBytes: queueMem, EDmax: eDmax, Ablation: a}
 
 		check := func(name string, got []Result, err error) {
 			if err != nil {
-				t.Fatalf("trial %d (%s, k=%d, mem=%d, sweep=%+v, dq=%d, eDmax=%g): %v",
-					trial, name, k, queueMem, sp, dq, eDmax, err)
+				t.Fatalf("trial %d (%s, k=%d, mem=%d, ablation=%+v, eDmax=%g): %v",
+					trial, name, k, queueMem, a, eDmax, err)
 			}
 			if len(got) != len(ref) {
 				t.Fatalf("trial %d (%s): %d results, want %d", trial, name, len(got), len(ref))
 			}
 			for i := range got {
 				if math.Abs(got[i].Dist-ref[i].Dist) > 1e-9 {
-					t.Fatalf("trial %d (%s, k=%d, mem=%d, sweep=%+v, dq=%d, eDmax=%g): result %d dist %.12g, want %.12g",
-						trial, name, k, queueMem, sp, dq, eDmax, i, got[i].Dist, ref[i].Dist)
+					t.Fatalf("trial %d (%s, k=%d, mem=%d, ablation=%+v, eDmax=%g): result %d dist %.12g, want %.12g",
+						trial, name, k, queueMem, a, eDmax, i, got[i].Dist, ref[i].Dist)
 				}
 			}
 		}
@@ -123,9 +118,9 @@ func TestSoakCrossAlgorithmAgreement(t *testing.T) {
 		batch := k/7 + 1
 		am, err := AMIDJ(left, right, Options{
 			QueueMemBytes: queueMem,
-			Sweep:         &sp,
 			BatchK:        batch,
 			EDmax:         eDmax,
+			Ablation:      a,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"distjoin/internal/hybridq"
 	"distjoin/internal/rtree"
@@ -109,6 +110,11 @@ func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) 
 // returning false stops early. Ties resolve to an arbitrary nearest
 // object. The right tree must be non-empty.
 //
+// Under SelfJoin an object is not its own neighbor: its nearest other
+// object is reported, and an object with no other object yields no
+// pair. The once-per-unordered-pair rule does not apply to a
+// per-object join: a and b may each be the other's nearest.
+//
 // The implementation runs one best-first NN search per left object —
 // O(|R|) searches, each logarithmic-ish with warm buffers — which is
 // the right trade-off for the moderate result cardinalities this
@@ -132,17 +138,13 @@ func AllNearest(left, right *rtree.Tree, opts Options, fn func(left Result) bool
 
 	var innerErr error
 	err = left.Search(left.Bounds(), c.mc, func(it rtree.Item) bool {
-		ns, err := right.NearestNeighbors(it.Rect, 1, c.mc)
+		ns, err := c.neighbors(right, it, 1)
 		if err != nil {
 			innerErr = err
 			return false
 		}
 		if len(ns) == 0 {
-			// Defensive: Size() > 0 was checked above, but a corrupt or
-			// truncated index can still yield an empty search frontier.
-			// Fail with a diagnosable error instead of panicking.
-			innerErr = fmt.Errorf("join: AllNearest: right tree returned no nearest neighbor for left object %d (index may be corrupt)", it.Obj)
-			return false
+			return true // a self-join's only object
 		}
 		n := ns[0]
 		res := Result{
@@ -166,7 +168,8 @@ func AllNearest(left, right *rtree.Tree, opts Options, fn func(left Result) bool
 // kNN join). fn receives one batch per left object — every Result in a
 // batch shares the same LeftObj — and may return false to stop early.
 // Fewer than k neighbors are reported when the right tree is smaller
-// than k.
+// than k. Under SelfJoin an object is not its own neighbor, as in
+// AllNearest, and an object with no other object gets no batch.
 func AllKNearest(left, right *rtree.Tree, k int, opts Options, fn func(neighbors []Result) bool) (err error) {
 	if fn == nil {
 		return fmt.Errorf("join: AllKNearest requires a callback")
@@ -189,10 +192,13 @@ func AllKNearest(left, right *rtree.Tree, k int, opts Options, fn func(neighbors
 	batch := make([]Result, 0, k)
 	var innerErr error
 	err = left.Search(left.Bounds(), c.mc, func(it rtree.Item) bool {
-		ns, err := right.NearestNeighbors(it.Rect, k, c.mc)
+		ns, err := c.neighbors(right, it, k)
 		if err != nil {
 			innerErr = err
 			return false
+		}
+		if len(ns) == 0 {
+			return true // a self-join's only object
 		}
 		batch = batch[:0]
 		for _, n := range ns {
@@ -211,4 +217,29 @@ func AllKNearest(left, right *rtree.Tree, k int, opts Options, fn func(neighbors
 		return innerErr
 	}
 	return err
+}
+
+// neighbors returns the k objects of tree nearest to it, which under
+// SelfJoin excludes it itself: the search asks for one more and drops
+// it. An empty answer from a non-empty tree, before that, means the
+// index is damaged.
+func (c *execContext) neighbors(tree *rtree.Tree, it rtree.Item, k int) ([]rtree.Neighbor, error) {
+	n := k
+	if c.opts.SelfJoin {
+		n++
+	}
+	ns, err := tree.NearestNeighbors(it.Rect, n, c.mc)
+	if err != nil {
+		return nil, err
+	}
+	if len(ns) == 0 {
+		// Defensive: the caller checked Size() > 0, but a corrupt or
+		// truncated index can still yield an empty search frontier. Fail
+		// with a diagnosable error instead of panicking.
+		return nil, fmt.Errorf("join: right tree returned no nearest neighbor for left object %d (index may be corrupt)", it.Obj)
+	}
+	if c.opts.SelfJoin {
+		ns = slices.DeleteFunc(ns, func(n rtree.Neighbor) bool { return n.Item.Obj == it.Obj })
+	}
+	return ns[:min(k, len(ns))], nil
 }

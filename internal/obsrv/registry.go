@@ -44,8 +44,8 @@ import (
 
 // Correction-mode labels recorded with estimator accuracy samples.
 // Initial is the closed-form Eq. 3 estimate; Arithmetic and Geometric
-// name the Eq. 4 / Eq. 5 corrections; Override marks user-supplied
-// cutoffs (Options.EDmax / EDmaxForK).
+// name the Eq. 4 / Eq. 5 corrections; Override marks a user-supplied
+// initial cutoff (Options.EDmax).
 const (
 	ModeInitial    = "initial"
 	ModeArithmetic = "arithmetic"

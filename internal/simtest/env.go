@@ -147,19 +147,15 @@ func (e *env) brute(k int) []join.Result {
 //	reg   — observability registry; the harness attaches one per run
 //	        and asserts nothing is left in flight
 func (e *env) options(qs storage.Store, hook func(hybridq.FaultOp) error, reg *obsrv.Registry) join.Options {
-	sp := e.s.Sweep
 	o := join.Options{
-		QueueMemBytes:     e.s.QueueMem,
-		QueueStore:        qs,
-		Sweep:             &sp,
-		DistanceQueue:     e.s.DQPolicy,
-		Correction:        e.s.Correction,
-		BatchK:            e.s.BatchK,
-		DisableQueueModel: e.s.NoQueueModel,
-		SelfJoin:          e.s.SelfJoin(),
-		Refiner:           e.refiner(),
-		QueueFaultHook:    hook,
-		Registry:          reg,
+		QueueMemBytes:  e.s.QueueMem,
+		QueueStore:     qs,
+		BatchK:         e.s.BatchK,
+		Ablation:       e.s.Ablation,
+		SelfJoin:       e.s.SelfJoin(),
+		Refiner:        e.refiner(),
+		QueueFaultHook: hook,
+		Registry:       reg,
 	}
 	switch e.s.EDmaxMode {
 	case EDmaxUnder:

@@ -108,15 +108,15 @@ type Scenario struct {
 	PoolSpare int
 
 	// Query shape.
-	K            int
-	BatchK       int // AM-IDJ stage growth
-	QueueMem     int // hybrid main-queue memory budget, bytes
-	EDmaxMode    EDmaxMode
-	Sweep        join.SweepPolicy
-	DQPolicy     join.DistanceQueuePolicy
-	Correction   estimate.Mode
-	NoQueueModel bool // the A4 ablation: overflow-split-only queue
-	Refine       bool // rank by exact center distances via Options.Refiner
+	K         int
+	BatchK    int // AM-IDJ stage growth
+	QueueMem  int // hybrid main-queue memory budget, bytes
+	EDmaxMode EDmaxMode
+	Refine    bool // rank by exact center distances via Options.Refiner
+	// Ablation is the engine's departure from the paper's algorithm:
+	// sweep axis and direction, distance-queue feed, correction mode and
+	// queue model. FromSeed never plants a bug.
+	Ablation join.Ablation
 }
 
 // sized bounds keep the harness fast: the brute-force oracle is
@@ -152,9 +152,9 @@ func FromSeed(seed int64) Scenario {
 	}
 	rng.Intn(3) // a retired knob's draw: dropping it would remap every logged seed and fuzz corpus entry
 	s.EDmaxMode = EDmaxMode(rng.Intn(int(numEDmaxModes)))
-	s.DQPolicy = join.DistanceQueuePolicy(rng.Intn(2))
-	s.Correction = estimate.Mode(rng.Intn(4))
-	s.NoQueueModel = rng.Intn(4) == 0
+	s.Ablation.AllPairs = rng.Intn(2) == 1
+	s.Ablation.Correction = estimate.Mode(rng.Intn(4))
+	s.Ablation.NoQueueModel = rng.Intn(4) == 0
 	s.Refine = rng.Intn(4) == 0
 	if s.Workload == WorkloadSelf {
 		s.NRight = s.NLeft
@@ -170,13 +170,15 @@ func FromSeed(seed int64) Scenario {
 	}
 	s.K = 1 + rng.Intn(maxK)
 	s.BatchK = 1 + rng.Intn(s.K)
-	sweeps := []join.SweepPolicy{
-		join.OptimizedSweep,
-		join.FixedSweep,
-		{SelectAxis: true},
-		{SelectDirection: true},
+	// The sweep: the paper's selections, both fixed, or one of them.
+	switch rng.Intn(4) {
+	case 1:
+		s.Ablation.FixedAxis, s.Ablation.FixedDirection = true, true
+	case 2:
+		s.Ablation.FixedDirection = true
+	case 3:
+		s.Ablation.FixedAxis = true
 	}
-	s.Sweep = sweeps[rng.Intn(len(sweeps))]
 	// Drawn last, so every earlier knob of a logged seed keeps its value.
 	// Spare pages start small: one page is room for one or two decoded
 	// nodes, after which the memo goes on with permutations.
@@ -231,7 +233,7 @@ func FromBytes(data []byte) Scenario {
 		s.Refine = b%2 == 1
 	}
 	if b, ok := get(6); ok {
-		s.NoQueueModel = b%2 == 1
+		s.Ablation.NoQueueModel = b%2 == 1
 	}
 	// Fuzz speed clamp: a quarter of the FromSeed ceiling.
 	clamp := func(n int) int {
@@ -259,10 +261,9 @@ func (s Scenario) String() string {
 	if s.PoolSpare != 0 {
 		pool = fmt.Sprintf("tree%+dp", s.PoolSpare)
 	}
-	return fmt.Sprintf("seed=%d %s |L|=%d |R|=%d k=%d batchK=%d qmem=%d eDmax=%s sweep=%+v dq=%d corr=%s page=%d fanout=%d pool=%s refine=%v noqm=%v",
+	return fmt.Sprintf("seed=%d %s |L|=%d |R|=%d k=%d batchK=%d qmem=%d eDmax=%s page=%d fanout=%d pool=%s refine=%v ablation=%+v",
 		s.Seed, s.Workload, s.NLeft, s.NRight, s.K, s.BatchK, s.QueueMem,
-		s.EDmaxMode, s.Sweep, s.DQPolicy, s.Correction,
-		s.PageSize, s.Fanout, pool, s.Refine, s.NoQueueModel)
+		s.EDmaxMode, s.PageSize, s.Fanout, pool, s.Refine, s.Ablation)
 }
 
 // World returns the scenario's coordinate universe.

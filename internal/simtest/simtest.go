@@ -24,9 +24,10 @@
 // for fault failures, -schedule=) flags that reproduce it under
 // cmd/distjoin-sim; a failure on a scenario the fuzzer decoded from
 // bytes carries those bytes as a corpus file instead, because the seed
-// alone builds a different scenario. The harness is itself validated by a mutation
-// smoke test: with a deliberately broken pruning cutoff installed
-// (join.SetPruneMutation) the differential oracle must catch the bug
+// alone builds a different scenario. The harness is itself validated by
+// two smoke tests: with a bug planted in one query — a broken pruning
+// cutoff (join.Ablation.PruneScale) or a batch-distance tail off by one
+// (join.Ablation.BatchTail) — the differential oracle must catch it
 // within a bounded number of seeds.
 package simtest
 

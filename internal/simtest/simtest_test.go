@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,40 +49,45 @@ func TestFaultSchedules(t *testing.T) {
 }
 
 // TestMutationSmoke validates the harness itself: with a deliberately
-// broken pruning cutoff installed, the differential oracle must catch
-// the wrong results within a bounded number of seeds — a harness that
-// cannot fail proves nothing.
+// broken pruning cutoff planted in the query, the differential oracle
+// must catch the wrong results within a bounded number of seeds — a
+// harness that cannot fail proves nothing.
 func TestMutationSmoke(t *testing.T) {
+	plantedBugSmoke(t, "mutation-smoke", func(a *join.Ablation) { a.PruneScale = 0.85 })
+}
+
+// plantedBugSmoke runs AM-KDJ over seeds from 1 with plant applied to
+// each query's ablation until the differential oracle flags a result,
+// and fails if it never does. The same query without the bug must then
+// pass on that seed, pinning the failure on the bug, not the harness.
+func plantedBugSmoke(t *testing.T, check string, plant func(*join.Ablation)) {
+	t.Helper()
 	const maxSeeds = 100
-	restore := join.SetPruneMutation(0.85)
-	defer restore()
 	for seed := int64(1); seed <= maxSeeds; seed++ {
 		s := FromSeed(seed)
 		e, err := newEnv(s, storage.NewMemStore(s.PageSize), storage.NewMemStore(s.PageSize), nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref))
+		planted := e.options(nil, nil, obsrv.NewRegistry())
+		plant(&planted.Ablation)
+		got, err := e.runAlgo("AM-KDJ", planted, len(e.ref))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := e.compareExact("mutation-smoke", "AM-KDJ", got); err != nil {
-			t.Logf("mutation caught at seed %d: %v", seed, err)
-			restore()
-			// The restored algorithm must pass again on the same seed —
-			// pinning that the failure came from the mutation, not the
-			// harness.
+		if err := e.compareExact(check, "AM-KDJ", got); err != nil {
+			t.Logf("planted bug caught at seed %d: %v", seed, err)
 			got, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref))
 			if err != nil {
-				t.Fatalf("seed %d after restore: %v", seed, err)
+				t.Fatalf("seed %d without the bug: %v", seed, err)
 			}
-			if err := e.compareExact("mutation-smoke", "AM-KDJ", got); err != nil {
-				t.Fatalf("restored algorithm still failing: %v", err)
+			if err := e.compareExact(check, "AM-KDJ", got); err != nil {
+				t.Fatalf("the query without the bug still fails: %v", err)
 			}
 			return
 		}
 	}
-	t.Fatalf("pruning mutation survived %d seeds undetected — the differential oracle is blind", maxSeeds)
+	t.Fatalf("%s: the planted bug survived %d seeds undetected — the differential oracle is blind", check, maxSeeds)
 }
 
 // TestFromSeedDeterministic pins the seed -> scenario map: two
@@ -107,6 +113,40 @@ func TestFromSeedDeterministic(t *testing.T) {
 			if ar[i] != br[i] {
 				t.Fatalf("seed %d: right item %d differs", seed, i)
 			}
+		}
+	}
+}
+
+// TestFromSeedEngineConfig pins what seeds 1–200 ask of the engine —
+// data and index shape, the query, and every option the harness sets —
+// against testdata/fromseed.golden, a table recorded before the engine's
+// ablations moved into join.Ablation, so that every logged seed still
+// names the configuration it named then. There is no update flag: a
+// change to FromSeed that remaps a seed is a bug.
+func TestFromSeedEngineConfig(t *testing.T) {
+	want, err := os.ReadFile("testdata/fromseed.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(want), "\n")
+	if len(lines) < 200 {
+		t.Fatalf("the table has %d lines, want 200", len(lines))
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		s := FromSeed(seed)
+		o := (&env{s: s}).options(nil, nil, nil)
+		a := o.Ablation
+		got := fmt.Sprintf("%d %s n=%d/%d clusters=%d sd=%v side=%v world=%v sub=%d/%d fanout=%d page=%d buf=%d spare=%d k=%d batchK=%d qmem=%d edmax=%s fixedAxis=%v fixedDir=%v allPairs=%v corr=%s noqm=%v refine=%v self=%v\n",
+			s.Seed, s.Workload, s.NLeft, s.NRight, s.Clusters, s.Stddev, s.MaxSide, s.WorldSide,
+			s.SubSeedL, s.SubSeedR, s.Fanout, s.PageSize, s.BufBytes, s.PoolSpare,
+			s.K, o.BatchK, o.QueueMemBytes, s.EDmaxMode,
+			a.FixedAxis, a.FixedDirection, a.AllPairs, a.Correction, a.NoQueueModel,
+			o.Refiner != nil, o.SelfJoin)
+		if got != lines[seed-1] {
+			t.Fatalf("seed %d: FromSeed builds\n%srecorded\n%s", seed, got, lines[seed-1])
+		}
+		if a.PruneScale != 0 || a.BatchTail {
+			t.Fatalf("seed %d plants a bug: %+v", seed, a)
 		}
 	}
 }

@@ -3,9 +3,7 @@ package simtest
 import (
 	"testing"
 
-	"distjoin/internal/geom"
-	"distjoin/internal/obsrv"
-	"distjoin/internal/storage"
+	"distjoin/internal/join"
 )
 
 // TestSoAIdentityBattery extends the standard seed sweep with a fresh
@@ -30,39 +28,11 @@ func TestSoAIdentityBattery(t *testing.T) {
 }
 
 // TestBatchTailMutationSmoke validates that the oracle would catch a
-// batch-kernel bug: with the planted off-by-one in MinDistSqBatch tail
-// handling installed (the last lane of every batch duplicates its
-// neighbor — the classic vectorized-rewrite failure), the differential
-// oracle must flag wrong results within a bounded number of seeds.
-// Mirrors TestMutationSmoke's pruning-cutoff mutation.
+// batch-kernel bug: with an off-by-one in tail handling planted in the
+// query (the last lane of every batched distance computation duplicates
+// its neighbor — the classic vectorized-rewrite failure), the
+// differential oracle must flag wrong results within a bounded number
+// of seeds. Mirrors TestMutationSmoke's broken pruning cutoff.
 func TestBatchTailMutationSmoke(t *testing.T) {
-	const maxSeeds = 100
-	restore := geom.SetBatchTailMutation()
-	defer restore()
-	for seed := int64(1); seed <= maxSeeds; seed++ {
-		s := FromSeed(seed)
-		e, err := newEnv(s, storage.NewMemStore(s.PageSize), storage.NewMemStore(s.PageSize), nil)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		got, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := e.compareExact("batch-tail-smoke", "AM-KDJ", got); err != nil {
-			t.Logf("batch-tail mutation caught at seed %d: %v", seed, err)
-			restore()
-			// The restored kernel must pass again on the same seed,
-			// pinning that the failure came from the mutation.
-			got, err := e.runAlgo("AM-KDJ", e.options(nil, nil, obsrv.NewRegistry()), len(e.ref))
-			if err != nil {
-				t.Fatalf("seed %d after restore: %v", seed, err)
-			}
-			if err := e.compareExact("batch-tail-smoke", "AM-KDJ", got); err != nil {
-				t.Fatalf("restored kernel still failing: %v", err)
-			}
-			return
-		}
-	}
-	t.Fatalf("batch-tail mutation survived %d seeds undetected — the oracle is blind to the batch path", maxSeeds)
+	plantedBugSmoke(t, "batch-tail-smoke", func(a *join.Ablation) { a.BatchTail = true })
 }

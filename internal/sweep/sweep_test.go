@@ -338,8 +338,8 @@ func TestIntegrateWindowOverlapBitIdentical(t *testing.T) {
 	}
 }
 
-// TestIndexAllocatesNothing: the sweeping index runs on the stack.
-func TestIndexAllocatesNothing(t *testing.T) {
+// TestIndexAllocs: the sweeping index runs on the stack.
+func TestIndexAllocs(t *testing.T) {
 	r, s := geom.NewRect(0, 0, 10, 20), geom.NewRect(5, 15, 18, 40)
 	var sink Plan
 	if avg := testing.AllocsPerRun(100, func() { sink = Choose(r, s, 7) }); avg != 0 {
