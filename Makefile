@@ -128,12 +128,14 @@ alloc-pins:
 race:
 	$(GO) test -race ./...
 
-# The sweep-order memo's shared decoded nodes under the race detector,
-# without -short and repeated: racing first-touch publication, several
-# queries sweeping one node in place, and the before/after digests that
-# show no engine path writes through sweepRun.L/R.
+# The sweep-order memo's shared decoded nodes and the buffer pool's
+# recycled frames under the race detector, without -short and repeated:
+# racing first-touch publication, several queries sweeping one node in
+# place, the before/after digests that show no engine path writes
+# through sweepRun.L/R, pinned frames evicted under their readers, and
+# concurrent joins on file-backed indexes whose misses reuse frames.
 race-memo:
-	$(GO) test -race -count=3 -run 'SweepOrderMemo|SharedNodes|OrderedDecode|DecodedNodeRoom|ResizeBuffer|ConcurrentFirstTouch' ./internal/rtree ./internal/join .
+	$(GO) test -race -count=3 -run 'SweepOrderMemo|SharedNodes|OrderedDecode|DecodedNodeRoom|ResizeBuffer|ConcurrentFirstTouch|PinnedFrame|ConcurrentPinnedReads|ConcurrentFileIndex' ./internal/storage ./internal/rtree ./internal/join .
 
 cover:
 	$(GO) test -cover ./...

@@ -1,12 +1,16 @@
 package distjoin
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	"distjoin/internal/join"
 	"distjoin/internal/memotest"
+	"distjoin/internal/rtree"
 )
 
 // Indexes are safe for concurrent queries: the buffer pool serializes
@@ -159,6 +163,67 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		race(left, right)
 		memotest.Unchanged(t, "left index, second race", published[0], memotest.Read(t, left.tree))
 		memotest.Unchanged(t, "right index, second race", published[1], memotest.Read(t, right.tree))
+	}
+}
+
+// TestConcurrentFileIndexJoins runs concurrent joins on two reopened
+// index files with four-frame pools, so nearly every node access is a
+// miss that reads into a frame another query's miss just evicted, while
+// other queries may still be decoding pages those frames held. Every
+// answer must be the brute-force one.
+func TestConcurrentFileIndexJoins(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	dir := t.TempDir()
+	var idx [2]*Index
+	var items [2][]rtree.Item
+	for side := range idx {
+		objs := randObjects(rng, 700, 2000, 10)
+		path := filepath.Join(dir, fmt.Sprintf("side%d.rtree", side))
+		if _, err := CreateIndexFile(path, objs, nil); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if idx[side], err = OpenIndexFile(path, &IndexConfig{BufferBytes: 4 * 4096}); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range objs {
+			items[side] = append(items[side], rtree.Item{Rect: o.Rect, Obj: o.ID})
+		}
+	}
+	const k = 80
+	want := join.BruteForce(items[0], items[1], k)
+
+	const workers = 6
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		algo := []Algorithm{AMKDJ, BKDJ, HSKDJ}[w%3]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				got, err := KDistanceJoin(idx[0], idx[1], k, &Options{Algorithm: algo})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(got) != len(want) {
+					errs <- fmt.Errorf("%v: %d pairs, want %d", algo, len(got), len(want))
+					return
+				}
+				for i := range got {
+					if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+						errs <- fmt.Errorf("%v: pair %d at %g, brute force %g", algo, i, got[i].Dist, want[i].Dist)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -434,6 +434,8 @@ func CreateIndexFile(path string, objects []Object, cfg *IndexConfig) (*Index, e
 }
 
 // OpenIndexFile opens an index previously written by CreateIndexFile.
+// Queries never write to it, so a file the process may only read (its
+// mode, its owner, or a read-only mount) opens as well.
 func OpenIndexFile(path string, cfg *IndexConfig) (*Index, error) {
 	store, err := storage.OpenFileStore(path, cfg.pageSize())
 	if err != nil {

@@ -126,6 +126,41 @@ func TestIndexFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenIndexFileReadOnly: an index file the process may only read
+// opens and answers queries. Root ignores the mode bits, so the test
+// skips as root; internal/storage's TestOpenFileStoreReadOnly covers
+// the same fallback for every user.
+func TestOpenIndexFileReadOnly(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("root may write a mode 0444 file")
+	}
+	rng := rand.New(rand.NewSource(3))
+	objs := randObjects(rng, 300, 1000, 10)
+	path := filepath.Join(t.TempDir(), "idx.rtree")
+	idx, err := CreateIndexFile(path, objs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(path, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenIndexFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := KDistanceJoin(idx, idx, 50, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := KDistanceJoin(re, re, 50, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("the read-only index answers differently")
+	}
+}
+
 // TestCreateIndexFileFailureCleansUp: a build that fails after the file
 // was created must release the descriptor and remove the partial file.
 func TestCreateIndexFileFailureCleansUp(t *testing.T) {

@@ -103,10 +103,12 @@ func (t *Tree) orderSlot(id storage.PageID, slot int) *atomic.Pointer[sweepCell]
 // is not ordered — and offers it to PublishSweepOrder. A memo cell
 // whose length disagrees with the page's entry count is ignored.
 func (t *Tree) ReadNodeSoAOrdered(id storage.PageID, slot int, scratch *NodeSoA, mc *metrics.Collector) (n *NodeSoA, ordered bool, err error) {
-	page, err := t.fetchNode(id, mc)
+	f, err := t.fetchNode(id, mc)
 	if err != nil {
 		return nil, false, err
 	}
+	defer f.Release()
+	page := f.Bytes()
 	if cell := t.orderSlot(id, slot); cell != nil {
 		if c := cell.Load(); c != nil && c.fits(page) {
 			if c.node != nil {
@@ -129,15 +131,18 @@ func (t *Tree) ReadNodeSoAOrdered(id storage.PageID, slot int, scratch *NodeSoA,
 }
 
 // decodeOrdered is decodeNodeSoA's loop reading page entry perm[i] into
-// position i. The caller has checked perm against the page (fits).
+// position i. The caller has checked perm against the page (fits) and
+// sized dst to it.
 func decodeOrdered[I uint8 | uint16](page []byte, dst *NodeSoA, perm []I) {
+	n := len(perm)
+	minX, minY, maxX, maxY, refs := dst.MinX[:n], dst.MinY[:n], dst.MaxX[:n], dst.MaxY[:n], dst.Refs[:n]
 	for i, src := range perm {
-		off := nodeHeaderSize + int(src)*entrySize
-		dst.MinX[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off:]))
-		dst.MinY[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+8:]))
-		dst.MaxX[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+16:]))
-		dst.MaxY[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+24:]))
-		dst.Refs[i] = binary.LittleEndian.Uint64(page[off+32:])
+		e := entryAt(page, int(src))
+		minX[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[0:]))
+		minY[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[8:]))
+		maxX[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[16:]))
+		maxY[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[24:]))
+		refs[i] = binary.LittleEndian.Uint64(e[32:])
 	}
 }
 

@@ -124,14 +124,22 @@ func decodeNodeSoA(page []byte, dst *NodeSoA) error {
 	}
 	dst.Level = level
 	dst.Reset(count)
-	off := nodeHeaderSize
-	for i := 0; i < count; i++ {
-		dst.MinX[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off:]))
-		dst.MinY[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+8:]))
-		dst.MaxX[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+16:]))
-		dst.MaxY[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+24:]))
-		dst.Refs[i] = binary.LittleEndian.Uint64(page[off+32:])
-		off += entrySize
+	minX, minY, maxX, maxY, refs := dst.MinX[:count], dst.MinY[:count], dst.MaxX[:count], dst.MaxY[:count], dst.Refs[:count]
+	for i := range refs {
+		e := entryAt(page, i)
+		minX[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[0:]))
+		minY[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[8:]))
+		maxX[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[16:]))
+		maxY[i] = math.Float64frombits(binary.LittleEndian.Uint64(e[24:]))
+		refs[i] = binary.LittleEndian.Uint64(e[32:])
 	}
 	return nil
+}
+
+// entryAt returns page entry i's record as one subslice of fixed length
+// and capacity: the one bounds check of the entry, after which every
+// field load has a constant offset and none.
+func entryAt(page []byte, i int) []byte {
+	off := nodeHeaderSize + i*entrySize
+	return page[off : off+entrySize : off+entrySize]
 }

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/storage"
 )
 
 // randomNodePage encodes a node with n random entries at the given
 // level into a fresh page and returns the entries with it.
-func randomNodePage(t *testing.T, rng *rand.Rand, pageSize, level, n int) ([]byte, []encEntry) {
+func randomNodePage(t testing.TB, rng *rand.Rand, pageSize, level, n int) ([]byte, []encEntry) {
 	t.Helper()
 	page := make([]byte, pageSize)
 	entries := make([]encEntry, n)
@@ -70,6 +71,39 @@ func TestDecodeNodeSoAWarmNoAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("warm decodeNodeSoA allocates %v per call, want 0", avg)
 	}
+}
+
+// BenchmarkDecodeNode isolates node decode on a full 4 KB page (102
+// entries) into a warm NodeSoA: in page order (decodeNodeSoA), and
+// through a random permutation in both forms a memoized sweep order
+// takes, narrow (uint8) and wide (uint16).
+func BenchmarkDecodeNode(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	n := PageCapacity(storage.DefaultPageSize)
+	page, _ := randomNodePage(b, rng, storage.DefaultPageSize, 0, n)
+	narrow, wide := make([]uint8, n), make([]uint16, n)
+	for i, p := range rng.Perm(n) {
+		narrow[i], wide[i] = uint8(p), uint16(p)
+	}
+	var dst NodeSoA
+	dst.Reset(n)
+	b.Run("page-order", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := decodeNodeSoA(page, &dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("perm-narrow", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			decodeOrdered(page, &dst, narrow)
+		}
+	})
+	b.Run("perm-wide", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			decodeOrdered(page, &dst, wide)
+		}
+	})
 }
 
 // TestDecodeNodeSoARejectsCorruptPages: truncated and count-corrupted

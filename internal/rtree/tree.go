@@ -199,17 +199,18 @@ func (t *Tree) ResizeBuffer(bytes int) {
 	t.rederiveRoom()
 }
 
-// fetchNode returns node id's page through the buffer pool and records
-// the access against mc: the one fetch-and-account step both node
-// reads (ReadNodeSoA, ReadNodeSoAOrdered) start with.
-func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) ([]byte, error) {
-	page, acc, err := t.pool.Get(id)
+// fetchNode pins node id's page in the buffer pool and records the
+// access against mc: the one fetch-and-account step both node reads
+// (ReadNodeSoA, ReadNodeSoAOrdered) start with. The caller releases the
+// frame once it has decoded the page; nothing it returns refers to it.
+func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) (*storage.Frame, error) {
+	f, acc, err := t.pool.Pin(id)
 	if err != nil {
 		return nil, err
 	}
 	mc.NodeAccess(!acc.Hit, metrics.RandomPageCost)
 	mc.BufferAccess(acc.Hit, acc.Evictions)
-	return page, nil
+	return f, nil
 }
 
 // ReadNodeSoA fetches and decodes the node on page id in page order,
@@ -217,11 +218,13 @@ func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) ([]byte, erro
 // (which may be nil): one logical node access, whether it was physical
 // (buffer miss), and the buffer pool hit/miss/eviction attribution.
 func (t *Tree) ReadNodeSoA(id storage.PageID, dst *NodeSoA, mc *metrics.Collector) error {
-	page, err := t.fetchNode(id, mc)
+	f, err := t.fetchNode(id, mc)
 	if err != nil {
 		return err
 	}
-	return decodeNodeSoA(page, dst)
+	err = decodeNodeSoA(f.Bytes(), dst)
+	f.Release()
+	return err
 }
 
 // visit is one pending step of a descent: the child ref to follow and

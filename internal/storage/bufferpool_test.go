@@ -113,8 +113,10 @@ func TestLentPageCopyOnWrite(t *testing.T) {
 }
 
 // TestBufferPoolAllocs pins what a miss costs: nothing over a MemStore,
-// whether it evicts or not, and the one page buffer over a FileStore. A
-// hit costs nothing.
+// whether it evicts or not; nothing over a FileStore either when every
+// pin is released, since the next miss reads into the evicted frame;
+// and one page buffer for a Get miss, whose bytes are never reused. A
+// hit costs nothing, pinned or not.
 func TestBufferPoolAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own; allocation counts are not meaningful")
@@ -129,27 +131,39 @@ func TestBufferPoolAllocs(t *testing.T) {
 	fillPages(t, file, 8)
 
 	// Each case gets the store's eight pages in turn through a pool of
-	// frames, after warm gets; with four frames every get is a miss that
-	// evicts. AllocsPerRun makes runs+1 gets, its first a warm-up.
+	// frames, after warm gets, by Get or by Pin and Release; with four
+	// frames every get is a miss that evicts. AllocsPerRun makes runs+1
+	// gets, its first a warm-up.
 	for _, tc := range []struct {
 		name               string
 		store              Store
 		frames, warm, runs int
-		hit                bool
+		hit, pin           bool
 		want               float64
 	}{
-		{"MemStore miss", mem, 8, 0, 7, false, 0},
-		{"MemStore hit", mem, 8, 8, 100, true, 0},
-		{"MemStore miss that evicts", mem, 4, 8, 100, false, 0},
-		{"FileStore miss that evicts", file, 4, 8, 100, false, 1},
+		{"MemStore miss", mem, 8, 0, 7, false, false, 0},
+		{"MemStore hit", mem, 8, 8, 100, true, false, 0},
+		{"MemStore miss that evicts", mem, 4, 8, 100, false, false, 0},
+		{"FileStore Get miss that evicts", file, 4, 8, 100, false, false, 1},
+		{"FileStore pinned miss that evicts", file, 4, 8, 100, false, true, 0},
+		{"FileStore pinned hit", file, 8, 8, 100, true, true, 0},
 	} {
 		p := NewBufferPool(tc.store, tc.frames*DefaultPageSize)
 		next := 0
 		get := func() {
-			if _, _, err := p.Get(PageID(next % 8)); err != nil {
+			id := PageID(next % 8)
+			next++
+			if !tc.pin {
+				if _, _, err := p.Get(id); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			f, _, err := p.Pin(id)
+			if err != nil {
 				t.Fatal(err)
 			}
-			next++
+			f.Release()
 		}
 		for i := 0; i < tc.warm; i++ {
 			get()
@@ -173,9 +187,10 @@ func TestBufferPoolAllocs(t *testing.T) {
 }
 
 // BenchmarkBufferPool isolates the pool layer on 4 KB pages: a hit, a
-// miss on a MemStore (lent, no copy) and a miss on a FileStore (read
-// into a fresh page). The misses cycle 64 pages through 4 frames, so
-// every get evicts.
+// miss on a MemStore (lent, no copy), a Get miss on a FileStore (read
+// into a fresh page) and a pinned one (read into the frame the last
+// miss evicted, released at once). The misses cycle 64 pages through 4
+// frames, so every get evicts.
 func BenchmarkBufferPool(b *testing.B) {
 	const pages = 64
 	mem := NewMemStore(DefaultPageSize)
@@ -190,25 +205,146 @@ func BenchmarkBufferPool(b *testing.B) {
 		name   string
 		store  Store
 		frames int
+		pin    bool
 	}{
-		{"hit", mem, pages},
-		{"miss-memstore", mem, 4},
-		{"miss-filestore", file, 4},
+		{"hit", mem, pages, false},
+		{"miss-memstore", mem, 4, false},
+		{"miss-filestore", file, 4, false},
+		{"miss-filestore-pinned", file, 4, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := NewBufferPool(bc.store, bc.frames*DefaultPageSize)
-			for id := PageID(0); id < pages; id++ {
-				if _, _, err := p.Get(id); err != nil {
+			get := func(id PageID) {
+				if !bc.pin {
+					if _, _, err := p.Get(id); err != nil {
+						b.Fatal(err)
+					}
+					return
+				}
+				f, _, err := p.Pin(id)
+				if err != nil {
 					b.Fatal(err)
 				}
+				f.Release()
+			}
+			for id := PageID(0); id < pages; id++ {
+				get(id)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := p.Get(PageID(i % pages)); err != nil {
-					b.Fatal(err)
-				}
+				get(PageID(i % pages))
 			}
 		})
+	}
+}
+
+// TestPinnedFrameSurvivesEviction: a pinned page keeps its bytes while
+// other pins evict it, twice over, and its buffer serves no other page
+// while pinned — nor after Release, since it was evicted while pinned.
+// A frame released before its eviction is what the next miss reads
+// into. Over a MemStore the frames lend the store's pages, and cycling
+// them through the free list must leave every page as it was written.
+func TestPinnedFrameSurvivesEviction(t *testing.T) {
+	const pageSize, pages = 128, 8
+	file, err := CreateFileStore(filepath.Join(t.TempDir(), "pages.db"), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for _, store := range []Store{file, NewMemStore(pageSize)} {
+		name := fmt.Sprintf("%T", store)
+		fillPages(t, store, pages)
+		p := NewBufferPool(store, 2*pageSize)
+		pin := func(id PageID) (*Frame, Access) {
+			t.Helper()
+			f, acc, err := p.Pin(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := f.Bytes(); len(b) != pageSize || b[0] != byte(id+1) || b[pageSize-1] != byte(id+1) {
+				t.Fatalf("%s: page %d reads %d..%d", name, id, b[0], b[len(b)-1])
+			}
+			return f, acc
+		}
+		// cycle pins and releases pages 1..7 twice, each a miss in two
+		// frames, and requires none of them to land in buffer held.
+		cycle := func(held *byte) {
+			t.Helper()
+			for round := 0; round < 2; round++ {
+				for id := PageID(1); id < pages; id++ {
+					f, acc := pin(id)
+					if acc.Hit {
+						t.Fatalf("%s: page %d hit in a pool of two frames", name, id)
+					}
+					if &f.Bytes()[0] == held {
+						t.Fatalf("%s: page %d was read into the buffer of a frame evicted while pinned", name, id)
+					}
+					f.Release()
+				}
+			}
+		}
+
+		held, _ := pin(0)
+		want := bytes.Clone(held.Bytes())
+		cycle(&held.Bytes()[0])
+		if !bytes.Equal(held.Bytes(), want) {
+			t.Fatalf("%s: a pinned page changed while other pages evicted it", name)
+		}
+		heldBuf := &held.Bytes()[0]
+		held.Release()
+		cycle(heldBuf)
+
+		// The pool holds pages 7 and 6; each miss below evicts the older.
+		again, acc := pin(0) // evicts 6
+		if acc.Hit {
+			t.Fatalf("%s: page 0 was not evicted", name)
+		}
+		buf := &again.Bytes()[0]
+		again.Release()
+		for _, id := range []PageID{1, 2} { // the second evicts page 0, unpinned
+			f, _ := pin(id)
+			f.Release()
+		}
+		next, _ := pin(3)
+		if reused := &next.Bytes()[0] == buf; reused != (store == file) {
+			t.Fatalf("%s: the miss after page 0's eviction read into its buffer: %v", name, reused)
+		}
+		next.Release()
+
+		got := make([]byte, pageSize)
+		for id := PageID(0); id < pages; id++ {
+			if err := store.ReadPage(id, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, bytes.Repeat([]byte{byte(id + 1)}, pageSize)) {
+				t.Fatalf("%s: page %d of the store changed", name, id)
+			}
+		}
+	}
+}
+
+// TestPinnedFrameDoubleReleasePanics: a Release without a pin panics
+// and leaves the frame as it was, so a frame another reader holds can
+// never look unpinned.
+func TestPinnedFrameDoubleReleasePanics(t *testing.T) {
+	s := NewMemStore(64)
+	fillPages(t, s, 1)
+	p := NewBufferPool(s, 64)
+	f, _, err := p.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second Release did not panic")
+			}
+		}()
+		f.Release()
+	}()
+	if n := f.pins.Load(); n != 0 {
+		t.Fatalf("after the panic the frame holds %d pins, want 0", n)
 	}
 }

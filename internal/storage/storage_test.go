@@ -3,7 +3,11 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -145,6 +149,80 @@ func TestOpenFileStoreBadSize(t *testing.T) {
 	}
 	if _, err := OpenFileStore(filepath.Join(t.TempDir(), "missing"), 256); err == nil {
 		t.Fatal("opening missing file must fail")
+	}
+}
+
+// TestOpenFileStoreReadOnly: a file the process may not open for
+// writing — refused with EACCES, EPERM or EROFS, as for a mode 0444
+// file, a file owned by someone else, or a read-only mount — opens
+// read-only. Pages read as written, through a pool too, and Alloc and
+// WritePage fail with ErrReadOnly. Any other refusal is an error that
+// names the path once. The open is refused through the seam, so the
+// test means the same run as root, whom permission bits do not stop.
+func TestOpenFileStoreReadOnly(t *testing.T) {
+	const pageSize = 256
+	path := filepath.Join(t.TempDir(), "pages.db")
+	s, err := CreateFileStore(path, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPages(t, s, 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refuseWrite := func(errno syscall.Errno) func(string, int, os.FileMode) (*os.File, error) {
+		return func(name string, flag int, perm os.FileMode) (*os.File, error) {
+			if flag&(os.O_WRONLY|os.O_RDWR) != 0 {
+				return nil, &fs.PathError{Op: "open", Path: name, Err: errno}
+			}
+			return os.OpenFile(name, flag, perm)
+		}
+	}
+
+	for _, errno := range []syscall.Errno{syscall.EACCES, syscall.EPERM, syscall.EROFS} {
+		ro, err := openFileStore(path, pageSize, refuseWrite(errno))
+		if err != nil {
+			t.Fatalf("%v: %v", errno, err)
+		}
+		if ro.NumPages() != 3 {
+			t.Fatalf("%v: %d pages, want 3", errno, ro.NumPages())
+		}
+		data, _, err := NewBufferPool(ro, pageSize).Get(2)
+		if err != nil || !bytes.Equal(data, bytes.Repeat([]byte{3}, pageSize)) {
+			t.Fatalf("%v: page 2 through a pool: err %v", errno, err)
+		}
+		if _, err := ro.Alloc(); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("%v: Alloc: %v, want ErrReadOnly", errno, err)
+		}
+		if err := ro.WritePage(0, make([]byte, pageSize)); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("%v: WritePage: %v, want ErrReadOnly", errno, err)
+		}
+		if err := ro.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// No fallback for other refusals, and one that fails both ways
+	// reports the read-only open's error.
+	refuseAll := func(name string, flag int, perm os.FileMode) (*os.File, error) {
+		return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.EACCES}
+	}
+	for name, open := range map[string]func(string, int, os.FileMode) (*os.File, error){
+		"EIO":            refuseWrite(syscall.EIO),
+		"EACCES both":    refuseAll,
+		"missing (real)": os.OpenFile,
+	} {
+		p := path
+		if name == "missing (real)" {
+			p = filepath.Join(t.TempDir(), "missing")
+		}
+		_, err := openFileStore(p, pageSize, open)
+		if err == nil {
+			t.Fatalf("%s: opened", name)
+		}
+		if n := strings.Count(err.Error(), p); n != 1 {
+			t.Fatalf("%s: %q names the path %d times, want once", name, err, n)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"syscall"
 )
 
 // DefaultPageSize is the page size used throughout the paper's
@@ -30,6 +31,7 @@ var (
 	ErrPageOutOfRange = errors.New("storage: page id out of range")
 	ErrBadPageSize    = errors.New("storage: buffer size does not match page size")
 	ErrClosed         = errors.New("storage: store is closed")
+	ErrReadOnly       = errors.New("storage: store is read-only")
 )
 
 // Store is a flat array of fixed-size pages. Implementations must be
@@ -195,6 +197,7 @@ type FileStore struct {
 	numPages int
 	stats    StoreStats
 	closed   bool
+	readOnly bool // opened without write access: Alloc and WritePage fail
 }
 
 // CreateFileStore creates (truncating) a file-backed store at path.
@@ -204,25 +207,37 @@ func CreateFileStore(path string, pageSize int) (*FileStore, error) {
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("storage: create %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %w", err) // err names the path
 	}
 	return &FileStore{pageSize: pageSize, f: f}, nil
 }
 
 // OpenFileStore opens an existing file-backed store at path. The file
-// length must be a multiple of pageSize.
+// length must be a multiple of pageSize. A file the process may only
+// read (no write permission, or a read-only file system) opens
+// read-only: reads work, and Alloc and WritePage fail with ErrReadOnly.
 func OpenFileStore(path string, pageSize int) (*FileStore, error) {
+	return openFileStore(path, pageSize, os.OpenFile)
+}
+
+// openFileStore is OpenFileStore opening the file through open, which
+// tests replace to refuse write access to a process that has it.
+func openFileStore(path string, pageSize int, open func(string, int, os.FileMode) (*os.File, error)) (*FileStore, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := open(path, os.O_RDWR, 0)
+	readOnly := errors.Is(err, syscall.EACCES) || errors.Is(err, syscall.EPERM) || errors.Is(err, syscall.EROFS)
+	if readOnly {
+		f, err = open(path, os.O_RDONLY, 0)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %w", err) // err names the path
 	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("storage: stat %s: %w", path, err)
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	if fi.Size()%int64(pageSize) != 0 {
 		f.Close()
@@ -233,6 +248,7 @@ func OpenFileStore(path string, pageSize int) (*FileStore, error) {
 		pageSize: pageSize,
 		f:        f,
 		numPages: int(fi.Size() / int64(pageSize)),
+		readOnly: readOnly,
 	}, nil
 }
 
@@ -252,6 +268,9 @@ func (s *FileStore) Alloc() (PageID, error) {
 	defer s.mu.Unlock()
 	if s.closed {
 		return InvalidPage, ErrClosed
+	}
+	if s.readOnly {
+		return InvalidPage, ErrReadOnly
 	}
 	id := PageID(s.numPages)
 	zero := make([]byte, s.pageSize)
@@ -292,6 +311,9 @@ func (s *FileStore) WritePage(id PageID, buf []byte) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
+	}
+	if s.readOnly {
+		return ErrReadOnly
 	}
 	if int(id) >= s.numPages {
 		return fmt.Errorf("%w: %d >= %d", ErrPageOutOfRange, id, s.numPages)
