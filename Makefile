@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short alloc-pins race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples serve-smoke ci clean
+.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short alloc-pins race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples ci clean
 
 # Coverage floor for the cover-check gate: the suite sits above 80%,
 # so the floor guards against untested subsystems landing, with a
@@ -249,41 +249,12 @@ examples:
 	$(GO) run ./examples/analytics -customers 5000
 	$(GO) run ./examples/serving -duration 3s
 
-# Query-server smoke test (docs/serving.md): bring up a demo
-# distjoin-server on an ephemeral port with a 1ms slow-query threshold
-# (so real queries land in the slow log), drive it with mixed traffic
-# from distjoin-load -quick plus an ?explain=1 roundtrip check, again
-# with 2048-pair cursor pages (above DefaultBatchK, so the cursors run
-# the page-sized AM-IDJ stages an omitted batch_k selects), then
-# SIGTERM it and require a clean load run, a clean graceful exit
-# (drain, code 0), and structured request-log lines on the server's
-# stderr, at least one and every one carrying every key (kept at
-# bin/serve-log.jsonl; the CI serve job uploads it as an artifact).
-serve-smoke:
-	$(GO) build -o bin/distjoin-server ./cmd/distjoin-server
-	$(GO) build -o bin/distjoin-load ./cmd/distjoin-load
-	@rm -f bin/serve-addr.txt bin/serve-log.jsonl; \
-	bin/distjoin-server -addr 127.0.0.1:0 -demo 4000 -addr-file bin/serve-addr.txt \
-		-slow-query 1ms 2> bin/serve-log.jsonl & \
-	pid=$$!; \
-	for i in $$(seq 1 50); do [ -s bin/serve-addr.txt ] && break; sleep 0.1; done; \
-	if [ ! -s bin/serve-addr.txt ]; then \
-		echo "serve-smoke: server never bound" >&2; kill $$pid 2>/dev/null; exit 1; \
-	fi; \
-	addr="$$(cat bin/serve-addr.txt)"; \
-	load=0; bin/distjoin-load -addr "$$addr" -quick -check-explain || load=$$?; \
-	[ "$$load" -ne 0 ] || bin/distjoin-load -addr "$$addr" -quick -page 2048 || load=$$?; \
-	kill -TERM $$pid; \
-	srv=0; wait $$pid || srv=$$?; \
-	echo "serve-smoke: load exit $$load, server exit $$srv"; \
-	[ "$$load" -eq 0 ] && [ "$$srv" -eq 0 ]; \
-	bin/distjoin-load -validate-log bin/serve-log.jsonl
-
 # Everything the CI workflow (.github/workflows/ci.yml) runs, locally:
-# lint gate, build, tests with coverage + floor gate, repeated
+# lint gate, build, tests with coverage (the server smoke,
+# TestServeSmoke, among them) + floor gate, repeated
 # allocation pins, race detector
 # (short suite, then the sweep-order memo's tests unshortened),
-# simulation smoke, fuzz smoke, server smoke, one-iteration benchmark
+# simulation smoke, fuzz smoke, one-iteration benchmark
 # smoke, bench regression gate, repository-benchmark module check.
 ci: lint build
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
@@ -294,7 +265,6 @@ ci: lint build
 	$(MAKE) race-memo
 	$(MAKE) sim-smoke
 	$(MAKE) fuzz-smoke
-	$(MAKE) serve-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff
 	$(MAKE) bench-repo-test

@@ -25,11 +25,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"distjoin"
 	"distjoin/internal/datagen"
-	"distjoin/internal/rtree"
 )
 
 func main() {
@@ -164,23 +162,10 @@ func main() {
 	}
 }
 
-// loadIndex reads a dataset in either format (binary .djds or .csv,
-// by extension) and bulk-loads it.
+// loadIndex reads a dataset file (binary .djds or .csv, by extension)
+// and bulk-loads it.
 func loadIndex(path string) (*distjoin.Index, error) {
-	var (
-		items []rtree.Item
-		err   error
-	)
-	if strings.HasSuffix(path, ".csv") {
-		var f *os.File
-		if f, err = os.Open(path); err != nil {
-			return nil, err
-		}
-		items, err = datagen.ReadCSV(f)
-		f.Close()
-	} else {
-		items, err = datagen.ReadFile(path)
-	}
+	items, err := datagen.Load(path)
 	if err != nil {
 		return nil, err
 	}

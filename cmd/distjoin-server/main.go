@@ -16,7 +16,10 @@
 // The server drains gracefully on SIGINT/SIGTERM: new queries are
 // rejected with 503, queries already admitted run to completion
 // (bounded by -drain), then the process exits 0. See docs/serving.md
-// for the wire schema and cmd/distjoin-load for a load generator.
+// for the wire schema. TestServeSmoke builds this binary, serves the
+// demo data, drives every /v1 family and checks the answers, the
+// request log and the exit; the repository benchmark (benchmark/)
+// measures it under load.
 package main
 
 import (
@@ -114,14 +117,15 @@ func main() {
 	})
 
 	for _, e := range data {
-		idx, err := loadIndex(e.path)
+		items, err := datagen.Load(e.path)
 		check(err)
-		check(srv.AddIndex(e.name, idx))
-		log.Printf("loaded %q: %d objects from %s", e.name, idx.Len(), e.path)
+		check(addIndex(srv, e.name, items))
+		log.Printf("loaded %q: %d objects from %s", e.name, len(items), e.path)
 	}
 	if *demo > 0 {
-		check(addDemo(srv, "left", datagen.Uniform(*seed, *demo, datagen.World, 0)))
-		check(addDemo(srv, "right", datagen.GaussianClusters(*seed+1, *demo, 8, datagen.World, 500, 0)))
+		left, right := demoItems(*seed, *demo)
+		check(addIndex(srv, "left", left))
+		check(addIndex(srv, "right", right))
 		log.Printf("demo datasets \"left\" and \"right\": %d objects each (seed %d)", *demo, *seed)
 	}
 
@@ -153,44 +157,29 @@ func main() {
 	log.Printf("stopped")
 }
 
-// addDemo registers synthetic items under name.
-func addDemo(srv *serving.Server, name string, items []rtree.Item) error {
-	idx, err := distjoin.NewIndex(toObjects(items), nil)
+// demoItems is the synthetic data -demo n serves: "left" uniform,
+// "right" in eight Gaussian clusters, n objects each.
+func demoItems(seed int64, n int) (left, right []rtree.Item) {
+	return datagen.Uniform(seed, n, datagen.World, 0),
+		datagen.GaussianClusters(seed+1, n, 8, datagen.World, 500, 0)
+}
+
+// addIndex bulk-loads items and registers the index under name.
+func addIndex(srv *serving.Server, name string, items []rtree.Item) error {
+	idx, err := newIndex(items)
 	if err != nil {
 		return err
 	}
 	return srv.AddIndex(name, idx)
 }
 
-// loadIndex reads a dataset in either on-disk format (binary .djds or
-// .csv, by extension) and bulk-loads it.
-func loadIndex(path string) (*distjoin.Index, error) {
-	var (
-		items []rtree.Item
-		err   error
-	)
-	if strings.HasSuffix(path, ".csv") {
-		var f *os.File
-		if f, err = os.Open(path); err != nil {
-			return nil, err
-		}
-		items, err = datagen.ReadCSV(f)
-		f.Close()
-	} else {
-		items, err = datagen.ReadFile(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return distjoin.NewIndex(toObjects(items), nil)
-}
-
-func toObjects(items []rtree.Item) []distjoin.Object {
+// newIndex bulk-loads items with the facade's default configuration.
+func newIndex(items []rtree.Item) (*distjoin.Index, error) {
 	objs := make([]distjoin.Object, len(items))
 	for i, it := range items {
 		objs[i] = distjoin.Object{ID: it.Obj, Rect: it.Rect}
 	}
-	return objs
+	return distjoin.NewIndex(objs, nil)
 }
 
 func check(err error) {

@@ -301,7 +301,7 @@ type Options struct {
 	// cutoff distance; zero uses the Eq. 3 estimate.
 	EDmax float64
 	// MaxDist is the within-distance bound for SJSort (ignored by the
-	// other algorithms).
+	// other algorithms): positive, or +Inf for no bound.
 	MaxDist float64
 	// BatchK sets the stage size of incremental AM-IDJ joins: each
 	// stage targets BatchK more results, and every stage after the
@@ -556,7 +556,7 @@ func KDistanceJoin(left, right *Index, k int, opts *Options) ([]Pair, error) {
 	case HSKDJ:
 		results, err = join.HSKDJ(left.tree, right.tree, k, jo)
 	case SJSort:
-		if opts == nil || opts.MaxDist <= 0 {
+		if opts == nil || !(opts.MaxDist > 0) {
 			return nil, fmt.Errorf("distjoin: SJSort requires Options.MaxDist > 0")
 		}
 		results, err = join.SJSort(left.tree, right.tree, k, opts.MaxDist, jo)

@@ -263,6 +263,29 @@ func TestKDistanceJoinErrors(t *testing.T) {
 	}
 }
 
+// TestSJSortMaxDistNaN: a NaN MaxDist is rejected like a missing one,
+// not run as a join that prunes nothing; +Inf means no bound and gives
+// AM-KDJ's answer.
+func TestSJSortMaxDistNaN(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, _ := NewIndex(randObjects(rng, 60, 100, 5), nil)
+	b, _ := NewIndex(randObjects(rng, 40, 100, 5), nil)
+	if _, err := KDistanceJoin(a, b, 10, &Options{Algorithm: SJSort, MaxDist: math.NaN()}); err == nil {
+		t.Fatal("SJSort with a NaN MaxDist must error")
+	}
+	got, err := KDistanceJoin(a, b, 10, &Options{Algorithm: SJSort, MaxDist: math.Inf(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := KDistanceJoin(a, b, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("+Inf MaxDist: got %v, want %v", got, want)
+	}
+}
+
 func TestIncrementalJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randObjects(rng, 150, 1000, 10)

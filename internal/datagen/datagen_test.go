@@ -3,7 +3,9 @@ package datagen
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -260,6 +262,38 @@ func TestReadRejectsInvalidRect(t *testing.T) {
 func TestReadFileMissing(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// TestLoadPicksFormatByExtension: a ".csv" path is read as CSV, any
+// other as the binary format, and a missing file is an error either way.
+func TestLoadPicksFormatByExtension(t *testing.T) {
+	items := Uniform(13, 300, World, 30)
+	dir := t.TempDir()
+	bin, csv := filepath.Join(dir, "d.djds"), filepath.Join(dir, "d.csv")
+	if err := WriteFile(bin, items); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, items); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(csv, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{bin, csv} {
+		got, err := Load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !slices.Equal(got, items) {
+			t.Fatalf("%s: read %d items, not the %d written", path, len(got), len(items))
+		}
+	}
+	for _, path := range []string{filepath.Join(dir, "missing.djds"), filepath.Join(dir, "missing.csv")} {
+		if _, err := Load(path); err == nil {
+			t.Fatalf("%s: missing file must error", path)
+		}
 	}
 }
 

@@ -66,6 +66,21 @@ func WriteTo(w io.Writer, items []rtree.Item) error {
 	return nil
 }
 
+// Load reads a dataset file in either format, chosen by its extension:
+// CSV for ".csv" (ReadCSV), the binary dataset format otherwise
+// (ReadFile).
+func Load(path string) ([]rtree.Item, error) {
+	if !strings.HasSuffix(path, ".csv") {
+		return ReadFile(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("datagen: open %s: %w", path, err)
+	}
+	defer f.Close()
+	return ReadCSV(f)
+}
+
 // ReadFile loads a dataset previously written by WriteFile.
 func ReadFile(path string) ([]rtree.Item, error) {
 	f, err := os.Open(path)

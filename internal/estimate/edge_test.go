@@ -76,10 +76,6 @@ func TestModelDegenerateGeometry(t *testing.T) {
 				}
 			}
 		}
-		// Queue boundaries likewise.
-		for _, i := range []int{0, 1, 7} {
-			finite(t, tc.name+" QueueBoundary", m.QueueBoundary(i, 1024))
-		}
 	}
 }
 

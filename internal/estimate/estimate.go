@@ -1,9 +1,7 @@
 // Package estimate implements the maximum-distance estimation of paper
 // §4.3: the closed-form initial estimate of eDmax for a stopping
 // cardinality k (Eq. 3), and the arithmetic (Eq. 4) and geometric
-// (Eq. 5) adaptive corrections applied mid-query. The same density
-// model also supplies the partition boundaries of the hybrid queue
-// (§4.4), exposed here as QueueBoundary.
+// (Eq. 5) adaptive corrections applied mid-query.
 package estimate
 
 import (
@@ -135,15 +133,4 @@ func (m Model) Correct(mode Mode, k, k0 int, dK0 float64) float64 {
 	default: // Aggressive
 		return math.Min(m.CorrectArithmetic(k, k0, dK0), m.CorrectGeometric(k, k0, dK0))
 	}
-}
-
-// QueueBoundary returns the §4.4 partition boundary between hybrid
-// queue segments: with n elements fitting in memory, segment i (i >= 1,
-// counting the in-memory heap as segment 0) begins at distance
-// sqrt(i * n * rho).
-func (m Model) QueueBoundary(i, n int) float64 {
-	if i <= 0 || n <= 0 {
-		return 0
-	}
-	return math.Sqrt(float64(i) * float64(n) * m.rho)
 }

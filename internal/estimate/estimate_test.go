@@ -218,22 +218,3 @@ func TestCorrectionMonotonicity(t *testing.T) {
 		prevA, prevG = a, g
 	}
 }
-
-func TestQueueBoundary(t *testing.T) {
-	m := unitModel(t, 100, 100)
-	n := 1000
-	if m.QueueBoundary(0, n) != 0 || m.QueueBoundary(1, 0) != 0 {
-		t.Fatal("degenerate boundaries must be 0")
-	}
-	b1 := m.QueueBoundary(1, n)
-	b2 := m.QueueBoundary(2, n)
-	if math.Abs(b1-math.Sqrt(float64(n)*m.Rho())) > 1e-15 {
-		t.Fatalf("boundary 1 = %g", b1)
-	}
-	if math.Abs(b2-math.Sqrt(2*float64(n)*m.Rho())) > 1e-15 {
-		t.Fatalf("boundary 2 = %g", b2)
-	}
-	if b2 <= b1 {
-		t.Fatal("boundaries must increase")
-	}
-}

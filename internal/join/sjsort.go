@@ -1,6 +1,9 @@
 package join
 
 import (
+	"fmt"
+	"math"
+
 	"distjoin/internal/extsort"
 	"distjoin/internal/hybridq"
 	"distjoin/internal/rtree"
@@ -13,7 +16,13 @@ import (
 // the first k. As in the paper, dmax plays the role of an *oracle*:
 // the experiments feed it the real distance of the k-th nearest pair,
 // an assumption favorable to this baseline.
+//
+// As for WithinJoin, dmax must not be NaN (a NaN cutoff prunes nothing
+// and queues the whole cross product), and +Inf means no bound.
 func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results []Result, err error) {
+	if math.IsNaN(dmax) {
+		return nil, fmt.Errorf("join: SJSort dmax must not be NaN")
+	}
 	c, err := newContext(left, right, opts)
 	if err != nil {
 		return nil, err

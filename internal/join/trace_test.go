@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -293,5 +294,31 @@ func TestWithinJoinMaxDistValidation(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("negative maxDist produced %d pairs, want 0", n)
+	}
+}
+
+// TestSJSortDmaxValidation: SJ-SORT's first phase is the within
+// descent, so its cutoff follows WithinJoin's rule. A NaN dmax is an
+// error, not a descent that prunes nothing; +Inf means no bound and
+// gives the ranked join's answer.
+func TestSJSortDmaxValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(506))
+	w := geom.NewRect(0, 0, 100, 100)
+	left := buildTree(t, datagen.Uniform(rng.Int63(), 30, w, 5), 8)
+	right := buildTree(t, datagen.Uniform(rng.Int63(), 20, w, 5), 8)
+
+	if _, err := SJSort(left, right, 10, math.NaN(), Options{}); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("NaN dmax: err = %v, want a NaN error", err)
+	}
+	got, err := SJSort(left, right, 10, math.Inf(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AMKDJ(left, right, 10, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("+Inf dmax: got %v, want %v", got, want)
 	}
 }

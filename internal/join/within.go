@@ -115,52 +115,13 @@ func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) 
 // pair. The once-per-unordered-pair rule does not apply to a
 // per-object join: a and b may each be the other's nearest.
 //
-// The implementation runs one best-first NN search per left object —
-// O(|R|) searches, each logarithmic-ish with warm buffers — which is
-// the right trade-off for the moderate result cardinalities this
-// library targets; the per-search node accesses are all recorded
-// against the collector.
-func AllNearest(left, right *rtree.Tree, opts Options, fn func(left Result) bool) (err error) {
+// It is AllKNearest at k = 1: one best-first NN search per left
+// object, each one's node accesses recorded against the collector.
+func AllNearest(left, right *rtree.Tree, opts Options, fn func(left Result) bool) error {
 	if fn == nil {
 		return fmt.Errorf("join: AllNearest requires a callback")
 	}
-	c, err := newContext(left, right, opts)
-	if err != nil {
-		return err
-	}
-	if c.left.Size() == 0 {
-		return nil
-	}
-	if c.right.Size() == 0 {
-		return fmt.Errorf("join: AllNearest requires a non-empty right tree")
-	}
-	defer c.begin("ALL-NN", "scan", 1)(&err)
-
-	var innerErr error
-	err = left.Search(left.Bounds(), c.mc, func(it rtree.Item) bool {
-		ns, err := c.neighbors(right, it, 1)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if len(ns) == 0 {
-			return true // a self-join's only object
-		}
-		n := ns[0]
-		res := Result{
-			LeftObj:   it.Obj,
-			RightObj:  n.Item.Obj,
-			LeftRect:  it.Rect,
-			RightRect: n.Item.Rect,
-			Dist:      n.Dist,
-		}
-		c.mc.AddResult(1)
-		return fn(res)
-	})
-	if innerErr != nil {
-		return innerErr
-	}
-	return err
+	return perObject("AllNearest", "ALL-NN", left, right, 1, opts, func(ns []Result) bool { return fn(ns[0]) })
 }
 
 // AllKNearest reports, for every object in the left tree, its k
@@ -170,13 +131,21 @@ func AllNearest(left, right *rtree.Tree, opts Options, fn func(left Result) bool
 // Fewer than k neighbors are reported when the right tree is smaller
 // than k. Under SelfJoin an object is not its own neighbor, as in
 // AllNearest, and an object with no other object gets no batch.
-func AllKNearest(left, right *rtree.Tree, k int, opts Options, fn func(neighbors []Result) bool) (err error) {
+func AllKNearest(left, right *rtree.Tree, k int, opts Options, fn func(neighbors []Result) bool) error {
 	if fn == nil {
 		return fmt.Errorf("join: AllKNearest requires a callback")
 	}
 	if k <= 0 {
 		return fmt.Errorf("join: AllKNearest requires k > 0")
 	}
+	return perObject("AllKNearest", "ALL-KNN", left, right, k, opts, fn)
+}
+
+// perObject is the index nested loop behind AllNearest and AllKNearest:
+// a k-NN search in right for every object of left, in the left tree's
+// leaf order, handing fn one batch per object. name prefixes its errors;
+// algo is the registry label.
+func perObject(name, algo string, left, right *rtree.Tree, k int, opts Options, fn func(neighbors []Result) bool) (err error) {
 	c, err := newContext(left, right, opts)
 	if err != nil {
 		return err
@@ -185,9 +154,9 @@ func AllKNearest(left, right *rtree.Tree, k int, opts Options, fn func(neighbors
 		return nil
 	}
 	if c.right.Size() == 0 {
-		return fmt.Errorf("join: AllKNearest requires a non-empty right tree")
+		return fmt.Errorf("join: %s requires a non-empty right tree", name)
 	}
-	defer c.begin("ALL-KNN", "scan", k)(&err)
+	defer c.begin(algo, "scan", k)(&err)
 
 	batch := make([]Result, 0, k)
 	var innerErr error

@@ -137,8 +137,9 @@ var requestLogFields = func() (fields []logField) {
 }()
 
 // RequestLogKeys returns the attribute keys of the "request" log
-// record, in the order they are logged: the schema that
-// distjoin-load -validate-log and the tests check a log line against.
+// record, in the order they are logged: the schema the tests, and
+// cmd/distjoin-server's TestServeSmoke on the binary's stderr, check a
+// log line against.
 func RequestLogKeys() []string {
 	keys := make([]string, len(requestLogFields))
 	for i, f := range requestLogFields {
