@@ -411,6 +411,15 @@ func (c *IndexConfig) bufferBytes() int {
 }
 
 // NewIndex bulk-loads objects into an in-memory paged R*-tree.
+//
+// Every rectangle must be valid: no NaN coordinate, and Min <= Max on
+// both axes. A coordinate may be infinite, so a half-infinite strip, a
+// point at infinity or the whole plane is an object like any other. A
+// distance involving one is +Inf, or finite where the geometry makes
+// it so (two points on the line x = +Inf, anything against the whole
+// plane), never NaN; every join ranks such pairs exactly as brute
+// force does, those at +Inf last. The same rule holds for the
+// rectangles Builder.Insert and Builder.BulkReplace take.
 func NewIndex(objects []Object, cfg *IndexConfig) (*Index, error) {
 	return buildIndex(objects, cfg, storage.NewMemStore(cfg.pageSize()))
 }

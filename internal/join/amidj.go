@@ -105,12 +105,10 @@ func (it *Iterator) holdBack(p hybridq.Pair) bool {
 // expanded in an earlier stage get a band re-examination plus the
 // unexamined suffix.
 //
-// Range storage is allocated once per bookkept pair, on its first
-// expansion, and re-recorded in place by every later stage (the same
-// node pair under the same plan has the same lengths), so an iterator's
-// range memory follows its live compMap, not the stages it has run. A
-// slab like AM-KDJ's would pin every retired pair's ranges for
-// the life of the iterator, so none is used here.
+// A bookkept pair's compInfo is allocated on its first expansion and
+// updated in place by every later stage, which moves only its cutoff,
+// so an iterator's bookkeeping follows its live compMap, not the stages
+// it has run, and a re-expansion allocates nothing.
 func (it *Iterator) expand(p hybridq.Pair) error {
 	c := it.c
 	cur := it.eDmax
@@ -121,19 +119,15 @@ func (it *Iterator) expand(p hybridq.Pair) error {
 		if err != nil {
 			return c.traceError(err)
 		}
-		// Once the cutoff covers the pair's own diameter, every child
-		// pair is pushed by this sweep; no compensation bookkeeping is
-		// needed.
-		bookkeep := cur < p.LeftRect.MaxDist(p.RightRect)
 		run.fixCutoff(cur)
-		if bookkeep {
-			run.recordInto(run.newRanges())
-		}
 		run.emit = c.pushFn
 		run.run()
 		c.traceExpansion(p, cur, run.children)
-		if bookkeep {
-			it.compMap[key] = &compInfo{pair: p, plan: run.plan, ranges: run.out, examCutoff: cur}
+		// Once the cutoff covers the pair's own diameter, every child
+		// pair was pushed by this sweep; no compensation bookkeeping is
+		// needed.
+		if cur < p.LeftRect.MaxDist(p.RightRect) {
+			it.compMap[key] = &compInfo{pair: p, plan: run.plan, examCutoff: cur}
 			it.compOrder = append(it.compOrder, key)
 			c.mc.AddCompQueueInsert(1)
 		}
@@ -147,8 +141,7 @@ func (it *Iterator) expand(p hybridq.Pair) error {
 		return c.traceError(err)
 	}
 	it.bandFloor = ci.examCutoff
-	run.prev = &ci.ranges
-	run.recordInto(ci.ranges)
+	run.resume(ci.examCutoff)
 	run.fixCutoff(cur)
 	run.reexamine = it.bandFn
 	run.emit = c.pushFn

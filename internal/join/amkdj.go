@@ -1,6 +1,8 @@
 package join
 
 import (
+	"sync"
+
 	"distjoin/internal/hybridq"
 	"distjoin/internal/obsrv"
 	"distjoin/internal/rtree"
@@ -13,52 +15,55 @@ type pairKey [2]uint64
 
 func keyOf(p hybridq.Pair) pairKey { return pairKey{p.Left, p.Right} }
 
-// rangeSlab is the range storage of one AM-KDJ query: every
-// aggressive expansion carves its two range slices from the current
-// chunk instead of allocating them. It is a local of the query, next to
-// compList, whose compInfos are the only holders of the carved slices,
-// so it lives and dies with them: nothing is pooled across queries.
-// (Even a k=100 query on the benchmark data carves about 12 full
-// chunks; a pool would keep that much live between queries and raise
-// the collector's heap goal by twice as much, which costs a lightly
-// loaded server more RSS than the allocations it saves.) Chunks start
-// small, so a query that expands a handful of pairs pays for one small
-// chunk, and double up to a ceiling at which the unused end of a chunk
-// (less than one node's entries) is noise.
-type rangeSlab struct {
-	free []anchorRange // unused remainder of the current chunk
-	next int           // entries in the next chunk
-}
-
-const (
-	rangeSlabFirstChunk = 1 << 10 // entries; 4 KB
-	rangeSlabMaxChunk   = 1 << 14 // entries; 64 KB
-)
-
-// carve returns n entries that no other carve returns. A request that
-// no chunk could hold gets an allocation of its own.
-func (b *rangeSlab) carve(n int) []anchorRange {
-	if n > len(b.free) {
-		if n > rangeSlabMaxChunk {
-			return make([]anchorRange, n)
-		}
-		b.next = min(max(2*b.next, rangeSlabFirstChunk), rangeSlabMaxChunk)
-		b.free = make([]anchorRange, max(b.next, n))
-	}
-	out := b.free[:n:n]
-	b.free = b.free[n:]
-	return out
-}
-
-// compInfo is one compensation-queue entry: the expanded pair, the
-// sweep plan used (so the compensation stage reproduces the exact
-// stage-one order), the per-anchor examined ranges, and — for AM-IDJ —
-// the real-distance cutoff those ranges were examined under.
+// compInfo is one compensation entry: the expanded pair, the sweep plan
+// used (so a later stage reproduces the exact stage-one order), and the
+// fixed axis cutoff the pair was last examined under, from which that
+// stage re-derives every anchor's examined prefix (sweepRun.resume).
+// For AM-IDJ the cutoff is also the real-distance cutoff of that
+// examination, the floor of the band a re-expansion recovers.
 type compInfo struct {
 	pair       hybridq.Pair
 	plan       sweep.Plan
-	ranges     sweepRanges
 	examCutoff float64
+}
+
+// compList is AM-KDJ's compensation list: one compInfo per bookkept
+// expansion, in expansion order. A query takes one from compLists at its
+// first bookkept expansion (execContext.keepComp) and endQuery gives it
+// back. A compInfo holds no pointers, so a pooled list pins nothing but
+// its own array, which keeps the length of the longest list it served.
+type compList struct {
+	infos []compInfo
+}
+
+var compLists = sync.Pool{New: func() any { return new(compList) }}
+
+// keepComp appends ci to the query's compensation list.
+func (c *execContext) keepComp(ci compInfo) {
+	if c.comp == nil {
+		c.comp = compLists.Get().(*compList)
+	}
+	c.comp.infos = append(c.comp.infos, ci)
+	c.mc.AddCompQueueInsert(1)
+}
+
+// compInfos returns the query's compensation list, empty when nothing
+// was bookkept. It is valid until endQuery.
+func (c *execContext) compInfos() []compInfo {
+	if c.comp == nil {
+		return nil
+	}
+	return c.comp.infos
+}
+
+// releaseComp gives the query's compensation list back to compLists.
+func (c *execContext) releaseComp() {
+	if c.comp == nil {
+		return
+	}
+	c.comp.infos = c.comp.infos[:0]
+	compLists.Put(c.comp)
+	c.comp = nil
 }
 
 // AMKDJ runs the adaptive multi-stage k-distance join of paper §4.1
@@ -94,10 +99,6 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	est0 := eDmax
 	c.traceStage(trace.KindStageStart, "aggressive", eDmax, 0)
 
-	var compList []*compInfo
-	var slab rangeSlab // backs every compInfo.ranges in compList
-	compMap := make(map[pairKey]*compInfo)
-
 	// Stage one: aggressive pruning (Algorithm 2).
 	loop := bestFirst{c: c, ct: ct}
 	loop.gate = func(p hybridq.Pair) bool {
@@ -121,13 +122,11 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		return false
 	}
 	loop.node = func(p hybridq.Pair) error {
-		ci, err := c.amAggressiveSweep(p, eDmax, ct, realCutoff, &slab)
+		ci, err := c.amAggressiveSweep(p, eDmax, ct, realCutoff)
 		if err != nil {
 			return err
 		}
-		compList = append(compList, ci)
-		compMap[keyOf(p)] = ci
-		c.mc.AddCompQueueInsert(1)
+		c.keepComp(ci)
 		return nil
 	}
 	ct.pushCopy(c.rootPair())
@@ -139,15 +138,20 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	// Stage two: compensation (Algorithm 3), needed only when the
 	// aggressive stage fell short (line 12).
 	if len(results) < k {
+		bookkept := c.compInfos()
 		c.mc.AddCompensationStage()
-		c.traceStage(trace.KindCompensation, "compensation", eDmax, int64(len(compList)))
-		// Re-seed the main queue with the bookkept pairs. Their bounds
-		// are NOT re-registered with the cutoff tracker: a re-seeded
-		// pair stands only for its unexamined remainder, which may be
-		// empty, so it must not act as a qDmax witness (its stage-one
-		// children already carry their own bounds). Omitting a bound
-		// can only leave the cutoff larger, which is always safe.
-		for _, ci := range compList {
+		c.traceStage(trace.KindCompensation, "compensation", eDmax, int64(len(bookkept)))
+		// Re-seed the main queue with the bookkept pairs, and index them
+		// for the pops that come back. Their bounds are NOT re-registered
+		// with the cutoff tracker: a re-seeded pair stands only for its
+		// unexamined remainder, which may be empty, so it must not act as
+		// a qDmax witness (its stage-one children already carry their own
+		// bounds). Omitting a bound can only leave the cutoff larger,
+		// which is always safe.
+		compMap := make(map[pairKey]*compInfo, len(bookkept))
+		for i := range bookkept {
+			ci := &bookkept[i]
+			compMap[keyOf(ci.pair)] = ci // a pair expanded twice keeps its last entry
 			c.push(&ci.pair)
 		}
 		loop.gate = nil
@@ -172,22 +176,21 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 
 // amAggressiveSweep is AggressivePlaneSweep of Algorithm 2: axis
 // pruning against eDmax (line 22), real-distance filtering against
-// the live qDmax (as in B-KDJ; realCutoff reads it), with per-anchor
-// bookkeeping of the examined ranges (lines 19/21), which are carved
-// from the query's slab.
-func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker, realCutoff func() float64, slab *rangeSlab) (*compInfo, error) {
+// the live qDmax (as in B-KDJ; realCutoff reads it). The bookkeeping of
+// lines 19/21 is the returned compInfo: the cutoff eDmax is all a
+// compensation stage needs to re-derive what each anchor examined.
+func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker, realCutoff func() float64) (compInfo, error) {
 	ct.OnRemove(&p)
 	run, err := c.ex.expansion(p, eDmax)
 	if err != nil {
-		return nil, c.traceError(err)
+		return compInfo{}, c.traceError(err)
 	}
 	run.fixCutoff(eDmax)
 	run.realCutoff = realCutoff
-	run.recordInto(sweepRanges{l: slab.carve(run.L.Len()), r: slab.carve(run.R.Len())})
 	run.emit = ct.pushFn
 	run.run()
 	c.traceExpansion(p, eDmax, run.children)
-	return &compInfo{pair: p, plan: run.plan, ranges: run.out, examCutoff: eDmax}, nil
+	return compInfo{pair: p, plan: run.plan, examCutoff: eDmax}, nil
 }
 
 // amCompensateSweep is CompensatePlaneSweep of Algorithm 3: replay the
@@ -202,7 +205,7 @@ func (c *execContext) amCompensateSweep(p hybridq.Pair, ci *compInfo, ct *cutoff
 	if err != nil {
 		return c.traceError(err)
 	}
-	run.prev = &ci.ranges
+	run.resume(ci.examCutoff)
 	run.liveCutoff(ct.cutoffFn)
 	run.emit = ct.pushFn
 	run.run()

@@ -194,6 +194,8 @@ type execContext struct {
 	// newCutoffTracker. Its heap is pooled; endQuery gives it back, with
 	// the queue's.
 	ct *cutoffTracker
+	// comp is AM-KDJ's compensation list, pooled too (keepComp).
+	comp *compList
 }
 
 // expander carries the state a node expansion needs: the
@@ -548,7 +550,8 @@ func (c *execContext) beginQuery(k int) {
 // endQuery completes the registry entry, folding in the final counters
 // and the error outcome, and gives back everything the query took from
 // a pool: the main queue's heap array and scratch (whatever the queue
-// still holds is dropped) and the distance queue's heap. It is the one
+// still holds is dropped), the distance queue's heap and AM-KDJ's
+// compensation list. It is the one
 // place a query returns pooled memory, on every path: finished, failed
 // or cancelled. Idempotent: safe to call from both an iterator's
 // terminal paths and its Close.
@@ -559,6 +562,7 @@ func (c *execContext) endQuery(err error) {
 		c.ct.release()
 		c.ct = nil
 	}
+	c.releaseComp()
 }
 
 // recordEstimate reports one eDmax-estimator accuracy sample — the

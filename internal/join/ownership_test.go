@@ -9,36 +9,6 @@ import (
 	"distjoin/internal/metrics"
 )
 
-// TestRangeSlabCarve: carved slices never overlap, keep their contents
-// across later carves (including the ones that start a new chunk), and a
-// request no chunk could hold is still served.
-func TestRangeSlabCarve(t *testing.T) {
-	var slab rangeSlab
-	sizes := []int{0, 1, 102, 102, 7, rangeSlabFirstChunk, 60, rangeSlabMaxChunk + 5, 102, 3000, 3000, 3000, 102}
-	var carved [][]anchorRange
-	for round := 0; round < 4; round++ {
-		for _, n := range sizes {
-			s := slab.carve(n)
-			if len(s) != n || cap(s) != n {
-				t.Fatalf("carve(%d) returned len %d cap %d", n, len(s), cap(s))
-			}
-			stamp := anchorRange{from: uint16(len(carved)), to: uint16(n)}
-			for i := range s {
-				s[i] = stamp
-			}
-			carved = append(carved, s)
-		}
-	}
-	for id, s := range carved {
-		want := anchorRange{from: uint16(id), to: uint16(len(s))}
-		for i, got := range s {
-			if got != want {
-				t.Fatalf("slice %d element %d reads %+v after later carves, want %+v: carved slices overlap", id, i, got, want)
-			}
-		}
-	}
-}
-
 // TestQueuedPairSurvivesScratchReuse: the sweep lends emit its one
 // scratch pair and rebuilds it for the next candidate, so whatever the
 // queue took must be a copy. An emit that scribbles over the pair after
@@ -91,14 +61,15 @@ func TestQueuedPairSurvivesScratchReuse(t *testing.T) {
 	}
 }
 
-// TestAMIDJReRecordsRangesInPlace pulls results through at least twenty
-// stages of one iterator. A bookkept pair's range storage is allocated
-// by its first expansion; every later stage must re-record into that
-// same block (its address never changes while the pair is live), so the
-// iterator's range memory follows its live compMap and not the number of
-// stages it has run, and a warm re-expansion allocates nothing at all.
-// Results still equal brute force.
-func TestAMIDJReRecordsRangesInPlace(t *testing.T) {
+// TestAMIDJBandReExpansionAllocs pulls results through at least twenty
+// stages of one iterator, through at least twenty band re-expansions.
+// A bookkept pair's compInfo is allocated by its first expansion and
+// every later stage updates it in place (its address never changes
+// while the pair is live), so the iterator's bookkeeping follows its
+// live compMap and not the number of stages it has run. Results still
+// equal brute force. Then a band re-expansion of every pair still
+// bookkept, warm, allocates nothing at all.
+func TestAMIDJBandReExpansionAllocs(t *testing.T) {
 	l, r := memoTestData()
 	var mc metrics.Collector
 	it, err := AMIDJ(buildTree(t, l, 16), buildTree(t, r, 16), Options{BatchK: 40, Metrics: &mc})
@@ -107,18 +78,15 @@ func TestAMIDJReRecordsRangesInPlace(t *testing.T) {
 	}
 	defer it.Close()
 
-	block := func(rs sweepRanges) *anchorRange {
-		if len(rs.l) > 0 {
-			return &rs.l[0]
+	reExpansions := 0
+	expand := it.node
+	it.node = func(p hybridq.Pair) error {
+		if it.compMap[keyOf(p)] != nil {
+			reExpansions++
 		}
-		return &rs.r[0]
+		return expand(p)
 	}
-	type sighting struct {
-		home   *anchorRange
-		cutoff float64
-	}
-	first := map[pairKey]sighting{}
-	reRecorded := 0
+	home := map[pairKey]*compInfo{}
 	var got []Result
 	for mc.CompensationStages < 20 && len(got) < 20000 {
 		res, ok := it.Next()
@@ -127,17 +95,10 @@ func TestAMIDJReRecordsRangesInPlace(t *testing.T) {
 		}
 		got = append(got, res)
 		for key, ci := range it.compMap {
-			seen, ok := first[key]
-			if !ok {
-				first[key] = sighting{home: block(ci.ranges), cutoff: ci.examCutoff}
-				continue
-			}
-			if block(ci.ranges) != seen.home {
-				t.Fatalf("after %d results (stage %d): pair %v keeps its ranges in a new block", len(got), mc.CompensationStages, key)
-			}
-			if ci.examCutoff > seen.cutoff { // stage cutoffs only grow
-				reRecorded++
-				first[key] = sighting{home: seen.home, cutoff: ci.examCutoff}
+			if h, ok := home[key]; !ok {
+				home[key] = ci
+			} else if h != ci {
+				t.Fatalf("after %d results (stage %d): pair %v keeps its bookkeeping in a new compInfo", len(got), mc.CompensationStages, key)
 			}
 		}
 	}
@@ -147,30 +108,35 @@ func TestAMIDJReRecordsRangesInPlace(t *testing.T) {
 	if mc.CompensationStages < 20 {
 		t.Fatalf("only %d stages after %d results; the test needs at least 20", mc.CompensationStages, len(got))
 	}
-	if reRecorded < 20 {
-		t.Fatalf("only %d re-expansions observed over %d stages", reRecorded, mc.CompensationStages)
+	if reExpansions < 20 {
+		t.Fatalf("only %d band re-expansions over %d stages", reExpansions, mc.CompensationStages)
 	}
 	checkAgainstBrute(t, "AM-IDJ", got, l, r, len(got))
 
 	// The root pair stays bookkept until the cutoff covers the whole
-	// space: re-expanding it is a band re-expansion.
-	root := it.c.rootPair()
-	ci := it.compMap[keyOf(root)]
-	if ci == nil {
-		t.Fatal("the root pair is no longer bookkept; pick a smaller stage count")
-	}
-	home := block(ci.ranges)
-	reexpand := func() {
-		it.c.queue.Drain()
-		if err := it.expand(root); err != nil {
-			t.Fatal(err)
+	// space, so at least it is left to re-expand.
+	var live []hybridq.Pair
+	for _, key := range it.compOrder {
+		if ci := it.compMap[key]; ci != nil {
+			live = append(live, ci.pair)
 		}
 	}
-	reexpand() // size the queue for the root's children
-	if avg := testing.AllocsPerRun(50, reexpand); avg != 0 {
-		t.Errorf("a band re-expansion allocates %v, want 0", avg)
+	if it.compMap[keyOf(it.c.rootPair())] == nil {
+		t.Fatal("the root pair is no longer bookkept; pick a smaller stage count")
 	}
-	if it.compMap[keyOf(root)] != ci || block(ci.ranges) != home {
-		t.Error("re-expansion replaced the root pair's bookkeeping")
+	reexpand := func() {
+		it.c.queue.Drain()
+		for _, p := range live {
+			if it.compMap[keyOf(p)] == nil {
+				continue // retired by the call before: fully covered
+			}
+			if err := it.expand(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reexpand() // size the queue for the children
+	if avg := testing.AllocsPerRun(50, reexpand); avg != 0 {
+		t.Errorf("band re-expansions of %d bookkept pairs allocate %v, want 0", len(live), avg)
 	}
 }

@@ -7,30 +7,12 @@ import (
 	"distjoin/internal/sweep"
 )
 
-// anchorRange records, for one anchor of a plane sweep, the half-open
-// index range of candidates in the opposite sorted list that were
-// examined (axis gap within the stage's cutoff). AM-KDJ's compensation
-// stage resumes each anchor at .to; AM-IDJ's band re-examination
-// revisits [.from,.to) under a grown cutoff. The indices are uint16
-// because a node never holds more than rtree.MaxNodeEntries entries:
-// the page header stores the entry count in sixteen bits.
-type anchorRange struct {
-	from, to uint16
-}
-
-// sweepRanges is the per-expansion compensation bookkeeping: one range
-// per sorted child of each side (lines 19/21 of Algorithm 2).
-type sweepRanges struct {
-	l, r []anchorRange
-}
-
 // sweepSide is one side of a run with its columns picked by the plan's
 // axis and direction once, so that no step of the sweep re-derives them.
 type sweepSide struct {
-	n         *rtree.NodeSoA
-	key       []float64     // orders this side's entries; the other side's anchors measure gaps to it
-	base      []float64     // an anchor of this side measures its gaps from it
-	prev, out []anchorRange // this side's half of sweepRun.prev and .out
+	n    *rtree.NodeSoA
+	key  []float64 // orders this side's entries; the other side's anchors measure gaps to it
+	base []float64 // an anchor of this side measures its gaps from it
 }
 
 // sweepRun executes one bidirectional node expansion by plane sweep
@@ -60,9 +42,9 @@ type sweepSide struct {
 // only for the call, the pair must not be modified, and whoever keeps
 // it copies it (Queue.PushFrom into the heap, a stack or output slice
 // by appending *p). They report whether they accepted the pair; the run
-// counts those in children. The run never allocates range storage: a
-// caller that wants the examined ranges hands it two slices of the
-// sides' lengths through recordInto and owns them afterwards.
+// counts those in children. The run allocates nothing, and keeps nothing
+// for a later stage: what that stage needs to know is the cutoff this
+// one examined under (see resume).
 //
 // The axis cutoff comes in two forms with different scan strategies:
 //
@@ -86,14 +68,14 @@ type sweepSide struct {
 // Both paths count axis and real distance computations exactly as the
 // historical per-entry engine did — summed locally and added to the
 // collector once per run — and emit in the same candidate order, which
-// is what keeps results and counters byte-identical.
+// is what keeps results and counters byte-identical. The gap
+// comparisons a resumed run repeats to re-derive a prefix were counted
+// by the stage that first made them, and are not counted again.
 //
-// Compensation: when prev is non-nil the anchor scan skips the ranges
-// examined by the earlier stage; when reexamine is additionally
-// non-nil those ranges are revisited through it first (the AM-IDJ band
-// case, where the real-distance cutoff has grown between stages). prev
-// and the recordInto storage may be the same slices: every anchor's
-// previous range is read before its new one is written.
+// Compensation: a resumed run (see resume) skips, per anchor, the
+// prefix of candidates the earlier stage examined; when reexamine is
+// also set that prefix is revisited through it first (the AM-IDJ band
+// case, where the real-distance cutoff has grown between stages).
 type sweepRun struct {
 	e          *expander
 	L, R       *rtree.NodeSoA
@@ -103,11 +85,10 @@ type sweepRun struct {
 	realCutoff func() float64 // live real-distance cutoff; nil leaves realNow fixed
 	realNow    float64        // the real-distance cutoff in force (see pass)
 	emit       func(p *hybridq.Pair) bool
-	prev       *sweepRanges
+	resumed    bool    // an earlier stage examined this sweep (see resume)
+	examCutoff float64 // the fixed axis cutoff it examined under, when resumed
 	reexamine  func(p *hybridq.Pair) bool
-	record     bool        // out is caller storage to write (see recordInto)
-	out        sweepRanges // the examined ranges, when record is set
-	children   int64       // candidates emit or reexamine accepted
+	children   int64 // candidates emit or reexamine accepted
 
 	pair         hybridq.Pair // the one candidate under construction; LeftObj/RightObj fixed per run
 	left, right  sweepSide
@@ -127,22 +108,15 @@ func (s *sweepRun) liveCutoff(f func() float64) {
 	s.axisCutoff, s.realCutoff = f, f
 }
 
-// recordInto makes the run write every entry's examined range into rs,
-// which the caller owns: rs.l and rs.r must have the lengths of L and R.
-// Every element is written exactly once — anchors as they are swept,
-// entries that never become anchors after the merge loop — so rs need
-// not be initialized.
-func (s *sweepRun) recordInto(rs sweepRanges) {
-	s.record, s.out = true, rs
-}
-
-// newRanges allocates range storage for this run's two sides in one
-// block, for the caller whose bookkeeping is not slab-backed (AM-IDJ's
-// first expansion of a pair).
-func (s *sweepRun) newRanges() sweepRanges {
-	nl := s.L.Len()
-	buf := make([]anchorRange, nl+s.R.Len())
-	return sweepRanges{l: buf[:nl:nl], r: buf[nl:]}
+// resume makes the run a later stage's re-expansion of a pair an
+// earlier stage swept on the same nodes under the same plan, with the
+// fixed axis cutoff examCutoff. The merge order depends on the nodes
+// and the plan only, so every anchor meets the same consumption point
+// as then, and the prefix that stage examined is re-derived by the gap
+// comparisons it made (windowEnd): nothing per anchor is stored between
+// stages.
+func (s *sweepRun) resume(examCutoff float64) {
+	s.resumed, s.examCutoff = true, examCutoff
 }
 
 // pass is the sweep's real-distance filter: a candidate at real
@@ -177,8 +151,8 @@ func (s *sweepRun) deliver(fn func(p *hybridq.Pair) bool, fromL bool, ai, m int,
 // set points the side at n with its columns picked by plan: a forward
 // sweep orders by lower bounds and measures gaps from an anchor's upper
 // bound to the candidates' lower bounds; a backward sweep mirrors both.
-func (sd *sweepSide) set(n *rtree.NodeSoA, plan sweep.Plan, prev, out []anchorRange) {
-	sd.n, sd.prev, sd.out = n, prev, out
+func (sd *sweepSide) set(n *rtree.NodeSoA, plan sweep.Plan) {
+	sd.n = n
 	if plan.Dir == sweep.Forward {
 		sd.key, sd.base = n.Lo(plan.Axis), n.Hi(plan.Axis)
 	} else {
@@ -186,20 +160,12 @@ func (sd *sweepSide) set(n *rtree.NodeSoA, plan sweep.Plan, prev, out []anchorRa
 	}
 }
 
-// run executes the sweep. When record is set, out holds the examined
-// ranges afterwards.
+// run executes the sweep.
 func (s *sweepRun) run() {
 	s.refreshReal()
 	nl, nr := s.L.Len(), s.R.Len()
-	var prev sweepRanges
-	if s.prev != nil {
-		prev = *s.prev
-	}
-	if s.record && (len(s.out.l) != nl || len(s.out.r) != nr || max(nl, nr) > rtree.MaxNodeEntries) {
-		panic("join: range storage does not fit the expansion")
-	}
-	s.left.set(s.L, s.plan, prev.l, s.out.l)
-	s.right.set(s.R, s.plan, prev.r, s.out.r)
+	s.left.set(s.L, s.plan)
+	s.right.set(s.R, s.plan)
 	kl, kr := s.left.key, s.right.key
 	forward := s.plan.Dir == sweep.Forward
 	i, j := 0, 0
@@ -219,48 +185,53 @@ func (s *sweepRun) run() {
 			j++
 		}
 	}
-	if s.record {
-		// Entries that never became anchors: their pairs are all covered
-		// from the opposite side, so their range is empty-at-end.
-		fillEmptyRanges(s.out.l[i:], nr)
-		fillEmptyRanges(s.out.r[j:], nl)
-	}
 	s.e.mc.AddAxisDist(s.axisN)
 	s.e.mc.AddRealDist(s.realN)
 	s.axisN, s.realN = 0, 0
 }
 
-// fillEmptyRanges sets rs to the empty range at the end of an opposite
-// list of otherLen entries.
-func fillEmptyRanges(rs []anchorRange, otherLen int) {
-	end := anchorRange{from: uint16(otherLen), to: uint16(otherLen)}
-	for i := range rs {
-		rs[i] = end
+// windowEnd returns the end of the candidate window that an anchor
+// whose gaps are measured from base examines in the opposite side's key
+// column col, starting at from, under the fixed axis cutoff cut: the
+// first index whose axis gap exceeds cut, or len(col). A forward sweep
+// measures a gap from base up to the candidate's key, a backward one
+// from the key up to base; a negative gap (overlap) counts as zero, and
+// a NaN gap (opposed infinities) never ends the window.
+//
+// The window an anchor examined under a smaller cutoff is a prefix of
+// the one it examines under a larger: a gap beyond the larger cutoff is
+// beyond the smaller. So re-deriving a prefix from the consumption
+// point gives the same end whether the earlier stages resumed or not.
+func windowEnd(col []float64, base float64, from int, cut float64, forward bool) int {
+	m := from
+	if forward {
+		for ; m < len(col); m++ {
+			g := col[m] - base
+			if g < 0 {
+				g = 0
+			}
+			if g > cut {
+				break
+			}
+		}
+	} else {
+		for ; m < len(col); m++ {
+			g := base - col[m]
+			if g < 0 {
+				g = 0
+			}
+			if g > cut {
+				break
+			}
+		}
 	}
+	return m
 }
 
 // sweepAnchor processes one anchor: entry ai of side a, with oj the
 // current consumption point of the opposite side o. fromL tells which
 // of the two is the left side.
 func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
-	start := oj
-	recFrom := oj
-	if s.prev != nil {
-		pr := a.prev[ai]
-		if s.reexamine != nil {
-			// Band mode: the earlier stage examined [pr.from, pr.to)
-			// under a smaller real-distance cutoff; revisit them so
-			// pairs in the grown band are recovered.
-			s.scanBand(a, o, fromL, ai, int(pr.from), int(pr.to))
-		}
-		if int(pr.to) > start {
-			start = int(pr.to)
-		}
-		if int(pr.from) < recFrom {
-			recFrom = int(pr.from)
-		}
-	}
-
 	// The axis-gap scan reads one coordinate column: the candidates'
 	// lower bounds against the anchor's upper bound for forward sweeps
 	// (and mirrored for backward).
@@ -269,32 +240,24 @@ func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 	col := o.key
 	n := len(col)
 
-	stop := start
+	start := oj
+	if s.resumed {
+		// The earlier stage examined [oj, start). Re-deriving start
+		// repeats gap comparisons that stage made and counted; they are
+		// not counted again.
+		start = windowEnd(col, base, oj, s.examCutoff, forward)
+		if s.reexamine != nil {
+			// Band mode: revisit the prefix, examined under a smaller
+			// real-distance cutoff, so pairs in the grown band are
+			// recovered.
+			s.scanBand(a, o, fromL, ai, oj, start)
+		}
+	}
+
 	if s.axisCutoff == nil {
 		// Fixed cutoff: find the whole candidate window first, then
 		// compute its distances with one batch kernel call.
-		cut := s.cutoff
-		if forward {
-			for ; stop < n; stop++ {
-				g := col[stop] - base
-				if g < 0 {
-					g = 0
-				}
-				if g > cut {
-					break
-				}
-			}
-		} else {
-			for ; stop < n; stop++ {
-				g := base - col[stop]
-				if g < 0 {
-					g = 0
-				}
-				if g > cut {
-					break
-				}
-			}
-		}
+		stop := windowEnd(col, base, start, s.cutoff, forward)
 		s.axisN += int64(stop - start)
 		if stop < n {
 			s.axisN++ // the candidate that ended the scan was measured too
@@ -313,38 +276,29 @@ func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 				}
 			}
 		}
-	} else {
-		// Dynamic cutoff: emissions tighten the window mid-scan, so
-		// cutoff, distance, and emit stay interleaved per candidate.
-		ar := a.n.Rect(ai)
-		for m := start; m < n; m++ {
-			s.axisN++
-			var g float64
-			if forward {
-				g = col[m] - base
-			} else {
-				g = base - col[m]
-			}
-			if g < 0 {
-				g = 0
-			}
-			if g > s.axisCutoff() {
-				break
-			}
-			s.realN++
-			if d := minDistOriented(fromL, ar, o.n.Rect(m)); s.pass(d) {
-				s.deliver(s.emit, fromL, ai, m, d)
-			}
-			stop = m + 1
-		}
+		return
 	}
-
-	if s.record {
-		to := stop
-		if to < recFrom {
-			to = recFrom
+	// Dynamic cutoff: emissions tighten the window mid-scan, so
+	// cutoff, distance, and emit stay interleaved per candidate.
+	ar := a.n.Rect(ai)
+	for m := start; m < n; m++ {
+		s.axisN++
+		var g float64
+		if forward {
+			g = col[m] - base
+		} else {
+			g = base - col[m]
 		}
-		a.out[ai] = anchorRange{from: uint16(recFrom), to: uint16(to)}
+		if g < 0 {
+			g = 0
+		}
+		if g > s.axisCutoff() {
+			break
+		}
+		s.realN++
+		if d := minDistOriented(fromL, ar, o.n.Rect(m)); s.pass(d) {
+			s.deliver(s.emit, fromL, ai, m, d)
+		}
 	}
 }
 

@@ -119,10 +119,9 @@ func TestZeroDistanceTieRunTinyQueue(t *testing.T) {
 // the scratch is warm, by who owns what. The sweep owns nothing that
 // outlives it: the candidate pair is its scratch, the emit is the
 // tracker's push bound once per query, the delivered count is a field.
-// The caller owns the bookkeeping: the aggressive stage allocates the
-// compInfo, and carves the two range slices from the query's slab, whose
-// chunk allocations amortise to a fraction of one per expansion. B-KDJ's
-// sweep keeps no bookkeeping, so it allocates nothing.
+// The aggressive stage's bookkeeping is the compInfo it returns by
+// value, which the caller appends to the query's pooled list, so neither
+// an aggressive expansion nor B-KDJ's allocates anything.
 func TestSweepStageAllocs(t *testing.T) {
 	l, r := memoTestData()
 	c, err := newContext(buildTree(t, l, 64), buildTree(t, r, 64), Options{})
@@ -131,10 +130,9 @@ func TestSweepStageAllocs(t *testing.T) {
 	}
 	ct := newCutoffTracker(c, 50, c.opts.Ablation.AllPairs)
 	root := c.rootPair()
-	var slab rangeSlab
 	aggressive := func() {
 		c.queue.Drain()
-		if _, err := c.amAggressiveSweep(root, 400, ct, ct.cutoffFn, &slab); err != nil {
+		if _, err := c.amAggressiveSweep(root, 400, ct, ct.cutoffFn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,8 +146,8 @@ func TestSweepStageAllocs(t *testing.T) {
 	if c.queue.Len() == 0 {
 		t.Fatal("the aggressive sweep queued nothing; the pin exercises no emit")
 	}
-	if avg := testing.AllocsPerRun(200, aggressive); avg > 2 {
-		t.Errorf("aggressive expansion allocates %v, want at most 2 (the compInfo and the amortised slab chunk)", avg)
+	if avg := testing.AllocsPerRun(200, aggressive); avg != 0 {
+		t.Errorf("aggressive expansion allocates %v, want 0", avg)
 	}
 	dynamic()
 	if avg := testing.AllocsPerRun(200, dynamic); avg != 0 {

@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,17 +17,22 @@ func checkReleased(t *testing.T, name string, c *execContext) {
 	if c.ct != nil {
 		t.Errorf("%s: the ended query still holds its cutoff tracker", name)
 	}
+	if c.comp != nil {
+		t.Errorf("%s: the ended query still holds its compensation list", name)
+	}
 	if c.queue.Len() != 0 {
 		t.Errorf("%s: the ended query's queue still holds %d pairs", name, c.queue.Len())
 	}
 }
 
 // TestPooledScratchOwnership: the pooled per-query scratch (the main
-// queue's heap array and the cutoff tracker's heap) is never shared by
+// queue's heap array, the cutoff tracker's heap and AM-KDJ's
+// compensation list) is never shared by
 // two live queries, and each query gives back what it took exactly
 // once, whether it finished, failed on a queue fault or was cancelled.
 // Several AM-KDJ aggressive stages are interleaved on one goroutine and
-// must each end where the same stage run alone ends; AM-KDJ and AM-IDJ
+// must each end where the same stage run alone ends, with the same
+// compensation list; AM-KDJ and AM-IDJ
 // queries then run on several goroutines at once, each checked against
 // brute force, under the race detector in make race.
 func TestPooledScratchOwnership(t *testing.T) {
@@ -38,9 +44,8 @@ func TestPooledScratchOwnership(t *testing.T) {
 	// tracker (the all-pairs feed) when it is odd.
 	const live, steps, eDmax = 4, 400, 60
 	type query struct {
-		c    *execContext
-		ct   *cutoffTracker
-		slab rangeSlab
+		c  *execContext
+		ct *cutoffTracker
 	}
 	begin := func(i int) *query {
 		o := opts
@@ -58,9 +63,11 @@ func TestPooledScratchOwnership(t *testing.T) {
 		if !ok || p.IsResult() {
 			return
 		}
-		if _, err := q.c.amAggressiveSweep(p, eDmax, q.ct, q.ct.cutoffFn, &q.slab); err != nil {
+		ci, err := q.c.amAggressiveSweep(p, eDmax, q.ct, q.ct.cutoffFn)
+		if err != nil {
 			t.Fatal(err)
 		}
+		q.c.keepComp(ci)
 	}
 	type end struct {
 		cutoff float64
@@ -68,12 +75,14 @@ func TestPooledScratchOwnership(t *testing.T) {
 	}
 	endOf := func(q *query) end { return end{q.ct.Cutoff(), q.c.queue.Len()} }
 	var alone [2]end
+	var aloneComp [2][]compInfo
 	for i := range alone {
 		q := begin(i)
 		for s := 0; s < steps; s++ {
 			step(q)
 		}
 		alone[i] = endOf(q)
+		aloneComp[i] = slices.Clone(q.c.compInfos())
 		q.c.endQuery(nil)
 	}
 	qs := make([]*query, live)
@@ -88,6 +97,9 @@ func TestPooledScratchOwnership(t *testing.T) {
 	for i, q := range qs {
 		if got := endOf(q); got != alone[i%2] {
 			t.Errorf("interleaved query %d ended at %+v, alone at %+v", i, got, alone[i%2])
+		}
+		if got := q.c.compInfos(); len(got) == 0 || !slices.Equal(got, aloneComp[i%2]) {
+			t.Errorf("interleaved query %d kept %d compensation entries, unlike the %d it keeps alone", i, len(got), len(aloneComp[i%2]))
 		}
 		q.c.endQuery(nil)
 		checkReleased(t, "ended AM-KDJ", q.c)

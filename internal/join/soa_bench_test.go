@@ -255,7 +255,6 @@ func BenchmarkAggressiveSweep(b *testing.B) {
 	}
 	var kept hybridq.Pair
 	run.fixCutoff(eDmax)
-	run.recordInto(run.newRanges())
 	run.emit = func(np *hybridq.Pair) bool {
 		kept = *np
 		return true

@@ -23,11 +23,12 @@ type refEntry struct {
 func entryAt(n *rtree.NodeSoA, i int) refEntry { return refEntry{Rect: n.Rect(i), Ref: n.Refs[i]} }
 
 // refRange and refSweep are the plane sweep as it was before anchors
-// were read from the columns: every anchor is materialised as a
-// refEntry, candidates are handed on as entries, ranges are int32
-// and pre-filled by makeEmptyRefRanges. Kept as the reference the
-// column-reading sweep is compared against; nothing outside this file
-// uses it.
+// were read from the columns and before a later stage re-derived what
+// an earlier one examined: every anchor is materialised as a refEntry,
+// candidates are handed on as entries, and every entry's examined range
+// is recorded as int32s, pre-filled by makeEmptyRefRanges, for the next
+// stage to resume from. Kept as the reference the column-reading sweep
+// is compared against; nothing outside this file uses it.
 type refRange struct{ from, to int32 }
 
 type refRanges struct{ l, r []refRange }
@@ -238,22 +239,44 @@ type delivered struct {
 	reexamine bool
 }
 
-func narrowRanges(rs []refRange) []anchorRange {
-	out := make([]anchorRange, len(rs))
-	for i, r := range rs {
-		out[i] = anchorRange{from: uint16(r.from), to: uint16(r.to)}
+// checkRederived requires the prefix a resumed sweep re-derives for
+// every entry of L and R under the fixed axis cutoff cut to be the range
+// rs recorded for it: from the entry's consumption point (the end of
+// the opposite side for an entry that never became an anchor) to
+// windowEnd.
+func checkRederived(t *testing.T, tag string, L, R *rtree.NodeSoA, plan sweep.Plan, cut float64, rs refRanges) {
+	t.Helper()
+	var l, r sweepSide
+	l.set(L, plan)
+	r.set(R, plan)
+	forward := plan.Dir == sweep.Forward
+	for _, side := range []struct {
+		name string
+		a, o *sweepSide
+		rs   []refRange
+	}{{"l", &l, &r, rs.l}, {"r", &r, &l, rs.r}} {
+		if len(side.rs) != len(side.a.base) {
+			t.Fatalf("%s: %d %s ranges for %d entries", tag, len(side.rs), side.name, len(side.a.base))
+		}
+		for i, want := range side.rs {
+			from := int(want.from)
+			if to := windowEnd(side.o.key, side.a.base[i], from, cut, forward); to != int(want.to) {
+				t.Fatalf("%s: %s entry %d re-derives [%d,%d) under cutoff %v, reference recorded [%d,%d)",
+					tag, side.name, i, from, to, cut, want.from, want.to)
+			}
+		}
 	}
-	return out
 }
 
 // TestSweepMatchesEntryReference runs the column-reading sweep and the
 // entry-materialising reference over random node pairs, for every plan,
 // both cutoff forms and every compensation mode, and requires the same
-// delivered sequence, the same recorded range for every entry —
-// including the ones that never became anchors — and the same distance
-// computation totals. With an earlier stage's ranges the new sweep runs
-// twice, recording into fresh storage and in place over the ranges it is
-// reading, which must make no difference.
+// delivered sequence and the same distance computation totals. The
+// reference resumes from the ranges the earlier stage recorded; the
+// sweep gets only that stage's cutoff and re-derives them, and the
+// prefix it re-derives for every entry, never-anchored entries
+// included, must be the range the reference recorded, for the earlier
+// stage and for a fixed-cutoff later one alike.
 func TestSweepMatchesEntryReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1601))
 	const k = 12 // distance-queue bound of the live cutoffs
@@ -269,7 +292,7 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 
 			for _, live := range []bool{false, true} {
 				for _, mode := range []string{"fresh", "prev", "prev+reexamine"} {
-					name := fmt.Sprintf("trial %d %v live=%v %s (%dx%d)", trial, plan, live, mode, nl, nr)
+					tag := fmt.Sprintf("trial %d %v live=%v %s (%dx%d)", trial, plan, live, mode, nl, nr)
 
 					// An earlier fixed-cutoff stage supplies prev.
 					var prev *refRanges
@@ -278,6 +301,7 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 							emit: func(le, re refEntry, d float64) {}}
 						stage.run()
 						prev = &stage.out
+						checkRederived(t, tag+" earlier stage", L, R, plan, first, stage.out)
 					}
 
 					var want []delivered
@@ -301,74 +325,54 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 						ref.cutoff, ref.realNow = second, second
 					}
 					ref.run()
+					if !live {
+						checkRederived(t, tag, L, R, plan, second, ref.out)
+					}
 
-					for _, inPlace := range []bool{false, true} {
-						if inPlace && prev == nil {
-							continue
+					var got []delivered
+					var mc metrics.Collector
+					q := pqueue.NewDistanceQueue(k)
+					run := &sweepRun{e: &expander{mc: &mc}, L: L, R: R, plan: plan}
+					run.pair.LeftObj, run.pair.RightObj = lObj, rObj
+					keep := func(reex bool) func(p *hybridq.Pair) bool {
+						return func(p *hybridq.Pair) bool {
+							got = append(got, delivered{pair: *p, reexamine: reex})
+							q.Insert(p.Dist)
+							return len(got)%3 != 0 // acceptance must not steer the sweep
 						}
-						var got []delivered
-						var mc metrics.Collector
-						q := pqueue.NewDistanceQueue(k)
-						run := &sweepRun{e: &expander{mc: &mc}, L: L, R: R, plan: plan}
-						run.pair.LeftObj, run.pair.RightObj = lObj, rObj
-						keep := func(reex bool) func(p *hybridq.Pair) bool {
-							return func(p *hybridq.Pair) bool {
-								got = append(got, delivered{pair: *p, reexamine: reex})
-								q.Insert(p.Dist)
-								return len(got)%3 != 0 // acceptance must not steer the sweep
-							}
-						}
-						run.emit = keep(false)
-						if mode == "prev+reexamine" {
-							run.reexamine = keep(true)
-						}
-						if live {
-							run.liveCutoff(q.Cutoff)
-						} else {
-							run.fixCutoff(second)
-						}
-						storage := run.newRanges()
-						if prev != nil {
-							earlier := sweepRanges{l: narrowRanges(prev.l), r: narrowRanges(prev.r)}
-							run.prev = &earlier
-							if inPlace {
-								storage = earlier
-							}
-						}
-						run.recordInto(storage)
-						run.run()
+					}
+					run.emit = keep(false)
+					if mode == "prev+reexamine" {
+						run.reexamine = keep(true)
+					}
+					if live {
+						run.liveCutoff(q.Cutoff)
+					} else {
+						run.fixCutoff(second)
+					}
+					if prev != nil {
+						run.resume(first)
+					}
+					run.run()
 
-						tag := fmt.Sprintf("%s inPlace=%v", name, inPlace)
-						if len(got) != len(want) {
-							t.Fatalf("%s: delivered %d candidates, reference %d", tag, len(got), len(want))
+					if len(got) != len(want) {
+						t.Fatalf("%s: delivered %d candidates, reference %d", tag, len(got), len(want))
+					}
+					accepted := int64(0)
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s: delivery %d is\n %+v, reference\n %+v", tag, i, got[i], want[i])
 						}
-						accepted := int64(0)
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("%s: delivery %d is\n %+v, reference\n %+v", tag, i, got[i], want[i])
-							}
-							if (i+1)%3 != 0 {
-								accepted++
-							}
+						if (i+1)%3 != 0 {
+							accepted++
 						}
-						if run.children != accepted {
-							t.Errorf("%s: run counted %d accepted candidates, emit accepted %d", tag, run.children, accepted)
-						}
-						for side, pair := range map[string][2]any{"l": {run.out.l, ref.out.l}, "r": {run.out.r, ref.out.r}} {
-							gotR, wantR := pair[0].([]anchorRange), pair[1].([]refRange)
-							if len(gotR) != len(wantR) {
-								t.Fatalf("%s: %d %s ranges, reference %d", tag, len(gotR), side, len(wantR))
-							}
-							for i := range gotR {
-								if int32(gotR[i].from) != wantR[i].from || int32(gotR[i].to) != wantR[i].to {
-									t.Fatalf("%s: %s range %d is %+v, reference %+v", tag, side, i, gotR[i], wantR[i])
-								}
-							}
-						}
-						if mc.AxisDistCalcs != ref.axisN || mc.RealDistCalcs != ref.realN {
-							t.Errorf("%s: %d axis and %d real distance computations, reference %d and %d",
-								tag, mc.AxisDistCalcs, mc.RealDistCalcs, ref.axisN, ref.realN)
-						}
+					}
+					if run.children != accepted {
+						t.Errorf("%s: run counted %d accepted candidates, emit accepted %d", tag, run.children, accepted)
+					}
+					if mc.AxisDistCalcs != ref.axisN || mc.RealDistCalcs != ref.realN {
+						t.Errorf("%s: %d axis and %d real distance computations, reference %d and %d",
+							tag, mc.AxisDistCalcs, mc.RealDistCalcs, ref.axisN, ref.realN)
 					}
 				}
 			}

@@ -328,8 +328,11 @@ func (b *Builder) chooseSplitDistribution(entries []entry, axis int) (first, sec
 			g2 := mbrOf(sorted[k:])
 			overlap := g1.OverlapArea(g2)
 			area := g1.Area() + g2.Area()
+			// The first candidate stands until one compares better: with
+			// infinite coordinates every overlap and area may be +Inf or
+			// NaN (+Inf times zero), and none compares below +Inf.
 			//lint:allow floatcmp R*-tree tie-break on bit-equal overlap areas; a missed tie only changes tree shape, never correctness
-			if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
+			if bestK < 0 || overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
 				bestOverlap, bestArea = overlap, area
 				bestSorted, bestK = sorted, k
 			}

@@ -80,9 +80,38 @@ func Choose(r, s geom.Rect, cutoff float64) Plan {
 }
 
 func combinedSpan(r, s geom.Rect, axis int) float64 {
-	lo := math.Min(r.Min(axis), s.Min(axis))
-	hi := math.Max(r.Max(axis), s.Max(axis))
+	lo := fmin(r.Min(axis), s.Min(axis))
+	hi := fmax(r.Max(axis), s.Max(axis))
 	return hi - lo
+}
+
+// fmin is math.Min, special cases and all: -Inf if either argument is
+// -Inf, else NaN if either is NaN, and -0 of ±0 and -0. On amd64
+// math.Min calls an assembly routine the compiler cannot inline; the
+// sweeping index takes dozens of minima per expansion, so it uses this
+// instead, which inlines and decides ordered arguments in two compares.
+func fmin(x, y float64) float64 {
+	switch {
+	//lint:allow floatcmp math.Min's own special case: equal arguments, of which only ±0 differ in bits
+	case x < y, x == y && math.Signbit(x), x < -math.MaxFloat64:
+		return x
+	case y <= x, y < -math.MaxFloat64:
+		return y
+	}
+	return math.NaN()
+}
+
+// fmax is math.Max the way fmin is math.Min: +Inf if either argument is
+// +Inf, else NaN if either is NaN, and +0 of ±0 and +0.
+func fmax(x, y float64) float64 {
+	switch {
+	//lint:allow floatcmp math.Max's own special case: equal arguments, of which only ±0 differ in bits
+	case x > y, x == y && !math.Signbit(x), x > math.MaxFloat64:
+		return x
+	case y >= x, y > math.MaxFloat64:
+		return y
+	}
+	return math.NaN()
 }
 
 // ChooseDirection implements §3.3: project both nodes onto the axis;
@@ -154,8 +183,8 @@ func normalizedTerm(d, a0, a1, b0, b1 float64) float64 {
 
 // overlapLen returns the length of [x0,x1] ∩ [y0,y1], or 0.
 func overlapLen(x0, x1, y0, y1 float64) float64 {
-	lo := math.Max(x0, y0)
-	hi := math.Min(x1, y1)
+	lo := fmax(x0, y0)
+	hi := fmin(x1, y1)
 	if hi <= lo {
 		return 0
 	}
@@ -186,16 +215,16 @@ func integrateWindowOverlap(d, a0, a1, b0, b1 float64) float64 {
 	}
 	var total float64
 	for i := 0; i < len(br)-1; i++ {
-		lo := math.Max(br[i], a0)
-		hi := math.Min(br[i+1], a1)
+		lo := fmax(br[i], a0)
+		hi := fmin(br[i+1], a1)
 		if hi <= lo {
 			continue
 		}
-		flo := math.Min(lo+d, b1) - math.Max(lo, b0)
+		flo := fmin(lo+d, b1) - fmax(lo, b0)
 		if flo < 0 {
 			flo = 0
 		}
-		fhi := math.Min(hi+d, b1) - math.Max(hi, b0)
+		fhi := fmin(hi+d, b1) - fmax(hi, b0)
 		if fhi < 0 {
 			fhi = 0
 		}

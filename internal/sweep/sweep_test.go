@@ -367,3 +367,33 @@ func BenchmarkChoose(b *testing.B) {
 		Choose(r, s, 7)
 	}
 }
+
+// TestMinMaxMatchMath holds fmin and fmax to math.Min and math.Max bit
+// for bit, NaN results to being NaN, on every pair of special values
+// (±0, ±Inf, NaN, the extremes) and on random ones.
+func TestMinMaxMatchMath(t *testing.T) {
+	check := func(x, y float64) {
+		t.Helper()
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{{"fmin", fmin(x, y), math.Min(x, y)}, {"fmax", fmax(x, y), math.Max(x, y)}} {
+			if math.Float64bits(f.got) != math.Float64bits(f.want) && !(math.IsNaN(f.got) && math.IsNaN(f.want)) {
+				t.Fatalf("%s(%v, %v) = %v (%#x), math %v (%#x)", f.name, x, y, f.got, math.Float64bits(f.got), f.want, math.Float64bits(f.want))
+			}
+		}
+	}
+	special := []float64{math.Copysign(0, -1), 0, 1, -1, 2.5, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, x := range special {
+		for _, y := range special {
+			check(x, y)
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 10000; i++ {
+		x, y := float64(rng.Intn(5)-2), rng.NormFloat64()
+		check(x, y)
+		check(y, x)
+		check(x, x)
+	}
+}

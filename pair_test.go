@@ -30,14 +30,14 @@ func TestPairIsResult(t *testing.T) {
 
 // TestKDistanceJoinAllocs pins what a ranked query allocates once the
 // pools are warm: its answer, k Pairs, and a slack for the query's own
-// bookkeeping. On this data the bookkeeping is about 172 KB: AM-KDJ's
-// range slab (chunks of 4, 8, 16, 32 and 64 KB, not pooled; see
-// rangeSlab), one compInfo per bookkept expansion (about 23 KB), the
-// compensation map (about 13 KB) and list, the context, the cutoff
-// tracker and closures. The main queue's heap and the distance queue's
-// heap come from pools and cost nothing. Were the main queue's heap
-// grown per query, it alone would be several times the answer; were
-// the distance queue's, it would add 16 KB and break the slack.
+// bookkeeping. On this data the bookkeeping is about 5 KB: the
+// context, the main queue's and the cutoff tracker's headers, and the
+// closures. The main queue's heap, the distance queue's heap and
+// AM-KDJ's compensation list come from pools and cost nothing. Were the
+// main queue's heap grown per query, it alone would be several times
+// the answer; were the distance queue's, it would add 16 KB and break
+// the slack, and so would a compensation list grown per query (134
+// entries of 128 bytes, before its append growth).
 func TestKDistanceJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomizes reuse under the race detector; allocation counts are not meaningful")
@@ -53,7 +53,7 @@ func TestKDistanceJoinAllocs(t *testing.T) {
 	}
 	const k, runs = 1000, 20
 	const answer = k * int(unsafe.Sizeof(Pair{}))
-	const slack = 180 << 10
+	const slack = 16 << 10
 	run := func() {
 		got, err := KDistanceJoin(left, right, k, nil)
 		if err != nil || len(got) != k {
