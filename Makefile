@@ -33,7 +33,7 @@ SIM_POINTS ?= 4
 # Continuous-benchmark knobs: the committed baseline was produced with
 # these values, so candidates must use the same ones to be comparable.
 BENCH_SCALE ?= 0.02
-BENCH_BASELINE ?= BENCH_18.json
+BENCH_BASELINE ?= BENCH_34.json
 BENCH_NEW ?= bench-new.json
 BENCH_THRESHOLD ?= 0.25
 
@@ -173,6 +173,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPairRoundTrip -fuzztime=$(FUZZTIME) ./internal/hybridq
 	$(GO) test -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/geom
 	$(GO) test -fuzz=FuzzIndex -fuzztime=$(FUZZTIME) ./internal/sweep
+	$(GO) test -fuzz=FuzzRestrict -fuzztime=$(FUZZTIME) ./internal/join
 	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) ./internal/simtest
 	$(GO) test -fuzz=FuzzEndpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/serving
 	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=$(FUZZTIME) ./internal/serving

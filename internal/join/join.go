@@ -212,6 +212,7 @@ type expander struct {
 	sorter     sweep.SoASorter // reused sweep-order sorter (memo misses only)
 	run        sweepRun        // reused sweep state, handed out by expansion
 	distBuf    []float64       // reused batch distance kernel output
+	res        *restrictedCols // pooled restricted columns (see sweepRun.restrict); nil until first used
 	batchTail  bool            // the query's Ablation.BatchTail (see plantBatchTail)
 }
 
@@ -550,8 +551,8 @@ func (c *execContext) beginQuery(k int) {
 // endQuery completes the registry entry, folding in the final counters
 // and the error outcome, and gives back everything the query took from
 // a pool: the main queue's heap array and scratch (whatever the queue
-// still holds is dropped), the distance queue's heap and AM-KDJ's
-// compensation list. It is the one
+// still holds is dropped), the distance queue's heap, AM-KDJ's
+// compensation list and the sweeps' restricted columns. It is the one
 // place a query returns pooled memory, on every path: finished, failed
 // or cancelled. Idempotent: safe to call from both an iterator's
 // terminal paths and its Close.
@@ -563,6 +564,7 @@ func (c *execContext) endQuery(err error) {
 		c.ct = nil
 	}
 	c.releaseComp()
+	c.ex.releaseRestricted()
 }
 
 // recordEstimate reports one eDmax-estimator accuracy sample — the

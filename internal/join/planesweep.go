@@ -1,6 +1,9 @@
 package join
 
 import (
+	"math"
+	"sync"
+
 	"distjoin/internal/geom"
 	"distjoin/internal/hybridq"
 	"distjoin/internal/rtree"
@@ -66,9 +69,9 @@ type sweepSide struct {
 // delivered candidate, not per candidate.
 //
 // Both paths count axis and real distance computations exactly as the
-// historical per-entry engine did — summed locally and added to the
-// collector once per run — and emit in the same candidate order, which
-// is what keeps results and counters byte-identical. The gap
+// historical per-entry engine did on the nodes they sweep — summed
+// locally and added to the collector once per run — and emit in the
+// same candidate order, which is what keeps results byte-identical. The gap
 // comparisons a resumed run repeats to re-derive a prefix were counted
 // by the stage that first made them, and are not counted again.
 //
@@ -76,9 +79,26 @@ type sweepSide struct {
 // prefix of candidates the earlier stage examined; when reexamine is
 // also set that prefix is revisited through it first (the AM-IDJ band
 // case, where the real-distance cutoff has grown between stages).
+//
+// Restriction: before the merge loop starts, each side loses every
+// entry whose axis gap to the other side's bounding rectangle (lBound,
+// rBound: the expanded pair's rectangles, which enclose every entry of
+// their side) exceeds the real-distance cutoff then in force; the
+// merge, windowEnd, scanBand and the batch kernel run on the survivors,
+// compacted in sweep order (see restrict). No pair is lost and none
+// moves. A dropped entry is at least its gap from every entry of the
+// other side, beyond a cutoff that only tightens within the run, so no
+// pair of it could ever pass, and no delivery, hence no cutoff, depends
+// on it. A compacted column is a subsequence of the sorted one, so the
+// merge meets the survivors in the same order and every anchor the same
+// not-yet-anchored candidates, minus the dropped ones; and whether an
+// anchor's gap exceeds a cutoff is monotone along a sorted column (a NaN
+// gap never does), so every window and re-derived prefix ends where it
+// ended on the whole node, minus the dropped entries. Each entry the
+// restriction tests counts as one axis distance computation.
 type sweepRun struct {
 	e          *expander
-	L, R       *rtree.NodeSoA
+	L, R       *rtree.NodeSoA // the expanded nodes; the sweep reads left.n, right.n (see restrict)
 	plan       sweep.Plan
 	axisCutoff func() float64 // dynamic cutoff; nil selects the fixed batch path
 	cutoff     float64        // fixed axis cutoff, valid when axisCutoff is nil
@@ -89,6 +109,8 @@ type sweepRun struct {
 	examCutoff float64 // the fixed axis cutoff it examined under, when resumed
 	reexamine  func(p *hybridq.Pair) bool
 	children   int64 // candidates emit or reexamine accepted
+
+	lBound, rBound geom.Rect // rectangles enclosing every entry of L and of R (see restrict)
 
 	pair         hybridq.Pair // the one candidate under construction; LeftObj/RightObj fixed per run
 	left, right  sweepSide
@@ -138,10 +160,11 @@ func (s *sweepRun) deliver(fn func(p *hybridq.Pair) bool, fromL bool, ai, m int,
 	if !fromL {
 		li, ri = m, ai
 	}
+	l, r := s.left.n, s.right.n
 	p := &s.pair
 	p.Dist = d
-	p.Left, p.Right = s.L.Refs[li], s.R.Refs[ri]
-	p.LeftRect, p.RightRect = s.L.Rect(li), s.R.Rect(ri)
+	p.Left, p.Right = l.Refs[li], r.Refs[ri]
+	p.LeftRect, p.RightRect = l.Rect(li), r.Rect(ri)
 	if fn(p) {
 		s.children++
 	}
@@ -163,9 +186,10 @@ func (sd *sweepSide) set(n *rtree.NodeSoA, plan sweep.Plan) {
 // run executes the sweep.
 func (s *sweepRun) run() {
 	s.refreshReal()
-	nl, nr := s.L.Len(), s.R.Len()
-	s.left.set(s.L, s.plan)
-	s.right.set(s.R, s.plan)
+	l, r := s.restrict()
+	nl, nr := l.Len(), r.Len()
+	s.left.set(l, s.plan)
+	s.right.set(r, s.plan)
 	kl, kr := s.left.key, s.right.key
 	forward := s.plan.Dir == sweep.Forward
 	i, j := 0, 0
@@ -188,6 +212,127 @@ func (s *sweepRun) run() {
 	s.e.mc.AddAxisDist(s.axisN)
 	s.e.mc.AddRealDist(s.realN)
 	s.axisN, s.realN = 0, 0
+}
+
+// restrictFloor is the smallest cutoff restrict applies. The batch
+// kernel squares axis gaps: a gap whose square is subnormal can come
+// back from the square root smaller than it went in, and then below a
+// cutoff it exceeds. Above the floor the square is a normal float64, and
+// the kernel's distance is at least the gap.
+const restrictFloor = 0x1p-500
+
+// restrict returns the two nodes the sweep reads: L and R without the
+// entries no pair of this run can use. An entry goes when it lies
+// beyond the other side's bound by more than the real-distance cutoff
+// in force (raised to the floor) along an axis. Every entry of the other
+// side lies inside that bound, so along that axis the batch kernel
+// measures a gap at least as large to each of them (it subtracts
+// coordinates no closer, and rounding is monotone), its distance is at
+// least that gap, and the cutoff only tightens: the pair would fail
+// pass at any point of the run. A side whose own bound holds no entry
+// that far (mayDrop) is swept whole and untested, and so are both sides
+// under an infinite cutoff. The survivors are copied in sweep order into
+// the expander's restricted columns; a side that loses nothing is swept
+// in place.
+func (s *sweepRun) restrict() (l, r *rtree.NodeSoA) {
+	l, r = s.L, s.R
+	t := s.realNow
+	if !(t < math.Inf(1)) {
+		return l, r
+	}
+	if t < restrictFloor {
+		t = restrictFloor
+	}
+	if mayDrop(s.lBound, s.rBound, t) {
+		l = restrictInto(&s.e.restricted().l, l, s.rBound, t)
+		s.axisN += int64(s.L.Len())
+	}
+	if mayDrop(s.rBound, s.lBound, t) {
+		r = restrictInto(&s.e.restricted().r, r, s.lBound, t)
+		s.axisN += int64(s.R.Len())
+	}
+	return l, r
+}
+
+// beyond reports whether the rectangle [minX, maxX] x [minY, maxY] lies
+// farther than t > 0 from b along either axis. A difference of
+// infinities of one sign is NaN and exceeds nothing; a positive
+// difference means the intervals are apart, so only a gap the batch
+// kernel would also measure can exceed t.
+func beyond(minX, minY, maxX, maxY float64, b geom.Rect, t float64) bool {
+	return b.MinX-maxX > t || minX-b.MaxX > t || b.MinY-maxY > t || minY-b.MaxY > t
+}
+
+// mayDrop reports whether some rectangle inside own can be beyond
+// other under t: the farthest one along an axis is a point at own's
+// near or far end, so own is tested with its bounds swapped.
+func mayDrop(own, other geom.Rect, t float64) bool {
+	return beyond(own.MaxX, own.MaxY, own.MinX, own.MinY, other, t)
+}
+
+// restrictInto copies the entries of src that are not beyond bound
+// under t into dst, in order, and returns dst; it returns src itself
+// when nothing is dropped.
+func restrictInto(dst, src *rtree.NodeSoA, bound geom.Rect, t float64) *rtree.NodeSoA {
+	minX, minY, maxX, maxY, refs := src.MinX, src.MinY, src.MaxX, src.MaxY, src.Refs
+	n := len(refs)
+	if n == 0 {
+		return src
+	}
+	_, _, _, _ = minX[n-1], minY[n-1], maxX[n-1], maxY[n-1]
+	w := 0
+	for w < n && !beyond(minX[w], minY[w], maxX[w], maxY[w], bound, t) {
+		w++
+	}
+	if w == n {
+		return src
+	}
+	dst.Reset(n)
+	dst.Level = src.Level
+	copy(dst.MinX, minX[:w])
+	copy(dst.MinY, minY[:w])
+	copy(dst.MaxX, maxX[:w])
+	copy(dst.MaxY, maxY[:w])
+	copy(dst.Refs, refs[:w])
+	for i := w + 1; i < n; i++ {
+		x0, y0, x1, y1 := minX[i], minY[i], maxX[i], maxY[i]
+		if beyond(x0, y0, x1, y1, bound, t) {
+			continue
+		}
+		dst.MinX[w], dst.MinY[w], dst.MaxX[w], dst.MaxY[w] = x0, y0, x1, y1
+		dst.Refs[w] = refs[i]
+		w++
+	}
+	dst.MinX, dst.MinY, dst.MaxX, dst.MaxY = dst.MinX[:w], dst.MinY[:w], dst.MaxX[:w], dst.MaxY[:w]
+	dst.Refs = dst.Refs[:w]
+	return dst
+}
+
+// restrictedCols holds the surviving entries of a restricted sweep's
+// two sides. A query takes one from restrictedPool at its first
+// restriction (expander.restricted) and endQuery gives it back. It holds
+// no pointers beyond its own columns, which keep the size of the largest
+// node they held.
+type restrictedCols struct{ l, r rtree.NodeSoA }
+
+var restrictedPool = sync.Pool{New: func() any { return new(restrictedCols) }}
+
+// restricted returns the query's restricted columns, taking them from
+// the pool on first use. They are valid until the expander's next sweep.
+func (e *expander) restricted() *restrictedCols {
+	if e.res == nil {
+		e.res = restrictedPool.Get().(*restrictedCols)
+	}
+	return e.res
+}
+
+// releaseRestricted gives the query's restricted columns back to the
+// pool.
+func (e *expander) releaseRestricted() {
+	if e.res != nil {
+		restrictedPool.Put(e.res)
+		e.res = nil
+	}
 }
 
 // windowEnd returns the end of the candidate window that an anchor
@@ -365,6 +510,7 @@ func (e *expander) expansionWithPlan(p hybridq.Pair, plan sweep.Plan) (*sweepRun
 	run := &e.run
 	*run = sweepRun{} // zeroed in place; a non-zero literal would be built aside and copied
 	run.e, run.L, run.R, run.plan = e, l, r, plan
+	run.lBound, run.rBound = p.LeftRect, p.RightRect
 	run.pair.LeftObj, run.pair.RightObj = lObj, rObj
 	return run, nil
 }

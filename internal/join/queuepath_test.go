@@ -68,27 +68,27 @@ func TestZeroDistanceTieRunTinyQueue(t *testing.T) {
 		want metrics.Collector
 	}{
 		{name: "AM-KDJ", k: 1500, run: AMKDJ, mode: "initial", want: metrics.Collector{
-			RealDistCalcs: 7045, AxisDistCalcs: 9959, MainQueueInserts: 5829, DistQueueInserts: 5223, CompQueueInserts: 552,
+			RealDistCalcs: 6476, AxisDistCalcs: 12687, MainQueueInserts: 5829, DistQueueInserts: 5223, CompQueueInserts: 552,
 			NodeAccessesLogical: 1104, NodeAccessesPhysical: 164, QueuePageWrites: 44, MainQueuePeak: 5277, ResultsProduced: 1500,
 			BufferHits: 940, BufferMisses: 164, ModeledIOTime: 1315625 * time.Microsecond}},
 		{name: "B-KDJ", k: 1500, run: BKDJ, want: metrics.Collector{
-			RealDistCalcs: 8242, AxisDistCalcs: 10843, MainQueueInserts: 6934, DistQueueInserts: 6222,
+			RealDistCalcs: 7664, AxisDistCalcs: 13848, MainQueueInserts: 6934, DistQueueInserts: 6222,
 			NodeAccessesLogical: 1104, NodeAccessesPhysical: 164, QueuePageWrites: 70, MainQueuePeak: 6382, ResultsProduced: 1500,
 			BufferHits: 940, BufferMisses: 164, ModeledIOTime: 13359375 * 100 * time.Nanosecond}},
 		{name: "AM-IDJ", k: 1500, run: idj, mode: "initial", want: metrics.Collector{
-			RealDistCalcs: 7504, AxisDistCalcs: 10355, MainQueueInserts: 6296, CompQueueInserts: 552,
+			RealDistCalcs: 7016, AxisDistCalcs: 13377, MainQueueInserts: 6296, CompQueueInserts: 552,
 			NodeAccessesLogical: 1104, NodeAccessesPhysical: 164, QueuePageWrites: 55, MainQueuePeak: 5744, ResultsProduced: 1500,
 			BufferHits: 940, BufferMisses: 164, ModeledIOTime: 132421875 * 10 * time.Nanosecond}},
 		{name: "AM-KDJ", k: 4000, run: AMKDJ, mode: "initial", want: metrics.Collector{
-			RealDistCalcs: 11833, AxisDistCalcs: 14394, MainQueueInserts: 10476, DistQueueInserts: 9667, CompQueueInserts: 606,
+			RealDistCalcs: 11430, AxisDistCalcs: 17182, MainQueueInserts: 10476, DistQueueInserts: 9667, CompQueueInserts: 606,
 			NodeAccessesLogical: 1212, NodeAccessesPhysical: 164, QueuePageReads: 49, QueuePageWrites: 154, MainQueuePeak: 9875, ResultsProduced: 4000,
 			BufferHits: 1048, BufferMisses: 164, ModeledIOTime: 143984375 * 10 * time.Nanosecond}},
 		{name: "AM-KDJ/underestimated", k: 4000, run: underestimated, mode: "override", want: metrics.Collector{
-			RealDistCalcs: 8337, AxisDistCalcs: 14544, MainQueueInserts: 7784, DistQueueInserts: 6493, CompQueueInserts: 552,
+			RealDistCalcs: 8029, AxisDistCalcs: 18634, MainQueueInserts: 7784, DistQueueInserts: 6493, CompQueueInserts: 552,
 			NodeAccessesLogical: 2316, NodeAccessesPhysical: 164, QueuePageReads: 58, QueuePageWrites: 85, MainQueuePeak: 4579, ResultsProduced: 4000,
 			CompensationStages: 1, BufferHits: 2152, BufferMisses: 164, ModeledIOTime: 139296875 * 10 * time.Nanosecond}},
 		{name: "AM-IDJ", k: 4000, run: idj, mode: "initial", want: metrics.Collector{
-			RealDistCalcs: 7753, AxisDistCalcs: 10925, MainQueueInserts: 6382, CompQueueInserts: 606,
+			RealDistCalcs: 7132, AxisDistCalcs: 14138, MainQueueInserts: 6382, CompQueueInserts: 606,
 			NodeAccessesLogical: 1212, NodeAccessesPhysical: 164, QueuePageReads: 49, QueuePageWrites: 56, MainQueuePeak: 5744, ResultsProduced: 4000,
 			BufferHits: 1048, BufferMisses: 164, ModeledIOTime: 136328125 * 10 * time.Nanosecond}},
 	} {

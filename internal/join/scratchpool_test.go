@@ -20,14 +20,17 @@ func checkReleased(t *testing.T, name string, c *execContext) {
 	if c.comp != nil {
 		t.Errorf("%s: the ended query still holds its compensation list", name)
 	}
+	if c.ex.res != nil {
+		t.Errorf("%s: the ended query still holds its restricted columns", name)
+	}
 	if c.queue.Len() != 0 {
 		t.Errorf("%s: the ended query's queue still holds %d pairs", name, c.queue.Len())
 	}
 }
 
 // TestPooledScratchOwnership: the pooled per-query scratch (the main
-// queue's heap array, the cutoff tracker's heap and AM-KDJ's
-// compensation list) is never shared by
+// queue's heap array, the cutoff tracker's heap, AM-KDJ's compensation
+// list and the sweeps' restricted columns) is never shared by
 // two live queries, and each query gives back what it took exactly
 // once, whether it finished, failed on a queue fault or was cancelled.
 // Several AM-KDJ aggressive stages are interleaved on one goroutine and
@@ -93,6 +96,15 @@ func TestPooledScratchOwnership(t *testing.T) {
 		for _, q := range qs {
 			step(q)
 		}
+	}
+	held := map[*restrictedCols]int{}
+	for i, q := range qs {
+		if q.c.ex.res == nil {
+			t.Errorf("interleaved query %d never restricted a sweep", i)
+		} else if j, ok := held[q.c.ex.res]; ok {
+			t.Errorf("interleaved queries %d and %d hold the same restricted columns", j, i)
+		}
+		held[q.c.ex.res] = i
 	}
 	for i, q := range qs {
 		if got := endOf(q); got != alone[i%2] {

@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -268,18 +269,70 @@ func checkRederived(t *testing.T, tag string, L, R *rtree.NodeSoA, plan sweep.Pl
 	}
 }
 
+// restrictRef is the restriction sweepRun.restrict applies, spelled
+// with geom.Rect: n without the entries farther than the cutoff t (and
+// the underflow floor) from bound on either axis, and the number of
+// entries tested, which is none when no entry inside own can lie that
+// far. An infinite cutoff tests nothing.
+func restrictRef(n *rtree.NodeSoA, own, bound geom.Rect, t float64) (*rtree.NodeSoA, int64) {
+	if math.IsInf(t, 1) {
+		return n, 0
+	}
+	t = math.Max(t, 0x1p-500)
+	far := false
+	for axis := 0; axis < geom.Dims; axis++ {
+		far = far || bound.Min(axis)-own.Min(axis) > t || own.Max(axis)-bound.Max(axis) > t
+	}
+	if !far {
+		return n, 0
+	}
+	var out rtree.NodeSoA
+	out.Reset(0)
+	out.Level = n.Level
+	for i := 0; i < n.Len(); i++ {
+		r := n.Rect(i)
+		if r.AxisDist(bound, 0) > t || r.AxisDist(bound, 1) > t {
+			continue
+		}
+		out.MinX, out.MinY = append(out.MinX, r.MinX), append(out.MinY, r.MinY)
+		out.MaxX, out.MaxY = append(out.MaxX, r.MaxX), append(out.MaxY, r.MaxY)
+		out.Refs = append(out.Refs, n.Refs[i])
+	}
+	return &out, int64(n.Len())
+}
+
+// pairBound is the rectangle of the pair side a node expands: its
+// entries' bounding rectangle (any rectangle for an empty node).
+func pairBound(n *rtree.NodeSoA) geom.Rect {
+	if n.Len() == 0 {
+		return geom.Rect{}
+	}
+	return soaBounds(n)
+}
+
 // TestSweepMatchesEntryReference runs the column-reading sweep and the
 // entry-materialising reference over random node pairs, for every plan,
 // both cutoff forms and every compensation mode, and requires the same
-// delivered sequence and the same distance computation totals. The
-// reference resumes from the ranges the earlier stage recorded; the
-// sweep gets only that stage's cutoff and re-derives them, and the
-// prefix it re-derives for every entry, never-anchored entries
-// included, must be the range the reference recorded, for the earlier
-// stage and for a fixed-cutoff later one alike.
+// delivered sequence. The reference resumes from the ranges the earlier
+// stage recorded; the sweep gets only that stage's cutoff and re-derives
+// them, and the prefix it re-derives for every entry, never-anchored
+// entries included, must be the range the reference recorded, for the
+// earlier stage and for a fixed-cutoff later one alike.
+//
+// The sweep gets its pair's rectangles, so it restricts both sides to
+// the entries that can pass before it merges; the reference sweeps
+// every entry. Its distance computation totals must be those of the
+// reference run over the restricted nodes (restrictRef) plus one axis
+// computation per entry tested, and that run must deliver the same
+// sequence too. Half the live-cutoff runs start from a full distance
+// queue, so that their restriction has a finite cutoff to apply. In
+// trial 0 both pair rectangles are the whole plane: nothing can be
+// dropped, nothing is tested, and the totals are the reference's.
 func TestSweepMatchesEntryReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1601))
 	const k = 12 // distance-queue bound of the live cutoffs
+	inf := math.Inf(1)
+	dropped := 0
 	for trial := 0; trial < 60; trial++ {
 		for _, plan := range benchPlans {
 			// Sizes include the empty node and the one-entry object side.
@@ -289,50 +342,103 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 			R := randomSweepNode(rng, nr, plan, 2000)
 			lObj, rObj := nl == 1, rng.Intn(2) == 0
 			first, second := float64(1+rng.Intn(6)), float64(6+rng.Intn(10))
+			lBound, rBound := pairBound(L), pairBound(R)
+			if trial == 0 {
+				lBound = geom.Rect{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}
+				rBound = lBound
+			}
+			// The live cutoffs of odd trials start full at prefill.
+			prefill := inf
+			if trial%2 == 1 {
+				prefill = float64(4 + trial%9)
+			}
 
 			for _, live := range []bool{false, true} {
 				for _, mode := range []string{"fresh", "prev", "prev+reexamine"} {
 					tag := fmt.Sprintf("trial %d %v live=%v %s (%dx%d)", trial, plan, live, mode, nl, nr)
+					newQueue := func() *pqueue.DistanceQueue {
+						q := pqueue.NewDistanceQueue(k)
+						for i := 0; i < k && !math.IsInf(prefill, 1); i++ {
+							q.Insert(prefill)
+						}
+						return q
+					}
 
-					// An earlier fixed-cutoff stage supplies prev.
-					var prev *refRanges
-					if mode != "fresh" {
-						stage := refSweep{L: L, R: R, plan: plan, cutoff: first, realNow: first,
+					// An earlier fixed-cutoff stage on nodes l and r supplies
+					// the ranges a reference over them resumes from.
+					earlier := func(l, r *rtree.NodeSoA) *refRanges {
+						if mode == "fresh" {
+							return nil
+						}
+						stage := refSweep{L: l, R: r, plan: plan, cutoff: first, realNow: first,
 							emit: func(le, re refEntry, d float64) {}}
 						stage.run()
-						prev = &stage.out
-						checkRederived(t, tag+" earlier stage", L, R, plan, first, stage.out)
+						return &stage.out
+					}
+					prev := earlier(L, R)
+					if prev != nil {
+						checkRederived(t, tag+" earlier stage", L, R, plan, first, *prev)
+					}
+
+					// reference sweeps nodes l and r, resuming from prev.
+					reference := func(l, r *rtree.NodeSoA, prev *refRanges, want *[]delivered) *refSweep {
+						refQ := newQueue()
+						ref := &refSweep{L: l, R: r, plan: plan, prev: prev}
+						refKeep := func(reex bool) func(le, re refEntry, d float64) {
+							return func(le, re refEntry, d float64) {
+								*want = append(*want, delivered{reexamine: reex, pair: hybridq.Pair{
+									Dist: d, LeftObj: lObj, RightObj: rObj,
+									Left: le.Ref, Right: re.Ref, LeftRect: le.Rect, RightRect: re.Rect}})
+								refQ.Insert(d)
+							}
+						}
+						ref.emit = refKeep(false)
+						if mode == "prev+reexamine" {
+							ref.reexamine = refKeep(true)
+						}
+						if live {
+							ref.axisCutoff, ref.realCutoff = refQ.Cutoff, refQ.Cutoff
+						} else {
+							ref.cutoff, ref.realNow = second, second
+						}
+						ref.run()
+						return ref
 					}
 
 					var want []delivered
-					refQ := pqueue.NewDistanceQueue(k)
-					ref := refSweep{L: L, R: R, plan: plan, prev: prev}
-					refKeep := func(reex bool) func(le, re refEntry, d float64) {
-						return func(le, re refEntry, d float64) {
-							want = append(want, delivered{reexamine: reex, pair: hybridq.Pair{
-								Dist: d, LeftObj: lObj, RightObj: rObj,
-								Left: le.Ref, Right: re.Ref, LeftRect: le.Rect, RightRect: re.Rect}})
-							refQ.Insert(d)
-						}
-					}
-					ref.emit = refKeep(false)
-					if mode == "prev+reexamine" {
-						ref.reexamine = refKeep(true)
-					}
-					if live {
-						ref.axisCutoff, ref.realCutoff = refQ.Cutoff, refQ.Cutoff
-					} else {
-						ref.cutoff, ref.realNow = second, second
-					}
-					ref.run()
+					ref := reference(L, R, prev, &want)
 					if !live {
 						checkRederived(t, tag, L, R, plan, second, ref.out)
 					}
 
+					// The reference over the restricted nodes, for the totals.
+					startCutoff := second
+					if live {
+						startCutoff = prefill
+					}
+					rl, lTests := restrictRef(L, lBound, rBound, startCutoff)
+					rr, rTests := restrictRef(R, rBound, lBound, startCutoff)
+					dropped += L.Len() - rl.Len() + R.Len() - rr.Len()
+					var wantRestricted []delivered
+					restricted := reference(rl, rr, earlier(rl, rr), &wantRestricted)
+					if len(wantRestricted) != len(want) {
+						t.Fatalf("%s: the reference delivers %d candidates from the restricted nodes, %d from the whole", tag, len(wantRestricted), len(want))
+					}
+					for i := range want {
+						if wantRestricted[i] != want[i] {
+							t.Fatalf("%s: delivery %d from the restricted nodes is\n %+v, from the whole\n %+v", tag, i, wantRestricted[i], want[i])
+						}
+					}
+					wantAxis, wantReal := restricted.axisN+lTests+rTests, restricted.realN
+					if trial == 0 && (wantAxis != ref.axisN || wantReal != ref.realN) {
+						t.Fatalf("%s: whole-plane rectangles restrict: %d axis and %d real distance computations, unrestricted %d and %d",
+							tag, wantAxis, wantReal, ref.axisN, ref.realN)
+					}
+
 					var got []delivered
 					var mc metrics.Collector
-					q := pqueue.NewDistanceQueue(k)
-					run := &sweepRun{e: &expander{mc: &mc}, L: L, R: R, plan: plan}
+					q := newQueue()
+					run := &sweepRun{e: &expander{mc: &mc}, L: L, R: R, plan: plan, lBound: lBound, rBound: rBound}
 					run.pair.LeftObj, run.pair.RightObj = lObj, rObj
 					keep := func(reex bool) func(p *hybridq.Pair) bool {
 						return func(p *hybridq.Pair) bool {
@@ -370,12 +476,16 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 					if run.children != accepted {
 						t.Errorf("%s: run counted %d accepted candidates, emit accepted %d", tag, run.children, accepted)
 					}
-					if mc.AxisDistCalcs != ref.axisN || mc.RealDistCalcs != ref.realN {
+					if mc.AxisDistCalcs != wantAxis || mc.RealDistCalcs != wantReal {
 						t.Errorf("%s: %d axis and %d real distance computations, reference %d and %d",
-							tag, mc.AxisDistCalcs, mc.RealDistCalcs, ref.axisN, ref.realN)
+							tag, mc.AxisDistCalcs, mc.RealDistCalcs, wantAxis, wantReal)
 					}
 				}
 			}
 		}
 	}
+	if dropped == 0 {
+		t.Fatal("no run restricted anything; the test does not exercise the restriction")
+	}
+	t.Logf("%d entries restricted away", dropped)
 }

@@ -34,11 +34,13 @@ type Collector struct {
 	// RealDistCalcs counts real (Euclidean MBR) distance computations.
 	RealDistCalcs int64
 	// AxisDistCalcs counts cheap one-dimensional axis distance
-	// computations performed during plane sweeping. A later stage that
-	// re-derives the prefix of a bookkept pair an earlier stage examined
-	// (AM-KDJ's compensation, AM-IDJ's band re-expansion) repeats gap
-	// comparisons that stage already counted; they are not counted
-	// again.
+	// computations performed during plane sweeping. Each entry the
+	// restriction of an expansion tests against the other node's
+	// rectangle, before the sweep proper, counts as one. A later stage
+	// that re-derives the prefix of a bookkept pair an earlier stage
+	// examined (AM-KDJ's compensation, AM-IDJ's band re-expansion)
+	// repeats gap comparisons that stage already counted; they are not
+	// counted again.
 	AxisDistCalcs int64
 	// RefinementCalcs counts exact-geometry distance refinements
 	// (join.Options.Refiner invocations).

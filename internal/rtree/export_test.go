@@ -33,3 +33,7 @@ func (t *Tree) DecodedNodes() (nodes int, used, room int64) {
 	}
 	return nodes, t.nodeBytes.Load(), t.nodeRoom
 }
+
+// CheckInvariants exposes the builder's structural check to the
+// external tests.
+func (b *Builder) CheckInvariants() error { return b.checkInvariants() }

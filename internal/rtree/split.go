@@ -76,11 +76,14 @@ func (b *Builder) splitNodeQuadratic(n *node) *node {
 			break
 		}
 		// Pick the entry with the greatest preference between groups.
+		// The first candidate stands until one compares better: with
+		// infinite coordinates every enlargement may be +Inf or NaN, and
+		// then every difference is NaN, which compares above nothing.
 		best, bestDiff := -1, -1.0
 		for i, e := range rest {
 			d1 := r1.Enlargement(e.rect)
 			d2 := r2.Enlargement(e.rect)
-			if diff := math.Abs(d1 - d2); diff > bestDiff {
+			if diff := math.Abs(d1 - d2); best < 0 || diff > bestDiff {
 				best, bestDiff = i, diff
 			}
 		}
