@@ -174,6 +174,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/geom
 	$(GO) test -fuzz=FuzzIndex -fuzztime=$(FUZZTIME) ./internal/sweep
 	$(GO) test -fuzz=FuzzRestrict -fuzztime=$(FUZZTIME) ./internal/join
+	$(GO) test -fuzz=FuzzDistanceQueue -fuzztime=$(FUZZTIME) ./internal/pqueue
 	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) ./internal/simtest
 	$(GO) test -fuzz=FuzzEndpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/serving
 	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=$(FUZZTIME) ./internal/serving

@@ -10,7 +10,13 @@ import (
 // inlines it, where pqueue.Heap calls its comparator through a function
 // value at every level. The sifts are pqueue.Heap's, comparison for
 // comparison, so the pop order is identical to a pqueue.Heap ordered by
-// PairLess, among pairs PairLess ranks equal too.
+// PairLess, among pairs PairLess ranks equal too. Like the distance
+// queue's, siftDown picks the smaller child by adding the comparison's
+// outcome to the index (b2i) rather than branching on it: a popped
+// heap's last pair sifts to the bottom, and which child is smaller is a
+// coin toss at every level. BenchmarkHeapPushPop/pair104 times that
+// about a tenth slower than a branch, yet the repository benchmark's
+// joins run about 3 % faster with it: judge a change here end to end.
 //
 // The backing array is pooled: the first push takes one from
 // heapSlabs, a full heap grows it by append, and release gives it
@@ -110,8 +116,8 @@ func (h *pairHeap) siftDown(i int) {
 		if child >= n {
 			break
 		}
-		if right := child + 1; right < n && PairLess(&items[right], &items[child]) {
-			child = right
+		if right := child + 1; right < n {
+			child += b2i(PairLess(&items[right], &items[child]))
 		}
 		if !PairLess(&items[child], p) {
 			break
@@ -120,4 +126,13 @@ func (h *pairHeap) siftDown(i int) {
 		i = child
 	}
 	items[i] = *p
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set
+// (SETcc), not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

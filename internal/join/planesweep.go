@@ -94,8 +94,14 @@ type sweepSide struct {
 // not-yet-anchored candidates, minus the dropped ones; and whether an
 // anchor's gap exceeds a cutoff is monotone along a sorted column (a NaN
 // gap never does), so every window and re-derived prefix ends where it
-// ended on the whole node, minus the dropped entries. Each entry the
-// restriction tests counts as one axis distance computation.
+// ended on the whole node, minus the dropped entries. Each entry of a
+// side the restriction may drop from counts as one axis distance
+// computation, whether a test or the binary search below settled it. A
+// side whose every entry goes ends the run before the merge: it could
+// pair with nothing, so the merge would make no step (see restrict). The
+// sweep-axis tail past the other side's far end goes by one binary
+// search of the key column, which, as for windowEnd and the merge, must
+// be sorted and free of NaN.
 type sweepRun struct {
 	e          *expander
 	L, R       *rtree.NodeSoA // the expanded nodes; the sweep reads left.n, right.n (see restrict)
@@ -231,9 +237,18 @@ const restrictFloor = 0x1p-500
 // least that gap, and the cutoff only tightens: the pair would fail
 // pass at any point of the run. A side whose own bound holds no entry
 // that far (mayDrop) is swept whole and untested, and so are both sides
-// under an infinite cutoff. The survivors are copied in sweep order into
+// under an infinite cutoff.
+//
+// A side that may drop finds its survivors' span first (survivorSpan):
+// the sweep-axis tail past the other side's far end by binary search,
+// then its first survivor by a scan. When either span is empty the run
+// ends there: no pair of it can pass, so the merge would make no step,
+// and the restriction returns an empty node for that side and the other
+// side as it is, neither compacted nor, if not reached yet, tested.
+// Otherwise the survivors of each span are copied in sweep order into
 // the expander's restricted columns; a side that loses nothing is swept
-// in place.
+// in place. Either way each side that may drop counts Len() axis
+// distance computations, as a test of every entry did.
 func (s *sweepRun) restrict() (l, r *rtree.NodeSoA) {
 	l, r = s.L, s.R
 	t := s.realNow
@@ -243,13 +258,29 @@ func (s *sweepRun) restrict() (l, r *rtree.NodeSoA) {
 	if t < restrictFloor {
 		t = restrictFloor
 	}
-	if mayDrop(s.lBound, s.rBound, t) {
-		l = restrictInto(&s.e.restricted().l, l, s.rBound, t)
-		s.axisN += int64(s.L.Len())
+	lDrop, rDrop := mayDrop(s.lBound, s.rBound, t), mayDrop(s.rBound, s.lBound, t)
+	if lDrop {
+		s.axisN += int64(l.Len())
 	}
-	if mayDrop(s.rBound, s.lBound, t) {
-		r = restrictInto(&s.e.restricted().r, r, s.lBound, t)
-		s.axisN += int64(s.R.Len())
+	if rDrop {
+		s.axisN += int64(r.Len())
+	}
+	var lLo, lHi, rLo, rHi int
+	if lDrop {
+		if lLo, lHi = survivorSpan(l, s.rBound, t, s.plan); lLo == lHi {
+			return emptied(&s.e.restricted().l, l), r
+		}
+	}
+	if rDrop {
+		if rLo, rHi = survivorSpan(r, s.lBound, t, s.plan); rLo == rHi {
+			return l, emptied(&s.e.restricted().r, r)
+		}
+	}
+	if lDrop {
+		l = restrictInto(&s.e.restricted().l, l, s.rBound, t, lLo, lHi)
+	}
+	if rDrop {
+		r = restrictInto(&s.e.restricted().r, r, s.lBound, t, rLo, rHi)
 	}
 	return l, r
 }
@@ -270,31 +301,91 @@ func mayDrop(own, other geom.Rect, t float64) bool {
 	return beyond(own.MaxX, own.MaxY, own.MinX, own.MinY, other, t)
 }
 
-// restrictInto copies the entries of src that are not beyond bound
-// under t into dst, in order, and returns dst; it returns src itself
-// when nothing is dropped.
-func restrictInto(dst, src *rtree.NodeSoA, bound geom.Rect, t float64) *rtree.NodeSoA {
-	minX, minY, maxX, maxY, refs := src.MinX, src.MinY, src.MaxX, src.MaxY, src.Refs
-	n := len(refs)
-	if n == 0 {
+// survivorSpan returns the span [lo, hi) of n, a node in plan's sweep
+// order, outside which every entry is beyond bound under t: hi is where
+// the sweep-axis tail past bound's far end starts (tailStart), lo the
+// first entry before hi that is not beyond bound. lo == hi when nothing
+// survives. Entries inside the span may still be beyond bound.
+func survivorSpan(n *rtree.NodeSoA, bound geom.Rect, t float64, plan sweep.Plan) (lo, hi int) {
+	forward := plan.Dir == sweep.Forward
+	key, far := n.Lo(plan.Axis), bound.Max(plan.Axis)
+	if !forward {
+		key, far = n.Hi(plan.Axis), bound.Min(plan.Axis)
+	}
+	hi = tailStart(key, far, t, forward)
+	minX, minY, maxX, maxY := n.MinX[:hi], n.MinY[:hi], n.MaxX[:hi], n.MaxY[:hi]
+	for lo < hi && beyond(minX[lo], minY[lo], maxX[lo], maxY[lo], bound, t) {
+		lo++
+	}
+	return lo, hi
+}
+
+// tailStart returns the first index of key, a sweep key column, from
+// which every entry lies beyond far, the other side's far end along the
+// sweep axis, by more than t: key[i]-far > t going forward, where keys
+// are lower bounds in ascending order and far is the other bound's
+// upper end, and far-key[i] > t going backward, where keys are upper
+// bounds in descending order and far is the lower end. That is beyond's
+// clause for the sweep axis. Along the key order it is false up to some
+// index and true from there on, so a binary search finds where: the
+// difference only grows (rounding is monotone), and where two infinities
+// of one sign make it NaN, which exceeds nothing, either far is infinite
+// in the direction the keys run, so that no difference exceeds t, or the
+// key sits at the column's start. It requires what windowEnd and the
+// merge do: a key column in sweep order, as the sweep sorts every node,
+// and free of NaN, as every page a Builder or Pack writes is.
+func tailStart(key []float64, far, t float64, forward bool) int {
+	lo, hi := 0, len(key)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		var out bool
+		if forward {
+			out = key[m]-far > t
+		} else {
+			out = far-key[m] > t
+		}
+		if out {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// emptied returns a node with no entries for src, whose every entry is
+// beyond the other side: src itself when it has none, else dst, emptied.
+func emptied(dst, src *rtree.NodeSoA) *rtree.NodeSoA {
+	if src.Len() == 0 {
 		return src
 	}
-	_, _, _, _ = minX[n-1], minY[n-1], maxX[n-1], maxY[n-1]
-	w := 0
-	for w < n && !beyond(minX[w], minY[w], maxX[w], maxY[w], bound, t) {
-		w++
-	}
-	if w == n {
-		return src
-	}
-	dst.Reset(n)
+	dst.Reset(0)
 	dst.Level = src.Level
-	copy(dst.MinX, minX[:w])
-	copy(dst.MinY, minY[:w])
-	copy(dst.MaxX, maxX[:w])
-	copy(dst.MaxY, maxY[:w])
-	copy(dst.Refs, refs[:w])
-	for i := w + 1; i < n; i++ {
+	return dst
+}
+
+// restrictInto copies the entries of src's survivor span [lo, hi)
+// (survivorSpan) that are not beyond bound under t into dst, in order,
+// and returns dst; it returns src itself when nothing is dropped. Entry
+// lo survives, and none outside the span does.
+func restrictInto(dst, src *rtree.NodeSoA, bound geom.Rect, t float64, lo, hi int) *rtree.NodeSoA {
+	minX, minY, maxX, maxY, refs := src.MinX[:hi], src.MinY[:hi], src.MaxX[:hi], src.MaxY[:hi], src.Refs[:hi]
+	e := lo + 1
+	for e < hi && !beyond(minX[e], minY[e], maxX[e], maxY[e], bound, t) {
+		e++
+	}
+	if lo == 0 && e == src.Len() {
+		return src
+	}
+	dst.Reset(hi - lo)
+	dst.Level = src.Level
+	copy(dst.MinX, minX[lo:e])
+	copy(dst.MinY, minY[lo:e])
+	copy(dst.MaxX, maxX[lo:e])
+	copy(dst.MaxY, maxY[lo:e])
+	copy(dst.Refs, refs[lo:e])
+	w := e - lo
+	for i := e + 1; i < hi; i++ {
 		x0, y0, x1, y1 := minX[i], minY[i], maxX[i], maxY[i]
 		if beyond(x0, y0, x1, y1, bound, t) {
 			continue

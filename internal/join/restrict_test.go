@@ -177,6 +177,18 @@ func FuzzRestrict(f *testing.F) {
 	f.Add(0.0, uint8(0), uint8(1), mk(0, 0, 0, 0, 0x1p-538, 0, 0x1p-538, 0))
 	f.Add(1.45*0x1p-537, uint8(0), uint8(1), mk(0, 0, 0, 0, 1.5*0x1p-537, 0, 1.5*0x1p-537, 0))
 	f.Add(0x1p-537, uint8(2), uint8(1+16), mk(0, 0, 0, 0, 0, 0x1p-536, 0, 0x1p-536, 0, 0, 3, 3))
+	// One side loses every entry while the other keeps some, because
+	// the one side's bound reaches the other's entries and its own
+	// entries do not: the left side alone, on the x axis before a right
+	// side the run would have tested and on the y axis, and the right
+	// side alone (the left side, tested and keeping one of two entries,
+	// is not compacted).
+	f.Add(1.0, uint8(0), uint8(3+16+32), mk(10, 0, 11, 1, 12, 5, 13, 6, 0, 0, 1, 1, 2, 0, 3, 1, 2, 20, 3, 21))
+	f.Add(2.0, uint8(2), uint8(2+16), mk(0, 20, 1, 21, 0, -9, 1, -8, 0, 0, 1, 1, 0, 3, 1, 4))
+	f.Add(1.0, uint8(1), uint8(2+32), mk(2, 0, 3, 1, -10, 0, -9, 1, 10, 0, 11, 1, 12, 5, 13, 6, 0, 0, 1, 1))
+	// Sweep-axis tails past the other side's far end, in both directions.
+	f.Add(1.0, uint8(0), uint8(4), mk(0, 0, 1, 1, 2, 0, 3, 1, 5, 0, 6, 1, 9, 0, 9, 1, 1, 0, 2, 1, 3, 0, 4, 1))
+	f.Add(1.0, uint8(1), uint8(4), mk(0, 0, 1, 1, 2, 0, 3, 1, 5, 0, 6, 1, 9, 0, 9, 1, 4, 0, 5, 1, 7, 0, 8, 1))
 	f.Fuzz(func(t *testing.T, cut float64, planBits, shape uint8, raw []byte) {
 		var rects []geom.Rect
 		for len(raw) >= 32 && len(rects) < 40 {
@@ -200,4 +212,94 @@ func FuzzRestrict(f *testing.F) {
 		}
 		checkRestriction(t, c)
 	})
+}
+
+// farClause is beyond's clause for plan's sweep axis and direction,
+// spelled out per plan: entry i of n lies past bound's far end by more
+// than t.
+func farClause(n *rtree.NodeSoA, i int, bound geom.Rect, t float64, plan sweep.Plan) bool {
+	e := n.Rect(i)
+	switch {
+	case plan.Axis == 0 && plan.Dir == sweep.Forward:
+		return e.MinX-bound.MaxX > t
+	case plan.Axis == 0:
+		return bound.MinX-e.MaxX > t
+	case plan.Dir == sweep.Forward:
+		return e.MinY-bound.MaxY > t
+	default:
+		return bound.MinY-e.MaxY > t
+	}
+}
+
+// TestTailStartMatchesLinearScan: on nodes in sweep order (sorted,
+// NaN-free key columns) under every plan, the tail survivorSpan finds
+// by binary search starts at the first entry for which the far-end
+// clause of beyond holds, and the clause holds for every entry after
+// it; the span's start is the first entry before the tail that beyond
+// keeps. Coordinates sit on a grid and cutoffs are whole, so keys tie
+// and key−far meets t exactly; infinite keys and bounds, the floor
+// cutoff and nodes of zero and one entries are mixed in.
+func TestTailStartMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3501))
+	inf := math.Inf(1)
+	coord := func() float64 {
+		switch rng.Intn(14) {
+		case 0:
+			return inf
+		case 1:
+			return -inf
+		case 2:
+			return float64(rng.Intn(3)) * restrictFloor
+		}
+		return float64(rng.Intn(20))
+	}
+	rect := func() geom.Rect { return geom.NewRect(coord(), coord(), coord(), coord()) }
+	cuts := []float64{restrictFloor, 2 * restrictFloor, 1, 2, 3, 5, 8}
+	ties, tails := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		rects := make([]geom.Rect, rng.Intn(3)*rng.Intn(9))
+		for i := range rects {
+			rects[i] = rect()
+		}
+		plan := benchPlans[rng.Intn(len(benchPlans))]
+		n := sweepNode(rects, plan, 0)
+		bound, cut := rect(), cuts[rng.Intn(len(cuts))]
+		want := n.Len()
+		for i := 0; i < n.Len(); i++ {
+			if farClause(n, i, bound, cut, plan) {
+				want = i
+				break
+			}
+		}
+		for i := want; i < n.Len(); i++ {
+			if !farClause(n, i, bound, cut, plan) {
+				t.Fatalf("plan %v, bound %v, cutoff %g: the far-end clause holds at entry %d but not at %d of %v",
+					plan, bound, cut, want, i, rects)
+			}
+		}
+		lo, hi := survivorSpan(n, bound, cut, plan)
+		if hi != want {
+			t.Fatalf("plan %v, bound %v, cutoff %g, node %v: tail at %d, the linear scan's at %d", plan, bound, cut, rects, hi, want)
+		}
+		wantLo := 0
+		for wantLo < hi && beyond(n.MinX[wantLo], n.MinY[wantLo], n.MaxX[wantLo], n.MaxY[wantLo], bound, cut) {
+			wantLo++
+		}
+		if lo != wantLo {
+			t.Fatalf("plan %v, bound %v, cutoff %g, node %v: first survivor %d, want %d", plan, bound, cut, rects, lo, wantLo)
+		}
+		if want < n.Len() {
+			tails++
+		}
+		for i := 0; i < n.Len(); i++ {
+			e := n.Rect(i)
+			if plan.Dir == sweep.Forward && e.Min(plan.Axis)-bound.Max(plan.Axis) == cut ||
+				plan.Dir == sweep.Backward && bound.Min(plan.Axis)-e.Max(plan.Axis) == cut {
+				ties++
+			}
+		}
+	}
+	if ties == 0 || tails == 0 {
+		t.Fatalf("%d keys tie with the cutoff and %d nodes have a tail; the test checks too little", ties, tails)
+	}
 }

@@ -148,7 +148,12 @@ func (h *Heap[T]) siftDown(i int) {
 // the comparison written inline, not a Heap[float64] calling a
 // comparator per level. Its sifts are Heap's with less(a, b) = a > b,
 // the same comparisons in the same order, so the cutoff sequence is
-// bit-identical to a Heap-based queue's, NaN and ±0 included.
+// bit-identical to a Heap-based queue's, NaN and ±0 included. A join's
+// offers land anywhere below the cutoff, so the replacing sift usually
+// runs most of the way down, and which child is larger is a coin toss
+// at every level: the sift adds that comparison's outcome to the child
+// index (b2i) instead of branching on it, which would mispredict half
+// the time.
 //
 // The heap's array is pooled like the main queue's: the first Insert
 // takes one from distSlabs, a heap short of k grows it by append, and
@@ -213,8 +218,8 @@ func (q *DistanceQueue) Insert(d float64) bool {
 		if child >= n {
 			break
 		}
-		if right := child + 1; right < n && items[right] > items[child] {
-			child = right
+		if right := child + 1; right < n {
+			child += b2i(items[right] > items[child])
 		}
 		if !(items[child] > d) {
 			break
@@ -257,4 +262,13 @@ func (q *DistanceQueue) Release() {
 	*q.slab = q.items[:0]
 	distSlabs.Put(q.slab)
 	q.slab, q.items = nil, nil
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set
+// (SETcc), not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

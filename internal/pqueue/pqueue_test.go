@@ -1,9 +1,11 @@
 package pqueue
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -399,6 +401,58 @@ func TestDistanceQueueMatchesHeapReference(t *testing.T) {
 	}
 }
 
+// FuzzDistanceQueue is TestDistanceQueueMatchesHeapReference over
+// arbitrary offer sequences: after every offer, Insert's result and the
+// Cutoff bits equal the Heap-based queue's. k is 1 + k16 mod 1024. raw
+// is read offer by offer: a byte below len(fuzzOffers) offers that
+// table's value, so ties, ±0, NaN and ±Inf come often; any other byte
+// is followed by the eight bytes of the offer itself (little endian),
+// whatever they hold.
+func FuzzDistanceQueue(f *testing.F) {
+	le := binary.LittleEndian
+	raw := func(vals ...float64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = le.AppendUint64(append(b, 0xff), math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(uint16(0), []byte{3, 4, 2, 3, 0, 1, 5, 3, 3})
+	f.Add(uint16(2), []byte{5, 3, 4, 4, 3, 6, 7, 3, 4, 8, 9, 10, 3, 11, 0, 1, 2})
+	f.Add(uint16(6), []byte{10, 9, 9, 8, 11, 12, 12, 13, 3, 4, 3, 4, 5, 6, 5, 0, 2, 1, 1, 14, 15})
+	f.Add(uint16(3), raw(0.5, -0.25, math.NaN(), 1e300, math.SmallestNonzeroFloat64, -math.MaxFloat64, 0.5, 0.125))
+	f.Add(uint16(999), append(raw(math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000001)), 3, 4, 11, 12))
+	f.Fuzz(func(t *testing.T, k16 uint16, raw []byte) {
+		k := 1 + int(k16)%1024
+		got, want := NewDistanceQueue(k), newHeapDistanceQueue(k)
+		defer got.Release()
+		for i := 0; len(raw) > 0; i++ {
+			var d float64
+			if c := int(raw[0]); c < len(fuzzOffers) {
+				d, raw = fuzzOffers[c], raw[1:]
+			} else if len(raw) >= 9 {
+				d, raw = math.Float64frombits(le.Uint64(raw[1:])), raw[9:]
+			} else {
+				break
+			}
+			if g, w := got.Insert(d), want.Insert(d); g != w {
+				t.Fatalf("k=%d offer %d (%g, %#x): Insert = %v, reference %v", k, i, d, math.Float64bits(d), g, w)
+			}
+			if gc, wc := got.Cutoff(), want.Cutoff(); math.Float64bits(gc) != math.Float64bits(wc) {
+				t.Fatalf("k=%d offer %d (%g, %#x): Cutoff = %g (%#x), reference %g (%#x)",
+					k, i, d, math.Float64bits(d), gc, math.Float64bits(gc), wc, math.Float64bits(wc))
+			}
+		}
+	})
+}
+
+// fuzzOffers are the offers FuzzDistanceQueue reads from one byte.
+var fuzzOffers = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	1, 2, 3, -1, -2, 0.5, 0.25, math.MaxFloat64, math.SmallestNonzeroFloat64,
+	-math.SmallestNonzeroFloat64, 1e-300,
+}
+
 // TestDistanceQueueInsertAllocs: once k distances are held, an offer,
 // kept or rejected, allocates nothing.
 func TestDistanceQueueInsertAllocs(t *testing.T) {
@@ -494,12 +548,19 @@ func TestKthTrackerRelease(t *testing.T) {
 // BenchmarkDistanceQueueInsert times one offer to a full queue. reject
 // offers uniform random distances, which after warm-up almost never
 // beat the cutoff: the cost of one comparison. accept offers
-// Cutoff·(1−ε·u), which is always kept, as nearly every offer is in a
-// join (a sweep only delivers pairs within the cutoff): the cost of a
-// full sift.
+// Cutoff·(1−ε·u), which is always kept. The first of them settle next
+// to the root, but within a few k offers the retained distances crowd
+// into a band just under the cutoff and an offer sifts deep among them
+// (7.9 levels on average at k=1000, 10.1 at k=10000): the cost of a
+// sift over distances no join retains. join offers distances uniform in
+// [0, Cutoff()), kept and spread over the whole range as a join's are
+// (a sweep delivers pairs anywhere within the cutoff; 8.0 and 11.4
+// levels): the cost of a join's sift. Such offers shrink the cutoff
+// towards zero, so every k offers the queue gets its first distances
+// back, untimed.
 func BenchmarkDistanceQueueInsert(b *testing.B) {
 	const eps = 1e-3
-	for _, mode := range []string{"reject", "accept"} {
+	for _, mode := range []string{"reject", "accept", "join"} {
 		for _, k := range []int{1000, 10000} {
 			b.Run(fmt.Sprintf("%s/k=%d", mode, k), func(b *testing.B) {
 				q := NewDistanceQueue(k)
@@ -508,14 +569,25 @@ func BenchmarkDistanceQueueInsert(b *testing.B) {
 					q.Insert(rng.Float64())
 				}
 				b.ResetTimer()
-				if mode == "reject" {
+				switch mode {
+				case "reject":
 					for i := 0; i < b.N; i++ {
 						q.Insert(rng.Float64())
 					}
-					return
-				}
-				for i := 0; i < b.N; i++ {
-					q.Insert(q.Cutoff() * (1 - eps*rng.Float64()))
+				case "accept":
+					for i := 0; i < b.N; i++ {
+						q.Insert(q.Cutoff() * (1 - eps*rng.Float64()))
+					}
+				default:
+					first := slices.Clone(q.items)
+					for i := 0; i < b.N; i++ {
+						if i%k == k-1 {
+							b.StopTimer()
+							copy(q.items, first)
+							b.StartTimer()
+						}
+						q.Insert(q.Cutoff() * rng.Float64())
+					}
 				}
 			})
 		}
