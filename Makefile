@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build vet vet-sarif allow-report lint lint-tools test test-short alloc-pins race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples ci clean
+.PHONY: all build vet vet-sarif allow-report inline-check lint lint-tools test test-short alloc-pins race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples ci clean
 
 # Coverage floor for the cover-check gate: the suite sits above 80%,
 # so the floor guards against untested subsystems landing, with a
@@ -76,6 +76,34 @@ vet-sarif: $(VETTOOL)
 # reasonless or names an unknown analyzer.
 allow-report: $(VETTOOL)
 	$(VETTOOL) -allow-report ./...
+
+# The main queue's order must inline where it is hot: keyLess at the
+# three comparison sites of the heap's sifts (heap.go: siftUp's one,
+# siftDown's child pick and its test) and in the split sort's Less
+# (pool.go), with the comparison body it shares with PairLess, ordered,
+# inlined at each of them. A change that pushes either past the
+# inliner's budget turns every comparison into a call and the heap
+# slows down without failing a test; this target fails instead. Sites
+# are counted once each, however often the compiler inlines the sift
+# around them.
+INLINE_SITES := heap.go:3 pool.go:1
+
+inline-check:
+	@out="$$($(GO) build -gcflags=-m ./internal/hybridq 2>&1)" || { printf '%s\n' "$$out" >&2; exit 1; }; \
+	sites() { printf '%s\n' "$$out" | grep "hybridq/$$1:[0-9]*:[0-9]*: inlining call to $$2\$$" | cut -d' ' -f1 | sort -u; }; \
+	rc=0; \
+	for want in $(INLINE_SITES); do \
+		file=$${want%:*}; n=$${want#*:}; \
+		got=$$(sites $$file keyLess | wc -l); \
+		if [ "$$got" -ne "$$n" ]; then \
+			echo "inline-check: keyLess inlines at $$got sites of internal/hybridq/$$file, want $$n" >&2; rc=1; \
+		fi; \
+		for pos in $$(sites $$file keyLess); do \
+			sites $$file ordered | grep -qxF "$$pos" || { echo "inline-check: ordered is not inlined into keyLess at $$pos" >&2; rc=1; }; \
+		done; \
+	done; \
+	if [ "$$rc" -eq 0 ]; then echo "inline-check: keyLess and ordered inline at every sift and split-sort comparison"; fi; \
+	exit "$$rc"
 
 # Install the pinned lint toolchain (staticcheck, govulncheck,
 # actionlint). CI runs this before `make lint`; locally it is optional —
@@ -258,7 +286,7 @@ examples:
 # (short suite, then the sweep-order memo's tests unshortened),
 # simulation smoke, fuzz smoke, one-iteration benchmark
 # smoke, bench regression gate, repository-benchmark module check.
-ci: lint build
+ci: lint inline-check build
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 	$(MAKE) cover-check

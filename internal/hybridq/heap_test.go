@@ -9,17 +9,19 @@ import (
 )
 
 // TestPairHeapMatchesGenericHeap: under random interleaved pushes, pops,
-// peeks and clears, the specialised heap hands out the same full Pair
-// sequence as pqueue.Heap ordered by PairLess. The input is seeded with
-// pairs PairLess ranks equal (same Dist, Left and Right, one a node
-// pair and one a node/object pair), which only the identical sift order
-// puts out in the same order; the rectangles tell them apart.
+// peeks and clears, the key heap hands out the same full Pair sequence
+// as pqueue.Heap of Pairs ordered by PairLess, and its key array stands
+// for the reference's item array position by position. The input is
+// seeded with pairs PairLess ranks equal (same Dist, Left and Right, one
+// a node pair and one a node/object pair), which only the identical sift
+// order puts out in the same order; the rectangles tell them apart, and
+// they cross the key/slab split.
 func TestPairHeapMatchesGenericHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 50; trial++ {
 		var got pairHeap
 		want := pqueue.NewHeap(PairLess)
-		var staged Pair
+		var staged, out Pair
 		next := uint64(0)
 		for op := 0; op < 2000; op++ {
 			switch r := rng.Intn(20); {
@@ -42,11 +44,13 @@ func TestPairHeapMatchesGenericHeap(t *testing.T) {
 				if want.Empty() {
 					continue
 				}
-				if g, w := got.Peek(), want.Peek(); g != w {
-					t.Fatalf("trial %d op %d: Peek = %+v, reference %+v", trial, op, g, w)
+				got.PeekInto(&out)
+				if w := want.Peek(); out != w {
+					t.Fatalf("trial %d op %d: Peek = %+v, reference %+v", trial, op, out, w)
 				}
-				if g, w := got.Pop(), want.Pop(); g != w {
-					t.Fatalf("trial %d op %d: Pop = %+v, reference %+v", trial, op, g, w)
+				got.PopInto(&out)
+				if w := want.Pop(); out != w {
+					t.Fatalf("trial %d op %d: Pop = %+v, reference %+v", trial, op, out, w)
 				}
 			default:
 				got.Clear()
@@ -55,11 +59,16 @@ func TestPairHeapMatchesGenericHeap(t *testing.T) {
 			if got.Len() != want.Len() {
 				t.Fatalf("trial %d op %d: Len = %d, reference %d", trial, op, got.Len(), want.Len())
 			}
+			if n := len(got.rects) - len(got.free); n != got.Len() {
+				t.Fatalf("trial %d op %d: %d slab slots held by %d keys", trial, op, n, got.Len())
+			}
 		}
-		g, w := got.Items(), want.Items()
+		w := want.Items()
 		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("trial %d: item %d = %+v, reference %+v", trial, i, g[i], w[i])
+			var g Pair
+			got.load(&got.keys[i], &g)
+			if g != w[i] {
+				t.Fatalf("trial %d: key %d stands for %+v, reference item %+v", trial, i, g, w[i])
 			}
 		}
 	}

@@ -42,9 +42,10 @@ func (p *Pair) IsResult() bool { return p.LeftObj && p.RightObj }
 
 // PairLess is the one definition of the main-queue order: by distance
 // with a deterministic tie-break, expandable (non-result) pairs before
-// results, then by identifiers. It takes pointers so that the heap, the
-// split and reload sorts and SJ-SORT order 104-byte pairs without
-// copying them.
+// results, then by identifiers. It takes pointers so that SJ-SORT and
+// the reference orders compare 104-byte pairs without copying them; the
+// queue's own heap and split sort compare 32-byte keys (keyLess), and
+// both share one comparison body, ordered.
 //
 // Draining expandable pairs first at a tied distance makes the
 // emission order among ties canonical: a result at distance d can
@@ -57,20 +58,25 @@ func (p *Pair) IsResult() bool { return p.LeftObj && p.RightObj }
 // sweep policy. (The cost: at a heavily tied distance — typically 0,
 // overlapping MBRs — all tied node pairs are expanded before the first
 // tied result is emitted.)
+func PairLess(a, b *Pair) bool {
+	return ordered(a.Dist, b.Dist, a.IsResult(), b.IsResult(), a.Left, b.Left, a.Right, b.Right)
+}
+
+// ordered is the comparison body of PairLess and keyLess: whether the
+// pair (ad, ares, al, ar) orders before (bd, bres, bl, br).
 //
 //lint:allow floatcmp bit-exact distance tie-break IS the determinism contract: one output order for a given index
-func PairLess(a, b *Pair) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
+func ordered(ad, bd float64, ares, bres bool, al, bl, ar, br uint64) bool {
+	if ad != bd {
+		return ad < bd
 	}
-	ar, br := a.IsResult(), b.IsResult()
-	if ar != br {
-		return br
+	if ares != bres {
+		return bres
 	}
-	if a.Left != b.Left {
-		return a.Left < b.Left
+	if al != bl {
+		return al < bl
 	}
-	return a.Right < b.Right
+	return ar < br
 }
 
 // RecordSize is the fixed on-disk encoding size of a Pair.
@@ -88,53 +94,71 @@ func (p Pair) Encode(buf []byte) { p.encode(buf) }
 // DecodePair parses a Pair previously written by Encode.
 func DecodePair(buf []byte) Pair { return decodePair(buf) }
 
+// flags packs the pair's three booleans into the record's flag bits.
+func (p *Pair) flags() uint32 {
+	return uint32(b2i(p.LeftObj))*flagLeftObj | uint32(b2i(p.RightObj))*flagRightObj | uint32(b2i(p.Refined))*flagRefined
+}
+
 // encode serializes p into buf (at least RecordSize bytes).
 func (p *Pair) encode(buf []byte) {
-	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(p.Dist))
-	var flags uint64
-	if p.LeftObj {
-		flags |= flagLeftObj
-	}
-	if p.RightObj {
-		flags |= flagRightObj
-	}
-	if p.Refined {
-		flags |= flagRefined
-	}
-	binary.LittleEndian.PutUint64(buf[8:], flags)
-	binary.LittleEndian.PutUint64(buf[16:], p.Left)
-	binary.LittleEndian.PutUint64(buf[24:], p.Right)
-	putRect(buf[32:], p.LeftRect)
-	putRect(buf[64:], p.RightRect)
+	putRecord(buf, p.Dist, p.flags(), p.Left, p.Right, &p.LeftRect, &p.RightRect)
 }
 
 // decodePair parses a Pair from buf.
 func decodePair(buf []byte) Pair {
-	flags := binary.LittleEndian.Uint64(buf[8:])
-	return Pair{
-		Dist:      math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])),
-		LeftObj:   flags&flagLeftObj != 0,
-		RightObj:  flags&flagRightObj != 0,
-		Refined:   flags&flagRefined != 0,
-		Left:      binary.LittleEndian.Uint64(buf[16:]),
-		Right:     binary.LittleEndian.Uint64(buf[24:]),
-		LeftRect:  getRect(buf[32:]),
-		RightRect: getRect(buf[64:]),
-	}
+	var p Pair
+	var k key
+	k.decode(buf, &p.LeftRect, &p.RightRect)
+	k.assemble(&p)
+	return p
 }
 
-func putRect(buf []byte, r geom.Rect) {
+// assemble writes the pair k stands for into *p, all but the
+// rectangles.
+func (k *key) assemble(p *Pair) {
+	p.Dist, p.Left, p.Right = k.Dist, k.Left, k.Right
+	p.LeftObj = k.flags&flagLeftObj != 0
+	p.RightObj = k.flags&flagRightObj != 0
+	p.Refined = k.flags&flagRefined != 0
+}
+
+// encode writes k, with its rectangles r, as one record.
+func (k *key) encode(buf []byte, r *rectPair) {
+	putRecord(buf, k.Dist, k.flags, k.Left, k.Right, &r.left, &r.right)
+}
+
+// decode reads a record into k, all but its slot, and its rectangles
+// into lr and rr.
+func (k *key) decode(buf []byte, lr, rr *geom.Rect) {
+	k.Dist = math.Float64frombits(binary.LittleEndian.Uint64(buf[0:]))
+	k.flags = uint32(binary.LittleEndian.Uint64(buf[8:])) & (flagLeftObj | flagRightObj | flagRefined)
+	k.Left = binary.LittleEndian.Uint64(buf[16:])
+	k.Right = binary.LittleEndian.Uint64(buf[24:])
+	getRect(buf[32:], lr)
+	getRect(buf[64:], rr)
+}
+
+// putRecord writes one RecordSize record, the one layout a Pair and a
+// key with its slab entry are both encoded in.
+func putRecord(buf []byte, dist float64, flags uint32, left, right uint64, lr, rr *geom.Rect) {
+	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(dist))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(flags))
+	binary.LittleEndian.PutUint64(buf[16:], left)
+	binary.LittleEndian.PutUint64(buf[24:], right)
+	putRect(buf[32:], lr)
+	putRect(buf[64:], rr)
+}
+
+func putRect(buf []byte, r *geom.Rect) {
 	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(r.MinX))
 	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(r.MinY))
 	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(r.MaxX))
 	binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(r.MaxY))
 }
 
-func getRect(buf []byte) geom.Rect {
-	return geom.Rect{
-		MinX: math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])),
-		MinY: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
-		MaxX: math.Float64frombits(binary.LittleEndian.Uint64(buf[16:])),
-		MaxY: math.Float64frombits(binary.LittleEndian.Uint64(buf[24:])),
-	}
+func getRect(buf []byte, r *geom.Rect) {
+	r.MinX = math.Float64frombits(binary.LittleEndian.Uint64(buf[0:]))
+	r.MinY = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
+	r.MaxX = math.Float64frombits(binary.LittleEndian.Uint64(buf[16:]))
+	r.MaxY = math.Float64frombits(binary.LittleEndian.Uint64(buf[24:]))
 }

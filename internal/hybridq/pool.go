@@ -6,16 +6,16 @@ import (
 	"distjoin/internal/storage"
 )
 
-// Scratch for the queue's disk path. A heap split copies the whole
-// heap into a []Pair slab to sort it, and a segment swap-in decodes
-// every spilled record into one; a swap-in also needs a page-size read
-// buffer, and every segment carries a page-size write buffer. Without
-// reuse each spill/reload event allocates the slab and the buffers
-// afresh — on reload-heavy runs (HS-IDJ drains and refills the heap
-// constantly) that is the dominant allocation source of the whole
+// Scratch for the queue's disk path. A heap split copies the heap's
+// keys into a slab to sort them; a segment swap-in needs a page-size
+// read buffer, and every segment carries a page-size write buffer.
+// Without reuse each spill/reload event allocates the slab and the
+// buffers afresh — on reload-heavy runs (HS-IDJ drains and refills the
+// heap constantly) that is the dominant allocation source of the whole
 // join.
 //
-// A scratch bundles all three, and a fourth thing: the spill store of
+// A scratch bundles all three with the queue's segment list and its
+// array of segment lower bounds, and one more thing: the spill store of
 // a queue built without Config.Store, with the list of its pages no
 // segment holds. The store is only a page table: its pages come from
 // pagePool and go back there at Release, so the next query's spills
@@ -32,12 +32,14 @@ import (
 // that is never released leaves its scratch and pages to the
 // collector.
 type scratch struct {
-	items []Pair           // sort slab of a heap split, decode slab of a swap-in
-	order byPairOrder      // the slab prefix tieSafeSplit sorts
-	page  []byte           // read buffer of a swap-in
-	segs  []*segment       // consumed segments, write buffers attached
-	spill spillStore       // a private queue's pages, empty while pooled
-	free  []storage.PageID // spill's pages no segment holds, empty while pooled
+	items   []key            // sort slab of a heap split
+	order   byKeyOrder       // the keys tieSafeSplit sorts
+	page    []byte           // read buffer of a swap-in
+	segs    []*segment       // consumed segments, write buffers attached
+	segList []*segment       // Queue.segs, empty while pooled
+	lows    []float64        // Queue.lows, empty while pooled
+	spill   spillStore       // a private queue's pages, empty while pooled
+	free    []storage.PageID // spill's pages no segment holds, empty while pooled
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -87,13 +89,31 @@ func (s *spillStore) release() {
 	s.pages = s.pages[:0]
 }
 
-// slab returns the pair slab with len 0 and capacity at least n. The
-// caller appends at most n pairs, so the slab never moves.
-func (sc *scratch) slab(n int) []Pair {
+// slab returns the key slab with len 0 and capacity at least n. The
+// caller appends at most n keys, so the slab never moves.
+func (sc *scratch) slab(n int) []key {
 	if cap(sc.items) < n {
-		sc.items = make([]Pair, 0, n)
+		sc.items = make([]key, 0, n)
 	}
 	return sc.items[:0]
+}
+
+// segListCap is the capacity a scratch's segment list and bound array
+// start with: room for every model segment (maxModelSegments) and as
+// many overflow-split ones. Append growth from nil would take seven
+// allocations each to reach the model segments alone, on every fresh
+// scratch and on every pooled one that served smaller queues.
+const segListCap = 2 * maxModelSegments
+
+// sizeSegList gives the segment list and bound array their starting
+// capacity, unless they have it.
+func (sc *scratch) sizeSegList() {
+	if cap(sc.segList) < segListCap {
+		sc.segList = make([]*segment, 0, segListCap)
+	}
+	if cap(sc.lows) < segListCap {
+		sc.lows = make([]float64, 0, segListCap)
+	}
 }
 
 // pageBuf returns the read buffer, exactly size bytes long. A buffer
@@ -129,12 +149,12 @@ func (sc *scratch) segment(lo, hi float64, pageSize int) *segment {
 // retire puts a segment nothing reads any more on the free list.
 func (sc *scratch) retire(s *segment) { sc.segs = append(sc.segs, s) }
 
-// byPairOrder sorts a slab by PairLess without the per-call closure
+// byKeyOrder sorts keys by keyLess without the per-call closure
 // allocation of sort.Slice. Both stdlib entry points instantiate the
 // same pdqsort, so the permutation (ties included) is identical to
 // the sort.Slice call it replaced.
-type byPairOrder []Pair
+type byKeyOrder []key
 
-func (s byPairOrder) Len() int           { return len(s) }
-func (s byPairOrder) Less(i, j int) bool { return PairLess(&s[i], &s[j]) }
-func (s byPairOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+func (s byKeyOrder) Len() int           { return len(s) }
+func (s byKeyOrder) Less(i, j int) bool { return keyLess(&s[i], &s[j]) }
+func (s byKeyOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }

@@ -354,7 +354,7 @@ func observedOps(q *Queue, pairs []Pair, ops []int) []Pair {
 		if op >= 0 {
 			q.Push(pairs[op])
 		} else if p, ok := q.Pop(); ok {
-			popped = append(popped, p)
+			popped = append(popped, *p)
 		}
 	}
 	for {
@@ -362,7 +362,7 @@ func observedOps(q *Queue, pairs []Pair, ops []int) []Pair {
 		if !ok {
 			return popped
 		}
-		popped = append(popped, p)
+		popped = append(popped, *p)
 	}
 }
 
@@ -486,12 +486,15 @@ func TestOwnStoreStaysOutOfPool(t *testing.T) {
 	}
 }
 
-// TestHeapSlabOwnership: a queue takes its heap's array at its first
-// push and gives it back at Release, once, whether or not a fault
-// latched; a released queue pushed to again takes a fresh one.
-// Concurrent queues never share an array: TestPoolReuseStress releases
-// queues between rounds on several goroutines, under the race detector
-// in make race.
+// TestHeapSlabOwnership: a queue takes its heap's arrays (keys,
+// rectangle slab and its free list) at its first push and gives them
+// back at Release, once, whether or not a fault latched; a released
+// queue pushed to again takes fresh ones. The same holds for the
+// segment list and bound array, which come with the scratch: an ended
+// queue holds neither a rectangle slab nor a bound array. Concurrent
+// queues never share an array: TestPoolReuseStress releases queues
+// between rounds on several goroutines, under the race detector in
+// make race.
 func TestHeapSlabOwnership(t *testing.T) {
 	fault := errors.New("injected spill fault")
 	faulted := New(Config{MemBytes: 8 * RecordSize, FaultHook: func(op FaultOp) error {
@@ -500,37 +503,43 @@ func TestHeapSlabOwnership(t *testing.T) {
 		}
 		return nil
 	}})
-	clean := New(Config{MemBytes: 8 * RecordSize})
+	clean := New(Config{MemBytes: 8 * RecordSize, Rho: 0.5})
 	for _, q := range []*Queue{faulted, clean} {
-		if q.heap.slab != nil {
-			t.Fatal("a new queue holds a heap array")
+		if q.heap.slab != nil || q.lows != nil {
+			t.Fatal("a new queue holds a heap slab or a bound array")
 		}
 		for i := 0; i < 40; i++ {
 			q.Push(pairWithDist(float64(i%13), uint64(i)))
 		}
-		if q.heap.slab == nil {
-			t.Fatal("a queue that was pushed to holds no heap array")
+		if q.heap.slab == nil || len(q.heap.rects) == 0 {
+			t.Fatal("a queue that was pushed to holds no heap slab")
 		}
 	}
 	if !errors.Is(faulted.Err(), fault) {
 		t.Fatalf("the faulted queue latched %v", faulted.Err())
 	}
+	if len(clean.lows) == 0 || len(clean.lows) != len(clean.segs) {
+		t.Fatalf("the spilled queue holds %d segments and %d bounds", len(clean.segs), len(clean.lows))
+	}
 	for _, q := range []*Queue{faulted, clean} {
 		q.Release()
-		if q.heap.slab != nil || q.heap.items != nil {
-			t.Fatal("Release kept the heap array")
+		if q.heap.slab != nil || q.heap.keys != nil || q.heap.rects != nil || q.heap.free != nil {
+			t.Fatal("Release kept the heap's keys, rectangle slab or free list")
+		}
+		if q.segs != nil || q.lows != nil {
+			t.Fatal("Release kept the segment list or the bound array")
 		}
 		q.Release()
 	}
-	// Each Release put its array back once: no array comes out of the
-	// pool twice. (Other tests' arrays may come out too; under the race
+	// Each Release put its slab back once: no slab comes out of the
+	// pool twice. (Other tests' slabs may come out too; under the race
 	// detector the pool drops some puts, which only shortens the list.)
-	seen := map[*[]Pair]bool{}
-	var taken []*[]Pair
+	seen := map[*heapSlab]bool{}
+	var taken []*heapSlab
 	for i := 0; i < 16; i++ {
-		s := heapSlabs.Get().(*[]Pair)
+		s := heapSlabs.Get().(*heapSlab)
 		if seen[s] {
-			t.Fatal("a heap array was given back twice")
+			t.Fatal("a heap slab was given back twice")
 		}
 		seen[s] = true
 		taken = append(taken, s)
@@ -540,8 +549,8 @@ func TestHeapSlabOwnership(t *testing.T) {
 	}
 
 	clean.Push(pairWithDist(1, 1))
-	if clean.heap.slab == nil || cap(clean.heap.items) == 0 {
-		t.Fatal("a released queue pushed to again took no heap array")
+	if clean.heap.slab == nil || cap(clean.heap.keys) == 0 || cap(clean.heap.rects) == 0 {
+		t.Fatal("a released queue pushed to again took no heap slab")
 	}
 	if p, ok := clean.Pop(); !ok || p.Left != 1 {
 		t.Fatalf("released queue popped %+v, %v", p, ok)

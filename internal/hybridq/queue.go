@@ -23,7 +23,11 @@ type Queue struct {
 	capacity int     // max heap elements (n of §4.4)
 	memBound float64 // exclusive upper bound of the in-memory range
 	rho      float64 // density factor for model boundaries, 0 disables
-	segs     []*segment
+	// segs are the disk segments, sorted by lo, and lows their lower
+	// bounds, in step with segs: what segmentFor searches. Both arrays
+	// are the scratch's, bound at the first spill and given back with it.
+	segs []*segment
+	lows []float64
 	// store holds the spilled pages, free lists those no segment holds.
 	// With Config.Store both are the queue's for its lifetime. A
 	// private queue (no Config.Store) borrows both from its scratch:
@@ -56,6 +60,9 @@ type Queue struct {
 	tieDist    float64
 	// arg is where Push stages its by-value argument (see Push).
 	arg Pair
+	// out is the pair Pop and Peek hand out: assembled from the
+	// minimum's key and slab entry, and written by nothing else.
+	out Pair
 	// sc is the disk path's scratch (pool.go): nil until the first
 	// spill, held until Release.
 	sc *scratch
@@ -211,9 +218,10 @@ func (q *Queue) Push(p Pair) {
 }
 
 // PushFrom enqueues a copy of *p, reading it in place: a pair bound for
-// the in-memory heap is copied once, into the heap's slice. The queue
-// does not keep p, so the caller may reuse it as soon as the call
-// returns.
+// the in-memory heap is copied once, into a key and a slab entry, and
+// one bound for disk is encoded into its segment's page buffer. The
+// queue does not keep p, so the caller may reuse it as soon as the call
+// returns; p may be the pair Pop handed out.
 func (q *Queue) PushFrom(p *Pair) {
 	if q.err != nil {
 		return
@@ -243,31 +251,38 @@ func (q *Queue) holdTieRun(n int) {
 	q.splitFloor = n
 }
 
-// Pop removes and returns the minimum pair. ok is false when the
-// queue is empty or a storage error is latched.
-func (q *Queue) Pop() (p Pair, ok bool) {
+// Pop removes the minimum pair and returns it in place: p points to a
+// Pair the queue owns, valid until the next Pop, Peek, Drain or
+// Release. Pushes do not write it, so a caller may read *p while it
+// pushes the pair's children; one that keeps the pair copies *p. ok is
+// false, and p nil, when the queue is empty or a storage error is
+// latched.
+func (q *Queue) Pop() (p *Pair, ok bool) {
 	if q.err != nil {
-		return Pair{}, false
+		return nil, false
 	}
 	if q.heap.Len() == 0 {
 		if !q.swapIn() {
-			return Pair{}, false
+			return nil, false
 		}
 	}
-	return q.heap.Pop(), true
+	q.heap.PopInto(&q.out)
+	return &q.out, true
 }
 
-// Peek returns the minimum pair without removing it.
-func (q *Queue) Peek() (p Pair, ok bool) {
+// Peek returns the minimum pair without removing it, in place as Pop
+// does.
+func (q *Queue) Peek() (p *Pair, ok bool) {
 	if q.err != nil {
-		return Pair{}, false
+		return nil, false
 	}
 	if q.heap.Len() == 0 {
 		if !q.swapIn() {
-			return Pair{}, false
+			return nil, false
 		}
 	}
-	return q.heap.Peek(), true
+	q.heap.PeekInto(&q.out)
+	return &q.out, true
 }
 
 // splitHeap handles heap overflow: the longer-distance half of the
@@ -280,20 +295,26 @@ func (q *Queue) Peek() (p Pair, ok bool) {
 // a single region. When the split point lands inside a run, the whole
 // run stays in memory — the budget is temporarily exceeded by the run
 // length — and only the strictly-longer tail spills.
+//
+// The split sorts a copy of the heap's keys. A heap rebuilt from the
+// kept prefix by pushes in sorted order is that prefix, so the prefix
+// is copied back as the new heap; the spilled keys are encoded from
+// their slab entries, whose slots they free.
 func (q *Queue) splitHeap() {
 	sc := q.scratch()
-	items := append(sc.slab(q.heap.Len()), q.heap.Items()...)
-	want := len(items) / 2
+	h := &q.heap
+	keys := append(sc.slab(h.Len()), h.keys...)
+	want := len(keys) / 2
 	if want < 1 {
 		want = 1
 	}
-	keep, bound := sc.tieSafeSplit(items, want)
-	if keep == len(items) {
+	keep, bound := sc.tieSafeSplit(keys, want)
+	if keep == len(keys) {
 		// Nothing spillable — the whole heap is one tie run. Leave it
 		// in memory, shrink the bound so longer pairs spill directly,
 		// and stop re-splitting until the heap can actually shed load.
-		q.tieRun, q.tieDist = true, items[0].Dist
-		q.holdTieRun(len(items))
+		q.tieRun, q.tieDist = true, keys[0].Dist
+		q.holdTieRun(len(keys))
 		return
 	}
 
@@ -310,16 +331,13 @@ func (q *Queue) splitHeap() {
 	q.memBound = bound
 	q.splitFloor = 0
 	seg := sc.segment(bound, hi, q.pageSize)
-	for i := keep; i < len(items); i++ {
-		q.appendToSegment(seg, &items[i])
+	for i := keep; i < len(keys); i++ {
+		q.spillKey(seg, &keys[i])
 	}
 	q.insertSegment(seg)
 
-	spilled := len(items) - keep
-	q.heap.Clear()
-	for i := range items[:keep] {
-		q.heap.PushFrom(&items[i])
-	}
+	spilled := len(keys) - keep
+	h.keys = append(h.keys[:0], keys[:keep]...)
 	if q.tr.Enabled() {
 		q.tr.Emit(trace.Event{
 			Kind:     trace.KindQueueSpill,
@@ -332,33 +350,35 @@ func (q *Queue) splitHeap() {
 	}
 }
 
-// tieSafeSplit sorts items and places the memory/disk boundary so that
-// about want pairs stay in memory: items[:keep] stay and bound is the
+// tieSafeSplit sorts keys and places the memory/disk boundary so that
+// about want pairs stay in memory: keys[:keep] stay and bound is the
 // exclusive upper distance of the kept range. want must be below
-// len(items).
+// len(keys). The sort's permutation depends only on the outcomes of
+// keyLess, which are PairLess's on the pairs, so it is the one a sort
+// of the pairs themselves makes.
 //
 // Pairs at the split distance spill with the long half, so that the
 // routing invariant (the heap holds only dist < memBound) is kept.
 // When that would leave nothing in memory the split point lies inside
 // a single-distance run: the whole run stays, even over capacity, and
-// only pairs strictly beyond it spill. keep == len(items) then means
+// only pairs strictly beyond it spill. keep == len(keys) then means
 // nothing is spillable: every pair shares one distance.
-func (sc *scratch) tieSafeSplit(items []Pair, want int) (keep int, bound float64) {
+func (sc *scratch) tieSafeSplit(keys []key, want int) (keep int, bound float64) {
 	// A pointer to the scratch's field converts to sort.Interface
 	// without allocating; the slice itself would be boxed every call.
-	sc.order = items
+	sc.order = keys
 	sort.Sort(&sc.order)
 	sc.order = nil
-	keep, bound = want, items[want].Dist
+	keep, bound = want, keys[want].Dist
 	//lint:allow floatcmp tie-run boundary scan is bit-exact by design: equal distances must never straddle the memory/disk boundary
-	for keep > 0 && items[keep-1].Dist == bound {
+	for keep > 0 && keys[keep-1].Dist == bound {
 		keep--
 	}
 	if keep > 0 {
 		return keep, bound
 	}
 	split := bound
-	keep = sort.Search(len(items), func(i int) bool { return items[i].Dist > split })
+	keep = sort.Search(len(keys), func(i int) bool { return keys[i].Dist > split })
 	return keep, math.Nextafter(split, math.Inf(1))
 }
 
@@ -366,15 +386,39 @@ func (sc *scratch) tieSafeSplit(items []Pair, want int) (keep int, bound float64
 // model-boundary segment if none exists.
 func (q *Queue) spill(p *Pair) {
 	seg := q.segmentFor(p.Dist)
-	q.appendToSegment(seg, p)
+	if buf := q.record(seg); buf != nil {
+		p.encode(buf)
+		q.recorded(seg)
+	}
+}
+
+// spillKey moves a key leaving the heap to seg: its record is encoded
+// from the key and its slab entry, and its slot freed.
+func (q *Queue) spillKey(seg *segment, k *key) {
+	if buf := q.record(seg); buf != nil {
+		k.encode(buf, &q.heap.rects[k.slot])
+		q.recorded(seg)
+	}
+	q.heap.freeSlot(k)
 }
 
 // segmentFor locates or creates the segment containing dist, which is
 // >= memBound. q.segs is sorted by lo and disjoint, so only the last
 // segment starting at or below dist can contain it, and a new segment
-// can only collide with that one and the one after it.
+// can only collide with that one and the one after it. The search is
+// sort.Search's over q.lows, written out: no closure, and one array of
+// bounds instead of a pointer chase per probe.
 func (q *Queue) segmentFor(dist float64) *segment {
-	i := sort.Search(len(q.segs), func(i int) bool { return q.segs[i].lo > dist })
+	lows := q.lows
+	i, j := 0, len(lows)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if lows[m] > dist {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
 	if i > 0 && dist < q.segs[i-1].hi {
 		return q.segs[i-1]
 	}
@@ -430,28 +474,36 @@ func (q *Queue) modelRange(dist float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// insertSegment adds seg keeping q.segs sorted by lo. Segment ranges
-// are disjoint by construction (segmentFor clips against existing
-// segments, splits always carve below the spilled range), so a plain
-// insertion shift is equivalent to the full sort it replaced — and
-// allocation-free, which the steady-state allocation tests rely on.
+// insertSegment adds seg keeping q.segs sorted by lo, and q.lows in
+// step. Segment ranges are disjoint by construction (segmentFor clips
+// against existing segments, splits always carve below the spilled
+// range), so a plain insertion shift is equivalent to the full sort it
+// replaced — and allocation-free, which the steady-state allocation
+// tests rely on.
 func (q *Queue) insertSegment(seg *segment) {
 	q.segs = append(q.segs, seg)
+	q.lows = append(q.lows, seg.lo)
 	i := len(q.segs) - 1
-	for i > 0 && q.segs[i-1].lo > seg.lo {
-		q.segs[i] = q.segs[i-1]
+	for i > 0 && q.lows[i-1] > seg.lo {
+		q.segs[i], q.lows[i] = q.segs[i-1], q.lows[i-1]
 		i--
 	}
-	q.segs[i] = seg
+	q.segs[i], q.lows[i] = seg, seg.lo
 }
 
-// appendToSegment encodes p into the segment's trailing page buffer,
-// flushing full pages to the store.
-func (q *Queue) appendToSegment(seg *segment, p *Pair) {
+// record returns the buffer the next record of seg is encoded into:
+// the rest of its trailing page buffer. It is nil once an error is
+// latched; otherwise recorded must follow the encoding.
+func (q *Queue) record(seg *segment) []byte {
 	if q.err != nil {
-		return
+		return nil
 	}
-	p.encode(seg.buf[seg.bufCount*RecordSize:])
+	return seg.buf[seg.bufCount*RecordSize:]
+}
+
+// recorded counts the record just encoded into seg's trailing page
+// buffer, flushing a full page to the store.
+func (q *Queue) recorded(seg *segment) {
 	seg.bufCount++
 	seg.count++
 	q.diskPairs++
@@ -504,50 +556,55 @@ func (q *Queue) swapIn() bool {
 	// insertSegment's append stays allocation-free.
 	seg := q.segs[0]
 	n := copy(q.segs, q.segs[1:])
+	copy(q.lows, q.lows[1:])
 	q.segs[n] = nil
-	q.segs = q.segs[:n]
+	q.segs, q.lows = q.segs[:n], q.lows[:n]
 	q.diskPairs -= seg.count
 	q.splitFloor, q.tieRun = 0, false // heap is empty; any previous overrun is gone
 
+	// The heap is empty, so the records decode straight into its keys
+	// and slab, slot i for record i. Over capacity they are sorted in
+	// place and the tail spills: the sorted prefix is the heap pushes in
+	// sorted order would build. Otherwise they are ordered as pushes in
+	// decoded order would order them.
 	sc := q.scratch()
-	items := sc.slab(seg.count)
+	h := &q.heap
 	page := sc.pageBuf(q.pageSize)
 	for _, id := range seg.pages {
 		if err := q.store.ReadPage(id, page); err != nil {
+			h.Clear() // a failed reload leaves the heap empty
 			q.err = err
 			return false
 		}
 		q.mc.QueueIO(1, 0, metrics.SequentialPageCost)
 		for i := 0; i < q.perPage; i++ {
-			items = append(items, decodePair(page[i*RecordSize:]))
+			h.decodeInto(page[i*RecordSize:])
 		}
 		q.free = append(q.free, id)
 	}
 	for i := 0; i < seg.bufCount; i++ {
-		items = append(items, decodePair(seg.buf[i*RecordSize:]))
+		h.decodeInto(seg.buf[i*RecordSize:])
 	}
 
 	q.memBound = seg.hi
-	if len(items) > q.capacity {
-		keep, bound := sc.tieSafeSplit(items, q.capacity)
-		if keep == len(items) {
-			q.splitFloor = len(items)
-			q.tieRun, q.tieDist = true, items[0].Dist
+	if len(h.keys) > q.capacity {
+		keep, bound := sc.tieSafeSplit(h.keys, q.capacity)
+		if keep == len(h.keys) {
+			q.splitFloor = len(h.keys)
+			q.tieRun, q.tieDist = true, h.keys[0].Dist
 		} else {
 			rest := sc.segment(bound, seg.hi, q.pageSize)
-			for i := keep; i < len(items); i++ {
-				q.appendToSegment(rest, &items[i])
+			for i := keep; i < len(h.keys); i++ {
+				q.spillKey(rest, &h.keys[i])
 			}
 			q.insertSegment(rest)
-			items = items[:keep]
+			h.keys = h.keys[:keep]
 			q.memBound = bound
 		}
+	} else {
+		h.heapify()
 	}
-
-	for i := range items {
-		q.heap.PushFrom(&items[i])
-	}
-	loaded := len(items)
+	loaded := h.Len()
 	if q.tr.Enabled() {
 		q.tr.Emit(trace.Event{
 			Kind:     trace.KindQueueReload,
@@ -571,6 +628,8 @@ func (q *Queue) swapIn() bool {
 func (q *Queue) scratch() *scratch {
 	if q.sc == nil {
 		q.sc = scratchPool.Get().(*scratch)
+		q.sc.sizeSegList()
+		q.segs, q.lows = q.sc.segList[:0], q.sc.lows[:0]
 		if q.private {
 			q.store, q.free = &q.sc.spill, q.sc.free
 		}
@@ -578,18 +637,21 @@ func (q *Queue) scratch() *scratch {
 	return q.sc
 }
 
-// Release empties the queue and gives its heap's array and its scratch
-// back to their pools: a query calls it once its results are out. It is
-// idempotent, and a queue that never spilled has no scratch to give
-// back; a latched error stays latched. A private queue gives every
-// spill page back to pagePool and hands the scratch its emptied page
-// table and free list. A released queue may be pushed to again: it
-// takes a fresh array at its next push and a fresh scratch at its next
+// Release empties the queue and gives its heap's arrays and its
+// scratch back to their pools: a query calls it once its results are
+// out. It is idempotent, and a queue that never spilled has no scratch
+// to give back; a latched error stays latched. The scratch takes back
+// the emptied segment list and bound array, and a private queue gives
+// every spill page back to pagePool and hands the scratch its emptied
+// page table and free list. A released queue may be pushed to again: it
+// takes fresh arrays at its next push and a fresh scratch at its next
 // spill.
 func (q *Queue) Release() {
 	q.Drain()
 	q.heap.release()
 	if q.sc != nil {
+		q.sc.segList, q.sc.lows = q.segs, q.lows
+		q.segs, q.lows = nil, nil
 		if q.private {
 			q.sc.spill.release()
 			q.sc.free = q.free[:0]
@@ -609,7 +671,7 @@ func (q *Queue) Drain() {
 		q.sc.retire(s)
 	}
 	clear(q.segs)
-	q.segs = q.segs[:0]
+	q.segs, q.lows = q.segs[:0], q.lows[:0]
 	q.diskPairs = 0
 	q.memBound = math.Inf(1)
 	q.splitFloor, q.tieRun = 0, false

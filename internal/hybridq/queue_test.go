@@ -78,10 +78,21 @@ func TestPushFromCopies(t *testing.T) {
 	}
 	for i := 1; i <= n; i++ {
 		got, ok := q.Pop()
-		if want := pairWithDist(float64(i), uint64(i)); !ok || got != want {
+		if want := pairWithDist(float64(i), uint64(i)); !ok || *got != want {
 			t.Fatalf("pop %d = %+v (ok %v), want %+v", i, got, ok, want)
 		}
 	}
+}
+
+// popValue pops q and returns a copy of the pair, which stays valid
+// across later queue operations (the zero Pair when none was popped):
+// tests compare popped pairs by value, never by pointer.
+func popValue(q *Queue) (Pair, bool) {
+	p, ok := q.Pop()
+	if !ok {
+		return Pair{}, false
+	}
+	return *p, true
 }
 
 func pairWithDist(d float64, id uint64) Pair {
@@ -225,10 +236,13 @@ func TestEquivalenceWithReferenceHeap(t *testing.T) {
 	}
 }
 
-// Property: pop sequence is nondecreasing and preserves payloads.
+// Property: pop sequence is nondecreasing and preserves payloads:
+// flags (Refined among them) and rectangles, infinite coordinates
+// included, cross the key/slab split and the record encoding intact.
 func TestPopPayloadIntegrity(t *testing.T) {
 	q := New(Config{MemBytes: 3 * RecordSize, Rho: 0.01})
 	rng := rand.New(rand.NewSource(13))
+	inf := math.Inf(1)
 	want := map[uint64]Pair{}
 	for i := 0; i < 300; i++ {
 		p := Pair{
@@ -237,8 +251,15 @@ func TestPopPayloadIntegrity(t *testing.T) {
 			Right:     uint64(i * 7),
 			LeftObj:   i%2 == 0,
 			RightObj:  i%3 == 0,
+			Refined:   i%5 == 0,
 			LeftRect:  geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()),
 			RightRect: geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()),
+		}
+		switch i % 4 {
+		case 1:
+			p.LeftRect = geom.Rect{MinX: -inf, MinY: rng.Float64(), MaxX: inf, MaxY: inf}
+		case 2:
+			p.RightRect = geom.Rect{MinX: -inf, MinY: -inf, MaxX: rng.Float64(), MaxY: inf}
 		}
 		want[p.Left] = p
 		q.Push(p)
@@ -253,9 +274,65 @@ func TestPopPayloadIntegrity(t *testing.T) {
 			t.Fatalf("pop %d: %g < previous %g", i, p.Dist, prev)
 		}
 		prev = p.Dist
-		if want[p.Left] != p {
-			t.Fatalf("payload corrupted: got %+v want %+v", p, want[p.Left])
+		if want[p.Left] != *p {
+			t.Fatalf("payload corrupted: got %+v want %+v", *p, want[p.Left])
 		}
+	}
+}
+
+// TestPoppedPairSurvivesQueueWork: the pair Pop hands out in place is
+// not written by the queue work its expansion does. Under a small
+// budget a pair is popped, then pushes force heap splits, spills
+// straight to a segment and a held tie run; after every push the
+// popped pair still equals the copy taken at the pop, and every slot of
+// the rectangle slab is held by a key or free, never both or neither.
+func TestPoppedPairSurvivesQueueWork(t *testing.T) {
+	splits := 0
+	q := New(Config{MemBytes: 8 * RecordSize, Rho: 0.5, FaultHook: func(op FaultOp) error {
+		if op == FaultSpill {
+			splits++
+		}
+		return nil
+	}})
+	for i := 0; i < 6; i++ {
+		p := pairWithDist(float64(i)/4, uint64(i))
+		p.RightRect, p.Refined = geom.NewRect(-1, -2, 3, 4), i%2 == 0
+		q.Push(p)
+	}
+	p, ok := q.Pop()
+	if !ok {
+		t.Fatal("nothing popped")
+	}
+	popped := *p
+	direct, held := 0, false
+	check := func(what string, i int) {
+		t.Helper()
+		if *p != popped {
+			t.Fatalf("%s push %d rewrote the popped pair: %+v, popped as %+v", what, i, *p, popped)
+		}
+		if h := &q.heap; len(h.rects)-len(h.free) != h.Len() {
+			t.Fatalf("%s push %d: %d slab slots held by %d keys", what, i, len(h.rects)-len(h.free), h.Len())
+		}
+	}
+	for i := 0; i < 40; i++ { // distinct distances under the bound: splits
+		q.Push(pairWithDist(2-float64(i)/40, uint64(100+i)))
+		check("split", i)
+	}
+	for i := 0; i < 40; i++ { // one distance past capacity: a held tie run
+		q.Push(pairWithDist(0, uint64(200+i)))
+		held = held || q.tieRun
+		check("tied", i)
+	}
+	for i := 0; i < 40; i++ { // far beyond the bound: straight to a segment
+		mem := q.MemLen()
+		q.Push(pairWithDist(1000+float64(i), uint64(300+i)))
+		if q.MemLen() == mem {
+			direct++
+		}
+		check("direct", i)
+	}
+	if splits == 0 || direct == 0 || !held {
+		t.Fatalf("the pushes did %d splits, %d direct spills, held a tie run: %v; the test needs all three", splits, direct, held)
 	}
 }
 
@@ -355,30 +432,33 @@ func BenchmarkHybridQueuePushPop(b *testing.B) {
 	}
 }
 
-// BenchmarkHeapPushPop/pair104 is the main queue's in-memory heap alone
-// — the Pair heap over real 104-byte Pairs, fed through PushFrom from
-// one reused scratch pair as the sweep feeds it. pair104-generic is the
-// same on pqueue.Heap ordered by PairLess, which calls the comparator
-// through a function value: the difference is what inlining PairLess
-// saves. It lives here rather than beside pqueue's own
+// BenchmarkHeapPushPop/key32 is the main queue's in-memory heap alone
+// — the key heap with its rectangle slab, fed 104-byte Pairs through
+// PushFrom from one reused scratch pair as the sweep feeds it, and
+// popping each pair into one reused Pair as Queue.Pop does: the
+// in-memory queue path with nothing spilling. pair104-generic is
+// pqueue.Heap over whole Pairs ordered by PairLess, which sifts all 104
+// bytes and calls the comparator through a function value: the
+// difference is what the key/slab split and the inlined comparison
+// save. It lives here rather than beside pqueue's own
 // BenchmarkHeapPushPop because pqueue cannot import hybridq.
 func BenchmarkHeapPushPop(b *testing.B) {
 	type pairPusher interface {
 		PushFrom(*Pair)
-		Pop() Pair
+		PopInto(*Pair)
 		Len() int
 	}
 	for _, c := range []struct {
 		name string
 		heap pairPusher
 	}{
-		{"pair104", new(pairHeap)},
-		{"pair104-generic", pqueue.NewHeap(PairLess)},
+		{"key32", new(pairHeap)},
+		{"pair104-generic", genericPairHeap{pqueue.NewHeap(PairLess)}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			h := c.heap
 			rng := rand.New(rand.NewSource(1))
-			scratch := new(Pair)
+			scratch, out := new(Pair), new(Pair)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -386,12 +466,17 @@ func BenchmarkHeapPushPop(b *testing.B) {
 				scratch.LeftObj, scratch.RightObj = i%3 == 0, i%3 == 0
 				h.PushFrom(scratch)
 				if h.Len() > 1024 {
-					h.Pop()
+					h.PopInto(out)
 				}
 			}
 		})
 	}
 }
+
+// genericPairHeap gives pqueue.Heap the key heap's PopInto.
+type genericPairHeap struct{ *pqueue.Heap[Pair] }
+
+func (h genericPairHeap) PopInto(out *Pair) { *out = h.Pop() }
 
 func TestModelSegmentCountBounded(t *testing.T) {
 	// A tiny heap with a tiny rho spreads distances across a huge

@@ -117,8 +117,8 @@ func TestTieRunStateEquivalence(t *testing.T) {
 				}
 				pushSplittingEveryOverflow(want.q, p)
 			} else {
-				g, gok := got.q.Pop()
-				w, wok := want.q.Pop()
+				g, gok := popValue(got.q)
+				w, wok := popValue(want.q)
 				if g != w || gok != wok {
 					t.Fatalf("%s op %d: Pop = %+v,%v; reference %+v,%v", name, op, g, gok, w, wok)
 				}
@@ -135,8 +135,8 @@ func TestTieRunStateEquivalence(t *testing.T) {
 			}
 		}
 		for {
-			g, gok := got.q.Pop()
-			w, wok := want.q.Pop()
+			g, gok := popValue(got.q)
+			w, wok := popValue(want.q)
 			if g != w || gok != wok {
 				t.Fatalf("%s drain: Pop = %+v,%v; reference %+v,%v", name, g, gok, w, wok)
 			}

@@ -84,7 +84,7 @@ func (it *Iterator) EDmax() float64 { return it.eDmax }
 // cutoff has reached the exhaustive bound nothing is pruned anymore, so
 // remaining pairs flow in queue order; this also tolerates refiners that
 // exceed the MBR maximum distance in violation of their contract.)
-func (it *Iterator) holdBack(p hybridq.Pair) bool {
+func (it *Iterator) holdBack(p *hybridq.Pair) bool {
 	if !(p.Dist > it.eDmax && it.eDmax < it.maxd) {
 		return false
 	}
@@ -95,7 +95,7 @@ func (it *Iterator) holdBack(p hybridq.Pair) bool {
 	// IDs, both small dense integers, so a refined result could pass for
 	// a bookkept leaf pair and be dropped.
 	if p.IsResult() || it.compMap[keyOf(p)] == nil {
-		it.c.pushCopy(p)
+		it.c.pushCopy(*p)
 	}
 	return true
 }
@@ -109,7 +109,7 @@ func (it *Iterator) holdBack(p hybridq.Pair) bool {
 // updated in place by every later stage, which moves only its cutoff,
 // so an iterator's bookkeeping follows its live compMap, not the stages
 // it has run, and a re-expansion allocates nothing.
-func (it *Iterator) expand(p hybridq.Pair) error {
+func (it *Iterator) expand(p *hybridq.Pair) error {
 	c := it.c
 	cur := it.eDmax
 	key := keyOf(p)
@@ -127,7 +127,7 @@ func (it *Iterator) expand(p hybridq.Pair) error {
 		// pair was pushed by this sweep; no compensation bookkeeping is
 		// needed.
 		if cur < p.LeftRect.MaxDist(p.RightRect) {
-			it.compMap[key] = &compInfo{pair: p, plan: run.plan, examCutoff: cur}
+			it.compMap[key] = &compInfo{pair: *p, plan: run.plan, examCutoff: cur}
 			it.compOrder = append(it.compOrder, key)
 			c.mc.AddCompQueueInsert(1)
 		}

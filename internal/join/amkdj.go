@@ -13,7 +13,7 @@ import (
 // pairKey identifies a node pair for compensation bookkeeping.
 type pairKey [2]uint64
 
-func keyOf(p hybridq.Pair) pairKey { return pairKey{p.Left, p.Right} }
+func keyOf(p *hybridq.Pair) pairKey { return pairKey{p.Left, p.Right} }
 
 // compInfo is one compensation entry: the expanded pair, the sweep plan
 // used (so a later stage reproduces the exact stage-one order), and the
@@ -101,7 +101,7 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 
 	// Stage one: aggressive pruning (Algorithm 2).
 	loop := bestFirst{c: c, ct: ct}
-	loop.gate = func(p hybridq.Pair) bool {
+	loop.gate = func(p *hybridq.Pair) bool {
 		// Line 8: an overestimated eDmax is detected once qDmax drops
 		// to it; from then on eDmax tracks qDmax and AM-KDJ behaves
 		// exactly like B-KDJ.
@@ -116,12 +116,12 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		// so even an <object,object> p may not be emitted yet. The pair
 		// is reinserted for the compensation stage.
 		if p.Dist > eDmax {
-			c.pushCopy(p)
+			c.pushCopy(*p)
 			return true
 		}
 		return false
 	}
-	loop.node = func(p hybridq.Pair) error {
+	loop.node = func(p *hybridq.Pair) error {
 		ci, err := c.amAggressiveSweep(p, eDmax, ct, realCutoff)
 		if err != nil {
 			return err
@@ -151,11 +151,11 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		compMap := make(map[pairKey]*compInfo, len(bookkept))
 		for i := range bookkept {
 			ci := &bookkept[i]
-			compMap[keyOf(ci.pair)] = ci // a pair expanded twice keeps its last entry
+			compMap[keyOf(&ci.pair)] = ci // a pair expanded twice keeps its last entry
 			c.push(&ci.pair)
 		}
 		loop.gate = nil
-		loop.node = func(p hybridq.Pair) error {
+		loop.node = func(p *hybridq.Pair) error {
 			key := keyOf(p)
 			ci := compMap[key]
 			if ci == nil {
@@ -179,8 +179,8 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 // the live qDmax (as in B-KDJ; realCutoff reads it). The bookkeeping of
 // lines 19/21 is the returned compInfo: the cutoff eDmax is all a
 // compensation stage needs to re-derive what each anchor examined.
-func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutoffTracker, realCutoff func() float64) (compInfo, error) {
-	ct.OnRemove(&p)
+func (c *execContext) amAggressiveSweep(p *hybridq.Pair, eDmax float64, ct *cutoffTracker, realCutoff func() float64) (compInfo, error) {
+	ct.OnRemove(p)
 	run, err := c.ex.expansion(p, eDmax)
 	if err != nil {
 		return compInfo{}, c.traceError(err)
@@ -190,7 +190,7 @@ func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutof
 	run.emit = ct.pushFn
 	run.run()
 	c.traceExpansion(p, eDmax, run.children)
-	return compInfo{pair: p, plan: run.plan, examCutoff: eDmax}, nil
+	return compInfo{pair: *p, plan: run.plan, examCutoff: eDmax}, nil
 }
 
 // amCompensateSweep is CompensatePlaneSweep of Algorithm 3: replay the
@@ -200,7 +200,7 @@ func (c *execContext) amAggressiveSweep(p hybridq.Pair, eDmax float64, ct *cutof
 // rejected then would be rejected now, and anything accepted is
 // already in the main queue. The re-seeded pair has no bound to retire:
 // it was not re-registered.
-func (c *execContext) amCompensateSweep(p hybridq.Pair, ci *compInfo, ct *cutoffTracker) error {
+func (c *execContext) amCompensateSweep(p *hybridq.Pair, ci *compInfo, ct *cutoffTracker) error {
 	run, err := c.ex.expansionWithPlan(p, ci.plan)
 	if err != nil {
 		return c.traceError(err)

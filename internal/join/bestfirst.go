@@ -16,13 +16,16 @@ type bestFirst struct {
 	ct *cutoffTracker
 	// node expands a dequeued node pair: what the algorithm's sweep or
 	// uni-directional expansion is, with whatever it bookkeeps. It
-	// retires the pair's bound from ct if the pair has one.
-	node func(p hybridq.Pair) error
+	// retires the pair's bound from ct if the pair has one. p is the
+	// queue's popped pair, in place (hybridq.Queue.Pop): valid for the
+	// whole expansion, since pushes do not write it, and copied by
+	// whatever keeps it.
+	node func(p *hybridq.Pair) error
 	// gate, when set, is a stage cutoff between the queue and the
 	// results: it reports whether p lies beyond it, having put back what
 	// must wait for a later stage. A held pair ends the stage as an
 	// empty queue does.
-	gate func(p hybridq.Pair) (held bool)
+	gate func(p *hybridq.Pair) (held bool)
 	// drained, when set, is asked for another stage when one ends; it
 	// reports whether it opened one. Without it the loop ends with the
 	// stage.
@@ -62,7 +65,7 @@ func (b *bestFirst) next() (Result, bool, error) {
 			// Incremental refinement: the pair goes back under its exact
 			// distance, and its MBR bound gives way to the exact one.
 			if b.ct != nil {
-				b.ct.OnRemove(&p)
+				b.ct.OnRemove(p)
 				b.ct.pushCopy(c.refine(p))
 			} else {
 				c.pushCopy(c.refine(p))

@@ -19,7 +19,7 @@ func BKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err e
 	defer c.begin("B-KDJ", "sweep", k)(&err)
 
 	ct := newCutoffTracker(c, k, opts.Ablation.AllPairs)
-	loop := bestFirst{c: c, ct: ct, node: func(p hybridq.Pair) error { return c.bkdjPlaneSweep(p, ct) }}
+	loop := bestFirst{c: c, ct: ct, node: func(p *hybridq.Pair) error { return c.bkdjPlaneSweep(p, ct) }}
 	ct.pushCopy(c.rootPair())
 	return loop.collect(make([]Result, 0, k), k)
 }
@@ -30,8 +30,8 @@ func BKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err e
 // distance is within qDmax, feeding the distance queue (which shrinks
 // qDmax). The pair's own bound is retired first: its children's replace
 // it.
-func (c *execContext) bkdjPlaneSweep(p hybridq.Pair, ct *cutoffTracker) error {
-	ct.OnRemove(&p)
+func (c *execContext) bkdjPlaneSweep(p *hybridq.Pair, ct *cutoffTracker) error {
+	ct.OnRemove(p)
 	run, err := c.ex.expansion(p, ct.Cutoff())
 	if err != nil {
 		return c.traceError(err)

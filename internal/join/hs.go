@@ -30,7 +30,7 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	// HS-KDJ prunes with the all-pairs distance queue of [13]: every
 	// enqueued pair contributes an upper bound, retired on expansion.
 	ct := newCutoffTracker(c, k, true)
-	loop := bestFirst{c: c, ct: ct, node: func(p hybridq.Pair) error { return c.hsExpand(p, ct) }}
+	loop := bestFirst{c: c, ct: ct, node: func(p *hybridq.Pair) error { return c.hsExpand(p, ct) }}
 	ct.pushCopy(c.rootPair())
 	return loop.collect(make([]Result, 0, k), k)
 }
@@ -43,9 +43,9 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 // the uni-directional baseline is the most distance-computation-bound
 // algorithm of the suite, so it benefits the most from the contiguous
 // scan. ct is nil for HS-IDJ, which has no k to prune by.
-func (c *execContext) hsExpand(p hybridq.Pair, ct *cutoffTracker) error {
+func (c *execContext) hsExpand(p *hybridq.Pair, ct *cutoffTracker) error {
 	if ct != nil {
-		ct.OnRemove(&p)
+		ct.OnRemove(p)
 	}
 	expandLeft := c.hsPickSide(p)
 	tree, ref, isObj, rect := c.left, p.Left, p.LeftObj, p.LeftRect
@@ -104,7 +104,7 @@ func (c *execContext) hsExpand(p hybridq.Pair, ct *cutoffTracker) error {
 // hsPickSide chooses the side to expand: an object side is never
 // expanded; between two nodes the higher-level one is expanded so the
 // traversal stays balanced (ties expand the left).
-func (c *execContext) hsPickSide(p hybridq.Pair) (expandLeft bool) {
+func (c *execContext) hsPickSide(p *hybridq.Pair) (expandLeft bool) {
 	switch {
 	case p.LeftObj:
 		return false
@@ -124,7 +124,7 @@ func HSIDJ(left, right *rtree.Tree, opts Options) (*Iterator, error) {
 	}
 	c.algo, c.stage = "HS-IDJ", "expand"
 	c.beginQuery(0)
-	it := &Iterator{bestFirst: bestFirst{c: c, node: func(p hybridq.Pair) error { return c.hsExpand(p, nil) }}}
+	it := &Iterator{bestFirst: bestFirst{c: c, node: func(p *hybridq.Pair) error { return c.hsExpand(p, nil) }}}
 	if c.left.Size() == 0 || c.right.Size() == 0 {
 		it.Close()
 		return it, nil

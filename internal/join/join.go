@@ -344,18 +344,18 @@ func (c *execContext) pushCopy(p hybridq.Pair) bool {
 // refine replaces an <object,object> pair's MBR lower-bound distance
 // with the refiner's exact distance (clamped to be no smaller) and
 // marks it refined. The call is counted as a refinement computation.
-func (c *execContext) refine(p hybridq.Pair) hybridq.Pair {
+func (c *execContext) refine(p *hybridq.Pair) hybridq.Pair {
 	return c.ex.refine(p)
 }
 
 // needsRefinement reports whether a dequeued result pair must go back
 // through the refiner before it may be emitted.
-func (c *execContext) needsRefinement(p hybridq.Pair) bool {
+func (c *execContext) needsRefinement(p *hybridq.Pair) bool {
 	return c.refiner != nil && !p.Refined
 }
 
 // result converts an <object,object> pair.
-func pairResult(p hybridq.Pair) Result {
+func pairResult(p *hybridq.Pair) Result {
 	return Result{
 		LeftObj:   int64(p.Left),
 		RightObj:  int64(p.Right),
@@ -431,14 +431,15 @@ func (e *expander) maxDist(a, b geom.Rect) float64 {
 // refine replaces an <object,object> pair's MBR lower-bound distance
 // with the refiner's exact distance (clamped to be no smaller) and
 // marks it refined, accounting the call to this expander's collector.
-func (e *expander) refine(p hybridq.Pair) hybridq.Pair {
+func (e *expander) refine(p *hybridq.Pair) hybridq.Pair {
 	d := e.c.refiner(int64(p.Left), int64(p.Right), p.LeftRect, p.RightRect)
 	e.mc.AddRefinement(1)
-	if d > p.Dist {
-		p.Dist = d
+	r := *p
+	if d > r.Dist {
+		r.Dist = d
 	}
-	p.Refined = true
-	return p
+	r.Refined = true
+	return r
 }
 
 // pairLevel maps one side of a queue pair to the level recorded in
@@ -453,7 +454,7 @@ func pairLevel(ref uint64, isObj bool) int {
 // expansionEvent builds the trace event for one node-pair expansion:
 // the pair's distance and levels, the cutoff active when it was
 // expanded, and how many children the expansion enqueued.
-func expansionEvent(algo, stage string, p hybridq.Pair, eDmax float64, children int64) trace.Event {
+func expansionEvent(algo, stage string, p *hybridq.Pair, eDmax float64, children int64) trace.Event {
 	return trace.Event{
 		Kind:       trace.KindExpansion,
 		Algo:       algo,
@@ -467,7 +468,7 @@ func expansionEvent(algo, stage string, p hybridq.Pair, eDmax float64, children 
 }
 
 // traceExpansion emits an expansion event for p.
-func (c *execContext) traceExpansion(p hybridq.Pair, eDmax float64, children int64) {
+func (c *execContext) traceExpansion(p *hybridq.Pair, eDmax float64, children int64) {
 	if !c.tr.Enabled() {
 		return
 	}

@@ -592,24 +592,24 @@ func TestHSPickSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Object on the left: expand right.
-	if c.hsPickSide(hybridq.Pair{LeftObj: true}) {
+	if c.hsPickSide(&hybridq.Pair{LeftObj: true}) {
 		t.Fatal("left object must expand right")
 	}
 	// Object on the right: expand left.
-	if !c.hsPickSide(hybridq.Pair{RightObj: true}) {
+	if !c.hsPickSide(&hybridq.Pair{RightObj: true}) {
 		t.Fatal("right object must expand left")
 	}
 	// Two nodes: higher level expands; ties expand left.
 	hiLo := hybridq.Pair{Left: nodeRef(1, 3), Right: nodeRef(2, 1)}
-	if !c.hsPickSide(hiLo) {
+	if !c.hsPickSide(&hiLo) {
 		t.Fatal("higher-level left must expand")
 	}
 	loHi := hybridq.Pair{Left: nodeRef(1, 0), Right: nodeRef(2, 4)}
-	if c.hsPickSide(loHi) {
+	if c.hsPickSide(&loHi) {
 		t.Fatal("higher-level right must expand")
 	}
 	tie := hybridq.Pair{Left: nodeRef(1, 2), Right: nodeRef(2, 2)}
-	if !c.hsPickSide(tie) {
+	if !c.hsPickSide(&tie) {
 		t.Fatal("ties must expand left")
 	}
 }

@@ -382,7 +382,7 @@ func TestExpansionOrderAllocs(t *testing.T) {
 		}
 		root, plan := c.rootPair(), sweep.Plan{Axis: 1, Dir: sweep.Backward}
 		expand := func() {
-			if _, err := c.ex.expansionWithPlan(root, plan); err != nil {
+			if _, err := c.ex.expansionWithPlan(&root, plan); err != nil {
 				t.Fatal(err)
 			}
 		}

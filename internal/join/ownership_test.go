@@ -22,7 +22,8 @@ func TestQueuedPairSurvivesScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := newCutoffTracker(c, 50, c.opts.Ablation.AllPairs)
-	run, err := c.ex.expansion(c.rootPair(), 400)
+	root := c.rootPair()
+	run, err := c.ex.expansion(&root, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,8 @@ func TestQueuedPairSurvivesScratchReuse(t *testing.T) {
 		if !ok {
 			t.Fatalf("queue empty after %d of %d pairs: %v", i, len(want), c.queue.Err())
 		}
-		if got != w {
-			t.Fatalf("pair %d popped as\n %+v, pushed as\n %+v", i, got, w)
+		if *got != w {
+			t.Fatalf("pair %d popped as\n %+v, pushed as\n %+v", i, *got, w)
 		}
 	}
 	if _, ok := c.queue.Pop(); ok {
@@ -80,7 +81,7 @@ func TestAMIDJBandReExpansionAllocs(t *testing.T) {
 
 	reExpansions := 0
 	expand := it.node
-	it.node = func(p hybridq.Pair) error {
+	it.node = func(p *hybridq.Pair) error {
 		if it.compMap[keyOf(p)] != nil {
 			reExpansions++
 		}
@@ -121,12 +122,13 @@ func TestAMIDJBandReExpansionAllocs(t *testing.T) {
 			live = append(live, ci.pair)
 		}
 	}
-	if it.compMap[keyOf(it.c.rootPair())] == nil {
+	if root := it.c.rootPair(); it.compMap[keyOf(&root)] == nil {
 		t.Fatal("the root pair is no longer bookkept; pick a smaller stage count")
 	}
 	reexpand := func() {
 		it.c.queue.Drain()
-		for _, p := range live {
+		for i := range live {
+			p := &live[i]
 			if it.compMap[keyOf(p)] == nil {
 				continue // retired by the call before: fully covered
 			}

@@ -582,13 +582,13 @@ func minDistOriented(anchorFromL bool, anchor, other geom.Rect) float64 {
 // ablation). The returned run is the expander's reusable scratch: it,
 // and the nodes it points at, are valid until the expander's next
 // expansion.
-func (e *expander) expansion(p hybridq.Pair, cutoff float64) (*sweepRun, error) {
+func (e *expander) expansion(p *hybridq.Pair, cutoff float64) (*sweepRun, error) {
 	return e.expansionWithPlan(p, e.c.choosePlan(p, cutoff))
 }
 
 // expansionWithPlan is expansion with a predetermined plan, used by the
 // compensation stage to reproduce the stage-one sweep order exactly.
-func (e *expander) expansionWithPlan(p hybridq.Pair, plan sweep.Plan) (*sweepRun, error) {
+func (e *expander) expansionWithPlan(p *hybridq.Pair, plan sweep.Plan) (*sweepRun, error) {
 	c := e.c
 	l, lObj, err := e.sideSorted(c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL, plan)
 	if err != nil {
@@ -651,7 +651,7 @@ func (e *expander) sideSorted(tree *rtree.Tree, ref uint64, isObj bool, rect geo
 
 // choosePlan selects the pair's sweep axis and direction (§3.2/§3.3),
 // or fixes either as the query's ablation says.
-func (c *execContext) choosePlan(p hybridq.Pair, cutoff float64) sweep.Plan {
+func (c *execContext) choosePlan(p *hybridq.Pair, cutoff float64) sweep.Plan {
 	a := &c.opts.Ablation
 	switch {
 	case !a.FixedAxis && !a.FixedDirection:

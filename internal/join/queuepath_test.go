@@ -132,13 +132,13 @@ func TestSweepStageAllocs(t *testing.T) {
 	root := c.rootPair()
 	aggressive := func() {
 		c.queue.Drain()
-		if _, err := c.amAggressiveSweep(root, 400, ct, ct.cutoffFn); err != nil {
+		if _, err := c.amAggressiveSweep(&root, 400, ct, ct.cutoffFn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dynamic := func() {
 		c.queue.Drain()
-		if err := c.bkdjPlaneSweep(root, ct); err != nil {
+		if err := c.bkdjPlaneSweep(&root, ct); err != nil {
 			t.Fatal(err)
 		}
 	}

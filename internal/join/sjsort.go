@@ -73,7 +73,7 @@ func SJSort(left, right *rtree.Tree, k int, dmax float64, opts Options) (results
 		if !ok {
 			break
 		}
-		results = append(results, pairResult(p))
+		results = append(results, pairResult(&p))
 		c.mc.AddResult(1)
 	}
 	if err := it.Err(); err != nil {

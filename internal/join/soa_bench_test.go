@@ -159,7 +159,7 @@ func BenchmarkExpansionOrder(b *testing.B) {
 	// each page's own level, which the expansion checks against the page.
 	step := func(i int) {
 		p := hybridq.Pair{Left: lrefs[i%n], Right: rrefs[i%n]}
-		if _, err := c.ex.expansionWithPlan(p, benchPlans[i/n%len(benchPlans)]); err != nil {
+		if _, err := c.ex.expansionWithPlan(&p, benchPlans[i/n%len(benchPlans)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func BenchmarkAggressiveSweep(b *testing.B) {
 	p := hybridq.Pair{Dist: lRect.MinDist(rRect), Left: nodeRef(lid, 0), Right: nodeRef(rid, 0), LeftRect: lRect, RightRect: rRect}
 
 	const eDmax = 4.0
-	run, err := c.ex.expansion(p, eDmax)
+	run, err := c.ex.expansion(&p, eDmax)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func TestTraceOffNoAllocs(t *testing.T) {
 	p := hybridq.Pair{Left: 3, Right: 4, Dist: 1.25}
 	var nilTr *trace.Tracer
 	allocs := testing.AllocsPerRun(200, func() {
-		c.traceExpansion(p, 2.5, 7)
+		c.traceExpansion(&p, 2.5, 7)
 		c.traceEDmax(4, 2)
 		c.traceStage(trace.KindStageStart, "aggressive", 2.5, 0)
 		_ = c.traceError(nil)

@@ -41,7 +41,7 @@ func WithinJoin(left, right *rtree.Tree, maxDist float64, opts Options, fn func(
 
 	return c.withinDescent(maxDist, func(rp hybridq.Pair) bool {
 		c.mc.AddResult(1)
-		return fn(pairResult(rp))
+		return fn(pairResult(&rp))
 	})
 }
 
@@ -75,7 +75,7 @@ func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) 
 		}
 		rp := *np
 		if c.refiner != nil {
-			rp = c.refine(rp)
+			rp = c.refine(&rp)
 			if rp.Dist > maxDist {
 				return false
 			}
@@ -92,14 +92,14 @@ func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) 
 		if p.Dist > maxDist {
 			continue
 		}
-		run, err := c.ex.expansion(p, maxDist)
+		run, err := c.ex.expansion(&p, maxDist)
 		if err != nil {
 			return c.traceError(err)
 		}
 		run.fixCutoff(maxDist)
 		run.emit = emit
 		run.run()
-		c.traceExpansion(p, maxDist, run.children)
+		c.traceExpansion(&p, maxDist, run.children)
 	}
 	return nil
 }
