@@ -14,7 +14,12 @@ import (
 )
 
 // Indexes are safe for concurrent queries: the buffer pool serializes
-// page access and every query carries its own queues and counters.
+// page access and every query carries its own queues and counters. Each
+// query must return, pair for pair, IDs and distance bits alike, what
+// the same query returned alone. One of the mixes is AM-KDJ with eDmax a
+// quarter of the real k-th distance, so that its aggressive stage falls
+// short and a compensation stage re-expands bookkept pairs on the shared
+// indexes.
 func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randObjects(rng, 800, 2000, 10)
@@ -27,29 +32,58 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := KDistanceJoin(left, right, 60, nil)
+	const k = 60
+	first, err := KDistanceJoin(left, right, k, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	mixes := []struct {
+		name string
+		opts Options
+	}{
+		{"AM-KDJ", Options{Algorithm: AMKDJ}},
+		{"B-KDJ", Options{Algorithm: BKDJ}},
+		{"HS-KDJ", Options{Algorithm: HSKDJ}},
+		{"AM-KDJ/underestimated", Options{Algorithm: AMKDJ, EDmax: first[k-1].Dist / 4}},
+	}
+	want := make([][]Pair, len(mixes))
+	for i, m := range mixes {
+		var st Stats
+		opts := m.opts
+		opts.Stats = &st
+		if want[i], err = KDistanceJoin(left, right, k, &opts); err != nil {
+			t.Fatal(err)
+		}
+		if len(want[i]) != k {
+			t.Fatalf("%s: %d pairs alone, want %d", m.name, len(want[i]), k)
+		}
+		if under := m.opts.EDmax > 0; under != (st.CompensationStages > 0) {
+			t.Fatalf("%s: %d compensation stages alone", m.name, st.CompensationStages)
+		}
 	}
 
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*3)
 	for w := 0; w < workers; w++ {
-		w := w
+		m, want := mixes[w%len(mixes)], want[w%len(mixes)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			algo := []Algorithm{AMKDJ, BKDJ, HSKDJ}[w%3]
 			for i := 0; i < 5; i++ {
-				got, err := KDistanceJoin(left, right, 60, &Options{Algorithm: algo})
+				got, err := KDistanceJoin(left, right, k, &m.opts)
 				if err != nil {
 					errs <- err
 					return
 				}
+				if len(got) != len(want) {
+					errs <- fmt.Errorf("%s: %d pairs concurrently, %d alone", m.name, len(got), len(want))
+					return
+				}
 				for j := range got {
-					if math.Abs(got[j].Dist-want[j].Dist) > 1e-9 {
-						errs <- errMismatch(algo, j)
+					g, w := got[j], want[j]
+					if g.LeftID != w.LeftID || g.RightID != w.RightID || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
+						errs <- fmt.Errorf("%s: pair %d is %+v concurrently, %+v alone", m.name, j, g, w)
 						return
 					}
 				}
@@ -226,17 +260,6 @@ func TestConcurrentFileIndexJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-type errMismatch2 struct {
-	algo Algorithm
-	i    int
-}
-
-func (e errMismatch2) Error() string {
-	return e.algo.String() + ": concurrent result mismatch"
-}
-
-func errMismatch(a Algorithm, i int) error { return errMismatch2{algo: a, i: i} }
 
 // Concurrent incremental iterators over the same indexes are
 // independent.

@@ -115,7 +115,7 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 	key := keyOf(p)
 	ci := it.compMap[key]
 	if ci == nil {
-		run, err := c.ex.expansion(p, cur)
+		run, err := c.ex.expansion(p, cur, cur)
 		if err != nil {
 			return c.traceError(err)
 		}
@@ -125,9 +125,15 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 		c.traceExpansion(p, cur, run.children)
 		// Once the cutoff covers the pair's own diameter, every child
 		// pair was pushed by this sweep; no compensation bookkeeping is
-		// needed.
+		// needed. A pair the restriction emptied is bookkept all the
+		// same, with the plan a sweep would have had: a later stage's
+		// larger cutoff may leave both sides entries to pair.
 		if cur < p.LeftRect.MaxDist(p.RightRect) {
-			it.compMap[key] = &compInfo{pair: *p, plan: run.plan, examCutoff: cur}
+			plan := run.plan
+			if run.emptied {
+				plan = c.choosePlan(p, cur)
+			}
+			it.compMap[key] = &compInfo{pair: *p, plan: plan, examCutoff: cur}
 			it.compOrder = append(it.compOrder, key)
 			c.mc.AddCompQueueInsert(1)
 		}

@@ -122,11 +122,11 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		return false
 	}
 	loop.node = func(p *hybridq.Pair) error {
-		ci, err := c.amAggressiveSweep(p, eDmax, ct, realCutoff)
+		run, err := c.amAggressiveSweep(p, eDmax, ct, realCutoff)
 		if err != nil {
 			return err
 		}
-		c.keepComp(ci)
+		c.bookkeep(p, run, eDmax)
 		return nil
 	}
 	ct.pushCopy(c.rootPair())
@@ -176,21 +176,41 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 
 // amAggressiveSweep is AggressivePlaneSweep of Algorithm 2: axis
 // pruning against eDmax (line 22), real-distance filtering against
-// the live qDmax (as in B-KDJ; realCutoff reads it). The bookkeeping of
-// lines 19/21 is the returned compInfo: the cutoff eDmax is all a
-// compensation stage needs to re-derive what each anchor examined.
-func (c *execContext) amAggressiveSweep(p *hybridq.Pair, eDmax float64, ct *cutoffTracker, realCutoff func() float64) (compInfo, error) {
+// the live qDmax (as in B-KDJ; realCutoff reads it). It returns the
+// run, which holds what the bookkeeping of lines 19/21 needs: the plan,
+// and whether the restriction emptied it. Besides the plan, the cutoff
+// eDmax is all a compensation stage needs to re-derive what each anchor
+// examined.
+//
+// An emptied expansion is not bookkept, a deliberate departure from
+// Algorithm 2, which bookkeeps every one. Every entry of a side the
+// restriction emptied lies farther than the real-distance cutoff then
+// in force from the other side's rectangle along an axis, so every pair
+// under the expanded pair is strictly farther than that cutoff, and
+// every cutoff AM-KDJ holds, qDmax with or without a refiner and under
+// AllPairs, is at least the final k-th distance: none of those pairs
+// can be a result, ties at the k-th distance included. Compensation
+// would re-fetch both nodes to find the pair empty again.
+func (c *execContext) amAggressiveSweep(p *hybridq.Pair, eDmax float64, ct *cutoffTracker, realCutoff func() float64) (*sweepRun, error) {
 	ct.OnRemove(p)
-	run, err := c.ex.expansion(p, eDmax)
+	run, err := c.ex.expansion(p, eDmax, realCutoff())
 	if err != nil {
-		return compInfo{}, c.traceError(err)
+		return nil, c.traceError(err)
 	}
 	run.fixCutoff(eDmax)
 	run.realCutoff = realCutoff
 	run.emit = ct.pushFn
 	run.run()
 	c.traceExpansion(p, eDmax, run.children)
-	return compInfo{pair: *p, plan: run.plan, examCutoff: eDmax}, nil
+	return run, nil
+}
+
+// bookkeep appends the aggressive expansion of p under eDmax, run, to
+// the compensation list, unless the restriction emptied it.
+func (c *execContext) bookkeep(p *hybridq.Pair, run *sweepRun, eDmax float64) {
+	if !run.emptied {
+		c.keepComp(compInfo{pair: *p, plan: run.plan, examCutoff: eDmax})
+	}
 }
 
 // amCompensateSweep is CompensatePlaneSweep of Algorithm 3: replay the

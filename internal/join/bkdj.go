@@ -32,7 +32,8 @@ func BKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err e
 // it.
 func (c *execContext) bkdjPlaneSweep(p *hybridq.Pair, ct *cutoffTracker) error {
 	ct.OnRemove(p)
-	run, err := c.ex.expansion(p, ct.Cutoff())
+	q := ct.Cutoff()
+	run, err := c.ex.expansion(p, q, q)
 	if err != nil {
 		return c.traceError(err)
 	}

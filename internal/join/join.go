@@ -202,7 +202,7 @@ type execContext struct {
 // struct-of-arrays decode buffers, the sweep scratch, and the metrics
 // collector the work is accounted to. Each query's execContext owns
 // one, so concurrent queries never share mutable state — the one thing
-// they do share, a tree's finished nodes (sideSorted), is read-only.
+// they do share, a tree's finished nodes (pairSide.sorted), is read-only.
 // All scratch is reused across expansions, so a warm expander expands
 // nodes without allocating.
 type expander struct {
@@ -389,7 +389,7 @@ func (e *expander) sideSoA(tree *rtree.Tree, ref uint64, isObj bool, rect geom.R
 
 // levelError reports a breach of the level rule of the single-tree
 // descents (rtree.ErrCorruptNode) in the join's own, where sideSoA and
-// sideSorted check it after every node read: the page a node ref leads
+// pairSide.sorted check it after every node read: the page a node ref leads
 // to must claim the level the ref carries, which is its parent's minus
 // one. Without the check an internal page whose header claims level 0
 // would have its child page IDs joined as object IDs, and a leaf

@@ -278,10 +278,6 @@ func TestSharedNodesIdentityAndImmutability(t *testing.T) {
 		left, right := build(l), build(r)
 		sharedNodeBattery(t, left, right)
 
-		planOfSlot := map[int]sweep.Plan{}
-		for _, p := range benchPlans {
-			planOfSlot[p.Slot()] = p
-		}
 		before := map[*rtree.Tree]memotest.Survey{}
 		var sorter sweep.SoASorter
 		var want rtree.NodeSoA
@@ -292,7 +288,7 @@ func TestSharedNodesIdentityAndImmutability(t *testing.T) {
 				if err := tr.ReadNodeSoA(cell.ID, &want, nil); err != nil {
 					t.Fatal(err)
 				}
-				sorter.SortTracked(&want, planOfSlot[cell.Slot])
+				sorter.SortTracked(&want, sweep.SlotPlan(cell.Slot))
 				stampChildLevels(&want)
 				if shared.Digest != memotest.Digest(&want) {
 					t.Fatalf("fanout %d, page %d slot %d: the shared node is not decode + sort + stamp", fanout, cell.ID, cell.Slot)

@@ -23,7 +23,7 @@ func TestQueuedPairSurvivesScratchReuse(t *testing.T) {
 	}
 	ct := newCutoffTracker(c, 50, c.opts.Ablation.AllPairs)
 	root := c.rootPair()
-	run, err := c.ex.expansion(&root, 400)
+	run, err := c.ex.expansion(&root, 400, 400)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ type sweepSide struct {
 //
 // L and R must already be sorted per plan, and the run only ever reads
 // them: either may be the tree's own finished node, shared with every
-// other query on the index (expander.sideSorted). The merge loop repeatedly
+// other query on the index (pairSide.sorted). The merge loop repeatedly
 // takes the entry with the minimum sweep key as the anchor and scans
 // the not-yet-anchored prefix-remainder of the opposite list in key
 // order, breaking at the first candidate whose axis gap exceeds the
@@ -98,10 +98,12 @@ type sweepSide struct {
 // side the restriction may drop from counts as one axis distance
 // computation, whether a test or the binary search below settled it. A
 // side whose every entry goes ends the run before the merge: it could
-// pair with nothing, so the merge would make no step (see restrict). The
-// sweep-axis tail past the other side's far end goes by one binary
-// search of the key column, which, as for windowEnd and the merge, must
-// be sorted and free of NaN.
+// pair with nothing, so the merge would make no step (see restrict); a
+// fresh expansion finds that out before it even chooses a plan, and
+// hands out the run emptied (see expansion). The sweep-axis tail past
+// the other side's far end goes by one binary search of the key column,
+// which, as for windowEnd and the merge, must be sorted and free of
+// NaN.
 type sweepRun struct {
 	e          *expander
 	L, R       *rtree.NodeSoA // the expanded nodes; the sweep reads left.n, right.n (see restrict)
@@ -111,6 +113,7 @@ type sweepRun struct {
 	realCutoff func() float64 // live real-distance cutoff; nil leaves realNow fixed
 	realNow    float64        // the real-distance cutoff in force (see pass)
 	emit       func(p *hybridq.Pair) bool
+	emptied    bool    // the restriction leaves a side with no entry: the run makes no step (see expansion)
 	resumed    bool    // an earlier stage examined this sweep (see resume)
 	examCutoff float64 // the fixed axis cutoff it examined under, when resumed
 	reexamine  func(p *hybridq.Pair) bool
@@ -189,10 +192,22 @@ func (sd *sweepSide) set(n *rtree.NodeSoA, plan sweep.Plan) {
 	}
 }
 
-// run executes the sweep.
+// run executes the sweep. A run its expansion found emptied (see
+// expansion) only adds the axis computations that finding counted.
 func (s *sweepRun) run() {
-	s.refreshReal()
-	l, r := s.restrict()
+	if !s.emptied {
+		s.refreshReal()
+		if l, r, ok := s.restrict(); ok {
+			s.merge(l, r)
+		}
+	}
+	s.e.mc.AddAxisDist(s.axisN)
+	s.e.mc.AddRealDist(s.realN)
+	s.axisN, s.realN = 0, 0
+}
+
+// merge sweeps l and r, the two sides as restricted.
+func (s *sweepRun) merge(l, r *rtree.NodeSoA) {
 	nl, nr := l.Len(), r.Len()
 	s.left.set(l, s.plan)
 	s.right.set(r, s.plan)
@@ -215,9 +230,6 @@ func (s *sweepRun) run() {
 			j++
 		}
 	}
-	s.e.mc.AddAxisDist(s.axisN)
-	s.e.mc.AddRealDist(s.realN)
-	s.axisN, s.realN = 0, 0
 }
 
 // restrictFloor is the smallest cutoff restrict applies. The batch
@@ -239,50 +251,87 @@ const restrictFloor = 0x1p-500
 // that far (mayDrop) is swept whole and untested, and so are both sides
 // under an infinite cutoff.
 //
-// A side that may drop finds its survivors' span first (survivorSpan):
-// the sweep-axis tail past the other side's far end by binary search,
-// then its first survivor by a scan. When either span is empty the run
-// ends there: no pair of it can pass, so the merge would make no step,
-// and the restriction returns an empty node for that side and the other
-// side as it is, neither compacted nor, if not reached yet, tested.
-// Otherwise the survivors of each span are copied in sweep order into
-// the expander's restricted columns; a side that loses nothing is swept
-// in place. Either way each side that may drop counts Len() axis
-// distance computations, as a test of every entry did.
-func (s *sweepRun) restrict() (l, r *rtree.NodeSoA) {
-	l, r = s.L, s.R
-	t := s.realNow
-	if !(t < math.Inf(1)) {
-		return l, r
+// The decision comes first (restrictionOf). When it leaves a side with
+// no entry, restrict reports !ok: no pair of the run can pass, so the
+// merge would make no step. Otherwise the survivors of each span are
+// copied in sweep order into the expander's restricted columns; a side
+// that loses nothing is swept in place. Either way each side that may
+// drop counts Len() axis distance computations, as a test of every
+// entry did.
+func (s *sweepRun) restrict() (l, r *rtree.NodeSoA, ok bool) {
+	rs := restrictionOf(s.L, s.plan, s.R, s.plan, s.lBound, s.rBound, s.realNow)
+	s.axisN += rs.axisN
+	if rs.empty {
+		return nil, nil, false
 	}
+	l, r = s.L, s.R
+	if rs.lDrop {
+		l = restrictInto(&s.e.restricted().l, l, s.rBound, rs.t, rs.lLo, rs.lHi)
+	}
+	if rs.rDrop {
+		r = restrictInto(&s.e.restricted().r, r, s.lBound, rs.t, rs.rLo, rs.rHi)
+	}
+	return l, r, true
+}
+
+// restriction is what restrict decides before it copies anything.
+type restriction struct {
+	t                  float64 // the cutoff applied: the real-distance cutoff, raised to the floor
+	lDrop, rDrop       bool    // the side may lose entries (mayDrop)
+	lLo, lHi, rLo, rHi int     // the survivor span of each side that may drop (survivorSpan)
+	axisN              int64   // axis distance computations the restriction counts
+	empty              bool    // a side keeps no entry
+}
+
+// restrictionOf decides the restriction of a pair's sides l and r,
+// whose rectangles are lBound and rBound, under the real-distance cutoff
+// real. Each side is in the sweep order of its own plan. A side that may
+// drop finds its survivors' span (survivorSpan): the sweep-axis tail
+// past the other side's far end by binary search, then its first
+// survivor by a scan. The left side's span comes first, and when it is
+// empty the right side's is not sought.
+//
+// Whether a side keeps no entry does not depend on the plans, nor does
+// the count: a span is empty exactly when every entry of the side is
+// beyond the other side's bound, and each side that may drop counts
+// Len(). The plans only pick the order the binary search runs on, and
+// with it the spans. So an expansion can decide emptiness on whatever
+// order it holds before it chooses a plan (expansion).
+func restrictionOf(l *rtree.NodeSoA, lPlan sweep.Plan, r *rtree.NodeSoA, rPlan sweep.Plan, lBound, rBound geom.Rect, real float64) (rs restriction) {
+	rs.t, rs.lDrop, rs.rDrop = dropRule(lBound, rBound, real)
+	if rs.lDrop {
+		rs.axisN += int64(l.Len())
+	}
+	if rs.rDrop {
+		rs.axisN += int64(r.Len())
+	}
+	if rs.lDrop {
+		rs.lLo, rs.lHi = survivorSpan(l, rBound, rs.t, lPlan)
+		if rs.lLo == rs.lHi {
+			rs.empty = true
+			return rs
+		}
+	}
+	if rs.rDrop {
+		rs.rLo, rs.rHi = survivorSpan(r, lBound, rs.t, rPlan)
+		rs.empty = rs.rLo == rs.rHi
+	}
+	return rs
+}
+
+// dropRule returns the cutoff the restriction applies under the
+// real-distance cutoff real — real raised to the floor — and whether
+// each side of a pair with rectangles lBound and rBound may lose entries
+// under it. Neither may under an infinite cutoff.
+func dropRule(lBound, rBound geom.Rect, real float64) (t float64, lDrop, rDrop bool) {
+	if !(real < math.Inf(1)) {
+		return real, false, false
+	}
+	t = real
 	if t < restrictFloor {
 		t = restrictFloor
 	}
-	lDrop, rDrop := mayDrop(s.lBound, s.rBound, t), mayDrop(s.rBound, s.lBound, t)
-	if lDrop {
-		s.axisN += int64(l.Len())
-	}
-	if rDrop {
-		s.axisN += int64(r.Len())
-	}
-	var lLo, lHi, rLo, rHi int
-	if lDrop {
-		if lLo, lHi = survivorSpan(l, s.rBound, t, s.plan); lLo == lHi {
-			return emptied(&s.e.restricted().l, l), r
-		}
-	}
-	if rDrop {
-		if rLo, rHi = survivorSpan(r, s.lBound, t, s.plan); rLo == rHi {
-			return l, emptied(&s.e.restricted().r, r)
-		}
-	}
-	if lDrop {
-		l = restrictInto(&s.e.restricted().l, l, s.rBound, t, lLo, lHi)
-	}
-	if rDrop {
-		r = restrictInto(&s.e.restricted().r, r, s.lBound, t, rLo, rHi)
-	}
-	return l, r
+	return t, mayDrop(lBound, rBound, t), mayDrop(rBound, lBound, t)
 }
 
 // beyond reports whether the rectangle [minX, maxX] x [minY, maxY] lies
@@ -351,17 +400,6 @@ func tailStart(key []float64, far, t float64, forward bool) int {
 		}
 	}
 	return lo
-}
-
-// emptied returns a node with no entries for src, whose every entry is
-// beyond the other side: src itself when it has none, else dst, emptied.
-func emptied(dst, src *rtree.NodeSoA) *rtree.NodeSoA {
-	if src.Len() == 0 {
-		return src
-	}
-	dst.Reset(0)
-	dst.Level = src.Level
-	return dst
 }
 
 // restrictInto copies the entries of src's survivor span [lo, hi)
@@ -578,38 +616,131 @@ func minDistOriented(anchorFromL bool, anchor, other geom.Rect) float64 {
 
 // expansion materializes both sides of a pair for sweeping: the child
 // entries in SoA form, their kind, and the sweep plan (per-pair axis
-// and direction selection of §3.2/§3.3, or the fixed policy for the
-// ablation). The returned run is the expander's reusable scratch: it,
-// and the nodes it points at, are valid until the expander's next
-// expansion.
-func (e *expander) expansion(p *hybridq.Pair, cutoff float64) (*sweepRun, error) {
-	return e.expansionWithPlan(p, e.c.choosePlan(p, cutoff))
+// and direction selection of §3.2/§3.3 under cutoff, or the fixed policy
+// for the ablation). real is the real-distance cutoff the run will start
+// from, the one its restriction applies. The returned run is the
+// expander's reusable scratch: it, and the nodes it points at, are valid
+// until the expander's next expansion.
+//
+// The plan is chosen only for a run that will sweep. When a side may
+// drop entries under real, the expansion first decides the restriction
+// on whatever order of each node costs least (pairSide.anyOrder), which
+// gives the same verdict and count as on any other (restrictionOf). If
+// it leaves a side with no entry, the run comes back emptied, holding
+// only the restriction's axis count, without a plan: no pair of it can
+// pass, so no sweep order is needed. Otherwise, and whenever no side may
+// drop, the plan is chosen and both nodes are put in its order.
+func (e *expander) expansion(p *hybridq.Pair, cutoff, real float64) (*sweepRun, error) {
+	return e.expand(p, sweep.Plan{}, false, cutoff, real)
 }
 
 // expansionWithPlan is expansion with a predetermined plan, used by the
-// compensation stage to reproduce the stage-one sweep order exactly.
+// compensation stages to reproduce an earlier stage's sweep order
+// exactly. Its run restricts as it starts, under the cutoff then in
+// force.
 func (e *expander) expansionWithPlan(p *hybridq.Pair, plan sweep.Plan) (*sweepRun, error) {
+	return e.expand(p, plan, true, 0, math.Inf(1))
+}
+
+// expand is expansion and expansionWithPlan. Each side's page is pinned
+// once, left before right, and held until every order the expansion
+// needs is taken from it: a pin per order would count a second access
+// and move the page in the pool's LRU order.
+func (e *expander) expand(p *hybridq.Pair, plan sweep.Plan, planned bool, cutoff, real float64) (*sweepRun, error) {
 	c := e.c
-	l, lObj, err := e.sideSorted(c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL, plan)
+	var l, r pairSide
+	defer l.release()
+	defer r.release()
+	test := false
+	if !planned {
+		_, lDrop, rDrop := dropRule(p.LeftRect, p.RightRect, real)
+		if test = lDrop || rDrop; !test {
+			plan = c.choosePlan(p, cutoff)
+		}
+	}
+	ln, lPlan, err := l.open(e, c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL, plan, test)
 	if err != nil {
 		return nil, err
 	}
-	r, rObj, err := e.sideSorted(c.right, p.Right, p.RightObj, p.RightRect, &e.soaR, plan)
+	rn, rPlan, err := r.open(e, c.right, p.Right, p.RightObj, p.RightRect, &e.soaR, plan, test)
 	if err != nil {
 		return nil, err
 	}
 	run := &e.run
 	*run = sweepRun{} // zeroed in place; a non-zero literal would be built aside and copied
-	run.e, run.L, run.R, run.plan = e, l, r, plan
+	run.e = e
 	run.lBound, run.rBound = p.LeftRect, p.RightRect
-	run.pair.LeftObj, run.pair.RightObj = lObj, rObj
+	if test {
+		if rs := restrictionOf(ln, lPlan, rn, rPlan, p.LeftRect, p.RightRect, real); rs.empty {
+			run.axisN, run.emptied = rs.axisN, true
+			return run, nil
+		}
+		plan = c.choosePlan(p, cutoff)
+		if ln, err = l.sorted(e, plan); err != nil {
+			return nil, err
+		}
+		if rn, err = r.sorted(e, plan); err != nil {
+			return nil, err
+		}
+	}
+	run.L, run.R, run.plan = ln, rn, plan
+	run.pair.LeftObj, run.pair.RightObj = l.childIsObj(), r.childIsObj()
 	return run, nil
 }
 
-// sideSorted is sideSoA with the entries in plan's sweep order, and the
-// one place that order is established. The page is fetched through the
-// buffer pool and accounted on every call; what follows depends on what
-// the tree's sweep-order memo holds for (node, plan):
+// pairSide is one side of a pair under expansion: the node's page,
+// pinned for the expansion, and the node as last ordered from it. An
+// object side pins nothing; it is its own one entry, in every order.
+type pairSide struct {
+	pin     rtree.PinnedNode
+	ref     uint64
+	scratch *rtree.NodeSoA // the expander's decode buffer for the side
+	n       *rtree.NodeSoA // the entries in the sweep order of slot
+	slot    int
+	obj     bool
+}
+
+// open pins the side's page and orders the node: in plan's order, or,
+// when cheapest is set, in the order anyOrder picks. It returns the node
+// and the plan of its order.
+func (sd *pairSide) open(e *expander, tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, scratch *rtree.NodeSoA, plan sweep.Plan, cheapest bool) (*rtree.NodeSoA, sweep.Plan, error) {
+	sd.ref, sd.scratch, sd.n, sd.obj = ref, scratch, nil, isObj
+	if isObj {
+		scratch.SetSingle(rect, ref)
+		sd.n = scratch
+		return scratch, plan, nil
+	}
+	pin, err := tree.PinNode(refPage(ref), e.mc)
+	if err != nil {
+		return nil, plan, err
+	}
+	sd.pin = pin
+	if cheapest {
+		return sd.anyOrder(e)
+	}
+	n, err := sd.sorted(e, plan)
+	return n, plan, err
+}
+
+// anyOrder returns the node in the order that costs least to take: a
+// finished node the tree's memo holds, in any slot, and otherwise slot
+// 0's order, as sorted establishes it.
+func (sd *pairSide) anyOrder(e *expander) (*rtree.NodeSoA, sweep.Plan, error) {
+	if n, slot := sd.pin.Finished(); n != nil {
+		if n.Level != refLevel(sd.ref) {
+			return nil, sweep.Plan{}, levelError(sd.ref, n)
+		}
+		sd.n, sd.slot = n, slot
+		return n, sweep.SlotPlan(slot), nil
+	}
+	plan := sweep.SlotPlan(0)
+	n, err := sd.sorted(e, plan)
+	return n, plan, err
+}
+
+// sorted returns the node in plan's sweep order, and is the one place
+// that order is established. What it does depends on what the tree's
+// sweep-order memo holds for (node, plan):
 //
 //   - the finished node: it is returned in place of scratch. It is the
 //     tree's, shared with every query on the index and never written —
@@ -621,33 +752,40 @@ func (e *expander) expansionWithPlan(p *hybridq.Pair, plan sweep.Plan) (*sweepRu
 //
 // In the last two cases the finished scratch is offered back to the
 // tree, which keeps a copy of it if it has room for decoded nodes and
-// the permutation otherwise.
-func (e *expander) sideSorted(tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, scratch *rtree.NodeSoA, plan sweep.Plan) (n *rtree.NodeSoA, childIsObj bool, err error) {
-	if isObj {
-		scratch.SetSingle(rect, ref)
-		return scratch, true, nil
+// the permutation otherwise. A node already in plan's order, and an
+// object side, are returned as they are.
+func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error) {
+	slot := plan.Slot()
+	if sd.obj || sd.n != nil && sd.slot == slot {
+		return sd.n, nil
 	}
-	page, slot := refPage(ref), plan.Slot()
-	n, ordered, err := tree.ReadNodeSoAOrdered(page, slot, scratch, e.mc)
+	n, ordered, err := sd.pin.Ordered(slot, sd.scratch)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if n.Level != refLevel(ref) {
-		return nil, false, levelError(ref, n)
+	if n.Level != refLevel(sd.ref) {
+		return nil, levelError(sd.ref, n)
 	}
-	if n != scratch {
-		return n, n.IsLeaf(), nil
+	if n == sd.scratch {
+		var perm []uint16
+		if !ordered {
+			perm = e.sorter.SortTracked(n, plan)
+		}
+		if err := stampChildLevels(n); err != nil {
+			return nil, err
+		}
+		sd.pin.Publish(slot, perm, n)
 	}
-	var perm []uint16
-	if !ordered {
-		perm = e.sorter.SortTracked(scratch, plan)
-	}
-	if err := stampChildLevels(scratch); err != nil {
-		return nil, false, err
-	}
-	tree.PublishSweepOrder(page, slot, perm, scratch)
-	return scratch, scratch.IsLeaf(), nil
+	sd.n, sd.slot = n, slot
+	return n, nil
 }
+
+// childIsObj reports whether the side's entries are objects.
+func (sd *pairSide) childIsObj() bool { return sd.obj || sd.n.IsLeaf() }
+
+// release unpins the side's page; deferred in expand, it is the
+// expansion's one release.
+func (sd *pairSide) release() { sd.pin.Release() }
 
 // choosePlan selects the pair's sweep axis and direction (§3.2/§3.3),
 // or fixes either as the query's ablation says.

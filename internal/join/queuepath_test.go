@@ -68,7 +68,7 @@ func TestZeroDistanceTieRunTinyQueue(t *testing.T) {
 		want metrics.Collector
 	}{
 		{name: "AM-KDJ", k: 1500, run: AMKDJ, mode: "initial", want: metrics.Collector{
-			RealDistCalcs: 6476, AxisDistCalcs: 12687, MainQueueInserts: 5829, DistQueueInserts: 5223, CompQueueInserts: 552,
+			RealDistCalcs: 6476, AxisDistCalcs: 12687, MainQueueInserts: 5829, DistQueueInserts: 5223, CompQueueInserts: 537,
 			NodeAccessesLogical: 1104, NodeAccessesPhysical: 164, QueuePageWrites: 44, MainQueuePeak: 5277, ResultsProduced: 1500,
 			BufferHits: 940, BufferMisses: 164, ModeledIOTime: 1315625 * time.Microsecond}},
 		{name: "B-KDJ", k: 1500, run: BKDJ, want: metrics.Collector{
@@ -80,7 +80,7 @@ func TestZeroDistanceTieRunTinyQueue(t *testing.T) {
 			NodeAccessesLogical: 1104, NodeAccessesPhysical: 164, QueuePageWrites: 55, MainQueuePeak: 5744, ResultsProduced: 1500,
 			BufferHits: 940, BufferMisses: 164, ModeledIOTime: 132421875 * 10 * time.Nanosecond}},
 		{name: "AM-KDJ", k: 4000, run: AMKDJ, mode: "initial", want: metrics.Collector{
-			RealDistCalcs: 11430, AxisDistCalcs: 17182, MainQueueInserts: 10476, DistQueueInserts: 9667, CompQueueInserts: 606,
+			RealDistCalcs: 11430, AxisDistCalcs: 17182, MainQueueInserts: 10476, DistQueueInserts: 9667, CompQueueInserts: 594,
 			NodeAccessesLogical: 1212, NodeAccessesPhysical: 164, QueuePageReads: 49, QueuePageWrites: 154, MainQueuePeak: 9875, ResultsProduced: 4000,
 			BufferHits: 1048, BufferMisses: 164, ModeledIOTime: 143984375 * 10 * time.Nanosecond}},
 		{name: "AM-KDJ/underestimated", k: 4000, run: underestimated, mode: "override", want: metrics.Collector{

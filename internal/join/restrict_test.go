@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/hybridq"
 	"distjoin/internal/metrics"
 	"distjoin/internal/rtree"
 	"distjoin/internal/sweep"
@@ -54,14 +55,53 @@ func unionOf(rects, extra []geom.Rect) geom.Rect {
 // of its sweep order, the node itself when nothing was dropped, and
 // that no dropped entry forms a pair with any entry of the other side
 // whose distance passes the cutoff, by the batch kernel in either
-// orientation or by Rect.MinDist.
+// orientation or by Rect.MinDist. A restriction that ends the run must
+// leave no pair of the two sides that passes.
+//
+// It also holds restrictionOf, the test an expansion makes before it
+// has a plan, to the restriction under c's plan: with the sides in the
+// orders of any two plans, it reports a side empty exactly when the
+// restriction ends the run, and counts the same axis computations.
 func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
 	t.Helper()
 	L, R := sweepNode(c.l, c.plan, 1000), sweepNode(c.r, c.plan, 2000)
-	run := &sweepRun{e: &expander{mc: &metrics.Collector{}}, L: L, R: R, plan: c.plan,
-		lBound: unionOf(c.l, c.lExtra), rBound: unionOf(c.r, c.rExtra)}
+	lBound, rBound := unionOf(c.l, c.lExtra), unionOf(c.r, c.rExtra)
+	run := &sweepRun{e: &expander{mc: &metrics.Collector{}}, L: L, R: R, plan: c.plan, lBound: lBound, rBound: rBound}
 	run.fixCutoff(c.cut)
-	l, r := run.restrict()
+	l, r, ok := run.restrict()
+	for _, lp := range benchPlans {
+		for _, rp := range benchPlans {
+			rs := restrictionOf(sweepNode(c.l, lp, 1000), lp, sweepNode(c.r, rp, 2000), rp, lBound, rBound, c.cut)
+			if rs.empty == ok || rs.axisN != run.axisN {
+				t.Fatalf("sides in the orders of %v and %v: a side empty %v, %d axis computations; the restriction under %v ends the run %v after %d",
+					lp, rp, rs.empty, rs.axisN, c.plan, !ok, run.axisN)
+			}
+		}
+	}
+	// unpaired requires that entry i of whole, a node of the named side,
+	// pairs with no entry of other under the cutoff.
+	dst := make([]float64, max(L.Len(), R.Len()))
+	one := make([]float64, 1)
+	unpaired := func(name string, whole, other *rtree.NodeSoA, i int) {
+		e := whole.Rect(i)
+		geom.MinDistBatch(dst, e, other.MinX, other.MinY, other.MaxX, other.MaxY)
+		for m := 0; m < other.Len(); m++ {
+			o := other.Rect(m)
+			geom.MinDistBatch(one, o, whole.MinX[i:i+1], whole.MinY[i:i+1], whole.MaxX[i:i+1], whole.MaxY[i:i+1])
+			for _, d := range []float64{dst[m], one[0], e.MinDist(o), o.MinDist(e)} {
+				if run.pass(d) {
+					t.Fatalf("%s entry %v dropped under cutoff %v (%x), yet its distance %v (%x) to %v passes",
+						name, e, c.cut, math.Float64bits(c.cut), d, math.Float64bits(d), o)
+				}
+			}
+		}
+	}
+	if !ok {
+		for i := 0; i < L.Len(); i++ {
+			unpaired("left", L, R, i)
+		}
+		return L.Len() + R.Len()
+	}
 	for _, side := range []struct {
 		name        string
 		whole, kept *rtree.NodeSoA
@@ -71,8 +111,6 @@ func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
 		if kept.Len() == whole.Len() && kept != whole {
 			t.Fatalf("%s: nothing dropped, yet the sweep reads a copy", side.name)
 		}
-		dst := make([]float64, other.Len())
-		one := make([]float64, 1)
 		j := 0
 		for i := 0; i < whole.Len(); i++ {
 			e := whole.Rect(i)
@@ -84,17 +122,7 @@ func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
 				continue
 			}
 			dropped++
-			geom.MinDistBatch(dst, e, other.MinX, other.MinY, other.MaxX, other.MaxY)
-			for m := 0; m < other.Len(); m++ {
-				o := other.Rect(m)
-				geom.MinDistBatch(one, o, whole.MinX[i:i+1], whole.MinY[i:i+1], whole.MaxX[i:i+1], whole.MaxY[i:i+1])
-				for _, d := range []float64{dst[m], one[0], e.MinDist(o), o.MinDist(e)} {
-					if run.pass(d) {
-						t.Fatalf("%s entry %v dropped under cutoff %v (%x), yet its distance %v (%x) to %v passes",
-							side.name, e, c.cut, math.Float64bits(c.cut), d, math.Float64bits(d), o)
-					}
-				}
-			}
+			unpaired(side.name, whole, other, i)
 		}
 		if j != kept.Len() {
 			t.Fatalf("%s: %d entries kept, only %d of them in sweep order", side.name, kept.Len(), j)
@@ -301,5 +329,56 @@ func TestTailStartMatchesLinearScan(t *testing.T) {
 	}
 	if ties == 0 || tails == 0 {
 		t.Fatalf("%d keys tie with the cutoff and %d nodes have a tail; the test checks too little", ties, tails)
+	}
+}
+
+// TestAMIDJBookkeepsEmptiedExpansions: a fresh AM-IDJ expansion that
+// the restriction empties chooses no plan, yet is bookkept when its
+// cutoff does not cover the pair (a later stage's larger cutoff may let
+// it pair), and then with the plan a sweep would have had, so a later
+// stage re-expands it exactly as if it had swept. Every bookkept fresh
+// expansion, emptied or swept, must carry choosePlan under the stage's
+// cutoff.
+func TestAMIDJBookkeepsEmptiedExpansions(t *testing.T) {
+	l, r := memoTestData()
+	var mc metrics.Collector
+	it, err := AMIDJ(buildTree(t, l, 16), buildTree(t, r, 16), Options{BatchK: 40, Metrics: &mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	emptied, bookkept := 0, 0
+	expand := it.node
+	it.node = func(p *hybridq.Pair) error {
+		key, cur := keyOf(p), it.eDmax
+		fresh := it.compMap[key] == nil
+		if err := expand(p); err != nil {
+			return err
+		}
+		ci := it.compMap[key]
+		if !fresh || ci == nil {
+			return nil
+		}
+		bookkept++
+		if it.c.ex.run.emptied {
+			emptied++
+		}
+		if want := it.c.choosePlan(p, cur); ci.plan != want {
+			t.Fatalf("pair %v bookkept with plan %v, choosePlan under the stage's cutoff %v gives %v (emptied %v)",
+				key, ci.plan, cur, want, it.c.ex.run.emptied)
+		}
+		return nil
+	}
+	for n := 0; n < 4000; n++ {
+		if _, ok := it.Next(); !ok {
+			break
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if emptied == 0 || emptied == bookkept || mc.CompensationStages < 2 {
+		t.Fatalf("%d of %d bookkept fresh expansions emptied over %d stages; the test needs both kinds and later stages",
+			emptied, bookkept, mc.CompensationStages)
 	}
 }

@@ -66,11 +66,11 @@ func TestPooledScratchOwnership(t *testing.T) {
 		if !ok || p.IsResult() {
 			return
 		}
-		ci, err := q.c.amAggressiveSweep(p, eDmax, q.ct, q.ct.cutoffFn)
+		run, err := q.c.amAggressiveSweep(p, eDmax, q.ct, q.ct.cutoffFn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.c.keepComp(ci)
+		q.c.bookkeep(p, run, eDmax)
 	}
 	type end struct {
 		cutoff float64

@@ -249,7 +249,7 @@ func BenchmarkAggressiveSweep(b *testing.B) {
 	p := hybridq.Pair{Dist: lRect.MinDist(rRect), Left: nodeRef(lid, 0), Right: nodeRef(rid, 0), LeftRect: lRect, RightRect: rRect}
 
 	const eDmax = 4.0
-	run, err := c.ex.expansion(&p, eDmax)
+	run, err := c.ex.expansion(&p, eDmax, eDmax)
 	if err != nil {
 		b.Fatal(err)
 	}

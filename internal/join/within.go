@@ -92,7 +92,7 @@ func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) 
 		if p.Dist > maxDist {
 			continue
 		}
-		run, err := c.ex.expansion(&p, maxDist)
+		run, err := c.ex.expansion(&p, maxDist, maxDist)
 		if err != nil {
 			return c.traceError(err)
 		}

@@ -85,10 +85,66 @@ func (t *Tree) orderSlot(id storage.PageID, slot int) *atomic.Pointer[sweepCell]
 	return &t.orders[i]
 }
 
-// ReadNodeSoAOrdered is ReadNodeSoA for a plane sweep: the same page
-// fetch through the buffer pool and the same metrics accounting on
-// every call, and then the node to sweep, by the cheapest route the
-// memo offers for slot:
+// ReadNodeSoAOrdered is ReadNodeSoA for a plane sweep: PinNode, the
+// node ordered for slot (PinnedNode.Ordered), and Release.
+func (t *Tree) ReadNodeSoAOrdered(id storage.PageID, slot int, scratch *NodeSoA, mc *metrics.Collector) (n *NodeSoA, ordered bool, err error) {
+	p, err := t.PinNode(id, mc)
+	if err != nil {
+		return nil, false, err
+	}
+	defer p.Release()
+	return p.Ordered(slot, scratch)
+}
+
+// PinnedNode is a node's page held in the tree's buffer pool for one
+// expansion: PinNode fetches and accounts it once, the caller orders the
+// node for as many sweep slots as it needs from it, and releases it
+// once. The zero value pins nothing, and its Release does nothing.
+type PinnedNode struct {
+	t  *Tree
+	id storage.PageID
+	f  *storage.Frame
+}
+
+// PinNode pins node id's page with the same fetch and metrics
+// accounting as ReadNodeSoA. The caller must Release it.
+func (t *Tree) PinNode(id storage.PageID, mc *metrics.Collector) (PinnedNode, error) {
+	f, err := t.fetchNode(id, mc)
+	if err != nil {
+		return PinnedNode{}, err
+	}
+	return PinnedNode{t: t, id: id, f: f}, nil
+}
+
+// Release unpins the page. Nodes Ordered returned stay valid: none of
+// them refers to the page.
+func (p PinnedNode) Release() {
+	if p.f != nil {
+		p.f.Release()
+	}
+}
+
+// Finished returns a finished node the memo holds for the page, in the
+// sweep order of the returned slot, or nil and -1 when it holds none.
+// Like a finished node Ordered returns, it is shared and must not be
+// written.
+func (p PinnedNode) Finished() (n *NodeSoA, slot int) {
+	if p.t.nodeBytes.Load() == 0 {
+		return nil, -1 // the tree holds no finished node at all
+	}
+	page := p.f.Bytes()
+	for slot = 0; slot < SweepSlots; slot++ {
+		if cell := p.t.orderSlot(p.id, slot); cell != nil {
+			if c := cell.Load(); c != nil && c.node != nil && c.fits(page) {
+				return c.node, slot
+			}
+		}
+	}
+	return nil, -1
+}
+
+// Ordered returns the node to sweep in slot's order, by the cheapest
+// route the memo offers:
 //
 //   - the finished node was published: it is returned as n (n !=
 //     scratch, ordered). It is shared with every other query on the
@@ -100,16 +156,11 @@ func (t *Tree) orderSlot(id storage.PageID, slot int) *atomic.Pointer[sweepCell]
 //     ordered only when it has fewer than two entries).
 //
 // Whenever n == scratch the caller finishes the node — sorts it if it
-// is not ordered — and offers it to PublishSweepOrder. A memo cell
-// whose length disagrees with the page's entry count is ignored.
-func (t *Tree) ReadNodeSoAOrdered(id storage.PageID, slot int, scratch *NodeSoA, mc *metrics.Collector) (n *NodeSoA, ordered bool, err error) {
-	f, err := t.fetchNode(id, mc)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Release()
-	page := f.Bytes()
-	if cell := t.orderSlot(id, slot); cell != nil {
+// is not ordered — and offers it to Publish. A memo cell whose length
+// disagrees with the page's entry count is ignored.
+func (p PinnedNode) Ordered(slot int, scratch *NodeSoA) (n *NodeSoA, ordered bool, err error) {
+	page := p.f.Bytes()
+	if cell := p.t.orderSlot(p.id, slot); cell != nil {
 		if c := cell.Load(); c != nil && c.fits(page) {
 			if c.node != nil {
 				return c.node, true, nil
@@ -128,6 +179,11 @@ func (t *Tree) ReadNodeSoAOrdered(id storage.PageID, slot int, scratch *NodeSoA,
 		return nil, false, err
 	}
 	return scratch, scratch.Len() < 2, nil
+}
+
+// Publish is PublishSweepOrder for the pinned node.
+func (p PinnedNode) Publish(slot int, perm []uint16, finished *NodeSoA) {
+	p.t.PublishSweepOrder(p.id, slot, perm, finished)
 }
 
 // decodeOrdered is decodeNodeSoA's loop reading page entry perm[i] into

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/metrics"
 	"distjoin/internal/rtree"
 	"distjoin/internal/storage"
 	"distjoin/internal/sweep"
@@ -397,4 +398,60 @@ func TestSweepOrderMemoAllocs(t *testing.T) {
 			t.Errorf("%s: memo hit allocates %v, want 0", tc.name, avg)
 		}
 	}
+}
+
+// TestPinnedNodeFinished: a pin is one accounted access however many
+// orders are taken from it, and Finished hands out a finished node the
+// memo holds, in the lowest slot whose cell fits the page, and nothing
+// when the cells hold only nodes of the wrong length, permutations, or
+// nothing.
+func TestPinnedNodeFinished(t *testing.T) {
+	const n = 9
+	store, ids := hostileStore(t, rand.New(rand.NewSource(5)), 4096, []int{n})
+	id := ids[0]
+	var pageOrder, decoy, got rtree.NodeSoA
+	check := func(view *rtree.Tree, what string, wantSlot int) {
+		t.Helper()
+		var mc metrics.Collector
+		pin, err := view.PinNode(id, &mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pin.Release()
+		node, slot := pin.Finished()
+		if slot != wantSlot || (node != nil) != (wantSlot >= 0) {
+			t.Fatalf("%s: Finished gives slot %d (node %v), want slot %d", what, slot, node != nil, wantSlot)
+		}
+		if node != nil {
+			sameBits(t, what, node, &pageOrder)
+		}
+		for _, p := range allPlans {
+			if _, _, err := pin.Ordered(p.Slot(), &got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mc.NodeAccessesLogical != 1 {
+			t.Fatalf("%s: a pin and four orders counted %d node accesses, want 1", what, mc.NodeAccessesLogical)
+		}
+	}
+	view := openView(t, store, 2*store.NumPages()) // room for decoded nodes
+	if err := view.ReadNodeSoA(id, &pageOrder, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(view, "empty memo", -1)
+	decoy.Reset(n - 1)
+	view.PublishSweepOrder(id, 1, nil, &decoy)
+	check(view, "a wrong-length node in slot 1", -1)
+	view.PublishSweepOrder(id, 3, nil, &pageOrder)
+	check(view, "a node in slot 3", 3)
+	view.PublishSweepOrder(id, 2, nil, &pageOrder)
+	check(view, "nodes in slots 2 and 3", 2)
+
+	perm := make([]uint16, n)
+	for i := range perm {
+		perm[i] = uint16(i)
+	}
+	noRoom := openView(t, store, 1)
+	noRoom.PublishSweepOrder(id, 0, perm, &pageOrder)
+	check(noRoom, "a permutation", -1)
 }

@@ -201,7 +201,7 @@ func (t *Tree) ResizeBuffer(bytes int) {
 
 // fetchNode pins node id's page in the buffer pool and records the
 // access against mc: the one fetch-and-account step both node reads
-// (ReadNodeSoA, ReadNodeSoAOrdered) start with. The caller releases the
+// (ReadNodeSoA, PinNode) start with. The caller releases the
 // frame once it has decoded the page; nothing it returns refers to it.
 func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) (*storage.Frame, error) {
 	f, acc, err := t.pool.Pin(id)

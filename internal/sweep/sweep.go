@@ -52,6 +52,11 @@ func (p Plan) Slot() int {
 	return slot
 }
 
+// SlotPlan is the plan of slot, one of 0..3: the inverse of Slot.
+func SlotPlan(slot int) Plan {
+	return Plan{Axis: slot >> 1, Dir: Direction(slot & 1)}
+}
+
 // Choose returns the sweeping plan for expanding the node pair (r, s)
 // under the pruning cutoff: the axis minimizing the sweeping index and
 // the direction determined by the projected intervals. A non-finite or

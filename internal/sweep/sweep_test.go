@@ -6,7 +6,10 @@ import (
 	"sort"
 	"testing"
 
+	"distjoin/internal/datagen"
 	"distjoin/internal/geom"
+	"distjoin/internal/rtree"
+	"distjoin/internal/storage"
 )
 
 // numericIndexTerm evaluates one term of Eq. 2 with brute-force
@@ -359,13 +362,104 @@ func BenchmarkIndex(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkChoose times Choose on one fixed rectangle pair (/fixed),
+// where every branch predicts, and on seeded inputs shaped like a
+// join's expansions (/expansions), where they do not.
 func BenchmarkChoose(b *testing.B) {
-	r := geom.NewRect(0, 0, 10, 20)
-	s := geom.NewRect(5, 15, 18, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Choose(r, s, 7)
+	b.Run("fixed", func(b *testing.B) {
+		r := geom.NewRect(0, 0, 10, 20)
+		s := geom.NewRect(5, 15, 18, 40)
+		for i := 0; i < b.N; i++ {
+			planSink = Choose(r, s, 7)
+		}
+	})
+	b.Run("expansions", func(b *testing.B) {
+		in := expansionInputs(b, 1<<12)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x := &in[i&(len(in)-1)]
+			planSink = Choose(x.r, x.s, x.cutoff)
+		}
+	})
+}
+
+// planSink keeps BenchmarkChoose's calls from being optimised away.
+var planSink Plan
+
+// chooseInput is one call of Choose.
+type chooseInput struct {
+	r, s   geom.Rect
+	cutoff float64
+}
+
+// expansionInputs returns n seeded inputs shaped like the node pairs a
+// distance join expands: the rectangles of two R-trees over TIGER-like
+// streets and hydrography, 4 KB pages, a left node drawn at random and a
+// right node at its level (or the right tree's nearest one) drawn from
+// those that lie within a cutoff of it, the cutoff log-uniform over four
+// decades below the data's extent — the eDmax of a large k down to that
+// of a small one, or a qDmax anywhere between.
+func expansionInputs(b *testing.B, n int) []chooseInput {
+	rng := rand.New(rand.NewSource(37))
+	levels := func(items []rtree.Item) map[int][]geom.Rect {
+		bl, err := rtree.NewBuilderForPageSize(4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bl.BulkLoad(items)
+		tree, err := bl.Pack(storage.NewMemStore(4096), 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := map[int][]geom.Rect{}
+		err = tree.Walk(func(_ storage.PageID, nd *rtree.NodeSoA) error {
+			if nd.Len() > 0 {
+				r := nd.Rect(0)
+				for i := 1; i < nd.Len(); i++ {
+					r = r.Union(nd.Rect(i))
+				}
+				out[nd.Level] = append(out[nd.Level], r)
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out
 	}
+	left, right := levels(datagen.TigerStreets(1, 20000)), levels(datagen.TigerHydro(2, 6000))
+	var lefts []geom.Rect
+	var lvls []int
+	for lvl := 0; left[lvl] != nil; lvl++ {
+		lefts = append(lefts, left[lvl]...)
+		for range left[lvl] {
+			lvls = append(lvls, lvl)
+		}
+	}
+	extent := lefts[0]
+	for _, r := range lefts[1:] {
+		extent = extent.Union(r)
+	}
+	span := math.Max(extent.MaxX-extent.MinX, extent.MaxY-extent.MinY)
+	in := make([]chooseInput, 0, n)
+	for len(in) < n {
+		i := rng.Intn(len(lefts))
+		lvl := lvls[i]
+		for right[lvl] == nil {
+			lvl--
+		}
+		cutoff := span * math.Pow(10, -1-4*rng.Float64())
+		var near []geom.Rect
+		for _, s := range right[lvl] {
+			if lefts[i].MinDist(s) <= cutoff {
+				near = append(near, s)
+			}
+		}
+		if len(near) > 0 {
+			in = append(in, chooseInput{lefts[i], near[rng.Intn(len(near))], cutoff})
+		}
+	}
+	return in
 }
 
 // TestMinMaxMatchMath holds fmin and fmax to math.Min and math.Max bit
@@ -395,5 +489,17 @@ func TestMinMaxMatchMath(t *testing.T) {
 		check(x, y)
 		check(y, x)
 		check(x, x)
+	}
+}
+
+// TestSlotPlan: SlotPlan inverts Slot on every plan.
+func TestSlotPlan(t *testing.T) {
+	for axis := 0; axis < 2; axis++ {
+		for _, dir := range []Direction{Forward, Backward} {
+			p := Plan{Axis: axis, Dir: dir}
+			if got := SlotPlan(p.Slot()); got != p {
+				t.Errorf("SlotPlan(%d) = %v, want %v", p.Slot(), got, p)
+			}
+		}
 	}
 }
