@@ -85,11 +85,17 @@ allow-report: $(VETTOOL)
 # inliner's budget turns every comparison into a call and the heap
 # slows down without failing a test; this target fails instead. Sites
 # are counted once each, however often the compiler inlines the sift
-# around them.
+# around them. INLINE_PINS names two more calls that must inline into
+# the body of their caller, as file:caller:callee: the distance queue's
+# Cutoff into the cutoff tracker's, which a sweep reads after every
+# delivery, and the spill route's table lookup into the queue's spill.
 INLINE_SITES := heap.go:3 pool.go:1
+INLINE_PINS := \
+	internal/join/cutoff.go:'func (t *cutoffTracker) Cutoff()':'pqueue.(*DistanceQueue).Cutoff' \
+	internal/hybridq/queue.go:'func (q *Queue) spill(':'(*Queue).routed'
 
 inline-check:
-	@out="$$($(GO) build -gcflags=-m ./internal/hybridq 2>&1)" || { printf '%s\n' "$$out" >&2; exit 1; }; \
+	@out="$$($(GO) build -gcflags=-m ./internal/hybridq ./internal/join 2>&1)" || { printf '%s\n' "$$out" >&2; exit 1; }; \
 	sites() { printf '%s\n' "$$out" | grep "hybridq/$$1:[0-9]*:[0-9]*: inlining call to $$2\$$" | cut -d' ' -f1 | sort -u; }; \
 	rc=0; \
 	for want in $(INLINE_SITES); do \
@@ -102,7 +108,20 @@ inline-check:
 			sites $$file ordered | grep -qxF "$$pos" || { echo "inline-check: ordered is not inlined into keyLess at $$pos" >&2; rc=1; }; \
 		done; \
 	done; \
-	if [ "$$rc" -eq 0 ]; then echo "inline-check: keyLess and ordered inline at every sift and split-sort comparison"; fi; \
+	pin() { \
+		span=$$(awk -v f="$$2" 'index($$0, f) == 1 { s = NR } s && /^}/ { print s, NR; exit }' "$$1"); \
+		[ -n "$$span" ] || { echo "inline-check: no $$2 in $$1" >&2; return 1; }; \
+		printf '%s\n' "$$out" | awk -v file="$$1" -v call="inlining call to $$3" -v span="$$span" \
+			'BEGIN { split(span, b, " ") } { n = split($$0, f, ":") } \
+			n >= 4 && f[1] == file && f[2] >= b[1] && f[2] <= b[2] && substr($$0, length($$0) - length(call) + 1) == call { hit = 1 } \
+			END { exit !hit }' \
+			|| { echo "inline-check: $$3 is not inlined into the body of $$2 ... } in $$1" >&2; return 1; }; \
+	}; \
+	for p in $(INLINE_PINS); do \
+		file=$${p%%:*}; rest=$${p#*:}; caller=$${rest%%:*}; callee=$${rest#*:}; \
+		pin "$$file" "$$caller" "$$callee" || rc=1; \
+	done; \
+	if [ "$$rc" -eq 0 ]; then echo "inline-check: keyLess and ordered inline at every sift and split-sort comparison; the pinned calls inline into their callers"; fi; \
 	exit "$$rc"
 
 # Install the pinned lint toolchain (staticcheck, govulncheck,

@@ -40,6 +40,11 @@ type scratch struct {
 	lows    []float64        // Queue.lows, empty while pooled
 	spill   spillStore       // a private queue's pages, empty while pooled
 	free    []storage.PageID // spill's pages no segment holds, empty while pooled
+	// routes maps a model index (Queue.route) to the last segment
+	// searchSegment returned for a distance of that index; nil while
+	// pooled. An entry names a segment of Queue.segs: swapIn and Drain
+	// clear the entries of the segments they remove.
+	routes [maxModelSegments + 1]*segment
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -144,6 +149,16 @@ func (sc *scratch) segment(lo, hi float64, pageSize int) *segment {
 	s.bufCount = 0
 	s.count = 0
 	return s
+}
+
+// unroute clears the route table's entries for seg, which is leaving
+// the queue's segment list.
+func (sc *scratch) unroute(seg *segment) {
+	for i, s := range sc.routes {
+		if s == seg {
+			sc.routes[i] = nil
+		}
+	}
 }
 
 // retire puts a segment nothing reads any more on the free list.

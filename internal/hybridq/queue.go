@@ -22,9 +22,14 @@ type Queue struct {
 	heap     pairHeap
 	capacity int     // max heap elements (n of §4.4)
 	memBound float64 // exclusive upper bound of the in-memory range
-	rho      float64 // density factor for model boundaries, 0 disables
+	// unit is capacity·ρ, the step of the §4.4 model boundaries in
+	// squared distance: floor(dist²/unit) is dist's model index, which
+	// modelRange bounds and route turns into a route table entry.
+	// Without a model (ρ not positive) it is +Inf: there are no model
+	// boundaries, and every finite distance routes by entry 0.
+	unit float64
 	// segs are the disk segments, sorted by lo, and lows their lower
-	// bounds, in step with segs: what segmentFor searches. Both arrays
+	// bounds, in step with segs: what searchSegment searches. Both arrays
 	// are the scratch's, bound at the first spill and given back with it.
 	segs []*segment
 	lows []float64
@@ -161,14 +166,14 @@ func New(cfg Config) *Queue {
 	// disk segment is sqrt(n*rho). Distant pairs spill immediately
 	// instead of churning through the heap; an underestimated model is
 	// corrected by overflow splits, an overestimated one by swap-ins.
-	memBound := math.Inf(1)
-	if b := math.Sqrt(float64(capacity) * cfg.Rho); b > 0 {
-		memBound = b
+	memBound, unit := math.Inf(1), math.Inf(1)
+	if u := float64(capacity) * cfg.Rho; u > 0 {
+		memBound, unit = math.Sqrt(u), u
 	}
 	return &Queue{
 		capacity: capacity,
 		memBound: memBound,
-		rho:      cfg.Rho,
+		unit:     unit,
 		store:    cfg.Store,
 		private:  cfg.Store == nil,
 		pageSize: pageSize,
@@ -383,9 +388,13 @@ func (sc *scratch) tieSafeSplit(keys []key, want int) (keep int, bound float64) 
 }
 
 // spill routes p to the disk segment covering its distance, creating a
-// model-boundary segment if none exists.
+// model-boundary segment if none exists: the routed one if the route
+// table holds it, else the one searchSegment finds or creates.
 func (q *Queue) spill(p *Pair) {
-	seg := q.segmentFor(p.Dist)
+	seg := q.routed(p.Dist)
+	if seg == nil {
+		seg = q.searchSegment(p.Dist)
+	}
 	if buf := q.record(seg); buf != nil {
 		p.encode(buf)
 		q.recorded(seg)
@@ -402,13 +411,40 @@ func (q *Queue) spillKey(seg *segment, k *key) {
 	q.heap.freeSlot(k)
 }
 
-// segmentFor locates or creates the segment containing dist, which is
-// >= memBound. q.segs is sorted by lo and disjoint, so only the last
-// segment starting at or below dist can contain it, and a new segment
-// can only collide with that one and the one after it. The search is
-// sort.Search's over q.lows, written out: no closure, and one array of
-// bounds instead of a pointer chase per probe.
-func (q *Queue) segmentFor(dist float64) *segment {
+// routed returns the segment the route table holds for dist if its
+// range holds dist, else nil. Segments are disjoint, so a routed
+// segment that holds dist is the one searchSegment would return.
+// Nearly every spill lands in a segment that covers its distance's
+// whole model range, or in the open-ended one past the last boundary,
+// so the search runs about once per segment. It must stay small enough
+// to inline into spill (make inline-check).
+func (q *Queue) routed(dist float64) *segment {
+	if q.sc != nil {
+		if s := q.sc.routes[q.route(dist)]; s != nil && s.lo <= dist && dist < s.hi {
+			return s
+		}
+	}
+	return nil
+}
+
+// route returns dist's entry in the route table: its model index
+// floor(dist²/unit) below maxModelSegments, else the entry past them,
+// shared by every distance beyond the last model boundary (and by NaN,
+// which no segment holds).
+func (q *Queue) route(dist float64) int {
+	if x := dist * dist / q.unit; x < maxModelSegments {
+		return int(x)
+	}
+	return maxModelSegments
+}
+
+// searchSegment locates or creates the segment containing dist, which
+// is >= memBound, and routes dist's entry of the route table to it. q.segs is sorted by lo and disjoint,
+// so only the last segment starting at or below dist can contain it,
+// and a new segment can only collide with that one and the one after
+// it. The search is sort.Search's over q.lows, written out: no closure,
+// and one array of bounds instead of a pointer chase per probe.
+func (q *Queue) searchSegment(dist float64) *segment {
 	lows := q.lows
 	i, j := 0, len(lows)
 	for i < j {
@@ -419,27 +455,31 @@ func (q *Queue) segmentFor(dist float64) *segment {
 			i = m + 1
 		}
 	}
+	var seg *segment
 	if i > 0 && dist < q.segs[i-1].hi {
-		return q.segs[i-1]
-	}
-	// Create a segment from the model boundaries sqrt(i*n*rho),
-	// clipped against the neighbouring segments and the memory bound.
-	lo, hi := q.modelRange(dist)
-	if lo < q.memBound {
-		lo = q.memBound
-	}
-	if i > 0 {
-		if below := q.segs[i-1]; below.hi > lo {
-			lo = below.hi
+		seg = q.segs[i-1]
+	} else {
+		// Create a segment from the model boundaries sqrt(i*n*rho),
+		// clipped against the neighbouring segments and the memory
+		// bound.
+		lo, hi := q.modelRange(dist)
+		if lo < q.memBound {
+			lo = q.memBound
 		}
-	}
-	if i < len(q.segs) {
-		if above := q.segs[i]; above.lo < hi {
-			hi = above.lo
+		if i > 0 {
+			if below := q.segs[i-1]; below.hi > lo {
+				lo = below.hi
+			}
 		}
+		if i < len(q.segs) {
+			if above := q.segs[i]; above.lo < hi {
+				hi = above.lo
+			}
+		}
+		seg = q.scratch().segment(lo, hi, q.pageSize)
+		q.insertSegment(seg)
 	}
-	seg := q.scratch().segment(lo, hi, q.pageSize)
-	q.insertSegment(seg)
+	q.sc.routes[q.route(dist)] = seg
 	return seg
 }
 
@@ -454,8 +494,8 @@ const maxModelSegments = 64
 // no usable model the range is unbounded; beyond the segment cap the
 // last range extends to infinity.
 func (q *Queue) modelRange(dist float64) (lo, hi float64) {
-	unit := float64(q.capacity) * q.rho
-	if unit <= 0 || math.IsInf(dist, 1) {
+	unit := q.unit
+	if math.IsInf(unit, 1) || math.IsInf(dist, 1) {
 		return 0, math.Inf(1)
 	}
 	i := math.Floor(dist * dist / unit)
@@ -475,7 +515,7 @@ func (q *Queue) modelRange(dist float64) (lo, hi float64) {
 }
 
 // insertSegment adds seg keeping q.segs sorted by lo, and q.lows in
-// step. Segment ranges are disjoint by construction (segmentFor clips
+// step. Segment ranges are disjoint by construction (searchSegment clips
 // against existing segments, splits always carve below the spilled
 // range), so a plain insertion shift is equivalent to the full sort it
 // replaced — and allocation-free, which the steady-state allocation
@@ -559,6 +599,7 @@ func (q *Queue) swapIn() bool {
 	copy(q.lows, q.lows[1:])
 	q.segs[n] = nil
 	q.segs, q.lows = q.segs[:n], q.lows[:n]
+	q.sc.unroute(seg)
 	q.diskPairs -= seg.count
 	q.splitFloor, q.tieRun = 0, false // heap is empty; any previous overrun is gone
 
@@ -672,6 +713,9 @@ func (q *Queue) Drain() {
 	}
 	clear(q.segs)
 	q.segs, q.lows = q.segs[:0], q.lows[:0]
+	if q.sc != nil {
+		clear(q.sc.routes[:])
+	}
 	q.diskPairs = 0
 	q.memBound = math.Inf(1)
 	q.splitFloor, q.tieRun = 0, false

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"distjoin/internal/metrics"
@@ -29,7 +30,7 @@ func pushSplittingEveryOverflow(q *Queue, p Pair) {
 	q.spill(&p)
 }
 
-// linearSegmentFor is segmentFor as it was before the binary search,
+// linearSegmentFor is searchSegment as it was before the binary search,
 // without the insertion: the segment containing dist, or the range of
 // the one it would create.
 func linearSegmentFor(q *Queue, dist float64) (found *segment, lo, hi float64) {
@@ -187,8 +188,8 @@ func TestTieRunOverflowAllocs(t *testing.T) {
 	}
 }
 
-// TestSegmentForMatchesLinearScan checks the binary-search routing
-// against the linear routine it replaced, on queues whose segments come
+// TestSegmentForMatchesLinearScan checks searchSegment, the
+// binary-search routing, against the linear routine it replaced, on queues whose segments come
 // from random pushes and pops: same segment found, or same range
 // created.
 func TestSegmentForMatchesLinearScan(t *testing.T) {
@@ -216,7 +217,7 @@ func TestSegmentForMatchesLinearScan(t *testing.T) {
 			}
 			found, lo, hi := linearSegmentFor(q, dist)
 			segsBefore := len(q.segs)
-			got := q.segmentFor(dist)
+			got := q.searchSegment(dist)
 			switch {
 			case found != nil && (got != found || len(q.segs) != segsBefore):
 				t.Fatalf("trial %d op %d: dist %g routed to [%g,%g), linear scan finds [%g,%g)", trial, op, dist, got.lo, got.hi, found.lo, found.hi)
@@ -233,6 +234,99 @@ func TestSegmentForMatchesLinearScan(t *testing.T) {
 		if err := q.Err(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRoutedSpillsMatchSearch drives a queue with a model ρ and a twin
+// whose route table is emptied before every operation, so that each of
+// the twin's spills searches, through random pushes and pops: overflow
+// splits, direct spills past the memory bound, and swap-ins that split
+// again. Before every push bound for disk, a segment the route table
+// yields must be the one the linear scan finds; after every operation
+// the two queues must agree on pops, memory/disk layout, page I/O and
+// fault-hook firings, and every route must name a live segment; Drain
+// must clear them all.
+func TestRoutedSpillsMatchSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	routed, searched := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		capacity := 1 + rng.Intn(12)
+		rho := []float64{0.01, 0.3, 2, 50}[trial%4]
+		// Up to 12 model units: distances past maxModelSegments' last
+		// boundary share the open-ended segment.
+		scale := math.Sqrt(float64(capacity)*rho) * float64(1+rng.Intn(12))
+		got, want := newObservedQueue(capacity, rho), newObservedQueue(capacity, rho)
+		name := fmt.Sprintf("trial %d (capacity %d, rho %g, scale %g)", trial, capacity, rho, scale)
+		for op := 0; op < 600; op++ {
+			if want.q.sc != nil {
+				clear(want.q.sc.routes[:])
+			}
+			if filling := op/100%2 == 0; (rng.Intn(4) > 0) == filling {
+				d := rng.Float64() * scale
+				if rng.Intn(8) == 0 {
+					d = math.Sqrt(math.Floor(d*d/(float64(capacity)*rho)) * float64(capacity) * rho) // a model boundary
+				}
+				if d >= got.q.memBound {
+					if seg := got.q.routed(d); seg != nil {
+						if found, _, _ := linearSegmentFor(got.q, d); seg != found {
+							t.Fatalf("%s op %d: dist %g routed to [%g,%g), the search finds %v", name, op, d, seg.lo, seg.hi, found)
+						}
+						routed++
+					} else {
+						searched++
+					}
+				}
+				p := Pair{Dist: d, Left: uint64(rng.Intn(50)), Right: uint64(op), LeftObj: true, RightObj: true}
+				got.q.Push(p)
+				want.q.Push(p)
+			} else {
+				g, gok := popValue(got.q)
+				w, wok := popValue(want.q)
+				if g != w || gok != wok {
+					t.Fatalf("%s op %d: Pop = %+v,%v; searching twin %+v,%v", name, op, g, gok, w, wok)
+				}
+			}
+			if g, w := got.state(), want.state(); g != w {
+				t.Fatalf("%s op %d: state diverged\n got  %s\n want %s", name, op, g, w)
+			}
+			if got.q.sc != nil {
+				for i, seg := range got.q.sc.routes {
+					if seg != nil && !slices.Contains(got.q.segs, seg) {
+						t.Fatalf("%s op %d: route %d names [%g,%g), which is not a live segment", name, op, i, seg.lo, seg.hi)
+					}
+				}
+			}
+		}
+		// Drain retires every segment, so it must leave no route: the
+		// scratch goes back to the pool with the table.
+		if trial%2 == 1 && got.q.Segments() > 0 {
+			got.q.Drain()
+			want.q.Drain()
+			if got.q.sc.routes != [maxModelSegments + 1]*segment{} {
+				t.Fatalf("%s: routes survive Drain", name)
+			}
+		}
+		for {
+			g, gok := popValue(got.q)
+			w, wok := popValue(want.q)
+			if g != w || gok != wok {
+				t.Fatalf("%s drain: Pop = %+v,%v; searching twin %+v,%v", name, g, gok, w, wok)
+			}
+			if !gok {
+				break
+			}
+		}
+		if g, w := got.state(), want.state(); g != w {
+			t.Fatalf("%s drained: state diverged\n got  %s\n want %s", name, g, w)
+		}
+		if err := got.q.Err(); err != nil {
+			t.Fatal(err)
+		}
+		got.q.Release()
+		want.q.Release()
+	}
+	if routed < 5000 || searched < 5000 {
+		t.Fatalf("%d spills routed, %d searched: the sequences do not exercise both paths", routed, searched)
 	}
 }
 

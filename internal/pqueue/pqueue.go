@@ -1,13 +1,13 @@
-// Package pqueue implements the binary-heap priority queues used by
-// the distance join algorithms: a generic heap, and the bounded
-// max-heap "distance queue" of paper §2.1 that maintains the k smallest
-// object-pair distances seen so far and exposes their maximum as the
-// pruning cutoff qDmax.
+// Package pqueue implements the priority queues used by the distance
+// join algorithms: a generic binary heap; the bounded "distance queue"
+// of paper §2.1, which keeps the k smallest object-pair distances
+// offered so far in value buckets and exposes their maximum as the
+// pruning cutoff qDmax; and KthTracker, the k-th smallest value under
+// deletions, for the feeds that retire bounds.
 package pqueue
 
 import (
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -137,36 +137,76 @@ func (h *Heap[T]) siftDown(i int) {
 	items[i] = *v
 }
 
-// DistanceQueue is the bounded max-heap of paper §2.1: it retains the k
-// smallest distances inserted so far. While fewer than k distances are
-// held the cutoff qDmax is +Inf; afterwards it is the k-th smallest
-// distance, i.e. the maximum element.
+// DistanceQueue is the bounded distance queue of paper §2.1: it retains
+// the k smallest distances offered so far. While fewer than k distances
+// are held the cutoff qDmax is +Inf; afterwards it is the k-th smallest
+// distance, i.e. the largest one held.
 //
 // Every pair a join accepts is offered here, and nearly every offer is
-// kept (a sweep only delivers pairs within the cutoff), so Insert is a
-// full sift on the join's hot path: the heap is a flat []float64 with
-// the comparison written inline, not a Heap[float64] calling a
-// comparator per level. Its sifts are Heap's with less(a, b) = a > b,
-// the same comparisons in the same order, so the cutoff sequence is
-// bit-identical to a Heap-based queue's, NaN and ±0 included. A join's
-// offers land anywhere below the cutoff, so the replacing sift usually
-// runs most of the way down, and which child is larger is a coin toss
-// at every level: the sift adds that comparison's outcome to the child
-// index (b2i) instead of branching on it, which would mispredict half
-// the time.
+// kept (a sweep only delivers pairs within the cutoff), so the queue
+// avoids a sift through a heap of k per offer. The held distances sit
+// in value buckets: a distance's bucket is
+// floor((d − base)·scale), clamped to the bucket range, which is
+// monotone in d, so every distance of a bucket is at most every
+// distance of the buckets above it. Only the top non-empty bucket is
+// ordered, as a small max-heap whose root is the cutoff; the buckets
+// below are unordered lists. A kept offer below the top bucket is linked
+// into its list and the root is popped; one in the top bucket replaces
+// the root. When the top heap empties, the next non-empty bucket down is
+// heapified in its place. Buckets are laid out over the range of the
+// held distances when the k-th offer arrives (the offers before it only
+// append) and again when the cutoff has fallen into the lower half of
+// the range, at most once per k kept offers: a layout is O(k) and
+// spreads about bucketSpan distances per bucket, so a kept offer costs
+// O(1) amortised while the distances stay spread. (On a stream whose
+// distances pile into one bucket, the top heap is that pile and an
+// offer costs a sift through it, O(log k), as in a binary heap.)
 //
-// The heap's array is pooled like the main queue's: the first Insert
-// takes one from distSlabs, a heap short of k grows it by append, and
-// Release gives it back.
+// Any exact maximum gives the binary heap's Insert results and Cutoff
+// bits on offers that hold no NaN and no −0, which are all a join makes
+// (distances are +0, positive or +Inf). The queue rejects NaN, which is
+// never held, and holds −0 as +0, so equal distances are equal bits and
+// which copy is on top cannot show.
+//
+// The arrays are pooled: the first Insert takes a distSlab, and Release
+// gives it back. Distances, list links and the top heap each take k
+// slots (22 bytes per k with the bucket heads), allocated as the offers
+// arrive, not at NewDistanceQueue.
 type DistanceQueue struct {
-	k     int
-	items []float64  // max-heap: items[0] is the largest retained distance
-	slab  *[]float64 // the pooled box items came from; nil while items is nil
+	cutoff float64 // qDmax: the top heap's root once full, +Inf before
+	k      int
+	full   bool // k distances held: the buckets are laid out
+	// A distance d is in bucket clamp(floor((d−base)·scale)); scale is
+	// finite and positive and base finite, so no distance maps to NaN.
+	base, scale float64
+	// below is topB as a float64, or −Inf when topB is 0: an offer whose
+	// (d−base)·scale is below it belongs to a bucket under topB.
+	below float64
+	topB  int       // the bucket top holds
+	kept  int       // offers kept since the last layout
+	free  int32     // first free node, −1 when none is
+	top   []float64 // max-heap of bucket topB
+	vals  []float64 // node distances; while filling, the distances held
+	next  []int32   // node links: each bucket's list, and the free list
+	head  []int32   // first node of each bucket, −1 when empty
+	slab  *distSlab // the pooled arrays; nil until the first Insert
+}
+
+// bucketSpan is how many distances a bucket holds, on average, right
+// after a layout: the top heap's size, and so its sift depth. On
+// distances recorded from k-joins on the benchmark data, 2 was faster
+// per offer than 4 or 8 at k=100, 1000 and 10000.
+const bucketSpan = 2
+
+// distSlab is the arrays of a released distance queue.
+type distSlab struct {
+	vals, top  []float64
+	next, head []int32
 }
 
 // distSlabs holds the arrays released distance queues gave back, each
 // as long as the largest k it has served.
-var distSlabs = sync.Pool{New: func() any { return new([]float64) }}
+var distSlabs = sync.Pool{New: func() any { return new(distSlab) }}
 
 // NewDistanceQueue returns a distance queue bounded to k distances.
 // k must be positive.
@@ -174,94 +214,209 @@ func NewDistanceQueue(k int) *DistanceQueue {
 	if k <= 0 {
 		panic("pqueue: DistanceQueue requires k > 0")
 	}
-	return &DistanceQueue{k: k}
+	return &DistanceQueue{k: k, cutoff: math.Inf(1)}
 }
 
 // K returns the bound.
 func (q *DistanceQueue) K() int { return q.k }
 
 // Len returns the number of retained distances.
-func (q *DistanceQueue) Len() int { return len(q.items) }
+func (q *DistanceQueue) Len() int {
+	if q.full {
+		return q.k
+	}
+	return len(q.vals)
+}
 
 // Insert offers distance d. It returns true if d was retained (i.e. it
-// is among the k smallest seen so far).
+// is among the k smallest seen so far). A NaN is never retained.
 func (q *DistanceQueue) Insert(d float64) bool {
-	items := q.items
-	if len(items) < q.k {
-		// Heap.Push: d enters at the bottom hole and ancestors smaller
-		// than d move down one level each.
-		if len(items) == cap(items) {
-			items = q.grow()
-		}
-		items = append(items, d)
-		i := len(items) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !(d > items[parent]) {
-				break
-			}
-			items[i] = items[parent]
-			i = parent
-		}
-		items[i] = d
-		q.items = items
-		return true
+	if !q.full {
+		return q.fill(d)
 	}
-	if !(d < items[0]) {
+	if !(d < q.cutoff) {
 		return false
 	}
-	// Heap.ReplaceTop: d enters at the root hole and the larger child
-	// moves up while it is larger than d.
-	i, n := 0, len(items)
+	d += 0 // −0 + 0 is +0; every other d is unchanged
+	q.kept++
+	if x := (d - q.base) * q.scale; x < q.below {
+		b := 0
+		if x > 0 {
+			b = int(x)
+		}
+		i := q.free
+		q.free = q.next[i]
+		q.vals[i] = d
+		q.next[i] = q.head[b]
+		q.head[b] = i
+		top := q.top
+		n := len(top) - 1
+		q.top = top[:n]
+		if n > 0 {
+			sift(top[:n], 0, top[n])
+		} else {
+			q.descend()
+		}
+	} else {
+		sift(q.top, 0, d)
+	}
+	q.cutoff = q.top[0]
+	return true
+}
+
+// Cutoff returns qDmax: +Inf until k distances are held, then the
+// current k-th smallest distance.
+func (q *DistanceQueue) Cutoff() float64 { return q.cutoff }
+
+// fill holds one of the first k offers, unordered, and lays the buckets
+// out at the k-th.
+func (q *DistanceQueue) fill(d float64) bool {
+	if d != d {
+		return false
+	}
+	if q.slab == nil {
+		s := distSlabs.Get().(*distSlab)
+		q.slab, q.vals, q.top, q.next, q.head = s, s.vals[:0], s.top[:0], s.next, s.head
+	}
+	q.vals = append(q.vals, d+0)
+	if len(q.vals) == q.k {
+		q.full = true
+		q.layout()
+		q.cutoff = q.top[0]
+	}
+	return true
+}
+
+// layout spreads the k distances over the buckets, by the range of the
+// finite ones, and heapifies the top non-empty bucket. Every distance
+// must be in vals: none in top.
+func (q *DistanceQueue) layout() {
+	k := q.k
+	if k > math.MaxInt32 {
+		panic("pqueue: DistanceQueue holds at most 2³¹−1 distances")
+	}
+	nb := (k + bucketSpan - 1) / bucketSpan
+	if cap(q.next) < k {
+		q.next = make([]int32, k)
+	}
+	if cap(q.top) < k {
+		q.top = make([]float64, 0, k)
+	}
+	if cap(q.head) < nb {
+		q.head = make([]int32, nb)
+	}
+	vals, next, head := q.vals[:k], q.next[:k], q.head[:nb]
+	q.next, q.head = next, head
+
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if v < lo && v > math.Inf(-1) {
+			lo = v
+		}
+		if v > hi && v < math.Inf(1) {
+			hi = v
+		}
+	}
+	q.base, q.scale = 0, 1
+	if lo <= hi {
+		q.base = lo
+		if s := float64(nb) / (hi - lo); s > 0 && s < math.Inf(1) {
+			q.scale = s
+		}
+	}
+	for i := range head {
+		head[i] = -1
+	}
+	last := float64(nb - 1)
+	for i, v := range vals {
+		b := 0
+		if x := (v - q.base) * q.scale; x >= last {
+			b = nb - 1
+		} else if x > 0 {
+			b = int(x)
+		}
+		next[i] = head[b]
+		head[b] = int32(i)
+	}
+	q.free, q.kept = -1, 0
+	b := nb - 1
+	for head[b] < 0 {
+		b--
+	}
+	q.materialize(b)
+}
+
+// descend refills the emptied top heap from the highest non-empty
+// bucket below it, or lays the buckets out again when that bucket is in
+// the lower half and k offers have been kept since the last layout.
+func (q *DistanceQueue) descend() {
+	b := q.topB - 1
+	for q.head[b] < 0 {
+		b--
+	}
+	if b < len(q.head)/2 && q.kept >= q.k {
+		q.layout()
+		return
+	}
+	q.materialize(b)
+}
+
+// materialize moves bucket b's list into the empty top heap, freeing its
+// nodes, and heapifies it.
+func (q *DistanceQueue) materialize(b int) {
+	top := q.top[:0]
+	for i := q.head[b]; i >= 0; {
+		top = append(top, q.vals[i])
+		n := q.next[i]
+		q.next[i] = q.free
+		q.free = i
+		i = n
+	}
+	q.head[b] = -1
+	for i := len(top)/2 - 1; i >= 0; i-- {
+		sift(top, i, top[i])
+	}
+	q.top, q.topB = top, b
+	q.below = float64(b)
+	if b == 0 {
+		q.below = math.Inf(-1)
+	}
+}
+
+// sift places d in the max-heap h at the hole i: the larger child moves
+// up while it is larger than d. Which child is larger is a coin toss on
+// a join's offers, so the sift adds the comparison's outcome to the
+// child index (b2i) instead of branching on it.
+func sift(h []float64, i int, d float64) {
+	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
 		if right := child + 1; right < n {
-			child += b2i(items[right] > items[child])
+			child += b2i(h[right] > h[child])
 		}
-		if !(items[child] > d) {
+		if !(h[child] > d) {
 			break
 		}
-		items[i] = items[child]
+		h[i] = h[child]
 		i = child
 	}
-	items[i] = d
-	return true
+	h[i] = d
 }
 
-// Cutoff returns qDmax: +Inf until k distances are held, then the
-// current k-th smallest distance.
-func (q *DistanceQueue) Cutoff() float64 {
-	if len(q.items) < q.k {
-		return math.Inf(1)
-	}
-	return q.items[0]
-}
-
-// grow returns the items with room for one more distance: an empty
-// queue without an array takes one from distSlabs, a full one grows the
-// one it has.
-func (q *DistanceQueue) grow() []float64 {
-	if q.slab == nil {
-		q.slab = distSlabs.Get().(*[]float64)
-		q.items = (*q.slab)[:0]
-	}
-	q.items = slices.Grow(q.items, 1)
-	return q.items
-}
-
-// Release empties the queue and gives its array back to distSlabs: a
+// Release empties the queue and gives its arrays back to distSlabs: a
 // query calls it after its last Cutoff. It is idempotent, and a
-// released queue may be inserted into again; it takes a fresh array.
+// released queue may be inserted into again; it takes fresh arrays.
 func (q *DistanceQueue) Release() {
 	if q.slab == nil {
 		return
 	}
-	*q.slab = q.items[:0]
-	distSlabs.Put(q.slab)
-	q.slab, q.items = nil, nil
+	s := q.slab
+	s.vals, s.top, s.next, s.head = q.vals[:0], q.top[:0], q.next, q.head
+	distSlabs.Put(s)
+	*q = DistanceQueue{k: q.k, cutoff: math.Inf(1)}
 }
 
 // b2i is 1 for true and 0 for false; the compiler makes it a flag set

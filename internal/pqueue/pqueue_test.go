@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -325,8 +324,8 @@ func BenchmarkHeapPushPop(b *testing.B) {
 }
 
 // heapDistanceQueue is DistanceQueue as it was written on Heap[float64]
-// with a max-heap comparator: the reference the flat heap must match
-// bit for bit.
+// with a max-heap comparator: the reference the bucketed queue must
+// match bit for bit on offers that hold no NaN and no −0.
 type heapDistanceQueue struct {
 	k    int
 	heap *Heap[float64]
@@ -355,27 +354,44 @@ func (q *heapDistanceQueue) Cutoff() float64 {
 	return q.heap.Peek()
 }
 
+// referenceOffer reports whether d is an offer on which DistanceQueue must
+// match the reference: anything but NaN, which it rejects, and −0, which
+// it holds as +0 (TestDistanceQueueNaNAndNegativeZero pins both).
+func referenceOffer(d float64) bool {
+	return d == d && math.Float64bits(d) != math.Float64bits(math.Copysign(0, -1))
+}
+
 // TestDistanceQueueMatchesHeapReference: over random offer sequences
-// rich in duplicates, +Inf, ±0 and NaN, the flat DistanceQueue keeps
-// exactly what the Heap-based one kept, offer by offer: the same Insert
-// result and the same Cutoff bits, so a join's pruning sequence cannot
-// tell the two apart. Odd trials draw from five signed values only:
-// negative offers (which no join makes) keep replacing a top of ±0, so
-// the sifts meet every kind of tie, and which of +0 and −0 they move up
-// shows in the Cutoff bits.
+// rich in duplicates, ±Inf, zeros and negatives, the bucketed
+// DistanceQueue keeps exactly what the Heap-based one kept, offer by
+// offer: the same Insert result and the same Cutoff bits, so a join's
+// pruning sequence cannot tell the two apart. Trials cycle through four
+// shapes: a mix of specials, duplicates, offers just under the cutoff
+// and uniform ones; five signed values only, so negative offers (which
+// no join makes) keep replacing a top of 0 and every bucket meets ties;
+// join-shaped offers uniform below the cutoff, long enough to lay the
+// buckets out many times; and offers rising and falling by powers of
+// two, so layouts meet a range that spans most exponents.
 func TestDistanceQueueMatchesHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	special := []float64{math.Inf(1), 0, math.Copysign(0, -1), math.NaN()}
-	signed := []float64{-2, -1, math.Copysign(0, -1), 0, 1}
-	for _, k := range []int{1, 2, 7, 1000} {
+	special := []float64{math.Inf(1), math.Inf(-1), 0}
+	signed := []float64{-2, -1, 0, 1, math.Inf(-1)}
+	for _, k := range []int{1, 2, 7, 9, 1000} {
 		for trial := 0; trial < 20; trial++ {
 			got, want := NewDistanceQueue(k), newHeapDistanceQueue(k)
 			n := 3*k + rng.Intn(200)
+			if trial%4 == 2 {
+				n = 20*k + rng.Intn(200)
+			}
 			for i := 0; i < n; i++ {
 				var d float64
 				switch r := rng.Intn(20); {
-				case trial%2 == 1:
+				case trial%4 == 1:
 					d = signed[rng.Intn(len(signed))]
+				case trial%4 == 2:
+					d = math.Min(want.Cutoff(), 10) * rng.Float64()
+				case trial%4 == 3:
+					d = math.Ldexp(1+rng.Float64(), rng.Intn(2000)-1000)
 				case r == 0:
 					d = special[rng.Intn(len(special))]
 				case r < 8:
@@ -397,17 +413,57 @@ func TestDistanceQueueMatchesHeapReference(t *testing.T) {
 			if got.Len() != want.heap.Len() {
 				t.Fatalf("k=%d trial %d: Len = %d, reference %d", k, trial, got.Len(), want.heap.Len())
 			}
+			got.Release()
 		}
 	}
+}
+
+// TestDistanceQueueNaNAndNegativeZero pins the two offers the reference
+// comparison leaves out: a NaN is rejected, while filling and when full,
+// and never held; a −0 is held as +0, so a cutoff of zero is +0 whichever
+// zero was offered.
+func TestDistanceQueueNaNAndNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	q := NewDistanceQueue(2)
+	if q.Insert(math.NaN()) || q.Len() != 0 {
+		t.Fatalf("a NaN offered to an empty queue: kept, Len %d", q.Len())
+	}
+	if !q.Insert(negZero) || q.Len() != 1 {
+		t.Fatalf("−0 offered to an empty queue: not kept, Len %d", q.Len())
+	}
+	if q.Insert(math.NaN()) || q.Len() != 1 || !math.IsInf(q.Cutoff(), 1) {
+		t.Fatalf("a NaN offered while filling: kept, Len %d, Cutoff %g", q.Len(), q.Cutoff())
+	}
+	q.Insert(negZero)
+	if c := q.Cutoff(); math.Float64bits(c) != 0 {
+		t.Fatalf("two −0 held: Cutoff %g (%#x), want +0", c, math.Float64bits(c))
+	}
+	if q.Insert(math.NaN()) || q.Len() != 2 {
+		t.Fatalf("a NaN offered to a full queue: kept, Len %d", q.Len())
+	}
+	q.Insert(-1)
+	q.Insert(-2)
+	if c := q.Cutoff(); c != -1 {
+		t.Fatalf("after −1 and −2 displaced the zeros: Cutoff %g, want −1", c)
+	}
+	q.Release()
+
+	one := NewDistanceQueue(1)
+	one.Insert(5)
+	if !one.Insert(negZero) || math.Float64bits(one.Cutoff()) != 0 {
+		t.Fatalf("−0 replacing the root of a full queue: Cutoff %g (%#x), want +0", one.Cutoff(), math.Float64bits(one.Cutoff()))
+	}
+	one.Release()
 }
 
 // FuzzDistanceQueue is TestDistanceQueueMatchesHeapReference over
 // arbitrary offer sequences: after every offer, Insert's result and the
 // Cutoff bits equal the Heap-based queue's. k is 1 + k16 mod 1024. raw
 // is read offer by offer: a byte below len(fuzzOffers) offers that
-// table's value, so ties, ±0, NaN and ±Inf come often; any other byte
-// is followed by the eight bytes of the offer itself (little endian),
-// whatever they hold.
+// table's value, so ties, zeros and ±Inf come often; any other byte is
+// followed by the eight bytes of the offer itself (little endian),
+// whatever they hold. NaN and −0 offers are skipped: the queue rejects
+// the one and holds the other as +0, which the reference does not.
 func FuzzDistanceQueue(f *testing.F) {
 	le := binary.LittleEndian
 	raw := func(vals ...float64) []byte {
@@ -422,6 +478,7 @@ func FuzzDistanceQueue(f *testing.F) {
 	f.Add(uint16(6), []byte{10, 9, 9, 8, 11, 12, 12, 13, 3, 4, 3, 4, 5, 6, 5, 0, 2, 1, 1, 14, 15})
 	f.Add(uint16(3), raw(0.5, -0.25, math.NaN(), 1e300, math.SmallestNonzeroFloat64, -math.MaxFloat64, 0.5, 0.125))
 	f.Add(uint16(999), append(raw(math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000001)), 3, 4, 11, 12))
+	f.Add(uint16(1), raw(-math.MaxFloat64, math.MaxFloat64, 1, 0.5, math.SmallestNonzeroFloat64, 2, 0.25))
 	f.Fuzz(func(t *testing.T, k16 uint16, raw []byte) {
 		k := 1 + int(k16)%1024
 		got, want := NewDistanceQueue(k), newHeapDistanceQueue(k)
@@ -434,6 +491,9 @@ func FuzzDistanceQueue(f *testing.F) {
 				d, raw = math.Float64frombits(le.Uint64(raw[1:])), raw[9:]
 			} else {
 				break
+			}
+			if !referenceOffer(d) {
+				continue
 			}
 			if g, w := got.Insert(d), want.Insert(d); g != w {
 				t.Fatalf("k=%d offer %d (%g, %#x): Insert = %v, reference %v", k, i, d, math.Float64bits(d), g, w)
@@ -471,9 +531,10 @@ func TestDistanceQueueInsertAllocs(t *testing.T) {
 }
 
 // TestDistanceQueueRelease: Release empties the queue and gives its
-// array back once, however often it is called; the queue is then a
-// fresh one, taking a new array at its next Insert, and a query on a
-// warm pool fills all k slots without allocating.
+// arrays back once, however often it is called; the queue is then a
+// fresh one, taking new arrays at its next Insert, and a query on a
+// warm pool fills all k slots, lays its buckets out and keeps offers
+// without allocating.
 func TestDistanceQueueRelease(t *testing.T) {
 	const k = 500
 	q := NewDistanceQueue(k)
@@ -488,15 +549,15 @@ func TestDistanceQueueRelease(t *testing.T) {
 	}
 	q.Release()
 	q.Release()
-	if q.Len() != 0 || !math.IsInf(q.Cutoff(), 1) || q.slab != nil {
-		t.Fatalf("after Release: Len %d, Cutoff %g, array held %v", q.Len(), q.Cutoff(), q.slab != nil)
+	if q.Len() != 0 || !math.IsInf(q.Cutoff(), 1) || q.slab != nil || q.K() != k {
+		t.Fatalf("after Release: Len %d, Cutoff %g, K %d, arrays held %v", q.Len(), q.Cutoff(), q.K(), q.slab != nil)
 	}
-	seen := map[*[]float64]bool{}
-	var taken []*[]float64
+	seen := map[*distSlab]bool{}
+	var taken []*distSlab
 	for i := 0; i < 16; i++ {
-		s := distSlabs.Get().(*[]float64)
+		s := distSlabs.Get().(*distSlab)
 		if seen[s] {
-			t.Fatal("an array was given back twice")
+			t.Fatal("arrays were given back twice")
 		}
 		seen[s] = true
 		taken = append(taken, s)
@@ -545,29 +606,30 @@ func TestKthTrackerRelease(t *testing.T) {
 	}
 }
 
-// BenchmarkDistanceQueueInsert times one offer to a full queue. reject
-// offers uniform random distances, which after warm-up almost never
-// beat the cutoff: the cost of one comparison. accept offers
-// Cutoff·(1−ε·u), which is always kept. The first of them settle next
-// to the root, but within a few k offers the retained distances crowd
-// into a band just under the cutoff and an offer sifts deep among them
-// (7.9 levels on average at k=1000, 10.1 at k=10000): the cost of a
-// sift over distances no join retains. join offers distances uniform in
-// [0, Cutoff()), kept and spread over the whole range as a join's are
-// (a sweep delivers pairs anywhere within the cutoff; 8.0 and 11.4
-// levels): the cost of a join's sift. Such offers shrink the cutoff
-// towards zero, so every k offers the queue gets its first distances
-// back, untimed.
+// BenchmarkDistanceQueueInsert times one offer to a full queue, through
+// the public API only. reject offers uniform random distances, which
+// after warm-up almost never beat the cutoff: the cost of one
+// comparison. accept offers Cutoff·(1−ε·u), which is always kept and
+// crowds the retained distances into a band just under the cutoff: the
+// cost of an offer among distances no join retains. join offers
+// distances uniform in [0, Cutoff()), kept and spread over the whole
+// range as a join's are (a sweep delivers pairs anywhere within the
+// cutoff): the cost of a join's offer. Such offers shrink the cutoff
+// towards zero, so every k offers the queue is released and refilled
+// with k fresh uniform distances, untimed.
 func BenchmarkDistanceQueueInsert(b *testing.B) {
 	const eps = 1e-3
 	for _, mode := range []string{"reject", "accept", "join"} {
-		for _, k := range []int{1000, 10000} {
+		for _, k := range []int{100, 1000, 10000} {
 			b.Run(fmt.Sprintf("%s/k=%d", mode, k), func(b *testing.B) {
 				q := NewDistanceQueue(k)
 				rng := rand.New(rand.NewSource(1))
-				for i := 0; i < k; i++ {
-					q.Insert(rng.Float64())
+				fill := func() {
+					for i := 0; i < k; i++ {
+						q.Insert(rng.Float64())
+					}
 				}
+				fill()
 				b.ResetTimer()
 				switch mode {
 				case "reject":
@@ -579,16 +641,18 @@ func BenchmarkDistanceQueueInsert(b *testing.B) {
 						q.Insert(q.Cutoff() * (1 - eps*rng.Float64()))
 					}
 				default:
-					first := slices.Clone(q.items)
 					for i := 0; i < b.N; i++ {
 						if i%k == k-1 {
 							b.StopTimer()
-							copy(q.items, first)
+							q.Release()
+							fill()
 							b.StartTimer()
 						}
 						q.Insert(q.Cutoff() * rng.Float64())
 					}
 				}
+				b.StopTimer()
+				q.Release()
 			})
 		}
 	}

@@ -165,44 +165,52 @@ func TestDeleteNonexistent(t *testing.T) {
 }
 
 func TestMixedInsertDeleteProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	const seed = 4
+	rng := rand.New(rand.NewSource(seed))
 	b, _ := NewBuilder(6)
-	live := map[int64]geom.Rect{}
-	next := int64(0)
+	// ids lists the live objects; rects[id] is each one's rectangle.
+	// The victim of a delete is drawn from ids, so a failure replays.
+	var ids []int64
+	var rects []geom.Rect
 	for op := 0; op < 3000; op++ {
-		if rng.Intn(3) != 0 || len(live) == 0 {
+		if rng.Intn(3) != 0 || len(ids) == 0 {
 			x, y := rng.Float64()*100, rng.Float64()*100
 			r := geom.NewRect(x, y, x+rng.Float64(), y+rng.Float64())
-			b.Insert(r, next)
-			live[next] = r
-			next++
+			id := int64(len(rects))
+			b.Insert(r, id)
+			rects = append(rects, r)
+			ids = append(ids, id)
 		} else {
-			// Delete a random live object.
-			for obj, r := range live {
-				if !b.Delete(r, obj) {
-					t.Fatalf("op %d: failed to delete live object %d", op, obj)
-				}
-				delete(live, obj)
-				break
+			i := rng.Intn(len(ids))
+			obj := ids[i]
+			if !b.Delete(rects[obj], obj) {
+				t.Fatalf("seed %d op %d: failed to delete live object %d", seed, op, obj)
 			}
+			ids[i] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
 		}
 		if op%211 == 0 {
 			if err := b.checkInvariants(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
-			if b.Size() != len(live) {
-				t.Fatalf("op %d: size %d != live %d", op, b.Size(), len(live))
+			if b.Size() != len(ids) {
+				t.Fatalf("seed %d op %d: size %d != live %d", seed, op, b.Size(), len(ids))
 			}
 		}
 	}
-	// Everything still findable.
+	// Everything still findable, and nothing deleted.
 	found := map[int64]bool{}
 	b.Search(b.Bounds(), func(it Item) bool {
 		found[it.Obj] = true
 		return true
 	})
-	if len(found) != len(live) {
-		t.Fatalf("found %d, want %d", len(found), len(live))
+	for _, id := range ids {
+		if !found[id] {
+			t.Fatalf("seed %d: live object %d not found", seed, id)
+		}
+	}
+	if len(found) != len(ids) {
+		t.Fatalf("seed %d: found %d, want %d", seed, len(found), len(ids))
 	}
 }
 
