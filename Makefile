@@ -33,7 +33,7 @@ SIM_POINTS ?= 4
 # Continuous-benchmark knobs: the committed baseline was produced with
 # these values, so candidates must use the same ones to be comparable.
 BENCH_SCALE ?= 0.02
-BENCH_BASELINE ?= BENCH_37.json
+BENCH_BASELINE ?= BENCH_39.json
 BENCH_NEW ?= bench-new.json
 BENCH_THRESHOLD ?= 0.25
 
@@ -85,14 +85,20 @@ allow-report: $(VETTOOL)
 # inliner's budget turns every comparison into a call and the heap
 # slows down without failing a test; this target fails instead. Sites
 # are counted once each, however often the compiler inlines the sift
-# around them. INLINE_PINS names two more calls that must inline into
-# the body of their caller, as file:caller:callee: the distance queue's
+# around them. INLINE_PINS names more calls that must inline into the
+# body of their caller, as file:caller:callee: the distance queue's
 # Cutoff into the cutoff tracker's, which a sweep reads after every
-# delivery, and the spill route's table lookup into the queue's spill.
+# delivery; the spill route's table lookup into the queue's spill; the
+# restriction's per-entry test, beyond, into the survivor-span scan and
+# the compaction loop; and the clip of a pair's rectangles to the
+# restriction region, sweep.Clip, into restrictRegion.
 INLINE_SITES := heap.go:3 pool.go:1
 INLINE_PINS := \
 	internal/join/cutoff.go:'func (t *cutoffTracker) Cutoff()':'pqueue.(*DistanceQueue).Cutoff' \
-	internal/hybridq/queue.go:'func (q *Queue) spill(':'(*Queue).routed'
+	internal/hybridq/queue.go:'func (q *Queue) spill(':'(*Queue).routed' \
+	internal/join/planesweep.go:'func survivorSpan(':'beyond' \
+	internal/join/planesweep.go:'func restrictInto(':'beyond' \
+	internal/join/planesweep.go:'func restrictRegion(':'sweep.Clip'
 
 inline-check:
 	@out="$$($(GO) build -gcflags=-m ./internal/hybridq ./internal/join 2>&1)" || { printf '%s\n' "$$out" >&2; exit 1; }; \

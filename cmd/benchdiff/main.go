@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchdiff -old BENCH_37.json -new bench-new.json [-threshold 0.25]
+//	benchdiff -old BENCH_39.json -new bench-new.json [-threshold 0.25]
 //	          [-abs-floor 64] [-q]
 //
 // Gating logic (see internal/benchrec): the deterministic cost

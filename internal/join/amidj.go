@@ -131,7 +131,7 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 		if cur < p.LeftRect.MaxDist(p.RightRect) {
 			plan := run.plan
 			if run.emptied {
-				plan = c.choosePlan(p, cur)
+				plan = c.choosePlan(p, cur, cur)
 			}
 			it.compMap[key] = &compInfo{pair: *p, plan: plan, examCutoff: cur}
 			it.compOrder = append(it.compOrder, key)

@@ -211,14 +211,16 @@ type expander struct {
 	soaL, soaR rtree.NodeSoA   // reused SoA decode buffers, where the tree lends no node of its own
 	sorter     sweep.SoASorter // reused sweep-order sorter (memo misses only)
 	run        sweepRun        // reused sweep state, handed out by expansion
-	distBuf    []float64       // reused batch distance kernel output
+	distBuf    []float64       // reused batch distance kernel output (see distScratch)
 	res        *restrictedCols // pooled restricted columns (see sweepRun.restrict); nil until first used
 	batchTail  bool            // the query's Ablation.BatchTail (see plantBatchTail)
 }
 
 // distScratch returns a length-n float64 scratch slice, growing the
 // expander's reusable buffer when needed. The slice is only valid
-// until the next distScratch call on this expander.
+// until the next distScratch call on this expander. A query's buffer
+// comes with its pooled restricted columns (newContext) and goes
+// back with them (releaseRestricted), so a warm query grows it no more.
 func (e *expander) distScratch(n int) []float64 {
 	if cap(e.distBuf) < n {
 		e.distBuf = make([]float64, n)
@@ -269,6 +271,7 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 		ctx.est = model
 	}
 	ctx.ex = expander{c: ctx, mc: opts.Metrics, batchTail: opts.Ablation.BatchTail}
+	ctx.ex.distBuf = ctx.ex.restricted().dist
 	ctx.pushFn = ctx.push
 	rho := model.Rho()
 	if opts.Ablation.NoQueueModel {
@@ -399,6 +402,26 @@ func (e *expander) sideSoA(tree *rtree.Tree, ref uint64, isObj bool, rect geom.R
 func levelError(ref uint64, n *rtree.NodeSoA) error {
 	return fmt.Errorf("%w: page %d claims level %d, its parent's entry level %d",
 		rtree.ErrCorruptNode, refPage(ref), n.Level, refLevel(ref))
+}
+
+// keyError reports, as rtree.ErrCorruptNode, a node read from page ref
+// that has an entry with a NaN coordinate or a lower bound above its
+// upper bound on either axis: such a node cannot be put in a sweep
+// order. tailStart's binary search, windowEnd and the merge need a key
+// column in sweep order and free of NaN, and a NaN sorts nowhere; a
+// Builder or Pack never writes either kind of entry, so only a damaged
+// page holds one. Infinite coordinates are valid. The check runs once
+// per (page, plan) sort from page order, before the sorted node can be
+// published to the sweep-order memo.
+func keyError(ref uint64, n *rtree.NodeSoA) error {
+	minX, minY, maxX, maxY := n.MinX, n.MinY[:len(n.MinX)], n.MaxX[:len(n.MinX)], n.MaxY[:len(n.MinX)]
+	for i := range minX {
+		if !(minX[i] <= maxX[i]) || !(minY[i] <= maxY[i]) {
+			return fmt.Errorf("%w: page %d entry %d has rectangle [%g, %g]x[%g, %g]",
+				rtree.ErrCorruptNode, refPage(ref), i, minX[i], maxX[i], minY[i], maxY[i])
+		}
+	}
+	return nil
 }
 
 // stampChildLevels rewrites an internal node's child page IDs into

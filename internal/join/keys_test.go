@@ -1,0 +1,172 @@
+package join
+
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+
+	"distjoin/internal/datagen"
+	"distjoin/internal/geom"
+	"distjoin/internal/rtree"
+	"distjoin/internal/storage"
+)
+
+// TestKeyErrorRule: keyError accepts every entry whose bounds are
+// ordered, infinite ones included, and rejects a NaN in any of the four
+// coordinates and a lower bound above the upper on either axis, as
+// rtree.ErrCorruptNode.
+func TestKeyErrorRule(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	sound := []geom.Rect{
+		{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
+		{MinX: -inf, MinY: -inf, MaxX: -inf, MaxY: -inf},
+		{MinX: inf, MinY: inf, MaxX: inf, MaxY: inf},
+		{MinX: -inf, MinY: 3, MaxX: inf, MaxY: 3},
+	}
+	node := func(rs ...geom.Rect) *rtree.NodeSoA {
+		var n rtree.NodeSoA
+		n.Reset(len(rs))
+		for i, r := range rs {
+			n.MinX[i], n.MinY[i], n.MaxX[i], n.MaxY[i] = r.MinX, r.MinY, r.MaxX, r.MaxY
+		}
+		return &n
+	}
+	if err := keyError(0, node(sound...)); err != nil {
+		t.Fatalf("sound entries rejected: %v", err)
+	}
+	if err := keyError(0, node()); err != nil {
+		t.Fatalf("empty node rejected: %v", err)
+	}
+	for _, bad := range []geom.Rect{
+		{MinX: nan, MinY: 0, MaxX: 1, MaxY: 1},
+		{MinX: 0, MinY: nan, MaxX: 1, MaxY: 1},
+		{MinX: 0, MinY: 0, MaxX: nan, MaxY: 1},
+		{MinX: 0, MinY: 0, MaxX: 1, MaxY: nan},
+		{MinX: 2, MinY: 0, MaxX: 1, MaxY: 1},
+		{MinX: 0, MinY: 2, MaxX: 1, MaxY: 1},
+		{MinX: inf, MinY: 0, MaxX: -inf, MaxY: 1},
+	} {
+		for _, n := range []*rtree.NodeSoA{node(bad), node(append(append([]geom.Rect(nil), sound...), bad)...)} {
+			if err := keyError(0, n); !errors.Is(err, rtree.ErrCorruptNode) {
+				t.Fatalf("%d entries ending in %v: error %v, want rtree.ErrCorruptNode", n.Len(), bad, err)
+			}
+		}
+	}
+}
+
+// TestDamagedKeysFailClosed writes a NaN coordinate, or an inverted
+// interval, into an entry of a packed tree's root page and reopens the
+// store behind a cold pool: every sweeping join expands the root pair
+// first, sorts the damaged node from page order there, and must return
+// rtree.ErrCorruptNode and no pair. A one-object tree, whose root is a
+// leaf of one entry that no sort would move, is held to the same rule.
+func TestDamagedKeysFailClosed(t *testing.T) {
+	w := geom.NewRect(0, 0, 1000, 1000)
+	many := datagen.Uniform(rand.New(rand.NewSource(3901)).Int63(), 300, w, 10)
+	one := many[:1]
+	const pageSize = 1024
+	pack := func(items []rtree.Item) *storage.MemStore {
+		store := storage.NewMemStore(pageSize)
+		buildTreeOnStore(t, items, store)
+		return store
+	}
+	// damaged packs items, lets damage rewrite the first entry's MBR
+	// (MinX, MinY, MaxX, MaxY) in the root page and reopens the store.
+	damaged := func(items []rtree.Item, damage func(mbr []float64)) *rtree.Tree {
+		store := pack(items)
+		tree, err := rtree.Open(store, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := make([]byte, pageSize)
+		if err := store.ReadPage(tree.Root(), page); err != nil {
+			t.Fatal(err)
+		}
+		const firstEntry = 8
+		mbr := make([]float64, 4)
+		for i := range mbr {
+			mbr[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[firstEntry+8*i:]))
+		}
+		damage(mbr)
+		for i, v := range mbr {
+			binary.LittleEndian.PutUint64(page[firstEntry+8*i:], math.Float64bits(v))
+		}
+		if err := store.WritePage(tree.Root(), page); err != nil {
+			t.Fatal(err)
+		}
+		if tree, err = rtree.Open(store, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	sound := func(items []rtree.Item) *rtree.Tree {
+		tree, err := rtree.Open(pack(items), 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	joins := []struct {
+		name string
+		run  func(l, r *rtree.Tree) (int, error)
+	}{
+		{"AM-KDJ", func(l, r *rtree.Tree) (int, error) {
+			res, err := AMKDJ(l, r, 50, Options{})
+			return len(res), err
+		}},
+		{"B-KDJ", func(l, r *rtree.Tree) (int, error) {
+			res, err := BKDJ(l, r, 50, Options{})
+			return len(res), err
+		}},
+		{"AM-IDJ", func(l, r *rtree.Tree) (int, error) {
+			it, err := AMIDJ(l, r, Options{BatchK: 20})
+			if err != nil {
+				return 0, err
+			}
+			defer it.Close()
+			n := 0
+			for n < 50 {
+				if _, ok := it.Next(); !ok {
+					break
+				}
+				n++
+			}
+			return n, it.Err()
+		}},
+		{"WithinJoin", func(l, r *rtree.Tree) (int, error) {
+			n := 0
+			err := WithinJoin(l, r, 2000, Options{}, func(Result) bool { n++; return true })
+			return n, err
+		}},
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name   string
+		items  []rtree.Item
+		damage func(mbr []float64)
+	}{
+		{"NaN MinX", many, func(m []float64) { m[0] = nan }},
+		{"NaN MaxY", many, func(m []float64) { m[3] = nan }},
+		{"MinX above MaxX", many, func(m []float64) { m[0], m[2] = m[2]+1, m[0] }},
+		{"one-entry leaf, NaN MinY", one, func(m []float64) { m[1] = nan }},
+	} {
+		for _, side := range []string{"left", "right"} {
+			for _, j := range joins {
+				t.Run(tc.name+"/"+side+"/"+j.name, func(t *testing.T) {
+					l, r := sound(many), sound(many)
+					if side == "left" {
+						l = damaged(tc.items, tc.damage)
+					} else {
+						r = damaged(tc.items, tc.damage)
+					}
+					n, err := j.run(l, r)
+					if !errors.Is(err, rtree.ErrCorruptNode) || n != 0 {
+						t.Fatalf("error %v and %d pairs, want rtree.ErrCorruptNode and none", err, n)
+					}
+				})
+			}
+		}
+	}
+}

@@ -437,12 +437,18 @@ func restrictInto(dst, src *rtree.NodeSoA, bound geom.Rect, t float64, lo, hi in
 	return dst
 }
 
-// restrictedCols holds the surviving entries of a restricted sweep's
-// two sides. A query takes one from restrictedPool at its first
-// restriction (expander.restricted) and endQuery gives it back. It holds
-// no pointers beyond its own columns, which keep the size of the largest
-// node they held.
-type restrictedCols struct{ l, r rtree.NodeSoA }
+// restrictedCols holds the columns a query's sweeps write: the
+// surviving entries of a restricted sweep's two sides, and, while no
+// query holds it, the batch distance kernel's output buffer
+// (expander.distScratch). A query takes one from restrictedPool as its
+// context is made, or a hand-built expander at its first restriction
+// (expander.restricted), and endQuery gives it back. It holds no
+// pointers beyond its own columns, which keep the size of the largest
+// node or window they held, so a warm query grows none of them.
+type restrictedCols struct {
+	l, r rtree.NodeSoA
+	dist []float64
+}
 
 var restrictedPool = sync.Pool{New: func() any { return new(restrictedCols) }}
 
@@ -455,10 +461,11 @@ func (e *expander) restricted() *restrictedCols {
 	return e.res
 }
 
-// releaseRestricted gives the query's restricted columns back to the
-// pool.
+// releaseRestricted gives the query's restricted columns, with its
+// distance buffer, back to the pool.
 func (e *expander) releaseRestricted() {
 	if e.res != nil {
+		e.res.dist, e.distBuf = e.distBuf, nil
 		restrictedPool.Put(e.res)
 		e.res = nil
 	}
@@ -618,9 +625,10 @@ func minDistOriented(anchorFromL bool, anchor, other geom.Rect) float64 {
 // entries in SoA form, their kind, and the sweep plan (per-pair axis
 // and direction selection of §3.2/§3.3 under cutoff, or the fixed policy
 // for the ablation). real is the real-distance cutoff the run will start
-// from, the one its restriction applies. The returned run is the
-// expander's reusable scratch: it, and the nodes it points at, are valid
-// until the expander's next expansion.
+// from, the one its restriction applies; the plan is chosen from the
+// region that restriction keeps entries in (choosePlan). The returned
+// run is the expander's reusable scratch: it, and the nodes it points
+// at, are valid until the expander's next expansion.
 //
 // The plan is chosen only for a run that will sweep. When a side may
 // drop entries under real, the expansion first decides the restriction
@@ -655,7 +663,7 @@ func (e *expander) expand(p *hybridq.Pair, plan sweep.Plan, planned bool, cutoff
 	if !planned {
 		_, lDrop, rDrop := dropRule(p.LeftRect, p.RightRect, real)
 		if test = lDrop || rDrop; !test {
-			plan = c.choosePlan(p, cutoff)
+			plan = c.choosePlan(p, cutoff, real)
 		}
 	}
 	ln, lPlan, err := l.open(e, c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL, plan, test)
@@ -675,7 +683,7 @@ func (e *expander) expand(p *hybridq.Pair, plan sweep.Plan, planned bool, cutoff
 			run.axisN, run.emptied = rs.axisN, true
 			return run, nil
 		}
-		plan = c.choosePlan(p, cutoff)
+		plan = c.choosePlan(p, cutoff, real)
 		if ln, err = l.sorted(e, plan); err != nil {
 			return nil, err
 		}
@@ -753,7 +761,10 @@ func (sd *pairSide) anyOrder(e *expander) (*rtree.NodeSoA, sweep.Plan, error) {
 // In the last two cases the finished scratch is offered back to the
 // tree, which keeps a copy of it if it has room for decoded nodes and
 // the permutation otherwise. A node already in plan's order, and an
-// object side, are returned as they are.
+// object side, are returned as they are. A node sorted from page order
+// is first held to the precondition of the sweep's key columns
+// (keyError), whatever its length; one decoded through a remembered
+// permutation was held to it when that permutation was made.
 func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error) {
 	slot := plan.Slot()
 	if sd.obj || sd.n != nil && sd.slot == slot {
@@ -767,6 +778,13 @@ func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error)
 		return nil, levelError(sd.ref, n)
 	}
 	if n == sd.scratch {
+		if !ordered || n.Len() < 2 {
+			// Decoded in page order: Ordered calls a node of fewer than
+			// two entries ordered, since no sort would move it.
+			if err := keyError(sd.ref, n); err != nil {
+				return nil, err
+			}
+		}
 		var perm []uint16
 		if !ordered {
 			perm = e.sorter.SortTracked(n, plan)
@@ -787,20 +805,48 @@ func (sd *pairSide) childIsObj() bool { return sd.obj || sd.n.IsLeaf() }
 // expansion's one release.
 func (sd *pairSide) release() { sd.pin.Release() }
 
-// choosePlan selects the pair's sweep axis and direction (§3.2/§3.3),
-// or fixes either as the query's ablation says.
-func (c *execContext) choosePlan(p *hybridq.Pair, cutoff float64) sweep.Plan {
+// choosePlan selects the sweep axis and direction (§3.2/§3.3) of pair
+// p's run under the axis cutoff cutoff, or fixes either as the query's
+// ablation says. The plan is chosen from the pair's rectangles clipped
+// to the region its restriction under the real-distance cutoff real
+// keeps entries in (restrictRegion): those are the entries the sweep
+// meets.
+func (c *execContext) choosePlan(p *hybridq.Pair, cutoff, real float64) sweep.Plan {
+	l, r := restrictRegion(p.LeftRect, p.RightRect, real)
 	a := &c.opts.Ablation
 	switch {
 	case !a.FixedAxis && !a.FixedDirection:
-		return sweep.Choose(p.LeftRect, p.RightRect, cutoff)
+		return sweep.Choose(l, r, cutoff)
 	case !a.FixedAxis:
-		plan := sweep.Choose(p.LeftRect, p.RightRect, cutoff)
+		plan := sweep.Choose(l, r, cutoff)
 		plan.Dir = sweep.Forward
 		return plan
 	case !a.FixedDirection:
-		return sweep.Plan{Axis: 0, Dir: sweep.ChooseDirection(p.LeftRect, p.RightRect, 0)}
+		return sweep.Plan{Axis: 0, Dir: sweep.ChooseDirection(l, r, 0)}
 	default:
 		return sweep.Plan{Axis: 0, Dir: sweep.Forward}
 	}
+}
+
+// restrictRegion returns the rectangles lBound and rBound of a pair's
+// sides clipped to the region in which the restriction under the
+// real-distance cutoff real keeps entries: lBound ∩ (rBound ⊕ t) and
+// rBound ∩ (lBound ⊕ t), t the cutoff the restriction applies
+// (dropRule). The margin is t's successor, not t: the restriction keeps
+// an entry whose gap, rounded, is at most t, so the exact gap is below
+// the successor and the entry's near bound within the rounded sum or
+// difference of the other side's bound and the successor. So every
+// entry the restriction keeps intersects its side's clipped rectangle,
+// a side that may not drop (mayDrop) lies inside that region and comes
+// back as it is, and while both sides keep an entry neither rectangle
+// is inverted. Under an infinite cutoff both come back as they are.
+// The clip of a side that keeps no entry may be inverted; Choose still
+// returns a plan for it.
+func restrictRegion(lBound, rBound geom.Rect, real float64) (l, r geom.Rect) {
+	t, lDrop, rDrop := dropRule(lBound, rBound, real)
+	if !lDrop && !rDrop {
+		return lBound, rBound
+	}
+	margin := math.Float64frombits(math.Float64bits(t) + 1) // t is positive and finite
+	return sweep.Clip(lBound, rBound, margin), sweep.Clip(rBound, lBound, margin)
 }

@@ -62,6 +62,12 @@ func unionOf(rects, extra []geom.Rect) geom.Rect {
 // has a plan, to the restriction under c's plan: with the sides in the
 // orders of any two plans, it reports a side empty exactly when the
 // restriction ends the run, and counts the same axis computations.
+//
+// And it holds the rectangles the plan is chosen from (restrictRegion)
+// to the restriction: a side that may not drop (mayDrop, never under an
+// infinite cutoff) keeps its own rectangle, and when the run is not
+// ended, each clipped rectangle is neither NaN nor inverted and every
+// entry the restriction keeps intersects its side's.
 func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
 	t.Helper()
 	L, R := sweepNode(c.l, c.plan, 1000), sweepNode(c.r, c.plan, 2000)
@@ -69,6 +75,30 @@ func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
 	run := &sweepRun{e: &expander{mc: &metrics.Collector{}}, L: L, R: R, plan: c.plan, lBound: lBound, rBound: rBound}
 	run.fixCutoff(c.cut)
 	l, r, ok := run.restrict()
+	lClip, rClip := restrictRegion(lBound, rBound, c.cut)
+	_, lDrop, rDrop := dropRule(lBound, rBound, c.cut)
+	if !lDrop && lClip != lBound || !rDrop && rClip != rBound {
+		t.Fatalf("cutoff %v (%x): a side that may not drop is clipped: left %v → %v (may drop %v), right %v → %v (may drop %v)",
+			c.cut, math.Float64bits(c.cut), lBound, lClip, lDrop, rBound, rClip, rDrop)
+	}
+	if ok {
+		for _, side := range []struct {
+			name      string
+			kept      *rtree.NodeSoA
+			bound, cl geom.Rect
+		}{{"left", l, lBound, lClip}, {"right", r, rBound, rClip}} {
+			if !(side.cl.MinX <= side.cl.MaxX) || !(side.cl.MinY <= side.cl.MaxY) {
+				t.Fatalf("%s: cutoff %v (%x) clips %v to %v, NaN or inverted, yet the run goes on",
+					side.name, c.cut, math.Float64bits(c.cut), side.bound, side.cl)
+			}
+			for j := 0; j < side.kept.Len(); j++ {
+				if e := side.kept.Rect(j); !e.Intersects(side.cl) {
+					t.Fatalf("%s: kept entry %v misses the clipped rectangle %v (of %v under cutoff %v, %x)",
+						side.name, e, side.cl, side.bound, c.cut, math.Float64bits(c.cut))
+				}
+			}
+		}
+	}
 	for _, lp := range benchPlans {
 		for _, rp := range benchPlans {
 			rs := restrictionOf(sweepNode(c.l, lp, 1000), lp, sweepNode(c.r, rp, 2000), rp, lBound, rBound, c.cut)
@@ -217,6 +247,9 @@ func FuzzRestrict(f *testing.F) {
 	// Sweep-axis tails past the other side's far end, in both directions.
 	f.Add(1.0, uint8(0), uint8(4), mk(0, 0, 1, 1, 2, 0, 3, 1, 5, 0, 6, 1, 9, 0, 9, 1, 1, 0, 2, 1, 3, 0, 4, 1))
 	f.Add(1.0, uint8(1), uint8(4), mk(0, 0, 1, 1, 2, 0, 3, 1, 5, 0, 6, 1, 9, 0, 9, 1, 4, 0, 5, 1, 7, 0, 8, 1))
+	// A gap that rounds down to the cutoff: the left entry is kept, and
+	// lies past the other side's far end grown by the cutoff, rounded.
+	f.Add(1.0, uint8(0), uint8(1), mk(0.25+0x1p-54, 0, 1, 1, -1, 0, -0.75, 1))
 	f.Fuzz(func(t *testing.T, cut float64, planBits, shape uint8, raw []byte) {
 		var rects []geom.Rect
 		for len(raw) >= 32 && len(rects) < 40 {
@@ -338,7 +371,8 @@ func TestTailStartMatchesLinearScan(t *testing.T) {
 // it pair), and then with the plan a sweep would have had, so a later
 // stage re-expands it exactly as if it had swept. Every bookkept fresh
 // expansion, emptied or swept, must carry choosePlan under the stage's
-// cutoff.
+// cutoff, as axis and as real-distance cutoff: the plan of the region
+// the stage's restriction keeps (restrictRegion).
 func TestAMIDJBookkeepsEmptiedExpansions(t *testing.T) {
 	l, r := memoTestData()
 	var mc metrics.Collector
@@ -363,7 +397,7 @@ func TestAMIDJBookkeepsEmptiedExpansions(t *testing.T) {
 		if it.c.ex.run.emptied {
 			emptied++
 		}
-		if want := it.c.choosePlan(p, cur); ci.plan != want {
+		if want := it.c.choosePlan(p, cur, cur); ci.plan != want {
 			t.Fatalf("pair %v bookkept with plan %v, choosePlan under the stage's cutoff %v gives %v (emptied %v)",
 				key, ci.plan, cur, want, it.c.ex.run.emptied)
 		}

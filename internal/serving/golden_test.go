@@ -283,24 +283,24 @@ func TestRequestRecordGolden(t *testing.T) {
 		incrementalNextRequest{Cursor: open.Cursor, PageSize: 20}); rec.Code != 200 {
 		t.Fatalf("next: %d: %s", rec.Code, rec.Body)
 	}
-	if first, second := firstPage, cur.st.DistCalcs()-firstPage; first != 10516 || second != 9951 {
-		t.Errorf("the cursor's collector counted %d dist-calcs over the open and %d over the next page; the records below say 10516 and 9951", first, second)
+	if first, second := firstPage, cur.st.DistCalcs()-firstPage; first != 10119 || second != 9572 {
+		t.Errorf("the cursor's collector counted %d dist-calcs over the open and %d over the next page; the records below say 10119 and 9572", first, second)
 	}
 	mask := func(b string) string {
 		b = clockValuesRE.ReplaceAllString(b, `"$1":"<clock>"`)
 		return nextDeadlineRE.ReplaceAllString(b, `$1"<clock>"`)
 	}
 
-	const wantLog = `{"level":"WARN","msg":"request","query_id":"pin-1","family":"join/k","index":"left,right","k":5,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":9303,"comp_stages":0,"edmax_mode":"initial","results":5,"slow":true,"error":""}
+	const wantLog = `{"level":"WARN","msg":"request","query_id":"pin-1","family":"join/k","index":"left,right","k":5,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":9074,"comp_stages":0,"edmax_mode":"initial","results":5,"slow":true,"error":""}
 {"level":"WARN","msg":"request","query_id":"pin-2","family":"join/k","index":"nope,right","k":5,"status":404,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":0,"elapsed_ms":"<clock>","dist_calcs":0,"comp_stages":0,"edmax_mode":"","results":0,"slow":true,"error":"left: unknown dataset \"nope\""}
-{"level":"WARN","msg":"request","query_id":"pin-3","family":"incremental/open","index":"left,right","k":0,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":10516,"comp_stages":0,"edmax_mode":"initial","results":20,"slow":true,"error":""}
-{"level":"WARN","msg":"request","query_id":"pin-4","family":"incremental/next","index":"left,right","k":0,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":"<clock>","elapsed_ms":"<clock>","dist_calcs":9951,"comp_stages":1,"edmax_mode":"initial","results":20,"slow":true,"error":""}
+{"level":"WARN","msg":"request","query_id":"pin-3","family":"incremental/open","index":"left,right","k":0,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":10119,"comp_stages":0,"edmax_mode":"initial","results":20,"slow":true,"error":""}
+{"level":"WARN","msg":"request","query_id":"pin-4","family":"incremental/next","index":"left,right","k":0,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":"<clock>","elapsed_ms":"<clock>","dist_calcs":9572,"comp_stages":1,"edmax_mode":"initial","results":20,"slow":true,"error":""}
 `
 	if got := mask(logBuf.String()); got != wantLog {
 		t.Errorf("request log:\n got %s\nwant %s", got, wantLog)
 	}
 
-	const wantSlow = `{"threshold_ms":0,"entries":[{"query_id":"pin-1","family":"join/k","index":"left,right","k":5,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":9303,"comp_stages":0,"edmax_mode":"initial","results":5},{"query_id":"pin-2","family":"join/k","index":"nope,right","k":5,"status":404,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":0,"elapsed_ms":"<clock>","dist_calcs":0,"comp_stages":0,"results":0,"error":"left: unknown dataset \"nope\""},{"query_id":"pin-3","family":"incremental/open","index":"left,right","status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":10516,"comp_stages":0,"edmax_mode":"initial","results":20},{"query_id":"pin-4","family":"incremental/next","index":"left,right","status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":"<clock>","elapsed_ms":"<clock>","dist_calcs":9951,"comp_stages":1,"edmax_mode":"initial","results":20}]}
+	const wantSlow = `{"threshold_ms":0,"entries":[{"query_id":"pin-1","family":"join/k","index":"left,right","k":5,"status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":9074,"comp_stages":0,"edmax_mode":"initial","results":5},{"query_id":"pin-2","family":"join/k","index":"nope,right","k":5,"status":404,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":0,"elapsed_ms":"<clock>","dist_calcs":0,"comp_stages":0,"results":0,"error":"left: unknown dataset \"nope\""},{"query_id":"pin-3","family":"incremental/open","index":"left,right","status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":30000,"elapsed_ms":"<clock>","dist_calcs":10119,"comp_stages":0,"edmax_mode":"initial","results":20},{"query_id":"pin-4","family":"incremental/next","index":"left,right","status":200,"admission_wait_us":"<clock>","queue_depth_at_entry":0,"deadline_ms":"<clock>","elapsed_ms":"<clock>","dist_calcs":9572,"comp_stages":1,"edmax_mode":"initial","results":20}]}
 `
 	if got := mask(serve(t, s, bg, http.MethodGet, "/debug/slowlog", nil).Body.String()); got != wantSlow {
 		t.Errorf("/debug/slowlog:\n got %s\nwant %s", got, wantSlow)

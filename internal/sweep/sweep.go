@@ -4,6 +4,12 @@
 // configuration), selecting a sweeping direction from the projected
 // intervals (§3.3), and sorting a node's entries into the chosen sweep
 // order (soa.go).
+//
+// Choose receives the restriction region, not the expanded pair's own
+// rectangles: a join sweeps only the entries that lie within its cutoff
+// of the other side's rectangle, so it passes each side's rectangle
+// clipped to the other's grown by that cutoff (Clip), and the plan is
+// chosen for the entries the sweep will meet.
 package sweep
 
 import (
@@ -82,6 +88,28 @@ func Choose(r, s geom.Rect, cutoff float64) Plan {
 		}
 	}
 	return Plan{Axis: axis, Dir: ChooseDirection(r, s, axis)}
+}
+
+// Clip returns own ∩ (other ⊕ margin): own with each bound moved in to
+// other's, grown by margin, where that is tighter. A bound of other ⊕
+// margin that is NaN (an infinite bound grown by an opposed infinite
+// margin) moves nothing. A join passes the rectangles of an expanded
+// pair, each clipped to the region in which its restriction keeps
+// entries, to Choose.
+func Clip(own, other geom.Rect, margin float64) geom.Rect {
+	if b := other.MinX - margin; b > own.MinX {
+		own.MinX = b
+	}
+	if b := other.MinY - margin; b > own.MinY {
+		own.MinY = b
+	}
+	if b := other.MaxX + margin; b < own.MaxX {
+		own.MaxX = b
+	}
+	if b := other.MaxY + margin; b < own.MaxY {
+		own.MaxY = b
+	}
+	return own
 }
 
 func combinedSpan(r, s geom.Rect, axis int) float64 {

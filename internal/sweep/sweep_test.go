@@ -363,8 +363,11 @@ func BenchmarkIndex(b *testing.B) {
 }
 
 // BenchmarkChoose times Choose on one fixed rectangle pair (/fixed),
-// where every branch predicts, and on seeded inputs shaped like a
-// join's expansions (/expansions), where they do not.
+// where every branch predicts, on seeded inputs shaped like a join's
+// expansions (/expansions), where they do not, and on the same inputs
+// with each rectangle clipped to the other grown by the input's cutoff
+// (/clipped), as a join passes them: the clip is made untimed, as the
+// join makes it outside Choose.
 func BenchmarkChoose(b *testing.B) {
 	b.Run("fixed", func(b *testing.B) {
 		r := geom.NewRect(0, 0, 10, 20)
@@ -375,6 +378,19 @@ func BenchmarkChoose(b *testing.B) {
 	})
 	b.Run("expansions", func(b *testing.B) {
 		in := expansionInputs(b, 1<<12)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x := &in[i&(len(in)-1)]
+			planSink = Choose(x.r, x.s, x.cutoff)
+		}
+	})
+	b.Run("clipped", func(b *testing.B) {
+		in := expansionInputs(b, 1<<12)
+		for i := range in {
+			x := &in[i]
+			margin := math.Nextafter(x.cutoff, math.Inf(1))
+			x.r, x.s = Clip(x.r, x.s, margin), Clip(x.s, x.r, margin)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			x := &in[i&(len(in)-1)]
@@ -460,6 +476,30 @@ func expansionInputs(b *testing.B, n int) []chooseInput {
 		}
 	}
 	return in
+}
+
+// TestClip: Clip moves a bound of own in to other's grown by margin
+// only where that is tighter, and a grown bound that is NaN (an
+// infinite bound grown by an opposed infinite margin) moves nothing.
+func TestClip(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		own, other geom.Rect
+		margin     float64
+		want       geom.Rect
+	}{
+		{geom.NewRect(0, 0, 10, 10), geom.NewRect(4, 5, 6, 6), 1, geom.NewRect(3, 4, 7, 7)},
+		{geom.NewRect(0, 0, 10, 10), geom.NewRect(4, 5, 6, 6), 8, geom.NewRect(0, 0, 10, 10)},
+		{geom.NewRect(0, 0, 10, 10), geom.NewRect(20, -5, 30, 5), 2, geom.Rect{MinX: 18, MinY: 0, MaxX: 10, MaxY: 7}},
+		{geom.NewRect(-inf, -inf, inf, inf), geom.NewRect(0, 0, 1, 1), 2, geom.NewRect(-2, -2, 3, 3)},
+		{geom.NewRect(0, 0, 10, 10), geom.NewRect(-inf, inf, inf, inf), 1, geom.Rect{MinX: 0, MinY: inf, MaxX: 10, MaxY: 10}},
+		{geom.NewRect(0, 0, 10, 10), geom.NewRect(-inf, -inf, inf, inf), inf, geom.NewRect(0, 0, 10, 10)},
+		{geom.NewRect(0, 0, 10, 10), geom.Rect{MinX: inf, MinY: inf, MaxX: inf, MaxY: inf}, inf, geom.NewRect(0, 0, 10, 10)},
+	} {
+		if got := Clip(c.own, c.other, c.margin); got != c.want {
+			t.Errorf("Clip(%v, %v, %v) = %v, want %v", c.own, c.other, c.margin, got, c.want)
+		}
+	}
 }
 
 // TestMinMaxMatchMath holds fmin and fmax to math.Min and math.Max bit
