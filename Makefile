@@ -90,15 +90,25 @@ allow-report: $(VETTOOL)
 # Cutoff into the cutoff tracker's, which a sweep reads after every
 # delivery; the spill route's table lookup into the queue's spill; the
 # restriction's per-entry test, beyond, into the survivor-span scan and
-# the compaction loop; and the clip of a pair's rectangles to the
-# restriction region, sweep.Clip, into restrictRegion.
+# the compaction loop; the clip of a pair's rectangles to the
+# restriction region, sweep.Clip, into restrictRegion; the lookup of a
+# page's occupancy grid, PinnedNode.Grid, into the expansion's lookGrid
+# (the grid's own test, Occupancy.Misses, is twice the inliner's budget
+# and stays a call, one per tested side); and the gap test that skips
+# an anchor with an empty window, gapBeyond, into the merge. A callee
+# written !name is a call that must not appear in the caller's body at
+# all: sweepAnchor computes its window's distances inline, in one loop
+# with the filter and the delivery, and calls no geom.MinDistBatch.
 INLINE_SITES := heap.go:3 pool.go:1
 INLINE_PINS := \
 	internal/join/cutoff.go:'func (t *cutoffTracker) Cutoff()':'pqueue.(*DistanceQueue).Cutoff' \
 	internal/hybridq/queue.go:'func (q *Queue) spill(':'(*Queue).routed' \
 	internal/join/planesweep.go:'func survivorSpan(':'beyond' \
 	internal/join/planesweep.go:'func restrictInto(':'beyond' \
-	internal/join/planesweep.go:'func restrictRegion(':'sweep.Clip'
+	internal/join/planesweep.go:'func restrictRegion(':'sweep.Clip' \
+	internal/join/planesweep.go:'func (sd *pairSide) lookGrid(':'rtree.PinnedNode.Grid' \
+	internal/join/planesweep.go:'func (s *sweepRun) merge(':'gapBeyond' \
+	internal/join/planesweep.go:'func (s *sweepRun) sweepAnchor(':'!geom.MinDistBatch'
 
 inline-check:
 	@out="$$($(GO) build -gcflags=-m ./internal/hybridq ./internal/join 2>&1)" || { printf '%s\n' "$$out" >&2; exit 1; }; \
@@ -117,6 +127,11 @@ inline-check:
 	pin() { \
 		span=$$(awk -v f="$$2" 'index($$0, f) == 1 { s = NR } s && /^}/ { print s, NR; exit }' "$$1"); \
 		[ -n "$$span" ] || { echo "inline-check: no $$2 in $$1" >&2; return 1; }; \
+		case "$$3" in !*) \
+			awk -v span="$$span" -v call="$${3#!}(" 'BEGIN { split(span, b, " ") } NR >= b[1] && NR <= b[2] && index($$0, call) { hit = 1 } END { exit hit }' "$$1" \
+				|| { echo "inline-check: $${3#!} is called in the body of $$2 ... } in $$1" >&2; return 1; }; \
+			return 0;; \
+		esac; \
 		printf '%s\n' "$$out" | awk -v file="$$1" -v call="inlining call to $$3" -v span="$$span" \
 			'BEGIN { split(span, b, " ") } { n = split($$0, f, ":") } \
 			n >= 4 && f[1] == file && f[2] >= b[1] && f[2] <= b[2] && substr($$0, length($$0) - length(call) + 1) == call { hit = 1 } \
@@ -127,7 +142,7 @@ inline-check:
 		file=$${p%%:*}; rest=$${p#*:}; caller=$${rest%%:*}; callee=$${rest#*:}; \
 		pin "$$file" "$$caller" "$$callee" || rc=1; \
 	done; \
-	if [ "$$rc" -eq 0 ]; then echo "inline-check: keyLess and ordered inline at every sift and split-sort comparison; the pinned calls inline into their callers"; fi; \
+	if [ "$$rc" -eq 0 ]; then echo "inline-check: keyLess and ordered inline at every sift and split-sort comparison; the pinned calls inline into their callers, and the barred ones are absent"; fi; \
 	exit "$$rc"
 
 # Install the pinned lint toolchain (staticcheck, govulncheck,
@@ -223,6 +238,7 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrom -fuzztime=$(FUZZTIME) ./internal/datagen
 	$(GO) test -fuzz=FuzzDecodeNode -fuzztime=$(FUZZTIME) ./internal/rtree
+	$(GO) test -fuzz=FuzzOccupancy -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/rtree
 	$(GO) test -fuzz=FuzzPairRoundTrip -fuzztime=$(FUZZTIME) ./internal/hybridq
 	$(GO) test -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/geom
 	$(GO) test -fuzz=FuzzIndex -fuzztime=$(FUZZTIME) ./internal/sweep

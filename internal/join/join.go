@@ -74,7 +74,8 @@ type Ablation struct {
 	// BatchTail overwrites the last distance of every batched distance
 	// computation with the one before it, as a vectorized kernel that
 	// handles the tail of a slice one element short would: a planted
-	// bug in the sweeps' and HS expansion's batched distances.
+	// bug in the distances of the sweeps' fixed-cutoff windows and of
+	// HS expansion's batches.
 	BatchTail bool
 }
 
@@ -211,7 +212,7 @@ type expander struct {
 	soaL, soaR rtree.NodeSoA   // reused SoA decode buffers, where the tree lends no node of its own
 	sorter     sweep.SoASorter // reused sweep-order sorter (memo misses only)
 	run        sweepRun        // reused sweep state, handed out by expansion
-	distBuf    []float64       // reused batch distance kernel output (see distScratch)
+	distBuf    []float64       // reused batch distance kernel output of HS expansions (see distScratch)
 	res        *restrictedCols // pooled restricted columns (see sweepRun.restrict); nil until first used
 	batchTail  bool            // the query's Ablation.BatchTail (see plantBatchTail)
 }
@@ -229,8 +230,9 @@ func (e *expander) distScratch(n int) []float64 {
 }
 
 // plantBatchTail follows every geom.MinDistBatch call of the engine's
-// expansions: the one place Ablation.BatchTail plants its bug in the
-// distances just computed. It is small enough to inline, so the paper's
+// expansions (HS's): the place Ablation.BatchTail plants its bug in the
+// distances just computed; a sweep's fixed window plants it in its own
+// loop (sweepRun.window). It is small enough to inline, so the paper's
 // algorithm pays one predictable branch per batch.
 func (e *expander) plantBatchTail(dst []float64) {
 	if n := len(dst); n >= 2 && e.batchTail {
@@ -402,26 +404,6 @@ func (e *expander) sideSoA(tree *rtree.Tree, ref uint64, isObj bool, rect geom.R
 func levelError(ref uint64, n *rtree.NodeSoA) error {
 	return fmt.Errorf("%w: page %d claims level %d, its parent's entry level %d",
 		rtree.ErrCorruptNode, refPage(ref), n.Level, refLevel(ref))
-}
-
-// keyError reports, as rtree.ErrCorruptNode, a node read from page ref
-// that has an entry with a NaN coordinate or a lower bound above its
-// upper bound on either axis: such a node cannot be put in a sweep
-// order. tailStart's binary search, windowEnd and the merge need a key
-// column in sweep order and free of NaN, and a NaN sorts nowhere; a
-// Builder or Pack never writes either kind of entry, so only a damaged
-// page holds one. Infinite coordinates are valid. The check runs once
-// per (page, plan) sort from page order, before the sorted node can be
-// published to the sweep-order memo.
-func keyError(ref uint64, n *rtree.NodeSoA) error {
-	minX, minY, maxX, maxY := n.MinX, n.MinY[:len(n.MinX)], n.MaxX[:len(n.MinX)], n.MaxY[:len(n.MinX)]
-	for i := range minX {
-		if !(minX[i] <= maxX[i]) || !(minY[i] <= maxY[i]) {
-			return fmt.Errorf("%w: page %d entry %d has rectangle [%g, %g]x[%g, %g]",
-				rtree.ErrCorruptNode, refPage(ref), i, minX[i], maxX[i], minY[i], maxY[i])
-		}
-	}
-	return nil
 }
 
 // stampChildLevels rewrites an internal node's child page IDs into

@@ -13,8 +13,9 @@ import (
 	"distjoin/internal/storage"
 )
 
-// TestKeyErrorRule: keyError accepts every entry whose bounds are
-// ordered, infinite ones included, and rejects a NaN in any of the four
+// TestKeyErrorRule: rtree.KeyError, the rule the joins and the
+// descents share, accepts every entry whose bounds are ordered,
+// infinite ones included, and rejects a NaN in any of the four
 // coordinates and a lower bound above the upper on either axis, as
 // rtree.ErrCorruptNode.
 func TestKeyErrorRule(t *testing.T) {
@@ -33,10 +34,10 @@ func TestKeyErrorRule(t *testing.T) {
 		}
 		return &n
 	}
-	if err := keyError(0, node(sound...)); err != nil {
+	if err := rtree.KeyError(0, node(sound...)); err != nil {
 		t.Fatalf("sound entries rejected: %v", err)
 	}
-	if err := keyError(0, node()); err != nil {
+	if err := rtree.KeyError(0, node()); err != nil {
 		t.Fatalf("empty node rejected: %v", err)
 	}
 	for _, bad := range []geom.Rect{
@@ -49,7 +50,7 @@ func TestKeyErrorRule(t *testing.T) {
 		{MinX: inf, MinY: 0, MaxX: -inf, MaxY: 1},
 	} {
 		for _, n := range []*rtree.NodeSoA{node(bad), node(append(append([]geom.Rect(nil), sound...), bad)...)} {
-			if err := keyError(0, n); !errors.Is(err, rtree.ErrCorruptNode) {
+			if err := rtree.KeyError(0, n); !errors.Is(err, rtree.ErrCorruptNode) {
 				t.Fatalf("%d entries ending in %v: error %v, want rtree.ErrCorruptNode", n.Len(), bad, err)
 			}
 		}
@@ -62,6 +63,8 @@ func TestKeyErrorRule(t *testing.T) {
 // first, sorts the damaged node from page order there, and must return
 // rtree.ErrCorruptNode and no pair. A one-object tree, whose root is a
 // leaf of one entry that no sort would move, is held to the same rule.
+// So are the single-tree descents, which read the root first
+// (rtree.Tree.Search, NearestNeighbors), and AllNearest, which runs both.
 func TestDamagedKeysFailClosed(t *testing.T) {
 	w := geom.NewRect(0, 0, 1000, 1000)
 	many := datagen.Uniform(rand.New(rand.NewSource(3901)).Int63(), 300, w, 10)
@@ -140,6 +143,28 @@ func TestDamagedKeysFailClosed(t *testing.T) {
 			err := WithinJoin(l, r, 2000, Options{}, func(Result) bool { n++; return true })
 			return n, err
 		}},
+		// The facade's AllNearest: the left tree's Search, and one
+		// NearestNeighbors descent of the right tree per left object.
+		{"AllNearest", func(l, r *rtree.Tree) (int, error) {
+			n := 0
+			err := AllNearest(l, r, Options{}, func(Result) bool { n++; return true })
+			return n, err
+		}},
+	}
+	// descents run on the damaged tree alone.
+	descents := []struct {
+		name string
+		run  func(tr *rtree.Tree) (int, error)
+	}{
+		{"Search", func(tr *rtree.Tree) (int, error) {
+			n := 0
+			err := tr.Search(tr.Bounds(), nil, func(rtree.Item) bool { n++; return true })
+			return n, err
+		}},
+		{"NearestNeighbors", func(tr *rtree.Tree) (int, error) {
+			ns, err := tr.NearestNeighbors(tr.Bounds(), 50, nil)
+			return len(ns), err
+		}},
 	}
 	nan := math.NaN()
 	for _, tc := range []struct {
@@ -167,6 +192,14 @@ func TestDamagedKeysFailClosed(t *testing.T) {
 					}
 				})
 			}
+		}
+		for _, d := range descents {
+			t.Run(tc.name+"/"+d.name, func(t *testing.T) {
+				n, err := d.run(damaged(tc.items, tc.damage))
+				if !errors.Is(err, rtree.ErrCorruptNode) || n != 0 {
+					t.Fatalf("error %v and %d results, want rtree.ErrCorruptNode and none", err, n)
+				}
+			})
 		}
 	}
 }

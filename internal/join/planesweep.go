@@ -54,8 +54,12 @@ type sweepSide struct {
 //   - fixCutoff(c): the cutoff is a constant for the whole sweep
 //     (aggressive stages, AM-IDJ stages, within-joins). The candidate
 //     window of an anchor is then independent of emission, so the scan
-//     finds the whole window first and computes its distances with one
-//     geom.MinDistBatch call over the coordinate columns.
+//     finds the whole window first, then measures, filters and delivers
+//     its candidates in one loop over the coordinate columns (window),
+//     with the batch kernel's arithmetic inline. Most windows hold one
+//     candidate or none, so the per-anchor cost is what counts: an
+//     anchor of a fresh run whose first gap exceeds the cutoff is
+//     counted and passed over by the merge itself.
 //   - liveCutoff(f): the cutoff tightens as emissions feed the
 //     distance queue (B-KDJ, AM-KDJ compensation). The scan stays
 //     interleaved — cutoff, distance, emit per candidate — because the
@@ -84,7 +88,7 @@ type sweepSide struct {
 // entry whose axis gap to the other side's bounding rectangle (lBound,
 // rBound: the expanded pair's rectangles, which enclose every entry of
 // their side) exceeds the real-distance cutoff then in force; the
-// merge, windowEnd, scanBand and the batch kernel run on the survivors,
+// merge, windowEnd, scanBand and the distance loop run on the survivors,
 // compacted in sweep order (see restrict). No pair is lost and none
 // moves. A dropped entry is at least its gap from every entry of the
 // other side, beyond a cutoff that only tightens within the run, so no
@@ -108,7 +112,7 @@ type sweepRun struct {
 	e          *expander
 	L, R       *rtree.NodeSoA // the expanded nodes; the sweep reads left.n, right.n (see restrict)
 	plan       sweep.Plan
-	axisCutoff func() float64 // dynamic cutoff; nil selects the fixed batch path
+	axisCutoff func() float64 // dynamic cutoff; nil selects the fixed window path
 	cutoff     float64        // fixed axis cutoff, valid when axisCutoff is nil
 	realCutoff func() float64 // live real-distance cutoff; nil leaves realNow fixed
 	realNow    float64        // the real-distance cutoff in force (see pass)
@@ -127,7 +131,7 @@ type sweepRun struct {
 }
 
 // fixCutoff declares c the axis and real-distance cutoff for the whole
-// sweep, selecting the batched candidate scan.
+// sweep, selecting the windowed candidate scan.
 func (s *sweepRun) fixCutoff(c float64) {
 	s.axisCutoff, s.cutoff = nil, c
 	s.realCutoff, s.realNow = nil, c
@@ -206,13 +210,20 @@ func (s *sweepRun) run() {
 	s.axisN, s.realN = 0, 0
 }
 
-// merge sweeps l and r, the two sides as restricted.
+// merge sweeps l and r, the two sides as restricted. Most anchors of a
+// fixed-cutoff run examine nothing: the first candidate at the opposite
+// consumption point is already beyond the cutoff. When the run is not
+// resumed, such an anchor's one axis computation is counted here, and
+// sweepAnchor is not called for it; it would have measured that same
+// gap, counted it, and stopped.
 func (s *sweepRun) merge(l, r *rtree.NodeSoA) {
 	nl, nr := l.Len(), r.Len()
 	s.left.set(l, s.plan)
 	s.right.set(r, s.plan)
 	kl, kr := s.left.key, s.right.key
+	bl, br := s.left.base, s.right.base
 	forward := s.plan.Dir == sweep.Forward
+	quick, cut := s.axisCutoff == nil && !s.resumed, s.cutoff
 	i, j := 0, 0
 	for i < nl && j < nr {
 		// The sweep key is the lower bound going forward and the negated
@@ -223,17 +234,38 @@ func (s *sweepRun) merge(l, r *rtree.NodeSoA) {
 			fromL = kl[i] >= kr[j]
 		}
 		if fromL {
-			s.sweepAnchor(&s.left, &s.right, true, i, j)
+			if quick && gapBeyond(kr[j], bl[i], cut, forward) {
+				s.axisN++
+			} else {
+				s.sweepAnchor(&s.left, &s.right, true, i, j)
+			}
 			i++
 		} else {
-			s.sweepAnchor(&s.right, &s.left, false, j, i)
+			if quick && gapBeyond(kl[i], br[j], cut, forward) {
+				s.axisN++
+			} else {
+				s.sweepAnchor(&s.right, &s.left, false, j, i)
+			}
 			j++
 		}
 	}
 }
 
-// restrictFloor is the smallest cutoff restrict applies. The batch
-// kernel squares axis gaps: a gap whose square is subnormal can come
+// gapBeyond reports whether the axis gap from an anchor's base to a
+// candidate's key exceeds cut: the test windowEnd makes at each step.
+func gapBeyond(key, base, cut float64, forward bool) bool {
+	g := key - base
+	if !forward {
+		g = base - key
+	}
+	if g < 0 {
+		g = 0
+	}
+	return g > cut
+}
+
+// restrictFloor is the smallest cutoff restrict applies. The sweep's
+// distance, the batch kernel's arithmetic, squares axis gaps: a gap whose square is subnormal can come
 // back from the square root smaller than it went in, and then below a
 // cutoff it exceeds. Above the floor the square is a normal float64, and
 // the kernel's distance is at least the gap.
@@ -437,14 +469,14 @@ func restrictInto(dst, src *rtree.NodeSoA, bound geom.Rect, t float64, lo, hi in
 	return dst
 }
 
-// restrictedCols holds the columns a query's sweeps write: the
+// restrictedCols holds the columns a query's expansions write: the
 // surviving entries of a restricted sweep's two sides, and, while no
-// query holds it, the batch distance kernel's output buffer
-// (expander.distScratch). A query takes one from restrictedPool as its
-// context is made, or a hand-built expander at its first restriction
-// (expander.restricted), and endQuery gives it back. It holds no
-// pointers beyond its own columns, which keep the size of the largest
-// node or window they held, so a warm query grows none of them.
+// query holds it, the output buffer of HS expansion's batch distance
+// kernel (expander.distScratch). A query takes one from restrictedPool
+// as its context is made, or a hand-built expander at its first
+// restriction (expander.restricted), and endQuery gives it back. It
+// holds no pointers beyond its own columns, which keep the size of the
+// largest node or batch they held, so a warm query grows none of them.
 type restrictedCols struct {
 	l, r rtree.NodeSoA
 	dist []float64
@@ -537,26 +569,13 @@ func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 
 	if s.axisCutoff == nil {
 		// Fixed cutoff: find the whole candidate window first, then
-		// compute its distances with one batch kernel call.
+		// measure, filter and deliver it in one loop.
 		stop := windowEnd(col, base, start, s.cutoff, forward)
 		s.axisN += int64(stop - start)
 		if stop < n {
 			s.axisN++ // the candidate that ended the scan was measured too
 		}
-		if stop > start {
-			on := o.n
-			dst := s.e.distScratch(stop - start)
-			geom.MinDistBatch(dst, a.n.Rect(ai),
-				on.MinX[start:stop], on.MinY[start:stop],
-				on.MaxX[start:stop], on.MaxY[start:stop])
-			s.e.plantBatchTail(dst)
-			s.realN += int64(stop - start)
-			for m := start; m < stop; m++ {
-				if d := dst[m-start]; s.pass(d) {
-					s.deliver(s.emit, fromL, ai, m, d)
-				}
-			}
-		}
+		s.window(s.emit, a, o, fromL, ai, start, stop)
 		return
 	}
 	// Dynamic cutoff: emissions tighten the window mid-scan, so
@@ -584,30 +603,67 @@ func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 }
 
 // scanBand revisits the previously examined candidate range
-// [from, to) of anchor ai through reexamine, batching the distance
-// computations when the cutoff is fixed (the only mode band
-// re-examination runs under).
+// [from, to) of anchor ai through reexamine, as one fixed window when
+// the cutoff is fixed (the only mode band re-examination runs under).
 func (s *sweepRun) scanBand(a, o *sweepSide, fromL bool, ai, from, to int) {
+	if s.axisCutoff == nil {
+		s.window(s.reexamine, a, o, fromL, ai, from, to)
+		return
+	}
 	if to <= from {
 		return
 	}
 	ar, on := a.n.Rect(ai), o.n
 	s.realN += int64(to - from)
-	if s.axisCutoff == nil {
-		dst := s.e.distScratch(to - from)
-		geom.MinDistBatch(dst, ar,
-			on.MinX[from:to], on.MinY[from:to], on.MaxX[from:to], on.MaxY[from:to])
-		s.e.plantBatchTail(dst)
-		for m := from; m < to; m++ {
-			if d := dst[m-from]; s.pass(d) {
-				s.deliver(s.reexamine, fromL, ai, m, d)
-			}
-		}
-		return
-	}
 	for m := from; m < to; m++ {
 		if d := minDistOriented(fromL, ar, on.Rect(m)); s.pass(d) {
 			s.deliver(s.reexamine, fromL, ai, m, d)
+		}
+	}
+}
+
+// window measures the candidates [from, to) of anchor ai on side o,
+// counting each as a real distance computation, and delivers through fn
+// each that passes, one candidate at a time: distance, pass, deliver.
+// The distance is the batch kernel's (geom.MinDistBatch with the anchor
+// as the fixed rectangle): the same IEEE operations in the same order,
+// computed inline, so every delivered distance keeps its bits. Under
+// Ablation.BatchTail the window's last candidate takes its
+// predecessor's distance, the bug plantBatchTail plants in a batch.
+func (s *sweepRun) window(fn func(p *hybridq.Pair) bool, a, o *sweepSide, fromL bool, ai, from, to int) {
+	if to <= from {
+		return
+	}
+	s.realN += int64(to - from)
+	q, on := a.n.Rect(ai), o.n
+	minX := on.MinX[from:to]
+	minY, maxX, maxY := on.MinY[from:to], on.MaxX[from:to], on.MaxY[from:to]
+	minY, maxX, maxY = minY[:len(minX)], maxX[:len(minX)], maxY[:len(minX)]
+	tail := len(minX) // no candidate takes its predecessor's distance
+	if s.e.batchTail && len(minX) >= 2 {
+		tail = len(minX) - 1
+	}
+	var d float64
+	for k := range minX {
+		if k != tail {
+			dx := 0.0
+			switch {
+			case q.MaxX < minX[k]:
+				dx = minX[k] - q.MaxX
+			case maxX[k] < q.MinX:
+				dx = q.MinX - maxX[k]
+			}
+			dy := 0.0
+			switch {
+			case q.MaxY < minY[k]:
+				dy = minY[k] - q.MaxY
+			case maxY[k] < q.MinY:
+				dy = q.MinY - maxY[k]
+			}
+			d = math.Sqrt(dx*dx + dy*dy)
+		}
+		if s.pass(d) {
+			s.deliver(fn, fromL, ai, from+k, d)
 		}
 	}
 }
@@ -631,13 +687,16 @@ func minDistOriented(anchorFromL bool, anchor, other geom.Rect) float64 {
 // at, are valid until the expander's next expansion.
 //
 // The plan is chosen only for a run that will sweep. When a side may
-// drop entries under real, the expansion first decides the restriction
-// on whatever order of each node costs least (pairSide.anyOrder), which
-// gives the same verdict and count as on any other (restrictionOf). If
-// it leaves a side with no entry, the run comes back emptied, holding
-// only the restriction's axis count, without a plan: no pair of it can
-// pass, so no sweep order is needed. Otherwise, and whenever no side may
-// drop, the plan is chosen and both nodes are put in its order.
+// drop entries under real, the expansion first decides whether the
+// restriction leaves a side with no entry, which does not depend on the
+// plan (restrictionOf). The sides' occupancy grids decide it first,
+// before either node is decoded (gridEmptied); failing that, the
+// restriction is decided on whatever order of each node costs least
+// (pairSide.anyOrder). If a side is left with no entry, the run comes
+// back emptied, holding only the restriction's axis count, without a
+// plan: no pair of it can pass, so no sweep order is needed. Otherwise,
+// and whenever no side may drop, the plan is chosen and both nodes are
+// put in its order.
 func (e *expander) expansion(p *hybridq.Pair, cutoff, real float64) (*sweepRun, error) {
 	return e.expand(p, sweep.Plan{}, false, cutoff, real)
 }
@@ -651,50 +710,105 @@ func (e *expander) expansionWithPlan(p *hybridq.Pair, plan sweep.Plan) (*sweepRu
 }
 
 // expand is expansion and expansionWithPlan. Each side's page is pinned
-// once, left before right, and held until every order the expansion
-// needs is taken from it: a pin per order would count a second access
-// and move the page in the pool's LRU order.
+// once, left before right, before either is decoded, and held until
+// every order the expansion needs is taken from it: a pin per order
+// would count a second access and move the page in the pool's LRU
+// order. The pins are released here, after order returns; expand holds
+// nothing else, so that its two defers stay open-coded (a function
+// whose defers times returns exceed fifteen runs them through the
+// runtime's slower path, at every expansion).
 func (e *expander) expand(p *hybridq.Pair, plan sweep.Plan, planned bool, cutoff, real float64) (*sweepRun, error) {
-	c := e.c
 	var l, r pairSide
 	defer l.release()
 	defer r.release()
-	test := false
-	if !planned {
-		_, lDrop, rDrop := dropRule(p.LeftRect, p.RightRect, real)
-		if test = lDrop || rDrop; !test {
-			plan = c.choosePlan(p, cutoff, real)
-		}
-	}
-	ln, lPlan, err := l.open(e, c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL, plan, test)
-	if err != nil {
+	return e.order(&l, &r, p, plan, planned, cutoff, real)
+}
+
+// order pins both sides of p into l and r and does the rest of expand.
+func (e *expander) order(l, r *pairSide, p *hybridq.Pair, plan sweep.Plan, planned bool, cutoff, real float64) (*sweepRun, error) {
+	c := e.c
+	if err := l.open(e, c.left, p.Left, p.LeftObj, p.LeftRect, &e.soaL); err != nil {
 		return nil, err
 	}
-	rn, rPlan, err := r.open(e, c.right, p.Right, p.RightObj, p.RightRect, &e.soaR, plan, test)
-	if err != nil {
+	if err := r.open(e, c.right, p.Right, p.RightObj, p.RightRect, &e.soaR); err != nil {
 		return nil, err
 	}
 	run := &e.run
 	*run = sweepRun{} // zeroed in place; a non-zero literal would be built aside and copied
 	run.e = e
 	run.lBound, run.rBound = p.LeftRect, p.RightRect
-	if test {
-		if rs := restrictionOf(ln, lPlan, rn, rPlan, p.LeftRect, p.RightRect, real); rs.empty {
-			run.axisN, run.emptied = rs.axisN, true
-			return run, nil
+	if !planned {
+		if t, lDrop, rDrop := dropRule(p.LeftRect, p.RightRect, real); lDrop || rDrop {
+			l.lookGrid()
+			r.lookGrid()
+			if axisN, ok := gridEmptied(l, r, p.LeftRect, p.RightRect, t, lDrop, rDrop); ok {
+				run.axisN, run.emptied = axisN, true
+				return run, nil
+			}
+			ln, lPlan, err := l.anyOrder(e)
+			if err != nil {
+				return nil, err
+			}
+			rn, rPlan, err := r.anyOrder(e)
+			if err != nil {
+				return nil, err
+			}
+			if rs := restrictionOf(ln, lPlan, rn, rPlan, p.LeftRect, p.RightRect, real); rs.empty {
+				run.axisN, run.emptied = rs.axisN, true
+				return run, nil
+			}
 		}
 		plan = c.choosePlan(p, cutoff, real)
-		if ln, err = l.sorted(e, plan); err != nil {
-			return nil, err
-		}
-		if rn, err = r.sorted(e, plan); err != nil {
-			return nil, err
-		}
+	}
+	ln, err := l.sorted(e, plan)
+	if err != nil {
+		return nil, err
+	}
+	rn, err := r.sorted(e, plan)
+	if err != nil {
+		return nil, err
 	}
 	run.L, run.R, run.plan = ln, rn, plan
 	run.pair.LeftObj, run.pair.RightObj = l.childIsObj(), r.childIsObj()
 	return run, nil
 }
+
+// gridEmptied decides from the sides' occupancy grids (lookGrid),
+// before either node is decoded, whether the restriction under t
+// (dropRule, with the drop flags lDrop and rDrop) leaves a side of a
+// pair with rectangles lBound and rBound with no entry. When it can
+// tell, it returns the axis computations restrictionOf counts, Len()
+// for each side that may drop, as the page header gives it; ok false
+// leaves the question to restrictionOf.
+//
+// Every entry the restriction keeps intersects the other side's
+// rectangle grown by the successor of t (restrictRegion), so a side
+// that may drop and has no entry there is emptied. A node side tells
+// that from its grid (rtree.Occupancy.Misses), an object side, which is
+// its one entry, by the restriction's own test (beyond).
+func gridEmptied(l, r *pairSide, lBound, rBound geom.Rect, t float64, lDrop, rDrop bool) (axisN int64, ok bool) {
+	m := successor(t)
+	if !(lDrop && l.misses(grown(rBound, m), rBound, t) || rDrop && r.misses(grown(lBound, m), lBound, t)) {
+		return 0, false
+	}
+	if lDrop {
+		axisN += int64(l.size)
+	}
+	if rDrop {
+		axisN += int64(r.size)
+	}
+	return axisN, true
+}
+
+// grown returns b grown by m on every side, rounded as sweep.Clip
+// rounds it.
+func grown(b geom.Rect, m float64) geom.Rect {
+	return geom.Rect{MinX: b.MinX - m, MinY: b.MinY - m, MaxX: b.MaxX + m, MaxY: b.MaxY + m}
+}
+
+// successor returns the next float64 above t, which must be positive
+// and finite.
+func successor(t float64) float64 { return math.Float64frombits(math.Float64bits(t) + 1) }
 
 // pairSide is one side of a pair under expansion: the node's page,
 // pinned for the expansion, and the node as last ordered from it. An
@@ -706,44 +820,79 @@ type pairSide struct {
 	n       *rtree.NodeSoA // the entries in the sweep order of slot
 	slot    int
 	obj     bool
+	size    int              // the entries, as the page header claims them (lookGrid)
+	grid    *rtree.Occupancy // the page's grid (lookGrid); nil when there is none
 }
 
-// open pins the side's page and orders the node: in plan's order, or,
-// when cheapest is set, in the order anyOrder picks. It returns the node
-// and the plan of its order.
-func (sd *pairSide) open(e *expander, tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, scratch *rtree.NodeSoA, plan sweep.Plan, cheapest bool) (*rtree.NodeSoA, sweep.Plan, error) {
+// open pins the side's page, decoding nothing; an object side is put in
+// scratch as its one entry.
+func (sd *pairSide) open(e *expander, tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, scratch *rtree.NodeSoA) error {
 	sd.ref, sd.scratch, sd.n, sd.obj = ref, scratch, nil, isObj
 	if isObj {
 		scratch.SetSingle(rect, ref)
-		sd.n = scratch
-		return scratch, plan, nil
+		sd.n, sd.size = scratch, 1
+		return nil
 	}
 	pin, err := tree.PinNode(refPage(ref), e.mc)
 	if err != nil {
-		return nil, plan, err
+		return err
 	}
 	sd.pin = pin
-	if cheapest {
-		return sd.anyOrder(e)
+	return nil
+}
+
+// lookGrid reads a node side's entry count from its page header and
+// looks up the page's grid, which it trusts only for a page whose
+// header claims the level the side's ref carries: any other page fails
+// the level rule when it is decoded (anyOrder), and must.
+func (sd *pairSide) lookGrid() {
+	if sd.obj {
+		return
 	}
-	n, err := sd.sorted(e, plan)
-	return n, plan, err
+	level, size := sd.pin.Header()
+	sd.size = size
+	if level == refLevel(sd.ref) {
+		sd.grid = sd.pin.Grid()
+	}
+}
+
+// misses reports whether the side has no entry that intersects q, the
+// other side's rectangle bound grown by the successor of t, and so none
+// the restriction under t keeps (gridEmptied): from its grid for a
+// node, by the restriction's own test for an object.
+func (sd *pairSide) misses(q, bound geom.Rect, t float64) bool {
+	if sd.obj {
+		return beyond(sd.n.MinX[0], sd.n.MinY[0], sd.n.MaxX[0], sd.n.MaxY[0], bound, t)
+	}
+	return sd.grid != nil && sd.grid.Misses(q)
 }
 
 // anyOrder returns the node in the order that costs least to take: a
 // finished node the tree's memo holds, in any slot, and otherwise slot
-// 0's order, as sorted establishes it.
+// 0's order, as sorted establishes it. When the page has no grid yet
+// (lookGrid found none), it is published from the node, which the level
+// rule and KeyError have passed.
 func (sd *pairSide) anyOrder(e *expander) (*rtree.NodeSoA, sweep.Plan, error) {
-	if n, slot := sd.pin.Finished(); n != nil {
+	if sd.obj {
+		return sd.n, sweep.Plan{}, nil
+	}
+	n, slot := sd.pin.Finished()
+	if n != nil {
 		if n.Level != refLevel(sd.ref) {
 			return nil, sweep.Plan{}, levelError(sd.ref, n)
 		}
 		sd.n, sd.slot = n, slot
-		return n, sweep.SlotPlan(slot), nil
+	} else {
+		var err error
+		if n, err = sd.sorted(e, sweep.SlotPlan(0)); err != nil {
+			return nil, sweep.Plan{}, err
+		}
+		slot = 0
 	}
-	plan := sweep.SlotPlan(0)
-	n, err := sd.sorted(e, plan)
-	return n, plan, err
+	if sd.grid == nil {
+		sd.pin.PublishGrid(n)
+	}
+	return n, sweep.SlotPlan(slot), nil
 }
 
 // sorted returns the node in plan's sweep order, and is the one place
@@ -763,8 +912,8 @@ func (sd *pairSide) anyOrder(e *expander) (*rtree.NodeSoA, sweep.Plan, error) {
 // the permutation otherwise. A node already in plan's order, and an
 // object side, are returned as they are. A node sorted from page order
 // is first held to the precondition of the sweep's key columns
-// (keyError), whatever its length; one decoded through a remembered
-// permutation was held to it when that permutation was made.
+// (rtree.KeyError), whatever its length; one decoded through a
+// remembered permutation was held to it when that permutation was made.
 func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error) {
 	slot := plan.Slot()
 	if sd.obj || sd.n != nil && sd.slot == slot {
@@ -781,7 +930,7 @@ func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error)
 		if !ordered || n.Len() < 2 {
 			// Decoded in page order: Ordered calls a node of fewer than
 			// two entries ordered, since no sort would move it.
-			if err := keyError(sd.ref, n); err != nil {
+			if err := rtree.KeyError(refPage(sd.ref), n); err != nil {
 				return nil, err
 			}
 		}
@@ -847,6 +996,6 @@ func restrictRegion(lBound, rBound geom.Rect, real float64) (l, r geom.Rect) {
 	if !lDrop && !rDrop {
 		return lBound, rBound
 	}
-	margin := math.Float64frombits(math.Float64bits(t) + 1) // t is positive and finite
+	margin := successor(t) // t is positive and finite
 	return sweep.Clip(lBound, rBound, margin), sweep.Clip(rBound, lBound, margin)
 }

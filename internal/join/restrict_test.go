@@ -68,7 +68,13 @@ func unionOf(rects, extra []geom.Rect) geom.Rect {
 // infinite cutoff) keeps its own rectangle, and when the run is not
 // ended, each clipped rectangle is neither NaN nor inverted and every
 // entry the restriction keeps intersects its side's.
-func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
+//
+// And it holds the occupancy grids' verdict (gridEmptied), which a fresh
+// expansion takes before it decodes either node, to the restriction: a
+// pair the grids call emptied is one the restriction ends, with the same
+// axis count. A side of one entry that is its own bound is tried as an
+// object side too. byGrid reports whether the grids called it.
+func checkRestriction(t *testing.T, c restrictCase) (dropped int, byGrid bool) {
 	t.Helper()
 	L, R := sweepNode(c.l, c.plan, 1000), sweepNode(c.r, c.plan, 2000)
 	lBound, rBound := unionOf(c.l, c.lExtra), unionOf(c.r, c.rExtra)
@@ -108,6 +114,27 @@ func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
 			}
 		}
 	}
+	if tr, lDrop, rDrop := dropRule(lBound, rBound, c.cut); lDrop || rDrop {
+		lg, rg := rtree.OccupancyOf(L), rtree.OccupancyOf(R)
+		ls := []pairSide{{size: L.Len(), grid: &lg}}
+		if L.Len() == 1 && L.Rect(0) == lBound {
+			ls = append(ls, pairSide{obj: true, n: L, size: 1})
+		}
+		rs := []pairSide{{size: R.Len(), grid: &rg}}
+		if R.Len() == 1 && R.Rect(0) == rBound {
+			rs = append(rs, pairSide{obj: true, n: R, size: 1})
+		}
+		for i := range ls {
+			for j := range rs {
+				axisN, emptied := gridEmptied(&ls[i], &rs[j], lBound, rBound, tr, lDrop, rDrop)
+				if emptied && (ok || axisN != run.axisN) {
+					t.Fatalf("cutoff %v (%x), left object %v, right object %v: the grids call the pair emptied with %d axis computations; the restriction ends the run %v after %d",
+						c.cut, math.Float64bits(c.cut), ls[i].obj, rs[j].obj, axisN, !ok, run.axisN)
+				}
+				byGrid = byGrid || emptied
+			}
+		}
+	}
 	// unpaired requires that entry i of whole, a node of the named side,
 	// pairs with no entry of other under the cutoff.
 	dst := make([]float64, max(L.Len(), R.Len()))
@@ -130,7 +157,7 @@ func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
 		for i := 0; i < L.Len(); i++ {
 			unpaired("left", L, R, i)
 		}
-		return L.Len() + R.Len()
+		return L.Len() + R.Len(), byGrid
 	}
 	for _, side := range []struct {
 		name        string
@@ -158,7 +185,7 @@ func checkRestriction(t *testing.T, c restrictCase) (dropped int) {
 			t.Fatalf("%s: %d entries kept, only %d of them in sweep order", side.name, kept.Len(), j)
 		}
 	}
-	return dropped
+	return dropped, byGrid
 }
 
 // TestRestrictionExact runs checkRestriction over random cases whose
@@ -187,7 +214,7 @@ func TestRestrictionExact(t *testing.T) {
 		return rs
 	}
 	cuts := []float64{0, 0x1p-538, 0x1p-537, 1.45 * 0x1p-537, 0x1p-500, 1, 2.5, 7, 20, inf}
-	dropped := 0
+	dropped, byGrid := 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		c := restrictCase{
 			l: rects(rng.Intn(12)), r: rects(rng.Intn(12)),
@@ -200,10 +227,14 @@ func TestRestrictionExact(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			c.rExtra = rects(1)
 		}
-		dropped += checkRestriction(t, c)
+		d, g := checkRestriction(t, c)
+		dropped += d
+		if g {
+			byGrid++
+		}
 	}
-	if dropped == 0 {
-		t.Fatal("no case dropped an entry; the test checks nothing")
+	if dropped == 0 || byGrid == 0 {
+		t.Fatalf("%d entries dropped, %d pairs emptied by the grids; the test checks too little", dropped, byGrid)
 	}
 }
 

@@ -193,6 +193,88 @@ func BenchmarkExpansionOrder(b *testing.B) {
 			}
 		})
 	}
+	// emptied runs expansion, the fresh one that may end a pair before
+	// choosing a plan, over pairs whose occupancy grids prove that the
+	// restriction empties a side (gridEmptied): two pool hits, two header
+	// reads and the grid tests, no decode and no scan. The pairs are the
+	// leaf pairs within the cutoff of each other, each with its nodes'
+	// bounds as its rectangles, that the grids end. resident and
+	// permutations are the two things the memo can hold for their nodes,
+	// which such an expansion never reads.
+	b.Run("emptied", func(b *testing.B) {
+		const cut = 2.0
+		for _, filled := range []struct {
+			name  string
+			spare int
+		}{{"resident", 1 << 12}, {"permutations", 0}} {
+			b.Run(filled.name, func(b *testing.B) {
+				reopen(filled.spare)
+				pairs := gridEmptiedPairs(b, c, lrefs, rrefs, cut)
+				for i := range pairs {
+					// The first expansion of a node publishes its grid.
+					if _, err := c.ex.expansion(&pairs[i], cut, cut); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run, err := c.ex.expansion(&pairs[i%len(pairs)], cut, cut)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !run.emptied {
+						b.Fatal("a pair the grids end was swept")
+					}
+				}
+				b.ReportMetric(float64(len(pairs)), "pairs")
+			})
+		}
+	})
+}
+
+// gridEmptiedPairs returns the leaf pairs of lrefs × rrefs whose bounds
+// lie within cut of each other and whose occupancy grids prove that the
+// restriction under cut empties a side, with their bounds as the pair's
+// rectangles.
+func gridEmptiedPairs(b *testing.B, c *execContext, lrefs, rrefs []uint64, cut float64) []hybridq.Pair {
+	type leaf struct {
+		ref   uint64
+		bound geom.Rect
+		size  int
+		grid  rtree.Occupancy
+	}
+	leaves := func(t *rtree.Tree, refs []uint64) []leaf {
+		var out []leaf
+		var n rtree.NodeSoA
+		for _, ref := range refs {
+			if refLevel(ref) != 0 {
+				continue
+			}
+			if err := t.ReadNodeSoA(refPage(ref), &n, nil); err != nil {
+				b.Fatal(err)
+			}
+			out = append(out, leaf{ref, soaBounds(&n), n.Len(), rtree.OccupancyOf(&n)})
+		}
+		return out
+	}
+	var pairs []hybridq.Pair
+	for _, l := range leaves(c.left, lrefs) {
+		for _, r := range leaves(c.right, rrefs) {
+			if l.bound.MinDist(r.bound) > cut {
+				continue
+			}
+			t, lDrop, rDrop := dropRule(l.bound, r.bound, cut)
+			ls, rs := pairSide{size: l.size, grid: &l.grid}, pairSide{size: r.size, grid: &r.grid}
+			if _, ok := gridEmptied(&ls, &rs, l.bound, r.bound, t, lDrop, rDrop); ok {
+				pairs = append(pairs, hybridq.Pair{Left: l.ref, Right: r.ref, LeftRect: l.bound, RightRect: r.bound})
+			}
+		}
+	}
+	if len(pairs) == 0 {
+		b.Fatal("the grids end no leaf pair; the benchmark times nothing")
+	}
+	return pairs
 }
 
 // soaBounds is the MBR of a decoded node's entries.

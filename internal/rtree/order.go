@@ -186,6 +186,66 @@ func (p PinnedNode) Publish(slot int, perm []uint16, finished *NodeSoA) {
 	p.t.PublishSweepOrder(p.id, slot, perm, finished)
 }
 
+// Header returns the level and the entry count the page's header claims,
+// without decoding it.
+func (p PinnedNode) Header() (level, count int) {
+	page := p.f.Bytes()
+	return int(binary.LittleEndian.Uint16(page[0:])), int(binary.LittleEndian.Uint16(page[2:]))
+}
+
+// gridCell is one page's slot of the grid table. state moves from
+// gridAbsent to gridBusy (one publisher wins it) to gridReady, and back
+// to gridAbsent only on a resize, between queries; the grid and the
+// entry count n it was made from are written before gridReady is
+// stored, and read only after it is loaded. The table is allocated
+// with the tree, so publishing allocates nothing.
+type gridCell struct {
+	state atomic.Uint32
+	n     uint32
+	g     Occupancy
+}
+
+const (
+	gridAbsent = iota
+	gridBusy
+	gridReady
+)
+
+// gridSlot returns the page's grid slot, or nil when the page is past
+// the table (a ref decoded from a damaged page).
+func (p PinnedNode) gridSlot() *gridCell {
+	if int(p.id) >= len(p.t.grids) {
+		return nil
+	}
+	return &p.t.grids[p.id]
+}
+
+// Grid returns the occupancy grid published for the page, or nil while
+// none is, or when it was made from another entry count than the page's
+// header claims: like a memo cell that does not fit, it is then
+// ignored. A grid, once returned, is never written again while a query
+// runs.
+func (p PinnedNode) Grid() *Occupancy {
+	if c := p.gridSlot(); c != nil && c.state.Load() == gridReady {
+		if _, count := p.Header(); int(c.n) == count {
+			return &c.g
+		}
+	}
+	return nil
+}
+
+// PublishGrid publishes the occupancy grid of n, the page's node as its
+// reader decoded and checked it (KeyError, the level rule), unless a
+// grid is already published or being published. It allocates nothing.
+func (p PinnedNode) PublishGrid(n *NodeSoA) {
+	// The load keeps the readers of a published grid from taking its
+	// cache line exclusively, as a failed compare-and-swap would.
+	if c := p.gridSlot(); c != nil && c.state.Load() == gridAbsent && c.state.CompareAndSwap(gridAbsent, gridBusy) {
+		c.n, c.g = uint32(n.Len()), OccupancyOf(n)
+		c.state.Store(gridReady)
+	}
+}
+
 // decodeOrdered is decodeNodeSoA's loop reading page entry perm[i] into
 // position i. The caller has checked perm against the page (fits) and
 // sized dst to it.
@@ -286,7 +346,15 @@ func (t *Tree) replaceCell(cell *atomic.Pointer[sweepCell], old, c *sweepCell) b
 // dropped — their cells go back to empty and refill, as permutations or
 // as nodes, whichever the new room allows. Permutations stay: they are
 // charged to no pool.
+//
+// Every occupancy grid goes, whatever the room: a grid lets an
+// expansion that pairs nothing skip the decode that would have
+// published a node, so grids kept across a resize would leave the memo
+// holding other nodes than a fresh tree's queries publish.
 func (t *Tree) rederiveRoom() {
+	for i := range t.grids {
+		t.grids[i].state.Store(gridAbsent)
+	}
 	t.nodeRoom = decodedRoom(t.pool)
 	if t.nodeBytes.Load() <= t.nodeRoom {
 		return

@@ -27,8 +27,29 @@ var ErrNotRTree = errors.New("rtree: store does not contain a packed R-tree")
 // parent's, or the ref is no page ID at all. Levels falling by one per
 // step is what bounds a descent over damaged pages by the height the
 // headers claim; a ref past the store's last page is the pool's
-// storage.ErrPageOutOfRange instead.
+// storage.ErrPageOutOfRange instead. A node with an entry no Builder
+// writes (KeyError) is corrupt too.
 var ErrCorruptNode = errors.New("rtree: corrupt node")
+
+// KeyError reports, as ErrCorruptNode, a node read from page id that
+// has an entry with a NaN coordinate or a lower bound above its upper
+// bound on either axis. A Builder or Pack never writes either kind of
+// entry, so only a damaged page holds one. Infinite coordinates are
+// valid. It is the one rule for both kinds of reader: the descents run
+// it on every node they read (readVisit), and the joins on every node
+// they sort from page order, whose sweep key columns must be in sweep
+// order and free of NaN, before the sorted node can be published to the
+// sweep-order memo.
+func KeyError(id storage.PageID, n *NodeSoA) error {
+	minX, minY, maxX, maxY := n.MinX, n.MinY[:len(n.MinX)], n.MaxX[:len(n.MinX)], n.MaxY[:len(n.MinX)]
+	for i := range minX {
+		if !validEntry(minX[i], minY[i], maxX[i], maxY[i]) {
+			return fmt.Errorf("%w: page %d entry %d has rectangle [%g, %g]x[%g, %g]",
+				ErrCorruptNode, id, i, minX[i], maxX[i], minY[i], maxY[i])
+		}
+	}
+	return nil
+}
 
 // Tree is a read-only paged R-tree: the query-time image of a Builder,
 // read through a buffer pool. All node fetches are counted against the
@@ -50,13 +71,18 @@ type Tree struct {
 	orders    []atomic.Pointer[sweepCell]
 	nodeRoom  int64
 	nodeBytes atomic.Int64
+	// grids holds each page's occupancy grid (order.go), published
+	// beside the memo by the first query that reads the node whole.
+	grids []gridCell
 }
 
 // newTree completes t, whose shape fields are set, with a cold buffer
-// pool of bufferBytes over store and an empty sweep-order memo.
+// pool of bufferBytes over store, an empty sweep-order memo and no
+// occupancy grid.
 func newTree(t *Tree, store storage.Store, bufferBytes int) *Tree {
 	t.pool = storage.NewBufferPool(store, bufferBytes)
 	t.orders = newOrderMemo(store)
+	t.grids = make([]gridCell, store.NumPages())
 	t.nodeRoom = decodedRoom(t.pool)
 	return t
 }
@@ -191,7 +217,8 @@ func (t *Tree) Pool() *storage.BufferPool { return t.pool }
 
 // ResizeBuffer replaces the buffer pool with a fresh (cold) one of the
 // given byte capacity and re-derives the room for finished nodes from
-// it: a pool that no longer holds the tree keeps none of them. Used by
+// it: a pool that no longer holds the tree keeps none of them, and no
+// occupancy grid survives. Used by
 // the memory-sensitivity experiments (paper Figure 13), between
 // queries — it must not run while one is reading the tree.
 func (t *Tree) ResizeBuffer(bytes int) {
@@ -238,7 +265,8 @@ type visit struct {
 const anyLevel = -1
 
 // readVisit is ReadNodeSoA for a descent: the same fetch and the same
-// accounting, and then the check that v led where its parent said.
+// accounting, and then the checks that v led where its parent said and
+// that the node holds no entry a Builder would not write (KeyError).
 func (t *Tree) readVisit(v visit, dst *NodeSoA, mc *metrics.Collector) error {
 	if v.ref > math.MaxUint32 {
 		return fmt.Errorf("%w: child ref %#x is not a page id", ErrCorruptNode, v.ref)
@@ -250,7 +278,7 @@ func (t *Tree) readVisit(v visit, dst *NodeSoA, mc *metrics.Collector) error {
 		return fmt.Errorf("%w: page %d claims level %d, its parent's entry level %d",
 			ErrCorruptNode, v.ref, dst.Level, v.level)
 	}
-	return nil
+	return KeyError(storage.PageID(v.ref), dst)
 }
 
 // Search invokes fn for every object whose MBR intersects q, counting
