@@ -200,7 +200,7 @@ race:
 # recycled frames under the race detector, without -short and repeated:
 # racing first-touch publication, several queries sweeping one node in
 # place, the before/after digests that show no engine path writes
-# through sweepRun.L/R, pinned frames evicted under their readers, and
+# through a run's sides, pinned frames evicted under their readers, and
 # concurrent joins on file-backed indexes whose misses reuse frames.
 race-memo:
 	$(GO) test -race -count=3 -run 'SweepOrderMemo|SharedNodes|OrderedDecode|DecodedNodeRoom|ResizeBuffer|ConcurrentFirstTouch|PinnedFrame|ConcurrentPinnedReads|ConcurrentFileIndex' ./internal/storage ./internal/rtree ./internal/join .
@@ -229,24 +229,26 @@ sim-soak:
 	$(GO) run -race ./cmd/distjoin-sim -duration $(SIM_SOAK_DURATION) -faults -points $(SIM_POINTS) -out sim-failures.txt
 
 # Run every fuzz target for FUZZTIME each: 20s by hand, 10s in CI
-# (fuzz-smoke), 2m in the nightly workflow. FuzzEndpoint drives a live
-# server, whose coverage depends on the clock and on earlier requests:
-# left at the default minute per input, the fuzzer spends most of its
-# time failing to minimise inputs whose coverage does not reproduce.
+# (fuzz-smoke), 2m in the nightly workflow. Every target bounds the
+# minimisation of a new input to a second: left at the default
+# minute per input, the fuzzer spends most of its budget minimising and
+# reports 0 execs/sec meanwhile. FuzzEndpoint drives a live server,
+# whose coverage depends on the clock and on earlier requests, and gets
+# a little longer.
 FUZZTIME ?= 20s
 
 fuzz:
-	$(GO) test -fuzz=FuzzReadFrom -fuzztime=$(FUZZTIME) ./internal/datagen
-	$(GO) test -fuzz=FuzzDecodeNode -fuzztime=$(FUZZTIME) ./internal/rtree
+	$(GO) test -fuzz=FuzzReadFrom -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/datagen
+	$(GO) test -fuzz=FuzzDecodeNode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/rtree
 	$(GO) test -fuzz=FuzzOccupancy -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/rtree
-	$(GO) test -fuzz=FuzzPairRoundTrip -fuzztime=$(FUZZTIME) ./internal/hybridq
-	$(GO) test -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/geom
-	$(GO) test -fuzz=FuzzIndex -fuzztime=$(FUZZTIME) ./internal/sweep
-	$(GO) test -fuzz=FuzzRestrict -fuzztime=$(FUZZTIME) ./internal/join
-	$(GO) test -fuzz=FuzzDistanceQueue -fuzztime=$(FUZZTIME) ./internal/pqueue
-	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) ./internal/simtest
+	$(GO) test -fuzz=FuzzPairRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hybridq
+	$(GO) test -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/geom
+	$(GO) test -fuzz=FuzzIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/sweep
+	$(GO) test -fuzz=FuzzRestrict -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/join
+	$(GO) test -fuzz=FuzzDistanceQueue -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/pqueue
+	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/simtest
 	$(GO) test -fuzz=FuzzEndpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/serving
-	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=$(FUZZTIME) ./internal/serving
+	$(GO) test -fuzz=FuzzAppendJSON -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/serving
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

@@ -6,30 +6,48 @@ import (
 	"testing"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/rtree"
 )
 
-// TestBatchTailAblation: with Ablation.BatchTail the expansions' batched
-// distances lose their last lane to its neighbor, as a kernel that
-// handles the tail one element short would; without it they are the
-// kernel's.
+// TestBatchTailAblation: with Ablation.BatchTail the last child of an
+// HS expansion takes its predecessor's distance, as a batch kernel that
+// handles the tail one element short would; without it every child's
+// distance to the intact side is the batch kernel's.
 func TestBatchTailAblation(t *testing.T) {
-	q := geom.NewRect(0, 0, 1, 1)
-	minX, minY := []float64{2, 4, 8, 16}, []float64{0, 0, 0, 0}
-	maxX, maxY := []float64{3, 5, 9, 17}, []float64{1, 1, 1, 1}
-	want := make([]float64, 4)
-	geom.MinDistBatch(want, q, minX, minY, maxX, maxY)
+	var leaf []rtree.Item
+	for i, x := range []float64{2, 4, 8, 16} {
+		leaf = append(leaf, rtree.Item{Rect: geom.NewRect(x, 0, x+1, 1), Obj: int64(i + 1)})
+	}
+	other := geom.NewRect(0, 0, 1, 1)
+	lt, rt := buildTree(t, leaf, 16), buildTree(t, []rtree.Item{{Rect: other, Obj: 9}}, 16)
+	var n rtree.NodeSoA // the children in the order the expansion reads them
+	if err := lt.ReadNodeSoA(lt.Root(), &n, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, n.Len())
+	geom.MinDistBatch(want, other, n.MinX, n.MinY, n.MaxX, n.MaxY)
 	for _, tail := range []bool{false, true} {
-		e := &expander{batchTail: tail}
-		got := make([]float64, 4)
-		geom.MinDistBatch(got, q, minX, minY, maxX, maxY)
-		e.plantBatchTail(got)
-		w := want
-		if tail {
-			w = []float64{want[0], want[1], want[2], want[2]}
+		c, err := newContext(lt, rt, Options{Ablation: Ablation{BatchTail: tail}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != w[i] {
-				t.Fatalf("BatchTail=%v: lane %d is %v, want %v", tail, i, got[i], w[i])
+		root := c.rootPair() // two leaves: the left one is expanded
+		if err := c.hsExpand(&root, nil); err != nil {
+			t.Fatal(err)
+		}
+		got := map[uint64]float64{}
+		for c.queue.Len() > 0 {
+			p, _ := c.queue.Pop()
+			got[p.Left] = p.Dist
+		}
+		c.endQuery(nil)
+		for i := range want {
+			w := want[i]
+			if tail && i == len(want)-1 {
+				w = want[i-1]
+			}
+			if d, ok := got[n.Refs[i]]; !ok || d != w {
+				t.Fatalf("BatchTail=%v: child %d has distance %v (queued %v), want %v", tail, i, d, ok, w)
 			}
 		}
 	}

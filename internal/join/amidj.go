@@ -127,7 +127,9 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 		// pair was pushed by this sweep; no compensation bookkeeping is
 		// needed. A pair the restriction emptied is bookkept all the
 		// same, with the plan a sweep would have had: a later stage's
-		// larger cutoff may leave both sides entries to pair.
+		// larger cutoff may leave both sides entries to pair. A run the
+		// grids emptied has no plan (expansion); one the restriction
+		// emptied has this same one.
 		if cur < p.LeftRect.MaxDist(p.RightRect) {
 			plan := run.plan
 			if run.emptied {
@@ -142,7 +144,7 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 
 	// Re-expansion: recover the band (prev, cur] among previously
 	// examined pairs, and everything <= cur in the unexamined suffix.
-	run, err := c.ex.expansionWithPlan(p, ci.plan)
+	run, err := c.ex.expansionWithPlan(p, ci.plan, cur)
 	if err != nil {
 		return c.traceError(err)
 	}

@@ -221,7 +221,7 @@ func (c *execContext) bookkeep(p *hybridq.Pair, run *sweepRun, eDmax float64) {
 // already in the main queue. The re-seeded pair has no bound to retire:
 // it was not re-registered.
 func (c *execContext) amCompensateSweep(p *hybridq.Pair, ci *compInfo, ct *cutoffTracker) error {
-	run, err := c.ex.expansionWithPlan(p, ci.plan)
+	run, err := c.ex.expansionWithPlan(p, ci.plan, ct.Cutoff())
 	if err != nil {
 		return c.traceError(err)
 	}

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"distjoin/internal/geom"
 	"distjoin/internal/hybridq"
 	"distjoin/internal/rtree"
 )
@@ -38,11 +37,13 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 // hsExpand performs one uni-directional expansion: the non-object side
 // (or, with two nodes, the higher-level side, ties to the left) is
 // expanded and each child is paired with the other side intact. The
-// children decode into the expander's reusable SoA buffer and their
-// distances to the fixed other side come from one batch kernel call —
-// the uni-directional baseline is the most distance-computation-bound
-// algorithm of the suite, so it benefits the most from the contiguous
-// scan. ct is nil for HS-IDJ, which has no k to prune by.
+// children decode into the expander's reusable SoA buffer, and each
+// child's distance to the fixed other side is the batch kernel's
+// (geom.MinDistBatch with that side as the fixed rectangle):
+// geom.Rect.MinDist does the same IEEE operations in the same order.
+// Under Ablation.BatchTail the last child takes its predecessor's
+// distance, as a kernel that handles the tail one element short would.
+// ct is nil for HS-IDJ, which has no k to prune by.
 func (c *execContext) hsExpand(p *hybridq.Pair, ct *cutoffTracker) error {
 	if ct != nil {
 		ct.OnRemove(p)
@@ -61,13 +62,14 @@ func (c *execContext) hsExpand(p *hybridq.Pair, ct *cutoffTracker) error {
 		return c.traceError(err)
 	}
 	n := soa.Len()
-	dists := ex.distScratch(n)
-	geom.MinDistBatch(dists, otherRect, soa.MinX, soa.MinY, soa.MaxX, soa.MaxY)
-	ex.plantBatchTail(dists)
 	ex.mc.AddRealDist(int64(n))
 	var children int64
+	var d float64
 	for i := 0; i < n; i++ {
 		childRef, childRect := soa.Refs[i], soa.Rect(i)
+		if !(ex.batchTail && i > 0 && i == n-1) {
+			d = otherRect.MinDist(childRect)
+		}
 		var np hybridq.Pair
 		if expandLeft {
 			np = hybridq.Pair{
@@ -82,7 +84,7 @@ func (c *execContext) hsExpand(p *hybridq.Pair, ct *cutoffTracker) error {
 				LeftRect: p.LeftRect, RightRect: childRect,
 			}
 		}
-		np.Dist = dists[i]
+		np.Dist = d
 		if ct != nil && np.Dist > ct.Cutoff() {
 			continue
 		}

@@ -75,7 +75,7 @@ type Ablation struct {
 	// computation with the one before it, as a vectorized kernel that
 	// handles the tail of a slice one element short would: a planted
 	// bug in the distances of the sweeps' fixed-cutoff windows and of
-	// HS expansion's batches.
+	// an HS expansion's children.
 	BatchTail bool
 }
 
@@ -212,32 +212,8 @@ type expander struct {
 	soaL, soaR rtree.NodeSoA   // reused SoA decode buffers, where the tree lends no node of its own
 	sorter     sweep.SoASorter // reused sweep-order sorter (memo misses only)
 	run        sweepRun        // reused sweep state, handed out by expansion
-	distBuf    []float64       // reused batch distance kernel output of HS expansions (see distScratch)
-	res        *restrictedCols // pooled restricted columns (see sweepRun.restrict); nil until first used
-	batchTail  bool            // the query's Ablation.BatchTail (see plantBatchTail)
-}
-
-// distScratch returns a length-n float64 scratch slice, growing the
-// expander's reusable buffer when needed. The slice is only valid
-// until the next distScratch call on this expander. A query's buffer
-// comes with its pooled restricted columns (newContext) and goes
-// back with them (releaseRestricted), so a warm query grows it no more.
-func (e *expander) distScratch(n int) []float64 {
-	if cap(e.distBuf) < n {
-		e.distBuf = make([]float64, n)
-	}
-	return e.distBuf[:n]
-}
-
-// plantBatchTail follows every geom.MinDistBatch call of the engine's
-// expansions (HS's): the place Ablation.BatchTail plants its bug in the
-// distances just computed; a sweep's fixed window plants it in its own
-// loop (sweepRun.window). It is small enough to inline, so the paper's
-// algorithm pays one predictable branch per batch.
-func (e *expander) plantBatchTail(dst []float64) {
-	if n := len(dst); n >= 2 && e.batchTail {
-		dst[n-1] = dst[n-2]
-	}
+	res        *restrictedCols // pooled restricted columns (see expander.restrict); nil until first used
+	batchTail  bool            // the query's Ablation.BatchTail (see hsExpand and sweepRun.window)
 }
 
 // newContext validates inputs and builds the shared state.
@@ -273,7 +249,6 @@ func newContext(left, right *rtree.Tree, opts Options) (*execContext, error) {
 		ctx.est = model
 	}
 	ctx.ex = expander{c: ctx, mc: opts.Metrics, batchTail: opts.Ablation.BatchTail}
-	ctx.ex.distBuf = ctx.ex.restricted().dist
 	ctx.pushFn = ctx.push
 	rho := model.Rho()
 	if opts.Ablation.NoQueueModel {

@@ -258,7 +258,7 @@ func sharedNodeBattery(t *testing.T, left, right *rtree.Tree) {
 // (rtree's TestOrderedDecodeMatchesDecodeAndSort adds NaN, infinite and
 // duplicate keys); and a second battery over the
 // same trees changes neither which node a cell holds nor one bit of
-// it: the engines only ever read through sweepRun.L and .R.
+// it: the engines only ever read through a run's sides.
 func TestSharedNodesIdentityAndImmutability(t *testing.T) {
 	l, r := memoTestData()
 	slots := map[int]bool{}
@@ -378,7 +378,7 @@ func TestExpansionOrderAllocs(t *testing.T) {
 		}
 		root, plan := c.rootPair(), sweep.Plan{Axis: 1, Dir: sweep.Backward}
 		expand := func() {
-			if _, err := c.ex.expansionWithPlan(&root, plan); err != nil {
+			if _, err := c.ex.expansionWithPlan(&root, plan, math.Inf(1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -386,7 +386,7 @@ func TestExpansionOrderAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, expand); avg != 0 {
 			t.Errorf("%s: warm-memo expansion allocates %v, want 0", tc.name, avg)
 		}
-		if shared := c.ex.run.L != &c.ex.soaL; shared != (tc.spare > 0) {
+		if shared := c.ex.run.left.n != &c.ex.soaL; shared != (tc.spare > 0) {
 			t.Errorf("%s: the run sweeps a shared node: %v", tc.name, shared)
 		}
 		forget := func() {

@@ -27,7 +27,7 @@ type sweepSide struct {
 // rectangle is read only when a candidate survives the axis scan, and
 // refs only when a candidate is delivered.
 //
-// L and R must already be sorted per plan, and the run only ever reads
+// Both sides are in the plan's sweep order, and the run only ever reads
 // them: either may be the tree's own finished node, shared with every
 // other query on the index (pairSide.sorted). The merge loop repeatedly
 // takes the entry with the minimum sweep key as the anchor and scans
@@ -82,35 +82,27 @@ type sweepSide struct {
 // Compensation: a resumed run (see resume) skips, per anchor, the
 // prefix of candidates the earlier stage examined; when reexamine is
 // also set that prefix is revisited through it first (the AM-IDJ band
-// case, where the real-distance cutoff has grown between stages).
+// case, where the real-distance cutoff has grown between stages). Only
+// a fixed-cutoff run sets reexamine.
 //
-// Restriction: before the merge loop starts, each side loses every
-// entry whose axis gap to the other side's bounding rectangle (lBound,
-// rBound: the expanded pair's rectangles, which enclose every entry of
-// their side) exceeds the real-distance cutoff then in force; the
-// merge, windowEnd, scanBand and the distance loop run on the survivors,
-// compacted in sweep order (see restrict). No pair is lost and none
-// moves. A dropped entry is at least its gap from every entry of the
-// other side, beyond a cutoff that only tightens within the run, so no
-// pair of it could ever pass, and no delivery, hence no cutoff, depends
-// on it. A compacted column is a subsequence of the sorted one, so the
-// merge meets the survivors in the same order and every anchor the same
-// not-yet-anchored candidates, minus the dropped ones; and whether an
-// anchor's gap exceeds a cutoff is monotone along a sorted column (a NaN
-// gap never does), so every window and re-derived prefix ends where it
-// ended on the whole node, minus the dropped entries. Each entry of a
-// side the restriction may drop from counts as one axis distance
-// computation, whether a test or the binary search below settled it. A
-// side whose every entry goes ends the run before the merge: it could
-// pair with nothing, so the merge would make no step (see restrict); a
-// fresh expansion finds that out before it even chooses a plan, and
-// hands out the run emptied (see expansion). The sweep-axis tail past
-// the other side's far end goes by one binary search of the key column,
-// which, as for windowEnd and the merge, must be sorted and free of
-// NaN.
+// Restriction: the sides a run sweeps are its expansion's nodes less
+// every entry whose axis gap to the other side's pair rectangle (which
+// encloses every entry of that side) exceeds the real-distance cutoff
+// the run starts from; the expansion decides that once, on the nodes in
+// the plan's order, before it hands the run out (expander.restrict). No
+// pair is lost and none moves. A dropped entry is at least its gap from
+// every entry of the other side, beyond a cutoff that only tightens
+// within the run, so no pair of it could ever pass, and no delivery,
+// hence no cutoff, depends on it. A compacted column is a subsequence of
+// the sorted one, so the merge meets the survivors in the same order and
+// every anchor the same not-yet-anchored candidates, minus the dropped
+// ones; and whether an anchor's gap exceeds a cutoff is monotone along a
+// sorted column (a NaN gap never does), so every window and re-derived
+// prefix ends where it ended on the whole node, minus the dropped
+// entries. A run whose restriction leaves a side with no entry is
+// emptied: it could pair with nothing, so it makes no step.
 type sweepRun struct {
 	e          *expander
-	L, R       *rtree.NodeSoA // the expanded nodes; the sweep reads left.n, right.n (see restrict)
 	plan       sweep.Plan
 	axisCutoff func() float64 // dynamic cutoff; nil selects the fixed window path
 	cutoff     float64        // fixed axis cutoff, valid when axisCutoff is nil
@@ -123,11 +115,9 @@ type sweepRun struct {
 	reexamine  func(p *hybridq.Pair) bool
 	children   int64 // candidates emit or reexamine accepted
 
-	lBound, rBound geom.Rect // rectangles enclosing every entry of L and of R (see restrict)
-
 	pair         hybridq.Pair // the one candidate under construction; LeftObj/RightObj fixed per run
-	left, right  sweepSide
-	axisN, realN int64 // distance computations of this run, not yet in the collector
+	left, right  sweepSide    // the sides as restricted (see expander.restrict)
+	axisN, realN int64        // distance computations of this run, not yet in the collector
 }
 
 // fixCutoff declares c the axis and real-distance cutoff for the whole
@@ -196,32 +186,28 @@ func (sd *sweepSide) set(n *rtree.NodeSoA, plan sweep.Plan) {
 	}
 }
 
-// run executes the sweep. A run its expansion found emptied (see
-// expansion) only adds the axis computations that finding counted.
+// run executes the sweep over the sides its expansion restricted. An
+// emptied run only adds the axis computations its restriction counted.
 func (s *sweepRun) run() {
 	if !s.emptied {
 		s.refreshReal()
-		if l, r, ok := s.restrict(); ok {
-			s.merge(l, r)
-		}
+		s.merge()
 	}
 	s.e.mc.AddAxisDist(s.axisN)
 	s.e.mc.AddRealDist(s.realN)
 	s.axisN, s.realN = 0, 0
 }
 
-// merge sweeps l and r, the two sides as restricted. Most anchors of a
-// fixed-cutoff run examine nothing: the first candidate at the opposite
-// consumption point is already beyond the cutoff. When the run is not
-// resumed, such an anchor's one axis computation is counted here, and
-// sweepAnchor is not called for it; it would have measured that same
-// gap, counted it, and stopped.
-func (s *sweepRun) merge(l, r *rtree.NodeSoA) {
-	nl, nr := l.Len(), r.Len()
-	s.left.set(l, s.plan)
-	s.right.set(r, s.plan)
+// merge sweeps the two sides. Most anchors of a fixed-cutoff run
+// examine nothing: the first candidate at the opposite consumption
+// point is already beyond the cutoff. When the run is not resumed, such
+// an anchor's one axis computation is counted here, and sweepAnchor is
+// not called for it; it would have measured that same gap, counted it,
+// and stopped.
+func (s *sweepRun) merge() {
 	kl, kr := s.left.key, s.right.key
 	bl, br := s.left.base, s.right.base
+	nl, nr := len(kl), len(kr)
 	forward := s.plan.Dir == sweep.Forward
 	quick, cut := s.axisCutoff == nil && !s.resumed, s.cutoff
 	i, j := 0, 0
@@ -271,84 +257,61 @@ func gapBeyond(key, base, cut float64, forward bool) bool {
 // the kernel's distance is at least the gap.
 const restrictFloor = 0x1p-500
 
-// restrict returns the two nodes the sweep reads: L and R without the
-// entries no pair of this run can use. An entry goes when it lies
-// beyond the other side's bound by more than the real-distance cutoff
-// in force (raised to the floor) along an axis. Every entry of the other
-// side lies inside that bound, so along that axis the batch kernel
-// measures a gap at least as large to each of them (it subtracts
-// coordinates no closer, and rounding is monotone), its distance is at
-// least that gap, and the cutoff only tightens: the pair would fail
-// pass at any point of the run. A side whose own bound holds no entry
-// that far (mayDrop) is swept whole and untested, and so are both sides
-// under an infinite cutoff.
+// restrict decides the restriction of run, once: l and r are the pair's
+// nodes in the run's plan order, lBound and rBound its rectangles, and
+// real the real-distance cutoff the run starts from. An entry goes when
+// it lies beyond the other side's bound by more than real (raised to
+// the floor) along an axis. Every entry of the other side lies inside
+// that bound, so along that axis the batch kernel measures a gap at
+// least as large to each of them (it subtracts coordinates no closer,
+// and rounding is monotone), its distance is at least that gap, and the
+// cutoff only tightens: the pair would fail pass at any point of the
+// run. A side whose own bound holds no entry that far (mayDrop) is swept
+// whole and untested, and so are both sides under an infinite cutoff.
 //
-// The decision comes first (restrictionOf). When it leaves a side with
-// no entry, restrict reports !ok: no pair of the run can pass, so the
-// merge would make no step. Otherwise the survivors of each span are
-// copied in sweep order into the expander's restricted columns; a side
-// that loses nothing is swept in place. Either way each side that may
-// drop counts Len() axis distance computations, as a test of every
-// entry did.
-func (s *sweepRun) restrict() (l, r *rtree.NodeSoA, ok bool) {
-	rs := restrictionOf(s.L, s.plan, s.R, s.plan, s.lBound, s.rBound, s.realNow)
-	s.axisN += rs.axisN
-	if rs.empty {
-		return nil, nil, false
-	}
-	l, r = s.L, s.R
-	if rs.lDrop {
-		l = restrictInto(&s.e.restricted().l, l, s.rBound, rs.t, rs.lLo, rs.lHi)
-	}
-	if rs.rDrop {
-		r = restrictInto(&s.e.restricted().r, r, s.lBound, rs.t, rs.rLo, rs.rHi)
-	}
-	return l, r, true
-}
-
-// restriction is what restrict decides before it copies anything.
-type restriction struct {
-	t                  float64 // the cutoff applied: the real-distance cutoff, raised to the floor
-	lDrop, rDrop       bool    // the side may lose entries (mayDrop)
-	lLo, lHi, rLo, rHi int     // the survivor span of each side that may drop (survivorSpan)
-	axisN              int64   // axis distance computations the restriction counts
-	empty              bool    // a side keeps no entry
-}
-
-// restrictionOf decides the restriction of a pair's sides l and r,
-// whose rectangles are lBound and rBound, under the real-distance cutoff
-// real. Each side is in the sweep order of its own plan. A side that may
-// drop finds its survivors' span (survivorSpan): the sweep-axis tail
-// past the other side's far end by binary search, then its first
-// survivor by a scan. The left side's span comes first, and when it is
-// empty the right side's is not sought.
+// Each side that may drop counts Len() axis distance computations, as a
+// test of every entry did, and finds its survivors' span (survivorSpan):
+// the sweep-axis tail past the other side's far end by binary search,
+// then its first survivor by a scan. When a span is empty, the run is
+// emptied (the left side's span comes first, and when it is empty the
+// right side's is not sought). Otherwise the survivors of each span are
+// copied in sweep order into the expander's restricted columns, a side
+// that loses nothing is swept in place, and the run's sides are pointed
+// at what it sweeps.
 //
-// Whether a side keeps no entry does not depend on the plans, nor does
-// the count: a span is empty exactly when every entry of the side is
-// beyond the other side's bound, and each side that may drop counts
-// Len(). The plans only pick the order the binary search runs on, and
-// with it the spans. So an expansion can decide emptiness on whatever
-// order it holds before it chooses a plan (expansion).
-func restrictionOf(l *rtree.NodeSoA, lPlan sweep.Plan, r *rtree.NodeSoA, rPlan sweep.Plan, lBound, rBound geom.Rect, real float64) (rs restriction) {
-	rs.t, rs.lDrop, rs.rDrop = dropRule(lBound, rBound, real)
-	if rs.lDrop {
-		rs.axisN += int64(l.Len())
+// Whether a side keeps no entry, and the count, do not depend on the
+// plan: a span is empty exactly when every entry of the side is beyond
+// the other side's bound. So the occupancy grids may decide emptiness
+// before the plan is chosen (gridEmptied).
+func (e *expander) restrict(run *sweepRun, l, r *rtree.NodeSoA, lBound, rBound geom.Rect, real float64) {
+	t, lDrop, rDrop := dropRule(lBound, rBound, real)
+	if lDrop {
+		run.axisN += int64(l.Len())
 	}
-	if rs.rDrop {
-		rs.axisN += int64(r.Len())
+	if rDrop {
+		run.axisN += int64(r.Len())
 	}
-	if rs.lDrop {
-		rs.lLo, rs.lHi = survivorSpan(l, rBound, rs.t, lPlan)
-		if rs.lLo == rs.lHi {
-			rs.empty = true
-			return rs
+	var lLo, lHi, rLo, rHi int
+	if lDrop {
+		if lLo, lHi = survivorSpan(l, rBound, t, run.plan); lLo == lHi {
+			run.emptied = true
+			return
 		}
 	}
-	if rs.rDrop {
-		rs.rLo, rs.rHi = survivorSpan(r, lBound, rs.t, rPlan)
-		rs.empty = rs.rLo == rs.rHi
+	if rDrop {
+		if rLo, rHi = survivorSpan(r, lBound, t, run.plan); rLo == rHi {
+			run.emptied = true
+			return
+		}
 	}
-	return rs
+	if lDrop {
+		l = restrictInto(&e.restricted().l, l, rBound, t, lLo, lHi)
+	}
+	if rDrop {
+		r = restrictInto(&e.restricted().r, r, lBound, t, rLo, rHi)
+	}
+	run.left.set(l, run.plan)
+	run.right.set(r, run.plan)
 }
 
 // dropRule returns the cutoff the restriction applies under the
@@ -470,16 +433,13 @@ func restrictInto(dst, src *rtree.NodeSoA, bound geom.Rect, t float64, lo, hi in
 }
 
 // restrictedCols holds the columns a query's expansions write: the
-// surviving entries of a restricted sweep's two sides, and, while no
-// query holds it, the output buffer of HS expansion's batch distance
-// kernel (expander.distScratch). A query takes one from restrictedPool
-// as its context is made, or a hand-built expander at its first
-// restriction (expander.restricted), and endQuery gives it back. It
-// holds no pointers beyond its own columns, which keep the size of the
-// largest node or batch they held, so a warm query grows none of them.
+// surviving entries of a restricted sweep's two sides. A query takes one
+// from restrictedPool at its first restriction (expander.restricted),
+// and endQuery gives it back. It holds no pointers beyond its own
+// columns, which keep the size of the largest node they held, so a warm
+// query grows neither of them.
 type restrictedCols struct {
 	l, r rtree.NodeSoA
-	dist []float64
 }
 
 var restrictedPool = sync.Pool{New: func() any { return new(restrictedCols) }}
@@ -493,11 +453,10 @@ func (e *expander) restricted() *restrictedCols {
 	return e.res
 }
 
-// releaseRestricted gives the query's restricted columns, with its
-// distance buffer, back to the pool.
+// releaseRestricted gives the query's restricted columns back to the
+// pool.
 func (e *expander) releaseRestricted() {
 	if e.res != nil {
-		e.res.dist, e.distBuf = e.distBuf, nil
 		restrictedPool.Put(e.res)
 		e.res = nil
 	}
@@ -560,10 +519,10 @@ func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 		// not counted again.
 		start = windowEnd(col, base, oj, s.examCutoff, forward)
 		if s.reexamine != nil {
-			// Band mode: revisit the prefix, examined under a smaller
-			// real-distance cutoff, so pairs in the grown band are
-			// recovered.
-			s.scanBand(a, o, fromL, ai, oj, start)
+			// Band mode, under a fixed cutoff: revisit the prefix,
+			// examined under a smaller real-distance cutoff, so pairs in
+			// the grown band are recovered.
+			s.window(s.reexamine, a, o, fromL, ai, oj, start)
 		}
 	}
 
@@ -602,26 +561,6 @@ func (s *sweepRun) sweepAnchor(a, o *sweepSide, fromL bool, ai, oj int) {
 	}
 }
 
-// scanBand revisits the previously examined candidate range
-// [from, to) of anchor ai through reexamine, as one fixed window when
-// the cutoff is fixed (the only mode band re-examination runs under).
-func (s *sweepRun) scanBand(a, o *sweepSide, fromL bool, ai, from, to int) {
-	if s.axisCutoff == nil {
-		s.window(s.reexamine, a, o, fromL, ai, from, to)
-		return
-	}
-	if to <= from {
-		return
-	}
-	ar, on := a.n.Rect(ai), o.n
-	s.realN += int64(to - from)
-	for m := from; m < to; m++ {
-		if d := minDistOriented(fromL, ar, on.Rect(m)); s.pass(d) {
-			s.deliver(s.reexamine, fromL, ai, m, d)
-		}
-	}
-}
-
 // window measures the candidates [from, to) of anchor ai on side o,
 // counting each as a real distance computation, and delivers through fn
 // each that passes, one candidate at a time: distance, pass, deliver.
@@ -629,7 +568,8 @@ func (s *sweepRun) scanBand(a, o *sweepSide, fromL bool, ai, from, to int) {
 // as the fixed rectangle): the same IEEE operations in the same order,
 // computed inline, so every delivered distance keeps its bits. Under
 // Ablation.BatchTail the window's last candidate takes its
-// predecessor's distance, the bug plantBatchTail plants in a batch.
+// predecessor's distance, as an HS expansion's last child does
+// (hsExpand).
 func (s *sweepRun) window(fn func(p *hybridq.Pair) bool, a, o *sweepSide, fromL bool, ai, from, to int) {
 	if to <= from {
 		return
@@ -686,37 +626,33 @@ func minDistOriented(anchorFromL bool, anchor, other geom.Rect) float64 {
 // run is the expander's reusable scratch: it, and the nodes it points
 // at, are valid until the expander's next expansion.
 //
-// The plan is chosen only for a run that will sweep. When a side may
-// drop entries under real, the expansion first decides whether the
-// restriction leaves a side with no entry, which does not depend on the
-// plan (restrictionOf). The sides' occupancy grids decide it first,
-// before either node is decoded (gridEmptied); failing that, the
-// restriction is decided on whatever order of each node costs least
-// (pairSide.anyOrder). If a side is left with no entry, the run comes
-// back emptied, holding only the restriction's axis count, without a
-// plan: no pair of it can pass, so no sweep order is needed. Otherwise,
-// and whenever no side may drop, the plan is chosen and both nodes are
-// put in its order.
+// The run comes back restricted (expander.restrict), or emptied. When a
+// side may drop entries under real, the sides' occupancy grids are read
+// first, before either node is decoded (gridEmptied): if they show that
+// the restriction leaves a side with no entry, the run comes back
+// emptied, holding only the restriction's axis count, without a plan,
+// since no pair of it can pass. Otherwise the plan is chosen, both
+// nodes are put in its order, and the restriction is decided on them.
 func (e *expander) expansion(p *hybridq.Pair, cutoff, real float64) (*sweepRun, error) {
 	return e.expand(p, sweep.Plan{}, false, cutoff, real)
 }
 
 // expansionWithPlan is expansion with a predetermined plan, used by the
 // compensation stages to reproduce an earlier stage's sweep order
-// exactly. Its run restricts as it starts, under the cutoff then in
-// force.
-func (e *expander) expansionWithPlan(p *hybridq.Pair, plan sweep.Plan) (*sweepRun, error) {
-	return e.expand(p, plan, true, 0, math.Inf(1))
+// exactly; real is the real-distance cutoff the run starts from. The
+// run comes back restricted or emptied, as from expansion.
+func (e *expander) expansionWithPlan(p *hybridq.Pair, plan sweep.Plan, real float64) (*sweepRun, error) {
+	return e.expand(p, plan, true, 0, real)
 }
 
 // expand is expansion and expansionWithPlan. Each side's page is pinned
-// once, left before right, before either is decoded, and held until
-// every order the expansion needs is taken from it: a pin per order
-// would count a second access and move the page in the pool's LRU
-// order. The pins are released here, after order returns; expand holds
-// nothing else, so that its two defers stay open-coded (a function
-// whose defers times returns exceed fifteen runs them through the
-// runtime's slower path, at every expansion).
+// once, left before right, before either is decoded, and held until the
+// expansion has taken what it needs from it: a pin per read would count
+// a second access and move the page in the pool's LRU order. The pins
+// are released here, after order returns; expand holds nothing else, so
+// that its two defers stay open-coded (a function whose defers times
+// returns exceed fifteen runs them through the runtime's slower path,
+// at every expansion).
 func (e *expander) expand(p *hybridq.Pair, plan sweep.Plan, planned bool, cutoff, real float64) (*sweepRun, error) {
 	var l, r pairSide
 	defer l.release()
@@ -736,28 +672,15 @@ func (e *expander) order(l, r *pairSide, p *hybridq.Pair, plan sweep.Plan, plann
 	run := &e.run
 	*run = sweepRun{} // zeroed in place; a non-zero literal would be built aside and copied
 	run.e = e
-	run.lBound, run.rBound = p.LeftRect, p.RightRect
-	if !planned {
-		if t, lDrop, rDrop := dropRule(p.LeftRect, p.RightRect, real); lDrop || rDrop {
-			l.lookGrid()
-			r.lookGrid()
-			if axisN, ok := gridEmptied(l, r, p.LeftRect, p.RightRect, t, lDrop, rDrop); ok {
-				run.axisN, run.emptied = axisN, true
-				return run, nil
-			}
-			ln, lPlan, err := l.anyOrder(e)
-			if err != nil {
-				return nil, err
-			}
-			rn, rPlan, err := r.anyOrder(e)
-			if err != nil {
-				return nil, err
-			}
-			if rs := restrictionOf(ln, lPlan, rn, rPlan, p.LeftRect, p.RightRect, real); rs.empty {
-				run.axisN, run.emptied = rs.axisN, true
-				return run, nil
-			}
+	if t, lDrop, rDrop := dropRule(p.LeftRect, p.RightRect, real); lDrop || rDrop {
+		l.lookGrid()
+		r.lookGrid()
+		if axisN, ok := gridEmptied(l, r, p.LeftRect, p.RightRect, t, lDrop, rDrop); ok {
+			run.axisN, run.emptied = axisN, true
+			return run, nil
 		}
+	}
+	if !planned {
 		plan = c.choosePlan(p, cutoff, real)
 	}
 	ln, err := l.sorted(e, plan)
@@ -768,8 +691,9 @@ func (e *expander) order(l, r *pairSide, p *hybridq.Pair, plan sweep.Plan, plann
 	if err != nil {
 		return nil, err
 	}
-	run.L, run.R, run.plan = ln, rn, plan
+	run.plan = plan
 	run.pair.LeftObj, run.pair.RightObj = l.childIsObj(), r.childIsObj()
+	e.restrict(run, ln, rn, p.LeftRect, p.RightRect, real)
 	return run, nil
 }
 
@@ -777,9 +701,9 @@ func (e *expander) order(l, r *pairSide, p *hybridq.Pair, plan sweep.Plan, plann
 // before either node is decoded, whether the restriction under t
 // (dropRule, with the drop flags lDrop and rDrop) leaves a side of a
 // pair with rectangles lBound and rBound with no entry. When it can
-// tell, it returns the axis computations restrictionOf counts, Len()
+// tell, it returns the axis computations the restriction counts, Len()
 // for each side that may drop, as the page header gives it; ok false
-// leaves the question to restrictionOf.
+// leaves the question to the restriction (expander.restrict).
 //
 // Every entry the restriction keeps intersects the other side's
 // rectangle grown by the successor of t (restrictRegion), so a side
@@ -811,14 +735,13 @@ func grown(b geom.Rect, m float64) geom.Rect {
 func successor(t float64) float64 { return math.Float64frombits(math.Float64bits(t) + 1) }
 
 // pairSide is one side of a pair under expansion: the node's page,
-// pinned for the expansion, and the node as last ordered from it. An
-// object side pins nothing; it is its own one entry, in every order.
+// pinned for the expansion, and the node as sorted from it. An object
+// side pins nothing; it is its own one entry, in every order.
 type pairSide struct {
 	pin     rtree.PinnedNode
 	ref     uint64
 	scratch *rtree.NodeSoA // the expander's decode buffer for the side
-	n       *rtree.NodeSoA // the entries in the sweep order of slot
-	slot    int
+	n       *rtree.NodeSoA // the entries in the sweep order (sorted); an object side's from open
 	obj     bool
 	size    int              // the entries, as the page header claims them (lookGrid)
 	grid    *rtree.Occupancy // the page's grid (lookGrid); nil when there is none
@@ -844,7 +767,7 @@ func (sd *pairSide) open(e *expander, tree *rtree.Tree, ref uint64, isObj bool, 
 // lookGrid reads a node side's entry count from its page header and
 // looks up the page's grid, which it trusts only for a page whose
 // header claims the level the side's ref carries: any other page fails
-// the level rule when it is decoded (anyOrder), and must.
+// the level rule when it is decoded (sorted), and must.
 func (sd *pairSide) lookGrid() {
 	if sd.obj {
 		return
@@ -867,34 +790,6 @@ func (sd *pairSide) misses(q, bound geom.Rect, t float64) bool {
 	return sd.grid != nil && sd.grid.Misses(q)
 }
 
-// anyOrder returns the node in the order that costs least to take: a
-// finished node the tree's memo holds, in any slot, and otherwise slot
-// 0's order, as sorted establishes it. When the page has no grid yet
-// (lookGrid found none), it is published from the node, which the level
-// rule and KeyError have passed.
-func (sd *pairSide) anyOrder(e *expander) (*rtree.NodeSoA, sweep.Plan, error) {
-	if sd.obj {
-		return sd.n, sweep.Plan{}, nil
-	}
-	n, slot := sd.pin.Finished()
-	if n != nil {
-		if n.Level != refLevel(sd.ref) {
-			return nil, sweep.Plan{}, levelError(sd.ref, n)
-		}
-		sd.n, sd.slot = n, slot
-	} else {
-		var err error
-		if n, err = sd.sorted(e, sweep.SlotPlan(0)); err != nil {
-			return nil, sweep.Plan{}, err
-		}
-		slot = 0
-	}
-	if sd.grid == nil {
-		sd.pin.PublishGrid(n)
-	}
-	return n, sweep.SlotPlan(slot), nil
-}
-
 // sorted returns the node in plan's sweep order, and is the one place
 // that order is established. What it does depends on what the tree's
 // sweep-order memo holds for (node, plan):
@@ -909,16 +804,17 @@ func (sd *pairSide) anyOrder(e *expander) (*rtree.NodeSoA, sweep.Plan, error) {
 //
 // In the last two cases the finished scratch is offered back to the
 // tree, which keeps a copy of it if it has room for decoded nodes and
-// the permutation otherwise. A node already in plan's order, and an
-// object side, are returned as they are. A node sorted from page order
-// is first held to the precondition of the sweep's key columns
-// (rtree.KeyError), whatever its length; one decoded through a
-// remembered permutation was held to it when that permutation was made.
+// the permutation otherwise. An object side is returned as it is. A
+// node sorted from page order is first held to the precondition of the
+// sweep's key columns (rtree.KeyError), whatever its length; one decoded
+// through a remembered permutation was held to it when that permutation
+// was made. The page's occupancy grid is published from the node, which
+// has passed the level rule and KeyError, unless one already is.
 func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error) {
-	slot := plan.Slot()
-	if sd.obj || sd.n != nil && sd.slot == slot {
+	if sd.obj {
 		return sd.n, nil
 	}
+	slot := plan.Slot()
 	n, ordered, err := sd.pin.Ordered(slot, sd.scratch)
 	if err != nil {
 		return nil, err
@@ -943,7 +839,10 @@ func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error)
 		}
 		sd.pin.Publish(slot, perm, n)
 	}
-	sd.n, sd.slot = n, slot
+	if sd.grid == nil {
+		sd.pin.PublishGrid(n)
+	}
+	sd.n = n
 	return n, nil
 }
 

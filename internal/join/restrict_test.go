@@ -8,6 +8,7 @@ import (
 
 	"distjoin/internal/geom"
 	"distjoin/internal/hybridq"
+	"distjoin/internal/memotest"
 	"distjoin/internal/metrics"
 	"distjoin/internal/rtree"
 	"distjoin/internal/sweep"
@@ -58,10 +59,9 @@ func unionOf(rects, extra []geom.Rect) geom.Rect {
 // orientation or by Rect.MinDist. A restriction that ends the run must
 // leave no pair of the two sides that passes.
 //
-// It also holds restrictionOf, the test an expansion makes before it
-// has a plan, to the restriction under c's plan: with the sides in the
-// orders of any two plans, it reports a side empty exactly when the
-// restriction ends the run, and counts the same axis computations.
+// It also holds the restriction under c's plan to the restriction under
+// any other: whether it ends the run, and the axis computations it
+// counts, do not depend on the plan.
 //
 // And it holds the rectangles the plan is chosen from (restrictRegion)
 // to the restriction: a side that may not drop (mayDrop, never under an
@@ -69,7 +69,7 @@ func unionOf(rects, extra []geom.Rect) geom.Rect {
 // ended, each clipped rectangle is neither NaN nor inverted and every
 // entry the restriction keeps intersects its side's.
 //
-// And it holds the occupancy grids' verdict (gridEmptied), which a fresh
+// And it holds the occupancy grids' verdict (gridEmptied), which an
 // expansion takes before it decodes either node, to the restriction: a
 // pair the grids call emptied is one the restriction ends, with the same
 // axis count. A side of one entry that is its own bound is tried as an
@@ -78,9 +78,11 @@ func checkRestriction(t *testing.T, c restrictCase) (dropped int, byGrid bool) {
 	t.Helper()
 	L, R := sweepNode(c.l, c.plan, 1000), sweepNode(c.r, c.plan, 2000)
 	lBound, rBound := unionOf(c.l, c.lExtra), unionOf(c.r, c.rExtra)
-	run := &sweepRun{e: &expander{mc: &metrics.Collector{}}, L: L, R: R, plan: c.plan, lBound: lBound, rBound: rBound}
+	e := &expander{mc: &metrics.Collector{}}
+	run := &sweepRun{e: e, plan: c.plan}
+	e.restrict(run, L, R, lBound, rBound, c.cut)
 	run.fixCutoff(c.cut)
-	l, r, ok := run.restrict()
+	l, r, ok := run.left.n, run.right.n, !run.emptied
 	lClip, rClip := restrictRegion(lBound, rBound, c.cut)
 	_, lDrop, rDrop := dropRule(lBound, rBound, c.cut)
 	if !lDrop && lClip != lBound || !rDrop && rClip != rBound {
@@ -105,13 +107,12 @@ func checkRestriction(t *testing.T, c restrictCase) (dropped int, byGrid bool) {
 			}
 		}
 	}
-	for _, lp := range benchPlans {
-		for _, rp := range benchPlans {
-			rs := restrictionOf(sweepNode(c.l, lp, 1000), lp, sweepNode(c.r, rp, 2000), rp, lBound, rBound, c.cut)
-			if rs.empty == ok || rs.axisN != run.axisN {
-				t.Fatalf("sides in the orders of %v and %v: a side empty %v, %d axis computations; the restriction under %v ends the run %v after %d",
-					lp, rp, rs.empty, rs.axisN, c.plan, !ok, run.axisN)
-			}
+	for _, plan := range benchPlans {
+		other := &sweepRun{plan: plan}
+		(&expander{}).restrict(other, sweepNode(c.l, plan, 1000), sweepNode(c.r, plan, 2000), lBound, rBound, c.cut)
+		if other.emptied == ok || other.axisN != run.axisN {
+			t.Fatalf("under %v the restriction ends the run %v after %d axis computations; under %v, %v after %d",
+				plan, other.emptied, other.axisN, c.plan, !ok, run.axisN)
 		}
 	}
 	if tr, lDrop, rDrop := dropRule(lBound, rBound, c.cut); lDrop || rDrop {
@@ -235,6 +236,70 @@ func TestRestrictionExact(t *testing.T) {
 	}
 	if dropped == 0 || byGrid == 0 {
 		t.Fatalf("%d entries dropped, %d pairs emptied by the grids; the test checks too little", dropped, byGrid)
+	}
+}
+
+// TestPlannedExpansionGridEmptied: a planned expansion, a compensation
+// stage's, of a pair whose occupancy grids prove the restriction under
+// a finite cutoff empties a side comes back emptied, with the axis count
+// the restriction of the pair's nodes in the plan's order gives, and
+// decodes neither node: the memo gains no cell for either, whether the
+// trees have room for finished nodes or keep permutations only.
+func TestPlannedExpansionGridEmptied(t *testing.T) {
+	left, right, lrefs, rrefs := orderBenchTrees(t)
+	const cut = 2.0
+	for _, spare := range []int{0, 1 << 12} {
+		c, err := newContext(reopened(t, left, spare), reopened(t, right, spare), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Publish the leaves' grids, as their first expansions would,
+		// without ordering any node.
+		var n rtree.NodeSoA
+		for _, side := range []struct {
+			tree *rtree.Tree
+			refs []uint64
+		}{{c.left, lrefs}, {c.right, rrefs}} {
+			for _, ref := range side.refs {
+				pin, err := side.tree.PinNode(refPage(ref), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := side.tree.ReadNodeSoA(refPage(ref), &n, nil); err != nil {
+					t.Fatal(err)
+				}
+				pin.PublishGrid(&n)
+				pin.Release()
+			}
+		}
+		var ln, rn rtree.NodeSoA
+		var sorter sweep.SoASorter
+		for i, p := range gridEmptiedPairs(t, c, lrefs, rrefs, cut) {
+			plan := benchPlans[i%len(benchPlans)]
+			run, err := c.ex.expansionWithPlan(&p, plan, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.left.ReadNodeSoA(refPage(p.Left), &ln, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.right.ReadNodeSoA(refPage(p.Right), &rn, nil); err != nil {
+				t.Fatal(err)
+			}
+			sorter.Sort(&ln, plan)
+			sorter.Sort(&rn, plan)
+			want := &sweepRun{plan: plan}
+			(&expander{}).restrict(want, &ln, &rn, p.LeftRect, p.RightRect, cut)
+			if !run.emptied || !want.emptied || run.axisN != want.axisN {
+				t.Fatalf("pair %d under %v: the expansion comes back emptied %v after %d axis computations, the restriction %v after %d",
+					i, plan, run.emptied, run.axisN, want.emptied, want.axisN)
+			}
+		}
+		for _, tree := range []*rtree.Tree{c.left, c.right} {
+			if s := memotest.Read(t, tree); len(s.Nodes) != 0 || s.Perms != 0 {
+				t.Fatalf("spare %d: emptied expansions left %d finished nodes and %d permutations in the memo", spare, len(s.Nodes), s.Perms)
+			}
+		}
 	}
 }
 
@@ -397,10 +462,11 @@ func TestTailStartMatchesLinearScan(t *testing.T) {
 }
 
 // TestAMIDJBookkeepsEmptiedExpansions: a fresh AM-IDJ expansion that
-// the restriction empties chooses no plan, yet is bookkept when its
-// cutoff does not cover the pair (a later stage's larger cutoff may let
-// it pair), and then with the plan a sweep would have had, so a later
-// stage re-expands it exactly as if it had swept. Every bookkept fresh
+// the restriction empties is bookkept when its cutoff does not cover the
+// pair (a later stage's larger cutoff may let it pair), and then with
+// the plan a sweep would have had, so a later stage re-expands it
+// exactly as if it had swept; only one the occupancy grids emptied
+// comes back without a plan (expansion). Every bookkept fresh
 // expansion, emptied or swept, must carry choosePlan under the stage's
 // cutoff, as axis and as real-distance cutoff: the plan of the region
 // the stage's restriction keeps (restrictRegion).

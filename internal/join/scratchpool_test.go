@@ -23,9 +23,6 @@ func checkReleased(t *testing.T, name string, c *execContext) {
 	if c.ex.res != nil {
 		t.Errorf("%s: the ended query still holds its restricted columns", name)
 	}
-	if c.ex.distBuf != nil {
-		t.Errorf("%s: the ended query still holds its distance buffer, which went back to the pool", name)
-	}
 	if c.queue.Len() != 0 {
 		t.Errorf("%s: the ended query's queue still holds %d pairs", name, c.queue.Len())
 	}

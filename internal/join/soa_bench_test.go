@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -49,7 +50,7 @@ func BenchmarkLeafSweepSoA(b *testing.B) {
 // them) and returns each tree with the refs of its nodes: page IDs
 // stamped with the level each page claims, as a parent's entry carries
 // them.
-func orderBenchTrees(b *testing.B) (left, right *rtree.Tree, lrefs, rrefs []uint64) {
+func orderBenchTrees(b testing.TB) (left, right *rtree.Tree, lrefs, rrefs []uint64) {
 	rng := rand.New(rand.NewSource(812))
 	w := geom.NewRect(0, 0, 1000, 1000)
 	pack := func(items []rtree.Item) (*rtree.Tree, []uint64) {
@@ -159,7 +160,7 @@ func BenchmarkExpansionOrder(b *testing.B) {
 	// each page's own level, which the expansion checks against the page.
 	step := func(i int) {
 		p := hybridq.Pair{Left: lrefs[i%n], Right: rrefs[i%n]}
-		if _, err := c.ex.expansionWithPlan(&p, benchPlans[i/n%len(benchPlans)]); err != nil {
+		if _, err := c.ex.expansionWithPlan(&p, benchPlans[i/n%len(benchPlans)], math.Inf(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,47 +189,58 @@ func BenchmarkExpansionOrder(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				step(i)
 			}
-			if shared := c.ex.run.L != &c.ex.soaL; shared != (filled.spare > 0) {
+			if shared := c.ex.run.left.n != &c.ex.soaL; shared != (filled.spare > 0) {
 				b.Fatalf("the run sweeps a shared node: %v", shared)
 			}
 		})
 	}
-	// emptied runs expansion, the fresh one that may end a pair before
-	// choosing a plan, over pairs whose occupancy grids prove that the
-	// restriction empties a side (gridEmptied): two pool hits, two header
-	// reads and the grid tests, no decode and no scan. The pairs are the
-	// leaf pairs within the cutoff of each other, each with its nodes'
-	// bounds as its rectangles, that the grids end. resident and
-	// permutations are the two things the memo can hold for their nodes,
-	// which such an expansion never reads.
+	// emptied runs expansions over pairs whose occupancy grids prove that
+	// the restriction empties a side (gridEmptied): two pool hits, two
+	// header reads and the grid tests, no plan, no decode and no scan.
+	// fresh is expansion, planned is expansionWithPlan (a compensation
+	// stage's) under the same cutoff. The pairs are the leaf pairs within
+	// the cutoff of each other, each with its nodes' bounds as its
+	// rectangles, that the grids end. resident and permutations are the
+	// two things the memo can hold for their nodes, which such an
+	// expansion never reads.
 	b.Run("emptied", func(b *testing.B) {
 		const cut = 2.0
 		for _, filled := range []struct {
 			name  string
 			spare int
 		}{{"resident", 1 << 12}, {"permutations", 0}} {
-			b.Run(filled.name, func(b *testing.B) {
-				reopen(filled.spare)
-				pairs := gridEmptiedPairs(b, c, lrefs, rrefs, cut)
-				for i := range pairs {
-					// The first expansion of a node publishes its grid.
-					if _, err := c.ex.expansion(&pairs[i], cut, cut); err != nil {
-						b.Fatal(err)
+			for _, path := range []struct {
+				name   string
+				expand func(p *hybridq.Pair, i int) (*sweepRun, error)
+			}{
+				{"fresh", func(p *hybridq.Pair, _ int) (*sweepRun, error) { return c.ex.expansion(p, cut, cut) }},
+				{"planned", func(p *hybridq.Pair, i int) (*sweepRun, error) {
+					return c.ex.expansionWithPlan(p, benchPlans[i%len(benchPlans)], cut)
+				}},
+			} {
+				b.Run(filled.name+"/"+path.name, func(b *testing.B) {
+					reopen(filled.spare)
+					pairs := gridEmptiedPairs(b, c, lrefs, rrefs, cut)
+					for i := range pairs {
+						// The first expansion of a node publishes its grid.
+						if _, err := c.ex.expansion(&pairs[i], cut, cut); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run, err := c.ex.expansion(&pairs[i%len(pairs)], cut, cut)
-					if err != nil {
-						b.Fatal(err)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						run, err := path.expand(&pairs[i%len(pairs)], i)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !run.emptied {
+							b.Fatal("a pair the grids end was swept")
+						}
 					}
-					if !run.emptied {
-						b.Fatal("a pair the grids end was swept")
-					}
-				}
-				b.ReportMetric(float64(len(pairs)), "pairs")
-			})
+					b.ReportMetric(float64(len(pairs)), "pairs")
+				})
+			}
 		}
 	})
 }
@@ -237,7 +249,7 @@ func BenchmarkExpansionOrder(b *testing.B) {
 // lie within cut of each other and whose occupancy grids prove that the
 // restriction under cut empties a side, with their bounds as the pair's
 // rectangles.
-func gridEmptiedPairs(b *testing.B, c *execContext, lrefs, rrefs []uint64, cut float64) []hybridq.Pair {
+func gridEmptiedPairs(b testing.TB, c *execContext, lrefs, rrefs []uint64, cut float64) []hybridq.Pair {
 	type leaf struct {
 		ref   uint64
 		bound geom.Rect
@@ -290,11 +302,11 @@ func soaBounds(s *rtree.NodeSoA) geom.Rect {
 // recorded fixed-cutoff sweep — the shape of an AM-KDJ aggressive or
 // AM-IDJ stage expansion — of two packed leaves that lie on top of each
 // other (86 entries each: fanout 102 at the packer's fill), already
-// decoded and ordered (BenchmarkExpansionOrder times that part), with
-// warm scratch and the range storage reused as a caller would own it. The emit keeps each delivered pair with one
+// decoded, ordered and restricted (BenchmarkExpansionOrder times the
+// expansion), with warm scratch. The emit keeps each delivered pair with one
 // 104-byte copy, as the main queue's heap does, and nothing else, so the
 // queue (BenchmarkHeapPushPop, BenchmarkHybridQueuePushPop) stays out of
-// the number. ns/anchor divides by the entries of the two nodes;
+// the number. ns/anchor divides by the entries the sweep reads;
 // realdist/op and pairs/op say how much of the op is distance kernel
 // and how much is delivery.
 func BenchmarkAggressiveSweep(b *testing.B) {
@@ -354,7 +366,7 @@ func BenchmarkAggressiveSweep(b *testing.B) {
 		run.run()
 	}
 	b.StopTimer()
-	anchors := float64(run.L.Len() + run.R.Len())
+	anchors := float64(run.left.n.Len() + run.right.n.Len())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/anchors, "ns/anchor")
 	b.ReportMetric(float64(mc.RealDistCalcs)/float64(b.N), "realdist/op")
 	b.ReportMetric(float64(run.children)/float64(b.N), "pairs/op")

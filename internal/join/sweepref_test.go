@@ -198,20 +198,12 @@ func (s *refSweep) scanBand(fromL bool, anchor refEntry, o *rtree.NodeSoA, from,
 	if to <= from {
 		return
 	}
-	if s.axisCutoff == nil {
-		dst := make([]float64, to-from)
-		geom.MinDistBatch(dst, anchor.Rect,
-			o.MinX[from:to], o.MinY[from:to], o.MaxX[from:to], o.MaxY[from:to])
-		s.realN += int64(to - from)
-		for m := from; m < to; m++ {
-			if d := dst[m-from]; s.pass(d) {
-				s.deliver(s.reexamine, fromL, anchor, o, m, d)
-			}
-		}
-		return
-	}
+	dst := make([]float64, to-from)
+	geom.MinDistBatch(dst, anchor.Rect,
+		o.MinX[from:to], o.MinY[from:to], o.MaxX[from:to], o.MaxY[from:to])
+	s.realN += int64(to - from)
 	for m := from; m < to; m++ {
-		if d := s.minDist(fromL, anchor.Rect, o.Rect(m)); s.pass(d) {
+		if d := dst[m-from]; s.pass(d) {
 			s.deliver(s.reexamine, fromL, anchor, o, m, d)
 		}
 	}
@@ -312,16 +304,17 @@ func pairBound(n *rtree.NodeSoA) geom.Rect {
 
 // TestSweepMatchesEntryReference runs the column-reading sweep and the
 // entry-materialising reference over random node pairs, for every plan,
-// both cutoff forms and every compensation mode, and requires the same
-// delivered sequence. The reference resumes from the ranges the earlier
+// both cutoff forms and every compensation mode (band re-examination
+// under the fixed cutoff only, the one AM-IDJ runs it under), and
+// requires the same delivered sequence. The reference resumes from the ranges the earlier
 // stage recorded; the sweep gets only that stage's cutoff and re-derives
 // them, and the prefix it re-derives for every entry, never-anchored
 // entries included, must be the range the reference recorded, for the
 // earlier stage and for a fixed-cutoff later one alike.
 //
-// The sweep gets its pair's rectangles, so it restricts both sides to
-// the entries that can pass before it merges; the reference sweeps
-// every entry. Its distance computation totals must be those of the
+// The sweep's sides are restricted to the entries that can pass under
+// the cutoff it starts from, against its pair's rectangles
+// (expander.restrict); the reference sweeps every entry. Its distance computation totals must be those of the
 // reference run over the restricted nodes (restrictRef) plus one axis
 // computation per entry tested, and that run must deliver the same
 // sequence too. Half the live-cutoff runs start from a full distance
@@ -355,6 +348,9 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 
 			for _, live := range []bool{false, true} {
 				for _, mode := range []string{"fresh", "prev", "prev+reexamine"} {
+					if live && mode == "prev+reexamine" {
+						continue // band re-examination runs under a fixed cutoff only
+					}
 					tag := fmt.Sprintf("trial %d %v live=%v %s (%dx%d)", trial, plan, live, mode, nl, nr)
 					newQueue := func() *pqueue.DistanceQueue {
 						q := pqueue.NewDistanceQueue(k)
@@ -438,7 +434,9 @@ func TestSweepMatchesEntryReference(t *testing.T) {
 					var got []delivered
 					var mc metrics.Collector
 					q := newQueue()
-					run := &sweepRun{e: &expander{mc: &mc}, L: L, R: R, plan: plan, lBound: lBound, rBound: rBound}
+					e := &expander{mc: &mc}
+					run := &sweepRun{e: e, plan: plan}
+					e.restrict(run, L, R, lBound, rBound, startCutoff)
 					run.pair.LeftObj, run.pair.RightObj = lObj, rObj
 					keep := func(reex bool) func(p *hybridq.Pair) bool {
 						return func(p *hybridq.Pair) bool {

@@ -97,9 +97,10 @@ func (t *Tree) ReadNodeSoAOrdered(id storage.PageID, slot int, scratch *NodeSoA,
 }
 
 // PinnedNode is a node's page held in the tree's buffer pool for one
-// expansion: PinNode fetches and accounts it once, the caller orders the
-// node for as many sweep slots as it needs from it, and releases it
-// once. The zero value pins nothing, and its Release does nothing.
+// expansion: PinNode fetches and accounts it once, the caller reads
+// from it what it needs — the header, the occupancy grid, the node in a
+// sweep slot's order — and releases it once. The zero value pins
+// nothing, and its Release does nothing.
 type PinnedNode struct {
 	t  *Tree
 	id storage.PageID
@@ -122,25 +123,6 @@ func (p PinnedNode) Release() {
 	if p.f != nil {
 		p.f.Release()
 	}
-}
-
-// Finished returns a finished node the memo holds for the page, in the
-// sweep order of the returned slot, or nil and -1 when it holds none.
-// Like a finished node Ordered returns, it is shared and must not be
-// written.
-func (p PinnedNode) Finished() (n *NodeSoA, slot int) {
-	if p.t.nodeBytes.Load() == 0 {
-		return nil, -1 // the tree holds no finished node at all
-	}
-	page := p.f.Bytes()
-	for slot = 0; slot < SweepSlots; slot++ {
-		if cell := p.t.orderSlot(p.id, slot); cell != nil {
-			if c := cell.Load(); c != nil && c.node != nil && c.fits(page) {
-				return c.node, slot
-			}
-		}
-	}
-	return nil, -1
 }
 
 // Ordered returns the node to sweep in slot's order, by the cheapest

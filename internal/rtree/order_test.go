@@ -400,17 +400,16 @@ func TestSweepOrderMemoAllocs(t *testing.T) {
 	}
 }
 
-// TestPinnedNodeFinished: a pin is one accounted access however many
-// orders are taken from it, and Finished hands out a finished node the
-// memo holds, in the lowest slot whose cell fits the page, and nothing
-// when the cells hold only nodes of the wrong length, permutations, or
-// nothing.
-func TestPinnedNodeFinished(t *testing.T) {
+// TestPinnedNodeAccountsOnce: a pin is one accounted access however
+// much is read from it — its header, its grid, the node in every sweep
+// order — whatever the memo holds for the page: nothing, a node of the
+// wrong length, a finished node, or a permutation.
+func TestPinnedNodeAccountsOnce(t *testing.T) {
 	const n = 9
 	store, ids := hostileStore(t, rand.New(rand.NewSource(5)), 4096, []int{n})
 	id := ids[0]
 	var pageOrder, decoy, got rtree.NodeSoA
-	check := func(view *rtree.Tree, what string, wantSlot int) {
+	check := func(view *rtree.Tree, what string) {
 		t.Helper()
 		var mc metrics.Collector
 		pin, err := view.PinNode(id, &mc)
@@ -418,16 +417,17 @@ func TestPinnedNodeFinished(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pin.Release()
-		node, slot := pin.Finished()
-		if slot != wantSlot || (node != nil) != (wantSlot >= 0) {
-			t.Fatalf("%s: Finished gives slot %d (node %v), want slot %d", what, slot, node != nil, wantSlot)
+		if _, count := pin.Header(); count != n {
+			t.Fatalf("%s: the header claims %d entries, want %d", what, count, n)
 		}
-		if node != nil {
-			sameBits(t, what, node, &pageOrder)
-		}
+		pin.Grid()
 		for _, p := range allPlans {
-			if _, _, err := pin.Ordered(p.Slot(), &got); err != nil {
+			node, _, err := pin.Ordered(p.Slot(), &got)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if node.Len() != n {
+				t.Fatalf("%s: slot %d gives %d entries, want %d", what, p.Slot(), node.Len(), n)
 			}
 		}
 		if mc.NodeAccessesLogical != 1 {
@@ -438,14 +438,12 @@ func TestPinnedNodeFinished(t *testing.T) {
 	if err := view.ReadNodeSoA(id, &pageOrder, nil); err != nil {
 		t.Fatal(err)
 	}
-	check(view, "empty memo", -1)
+	check(view, "empty memo")
 	decoy.Reset(n - 1)
 	view.PublishSweepOrder(id, 1, nil, &decoy)
-	check(view, "a wrong-length node in slot 1", -1)
+	check(view, "a wrong-length node in slot 1")
 	view.PublishSweepOrder(id, 3, nil, &pageOrder)
-	check(view, "a node in slot 3", 3)
-	view.PublishSweepOrder(id, 2, nil, &pageOrder)
-	check(view, "nodes in slots 2 and 3", 2)
+	check(view, "a node in slot 3")
 
 	perm := make([]uint16, n)
 	for i := range perm {
@@ -453,5 +451,5 @@ func TestPinnedNodeFinished(t *testing.T) {
 	}
 	noRoom := openView(t, store, 1)
 	noRoom.PublishSweepOrder(id, 0, perm, &pageOrder)
-	check(noRoom, "a permutation", -1)
+	check(noRoom, "a permutation")
 }
