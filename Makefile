@@ -94,8 +94,10 @@ allow-report: $(VETTOOL)
 # restriction region, sweep.Clip, into restrictRegion; the lookup of a
 # page's occupancy grid, PinnedNode.Grid, into the expansion's lookGrid
 # (the grid's own test, Occupancy.Misses, is twice the inliner's budget
-# and stays a call, one per tested side); and the gap test that skips
-# an anchor with an empty window, gapBeyond, into the merge. A callee
+# and stays a call, one per tested side); the gap test that skips an
+# anchor with an empty window, gapBeyond, into the merge; and the read
+# of a page's header, PinnedNode.Header, into PinNode, whose level check
+# every node access of a descent or a join passes through. A callee
 # written !name is a call that must not appear in the caller's body at
 # all: sweepAnchor computes its window's distances inline, in one loop
 # with the filter and the delivery, and calls no geom.MinDistBatch.
@@ -108,10 +110,11 @@ INLINE_PINS := \
 	internal/join/planesweep.go:'func restrictRegion(':'sweep.Clip' \
 	internal/join/planesweep.go:'func (sd *pairSide) lookGrid(':'rtree.PinnedNode.Grid' \
 	internal/join/planesweep.go:'func (s *sweepRun) merge(':'gapBeyond' \
-	internal/join/planesweep.go:'func (s *sweepRun) sweepAnchor(':'!geom.MinDistBatch'
+	internal/join/planesweep.go:'func (s *sweepRun) sweepAnchor(':'!geom.MinDistBatch' \
+	internal/rtree/order.go:'func (t *Tree) PinNode(':'PinnedNode.Header'
 
 inline-check:
-	@out="$$($(GO) build -gcflags=-m ./internal/hybridq ./internal/join 2>&1)" || { printf '%s\n' "$$out" >&2; exit 1; }; \
+	@out="$$($(GO) build -gcflags=-m ./internal/hybridq ./internal/join ./internal/rtree 2>&1)" || { printf '%s\n' "$$out" >&2; exit 1; }; \
 	sites() { printf '%s\n' "$$out" | grep "hybridq/$$1:[0-9]*:[0-9]*: inlining call to $$2\$$" | cut -d' ' -f1 | sort -u; }; \
 	rc=0; \
 	for want in $(INLINE_SITES); do \

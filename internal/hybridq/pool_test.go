@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -317,10 +318,19 @@ func TestWarmPoolAllocs(t *testing.T) {
 // interchangeable, and Release has just put back as many as the cycle
 // needs. With a fresh spill store per query the cycle allocated every
 // page.
+//
+// A collection empties sync.Pools, and a goroutine that moves to another
+// P misses what it put in the last one's private slot: either makes the
+// next cycle allocate what it would have reused. So the measurement
+// runs with no collection and one P, from the warm-up on, and counts a
+// warm cycle's cost, not when the collector ran or where the scheduler
+// put the test.
 func TestPooledSpillPagesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomizes reuse under the race detector; allocation counts are not meaningful")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 3000
 	q := New(Config{MemBytes: 64 * RecordSize})
 	rng := rand.New(rand.NewSource(8))

@@ -127,12 +127,12 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 		// pair was pushed by this sweep; no compensation bookkeeping is
 		// needed. A pair the restriction emptied is bookkept all the
 		// same, with the plan a sweep would have had: a later stage's
-		// larger cutoff may leave both sides entries to pair. A run the
-		// grids emptied has no plan (expansion); one the restriction
-		// emptied has this same one.
+		// larger cutoff may leave both sides entries to pair. One the
+		// restriction emptied carries it, chosen by expansion from these
+		// same cutoffs; one the grids emptied has none, and gets it here.
 		if cur < p.LeftRect.MaxDist(p.RightRect) {
 			plan := run.plan
-			if run.emptied {
+			if run.byGrid {
 				plan = c.choosePlan(p, cur, cur)
 			}
 			it.compMap[key] = &compInfo{pair: *p, plan: plan, examCutoff: cur}

@@ -37,9 +37,11 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 // hsExpand performs one uni-directional expansion: the non-object side
 // (or, with two nodes, the higher-level side, ties to the left) is
 // expanded and each child is paired with the other side intact. The
-// children decode into the expander's reusable SoA buffer, and each
-// child's distance to the fixed other side is the batch kernel's
-// (geom.MinDistBatch with that side as the fixed rectangle):
+// expanded side is always a node (hsPickSide): it is pinned and decoded
+// in page order, which checks it (rtree.PinNode, PinnedNode.Decode),
+// into the expander's reusable SoA buffer, and each child's distance to
+// the fixed other side is the batch kernel's (geom.MinDistBatch with
+// that side as the fixed rectangle):
 // geom.Rect.MinDist does the same IEEE operations in the same order.
 // Under Ablation.BatchTail the last child takes its predecessor's
 // distance, as a kernel that handles the tail one element short would.
@@ -49,18 +51,23 @@ func (c *execContext) hsExpand(p *hybridq.Pair, ct *cutoffTracker) error {
 		ct.OnRemove(p)
 	}
 	expandLeft := c.hsPickSide(p)
-	tree, ref, isObj, rect := c.left, p.Left, p.LeftObj, p.LeftRect
-	otherRect := p.RightRect
+	tree, ref, otherRect := c.left, p.Left, p.RightRect
 	if !expandLeft {
-		tree, ref, isObj, rect = c.right, p.Right, p.RightObj, p.RightRect
-		otherRect = p.LeftRect
+		tree, ref, otherRect = c.right, p.Right, p.LeftRect
 	}
 	ex := &c.ex
 	soa := &ex.soaL
-	childIsObj, err := ex.sideSoA(tree, ref, isObj, rect, soa)
+	pin, err := tree.PinNode(refPage(ref), refLevel(ref), ex.mc)
 	if err != nil {
 		return c.traceError(err)
 	}
+	err = pin.Decode(soa)
+	pin.Release()
+	if err != nil {
+		return c.traceError(err)
+	}
+	stampChildLevels(soa)
+	childIsObj := soa.IsLeaf()
 	n := soa.Len()
 	ex.mc.AddRealDist(int64(n))
 	var children int64

@@ -345,60 +345,19 @@ func pairResult(p *hybridq.Pair) Result {
 	}
 }
 
-// sideSoA materializes the expandable entries of one pair side into
-// dst (one of the expander's reusable SoA buffers): the node's
-// children for node sides (reading the node and recording the access),
-// or the object itself as a singleton. childIsObj reports whether the
-// materialized entries are objects.
-func (e *expander) sideSoA(tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, dst *rtree.NodeSoA) (childIsObj bool, err error) {
-	if isObj {
-		dst.SetSingle(rect, ref)
-		return true, nil
-	}
-	if err := tree.ReadNodeSoA(refPage(ref), dst, e.mc); err != nil {
-		return false, err
-	}
-	if dst.Level != refLevel(ref) {
-		return false, levelError(ref, dst)
-	}
-	if err := stampChildLevels(dst); err != nil {
-		return false, err
-	}
-	return dst.IsLeaf(), nil
-}
-
-// levelError reports a breach of the level rule of the single-tree
-// descents (rtree.ErrCorruptNode) in the join's own, where sideSoA and
-// pairSide.sorted check it after every node read: the page a node ref leads
-// to must claim the level the ref carries, which is its parent's minus
-// one. Without the check an internal page whose header claims level 0
-// would have its child page IDs joined as object IDs, and a leaf
-// claiming a higher level its object IDs followed as pages: a silently
-// wrong answer. With it the levels fall by one per step, which also
-// bounds the descent over damaged pages.
-func levelError(ref uint64, n *rtree.NodeSoA) error {
-	return fmt.Errorf("%w: page %d claims level %d, its parent's entry level %d",
-		rtree.ErrCorruptNode, refPage(ref), n.Level, refLevel(ref))
-}
-
 // stampChildLevels rewrites an internal node's child page IDs into
-// level-carrying node refs. Leaves are left alone. A child ref wider
-// than a page ID is the single-tree descents' rtree.ErrCorruptNode too:
-// truncated, it would lead the join to some other page. The check runs
-// once per decode, before a node can be published to the sweep-order
-// memo, so a finished node read in place is never re-checked.
-func stampChildLevels(dst *rtree.NodeSoA) error {
+// level-carrying node refs. Leaves are left alone. Every child ref fits
+// a page ID: rtree.PinnedNode.Decode rejects a node whose ref does not,
+// before it can be sorted or published to the sweep-order memo, so a
+// finished node read in place is stamped once.
+func stampChildLevels(dst *rtree.NodeSoA) {
 	if dst.IsLeaf() {
-		return nil
+		return
 	}
 	lvl := dst.Level - 1
 	for i, r := range dst.Refs {
-		if r > math.MaxUint32 {
-			return fmt.Errorf("%w: child ref %#x is not a page id", rtree.ErrCorruptNode, r)
-		}
 		dst.Refs[i] = nodeRef(storage.PageID(r), lvl)
 	}
-	return nil
 }
 
 // maxDist computes the maximum distance between two rects, counted as

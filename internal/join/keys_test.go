@@ -13,57 +13,14 @@ import (
 	"distjoin/internal/storage"
 )
 
-// TestKeyErrorRule: rtree.KeyError, the rule the joins and the
-// descents share, accepts every entry whose bounds are ordered,
-// infinite ones included, and rejects a NaN in any of the four
-// coordinates and a lower bound above the upper on either axis, as
-// rtree.ErrCorruptNode.
-func TestKeyErrorRule(t *testing.T) {
-	inf, nan := math.Inf(1), math.NaN()
-	sound := []geom.Rect{
-		{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
-		{MinX: -inf, MinY: -inf, MaxX: -inf, MaxY: -inf},
-		{MinX: inf, MinY: inf, MaxX: inf, MaxY: inf},
-		{MinX: -inf, MinY: 3, MaxX: inf, MaxY: 3},
-	}
-	node := func(rs ...geom.Rect) *rtree.NodeSoA {
-		var n rtree.NodeSoA
-		n.Reset(len(rs))
-		for i, r := range rs {
-			n.MinX[i], n.MinY[i], n.MaxX[i], n.MaxY[i] = r.MinX, r.MinY, r.MaxX, r.MaxY
-		}
-		return &n
-	}
-	if err := rtree.KeyError(0, node(sound...)); err != nil {
-		t.Fatalf("sound entries rejected: %v", err)
-	}
-	if err := rtree.KeyError(0, node()); err != nil {
-		t.Fatalf("empty node rejected: %v", err)
-	}
-	for _, bad := range []geom.Rect{
-		{MinX: nan, MinY: 0, MaxX: 1, MaxY: 1},
-		{MinX: 0, MinY: nan, MaxX: 1, MaxY: 1},
-		{MinX: 0, MinY: 0, MaxX: nan, MaxY: 1},
-		{MinX: 0, MinY: 0, MaxX: 1, MaxY: nan},
-		{MinX: 2, MinY: 0, MaxX: 1, MaxY: 1},
-		{MinX: 0, MinY: 2, MaxX: 1, MaxY: 1},
-		{MinX: inf, MinY: 0, MaxX: -inf, MaxY: 1},
-	} {
-		for _, n := range []*rtree.NodeSoA{node(bad), node(append(append([]geom.Rect(nil), sound...), bad)...)} {
-			if err := rtree.KeyError(0, n); !errors.Is(err, rtree.ErrCorruptNode) {
-				t.Fatalf("%d entries ending in %v: error %v, want rtree.ErrCorruptNode", n.Len(), bad, err)
-			}
-		}
-	}
-}
-
 // TestDamagedKeysFailClosed writes a NaN coordinate, or an inverted
 // interval, into an entry of a packed tree's root page and reopens the
-// store behind a cold pool: every sweeping join expands the root pair
-// first, sorts the damaged node from page order there, and must return
-// rtree.ErrCorruptNode and no pair. A one-object tree, whose root is a
-// leaf of one entry that no sort would move, is held to the same rule.
-// So are the single-tree descents, which read the root first
+// store behind a cold pool: every join expands the root pair first,
+// decodes the damaged node from page order there (the sweeping joins to
+// sort it, the HS joins to pair its entries with the other root), and
+// must return rtree.ErrCorruptNode and no pair. A one-object tree, whose
+// root is a leaf of one entry that no sort would move, is held to the
+// same rule. So are the single-tree descents, which read the root first
 // (rtree.Tree.Search, NearestNeighbors), and AllNearest, which runs both.
 func TestDamagedKeysFailClosed(t *testing.T) {
 	w := geom.NewRect(0, 0, 1000, 1000)
@@ -111,6 +68,21 @@ func TestDamagedKeysFailClosed(t *testing.T) {
 		}
 		return tree
 	}
+	// first50 pulls up to 50 pairs from an incremental join.
+	first50 := func(it *Iterator, err error) (int, error) {
+		if err != nil {
+			return 0, err
+		}
+		defer it.Close()
+		n := 0
+		for n < 50 {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+			n++
+		}
+		return n, it.Err()
+	}
 	joins := []struct {
 		name string
 		run  func(l, r *rtree.Tree) (int, error)
@@ -123,21 +95,12 @@ func TestDamagedKeysFailClosed(t *testing.T) {
 			res, err := BKDJ(l, r, 50, Options{})
 			return len(res), err
 		}},
-		{"AM-IDJ", func(l, r *rtree.Tree) (int, error) {
-			it, err := AMIDJ(l, r, Options{BatchK: 20})
-			if err != nil {
-				return 0, err
-			}
-			defer it.Close()
-			n := 0
-			for n < 50 {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-				n++
-			}
-			return n, it.Err()
+		{"AM-IDJ", func(l, r *rtree.Tree) (int, error) { return first50(AMIDJ(l, r, Options{BatchK: 20})) }},
+		{"HS-KDJ", func(l, r *rtree.Tree) (int, error) {
+			res, err := HSKDJ(l, r, 50, Options{})
+			return len(res), err
 		}},
+		{"HS-IDJ", func(l, r *rtree.Tree) (int, error) { return first50(HSIDJ(l, r, Options{})) }},
 		{"WithinJoin", func(l, r *rtree.Tree) (int, error) {
 			n := 0
 			err := WithinJoin(l, r, 2000, Options{}, func(Result) bool { n++; return true })

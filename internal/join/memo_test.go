@@ -137,7 +137,12 @@ func TestSweepOrderMemoColdWarmIdentity(t *testing.T) {
 			var soa rtree.NodeSoA
 			hits, shared := 0, 0
 			for slot := 0; slot < rtree.SweepSlots; slot++ {
-				n, ordered, err := left.ReadNodeSoAOrdered(left.Root(), slot, &soa, nil)
+				pin, err := left.PinNode(left.Root(), left.Height()-1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, ordered, err := pin.Ordered(slot, &soa)
+				pin.Release()
 				if err != nil {
 					t.Fatal(err)
 				}

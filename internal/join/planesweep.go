@@ -110,6 +110,7 @@ type sweepRun struct {
 	realNow    float64        // the real-distance cutoff in force (see pass)
 	emit       func(p *hybridq.Pair) bool
 	emptied    bool    // the restriction leaves a side with no entry: the run makes no step (see expansion)
+	byGrid     bool    // emptied by the occupancy grids, before a plan was chosen: plan is unset
 	resumed    bool    // an earlier stage examined this sweep (see resume)
 	examCutoff float64 // the fixed axis cutoff it examined under, when resumed
 	reexamine  func(p *hybridq.Pair) bool
@@ -630,9 +631,10 @@ func minDistOriented(anchorFromL bool, anchor, other geom.Rect) float64 {
 // side may drop entries under real, the sides' occupancy grids are read
 // first, before either node is decoded (gridEmptied): if they show that
 // the restriction leaves a side with no entry, the run comes back
-// emptied, holding only the restriction's axis count, without a plan,
-// since no pair of it can pass. Otherwise the plan is chosen, both
-// nodes are put in its order, and the restriction is decided on them.
+// emptied by the grids (byGrid), holding only the restriction's axis
+// count, without a plan, since no pair of it can pass. Otherwise the
+// plan is chosen, both nodes are put in its order, and the restriction
+// is decided on them.
 func (e *expander) expansion(p *hybridq.Pair, cutoff, real float64) (*sweepRun, error) {
 	return e.expand(p, sweep.Plan{}, false, cutoff, real)
 }
@@ -676,7 +678,7 @@ func (e *expander) order(l, r *pairSide, p *hybridq.Pair, plan sweep.Plan, plann
 		l.lookGrid()
 		r.lookGrid()
 		if axisN, ok := gridEmptied(l, r, p.LeftRect, p.RightRect, t, lDrop, rDrop); ok {
-			run.axisN, run.emptied = axisN, true
+			run.axisN, run.emptied, run.byGrid = axisN, true, true
 			return run, nil
 		}
 	}
@@ -739,7 +741,6 @@ func successor(t float64) float64 { return math.Float64frombits(math.Float64bits
 // side pins nothing; it is its own one entry, in every order.
 type pairSide struct {
 	pin     rtree.PinnedNode
-	ref     uint64
 	scratch *rtree.NodeSoA // the expander's decode buffer for the side
 	n       *rtree.NodeSoA // the entries in the sweep order (sorted); an object side's from open
 	obj     bool
@@ -750,13 +751,13 @@ type pairSide struct {
 // open pins the side's page, decoding nothing; an object side is put in
 // scratch as its one entry.
 func (sd *pairSide) open(e *expander, tree *rtree.Tree, ref uint64, isObj bool, rect geom.Rect, scratch *rtree.NodeSoA) error {
-	sd.ref, sd.scratch, sd.n, sd.obj = ref, scratch, nil, isObj
+	sd.scratch, sd.n, sd.obj = scratch, nil, isObj
 	if isObj {
 		scratch.SetSingle(rect, ref)
 		sd.n, sd.size = scratch, 1
 		return nil
 	}
-	pin, err := tree.PinNode(refPage(ref), e.mc)
+	pin, err := tree.PinNode(refPage(ref), refLevel(ref), e.mc)
 	if err != nil {
 		return err
 	}
@@ -765,18 +766,13 @@ func (sd *pairSide) open(e *expander, tree *rtree.Tree, ref uint64, isObj bool, 
 }
 
 // lookGrid reads a node side's entry count from its page header and
-// looks up the page's grid, which it trusts only for a page whose
-// header claims the level the side's ref carries: any other page fails
-// the level rule when it is decoded (sorted), and must.
+// looks up the page's grid. PinNode has checked the header's level.
 func (sd *pairSide) lookGrid() {
 	if sd.obj {
 		return
 	}
-	level, size := sd.pin.Header()
-	sd.size = size
-	if level == refLevel(sd.ref) {
-		sd.grid = sd.pin.Grid()
-	}
+	_, sd.size = sd.pin.Header()
+	sd.grid = sd.pin.Grid()
 }
 
 // misses reports whether the side has no entry that intersects q, the
@@ -804,12 +800,10 @@ func (sd *pairSide) misses(q, bound geom.Rect, t float64) bool {
 //
 // In the last two cases the finished scratch is offered back to the
 // tree, which keeps a copy of it if it has room for decoded nodes and
-// the permutation otherwise. An object side is returned as it is. A
-// node sorted from page order is first held to the precondition of the
-// sweep's key columns (rtree.KeyError), whatever its length; one decoded
-// through a remembered permutation was held to it when that permutation
-// was made. The page's occupancy grid is published from the node, which
-// has passed the level rule and KeyError, unless one already is.
+// the permutation otherwise. An object side is returned as it is. The
+// tree checked the node (rtree.PinNode, PinnedNode.Ordered) before it
+// can be sorted or published, and the page's occupancy grid is
+// published from it unless one already is.
 func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error) {
 	if sd.obj {
 		return sd.n, nil
@@ -819,24 +813,12 @@ func (sd *pairSide) sorted(e *expander, plan sweep.Plan) (*rtree.NodeSoA, error)
 	if err != nil {
 		return nil, err
 	}
-	if n.Level != refLevel(sd.ref) {
-		return nil, levelError(sd.ref, n)
-	}
 	if n == sd.scratch {
-		if !ordered || n.Len() < 2 {
-			// Decoded in page order: Ordered calls a node of fewer than
-			// two entries ordered, since no sort would move it.
-			if err := rtree.KeyError(refPage(sd.ref), n); err != nil {
-				return nil, err
-			}
-		}
 		var perm []uint16
 		if !ordered {
 			perm = e.sorter.SortTracked(n, plan)
 		}
-		if err := stampChildLevels(n); err != nil {
-			return nil, err
-		}
+		stampChildLevels(n)
 		sd.pin.Publish(slot, perm, n)
 	}
 	if sd.grid == nil {

@@ -261,7 +261,7 @@ func TestPlannedExpansionGridEmptied(t *testing.T) {
 			refs []uint64
 		}{{c.left, lrefs}, {c.right, rrefs}} {
 			for _, ref := range side.refs {
-				pin, err := side.tree.PinNode(refPage(ref), nil)
+				pin, err := side.tree.PinNode(refPage(ref), refLevel(ref), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -37,14 +37,21 @@ type Survey struct {
 }
 
 // Read reads every memo cell of every node of tr the way an expansion
-// does (pool fetch included, accounted to no collector).
+// does: each read pins the page with the level Walk found it at (pool
+// fetch included, accounted to no collector), takes the node in the
+// slot's order and releases the page.
 func Read(t testing.TB, tr *rtree.Tree) Survey {
 	t.Helper()
 	s := Survey{Nodes: map[Cell]Shared{}}
 	var scratch rtree.NodeSoA
-	err := tr.Walk(func(id storage.PageID, _ *rtree.NodeSoA) error {
+	err := tr.Walk(func(id storage.PageID, walked *rtree.NodeSoA) error {
 		for slot := 0; slot < rtree.SweepSlots; slot++ {
-			n, ordered, err := tr.ReadNodeSoAOrdered(id, slot, &scratch, nil)
+			pin, err := tr.PinNode(id, walked.Level, nil)
+			if err != nil {
+				return err
+			}
+			n, ordered, err := pin.Ordered(slot, &scratch)
+			pin.Release()
 			switch {
 			case err != nil:
 				return err

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -29,10 +30,11 @@ func sameEntry(t *testing.T, what string, got *NodeSoA, gi int, want *NodeSoA, w
 // the page can hold, keeps its columns the same length, and whatever it
 // decodes with valid rectangles re-encodes to the same bits.
 // decodeOrdered is reached the way a join reaches it, through
-// PublishSweepOrder and ReadNodeSoAOrdered on a one-page tree whose pool
+// PublishSweepOrder, PinNode and Ordered on a one-page tree whose pool
 // leaves no room for finished nodes: a permutation derived from the
 // input's tail yields exactly decodeNodeSoA's entries reordered, and a
-// variant of the wrong length or with an index out of range is ignored.
+// variant of the wrong length or with an index out of range is ignored,
+// leaving the checked page-order decode (PinnedNode.Decode).
 func FuzzDecodeNode(f *testing.F) {
 	page := make([]byte, 256)
 	entries := []encEntry{{rect: geom.NewRect(1, 2, 3, 4), ref: 7}}
@@ -82,8 +84,13 @@ func FuzzDecodeNode(f *testing.F) {
 	})
 }
 
-// fuzzOrderedRead checks ReadNodeSoAOrdered against want, the page-order
-// decode of data, on a tree whose only page is data.
+// fuzzOrderedRead checks the pinned reads of data, on a tree whose only
+// page is data, against want, its unchecked page-order decode: PinNode
+// refuses any level but the one the header claims, a fitting
+// permutation replays want's entries reordered, and past one that does
+// not fit Ordered returns want itself, or ErrCorruptNode when want has
+// a rectangle that is not Valid or is an internal node with a child ref
+// wider than a page ID.
 func fuzzOrderedRead(t *testing.T, data []byte, want *NodeSoA) {
 	store := storage.NewMemStore(len(data))
 	id, err := store.Alloc()
@@ -106,9 +113,20 @@ func fuzzOrderedRead(t *testing.T, data []byte, want *NodeSoA) {
 		j := tail(i) % (i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
+	if _, err := tree.PinNode(id, want.Level+1, nil); !errors.Is(err, ErrCorruptNode) {
+		t.Fatalf("pinning a level-%d page as level %d: error %v, want ErrCorruptNode", want.Level, want.Level+1, err)
+	}
 	var got NodeSoA
+	read := func(slot int) (*NodeSoA, bool, error) {
+		pin, err := tree.PinNode(id, want.Level, nil)
+		if err != nil {
+			t.Fatalf("pinning the page at the level it claims: %v", err)
+		}
+		defer pin.Release()
+		return pin.Ordered(slot, &got)
+	}
 	tree.PublishSweepOrder(id, 0, perm, want)
-	node, ordered, err := tree.ReadNodeSoAOrdered(id, 0, &got, nil)
+	node, ordered, err := read(0)
 	if err != nil || !ordered || node != &got || got.Level != want.Level || got.Len() != count {
 		t.Fatalf("through a fitting permutation: own=%v ordered=%v err=%v level/len (%d,%d), want (%d,%d)",
 			node == &got, ordered, err, got.Level, got.Len(), want.Level, count)
@@ -128,7 +146,13 @@ func fuzzOrderedRead(t *testing.T, data []byte, want *NodeSoA) {
 	decoy.Reset(len(bad))
 	tree.PublishSweepOrder(id, 1, bad, &decoy)
 	got.Reset(0)
-	node, ordered, err = tree.ReadNodeSoAOrdered(id, 1, &got, nil)
+	node, ordered, err = read(1)
+	if !soundNode(want) {
+		if !errors.Is(err, ErrCorruptNode) {
+			t.Fatalf("past a permutation that does not fit, a damaged node: error %v, want ErrCorruptNode", err)
+		}
+		return
+	}
 	if err != nil || ordered != (count < 2) || node != &got || got.Level != want.Level || got.Len() != count {
 		t.Fatalf("past a permutation that does not fit: own=%v ordered=%v err=%v level/len (%d,%d), want page order (%d,%d)",
 			node == &got, ordered, err, got.Level, got.Len(), want.Level, count)
@@ -136,4 +160,15 @@ func fuzzOrderedRead(t *testing.T, data []byte, want *NodeSoA) {
 	for i := 0; i < count; i++ {
 		sameEntry(t, "past a permutation that does not fit", &got, i, want, i)
 	}
+}
+
+// soundNode reports whether a checked read may return n: every
+// rectangle is Valid, and an internal node's refs are page IDs.
+func soundNode(n *NodeSoA) bool {
+	for i := 0; i < n.Len(); i++ {
+		if !n.Rect(i).Valid() || n.Level > 0 && n.Refs[i] > math.MaxUint32 {
+			return false
+		}
+	}
+	return true
 }

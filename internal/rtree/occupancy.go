@@ -112,7 +112,7 @@ func cell(f float64) uint {
 	return uint(int(min(max(f, 0), gridCells-1)))
 }
 
-// validEntry is the rule KeyError applies to one entry: both intervals
+// validEntry is the rule keyError applies to one entry: both intervals
 // ordered, which no NaN is.
 func validEntry(minX, minY, maxX, maxY float64) bool {
 	return minX <= maxX && minY <= maxY

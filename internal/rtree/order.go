@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"unsafe"
@@ -85,40 +86,67 @@ func (t *Tree) orderSlot(id storage.PageID, slot int) *atomic.Pointer[sweepCell]
 	return &t.orders[i]
 }
 
-// ReadNodeSoAOrdered is ReadNodeSoA for a plane sweep: PinNode, the
-// node ordered for slot (PinnedNode.Ordered), and Release.
-func (t *Tree) ReadNodeSoAOrdered(id storage.PageID, slot int, scratch *NodeSoA, mc *metrics.Collector) (n *NodeSoA, ordered bool, err error) {
-	p, err := t.PinNode(id, mc)
-	if err != nil {
-		return nil, false, err
-	}
-	defer p.Release()
-	return p.Ordered(slot, scratch)
-}
-
 // PinnedNode is a node's page held in the tree's buffer pool for one
-// expansion: PinNode fetches and accounts it once, the caller reads
-// from it what it needs — the header, the occupancy grid, the node in a
-// sweep slot's order — and releases it once. The zero value pins
-// nothing, and its Release does nothing.
+// read: PinNode fetches, accounts and checks it once, the caller reads
+// from it what it needs — the header, the occupancy grid, the node in
+// page order or in a sweep slot's order — and releases it once. The
+// zero value pins nothing, and its Release does nothing.
 type PinnedNode struct {
 	t  *Tree
 	id storage.PageID
 	f  *storage.Frame
 }
 
-// PinNode pins node id's page with the same fetch and metrics
-// accounting as ReadNodeSoA. The caller must Release it.
-func (t *Tree) PinNode(id storage.PageID, mc *metrics.Collector) (PinnedNode, error) {
+// PinNode pins node id's page, counting the access against mc (which
+// may be nil), and checks that the page's header claims level, the level
+// the reader expects of the node its ref leads to: the parent's minus
+// one, or Height()-1 for the root. A page that claims another is
+// ErrCorruptNode and is not left pinned. The caller must Release a
+// PinnedNode it gets. Every checked node read starts here, and takes the
+// node from Decode or Ordered.
+func (t *Tree) PinNode(id storage.PageID, level int, mc *metrics.Collector) (PinnedNode, error) {
 	f, err := t.fetchNode(id, mc)
 	if err != nil {
 		return PinnedNode{}, err
 	}
-	return PinnedNode{t: t, id: id, f: f}, nil
+	p := PinnedNode{t: t, id: id, f: f}
+	if claimed, _ := p.Header(); claimed != level {
+		f.Release()
+		return PinnedNode{}, fmt.Errorf("%w: page %d claims level %d, its reader expects level %d",
+			ErrCorruptNode, id, claimed, level)
+	}
+	return p, nil
 }
 
-// Release unpins the page. Nodes Ordered returned stay valid: none of
-// them refers to the page.
+// Decode decodes the pinned page into scratch in page order, reusing
+// its backing arrays, and holds the node to the rules every reader
+// relies on: no entry a Builder would not write (keyError), and at an
+// internal node no child ref wider than a page ID, which truncated
+// would lead to some other page. A node that breaks either is
+// ErrCorruptNode. It is the one page-order decode of a checked read:
+// the descents and the HS joins call it, and so does Ordered when the
+// memo holds nothing for the slot, so a node is checked before it can
+// be sorted and published.
+func (p PinnedNode) Decode(scratch *NodeSoA) error {
+	if err := decodeNodeSoA(p.f.Bytes(), scratch); err != nil {
+		return err
+	}
+	if err := keyError(p.id, scratch); err != nil {
+		return err
+	}
+	if scratch.IsLeaf() {
+		return nil
+	}
+	for _, r := range scratch.Refs {
+		if r > math.MaxUint32 {
+			return fmt.Errorf("%w: page %d has child ref %#x, which is not a page id", ErrCorruptNode, p.id, r)
+		}
+	}
+	return nil
+}
+
+// Release unpins the page. Nodes Decode and Ordered returned stay
+// valid: none of them refers to the page.
 func (p PinnedNode) Release() {
 	if p.f != nil {
 		p.f.Release()
@@ -134,12 +162,15 @@ func (p PinnedNode) Release() {
 //     expansion ends.
 //   - the permutation was published: the page is decoded through it
 //     into scratch (n == scratch, ordered).
-//   - neither: scratch holds the node in page order (n == scratch;
-//     ordered only when it has fewer than two entries).
+//   - neither: scratch holds the node in page order, decoded and
+//     checked by Decode (n == scratch; ordered only when it has fewer
+//     than two entries).
 //
 // Whenever n == scratch the caller finishes the node — sorts it if it
 // is not ordered — and offers it to Publish. A memo cell whose length
-// disagrees with the page's entry count is ignored.
+// disagrees with the page's entry count is ignored. A node that comes
+// through the memo is not checked again: a query publishes only what it
+// took from a node Decode passed.
 func (p PinnedNode) Ordered(slot int, scratch *NodeSoA) (n *NodeSoA, ordered bool, err error) {
 	page := p.f.Bytes()
 	if cell := p.t.orderSlot(p.id, slot); cell != nil {
@@ -157,7 +188,7 @@ func (p PinnedNode) Ordered(slot int, scratch *NodeSoA) (n *NodeSoA, ordered boo
 			return scratch, true, nil
 		}
 	}
-	if err := decodeNodeSoA(page, scratch); err != nil {
+	if err := p.Decode(scratch); err != nil {
 		return nil, false, err
 	}
 	return scratch, scratch.Len() < 2, nil
@@ -216,9 +247,9 @@ func (p PinnedNode) Grid() *Occupancy {
 	return nil
 }
 
-// PublishGrid publishes the occupancy grid of n, the page's node as its
-// reader decoded and checked it (KeyError, the level rule), unless a
-// grid is already published or being published. It allocates nothing.
+// PublishGrid publishes the occupancy grid of n, the page's node as
+// Ordered or Decode returned it, so checked, unless a grid is already
+// published or being published. It allocates nothing.
 func (p PinnedNode) PublishGrid(n *NodeSoA) {
 	// The load keeps the readers of a published grid from taking its
 	// cache line exclusively, as a failed compare-and-swap would.

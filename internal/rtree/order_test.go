@@ -28,12 +28,20 @@ func openView(t testing.TB, store storage.Store, poolPages int) *rtree.Tree {
 	return view
 }
 
+// hostilePage is a raw node page hostileStore appended, and the level
+// its header claims, which a reader must expect to pin it.
+type hostilePage struct {
+	id    storage.PageID
+	level int
+}
+
 // hostileStore packs a tiny valid tree (for the metadata page) and
-// appends one raw node page per requested entry count, with coordinates
-// drawn from a coarse grid plus NaN and ±Inf, so duplicate and
-// unordered sweep keys are the rule. It returns the store and the
-// appended page IDs.
-func hostileStore(t testing.TB, rng *rand.Rand, pageSize int, counts []int) (storage.Store, []storage.PageID) {
+// appends one raw node page per requested entry count, at a random
+// level, with bounds drawn from a coarse grid plus ±Inf, so duplicate
+// entries, tied and infinite sweep keys and zero-width rectangles are
+// the rule. Every entry is one PinnedNode.Decode accepts: its bounds
+// are ordered. It returns the store and the appended pages.
+func hostileStore(t testing.TB, rng *rand.Rand, pageSize int, counts []int) (storage.Store, []hostilePage) {
 	t.Helper()
 	store := storage.NewMemStore(pageSize)
 	b, err := rtree.NewBuilderForPageSize(pageSize)
@@ -47,25 +55,28 @@ func hostileStore(t testing.TB, rng *rand.Rand, pageSize int, counts []int) (sto
 	coord := func() float64 {
 		switch rng.Intn(12) {
 		case 0:
-			return math.NaN()
-		case 1:
 			return math.Inf(1)
-		case 2:
+		case 1:
 			return math.Inf(-1)
 		}
 		return float64(rng.Intn(6))
 	}
+	bounds := func() (lo, hi float64) {
+		a, b := coord(), coord()
+		return min(a, b), max(a, b)
+	}
 	page := make([]byte, pageSize)
-	var ids []storage.PageID
+	var pages []hostilePage
 	for _, n := range counts {
 		entries := make([]rtree.TestEntry, n)
 		for i := range entries {
-			entries[i] = rtree.TestEntry{
-				Rect: geom.Rect{MinX: coord(), MinY: coord(), MaxX: coord(), MaxY: coord()},
-				Ref:  uint64(i),
-			}
+			var r geom.Rect
+			r.MinX, r.MaxX = bounds()
+			r.MinY, r.MaxY = bounds()
+			entries[i] = rtree.TestEntry{Rect: r, Ref: uint64(i)}
 		}
-		if err := rtree.EncodeTestNode(page, rng.Intn(3), entries); err != nil {
+		level := rng.Intn(3)
+		if err := rtree.EncodeTestNode(page, level, entries); err != nil {
 			t.Fatal(err)
 		}
 		id, err := store.Alloc()
@@ -75,9 +86,20 @@ func hostileStore(t testing.TB, rng *rand.Rand, pageSize int, counts []int) (sto
 		if err := store.WritePage(id, page); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		pages = append(pages, hostilePage{id: id, level: level})
 	}
-	return store, ids
+	return store, pages
+}
+
+// readOrdered reads page pg in slot's order the way an expansion does:
+// PinNode with the level the page claims, Ordered, Release.
+func readOrdered(view *rtree.Tree, pg hostilePage, slot int, scratch *rtree.NodeSoA) (n *rtree.NodeSoA, ordered bool, err error) {
+	pin, err := view.PinNode(pg.id, pg.level, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	defer pin.Release()
+	return pin.Ordered(slot, scratch)
 }
 
 // finish stands in for what the join does to a node between sorting and
@@ -118,7 +140,7 @@ func sameBits(t *testing.T, what string, got, want *rtree.NodeSoA) {
 // SoASorter.Sort does, and on a hit the node to sweep — the page decoded
 // through the memoized permutation where the pool leaves no room, the
 // tree's own finished node where it does — equals decode + sort + finish
-// bit for bit, with duplicate, NaN and infinite keys, under all four
+// bit for bit, with duplicate, tied and infinite keys, under all four
 // plans, and whatever happens to the buffer pool in between.
 func TestOrderedDecodeMatchesDecodeAndSort(t *testing.T) {
 	for _, pageSize := range []int{4096, 16384} { // capacities 102 (byte indices) and 409 (16-bit)
@@ -128,7 +150,7 @@ func TestOrderedDecodeMatchesDecodeAndSort(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			counts = append(counts, 2+rng.Intn(capacity-1))
 		}
-		store, ids := hostileStore(t, rng, pageSize, counts)
+		store, pages := hostileStore(t, rng, pageSize, counts)
 		for _, resident := range []bool{false, true} {
 			poolPages := 8
 			if resident {
@@ -137,7 +159,8 @@ func TestOrderedDecodeMatchesDecodeAndSort(t *testing.T) {
 			view := openView(t, store, poolPages)
 			var want, got rtree.NodeSoA
 			var sorter sweep.SoASorter
-			for _, id := range ids {
+			for _, pg := range pages {
+				id := pg.id
 				for _, p := range allPlans {
 					if err := view.ReadNodeSoA(id, &want, nil); err != nil {
 						t.Fatal(err)
@@ -145,7 +168,7 @@ func TestOrderedDecodeMatchesDecodeAndSort(t *testing.T) {
 					count := want.Len()
 					sorter.Sort(&want, p)
 
-					n, ordered, err := view.ReadNodeSoAOrdered(id, p.Slot(), &got, nil)
+					n, ordered, err := readOrdered(view, pg, p.Slot(), &got)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -165,7 +188,7 @@ func TestOrderedDecodeMatchesDecodeAndSort(t *testing.T) {
 						t.Fatal(err)
 					}
 					got.Reset(0)
-					n, ordered, err = view.ReadNodeSoAOrdered(id, p.Slot(), &got, nil)
+					n, ordered, err = readOrdered(view, pg, p.Slot(), &got)
 					if err != nil || !ordered || (n != &got) != resident {
 						t.Fatalf("page %d plan %+v: warm memo: shared=%v ordered=%v err=%v", id, p, n != &got, ordered, err)
 					}
@@ -175,8 +198,8 @@ func TestOrderedDecodeMatchesDecodeAndSort(t *testing.T) {
 					sameBits(t, "memoized node", n, &want)
 				}
 			}
-			if nodes, used, room := view.DecodedNodes(); resident != (nodes == rtree.SweepSlots*len(ids)) || used > room {
-				t.Fatalf("resident=%v: %d decoded nodes of %d cells, %d of %d bytes", resident, nodes, rtree.SweepSlots*len(ids), used, room)
+			if nodes, used, room := view.DecodedNodes(); resident != (nodes == rtree.SweepSlots*len(pages)) || used > room {
+				t.Fatalf("resident=%v: %d decoded nodes of %d cells, %d of %d bytes", resident, nodes, rtree.SweepSlots*len(pages), used, room)
 			}
 		}
 	}
@@ -189,8 +212,9 @@ func TestOrderedDecodeMatchesDecodeAndSort(t *testing.T) {
 // is never stored.
 func TestOrderedDecodeDistrustsBadPermutations(t *testing.T) {
 	const n = 9
-	store, ids := hostileStore(t, rand.New(rand.NewSource(4)), 4096, []int{n})
-	id := ids[0]
+	store, pages := hostileStore(t, rand.New(rand.NewSource(4)), 4096, []int{n})
+	pg := pages[0]
+	id := pg.id
 	view := openView(t, store, 1) // no room: permutations
 	var pageOrder, got, decoy rtree.NodeSoA
 	if err := view.ReadNodeSoA(id, &pageOrder, nil); err != nil {
@@ -206,7 +230,7 @@ func TestOrderedDecodeDistrustsBadPermutations(t *testing.T) {
 	fallsBack := func(view *rtree.Tree, what string) {
 		t.Helper()
 		got.Reset(0)
-		node, ordered, err := view.ReadNodeSoAOrdered(id, 0, &got, nil)
+		node, ordered, err := readOrdered(view, pg, 0, &got)
 		if err != nil || ordered || node != &got {
 			t.Fatalf("%s over %d entries: shared=%v ordered=%v err=%v, want a fallback", what, n, node != &got, ordered, err)
 		}
@@ -226,7 +250,7 @@ func TestOrderedDecodeDistrustsBadPermutations(t *testing.T) {
 	outOfRange := identity(n)
 	outOfRange[3] = n
 	view.PublishSweepOrder(id, 0, outOfRange, &pageOrder) // must not replace reversed
-	if node, ordered, err := view.ReadNodeSoAOrdered(id, 0, &got, nil); err != nil || !ordered || node != &got {
+	if node, ordered, err := readOrdered(view, pg, 0, &got); err != nil || !ordered || node != &got {
 		t.Fatalf("shared=%v ordered=%v err=%v", node != &got, ordered, err)
 	}
 	for i := range got.Refs {
@@ -238,7 +262,7 @@ func TestOrderedDecodeDistrustsBadPermutations(t *testing.T) {
 	// Slots and pages outside the table are a no-op, not a panic.
 	view.PublishSweepOrder(id, rtree.SweepSlots, identity(n), &pageOrder)
 	view.PublishSweepOrder(id+1000, 0, identity(n), &pageOrder)
-	if _, ordered, err := view.ReadNodeSoAOrdered(id, -1, &got, nil); err != nil || ordered {
+	if _, ordered, err := readOrdered(view, pg, -1, &got); err != nil || ordered {
 		t.Fatalf("slot -1: ordered=%v err=%v", ordered, err)
 	}
 
@@ -255,7 +279,7 @@ func TestOrderedDecodeDistrustsBadPermutations(t *testing.T) {
 		fallsBack(view, "wrong-length node")
 	}
 	view.PublishSweepOrder(id, 0, identity(n), &pageOrder)
-	node, ordered, err := view.ReadNodeSoAOrdered(id, 0, &got, nil)
+	node, ordered, err := readOrdered(view, pg, 0, &got)
 	if err != nil || !ordered || node == &got {
 		t.Fatalf("after republishing: shared=%v ordered=%v err=%v", node != &got, ordered, err)
 	}
@@ -277,16 +301,16 @@ func TestDecodedNodeRoom(t *testing.T) {
 	for i := range counts {
 		counts[i] = entries
 	}
-	store, ids := hostileStore(t, rand.New(rand.NewSource(8)), pageSize, counts)
+	store, pages := hostileStore(t, rand.New(rand.NewSource(8)), pageSize, counts)
 	var sorter sweep.SoASorter
 	var scratch rtree.NodeSoA
 	// fill reads every (node, slot) as a sweep would and returns how
 	// many reads the tree answered with its own finished node.
 	fill := func(view *rtree.Tree) (shared int) {
 		t.Helper()
-		for _, id := range ids {
+		for _, pg := range pages {
 			for _, p := range allPlans {
-				n, ordered, err := view.ReadNodeSoAOrdered(id, p.Slot(), &scratch, nil)
+				n, ordered, err := readOrdered(view, pg, p.Slot(), &scratch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,12 +322,12 @@ func TestDecodedNodeRoom(t *testing.T) {
 				if !ordered {
 					perm = sorter.SortTracked(&scratch, p)
 				}
-				view.PublishSweepOrder(id, p.Slot(), perm, &scratch)
+				view.PublishSweepOrder(pg.id, p.Slot(), perm, &scratch)
 			}
 		}
 		return shared
 	}
-	cells := rtree.SweepSlots * len(ids)
+	cells := rtree.SweepSlots * len(pages)
 	perNode := rtree.DecodedBytes(entries)
 	for _, tc := range []struct {
 		name      string
@@ -363,12 +387,13 @@ func TestDecodedNodeRoom(t *testing.T) {
 // allocates what it stores only: the permutation (cell and index array)
 // or the node (cell, node header, coordinate block, refs).
 func TestSweepOrderMemoAllocs(t *testing.T) {
-	store, ids := hostileStore(t, rand.New(rand.NewSource(6)), 4096, []int{60})
+	store, pages := hostileStore(t, rand.New(rand.NewSource(6)), 4096, []int{60})
+	pg := pages[0]
 	var soa, other rtree.NodeSoA
 	var sorter sweep.SoASorter
 	p := allPlans[3]
 	other.Reset(1) // a one-entry node or permutation makes the next read distrust the cell
-	forget := func(view *rtree.Tree) { view.PublishSweepOrder(ids[0], p.Slot(), []uint16{0}, &other) }
+	forget := func(view *rtree.Tree) { view.PublishSweepOrder(pg.id, p.Slot(), []uint16{0}, &other) }
 	for _, tc := range []struct {
 		name      string
 		poolPages int
@@ -380,10 +405,10 @@ func TestSweepOrderMemoAllocs(t *testing.T) {
 		view := openView(t, store, tc.poolPages)
 		miss := func() {
 			forget(view)
-			if n, ordered, err := view.ReadNodeSoAOrdered(ids[0], p.Slot(), &soa, nil); err != nil || ordered || n != &soa {
+			if n, ordered, err := readOrdered(view, pg, p.Slot(), &soa); err != nil || ordered || n != &soa {
 				t.Fatalf("%s: distrusted cell: ordered=%v err=%v", tc.name, ordered, err)
 			}
-			view.PublishSweepOrder(ids[0], p.Slot(), sorter.SortTracked(&soa, p), &soa)
+			view.PublishSweepOrder(pg.id, p.Slot(), sorter.SortTracked(&soa, p), &soa)
 		}
 		miss()
 		// forget stores a cell of the same form, so a miss is two publishes.
@@ -391,7 +416,7 @@ func TestSweepOrderMemoAllocs(t *testing.T) {
 			t.Errorf("%s: sort + publish allocates %v, want what is stored only (%v)", tc.name, avg, tc.publish)
 		}
 		if avg := testing.AllocsPerRun(100, func() {
-			if _, ordered, err := view.ReadNodeSoAOrdered(ids[0], p.Slot(), &soa, nil); err != nil || !ordered {
+			if _, ordered, err := readOrdered(view, pg, p.Slot(), &soa); err != nil || !ordered {
 				t.Fatalf("ordered=%v err=%v", ordered, err)
 			}
 		}); avg != 0 {
@@ -406,13 +431,13 @@ func TestSweepOrderMemoAllocs(t *testing.T) {
 // wrong length, a finished node, or a permutation.
 func TestPinnedNodeAccountsOnce(t *testing.T) {
 	const n = 9
-	store, ids := hostileStore(t, rand.New(rand.NewSource(5)), 4096, []int{n})
-	id := ids[0]
+	store, pages := hostileStore(t, rand.New(rand.NewSource(5)), 4096, []int{n})
+	id, level := pages[0].id, pages[0].level
 	var pageOrder, decoy, got rtree.NodeSoA
 	check := func(view *rtree.Tree, what string) {
 		t.Helper()
 		var mc metrics.Collector
-		pin, err := view.PinNode(id, &mc)
+		pin, err := view.PinNode(id, level, &mc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,27 +20,28 @@ const metaMagic = "DJRT0001"
 // packed R-tree.
 var ErrNotRTree = errors.New("rtree: store does not contain a packed R-tree")
 
-// ErrCorruptNode is returned, wrapped, by a descent (Search,
-// NearestNeighbors, Walk, and the joins' own in internal/join) that
-// follows a child ref to a page which
-// cannot be that child: its header does not claim the level below its
-// parent's, or the ref is no page ID at all. Levels falling by one per
-// step is what bounds a descent over damaged pages by the height the
-// headers claim; a ref past the store's last page is the pool's
-// storage.ErrPageOutOfRange instead. A node with an entry no Builder
-// writes (KeyError) is corrupt too.
+// ErrCorruptNode is returned, wrapped, for a node page that cannot be
+// the node its reader followed a ref to. PinNode and PinnedNode.Decode
+// are the only places that decide it, and every reader — the descents
+// (Search, NearestNeighbors, Walk) and the joins of internal/join —
+// reads its nodes through them. A page is corrupt when its header does
+// not claim the level the reader expects (the parent's minus one, the
+// height's minus one at the root), when an entry holds a rectangle no
+// Builder writes (keyError), or when an internal node's child ref is no
+// page ID. Levels falling by one per step is what bounds a descent over
+// damaged pages by the height the headers claim; a ref past the store's
+// last page is the pool's storage.ErrPageOutOfRange instead.
 var ErrCorruptNode = errors.New("rtree: corrupt node")
 
-// KeyError reports, as ErrCorruptNode, a node read from page id that
+// keyError reports, as ErrCorruptNode, a node read from page id that
 // has an entry with a NaN coordinate or a lower bound above its upper
 // bound on either axis. A Builder or Pack never writes either kind of
 // entry, so only a damaged page holds one. Infinite coordinates are
-// valid. It is the one rule for both kinds of reader: the descents run
-// it on every node they read (readVisit), and the joins on every node
-// they sort from page order, whose sweep key columns must be in sweep
-// order and free of NaN, before the sorted node can be published to the
-// sweep-order memo.
-func KeyError(id storage.PageID, n *NodeSoA) error {
+// valid. PinnedNode.Decode runs it on every node decoded in page order,
+// so no reader sees such an entry: the descents compare rectangles, and
+// the joins' sweep key columns must be in sweep order and free of NaN
+// before a sorted node can be published to the sweep-order memo.
+func keyError(id storage.PageID, n *NodeSoA) error {
 	minX, minY, maxX, maxY := n.MinX, n.MinY[:len(n.MinX)], n.MaxX[:len(n.MinX)], n.MaxY[:len(n.MinX)]
 	for i := range minX {
 		if !validEntry(minX[i], minY[i], maxX[i], maxY[i]) {
@@ -228,8 +229,9 @@ func (t *Tree) ResizeBuffer(bytes int) {
 
 // fetchNode pins node id's page in the buffer pool and records the
 // access against mc: the one fetch-and-account step both node reads
-// (ReadNodeSoA, PinNode) start with. The caller releases the
-// frame once it has decoded the page; nothing it returns refers to it.
+// (ReadNodeSoA, PinNode) start with, so every node access is counted
+// here and only here. The caller releases the frame once it has
+// decoded the page; nothing it returns refers to it.
 func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) (*storage.Frame, error) {
 	f, acc, err := t.pool.Pin(id)
 	if err != nil {
@@ -241,9 +243,11 @@ func (t *Tree) fetchNode(id storage.PageID, mc *metrics.Collector) (*storage.Fra
 }
 
 // ReadNodeSoA fetches and decodes the node on page id in page order,
-// reusing dst's backing arrays. The access is recorded against mc
-// (which may be nil): one logical node access, whether it was physical
-// (buffer miss), and the buffer pool hit/miss/eviction attribution.
+// reusing dst's backing arrays, and checks nothing: a reader that
+// follows refs reads through PinNode and PinnedNode.Decode instead.
+// The access is recorded against mc (which may be nil): one logical
+// node access, whether it was physical (buffer miss), and the buffer
+// pool hit/miss/eviction attribution.
 func (t *Tree) ReadNodeSoA(id storage.PageID, dst *NodeSoA, mc *metrics.Collector) error {
 	f, err := t.fetchNode(id, mc)
 	if err != nil {
@@ -254,31 +258,24 @@ func (t *Tree) ReadNodeSoA(id storage.PageID, dst *NodeSoA, mc *metrics.Collecto
 	return err
 }
 
-// visit is one pending step of a descent: the child ref to follow and
-// the level the page behind it must claim (anyLevel for the root, which
-// has no parent to contradict).
+// visit is one pending step of a descent: the page to read and the
+// level its header must claim, the parent's minus one (Height()-1 for
+// the root).
 type visit struct {
-	ref   uint64
+	id    storage.PageID
 	level int
 }
 
-const anyLevel = -1
-
-// readVisit is ReadNodeSoA for a descent: the same fetch and the same
-// accounting, and then the checks that v led where its parent said and
-// that the node holds no entry a Builder would not write (KeyError).
-func (t *Tree) readVisit(v visit, dst *NodeSoA, mc *metrics.Collector) error {
-	if v.ref > math.MaxUint32 {
-		return fmt.Errorf("%w: child ref %#x is not a page id", ErrCorruptNode, v.ref)
-	}
-	if err := t.ReadNodeSoA(storage.PageID(v.ref), dst, mc); err != nil {
+// read is one node read of a descent: PinNode with the level v expects,
+// Decode into dst, Release.
+func (t *Tree) read(v visit, dst *NodeSoA, mc *metrics.Collector) error {
+	p, err := t.PinNode(v.id, v.level, mc)
+	if err != nil {
 		return err
 	}
-	if v.level != anyLevel && dst.Level != v.level {
-		return fmt.Errorf("%w: page %d claims level %d, its parent's entry level %d",
-			ErrCorruptNode, v.ref, dst.Level, v.level)
-	}
-	return KeyError(storage.PageID(v.ref), dst)
+	err = p.Decode(dst)
+	p.Release()
+	return err
 }
 
 // Search invokes fn for every object whose MBR intersects q, counting
@@ -287,11 +284,11 @@ func (t *Tree) readVisit(v visit, dst *NodeSoA, mc *metrics.Collector) error {
 // node's children last entry first.
 func (t *Tree) Search(q geom.Rect, mc *metrics.Collector, fn func(Item) bool) error {
 	var n NodeSoA
-	stack := []visit{{ref: uint64(t.rootPage), level: anyLevel}}
+	stack := []visit{{id: t.rootPage, level: t.height - 1}}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if err := t.readVisit(v, &n, mc); err != nil {
+		if err := t.read(v, &n, mc); err != nil {
 			return err
 		}
 		if n.IsLeaf() {
@@ -304,7 +301,7 @@ func (t *Tree) Search(q geom.Rect, mc *metrics.Collector, fn func(Item) bool) er
 		}
 		for i := n.Len() - 1; i >= 0; i-- {
 			if n.Rect(i).Intersects(q) {
-				stack = append(stack, visit{ref: n.Refs[i], level: n.Level - 1})
+				stack = append(stack, visit{id: storage.PageID(n.Refs[i]), level: n.Level - 1})
 			}
 		}
 	}
@@ -335,7 +332,7 @@ func (t *Tree) NearestNeighbors(q geom.Rect, k int, mc *metrics.Collector) ([]Ne
 		isObj bool
 	}
 	h := pqueue.NewHeap(func(a, b *qe) bool { return a.dist < b.dist })
-	h.Push(qe{ref: uint64(t.rootPage), level: anyLevel})
+	h.Push(qe{ref: uint64(t.rootPage), level: int32(t.height - 1)})
 	var out []Neighbor
 	var n NodeSoA
 	for !h.Empty() && len(out) < k {
@@ -344,7 +341,7 @@ func (t *Tree) NearestNeighbors(q geom.Rect, k int, mc *metrics.Collector) ([]Ne
 			out = append(out, Neighbor{Item: Item{Rect: top.rect, Obj: int64(top.ref)}, Dist: top.dist})
 			continue
 		}
-		if err := t.readVisit(visit{ref: top.ref, level: int(top.level)}, &n, mc); err != nil {
+		if err := t.read(visit{id: storage.PageID(top.ref), level: int(top.level)}, &n, mc); err != nil {
 			return nil, err
 		}
 		for i := 0; i < n.Len(); i++ {
@@ -363,21 +360,21 @@ func (t *Tree) NearestNeighbors(q geom.Rect, k int, mc *metrics.Collector) ([]Ne
 // by tests and tooling.
 func (t *Tree) Walk(fn func(id storage.PageID, n *NodeSoA) error) error {
 	var n NodeSoA
-	stack := []visit{{ref: uint64(t.rootPage), level: anyLevel}}
+	stack := []visit{{id: t.rootPage, level: t.height - 1}}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if err := t.readVisit(v, &n, nil); err != nil {
+		if err := t.read(v, &n, nil); err != nil {
 			return err
 		}
-		if err := fn(storage.PageID(v.ref), &n); err != nil {
+		if err := fn(v.id, &n); err != nil {
 			return err
 		}
 		if n.IsLeaf() {
 			continue
 		}
 		for i := n.Len() - 1; i >= 0; i-- {
-			stack = append(stack, visit{ref: n.Refs[i], level: n.Level - 1})
+			stack = append(stack, visit{id: storage.PageID(n.Refs[i]), level: n.Level - 1})
 		}
 	}
 	return nil
