@@ -16,7 +16,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build vet vet-sarif allow-report inline-check lint lint-tools test test-short alloc-pins race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples ci clean
+.PHONY: all build cross-build vet vet-sarif allow-report inline-check lint lint-tools test test-short alloc-pins race race-memo cover cover-check sim-smoke sim-soak fuzz fuzz-smoke bench bench-smoke bench-json bench-diff bench-baseline bench-repo-test experiments examples ci clean
 
 # Coverage floor for the cover-check gate: the suite sits above 80%,
 # so the floor guards against untested subsystems landing, with a
@@ -41,6 +41,13 @@ all: build vet test
 
 build:
 	$(GO) build ./...
+
+# Builds for an OS without mmap (opened index files read into memory,
+# internal/storage/mmap_other.go) and for another unix, so code only
+# the Linux build compiles cannot break either.
+cross-build:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 # The project lint suite (internal/analysis, docs/static-analysis.md)
 # runs through go vet's -vettool protocol so its per-package results
@@ -326,13 +333,14 @@ examples:
 	$(GO) run ./examples/serving -duration 3s
 
 # Everything the CI workflow (.github/workflows/ci.yml) runs, locally:
-# lint gate, build, tests with coverage (the server smoke,
-# TestServeSmoke, among them) + floor gate, repeated
+# lint gate, build, cross-builds (windows, darwin/arm64), tests with
+# coverage (the server smoke, TestServeSmoke, among them) + floor gate,
+# repeated
 # allocation pins, race detector
 # (short suite, then the sweep-order memo's tests unshortened),
 # simulation smoke, fuzz smoke, one-iteration benchmark
 # smoke, bench regression gate, repository-benchmark module check.
-ci: lint inline-check build
+ci: lint inline-check build cross-build
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 	$(MAKE) cover-check

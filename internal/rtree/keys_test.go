@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -45,8 +46,9 @@ func TestKeyErrorRule(t *testing.T) {
 }
 
 // TestDecodeRejectsDamagedNodes: a page holding a NaN entry, an
-// inverted entry, or, at an internal node, a child ref wider than a page
-// ID is ErrCorruptNode from Decode and from Ordered in every slot, on a
+// inverted entry, a header counting more entries than the page holds,
+// or, at an internal node, a child ref wider than a page ID is
+// ErrCorruptNode from Decode and from Ordered in every slot, on a
 // tree with room for finished nodes and on one without. A reader that
 // publishes whatever node it was given (the join's pairSide.sorted)
 // then leaves no memo cell and no occupancy grid for the page, while
@@ -67,14 +69,18 @@ func TestDecodeRejectsDamagedNodes(t *testing.T) {
 		level   int
 		damage  func(es []encEntry)
 		corrupt bool
+		header  func(page []byte) // rewrites the encoded page, if not nil
 	}{
-		{"sound leaf", 0, func([]encEntry) {}, false},
-		{"sound internal node", 1, func([]encEntry) {}, false},
-		{"leaf with an object id wider than a page id", 0, func(es []encEntry) { es[5].ref = 1<<40 | 7 }, false},
-		{"NaN MinY", 0, func(es []encEntry) { es[2].rect.MinY = math.NaN() }, true},
-		{"NaN MaxX at an internal node", 1, func(es []encEntry) { es[0].rect.MaxX = math.NaN() }, true},
-		{"MinX above MaxX", 0, func(es []encEntry) { es[4].rect.MinX = es[4].rect.MaxX + 1 }, true},
-		{"child ref wider than a page id", 2, func(es []encEntry) { es[5].ref |= 1 << 32 }, true},
+		{"sound leaf", 0, func([]encEntry) {}, false, nil},
+		{"sound internal node", 1, func([]encEntry) {}, false, nil},
+		{"leaf with an object id wider than a page id", 0, func(es []encEntry) { es[5].ref = 1<<40 | 7 }, false, nil},
+		{"NaN MinY", 0, func(es []encEntry) { es[2].rect.MinY = math.NaN() }, true, nil},
+		{"NaN MaxX at an internal node", 1, func(es []encEntry) { es[0].rect.MaxX = math.NaN() }, true, nil},
+		{"MinX above MaxX", 0, func(es []encEntry) { es[4].rect.MinX = es[4].rect.MaxX + 1 }, true, nil},
+		{"child ref wider than a page id", 2, func(es []encEntry) { es[5].ref |= 1 << 32 }, true, nil},
+		{"count one past the capacity", 1, func([]encEntry) {}, true, func(page []byte) {
+			binary.LittleEndian.PutUint16(page[2:], uint16(PageCapacity(len(page))+1))
+		}},
 	} {
 		for _, poolPages := range []int{1, 8} { // no room for finished nodes, and room
 			es := base()
@@ -82,6 +88,9 @@ func TestDecodeRejectsDamagedNodes(t *testing.T) {
 			page := make([]byte, pageSize)
 			if err := encodeNode(page, tc.level, es); err != nil {
 				t.Fatal(err)
+			}
+			if tc.header != nil {
+				tc.header(page)
 			}
 			store := storage.NewMemStore(pageSize)
 			id, err := store.Alloc()

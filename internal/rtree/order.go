@@ -129,7 +129,7 @@ func (t *Tree) PinNode(id storage.PageID, level int, mc *metrics.Collector) (Pin
 // be sorted and published.
 func (p PinnedNode) Decode(scratch *NodeSoA) error {
 	if err := decodeNodeSoA(p.f.Bytes(), scratch); err != nil {
-		return err
+		return fmt.Errorf("page %d: %w", p.id, err)
 	}
 	if err := keyError(p.id, scratch); err != nil {
 		return err

@@ -111,16 +111,18 @@ func (s *NodeSoA) Hi(axis int) []float64 {
 }
 
 // decodeNodeSoA parses a page into dst column-wise, reusing dst's
-// backing arrays. The page layout (node.go) is row-major.
+// backing arrays. The page layout (node.go) is row-major. A page too
+// short for a header, or whose header counts more entries than the page
+// holds, is ErrCorruptNode.
 func decodeNodeSoA(page []byte, dst *NodeSoA) error {
 	if len(page) < nodeHeaderSize {
-		return fmt.Errorf("rtree: page too small: %d bytes", len(page))
+		return fmt.Errorf("%w: page of %d bytes is shorter than a node header", ErrCorruptNode, len(page))
 	}
 	level := int(binary.LittleEndian.Uint16(page[0:]))
 	count := int(binary.LittleEndian.Uint16(page[2:]))
 	if count > PageCapacity(len(page)) {
-		return fmt.Errorf("rtree: corrupt page: count %d exceeds capacity %d",
-			count, PageCapacity(len(page)))
+		return fmt.Errorf("%w: count %d exceeds capacity %d",
+			ErrCorruptNode, count, PageCapacity(len(page)))
 	}
 	dst.Level = level
 	dst.Reset(count)

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -107,17 +108,17 @@ func BenchmarkDecodeNode(b *testing.B) {
 }
 
 // TestDecodeNodeSoARejectsCorruptPages: truncated and count-corrupted
-// pages are errors.
+// pages are ErrCorruptNode.
 func TestDecodeNodeSoARejectsCorruptPages(t *testing.T) {
 	var soa NodeSoA
-	if err := decodeNodeSoA([]byte{1, 2}, &soa); err == nil {
-		t.Error("short page decoded without error")
+	if err := decodeNodeSoA([]byte{1, 2}, &soa); !errors.Is(err, ErrCorruptNode) {
+		t.Errorf("short page: error %v, want ErrCorruptNode", err)
 	}
 	page := make([]byte, 256)
 	page[2] = 0xff // count field far beyond capacity
 	page[3] = 0xff
-	if err := decodeNodeSoA(page, &soa); err == nil {
-		t.Error("corrupt count decoded without error")
+	if err := decodeNodeSoA(page, &soa); !errors.Is(err, ErrCorruptNode) {
+		t.Errorf("corrupt count: error %v, want ErrCorruptNode", err)
 	}
 }
 

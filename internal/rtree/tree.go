@@ -255,7 +255,10 @@ func (t *Tree) ReadNodeSoA(id storage.PageID, dst *NodeSoA, mc *metrics.Collecto
 	}
 	err = decodeNodeSoA(f.Bytes(), dst)
 	f.Release()
-	return err
+	if err != nil {
+		return fmt.Errorf("page %d: %w", id, err)
+	}
+	return nil
 }
 
 // visit is one pending step of a descent: the page to read and the

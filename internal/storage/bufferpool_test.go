@@ -113,22 +113,29 @@ func TestLentPageCopyOnWrite(t *testing.T) {
 }
 
 // TestBufferPoolAllocs pins what a miss costs: nothing over a MemStore,
-// whether it evicts or not; nothing over a FileStore either when every
-// pin is released, since the next miss reads into the evicted frame;
-// and one page buffer for a Get miss, whose bytes are never reused. A
-// hit costs nothing, pinned or not.
+// whether it evicts or not; nothing over a FileStore either, created
+// (pread) or opened (copied from the mapping), when every pin is
+// released, since the next miss reads into the evicted frame; and one
+// page buffer for a Get miss, whose bytes are never reused. A hit costs
+// nothing, pinned or not.
 func TestBufferPoolAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own; allocation counts are not meaningful")
 	}
 	mem := NewMemStore(DefaultPageSize)
 	fillPages(t, mem, 8)
-	file, err := CreateFileStore(filepath.Join(t.TempDir(), "pages.db"), DefaultPageSize)
+	path := filepath.Join(t.TempDir(), "pages.db")
+	file, err := CreateFileStore(path, DefaultPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer file.Close()
 	fillPages(t, file, 8)
+	opened, err := OpenFileStore(path, DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
 
 	// Each case gets the store's eight pages in turn through a pool of
 	// frames, after warm gets, by Get or by Pin and Release; with four
@@ -147,6 +154,8 @@ func TestBufferPoolAllocs(t *testing.T) {
 		{"FileStore Get miss that evicts", file, 4, 8, 100, false, false, 1},
 		{"FileStore pinned miss that evicts", file, 4, 8, 100, false, true, 0},
 		{"FileStore pinned hit", file, 8, 8, 100, true, true, 0},
+		{"opened FileStore Get miss that evicts", opened, 4, 8, 100, false, false, 1},
+		{"opened FileStore pinned miss that evicts", opened, 4, 8, 100, false, true, 0},
 	} {
 		p := NewBufferPool(tc.store, tc.frames*DefaultPageSize)
 		next := 0
@@ -187,20 +196,27 @@ func TestBufferPoolAllocs(t *testing.T) {
 }
 
 // BenchmarkBufferPool isolates the pool layer on 4 KB pages: a hit, a
-// miss on a MemStore (lent, no copy), a Get miss on a FileStore (read
-// into a fresh page) and a pinned one (read into the frame the last
-// miss evicted, released at once). The misses cycle 64 pages through 4
-// frames, so every get evicts.
+// miss on a MemStore (lent, no copy), a Get miss on a created FileStore
+// (pread into a fresh page) and a pinned one (pread into the frame the
+// last miss evicted, released at once), and the same two misses on the
+// file reopened (copied from the mapping). The misses cycle 64 pages
+// through 4 frames, so every get evicts.
 func BenchmarkBufferPool(b *testing.B) {
 	const pages = 64
 	mem := NewMemStore(DefaultPageSize)
 	fillPages(b, mem, pages)
-	file, err := CreateFileStore(filepath.Join(b.TempDir(), "pages.db"), DefaultPageSize)
+	path := filepath.Join(b.TempDir(), "pages.db")
+	file, err := CreateFileStore(path, DefaultPageSize)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer file.Close()
 	fillPages(b, file, pages)
+	opened, err := OpenFileStore(path, DefaultPageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer opened.Close()
 	for _, bc := range []struct {
 		name   string
 		store  Store
@@ -211,6 +227,8 @@ func BenchmarkBufferPool(b *testing.B) {
 		{"miss-memstore", mem, 4, false},
 		{"miss-filestore", file, 4, false},
 		{"miss-filestore-pinned", file, 4, true},
+		{"miss-openedfile", opened, 4, false},
+		{"miss-openedfile-pinned", opened, 4, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := NewBufferPool(bc.store, bc.frames*DefaultPageSize)

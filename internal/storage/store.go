@@ -11,9 +11,11 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sync"
-	"syscall"
 )
 
 // DefaultPageSize is the page size used throughout the paper's
@@ -190,6 +192,25 @@ func (s *MemStore) Close() error {
 
 // FileStore is a Store backed by a single OS file, for durable R-tree
 // indexes built by cmd/distjoin-gen.
+//
+// A store CreateFileStore makes is the one writable kind: it reads and
+// writes its pages with pread and pwrite. A store OpenFileStore opens
+// is read-only and maps the file at open (PROT_READ, MAP_SHARED; where
+// the OS has no mmap, the file is read into memory instead), and
+// ReadPage copies the page from the mapping into the caller's buffer.
+// Either way ReadPage is one counted read into a buffer the caller
+// owns, so a BufferPool decides hit, miss and eviction as before; only
+// where a miss's bytes come from differs.
+//
+// The copy runs under debug.SetPanicOnFault, so a fault on the mapping
+// is an error, not a crash: a page that lies wholly past the end of a
+// file truncated since open fails with an error wrapping io.EOF, as a
+// short pread does. A truncation that ends inside an OS page
+// (os.Getpagesize) zero-fills the rest of that OS page instead of
+// faulting: the store pages in it read as zeros from the new end on,
+// where a pread would have come up short. An in-place overwrite of the
+// file shows in later reads, as it does under pread. The store cannot
+// see either kind of damage; a page checksum would.
 type FileStore struct {
 	mu       sync.Mutex
 	pageSize int
@@ -197,7 +218,10 @@ type FileStore struct {
 	numPages int
 	stats    StoreStats
 	closed   bool
-	readOnly bool // opened without write access: Alloc and WritePage fail
+	// readOnly marks a store OpenFileStore opened: its pages are read
+	// from mapped, and Alloc and WritePage fail with ErrReadOnly.
+	readOnly bool
+	mapped   []byte // the file's bytes at open; nil if it was empty, or closed
 }
 
 // CreateFileStore creates (truncating) a file-backed store at path.
@@ -212,25 +236,15 @@ func CreateFileStore(path string, pageSize int) (*FileStore, error) {
 	return &FileStore{pageSize: pageSize, f: f}, nil
 }
 
-// OpenFileStore opens an existing file-backed store at path. The file
-// length must be a multiple of pageSize. A file the process may only
-// read (no write permission, or a read-only file system) opens
-// read-only: reads work, and Alloc and WritePage fail with ErrReadOnly.
+// OpenFileStore opens an existing file-backed store at path, read-only:
+// reads work, and Alloc and WritePage fail with ErrReadOnly. The file
+// length must be a multiple of pageSize. The store maps the file until
+// Close, or until the garbage collector finds the store unreachable.
 func OpenFileStore(path string, pageSize int) (*FileStore, error) {
-	return openFileStore(path, pageSize, os.OpenFile)
-}
-
-// openFileStore is OpenFileStore opening the file through open, which
-// tests replace to refuse write access to a process that has it.
-func openFileStore(path string, pageSize int, open func(string, int, os.FileMode) (*os.File, error)) (*FileStore, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	f, err := open(path, os.O_RDWR, 0)
-	readOnly := errors.Is(err, syscall.EACCES) || errors.Is(err, syscall.EPERM) || errors.Is(err, syscall.EROFS)
-	if readOnly {
-		f, err = open(path, os.O_RDONLY, 0)
-	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err) // err names the path
 	}
@@ -244,12 +258,23 @@ func openFileStore(path string, pageSize int, open func(string, int, os.FileMode
 		return nil, fmt.Errorf("storage: %s: size %d not a multiple of page size %d",
 			path, fi.Size(), pageSize)
 	}
-	return &FileStore{
+	var mapped []byte
+	if fi.Size() > 0 {
+		if mapped, err = mapFile(f, fi.Size()); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("storage: map %s: %w", path, err)
+		}
+	}
+	s := &FileStore{
 		pageSize: pageSize,
 		f:        f,
 		numPages: int(fi.Size() / int64(pageSize)),
-		readOnly: readOnly,
-	}, nil
+		readOnly: true,
+		mapped:   mapped,
+	}
+	// A dropped store (distjoin.Index has no Close) still unmaps.
+	runtime.SetFinalizer(s, (*FileStore).Close)
+	return s, nil
 }
 
 // PageSize implements Store.
@@ -295,10 +320,43 @@ func (s *FileStore) ReadPage(id PageID, buf []byte) error {
 	if int(id) >= s.numPages {
 		return fmt.Errorf("%w: %d >= %d", ErrPageOutOfRange, id, s.numPages)
 	}
-	if _, err := s.f.ReadAt(buf, int64(id)*int64(s.pageSize)); err != nil {
+	off := int64(id) * int64(s.pageSize)
+	var err error
+	if s.readOnly {
+		err = s.copyMapped(buf, off)
+	} else {
+		_, err = s.f.ReadAt(buf, off)
+	}
+	if err != nil {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
 	}
 	s.stats.Reads++
+	return nil
+}
+
+// copyMapped copies len(buf) bytes at offset off of the mapping into
+// buf; s.mu is held, so Close cannot unmap meanwhile. A fault on the
+// mapping is an error: io.EOF when the file now ends before the bytes
+// do, the fault itself otherwise.
+func (s *FileStore) copyMapped(buf []byte, off int64) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		fault, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		if fi, serr := s.f.Stat(); serr == nil && fi.Size() < off+int64(len(buf)) {
+			err = io.EOF
+		} else {
+			err = fmt.Errorf("fault at %#x reading the mapped file: %v", fault.Addr(), r)
+		}
+	}()
+	copy(buf, s.mapped[off:off+int64(len(buf))])
+	runtime.KeepAlive(s)
 	return nil
 }
 
@@ -340,5 +398,11 @@ func (s *FileStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.f.Close()
+	runtime.SetFinalizer(s, nil)
+	var err error
+	if s.mapped != nil {
+		err = unmapFile(s.mapped)
+		s.mapped = nil
+	}
+	return errors.Join(err, s.f.Close())
 }
