@@ -298,7 +298,8 @@ type Options struct {
 	// Stats, when non-nil, receives the query's performance counters.
 	Stats *Stats
 	// EDmax overrides the adaptive algorithms' initial estimated
-	// cutoff distance; zero uses the Eq. 3 estimate.
+	// cutoff distance when it is positive; zero, a negative value or
+	// NaN uses the Eq. 3 estimate.
 	EDmax float64
 	// MaxDist is the within-distance bound for SJSort (ignored by the
 	// other algorithms): positive, or +Inf for no bound.

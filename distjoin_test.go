@@ -128,8 +128,9 @@ func TestIndexFileRoundTrip(t *testing.T) {
 
 // TestOpenIndexFileReadOnly: an index file the process may only read
 // opens and answers queries. Root ignores the mode bits, so the test
-// skips as root; internal/storage's TestOpenFileStoreReadOnly covers
-// the same fallback for every user.
+// skips as root. Every store OpenIndexFile opens is read-only, for
+// every user; internal/storage's TestOpenFileStoreReadOnly checks that
+// such a store reads pages as written and refuses Alloc and WritePage.
 func TestOpenIndexFileReadOnly(t *testing.T) {
 	if os.Geteuid() == 0 {
 		t.Skip("root may write a mode 0444 file")

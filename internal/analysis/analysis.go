@@ -95,10 +95,9 @@ type Pass struct {
 	TypesInfo *types.Info
 	PkgPath   string
 
-	unit    *Unit
-	allows  *allowIndex
-	parents map[ast.Node]ast.Node
-	sink    *[]Diagnostic
+	unit   *Unit
+	allows *allowIndex
+	sink   *[]Diagnostic
 }
 
 // Reportf records a finding at pos unless an in-scope
@@ -125,7 +124,6 @@ func Suite() []*Analyzer {
 // once per unit under the pseudo-analyzer name "allow".
 func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	allows := buildAllowIndex(u, analyzers)
-	parents := buildParents(u.Files)
 	var diags []Diagnostic
 	diags = append(diags, allows.malformed...)
 	for _, a := range analyzers {
@@ -147,7 +145,6 @@ func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 			PkgPath:   u.PkgPath,
 			unit:      u,
 			allows:    allows,
-			parents:   parents,
 			sink:      &diags,
 		}
 		if err := a.Run(pass); err != nil {

@@ -7,39 +7,6 @@ import (
 
 // Syntax and type helpers shared by the analyzers.
 
-// buildParents maps every node of files to its parent node.
-func buildParents(files []*ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	for _, f := range files {
-		var stack []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			// The file itself has no parent; mapping it to itself
-			// would turn every ancestor walk into an infinite loop.
-			if len(stack) > 0 {
-				parents[n] = stack[len(stack)-1]
-			}
-			stack = append(stack, n)
-			return true
-		})
-	}
-	return parents
-}
-
-// EnclosingFunc returns the function declaration lexically containing
-// n, or nil.
-func (p *Pass) EnclosingFunc(n ast.Node) *ast.FuncDecl {
-	for cur := n; cur != nil; cur = p.parents[cur] {
-		if fd, ok := cur.(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
-}
-
 // typeIsFloat reports whether t's core type is a floating-point kind.
 func typeIsFloat(t types.Type) bool {
 	if t == nil {

@@ -90,14 +90,14 @@ var mutations = []struct {
 		}},
 	},
 	{
-		// Compaction iterates the map instead of the insertion-order
-		// slice: re-seed order becomes run-dependent.
+		// The re-seed iterates the index instead of the bookkeeping-order
+		// list: re-seed order becomes run-dependent.
 		name:     "mapdet/range-comp-map",
 		pkg:      "distjoin/internal/join",
 		analyzer: "mapdet",
 		edits: []textEdit{{
-			old: "for _, key := range it.compOrder {",
-			new: "for key := range it.compMap {",
+			old: "live := l.infos[:0]\n\tfor i := range l.infos {",
+			new: "live := l.infos[:0]\n\tfor _, i := range l.at {",
 		}},
 	},
 }

@@ -16,12 +16,10 @@ import (
 // This continues until the caller stops asking or every pair has been
 // produced.
 type amidjStages struct {
-	compMap   map[pairKey]*compInfo
-	compOrder []pairKey
-	eDmax     float64
-	stageK    int
-	batchK    int
-	maxd      float64
+	eDmax  float64
+	stageK int
+	batchK int
+	maxd   float64
 	// modeLabel names the source of the current stage cutoff for the
 	// registry's eDmax-accuracy sample: "initial" (Eq. 3), "arithmetic"
 	// (Eq. 4), "geometric" (Eq. 5), or "override" (the caller's EDmax).
@@ -45,10 +43,9 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*Iterator, error) {
 		batch = DefaultBatchK
 	}
 	it := &Iterator{amidjStages: amidjStages{
-		compMap: make(map[pairKey]*compInfo),
-		batchK:  batch,
-		stageK:  batch,
-		maxd:    c.exhaustiveDist(),
+		batchK: batch,
+		stageK: batch,
+		maxd:   c.exhaustiveDist(),
 	}}
 	it.bestFirst = bestFirst{c: c, node: it.expand, gate: it.holdBack, drained: it.advanceStage}
 	it.bandFn = it.pushBand
@@ -58,13 +55,7 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*Iterator, error) {
 		it.Close()
 		return it, nil
 	}
-	if opts.EDmax > 0 {
-		it.eDmax = opts.EDmax
-		it.modeLabel = obsrv.ModeOverride
-	} else {
-		it.eDmax = c.est.Initial(batch)
-		it.modeLabel = obsrv.ModeInitial
-	}
+	it.eDmax, it.modeLabel = c.initialEDmax(batch)
 	if it.eDmax > it.maxd {
 		it.eDmax = it.maxd
 	}
@@ -90,11 +81,11 @@ func (it *Iterator) holdBack(p *hybridq.Pair) bool {
 	}
 	// advanceStage re-seeds the bookkept pairs itself; everything else
 	// goes back. Only a node pair can be bookkept, and a result must not
-	// even be looked up: compMap is keyed by the two refs, which for a
+	// even be looked up: the list is indexed by the two refs, which for a
 	// leaf-level node pair are bare page IDs and for a result are object
 	// IDs, both small dense integers, so a refined result could pass for
 	// a bookkept leaf pair and be dropped.
-	if p.IsResult() || it.compMap[keyOf(p)] == nil {
+	if p.IsResult() || it.c.bookkept(p) == nil {
 		it.c.pushCopy(*p)
 	}
 	return true
@@ -105,15 +96,13 @@ func (it *Iterator) holdBack(p *hybridq.Pair) bool {
 // expanded in an earlier stage get a band re-examination plus the
 // unexamined suffix.
 //
-// A bookkept pair's compInfo is allocated on its first expansion and
-// updated in place by every later stage, which moves only its cutoff,
-// so an iterator's bookkeeping follows its live compMap, not the stages
-// it has run, and a re-expansion allocates nothing.
+// A bookkept pair's entry is appended to the compensation list on its
+// first expansion and updated in place by every later stage, which
+// moves only its cutoff, so a re-expansion allocates nothing.
 func (it *Iterator) expand(p *hybridq.Pair) error {
 	c := it.c
 	cur := it.eDmax
-	key := keyOf(p)
-	ci := it.compMap[key]
+	ci := c.bookkept(p)
 	if ci == nil {
 		run, err := c.ex.expansion(p, cur, cur)
 		if err != nil {
@@ -135,9 +124,7 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 			if run.byGrid {
 				plan = c.choosePlan(p, cur, cur)
 			}
-			it.compMap[key] = &compInfo{pair: *p, plan: plan, examCutoff: cur}
-			it.compOrder = append(it.compOrder, key)
-			c.mc.AddCompQueueInsert(1)
+			c.keepComp(compInfo{pair: *p, plan: plan, examCutoff: cur})
 		}
 		return nil
 	}
@@ -157,8 +144,8 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 	c.traceExpansion(p, cur, run.children)
 	if cur >= p.LeftRect.MaxDist(p.RightRect) {
 		// Fully covered: retire the entry so later stages stop
-		// re-seeding it (compOrder is compacted at the next advance).
-		delete(it.compMap, key)
+		// re-seeding it.
+		c.retire(ci)
 		return nil
 	}
 	ci.examCutoff = cur
@@ -220,30 +207,6 @@ func (it *Iterator) advanceStage() bool {
 	}
 	it.c.traceStage(trace.KindStageEnd, it.c.stage, it.eDmax, int64(it.produced))
 	it.eDmax = next
-	it.c.mc.AddCompensationStage()
-	if it.c.tr.Enabled() {
-		it.c.tr.Emit(trace.Event{
-			Kind: trace.KindCompensation, Algo: it.c.algo, Stage: "compensation",
-			EDmax: next, Count: int64(len(it.compOrder)),
-		})
-	}
-	it.c.stage = "compensation"
-
-	// Re-seed: push every live compensation entry; entries already
-	// examined at the exhaustive bound can never yield more pairs.
-	liveOrder := it.compOrder[:0]
-	for _, key := range it.compOrder {
-		ci := it.compMap[key]
-		if ci == nil {
-			continue
-		}
-		if ci.examCutoff >= ci.pair.LeftRect.MaxDist(ci.pair.RightRect) {
-			delete(it.compMap, key)
-			continue
-		}
-		liveOrder = append(liveOrder, key)
-		it.c.push(&ci.pair)
-	}
-	it.compOrder = liveOrder
+	it.c.compensate(next)
 	return true
 }

@@ -20,23 +20,29 @@ func keyOf(p *hybridq.Pair) pairKey { return pairKey{p.Left, p.Right} }
 // fixed axis cutoff the pair was last examined under, from which that
 // stage re-derives every anchor's examined prefix (sweepRun.resume).
 // For AM-IDJ the cutoff is also the real-distance cutoff of that
-// examination, the floor of the band a re-expansion recovers.
+// examination, the floor of the band a re-expansion recovers. A retired
+// entry has nothing left to examine; the next re-seed drops it.
 type compInfo struct {
 	pair       hybridq.Pair
 	plan       sweep.Plan
 	examCutoff float64
+	retired    bool
 }
 
-// compList is AM-KDJ's compensation list: one compInfo per bookkept
-// expansion, in expansion order. A query takes one from compLists at its
-// first bookkept expansion (execContext.keepComp) and endQuery gives it
-// back. A compInfo holds no pointers, so a pooled list pins nothing but
-// its own array, which keeps the length of the longest list it served.
+// compList is the compensation list of both adaptive joins: one
+// compInfo per bookkept expansion, in bookkeeping order, and at, the
+// index of the entries the current stage re-seeded (compensate). A stage
+// pops no other entry: a pair bookkept in it was just expanded, and its
+// parent's re-expansions push only children never pushed before. A
+// query takes a list from compLists at its first bookkept expansion and
+// endQuery gives it back; it pins nothing but its array and index,
+// which keep the size of the longest list they served.
 type compList struct {
 	infos []compInfo
+	at    map[pairKey]int32
 }
 
-var compLists = sync.Pool{New: func() any { return new(compList) }}
+var compLists = sync.Pool{New: func() any { return &compList{at: map[pairKey]int32{}} }}
 
 // keepComp appends ci to the query's compensation list.
 func (c *execContext) keepComp(ci compInfo) {
@@ -47,13 +53,47 @@ func (c *execContext) keepComp(ci compInfo) {
 	c.mc.AddCompQueueInsert(1)
 }
 
-// compInfos returns the query's compensation list, empty when nothing
-// was bookkept. It is valid until endQuery.
-func (c *execContext) compInfos() []compInfo {
-	if c.comp == nil {
-		return nil
+// bookkept returns the entry the current stage re-seeded for the node
+// pair p, or nil when it re-seeded none. The entry is valid until the
+// next keepComp or compensate.
+func (c *execContext) bookkept(p *hybridq.Pair) *compInfo {
+	if c.comp != nil {
+		if i, ok := c.comp.at[keyOf(p)]; ok {
+			return &c.comp.infos[i]
+		}
 	}
-	return c.comp.infos
+	return nil
+}
+
+// retire marks ci, an entry bookkept returned, as having nothing left
+// to examine: this stage stops finding it, and the next re-seed drops it.
+func (c *execContext) retire(ci *compInfo) {
+	ci.retired = true
+	delete(c.comp.at, keyOf(&ci.pair))
+}
+
+// compensate opens a compensation stage under the cutoff eDmax (§4.1,
+// Algorithm 3; each later stage of §4.2): it re-seeds the main queue
+// with the live entries of the compensation list, in bookkeeping order,
+// dropping the retired ones, and indexes them for the pops that come
+// back. A pair bookkept twice is found under its last entry.
+func (c *execContext) compensate(eDmax float64) {
+	c.mc.AddCompensationStage()
+	if c.comp == nil {
+		c.comp = compLists.Get().(*compList)
+	}
+	l := c.comp
+	c.traceStage(trace.KindCompensation, "compensation", eDmax, int64(len(l.infos)))
+	clear(l.at)
+	live := l.infos[:0]
+	for i := range l.infos {
+		if ci := &l.infos[i]; !ci.retired {
+			l.at[keyOf(&ci.pair)] = int32(len(live))
+			live = append(live, *ci)
+			c.push(&ci.pair)
+		}
+	}
+	l.infos = live
 }
 
 // releaseComp gives the query's compensation list back to compLists.
@@ -62,8 +102,19 @@ func (c *execContext) releaseComp() {
 		return
 	}
 	c.comp.infos = c.comp.infos[:0]
+	clear(c.comp.at)
 	compLists.Put(c.comp)
 	c.comp = nil
+}
+
+// initialEDmax is the first stage cutoff of both adaptive joins and the
+// source it is reported under: a positive Options.EDmax overrides;
+// zero, a negative value or NaN asks the estimator (Eq. 3) at k.
+func (c *execContext) initialEDmax(k int) (float64, string) {
+	if e := c.opts.EDmax; e > 0 {
+		return e, obsrv.ModeOverride
+	}
+	return c.est.Initial(k), obsrv.ModeInitial
 }
 
 // AMKDJ runs the adaptive multi-stage k-distance join of paper §4.1
@@ -88,12 +139,7 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	if s := opts.Ablation.PruneScale; s != 0 {
 		realCutoff = func() float64 { return ct.Cutoff() * s }
 	}
-	eDmax := opts.EDmax
-	estMode := obsrv.ModeOverride
-	if eDmax <= 0 {
-		eDmax = c.est.Initial(k) // Eq. 3 (or the configured estimator)
-		estMode = obsrv.ModeInitial
-	}
+	eDmax, estMode := c.initialEDmax(k)
 	// The initial estimate, kept for the accuracy sample recorded once
 	// the realized k-th distance is known.
 	est0 := eDmax
@@ -138,30 +184,19 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	// Stage two: compensation (Algorithm 3), needed only when the
 	// aggressive stage fell short (line 12).
 	if len(results) < k {
-		bookkept := c.compInfos()
-		c.mc.AddCompensationStage()
-		c.traceStage(trace.KindCompensation, "compensation", eDmax, int64(len(bookkept)))
-		// Re-seed the main queue with the bookkept pairs, and index them
-		// for the pops that come back. Their bounds are NOT re-registered
-		// with the cutoff tracker: a re-seeded pair stands only for its
-		// unexamined remainder, which may be empty, so it must not act as
-		// a qDmax witness (its stage-one children already carry their own
-		// bounds). Omitting a bound can only leave the cutoff larger,
-		// which is always safe.
-		compMap := make(map[pairKey]*compInfo, len(bookkept))
-		for i := range bookkept {
-			ci := &bookkept[i]
-			compMap[keyOf(&ci.pair)] = ci // a pair expanded twice keeps its last entry
-			c.push(&ci.pair)
-		}
+		// The re-seeded pairs' bounds are NOT re-registered with the
+		// cutoff tracker: such a pair stands only for its unexamined
+		// remainder, which may be empty, so it must not act as a qDmax
+		// witness (its stage-one children carry their own bounds).
+		// Omitting a bound only leaves the cutoff larger: always safe.
+		c.compensate(eDmax)
 		loop.gate = nil
 		loop.node = func(p *hybridq.Pair) error {
-			key := keyOf(p)
-			ci := compMap[key]
+			ci := c.bookkept(p)
 			if ci == nil {
 				return c.bkdjPlaneSweep(p, ct)
 			}
-			delete(compMap, key)
+			c.retire(ci)
 			return c.amCompensateSweep(p, ci, ct)
 		}
 		if results, err = loop.collect(results, k); err != nil {

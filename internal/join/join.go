@@ -91,9 +91,9 @@ type Options struct {
 	QueueStore storage.Store
 	// Metrics receives all counters; may be nil.
 	Metrics *metrics.Collector
-	// EDmax overrides the initial estimated maximum distance for the
-	// adaptive multi-stage algorithms. Zero means "estimate with
-	// Eq. 3". Ignored by HS-KDJ, B-KDJ, and SJ-SORT.
+	// EDmax, when positive, overrides the adaptive algorithms' initial
+	// estimated maximum distance; zero, a negative value or NaN means
+	// "estimate with Eq. 3". Ignored by HS-KDJ, B-KDJ, and SJ-SORT.
 	EDmax float64
 	// BatchK is AM-IDJ's stage growth: each stage targets BatchK more
 	// results than already produced (default 1024).
@@ -195,7 +195,7 @@ type execContext struct {
 	// newCutoffTracker. Its heap is pooled; endQuery gives it back, with
 	// the queue's.
 	ct *cutoffTracker
-	// comp is AM-KDJ's compensation list, pooled too (keepComp).
+	// comp is the compensation list, pooled too (keepComp).
 	comp *compList
 }
 

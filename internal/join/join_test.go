@@ -15,6 +15,7 @@ import (
 	"distjoin/internal/geom"
 	"distjoin/internal/hybridq"
 	"distjoin/internal/metrics"
+	"distjoin/internal/obsrv"
 	"distjoin/internal/rtree"
 	"distjoin/internal/storage"
 )
@@ -667,5 +668,47 @@ func TestAMKDJAllPairsCompensation(t *testing.T) {
 			}
 			checkAgainstBrute(t, "AM-KDJ/allpairs", got, l, r, k)
 		}
+	}
+}
+
+// TestEDmaxOverrideMustBePositive: only a positive Options.EDmax
+// overrides the first cutoff of the adaptive joins. Zero, a negative
+// value and NaN all ask the estimator, so AM-KDJ returns the same pairs
+// with the same counters for each, reported under the "initial" mode,
+// and AM-IDJ opens its first stage at the same cutoff.
+func TestEDmaxOverrideMustBePositive(t *testing.T) {
+	rng := rand.New(rand.NewSource(500))
+	w := geom.NewRect(0, 0, 1000, 1000)
+	lt := buildTree(t, datagen.Uniform(rng.Int63(), 2000, w, 10), 16)
+	rt := buildTree(t, datagen.Uniform(rng.Int63(), 1500, w, 10), 16)
+	withEDmax := func(e float64) func(l, r *rtree.Tree, o Options) ([]Result, error) {
+		return func(l, r *rtree.Tree, o Options) ([]Result, error) {
+			o.EDmax = e
+			return AMKDJ(l, r, 500, o)
+		}
+	}
+	want, wantC := runCounted(t, withEDmax(0), lt, rt)
+	if mode := wantC.EstimateMode(); mode != obsrv.ModeInitial {
+		t.Fatalf("EDmax 0 reported mode %q, want %q", mode, obsrv.ModeInitial)
+	}
+	first, err := AMIDJ(lt, rt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	for _, e := range []float64{math.NaN(), -1, math.Inf(-1)} {
+		got, gotC := runCounted(t, withEDmax(e), lt, rt)
+		sameRun(t, fmt.Sprintf("AM-KDJ with EDmax %v", e), got, want, gotC, wantC)
+		if mode := gotC.EstimateMode(); mode != obsrv.ModeInitial {
+			t.Errorf("AM-KDJ with EDmax %v reported mode %q, want %q", e, mode, obsrv.ModeInitial)
+		}
+		it, err := AMIDJ(lt, rt, Options{EDmax: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.EDmax() != first.EDmax() || it.modeLabel != obsrv.ModeInitial {
+			t.Errorf("AM-IDJ with EDmax %v opens at %v (%s), with 0 at %v", e, it.EDmax(), it.modeLabel, first.EDmax())
+		}
+		it.Close()
 	}
 }

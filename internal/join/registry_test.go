@@ -2,12 +2,14 @@ package join
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"distjoin/internal/datagen"
 	"distjoin/internal/geom"
 	"distjoin/internal/hybridq"
+	"distjoin/internal/metrics"
 	"distjoin/internal/obsrv"
 )
 
@@ -180,5 +182,46 @@ func TestRegistryErrorPath(t *testing.T) {
 	}
 	if len(s.Algos) != 1 || s.Algos[0].Errors != 1 || s.Algos[0].Queries != 1 {
 		t.Fatalf("cancelled query aggregate %+v, want queries=1 errors=1", s.Algos)
+	}
+}
+
+// TestRegistryFollowsAMIDJStages: the live /queries entry of an AM-IDJ
+// iterator shows the stage it is in and that stage's cutoff after every
+// result, in the first stage and in every compensation stage.
+func TestRegistryFollowsAMIDJStages(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	w := geom.NewRect(0, 0, 1000, 1000)
+	lt := buildTree(t, datagen.Uniform(rng.Int63(), 400, w, 10), 16)
+	rt := buildTree(t, datagen.Uniform(rng.Int63(), 300, w, 10), 16)
+	reg := obsrv.NewRegistry()
+	var mc metrics.Collector
+	it, err := AMIDJ(lt, rt, Options{Registry: reg, BatchK: 20, Metrics: &mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for n := 1; n <= 300; n++ {
+		if _, ok := it.Next(); !ok {
+			t.Fatalf("the join ended after %d results", n-1)
+		}
+		want := "stage-1"
+		if mc.CompensationStages > 0 {
+			want = "compensation"
+		}
+		s := reg.Snapshot()
+		if len(s.InFlight) != 1 {
+			t.Fatalf("%d queries in flight, want the iterator's", len(s.InFlight))
+		}
+		q, shown := s.InFlight[0], math.NaN()
+		if q.EDmax != nil {
+			shown = *q.EDmax
+		}
+		if q.Stage != want || shown != it.EDmax() {
+			t.Fatalf("after %d results in compensation stage %d (eDmax %v), /queries shows stage %q, eDmax %v",
+				n, mc.CompensationStages, it.EDmax(), q.Stage, shown)
+		}
+	}
+	if mc.CompensationStages < 5 {
+		t.Fatalf("only %d compensation stages; the test needs several", mc.CompensationStages)
 	}
 }

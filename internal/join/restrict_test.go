@@ -471,6 +471,12 @@ func TestTailStartMatchesLinearScan(t *testing.T) {
 // cutoff, as axis and as real-distance cutoff: the plan of the region
 // the stage's restriction keeps (restrictRegion).
 func TestAMIDJBookkeepsEmptiedExpansions(t *testing.T) {
+	compLen := func(c *execContext) int {
+		if c.comp == nil {
+			return 0
+		}
+		return len(c.comp.infos)
+	}
 	l, r := memoTestData()
 	var mc metrics.Collector
 	it, err := AMIDJ(buildTree(t, l, 16), buildTree(t, r, 16), Options{BatchK: 40, Metrics: &mc})
@@ -482,14 +488,14 @@ func TestAMIDJBookkeepsEmptiedExpansions(t *testing.T) {
 	expand := it.node
 	it.node = func(p *hybridq.Pair) error {
 		key, cur := keyOf(p), it.eDmax
-		fresh := it.compMap[key] == nil
+		fresh, n := it.c.bookkept(p) == nil, compLen(it.c)
 		if err := expand(p); err != nil {
 			return err
 		}
-		ci := it.compMap[key]
-		if !fresh || ci == nil {
+		if !fresh || compLen(it.c) == n {
 			return nil
 		}
+		ci := &it.c.comp.infos[n] // a fresh expansion bookkeeps as the list's last entry
 		bookkept++
 		if it.c.ex.run.emptied {
 			emptied++

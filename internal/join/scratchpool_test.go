@@ -85,7 +85,7 @@ func TestPooledScratchOwnership(t *testing.T) {
 			step(q)
 		}
 		alone[i] = endOf(q)
-		aloneComp[i] = slices.Clone(q.c.compInfos())
+		aloneComp[i] = slices.Clone(q.c.comp.infos)
 		q.c.endQuery(nil)
 	}
 	qs := make([]*query, live)
@@ -110,7 +110,7 @@ func TestPooledScratchOwnership(t *testing.T) {
 		if got := endOf(q); got != alone[i%2] {
 			t.Errorf("interleaved query %d ended at %+v, alone at %+v", i, got, alone[i%2])
 		}
-		if got := q.c.compInfos(); len(got) == 0 || !slices.Equal(got, aloneComp[i%2]) {
+		if got := q.c.comp.infos; len(got) == 0 || !slices.Equal(got, aloneComp[i%2]) {
 			t.Errorf("interleaved query %d kept %d compensation entries, unlike the %d it keeps alone", i, len(got), len(aloneComp[i%2]))
 		}
 		q.c.endQuery(nil)

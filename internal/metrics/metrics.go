@@ -49,7 +49,8 @@ type Collector struct {
 	MainQueueInserts int64
 	// DistQueueInserts counts insertions into the distance queue.
 	DistQueueInserts int64
-	// CompQueueInserts counts insertions into the compensation queue.
+	// CompQueueInserts counts entries appended to the compensation
+	// list: the pairs the adaptive joins bookkeep.
 	CompQueueInserts int64
 	// NodeAccessesLogical counts R-tree node reads including buffer
 	// hits (the parenthesized "no buffer" numbers of Table 2 count
