@@ -336,7 +336,7 @@ examples:
 # lint gate, build, cross-builds (windows, darwin/arm64), tests with
 # coverage (the server smoke, TestServeSmoke, among them) + floor gate,
 # repeated
-# allocation pins, race detector
+# allocation pins, the examples, race detector
 # (short suite, then the sweep-order memo's tests unshortened),
 # simulation smoke, fuzz smoke, one-iteration benchmark
 # smoke, bench regression gate, repository-benchmark module check.
@@ -345,6 +345,7 @@ ci: lint inline-check build cross-build
 	$(GO) tool cover -func=coverage.out | tail -n 1
 	$(MAKE) cover-check
 	$(MAKE) alloc-pins
+	$(MAKE) examples
 	$(GO) test -race -short ./...
 	$(MAKE) race-memo
 	$(MAKE) sim-smoke

@@ -214,7 +214,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkOperations measures the companion operations on a mid-size
-// workload: self k-closest-pairs, all-nearest-neighbors, within join.
+// workload: self k-closest-pairs and the within join.
 func BenchmarkOperations(b *testing.B) {
 	objs := make([]Object, 20000)
 	for i := range objs {
@@ -229,14 +229,6 @@ func BenchmarkOperations(b *testing.B) {
 	b.Run("KClosestPairs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := KClosestPairs(idx, 100, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("AllNearest", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := AllNearest(idx, idx, nil, func(Pair) bool { n++; return true }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,8 +1,6 @@
 package distjoin
 
 import (
-	"fmt"
-
 	"distjoin/internal/rtree"
 	"distjoin/internal/storage"
 )
@@ -33,11 +31,8 @@ func NewBuilder(cfg *IndexConfig) (*Builder, error) {
 
 // Insert adds one object.
 func (b *Builder) Insert(o Object) error {
-	if !o.Rect.Valid() {
-		return fmt.Errorf("distjoin: object %d has invalid rect %v", o.ID, o.Rect)
-	}
-	if o.ID < 0 || o.ID >= 1<<48 {
-		return fmt.Errorf("distjoin: object ID %d out of range [0, 2^48)", o.ID)
+	if err := checkObject(o); err != nil {
+		return err
 	}
 	b.b.Insert(o.Rect, o.ID)
 	return nil
@@ -55,11 +50,8 @@ func (b *Builder) Delete(o Object) bool {
 func (b *Builder) BulkReplace(objects []Object) error {
 	items := make([]rtree.Item, len(objects))
 	for i, o := range objects {
-		if !o.Rect.Valid() {
-			return fmt.Errorf("distjoin: object %d has invalid rect %v", o.ID, o.Rect)
-		}
-		if o.ID < 0 || o.ID >= 1<<48 {
-			return fmt.Errorf("distjoin: object ID %d out of range [0, 2^48)", o.ID)
+		if err := checkObject(o); err != nil {
+			return err
 		}
 		items[i] = rtree.Item{Rect: o.Rect, Obj: o.ID}
 	}

@@ -107,32 +107,6 @@ func descentTranscript(t *testing.T, bufferBytes int) string {
 		fmt.Fprintf(&b, "  %d %016x\n", o.ID, math.Float64bits(dists[i]))
 	}
 
-	pair := func(p Pair) { fmt.Fprintf(&b, " %d:%d:%016x", p.LeftID, p.RightID, math.Float64bits(p.Dist)) }
-	b.WriteString("allnearest\n")
-	var st Stats
-	if err := AllNearest(left, right, &Options{Stats: &st}, func(p Pair) bool {
-		b.WriteString(" ")
-		pair(p)
-		b.WriteByte('\n')
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	counters(&st)
-	b.WriteString("knnjoin k=3\n")
-	st = Stats{}
-	if err := KNNJoin(left, right, 3, &Options{Stats: &st}, func(ps []Pair) bool {
-		b.WriteString(" ")
-		for _, p := range ps {
-			pair(p)
-		}
-		b.WriteByte('\n')
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	counters(&st)
-
 	est, err := NewHistogramEstimator(left, right, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -176,9 +150,10 @@ func TestDescentGolden(t *testing.T) {
 
 // TestDamagedDescentSurfaces: every facade entry point built on a
 // single-tree descent hands a damaged child ref on as the named error,
-// for the damage cases of rtree's TestDescentRejectsDamagedRefs. The
-// pages are patched as bytes: uint16 level at offset 0, entry i's ref
-// at 8 + 40*i + 32.
+// for the damage cases of rtree's TestDescentRejectsDamagedRefs, and
+// so a node emptied in a tree that holds objects. The pages are patched
+// as bytes: uint16 level at offset 0, uint16 entry count at offset 2,
+// entry i's ref at 8 + 40*i + 32.
 func TestDamagedDescentSurfaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cfg := &IndexConfig{PageSize: 256}
@@ -204,6 +179,12 @@ func TestDamagedDescentSurfaces(t *testing.T) {
 		}, storage.ErrPageOutOfRange},
 		{"leaf claims level 1", func(root, mid, leaf []byte, rootID, leafID storage.PageID, numPages int) {
 			binary.LittleEndian.PutUint16(leaf, 1)
+		}, rtree.ErrCorruptNode},
+		{"root has no entries", func(root, mid, leaf []byte, rootID, leafID storage.PageID, numPages int) {
+			binary.LittleEndian.PutUint16(root[2:], 0)
+		}, rtree.ErrCorruptNode},
+		{"leaf has no entries", func(root, mid, leaf []byte, rootID, leafID storage.PageID, numPages int) {
+			binary.LittleEndian.PutUint16(leaf[2:], 0)
 		}, rtree.ErrCorruptNode},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,10 +230,6 @@ func TestDamagedDescentSurfaces(t *testing.T) {
 			check("Search", damaged.Search(damaged.Bounds(), func(Object) bool { return true }))
 			_, _, err = damaged.Nearest(damaged.Bounds(), damaged.Len()+1)
 			check("Nearest", err)
-			check("AllNearest left", AllNearest(damaged, sound, nil, func(Pair) bool { return true }))
-			check("AllNearest right", AllNearest(sound, damaged, nil, func(Pair) bool { return true }))
-			check("KNNJoin left", KNNJoin(damaged, sound, 2, nil, func([]Pair) bool { return true }))
-			check("KNNJoin right", KNNJoin(sound, damaged, damaged.Len()+1, nil, func([]Pair) bool { return true }))
 			_, err = NewHistogramEstimator(damaged, sound, 8)
 			check("NewHistogramEstimator left", err)
 			_, err = NewHistogramEstimator(sound, damaged, 8)
@@ -261,11 +238,12 @@ func TestDamagedDescentSurfaces(t *testing.T) {
 	}
 }
 
-// damagedIndex builds a three-level index over objs, hands the first
-// root entry's child (mid) and that child's first child (leaf) to
-// damage as page bytes (uint16 level at offset 0), writes them back and
-// reopens the store behind a cold pool, so no sound page survives.
-func damagedIndex(t *testing.T, objs []Object, cfg *IndexConfig, damage func(mid, leaf []byte)) *Index {
+// damagedIndex builds a three-level index over objs, hands the root,
+// the first root entry's child (mid) and that child's first child (leaf)
+// to damage as page bytes (uint16 level at offset 0, uint16 entry count
+// at offset 2), writes them back and reopens the store behind a cold
+// pool, so no sound page survives.
+func damagedIndex(t *testing.T, objs []Object, cfg *IndexConfig, damage func(root, mid, leaf []byte)) *Index {
 	t.Helper()
 	built, err := NewIndex(objs, cfg)
 	if err != nil {
@@ -287,8 +265,8 @@ func damagedIndex(t *testing.T, objs []Object, cfg *IndexConfig, damage func(mid
 			ids[i+1] = storage.PageID(binary.LittleEndian.Uint64(pages[i][firstRef:]))
 		}
 	}
-	damage(pages[1], pages[2])
-	for i := 1; i < len(pages); i++ {
+	damage(pages[0], pages[1], pages[2])
+	for i := range pages {
 		if err := store.WritePage(ids[i], pages[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -307,9 +285,10 @@ func damagedIndex(t *testing.T, objs []Object, cfg *IndexConfig, damage func(mid
 // side, every join returns the exact answer or an error wrapping
 // rtree.ErrCorruptNode or storage.ErrPageOutOfRange: never a wrong
 // pair, a panic or a hang. An internal page's child ref wider than a
-// page ID is rtree.ErrCorruptNode from every join, as it is from
-// readVisit. The joins run to the full cross product, so each of them
-// reaches the damaged page.
+// page ID, and a root or leaf emptied of its entries, are
+// rtree.ErrCorruptNode from every join, as they are from readVisit. The
+// joins run to the full cross product, so each of them reaches the
+// damaged page.
 func TestDamagedJoinDescent(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cfg := &IndexConfig{PageSize: 256}
@@ -387,18 +366,24 @@ func TestDamagedJoinDescent(t *testing.T) {
 
 	for _, tc := range []struct {
 		name   string
-		damage func(mid, leaf []byte)
+		damage func(root, mid, leaf []byte)
 		// corrupt: only rtree.ErrCorruptNode will do. A child ref with a
 		// bit set above the page ID's 32 still leads to the sound page once
-		// truncated, so the exact answer would hide that it was followed.
+		// truncated, so the exact answer would hide that it was followed;
+		// an empty node of a tree that holds objects hides what it lost.
 		corrupt bool
+		// atRoot: every join reads the root first, so not even one pair
+		// may come before the error.
+		atRoot bool
 	}{
-		{"leaf claims level 1", func(mid, leaf []byte) { binary.LittleEndian.PutUint16(leaf, 1) }, false},
-		{"internal page claims level 0", func(mid, leaf []byte) { binary.LittleEndian.PutUint16(mid, 0) }, false},
-		{"child ref wider than a page id", func(mid, leaf []byte) {
+		{"leaf claims level 1", func(root, mid, leaf []byte) { binary.LittleEndian.PutUint16(leaf, 1) }, false, false},
+		{"internal page claims level 0", func(root, mid, leaf []byte) { binary.LittleEndian.PutUint16(mid, 0) }, false, false},
+		{"child ref wider than a page id", func(root, mid, leaf []byte) {
 			ref := mid[8+32:] // the first entry's child ref, after the page header and the entry's MBR
 			binary.LittleEndian.PutUint64(ref, binary.LittleEndian.Uint64(ref)|1<<40)
-		}, true},
+		}, true, false},
+		{"root has no entries", func(root, mid, leaf []byte) { binary.LittleEndian.PutUint16(root[2:], 0) }, true, true},
+		{"leaf has no entries", func(root, mid, leaf []byte) { binary.LittleEndian.PutUint16(leaf[2:], 0) }, true, false},
 	} {
 		for _, side := range []string{"left", "right"} {
 			for _, j := range joins {
@@ -413,7 +398,7 @@ func TestDamagedJoinDescent(t *testing.T) {
 					}
 					got, err := j.run(l, r)
 					switch {
-					case tc.corrupt && !errors.Is(err, rtree.ErrCorruptNode):
+					case tc.corrupt && !errors.Is(err, rtree.ErrCorruptNode), tc.atRoot && len(got) != 0:
 						t.Fatalf("error %v and %d pairs, want an error wrapping rtree.ErrCorruptNode", err, len(got))
 					case errors.Is(err, rtree.ErrCorruptNode), errors.Is(err, storage.ErrPageOutOfRange):
 					case err != nil:

@@ -34,7 +34,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -100,11 +99,8 @@ var (
 	_ [unsafe.Offsetof(Pair{}.Dist)]byte      = [unsafe.Offsetof(join.Result{}.Dist)]byte{}
 )
 
-// asPairs returns rs as Pairs, sharing its memory.
+// asPairs returns rs as Pairs, sharing its memory (nil for nil).
 func asPairs(rs []join.Result) []Pair {
-	if rs == nil {
-		return nil
-	}
 	return unsafe.Slice((*Pair)(unsafe.Pointer(unsafe.SliceData(rs))), len(rs))
 }
 
@@ -319,9 +315,7 @@ type Options struct {
 	// SelfJoin adapts result semantics for joining an index with
 	// itself: identity pairs are suppressed and each unordered pair is
 	// produced once (LeftID < RightID). KClosestPairs sets this
-	// automatically. The per-object joins, AllNearest and KNNJoin,
-	// suppress identity pairs only: there an object's neighbors are its
-	// nearest other objects, so a and b may each list the other.
+	// automatically.
 	SelfJoin bool
 	// Refiner, when non-nil, supplies the exact distance between two
 	// objects (e.g. between the true geometries their MBRs bound).
@@ -466,11 +460,8 @@ func buildIndex(objects []Object, cfg *IndexConfig, store storage.Store) (*Index
 	}
 	items := make([]rtree.Item, len(objects))
 	for i, o := range objects {
-		if !o.Rect.Valid() {
-			return nil, fmt.Errorf("distjoin: object %d has invalid rect %v", o.ID, o.Rect)
-		}
-		if o.ID < 0 || o.ID >= 1<<48 {
-			return nil, fmt.Errorf("distjoin: object ID %d out of range [0, 2^48)", o.ID)
+		if err := checkObject(o); err != nil {
+			return nil, err
 		}
 		items[i] = rtree.Item{Rect: o.Rect, Obj: o.ID}
 	}
@@ -480,6 +471,17 @@ func buildIndex(objects []Object, cfg *IndexConfig, store storage.Store) (*Index
 		return nil, err
 	}
 	return &Index{tree: tree}, nil
+}
+
+// checkObject rejects an object with an invalid rectangle or an ID outside [0, 2^48).
+func checkObject(o Object) error {
+	if !o.Rect.Valid() {
+		return fmt.Errorf("distjoin: object %d has invalid rect %v", o.ID, o.Rect)
+	}
+	if o.ID < 0 || o.ID >= 1<<48 {
+		return fmt.Errorf("distjoin: object ID %d out of range [0, 2^48)", o.ID)
+	}
+	return nil
 }
 
 // Len returns the number of indexed objects.
@@ -677,49 +679,5 @@ func WithinJoin(left, right *Index, maxDist float64, opts *Options, fn func(Pair
 	}
 	return join.WithinJoin(left.tree, right.tree, maxDist, opts.joinOptions(), func(r join.Result) bool {
 		return fn(asPair(&r))
-	})
-}
-
-// AllNearest reports, for every object in left, its nearest object in
-// right (an all-nearest-neighbors semi-join). Returning false from fn
-// stops early. The right index must be non-empty unless left is empty.
-// Under Options.SelfJoin an object's nearest other object is reported,
-// and an object with no other object yields no pair.
-func AllNearest(left, right *Index, opts *Options, fn func(Pair) bool) error {
-	if fn == nil {
-		return fmt.Errorf("distjoin: AllNearest requires a callback")
-	}
-	if err := requireIndexes("AllNearest", left, right); err != nil {
-		return err
-	}
-	return join.AllNearest(left.tree, right.tree, opts.joinOptions(), func(r join.Result) bool {
-		return fn(asPair(&r))
-	})
-}
-
-// KNNJoin reports, for every object in left, its k nearest objects in
-// right in nondecreasing distance order — one callback per left
-// object, whose pairs all share the same LeftID. Returning false stops
-// early. The right index must be non-empty unless left is empty. Under
-// Options.SelfJoin the neighbors are an object's k nearest other
-// objects, and an object with no other object gets no callback.
-//
-// Each callback receives a freshly allocated slice: the callback may
-// retain it (e.g. append it to a per-object result map) without it
-// being overwritten by a later left object's neighbors.
-func KNNJoin(left, right *Index, k int, opts *Options, fn func(neighbors []Pair) bool) error {
-	if fn == nil {
-		return fmt.Errorf("distjoin: KNNJoin requires a callback")
-	}
-	if err := requireIndexes("KNNJoin", left, right); err != nil {
-		return err
-	}
-	if k <= 0 {
-		return fmt.Errorf("distjoin: KNNJoin requires k > 0, got %d", k)
-	}
-	return join.AllKNearest(left.tree, right.tree, k, opts.joinOptions(), func(ns []join.Result) bool {
-		// A fresh slice per callback: reusing one buffer across
-		// callbacks silently corrupted any retained neighbor lists.
-		return fn(slices.Clone(asPairs(ns)))
 	})
 }

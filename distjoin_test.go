@@ -494,103 +494,6 @@ func TestWithinJoinFacade(t *testing.T) {
 	}
 }
 
-func TestAllNearestFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	a := randObjects(rng, 80, 300, 5)
-	b := randObjects(rng, 90, 300, 5)
-	left, _ := NewIndex(a, nil)
-	right, _ := NewIndex(b, nil)
-	seen := map[int64]float64{}
-	if err := AllNearest(left, right, nil, func(p Pair) bool {
-		seen[p.LeftID] = p.Dist
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(a) {
-		t.Fatalf("covered %d of %d", len(seen), len(a))
-	}
-	for _, x := range a {
-		best := math.Inf(1)
-		for _, y := range b {
-			if d := x.Rect.MinDist(y.Rect); d < best {
-				best = d
-			}
-		}
-		if math.Abs(seen[x.ID]-best) > 1e-9 {
-			t.Fatalf("object %d: %g, want %g", x.ID, seen[x.ID], best)
-		}
-	}
-	if err := AllNearest(left, right, nil, nil); err == nil {
-		t.Fatal("nil callback must error")
-	}
-}
-
-// TestSelfJoinPerObject: under SelfJoin, AllNearest and KNNJoin never
-// make an object its own neighbor, and an object with no other object
-// gets nothing. The unordered-pair rule of the pair joins does not
-// apply: 1 and 2 are each other's nearest.
-func TestSelfJoinPerObject(t *testing.T) {
-	pt := func(id int64, x float64) Object { return Object{ID: id, Rect: NewRect(x, 0, x, 0)} }
-	idx, err := NewIndex([]Object{pt(1, 0), pt(2, 1), pt(3, 5)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	self := &Options{SelfJoin: true}
-	nearest := map[int64]Pair{}
-	if err := AllNearest(idx, idx, self, func(p Pair) bool {
-		nearest[p.LeftID] = p
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wantNearest := map[int64]Pair{
-		1: {LeftID: 1, RightID: 2, Dist: 1},
-		2: {LeftID: 2, RightID: 1, Dist: 1},
-		3: {LeftID: 3, RightID: 2, Dist: 4},
-	}
-	for id, w := range wantNearest {
-		if g := nearest[id]; g.LeftID != w.LeftID || g.RightID != w.RightID || g.Dist != w.Dist {
-			t.Errorf("AllNearest: object %d got %+v, want %+v", id, g, w)
-		}
-	}
-	if len(nearest) != len(wantNearest) {
-		t.Errorf("AllNearest reported %d objects, want %d", len(nearest), len(wantNearest))
-	}
-
-	knn := map[int64][]int64{}
-	if err := KNNJoin(idx, idx, 2, self, func(ns []Pair) bool {
-		for _, n := range ns {
-			knn[n.LeftID] = append(knn[n.LeftID], n.RightID)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for id, w := range map[int64][]int64{1: {2, 3}, 2: {1, 3}, 3: {2, 1}} {
-		if !slices.Equal(knn[id], w) {
-			t.Errorf("KNNJoin: object %d got neighbors %v, want %v", id, knn[id], w)
-		}
-	}
-
-	one, err := NewIndex([]Object{pt(7, 3)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AllNearest(one, one, self, func(p Pair) bool {
-		t.Errorf("AllNearest on a one-object self-join reported %+v", p)
-		return true
-	}); err != nil {
-		t.Errorf("AllNearest on a one-object self-join: %v", err)
-	}
-	if err := KNNJoin(one, one, 3, self, func(ns []Pair) bool {
-		t.Errorf("KNNJoin on a one-object self-join reported %+v", ns)
-		return true
-	}); err != nil {
-		t.Errorf("KNNJoin on a one-object self-join: %v", err)
-	}
-}
-
 func TestSegmentRefinerEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	mkSegs := func(n int) ([]Segment, []Object) {
@@ -669,88 +572,5 @@ func TestJoinOverFileBackedIndexes(t *testing.T) {
 	}
 	if stats.MainQueuePeak == 0 {
 		t.Fatal("queue peak not observed")
-	}
-}
-
-func TestKNNJoinFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	a := randObjects(rng, 60, 300, 5)
-	b := randObjects(rng, 80, 300, 5)
-	left, _ := NewIndex(a, nil)
-	right, _ := NewIndex(b, nil)
-	const k = 4
-	got := map[int64][]float64{}
-	if err := KNNJoin(left, right, k, nil, func(ns []Pair) bool {
-		for _, n := range ns {
-			got[n.LeftID] = append(got[n.LeftID], n.Dist)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(a) {
-		t.Fatalf("covered %d of %d", len(got), len(a))
-	}
-	for _, x := range a {
-		var ds []float64
-		for _, y := range b {
-			ds = append(ds, x.Rect.MinDist(y.Rect))
-		}
-		sort.Float64s(ds)
-		for i := 0; i < k; i++ {
-			if math.Abs(got[x.ID][i]-ds[i]) > 1e-9 {
-				t.Fatalf("object %d neighbor %d mismatch", x.ID, i)
-			}
-		}
-	}
-	if err := KNNJoin(left, right, k, nil, nil); err == nil {
-		t.Fatal("nil callback must error")
-	}
-}
-
-// TestKNNJoinRetention is the callback-aliasing regression test: a
-// caller that retains each callback's neighbors slice must see every
-// left object's neighbors intact after the join — the original
-// implementation reused one buffer across callbacks, so every
-// retained slice was silently overwritten by the last left object.
-func TestKNNJoinRetention(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	a := randObjects(rng, 50, 300, 5)
-	b := randObjects(rng, 70, 300, 5)
-	left, _ := NewIndex(a, nil)
-	right, _ := NewIndex(b, nil)
-	const k = 3
-
-	// Retain the slices exactly as delivered — no copying.
-	retained := map[int64][]Pair{}
-	if err := KNNJoin(left, right, k, nil, func(ns []Pair) bool {
-		if len(ns) > 0 {
-			retained[ns[0].LeftID] = ns
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(retained) != len(a) {
-		t.Fatalf("retained %d of %d objects", len(retained), len(a))
-	}
-	for _, x := range a {
-		ns := retained[x.ID]
-		if len(ns) != k {
-			t.Fatalf("object %d: retained %d neighbors, want %d", x.ID, len(ns), k)
-		}
-		var ds []float64
-		for _, y := range b {
-			ds = append(ds, x.Rect.MinDist(y.Rect))
-		}
-		sort.Float64s(ds)
-		for i, n := range ns {
-			if n.LeftID != x.ID {
-				t.Fatalf("object %d: retained slice overwritten — neighbor %d has LeftID %d", x.ID, i, n.LeftID)
-			}
-			if math.Abs(n.Dist-ds[i]) > 1e-9 {
-				t.Fatalf("object %d: retained neighbor %d dist %g, want %g", x.ID, i, n.Dist, ds[i])
-			}
-		}
 	}
 }

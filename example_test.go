@@ -136,14 +136,12 @@ func ExampleBuilder() {
 	// closest pair: 0-1 at 10
 }
 
-// KNNJoin reports each left object's k nearest right objects.
-func ExampleKNNJoin() {
-	stores, err := distjoin.NewIndex([]distjoin.Object{
+// Nearest returns the k objects nearest to a query rectangle, here each
+// store's two nearest depots.
+func ExampleIndex_Nearest() {
+	stores := []distjoin.Object{
 		{ID: 0, Rect: distjoin.PointRect(0, 0)},
 		{ID: 1, Rect: distjoin.PointRect(100, 0)},
-	}, nil)
-	if err != nil {
-		log.Fatal(err)
 	}
 	depots, err := distjoin.NewIndex([]distjoin.Object{
 		{ID: 0, Rect: distjoin.PointRect(3, 4)},
@@ -153,12 +151,13 @@ func ExampleKNNJoin() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := distjoin.KNNJoin(stores, depots, 2, nil, func(ns []distjoin.Pair) bool {
+	for _, s := range stores {
+		ds, dists, err := depots.Nearest(s.Rect, 2)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("store %d: depot %d (%.0f), depot %d (%.0f)\n",
-			ns[0].LeftID, ns[0].RightID, ns[0].Dist, ns[1].RightID, ns[1].Dist)
-		return true
-	}); err != nil {
-		log.Fatal(err)
+			s.ID, ds[0].ID, dists[0], ds[1].ID, dists[1])
 	}
 	// Output:
 	// store 0: depot 0 (5), depot 1 (90)

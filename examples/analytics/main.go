@@ -1,6 +1,6 @@
-// Analytics: the companion operations built on the same join engine —
+// Analytics: the companion operations built on the same index —
 // k-closest-pairs within one layer (collision/conflict detection),
-// all-nearest-neighbors across layers (assignment), and the
+// each customer's nearest warehouse (assignment), and the
 // within-distance join (range association). A delivery scenario:
 // warehouses, customers, and no-fly zones.
 //
@@ -47,7 +47,6 @@ func main() {
 	}
 
 	whIdx := must(distjoin.NewIndex(warehouses, nil))
-	custIdx := must(distjoin.NewIndex(customers, nil))
 	zoneIdx := must(distjoin.NewIndex(zones, nil))
 
 	// 1. KClosestPairs: which warehouses are redundantly close to each
@@ -61,17 +60,18 @@ func main() {
 		fmt.Printf("  W%d <-> W%d at %.0f\n", p.LeftID, p.RightID, p.Dist)
 	}
 
-	// 2. AllNearest: assign every customer to its closest warehouse.
+	// 2. Nearest: assign every customer to its closest warehouse.
 	assignment := map[int64]int{}
-	var worst distjoin.Pair
-	if err := distjoin.AllNearest(custIdx, whIdx, nil, func(p distjoin.Pair) bool {
-		assignment[p.RightID]++
-		if p.Dist > worst.Dist {
-			worst = p
+	worst, worstWh, worstDist := int64(-1), int64(-1), -1.0
+	for _, c := range customers {
+		wh, dists, err := whIdx.Nearest(c.Rect, 1)
+		if err != nil {
+			log.Fatal(err)
 		}
-		return true
-	}); err != nil {
-		log.Fatal(err)
+		assignment[wh[0].ID]++
+		if dists[0] > worstDist {
+			worst, worstDist, worstWh = c.ID, dists[0], wh[0].ID
+		}
 	}
 	busiest, load := int64(-1), 0
 	for w, n := range assignment {
@@ -80,7 +80,7 @@ func main() {
 		}
 	}
 	fmt.Printf("\nassigned %d customers; busiest warehouse W%d serves %d;\n", len(customers), busiest, load)
-	fmt.Printf("worst-served customer C%d is %.0f from W%d\n", worst.LeftID, worst.Dist, worst.RightID)
+	fmt.Printf("worst-served customer C%d is %.0f from W%d\n", worst, worstDist, worstWh)
 
 	// 3. WithinJoin: which warehouses sit within 1km of a no-fly zone?
 	flagged := map[int64]bool{}

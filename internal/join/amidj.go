@@ -69,9 +69,11 @@ func AMIDJ(left, right *rtree.Tree, opts Options) (*Iterator, error) {
 func (it *Iterator) EDmax() float64 { return it.eDmax }
 
 // holdBack is AM-IDJ's gate. Pairs beyond the current stage cutoff —
-// refined object pairs whose exact distance exceeds it, re-seeded
-// compensation entries, or an initially distant root pair — wait for the
-// next stage: closer pairs may still be pending compensation. (Once the
+// refined object pairs whose exact distance exceeds it, or an initially
+// distant root pair — go back to the queue and wait for the next stage:
+// closer pairs may still be pending compensation. A bookkept pair is
+// never among them: it was expanded under a cutoff at least its
+// distance, and no later stage's cutoff is smaller. (Once the
 // cutoff has reached the exhaustive bound nothing is pruned anymore, so
 // remaining pairs flow in queue order; this also tolerates refiners that
 // exceed the MBR maximum distance in violation of their contract.)
@@ -79,15 +81,7 @@ func (it *Iterator) holdBack(p *hybridq.Pair) bool {
 	if !(p.Dist > it.eDmax && it.eDmax < it.maxd) {
 		return false
 	}
-	// advanceStage re-seeds the bookkept pairs itself; everything else
-	// goes back. Only a node pair can be bookkept, and a result must not
-	// even be looked up: the list is indexed by the two refs, which for a
-	// leaf-level node pair are bare page IDs and for a result are object
-	// IDs, both small dense integers, so a refined result could pass for
-	// a bookkept leaf pair and be dropped.
-	if p.IsResult() || it.c.bookkept(p) == nil {
-		it.c.pushCopy(*p)
-	}
+	it.c.pushCopy(*p)
 	return true
 }
 

@@ -109,8 +109,7 @@ type Options struct {
 	// identity pairs (same object on both sides) are suppressed and
 	// each unordered pair is produced exactly once (left ID < right
 	// ID). The k closest pairs of one set are then simply the join of
-	// its tree with itself. AllNearest and AllKNearest suppress identity
-	// pairs only: a per-object join lists each object's nearest others.
+	// its tree with itself.
 	SelfJoin bool
 	// Estimator overrides the eDmax estimator used by the adaptive
 	// multi-stage algorithms. Nil selects the paper's uniform model

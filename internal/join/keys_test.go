@@ -21,7 +21,10 @@ import (
 // must return rtree.ErrCorruptNode and no pair. A one-object tree, whose
 // root is a leaf of one entry that no sort would move, is held to the
 // same rule. So are the single-tree descents, which read the root first
-// (rtree.Tree.Search, NearestNeighbors), and AllNearest, which runs both.
+// (rtree.Tree.Search, NearestNeighbors). So is a tree whose metadata
+// counts objects but whose root leaf holds none (corruptEmptyTree): read
+// as an empty tree, it would answer every query with nothing and no
+// error.
 func TestDamagedKeysFailClosed(t *testing.T) {
 	w := geom.NewRect(0, 0, 1000, 1000)
 	many := datagen.Uniform(rand.New(rand.NewSource(3901)).Int63(), 300, w, 10)
@@ -106,13 +109,6 @@ func TestDamagedKeysFailClosed(t *testing.T) {
 			err := WithinJoin(l, r, 2000, Options{}, func(Result) bool { n++; return true })
 			return n, err
 		}},
-		// The facade's AllNearest: the left tree's Search, and one
-		// NearestNeighbors descent of the right tree per left object.
-		{"AllNearest", func(l, r *rtree.Tree) (int, error) {
-			n := 0
-			err := AllNearest(l, r, Options{}, func(Result) bool { n++; return true })
-			return n, err
-		}},
 	}
 	// descents run on the damaged tree alone.
 	descents := []struct {
@@ -134,20 +130,29 @@ func TestDamagedKeysFailClosed(t *testing.T) {
 		name   string
 		items  []rtree.Item
 		damage func(mbr []float64)
+		// build, when set, makes the damaged tree instead.
+		build func(t *testing.T) *rtree.Tree
 	}{
-		{"NaN MinX", many, func(m []float64) { m[0] = nan }},
-		{"NaN MaxY", many, func(m []float64) { m[3] = nan }},
-		{"MinX above MaxX", many, func(m []float64) { m[0], m[2] = m[2]+1, m[0] }},
-		{"one-entry leaf, NaN MinY", one, func(m []float64) { m[1] = nan }},
+		{"NaN MinX", many, func(m []float64) { m[0] = nan }, nil},
+		{"NaN MaxY", many, func(m []float64) { m[3] = nan }, nil},
+		{"MinX above MaxX", many, func(m []float64) { m[0], m[2] = m[2]+1, m[0] }, nil},
+		{"one-entry leaf, NaN MinY", one, func(m []float64) { m[1] = nan }, nil},
+		{"empty root leaf of a non-empty tree", nil, nil, corruptEmptyTree},
 	} {
+		damagedTree := func(t *testing.T) *rtree.Tree {
+			if tc.build != nil {
+				return tc.build(t)
+			}
+			return damaged(tc.items, tc.damage)
+		}
 		for _, side := range []string{"left", "right"} {
 			for _, j := range joins {
 				t.Run(tc.name+"/"+side+"/"+j.name, func(t *testing.T) {
 					l, r := sound(many), sound(many)
 					if side == "left" {
-						l = damaged(tc.items, tc.damage)
+						l = damagedTree(t)
 					} else {
-						r = damaged(tc.items, tc.damage)
+						r = damagedTree(t)
 					}
 					n, err := j.run(l, r)
 					if !errors.Is(err, rtree.ErrCorruptNode) || n != 0 {
@@ -158,11 +163,49 @@ func TestDamagedKeysFailClosed(t *testing.T) {
 		}
 		for _, d := range descents {
 			t.Run(tc.name+"/"+d.name, func(t *testing.T) {
-				n, err := d.run(damaged(tc.items, tc.damage))
+				n, err := d.run(damagedTree(t))
 				if !errors.Is(err, rtree.ErrCorruptNode) || n != 0 {
 					t.Fatalf("error %v and %d results, want rtree.ErrCorruptNode and none", err, n)
 				}
 			})
 		}
 	}
+}
+
+// corruptEmptyTree hand-crafts a packed store whose metadata claims
+// objects exist but whose root leaf holds zero entries — a truncated
+// index, which every reader must refuse (rtree.ErrCorruptNode) rather
+// than answer as if the tree were empty.
+func corruptEmptyTree(t *testing.T) *rtree.Tree {
+	t.Helper()
+	store := storage.NewMemStore(4096)
+	if _, err := store.Alloc(); err != nil { // page 0: meta
+		t.Fatal(err)
+	}
+	if _, err := store.Alloc(); err != nil { // page 1: root leaf
+		t.Fatal(err)
+	}
+	meta := make([]byte, 4096)
+	copy(meta, "DJRT0001")
+	binary.LittleEndian.PutUint32(meta[8:], 1)  // root page id
+	binary.LittleEndian.PutUint32(meta[12:], 1) // height 1: root is a leaf
+	binary.LittleEndian.PutUint64(meta[16:], 7) // claims 7 objects
+	binary.LittleEndian.PutUint32(meta[24:], 1) // one node
+	binary.LittleEndian.PutUint64(meta[28:], math.Float64bits(0))
+	binary.LittleEndian.PutUint64(meta[36:], math.Float64bits(0))
+	binary.LittleEndian.PutUint64(meta[44:], math.Float64bits(100))
+	binary.LittleEndian.PutUint64(meta[52:], math.Float64bits(100))
+	if err := store.WritePage(0, meta); err != nil {
+		t.Fatal(err)
+	}
+	// Page 1 stays zeroed: level 0, count 0 — an empty leaf, sound only
+	// as the root of a tree of no objects.
+	tree, err := rtree.Open(store, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Size() == 0 {
+		t.Fatal("test premise broken: corrupt tree reports size 0")
+	}
+	return tree
 }

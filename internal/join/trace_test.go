@@ -1,7 +1,6 @@
 package join
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -12,7 +11,6 @@ import (
 	"distjoin/internal/datagen"
 	"distjoin/internal/geom"
 	"distjoin/internal/hybridq"
-	"distjoin/internal/rtree"
 	"distjoin/internal/storage"
 	"distjoin/internal/trace"
 )
@@ -210,60 +208,6 @@ func BenchmarkAMKDJTraceOn(b *testing.B) {
 		if _, err := AMKDJ(left, right, 500, Options{Trace: tr}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// corruptEmptyTree hand-crafts a packed store whose metadata claims
-// objects exist but whose root leaf holds zero entries — the truncated-
-// index shape that used to panic AllNearest on ns[0].
-func corruptEmptyTree(t *testing.T) *rtree.Tree {
-	t.Helper()
-	store := storage.NewMemStore(4096)
-	if _, err := store.Alloc(); err != nil { // page 0: meta
-		t.Fatal(err)
-	}
-	if _, err := store.Alloc(); err != nil { // page 1: root leaf
-		t.Fatal(err)
-	}
-	meta := make([]byte, 4096)
-	copy(meta, "DJRT0001")
-	binary.LittleEndian.PutUint32(meta[8:], 1)  // root page id
-	binary.LittleEndian.PutUint32(meta[12:], 1) // height 1: root is a leaf
-	binary.LittleEndian.PutUint64(meta[16:], 7) // claims 7 objects
-	binary.LittleEndian.PutUint32(meta[24:], 1) // one node
-	binary.LittleEndian.PutUint64(meta[28:], math.Float64bits(0))
-	binary.LittleEndian.PutUint64(meta[36:], math.Float64bits(0))
-	binary.LittleEndian.PutUint64(meta[44:], math.Float64bits(100))
-	binary.LittleEndian.PutUint64(meta[52:], math.Float64bits(100))
-	if err := store.WritePage(0, meta); err != nil {
-		t.Fatal(err)
-	}
-	// Page 1 stays zeroed: level 0, count 0 — a valid empty leaf.
-	tree, err := rtree.Open(store, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Size() == 0 {
-		t.Fatal("test premise broken: corrupt tree reports size 0")
-	}
-	return tree
-}
-
-// TestAllNearestCorruptTree is the regression test for the ns[0] panic:
-// a right tree whose metadata advertises objects but whose leaves are
-// empty must produce a diagnosable error, never an index-out-of-range.
-func TestAllNearestCorruptTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(504))
-	w := geom.NewRect(0, 0, 100, 100)
-	left := buildTree(t, datagen.Uniform(rng.Int63(), 20, w, 5), 8)
-	right := corruptEmptyTree(t)
-
-	err := AllNearest(left, right, Options{}, func(Result) bool { return true })
-	if err == nil {
-		t.Fatal("AllNearest on a corrupt right tree must error")
-	}
-	if !strings.Contains(err.Error(), "no nearest neighbor") {
-		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package join
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"distjoin/internal/hybridq"
 	"distjoin/internal/rtree"
@@ -102,113 +101,4 @@ func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) 
 		c.traceExpansion(&p, maxDist, run.children)
 	}
 	return nil
-}
-
-// AllNearest reports, for every object in the left tree, its nearest
-// object in the right tree (an all-nearest-neighbors semi-join).
-// Objects are visited in index order of the left tree's leaves; fn
-// returning false stops early. Ties resolve to an arbitrary nearest
-// object. The right tree must be non-empty.
-//
-// Under SelfJoin an object is not its own neighbor: its nearest other
-// object is reported, and an object with no other object yields no
-// pair. The once-per-unordered-pair rule does not apply to a
-// per-object join: a and b may each be the other's nearest.
-//
-// It is AllKNearest at k = 1: one best-first NN search per left
-// object, each one's node accesses recorded against the collector.
-func AllNearest(left, right *rtree.Tree, opts Options, fn func(left Result) bool) error {
-	if fn == nil {
-		return fmt.Errorf("join: AllNearest requires a callback")
-	}
-	return perObject("AllNearest", "ALL-NN", left, right, 1, opts, func(ns []Result) bool { return fn(ns[0]) })
-}
-
-// AllKNearest reports, for every object in the left tree, its k
-// nearest objects in the right tree in nondecreasing distance order (a
-// kNN join). fn receives one batch per left object — every Result in a
-// batch shares the same LeftObj — and may return false to stop early.
-// Fewer than k neighbors are reported when the right tree is smaller
-// than k. Under SelfJoin an object is not its own neighbor, as in
-// AllNearest, and an object with no other object gets no batch.
-func AllKNearest(left, right *rtree.Tree, k int, opts Options, fn func(neighbors []Result) bool) error {
-	if fn == nil {
-		return fmt.Errorf("join: AllKNearest requires a callback")
-	}
-	if k <= 0 {
-		return fmt.Errorf("join: AllKNearest requires k > 0")
-	}
-	return perObject("AllKNearest", "ALL-KNN", left, right, k, opts, fn)
-}
-
-// perObject is the index nested loop behind AllNearest and AllKNearest:
-// a k-NN search in right for every object of left, in the left tree's
-// leaf order, handing fn one batch per object. name prefixes its errors;
-// algo is the registry label.
-func perObject(name, algo string, left, right *rtree.Tree, k int, opts Options, fn func(neighbors []Result) bool) (err error) {
-	c, err := newContext(left, right, opts)
-	if err != nil {
-		return err
-	}
-	if c.left.Size() == 0 {
-		return nil
-	}
-	if c.right.Size() == 0 {
-		return fmt.Errorf("join: %s requires a non-empty right tree", name)
-	}
-	defer c.begin(algo, "scan", k)(&err)
-
-	batch := make([]Result, 0, k)
-	var innerErr error
-	err = left.Search(left.Bounds(), c.mc, func(it rtree.Item) bool {
-		ns, err := c.neighbors(right, it, k)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if len(ns) == 0 {
-			return true // a self-join's only object
-		}
-		batch = batch[:0]
-		for _, n := range ns {
-			batch = append(batch, Result{
-				LeftObj:   it.Obj,
-				RightObj:  n.Item.Obj,
-				LeftRect:  it.Rect,
-				RightRect: n.Item.Rect,
-				Dist:      n.Dist,
-			})
-		}
-		c.mc.AddResult(int64(len(batch)))
-		return fn(batch)
-	})
-	if innerErr != nil {
-		return innerErr
-	}
-	return err
-}
-
-// neighbors returns the k objects of tree nearest to it, which under
-// SelfJoin excludes it itself: the search asks for one more and drops
-// it. An empty answer from a non-empty tree, before that, means the
-// index is damaged.
-func (c *execContext) neighbors(tree *rtree.Tree, it rtree.Item, k int) ([]rtree.Neighbor, error) {
-	n := k
-	if c.opts.SelfJoin {
-		n++
-	}
-	ns, err := tree.NearestNeighbors(it.Rect, n, c.mc)
-	if err != nil {
-		return nil, err
-	}
-	if len(ns) == 0 {
-		// Defensive: the caller checked Size() > 0, but a corrupt or
-		// truncated index can still yield an empty search frontier. Fail
-		// with a diagnosable error instead of panicking.
-		return nil, fmt.Errorf("join: right tree returned no nearest neighbor for left object %d (index may be corrupt)", it.Obj)
-	}
-	if c.opts.SelfJoin {
-		ns = slices.DeleteFunc(ns, func(n rtree.Neighbor) bool { return n.Item.Obj == it.Obj })
-	}
-	return ns[:min(k, len(ns))], nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"distjoin/internal/datagen"
 	"distjoin/internal/geom"
-	"distjoin/internal/metrics"
 )
 
 func TestWithinJoinMatchesBruteForce(t *testing.T) {
@@ -147,73 +146,6 @@ func TestWithinJoinRefined(t *testing.T) {
 	}
 }
 
-func TestAllNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(604))
-	w := geom.NewRect(0, 0, 1000, 1000)
-	l := datagen.Uniform(rng.Int63(), 200, w, 10)
-	r := datagen.GaussianClusters(rng.Int63(), 300, 3, w, 80, 10)
-	left, right := buildTree(t, l, 8), buildTree(t, r, 8)
-
-	mc := &metrics.Collector{}
-	got := map[int64]Result{}
-	err := AllNearest(left, right, Options{Metrics: mc}, func(res Result) bool {
-		got[res.LeftObj] = res
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(l) {
-		t.Fatalf("covered %d of %d left objects", len(got), len(l))
-	}
-	for _, a := range l {
-		best := math.Inf(1)
-		for _, b := range r {
-			if d := a.Rect.MinDist(b.Rect); d < best {
-				best = d
-			}
-		}
-		res, ok := got[a.Obj]
-		if !ok {
-			t.Fatalf("object %d missing", a.Obj)
-		}
-		if math.Abs(res.Dist-best) > 1e-9 {
-			t.Fatalf("object %d: nearest %g, want %g", a.Obj, res.Dist, best)
-		}
-	}
-	if mc.NodeAccessesLogical == 0 || mc.ResultsProduced != int64(len(l)) {
-		t.Fatalf("metrics: %+v", mc)
-	}
-}
-
-func TestAllNearestEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(605))
-	w := geom.NewRect(0, 0, 100, 100)
-	some := buildTree(t, datagen.Uniform(rng.Int63(), 20, w, 5), 8)
-	empty := buildTree(t, nil, 8)
-
-	if err := AllNearest(some, some, Options{}, nil); err == nil {
-		t.Fatal("nil callback must error")
-	}
-	if err := AllNearest(empty, some, Options{}, func(Result) bool { return true }); err != nil {
-		t.Fatal("empty left must succeed vacuously")
-	}
-	if err := AllNearest(some, empty, Options{}, func(Result) bool { return true }); err == nil {
-		t.Fatal("empty right must error")
-	}
-	// Early stop.
-	count := 0
-	if err := AllNearest(some, some, Options{}, func(Result) bool {
-		count++
-		return false
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("early stop visited %d", count)
-	}
-}
-
 func TestSelfJoinKDJ(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	w := geom.NewRect(0, 0, 500, 500)
@@ -269,91 +201,5 @@ func TestSelfJoinKDJ(t *testing.T) {
 		if math.Abs(res.Dist-all[i].d) > 1e-9 {
 			t.Fatalf("AM-IDJ self: result %d mismatch", i)
 		}
-	}
-}
-
-func TestAllKNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(607))
-	w := geom.NewRect(0, 0, 1000, 1000)
-	l := datagen.Uniform(rng.Int63(), 150, w, 10)
-	r := datagen.GaussianClusters(rng.Int63(), 200, 3, w, 80, 10)
-	left, right := buildTree(t, l, 8), buildTree(t, r, 8)
-	const k = 7
-
-	got := map[int64][]float64{}
-	err := AllKNearest(left, right, k, Options{}, func(ns []Result) bool {
-		for i, n := range ns {
-			if n.LeftObj != ns[0].LeftObj {
-				t.Fatal("batch mixes left objects")
-			}
-			if i > 0 && n.Dist < ns[i-1].Dist {
-				t.Fatal("batch out of order")
-			}
-			got[n.LeftObj] = append(got[n.LeftObj], n.Dist)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(l) {
-		t.Fatalf("covered %d of %d left objects", len(got), len(l))
-	}
-	for _, a := range l {
-		var ds []float64
-		for _, b := range r {
-			ds = append(ds, a.Rect.MinDist(b.Rect))
-		}
-		sort.Float64s(ds)
-		g := got[a.Obj]
-		if len(g) != k {
-			t.Fatalf("object %d got %d neighbors", a.Obj, len(g))
-		}
-		for i := 0; i < k; i++ {
-			if math.Abs(g[i]-ds[i]) > 1e-9 {
-				t.Fatalf("object %d neighbor %d: %g, want %g", a.Obj, i, g[i], ds[i])
-			}
-		}
-	}
-}
-
-func TestAllKNearestEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(608))
-	w := geom.NewRect(0, 0, 100, 100)
-	some := buildTree(t, datagen.Uniform(rng.Int63(), 20, w, 5), 8)
-	tiny := buildTree(t, datagen.Uniform(rng.Int63(), 3, w, 5), 8)
-	empty := buildTree(t, nil, 8)
-
-	if err := AllKNearest(some, some, 3, Options{}, nil); err == nil {
-		t.Fatal("nil callback must error")
-	}
-	if err := AllKNearest(some, some, 0, Options{}, func([]Result) bool { return true }); err == nil {
-		t.Fatal("k=0 must error")
-	}
-	if err := AllKNearest(empty, some, 3, Options{}, func([]Result) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := AllKNearest(some, empty, 3, Options{}, func([]Result) bool { return true }); err == nil {
-		t.Fatal("empty right must error")
-	}
-	// Fewer neighbors than k when the right side is small.
-	if err := AllKNearest(some, tiny, 10, Options{}, func(ns []Result) bool {
-		if len(ns) != 3 {
-			t.Fatalf("batch size %d, want 3", len(ns))
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Early stop after the first batch.
-	count := 0
-	if err := AllKNearest(some, some, 2, Options{}, func([]Result) bool {
-		count++
-		return false
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("early stop visited %d batches", count)
 	}
 }

@@ -47,13 +47,14 @@ func TestKeyErrorRule(t *testing.T) {
 
 // TestDecodeRejectsDamagedNodes: a page holding a NaN entry, an
 // inverted entry, a header counting more entries than the page holds,
-// or, at an internal node, a child ref wider than a page ID is
-// ErrCorruptNode from Decode and from Ordered in every slot, on a
-// tree with room for finished nodes and on one without. A reader that
-// publishes whatever node it was given (the join's pairSide.sorted)
-// then leaves no memo cell and no occupancy grid for the page, while
-// the sound pages it was made from, and a leaf whose object ID is wider
-// than a page ID, read back whole and get both.
+// no entries at all in a tree that holds objects, or, at an internal
+// node, a child ref wider than a page ID is ErrCorruptNode from Decode
+// and from Ordered in every slot, on a tree with room for finished
+// nodes and on one without. A reader that publishes whatever node it
+// was given (the join's pairSide.sorted) then leaves no memo cell and
+// no occupancy grid for the page, while the sound pages it was made
+// from, a leaf whose object ID is wider than a page ID, and the empty
+// root of a tree of no objects read back whole and get both.
 func TestDecodeRejectsDamagedNodes(t *testing.T) {
 	const pageSize = 1024
 	base := func() []encEntry {
@@ -70,17 +71,23 @@ func TestDecodeRejectsDamagedNodes(t *testing.T) {
 		damage  func(es []encEntry)
 		corrupt bool
 		header  func(page []byte) // rewrites the encoded page, if not nil
+		// emptyTree: the tree's metadata counts no objects; otherwise it
+		// counts the base entries.
+		emptyTree bool
 	}{
-		{"sound leaf", 0, func([]encEntry) {}, false, nil},
-		{"sound internal node", 1, func([]encEntry) {}, false, nil},
-		{"leaf with an object id wider than a page id", 0, func(es []encEntry) { es[5].ref = 1<<40 | 7 }, false, nil},
-		{"NaN MinY", 0, func(es []encEntry) { es[2].rect.MinY = math.NaN() }, true, nil},
-		{"NaN MaxX at an internal node", 1, func(es []encEntry) { es[0].rect.MaxX = math.NaN() }, true, nil},
-		{"MinX above MaxX", 0, func(es []encEntry) { es[4].rect.MinX = es[4].rect.MaxX + 1 }, true, nil},
-		{"child ref wider than a page id", 2, func(es []encEntry) { es[5].ref |= 1 << 32 }, true, nil},
+		{"sound leaf", 0, func([]encEntry) {}, false, nil, false},
+		{"sound internal node", 1, func([]encEntry) {}, false, nil, false},
+		{"leaf with an object id wider than a page id", 0, func(es []encEntry) { es[5].ref = 1<<40 | 7 }, false, nil, false},
+		{"NaN MinY", 0, func(es []encEntry) { es[2].rect.MinY = math.NaN() }, true, nil, false},
+		{"NaN MaxX at an internal node", 1, func(es []encEntry) { es[0].rect.MaxX = math.NaN() }, true, nil, false},
+		{"MinX above MaxX", 0, func(es []encEntry) { es[4].rect.MinX = es[4].rect.MaxX + 1 }, true, nil, false},
+		{"child ref wider than a page id", 2, func(es []encEntry) { es[5].ref |= 1 << 32 }, true, nil, false},
 		{"count one past the capacity", 1, func([]encEntry) {}, true, func(page []byte) {
 			binary.LittleEndian.PutUint16(page[2:], uint16(PageCapacity(len(page))+1))
-		}},
+		}, false},
+		{"empty leaf of a non-empty tree", 0, func([]encEntry) {}, true, emptyPage, false},
+		{"empty internal node of a non-empty tree", 1, func([]encEntry) {}, true, emptyPage, false},
+		{"empty root of an empty tree", 0, func([]encEntry) {}, false, emptyPage, true},
 	} {
 		for _, poolPages := range []int{1, 8} { // no room for finished nodes, and room
 			es := base()
@@ -100,14 +107,19 @@ func TestDecodeRejectsDamagedNodes(t *testing.T) {
 			if err := store.WritePage(id, page); err != nil {
 				t.Fatal(err)
 			}
-			tree := newTree(&Tree{rootPage: id, height: tc.level + 1, numNodes: 1}, store, poolPages*pageSize)
+			size := len(es)
+			if tc.emptyTree {
+				size = 0
+			}
+			entries := int(binary.LittleEndian.Uint16(page[2:]))
+			tree := newTree(&Tree{rootPage: id, height: tc.level + 1, numNodes: 1, size: size}, store, poolPages*pageSize)
 			check := func(what string, n *NodeSoA, err error) {
 				t.Helper()
 				switch {
 				case tc.corrupt && !errors.Is(err, ErrCorruptNode):
 					t.Fatalf("%s, %d-page pool: %s: error %v, want ErrCorruptNode", tc.name, poolPages, what, err)
-				case !tc.corrupt && (err != nil || n.Len() != len(es)):
-					t.Fatalf("%s, %d-page pool: %s: error %v, want the node's %d entries", tc.name, poolPages, what, err, len(es))
+				case !tc.corrupt && (err != nil || n.Len() != entries):
+					t.Fatalf("%s, %d-page pool: %s: error %v, want the node's %d entries", tc.name, poolPages, what, err, entries)
 				}
 			}
 			pin, err := tree.PinNode(id, tc.level, nil)
@@ -147,3 +159,6 @@ func TestDecodeRejectsDamagedNodes(t *testing.T) {
 		}
 	}
 }
+
+// emptyPage rewrites a node page's header to count no entries.
+func emptyPage(page []byte) { binary.LittleEndian.PutUint16(page[2:], 0) }

@@ -120,19 +120,23 @@ func (t *Tree) PinNode(id storage.PageID, level int, mc *metrics.Collector) (Pin
 
 // Decode decodes the pinned page into scratch in page order, reusing
 // its backing arrays, and holds the node to the rules every reader
-// relies on: no entry a Builder would not write (keyError), and at an
-// internal node no child ref wider than a page ID, which truncated
-// would lead to some other page. A node that breaks either is
-// ErrCorruptNode. It is the one page-order decode of a checked read:
-// the descents and the HS joins call it, and so does Ordered when the
-// memo holds nothing for the slot, so a node is checked before it can
-// be sorted and published.
+// relies on: no entry a Builder would not write (keyError), no node
+// without entries in a tree that holds objects (only an empty tree's
+// root is empty), and at an internal node no child ref wider than a
+// page ID, which truncated would lead to some other page. A node that
+// breaks any of them is ErrCorruptNode. It is the one page-order
+// decode of a checked read: the descents and the HS joins call it, and
+// so does Ordered when the memo holds nothing for the slot, so a node
+// is checked before it can be sorted and published.
 func (p PinnedNode) Decode(scratch *NodeSoA) error {
 	if err := decodeNodeSoA(p.f.Bytes(), scratch); err != nil {
 		return fmt.Errorf("page %d: %w", p.id, err)
 	}
 	if err := keyError(p.id, scratch); err != nil {
 		return err
+	}
+	if scratch.Len() == 0 && p.t.size > 0 {
+		return fmt.Errorf("%w: page %d has no entries in a tree of %d objects", ErrCorruptNode, p.id, p.t.size)
 	}
 	if scratch.IsLeaf() {
 		return nil

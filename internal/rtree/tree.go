@@ -27,8 +27,8 @@ var ErrNotRTree = errors.New("rtree: store does not contain a packed R-tree")
 // reads its nodes through them. A page is corrupt when its header does
 // not claim the level the reader expects (the parent's minus one, the
 // height's minus one at the root), when an entry holds a rectangle no
-// Builder writes (keyError), or when an internal node's child ref is no
-// page ID. Levels falling by one per step is what bounds a descent over
+// Builder writes (keyError), when it has no entries in a tree whose
+// Size is above 0, or when an internal node's child ref is no page ID. Levels falling by one per step is what bounds a descent over
 // damaged pages by the height the headers claim; a ref past the store's
 // last page is the pool's storage.ErrPageOutOfRange instead.
 var ErrCorruptNode = errors.New("rtree: corrupt node")

@@ -22,7 +22,6 @@ func TestFacadeInputValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := func(Pair) bool { return true }
-	ksink := func([]Pair) bool { return true }
 
 	for name, call := range map[string]func() error{
 		"KDistanceJoin/nil-left":  func() error { _, err := KDistanceJoin(nil, idx, 5, nil); return err },
@@ -33,9 +32,6 @@ func TestFacadeInputValidation(t *testing.T) {
 		"IncrementalJoin/nil":     func() error { _, err := IncrementalJoin(nil, idx, nil); return err },
 		"WithinJoin/nil":          func() error { return WithinJoin(nil, idx, 1, nil, sink) },
 		"WithinJoin/NaN":          func() error { return WithinJoin(idx, idx, math.NaN(), nil, sink) },
-		"AllNearest/nil":          func() error { return AllNearest(idx, nil, nil, sink) },
-		"KNNJoin/nil":             func() error { return KNNJoin(nil, idx, 3, nil, ksink) },
-		"KNNJoin/k=0":             func() error { return KNNJoin(idx, idx, 0, nil, ksink) },
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s: expected an error, got nil", name)
