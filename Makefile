@@ -33,7 +33,7 @@ SIM_POINTS ?= 4
 # Continuous-benchmark knobs: the committed baseline was produced with
 # these values, so candidates must use the same ones to be comparable.
 BENCH_SCALE ?= 0.02
-BENCH_BASELINE ?= BENCH_39.json
+BENCH_BASELINE ?= BENCH_48.json
 BENCH_NEW ?= bench-new.json
 BENCH_THRESHOLD ?= 0.25
 

@@ -179,12 +179,8 @@ func runTraced(cfg experiments.Config, k int, path, metricsFormat string) error 
 	}
 	tr := trace.New(traceCapacity)
 	// Small queue memory: at -trace-k scale the main queue overflows
-	// its heap bound and exercises splitHeap/swapIn, so the trace
-	// contains queue_spill (and usually queue_reload) events. Not too
-	// small: a heap whose first overflow is one tie run of equal-distance
-	// pairs is held whole (holdTieRun) and later pairs go to disk one by
-	// one, which records no queue_spill event; at 4 KB a k=200 query at
-	// scale 0.01 does just that.
+	// its heap bound and writes pairs to disk segments, so the trace
+	// contains queue_spill (and usually queue_reload) events.
 	opts := join.Options{Trace: tr, QueueMemBytes: 8192}
 	res, err := runTracedKDJ(w, k, opts)
 	if err != nil {

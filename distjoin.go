@@ -289,7 +289,9 @@ type Options struct {
 	// Algorithm selects the join algorithm.
 	Algorithm Algorithm
 	// QueueMemBytes bounds the in-memory portion of the main queue;
-	// longer-distance pairs spill to disk segments (§4.4).
+	// longer-distance pairs spill to disk segments (§4.4). B-KDJ and
+	// AM-KDJ hold their k results outside the main queue, so for them
+	// it bounds the pairs still to expand only.
 	QueueMemBytes int
 	// Stats, when non-nil, receives the query's performance counters.
 	Stats *Stats

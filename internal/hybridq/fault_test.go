@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"distjoin/internal/storage"
+	"distjoin/internal/trace"
 )
 
 // faultQueue builds a queue whose memory budget forces disk traffic
@@ -65,6 +66,59 @@ func TestFaultHookFires(t *testing.T) {
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("pop beyond exhaustion succeeded")
+	}
+}
+
+// TestOpeningPushIsASpill: a push beyond the in-memory bound that opens
+// a disk segment is a spill, as a heap split is. The heap here never
+// overflows, so every segment was opened by a push: each opening fired
+// the hook once and emitted one queue_spill event of one pair starting
+// at the segment's lower bound. A refused opening latches the queue and
+// leaves no segment and no spilled pair behind.
+func TestOpeningPushIsASpill(t *testing.T) {
+	sentinel := errors.New("injected opening fault")
+	for _, refuse := range []bool{false, true} {
+		spills := 0
+		tr := trace.New(256)
+		q := New(Config{
+			MemBytes: 1000 * RecordSize,
+			Rho:      0.5, // the first model boundary is sqrt(500)
+			Store:    storage.NewMemStore(1024),
+			Trace:    tr,
+			FaultHook: func(op FaultOp) error {
+				if op != FaultSpill {
+					return nil
+				}
+				spills++
+				if refuse {
+					return sentinel
+				}
+				return nil
+			},
+		})
+		for i := 0; i < 200; i++ {
+			q.Push(pairWithDist(float64(i), uint64(i)))
+		}
+		if refuse {
+			if !errors.Is(q.Err(), sentinel) || spills != 1 || q.Segments() != 0 || q.diskPairs != 0 {
+				t.Fatalf("refused opening: err %v, %d spills, %d segments, %d pairs on disk", q.Err(), spills, q.Segments(), q.diskPairs)
+			}
+			continue
+		}
+		if q.Segments() < 2 || q.MemLen() == 200 {
+			t.Fatalf("%d segments, %d pairs in memory: the pushes opened too few segments to tell", q.Segments(), q.MemLen())
+		}
+		if spills != q.Segments() || tr.CountKind(trace.KindQueueSpill) != spills {
+			t.Fatalf("%d segments opened, %d spill faults, %d queue_spill events", q.Segments(), spills, tr.CountKind(trace.KindQueueSpill))
+		}
+		i := 0
+		for _, ev := range tr.Events() {
+			//lint:allow floatcmp a segment's lower bound is copied into its event, bit for bit
+			if ev.Count != 1 || ev.Dist != q.segs[i].lo {
+				t.Fatalf("spill event %d: count %d at %g, segment starts at %g", i, ev.Count, ev.Dist, q.segs[i].lo)
+			}
+			i++
+		}
 	}
 }
 

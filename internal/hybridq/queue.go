@@ -79,8 +79,9 @@ type Queue struct {
 type FaultOp int
 
 const (
-	// FaultSpill fires when a heap split actually moves pairs to a
-	// disk segment (splitHeap with a non-empty spilled tail).
+	// FaultSpill fires when pairs move to a new disk segment: a heap
+	// split with a non-empty spilled tail, or a push beyond the
+	// in-memory bound that opens the segment its distance falls in.
 	FaultSpill FaultOp = iota
 	// FaultReload fires when a drained heap swaps a disk segment back
 	// in (swapIn with at least one segment available).
@@ -137,12 +138,13 @@ type Config struct {
 	// Metrics receives queue page I/O accounting (may be nil).
 	Metrics *metrics.Collector
 	// Trace, when non-nil, receives queue_spill / queue_reload events
-	// with the memory-vs-disk segment depth at each heap split and
-	// segment swap-in. Nil costs nothing.
+	// with the memory-vs-disk segment depth at each spill (a heap split,
+	// or a push opening a segment) and segment swap-in. Nil costs
+	// nothing.
 	Trace *trace.Tracer
 	// FaultHook, when non-nil, is invoked at the start of every
-	// spill (heap split moving pairs to disk) and reload (segment
-	// swap-in). Returning a non-nil error aborts the operation and
+	// spill (a heap split moving pairs to disk, or a push opening a
+	// disk segment) and reload (segment swap-in). Returning a non-nil error aborts the operation and
 	// latches the queue into its failed state, exactly as a storage
 	// error would. This is the failure-injection surface used by the
 	// deterministic simulation harness: unlike store-level faults it
@@ -341,13 +343,18 @@ func (q *Queue) splitHeap() {
 	}
 	q.insertSegment(seg)
 
-	spilled := len(keys) - keep
 	h.keys = append(h.keys[:0], keys[:keep]...)
+	q.spilled(bound, len(keys)-keep)
+}
+
+// spilled emits the queue_spill event of n pairs just moved to the
+// segment that starts at distance lo.
+func (q *Queue) spilled(lo float64, n int) {
 	if q.tr.Enabled() {
 		q.tr.Emit(trace.Event{
 			Kind:     trace.KindQueueSpill,
-			Dist:     bound,
-			Count:    int64(spilled),
+			Dist:     lo,
+			Count:    int64(n),
 			MemLen:   q.heap.Len(),
 			DiskLen:  q.diskPairs,
 			Segments: len(q.segs),
@@ -389,15 +396,25 @@ func (sc *scratch) tieSafeSplit(keys []key, want int) (keep int, bound float64) 
 
 // spill routes p to the disk segment covering its distance, creating a
 // model-boundary segment if none exists: the routed one if the route
-// table holds it, else the one searchSegment finds or creates.
+// table holds it, else the one searchSegment finds or creates. A push
+// that opens a segment is a spill as a heap split is: it has its fault
+// point (in searchSegment) and its queue_spill event, of the one pair.
 func (q *Queue) spill(p *Pair) {
 	seg := q.routed(p.Dist)
+	opened := false
 	if seg == nil {
-		seg = q.searchSegment(p.Dist)
+		n := len(q.segs)
+		if seg = q.searchSegment(p.Dist); seg == nil {
+			return // the fault hook refused the opening
+		}
+		opened = len(q.segs) > n
 	}
 	if buf := q.record(seg); buf != nil {
 		p.encode(buf)
 		q.recorded(seg)
+	}
+	if opened {
+		q.spilled(seg.lo, 1)
 	}
 }
 
@@ -443,7 +460,9 @@ func (q *Queue) route(dist float64) int {
 // so only the last segment starting at or below dist can contain it,
 // and a new segment can only collide with that one and the one after
 // it. The search is sort.Search's over q.lows, written out: no closure,
-// and one array of bounds instead of a pointer chase per probe.
+// and one array of bounds instead of a pointer chase per probe. It
+// returns nil, with the error latched, when the fault hook refuses a
+// segment's opening.
 func (q *Queue) searchSegment(dist float64) *segment {
 	lows := q.lows
 	i, j := 0, len(lows)
@@ -459,6 +478,15 @@ func (q *Queue) searchSegment(dist float64) *segment {
 	if i > 0 && dist < q.segs[i-1].hi {
 		seg = q.segs[i-1]
 	} else {
+		// Opening a segment is a spill: the fault hook's injection
+		// point comes before any state is mutated, and a refusal
+		// latches, returning no segment.
+		if q.fault != nil {
+			if err := q.fault(FaultSpill); err != nil {
+				q.err = err
+				return nil
+			}
+		}
 		// Create a segment from the model boundaries sqrt(i*n*rho),
 		// clipped against the neighbouring segments and the memory
 		// bound.

@@ -105,7 +105,7 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 		run.fixCutoff(cur)
 		run.emit = c.pushFn
 		run.run()
-		c.traceExpansion(p, cur, run.children)
+		c.expanded(p, cur, run.children)
 		// Once the cutoff covers the pair's own diameter, every child
 		// pair was pushed by this sweep; no compensation bookkeeping is
 		// needed. A pair the restriction emptied is bookkept all the
@@ -135,7 +135,7 @@ func (it *Iterator) expand(p *hybridq.Pair) error {
 	run.reexamine = it.bandFn
 	run.emit = c.pushFn
 	run.run()
-	c.traceExpansion(p, cur, run.children)
+	c.expanded(p, cur, run.children)
 	if cur >= p.LeftRect.MaxDist(p.RightRect) {
 		// Fully covered: retire the entry so later stages stop
 		// re-seeding it.

@@ -132,7 +132,7 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	}
 	defer c.begin("AM-KDJ", "", k)(&err)
 
-	ct := newCutoffTracker(c, k, opts.Ablation.AllPairs)
+	ct := newCutoffTracker(c, k, opts.Ablation.AllPairs, true)
 	// The aggressive stage filters real distances against qDmax, or
 	// against a scaled qDmax when the query plants the pruning bug.
 	realCutoff := ct.cutoffFn
@@ -144,28 +144,33 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 	// the realized k-th distance is known.
 	est0 := eDmax
 	c.traceStage(trace.KindStageStart, "aggressive", eDmax, 0)
-
-	// Stage one: aggressive pruning (Algorithm 2).
-	loop := bestFirst{c: c, ct: ct}
-	loop.gate = func(p *hybridq.Pair) bool {
-		// Line 8: an overestimated eDmax is detected once qDmax drops
-		// to it; from then on eDmax tracks qDmax and AM-KDJ behaves
-		// exactly like B-KDJ.
+	// Line 8: an overestimated eDmax is detected once qDmax drops to it;
+	// from then on eDmax tracks qDmax and AM-KDJ behaves exactly like
+	// B-KDJ. It is checked at every pop, and once more when the stage
+	// ends: qDmax moves only while a pair is expanded or refined.
+	follow := func() {
 		if q := ct.Cutoff(); q <= eDmax {
 			c.traceEDmax(eDmax, q)
 			eDmax = q
 		}
-		// Stage-one termination (condition 3): once the dequeued pair —
-		// of ANY kind — is farther than eDmax, the aggressive stage can
-		// produce nothing more that is certainly in order: pairs pruned
-		// earlier all lie beyond eDmax too, but may lie closer than p,
-		// so even an <object,object> p may not be emitted yet. The pair
-		// is reinserted for the compensation stage.
-		if p.Dist > eDmax {
-			c.pushCopy(*p)
-			return true
+	}
+
+	// Stage one: aggressive pruning (Algorithm 2).
+	loop := bestFirst{c: c, ct: ct}
+	loop.gate = func(p *hybridq.Pair) bool {
+		follow()
+		// Stage-one termination (condition 3): once the dequeued pair is
+		// farther than eDmax, the aggressive stage can produce nothing
+		// more that is certainly in order: pairs pruned earlier all lie
+		// beyond eDmax too, but may lie closer than p. The pair is
+		// reinserted for the compensation stage, if one follows.
+		if !(p.Dist > eDmax) {
+			return false
 		}
-		return false
+		if !ct.within(eDmax) {
+			c.pushCopy(*p)
+		}
+		return true
 	}
 	loop.node = func(p *hybridq.Pair) error {
 		run, err := c.amAggressiveSweep(p, eDmax, ct, realCutoff)
@@ -176,14 +181,19 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 		return nil
 	}
 	ct.pushCopy(c.rootPair())
-	if results, err = loop.collect(make([]Result, 0, k), k); err != nil {
+	if err := loop.rank(); err != nil {
 		return nil, err
 	}
-	c.traceStage(trace.KindStageEnd, "aggressive", eDmax, int64(len(results)))
+	follow()
+	// The results within eDmax are the ones Algorithm 2 emits in order:
+	// nothing left in the queue or pruned can order before them.
+	held := ct.res.CountAtMost(eDmax)
+	c.traceStage(trace.KindStageEnd, "aggressive", eDmax, int64(held))
 
 	// Stage two: compensation (Algorithm 3), needed only when the
-	// aggressive stage fell short (line 12).
-	if len(results) < k {
+	// aggressive stage fell short (line 12): fewer than k results within
+	// eDmax.
+	if held < k {
 		// The re-seeded pairs' bounds are NOT re-registered with the
 		// cutoff tracker: such a pair stands only for its unexamined
 		// remainder, which may be empty, so it must not act as a qDmax
@@ -199,10 +209,11 @@ func AMKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 			c.retire(ci)
 			return c.amCompensateSweep(p, ci, ct)
 		}
-		if results, err = loop.collect(results, k); err != nil {
+		if err := loop.rank(); err != nil {
 			return nil, err
 		}
 	}
+	results = ct.results()
 	if len(results) == k {
 		c.recordEstimate(est0, results[k-1].Dist, estMode)
 	}
@@ -236,7 +247,7 @@ func (c *execContext) amAggressiveSweep(p *hybridq.Pair, eDmax float64, ct *cuto
 	run.realCutoff = realCutoff
 	run.emit = ct.pushFn
 	run.run()
-	c.traceExpansion(p, eDmax, run.children)
+	c.expanded(p, eDmax, run.children)
 	return run, nil
 }
 
@@ -264,6 +275,6 @@ func (c *execContext) amCompensateSweep(p *hybridq.Pair, ci *compInfo, ct *cutof
 	run.liveCutoff(ct.cutoffFn)
 	run.emit = ct.pushFn
 	run.run()
-	c.traceExpansion(p, ct.Cutoff(), run.children)
+	c.expanded(p, ct.Cutoff(), run.children)
 	return nil
 }

@@ -9,10 +9,17 @@ import "distjoin/internal/hybridq"
 // different expansion; so it is written once here, and an algorithm is
 // the hooks it supplies. The hooks are bound once per query, never per
 // pop.
+//
+// The loop runs in one of two forms. next, for HS-KDJ and the
+// incremental joins, pops results from the main queue one at a time.
+// rank, for B-KDJ and AM-KDJ, whose results never enter the main queue
+// (cutoffTracker.offer), pops only what is still to expand and ends when
+// the answer is complete.
 type bestFirst struct {
 	c *execContext
-	// ct is the qDmax bookkeeping of the k-bounded joins; nil for the
-	// incremental ones, which prune by stage cutoff alone.
+	// ct is the qDmax bookkeeping of the k-bounded joins, and B-KDJ's and
+	// AM-KDJ's answer; nil for the incremental ones, which prune by stage
+	// cutoff alone.
 	ct *cutoffTracker
 	// node expands a dequeued node pair: what the algorithm's sweep or
 	// uni-directional expansion is, with whatever it bookkeeps. It
@@ -74,6 +81,40 @@ func (b *bestFirst) next() (Result, bool, error) {
 		}
 		c.mc.AddResult(1)
 		return pairResult(p), true, nil
+	}
+}
+
+// rank runs the loop of B-KDJ and AM-KDJ up to the end of a stage. The
+// main queue holds only what is still to expand: node pairs, and under a
+// refiner the unrefined result pairs, lower bounds just as node pairs
+// are. A popped node pair is expanded; a popped result pair is refined
+// and offered to the answer. The stage ends when the queue is empty,
+// the gate holds the head, or the answer is complete before it
+// (cutoffTracker.complete), which ends the join. Under the main queue's
+// tie rule that expands exactly the pairs next would have: a node pair
+// pops before every result at its distance, so it is expanded just when
+// fewer than k results order before it (NOTES.md §3a).
+func (b *bestFirst) rank() error {
+	c, ct := b.c, b.ct
+	for {
+		if err := c.cancelled(); err != nil {
+			return err
+		}
+		p, popped := c.queue.Pop()
+		if !popped || (b.gate != nil && b.gate(p)) || ct.complete(p) {
+			// The queue also reports empty once an error is latched,
+			// and putting a held pair back can latch one: no stage ends
+			// on a failed queue.
+			return c.traceError(c.queue.Err())
+		}
+		if p.IsResult() {
+			ct.OnRemove(p)
+			ct.pushCopy(c.refine(p))
+			continue
+		}
+		if err := b.node(p); err != nil {
+			return err
+		}
 	}
 }
 

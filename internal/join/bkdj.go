@@ -18,18 +18,21 @@ func BKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err e
 	}
 	defer c.begin("B-KDJ", "sweep", k)(&err)
 
-	ct := newCutoffTracker(c, k, opts.Ablation.AllPairs)
+	ct := newCutoffTracker(c, k, opts.Ablation.AllPairs, true)
 	loop := bestFirst{c: c, ct: ct, node: func(p *hybridq.Pair) error { return c.bkdjPlaneSweep(p, ct) }}
 	ct.pushCopy(c.rootPair())
-	return loop.collect(make([]Result, 0, k), k)
+	if err := loop.rank(); err != nil {
+		return nil, err
+	}
+	return ct.results(), nil
 }
 
 // bkdjPlaneSweep is the PlaneSweep procedure of Algorithm 1: expand
 // both sides, sweep along the chosen axis/direction, prune candidates
-// whose axis gap exceeds qDmax, and enqueue candidates whose real
-// distance is within qDmax, feeding the distance queue (which shrinks
-// qDmax). The pair's own bound is retired first: its children's replace
-// it.
+// whose axis gap exceeds qDmax, and deliver candidates whose real
+// distance is within qDmax: a node pair to the main queue, a result to
+// the distance queue that holds the answer (which shrinks qDmax). The
+// pair's own bound is retired first: its children's replace it.
 func (c *execContext) bkdjPlaneSweep(p *hybridq.Pair, ct *cutoffTracker) error {
 	ct.OnRemove(p)
 	q := ct.Cutoff()
@@ -40,6 +43,6 @@ func (c *execContext) bkdjPlaneSweep(p *hybridq.Pair, ct *cutoffTracker) error {
 	run.liveCutoff(ct.cutoffFn)
 	run.emit = ct.pushFn
 	run.run()
-	c.traceExpansion(p, ct.Cutoff(), run.children)
+	c.expanded(p, ct.Cutoff(), run.children)
 	return nil
 }

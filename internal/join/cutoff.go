@@ -10,8 +10,8 @@ import (
 //
 //   - Object pairs only (the paper's choice): the k smallest object-pair
 //     distances. Without a refiner, object pairs carry their final
-//     distances and are permanent witnesses, so a simple bounded
-//     max-heap suffices and no removal is ever needed.
+//     distances and are permanent witnesses, so the bounded distance
+//     queue suffices and no removal is ever needed.
 //   - All pairs (Hjaltason & Samet's scheme): additionally tracks the
 //     maximum distance of every *enqueued* node pair. Soundness then
 //     requires removing a node pair's bound when it is dequeued for
@@ -23,13 +23,26 @@ import (
 // is only a lower bound on its exact distance, so it may not witness
 // the cutoff directly; instead its MBR maximum distance (a valid upper
 // bound on the exact distance) is tracked and retired when the pair is
-// refined. Both removal cases need the KthTracker.
+// refined. Both removal cases need the KthTracker, which then gives the
+// cutoff.
+//
+// B-KDJ and AM-KDJ keep their answer here too, out of the main queue (a
+// deliberate departure from Algorithms 1 and 2, whose main queue holds
+// every object pair as well): a final result — an object pair, refined
+// when a refiner is installed — is offered to res, the distance queue
+// carrying the pairs' keys, and kept at its slot of answer. res holds
+// the k smallest results offered by (distance, left, right), the order
+// in which they would have popped from the main queue, so its k-th
+// distance is the paper's qDmax, and its contents, read out in that
+// order, are the answer (results). HS-KDJ, the paper's baseline, keeps
+// its results in the main queue and has no res.
 type cutoffTracker struct {
 	c        *execContext
 	allPairs bool
 	refine   bool
-	objQ     *pqueue.DistanceQueue
-	kth      *pqueue.KthTracker
+	res      *pqueue.DistanceQueue // B-KDJ's and AM-KDJ's answer; nil for HS-KDJ
+	answer   []Result              // the pairs res holds, each at its slot
+	kth      *pqueue.KthTracker    // the cutoff when bounds are retired; nil otherwise
 	// cutoffFn and pushFn are Cutoff and push bound once, so handing a
 	// sweep its live cutoff and its emit allocates no method value or
 	// closure per expansion.
@@ -38,35 +51,33 @@ type cutoffTracker struct {
 }
 
 // newCutoffTracker returns the query's tracker and registers it with c,
-// whose endQuery gives its heap back. allPairs selects Hjaltason &
-// Samet's feed.
-func newCutoffTracker(c *execContext, k int, allPairs bool) *cutoffTracker {
+// whose endQuery gives its heaps back. allPairs selects Hjaltason &
+// Samet's feed; answer keeps the results in the tracker (B-KDJ, AM-KDJ)
+// instead of the main queue (HS-KDJ).
+func newCutoffTracker(c *execContext, k int, allPairs, answer bool) *cutoffTracker {
 	t := &cutoffTracker{c: c, allPairs: allPairs, refine: c.refiner != nil}
-	if t.useKth() {
+	if answer {
+		t.res = pqueue.NewDistanceQueue(k)
+		t.answer = make([]Result, k)
+	}
+	if t.refine || t.allPairs {
 		t.kth = pqueue.NewKthTracker(k)
-	} else {
-		t.objQ = pqueue.NewDistanceQueue(k)
 	}
 	t.cutoffFn, t.pushFn = t.Cutoff, t.push
 	c.ct = t
 	return t
 }
 
-// release gives the tracker's heap back to its pool. The query calls
-// it once, from endQuery, after its last cutoff.
+// release gives the tracker's heaps back to their pools. The query
+// calls it once, from endQuery, after its last cutoff and its results.
 func (t *cutoffTracker) release() {
 	if t.kth != nil {
 		t.kth.Release()
 		t.kth = nil
-	} else {
-		t.objQ.Release()
 	}
-}
-
-// useKth reports whether deletions are needed, forcing the two-heap
-// tracker.
-func (t *cutoffTracker) useKth() bool {
-	return t.refine || t.allPairs
+	if t.res != nil {
+		t.res.Release()
+	}
 }
 
 // Cutoff returns the current qDmax.
@@ -74,7 +85,7 @@ func (t *cutoffTracker) Cutoff() float64 {
 	if t.kth != nil {
 		return t.kth.Cutoff()
 	}
-	return t.objQ.Cutoff()
+	return t.res.Cutoff()
 }
 
 // bound returns the upper-bound distance contributed by p and whether
@@ -102,9 +113,13 @@ func (t *cutoffTracker) pairMaxDist(p *hybridq.Pair, counted bool) float64 {
 	return p.LeftRect.MaxDist(p.RightRect)
 }
 
-// push enqueues *p on the main queue and, when the queue accepts it,
-// records its bound: the emit of every k-join sweep.
+// push is the emit of every k-join sweep: it offers a final result to
+// the answer when the tracker keeps one, and otherwise enqueues *p on
+// the main queue and, when the queue accepts it, records its bound.
 func (t *cutoffTracker) push(p *hybridq.Pair) bool {
+	if t.res != nil && p.IsResult() && (p.Refined || !t.refine) {
+		return t.offer(p)
+	}
 	if !t.c.push(p) {
 		return false
 	}
@@ -119,24 +134,42 @@ func (t *cutoffTracker) pushCopy(p hybridq.Pair) bool {
 	return t.push(&t.c.staged)
 }
 
-// OnPush records a pair entering the main queue.
-func (t *cutoffTracker) OnPush(p *hybridq.Pair) {
-	b, ok := t.bound(p, true)
-	if !ok {
-		return
-	}
-	if t.kth != nil {
-		t.kth.Insert(b)
-	} else {
-		t.objQ.Insert(b)
+// offer is push for a final result of B-KDJ or AM-KDJ: under SelfJoin
+// an identity or mirror pair is rejected, as execContext.push rejects
+// it; any other is counted as a distance-queue insertion, witnesses the
+// cutoff, and is kept at its slot if it is among the k smallest so far.
+func (t *cutoffTracker) offer(p *hybridq.Pair) bool {
+	if t.c.mirrored(p) {
+		return false
 	}
 	t.c.mc.AddDistQueueInsert(1)
+	if t.kth != nil {
+		t.kth.Insert(p.Dist)
+	}
+	if s, ok := t.res.Offer(p.Dist, p.Left, p.Right); ok {
+		t.answer[s] = pairResult(p)
+	}
+	return true
+}
+
+// OnPush records a pair entering the main queue: its bound, when the
+// cutoff comes from the KthTracker and the feed tracks the pair. (With
+// the distance queue as the cutoff, only final results witness it, and
+// they go to offer.)
+func (t *cutoffTracker) OnPush(p *hybridq.Pair) {
+	if t.kth == nil {
+		return
+	}
+	if b, ok := t.bound(p, true); ok {
+		t.kth.Insert(b)
+		t.c.mc.AddDistQueueInsert(1)
+	}
 }
 
 // OnRemove retires the bound of a pair leaving the queue without being
 // a final result: a node pair dequeued for expansion, or an unrefined
 // object pair dequeued for refinement (its refined bound is re-added
-// by the subsequent OnPush). Refined/final result pops must NOT call
+// when the refined pair is pushed). Refined/final results must NOT call
 // OnRemove — they remain permanent witnesses.
 func (t *cutoffTracker) OnRemove(p *hybridq.Pair) {
 	if t.kth == nil {
@@ -145,4 +178,53 @@ func (t *cutoffTracker) OnRemove(p *hybridq.Pair) {
 	if b, ok := t.bound(p, false); ok {
 		t.kth.Delete(b)
 	}
+}
+
+// complete reports whether the answer can no longer change once p, the
+// main queue's head, is dequeued: k results are held and the last of
+// them orders before p as the main queue orders pairs (hybridq.PairLess:
+// by distance, a node pair before a result at equal distance, then by
+// IDs). Everything p or any later pair leads to orders after p, so no
+// such pair can enter the answer: the join is done.
+func (t *cutoffTracker) complete(p *hybridq.Pair) bool {
+	if t.res.Len() < t.res.K() {
+		return false
+	}
+	d, l, r := t.res.Max()
+	return hybridq.PairLess(&hybridq.Pair{Dist: d, Left: l, Right: r, LeftObj: true, RightObj: true}, p)
+}
+
+// within reports whether the answer already holds k results, none
+// farther than e.
+func (t *cutoffTracker) within(e float64) bool {
+	return t.res.Len() == t.res.K() && t.res.Cutoff() <= e
+}
+
+// results returns the answer in (distance, left, right) order, the
+// order the main queue would have popped it in, and counts it as
+// produced: the held pairs, permuted in place into the order res reads
+// their slots out in.
+func (t *cutoffTracker) results() []Result {
+	order := t.res.Sorted()
+	a := t.answer[:len(order)]
+	for i := range order {
+		if order[i] < 0 {
+			continue // placed by an earlier cycle
+		}
+		// Follow the cycle through i: position j takes the pair at
+		// slot order[j].
+		held, j := a[i], i
+		for {
+			s := int(order[j])
+			order[j] = -1
+			if s == i {
+				a[j] = held
+				break
+			}
+			a[j] = a[s]
+			j = s
+		}
+	}
+	t.c.mc.AddResult(int64(len(a)))
+	return a
 }

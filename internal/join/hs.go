@@ -28,7 +28,7 @@ func HSKDJ(left, right *rtree.Tree, k int, opts Options) (results []Result, err 
 
 	// HS-KDJ prunes with the all-pairs distance queue of [13]: every
 	// enqueued pair contributes an upper bound, retired on expansion.
-	ct := newCutoffTracker(c, k, true)
+	ct := newCutoffTracker(c, k, true, false)
 	loop := bestFirst{c: c, ct: ct, node: func(p *hybridq.Pair) error { return c.hsExpand(p, ct) }}
 	ct.pushCopy(c.rootPair())
 	return loop.collect(make([]Result, 0, k), k)
@@ -106,7 +106,7 @@ func (c *execContext) hsExpand(p *hybridq.Pair, ct *cutoffTracker) error {
 	if ct != nil {
 		cutoff = ct.Cutoff()
 	}
-	c.traceExpansion(p, cutoff, children)
+	c.expanded(p, cutoff, children)
 	return nil
 }
 

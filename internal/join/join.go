@@ -84,7 +84,10 @@ type Ablation struct {
 // the Eq. 3 initial estimate, the paper's algorithm).
 type Options struct {
 	// QueueMemBytes bounds the in-memory portion of the main queue
-	// (default 512 KB, the paper's setting).
+	// (default 512 KB, the paper's setting). B-KDJ and AM-KDJ keep
+	// their answer out of the main queue, in a structure of k results
+	// outside this bound, so for them it bounds the node pairs (and
+	// under a Refiner the unrefined object pairs) only.
 	QueueMemBytes int
 	// QueueStore backs spilled queue segments (default: in-memory pages
 	// pooled across queries, see hybridq.Config.Store).
@@ -179,20 +182,23 @@ type execContext struct {
 	queue       *hybridq.Queue
 	refiner     func(leftObj, rightObj int64, leftRect, rightRect geom.Rect) float64
 	opts        Options
-	cancelTick  int
 	ex          expander      // expansion state (scratch + collector)
 	tr          *trace.Tracer // optional event sink (nil = no-op)
 	rq          *obsrv.Query  // live registry handle (nil = no-op)
 	algo        string        // trace label: running algorithm
 	stage       string        // trace label: current stage
+	// work counts pops and delivered children (cancelled, expanded);
+	// nextPoll and nextSample are the work at which the context is
+	// polled and the queue depth sampled next.
+	work, nextPoll, nextSample int
 	// pushFn is push bound once per query: the emit of the sweeps that
 	// queue without feeding a distance queue (AM-IDJ).
 	pushFn func(p *hybridq.Pair) bool
 	// staged is where pushCopy puts a pair its caller holds by value.
 	staged hybridq.Pair
 	// ct is the k-bounded joins' qDmax bookkeeping, set by
-	// newCutoffTracker. Its heap is pooled; endQuery gives it back, with
-	// the queue's.
+	// newCutoffTracker. Its heaps are pooled; endQuery gives them back,
+	// with the queue's.
 	ct *cutoffTracker
 	// comp is the compensation list, pooled too (keepComp).
 	comp *compList
@@ -302,13 +308,20 @@ func (c *execContext) rootPair() hybridq.Pair {
 // the mirror node pair produces the mirror object pairs, which this
 // filter dedupes.)
 func (c *execContext) push(p *hybridq.Pair) bool {
-	if c.opts.SelfJoin && p.IsResult() && p.Left >= p.Right {
+	if c.mirrored(p) {
 		return false
 	}
 	c.queue.PushFrom(p)
 	c.mc.AddMainQueueInsert(1)
 	c.mc.ObserveQueueLen(c.queue.Len())
 	return true
+}
+
+// mirrored reports whether p is an object pair a SelfJoin drops: an
+// identity (the same object on both sides) or the mirror of a pair it
+// keeps.
+func (c *execContext) mirrored(p *hybridq.Pair) bool {
+	return c.opts.SelfJoin && p.IsResult() && p.Left >= p.Right
 }
 
 // pushCopy is push for a pair the caller holds by value — a popped pair
@@ -405,8 +418,11 @@ func expansionEvent(algo, stage string, p *hybridq.Pair, eDmax float64, children
 	}
 }
 
-// traceExpansion emits an expansion event for p.
-func (c *execContext) traceExpansion(p *hybridq.Pair, eDmax float64, children int64) {
+// expanded accounts one finished expansion of p: the children it
+// delivered count towards the cancellation poll's work (cancelled), and
+// the tracer gets its expansion event.
+func (c *execContext) expanded(p *hybridq.Pair, eDmax float64, children int64) {
+	c.work += int(children)
 	if !c.tr.Enabled() {
 		return
 	}
@@ -449,32 +465,38 @@ func (c *execContext) traceError(err error) error {
 	return err
 }
 
-// cancelEvery bounds how many pops happen between cancellation polls.
+// cancelEvery bounds the work between cancellation polls. A unit of
+// work is one pop, or one child an expansion delivered (expanded): a
+// join that keeps its results out of the main queue pops far fewer pairs
+// than it delivers, so counting pops alone would leave a large query
+// with few polls, and a small one with none.
 const cancelEvery = 256
 
-// progressEvery bounds how many pops happen between live-registry
-// queue-depth samples. A multiple/divisor relationship with
-// cancelEvery is not required; the two hooks tick independently off
-// the same counter.
+// progressEvery bounds the work between live-registry queue-depth
+// samples. A multiple/divisor relationship with cancelEvery is not
+// required; the two hooks tick independently off the same work count.
 const progressEvery = 64
 
-// cancelled polls the configured context at a bounded rate, returning
-// its error once it fires. It doubles as the live-progress heartbeat:
-// every progressEvery calls it samples the main queue's depth into
-// the registry entry. With neither a context nor a registry attached
-// it stays a branch-and-increment no-op.
+// cancelled counts one pop of work and polls the configured context
+// once cancelEvery units of work have passed since the last poll (the
+// first pop polls at once), returning its error once it fires. It
+// doubles as the live-progress heartbeat: every progressEvery units it
+// samples the main queue's depth into the registry entry. With neither
+// a context nor a registry attached it is one branch.
 func (c *execContext) cancelled() error {
 	if c.opts.Context == nil && c.rq == nil {
 		return nil
 	}
-	c.cancelTick++
-	if c.rq != nil && c.cancelTick%progressEvery == 0 {
+	c.work++
+	if c.rq != nil && c.work >= c.nextSample {
+		c.nextSample = c.work + progressEvery
 		mem, disk, segs := c.queue.Depth()
 		c.rq.SetQueueDepth(mem, disk, segs)
 	}
-	if c.opts.Context == nil || c.cancelTick%cancelEvery != 0 {
+	if c.opts.Context == nil || c.work < c.nextPoll {
 		return nil
 	}
+	c.nextPoll = c.work + cancelEvery
 	return c.opts.Context.Err()
 }
 

@@ -23,7 +23,7 @@ func TestQueuedPairSurvivesScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := newCutoffTracker(c, 50, c.opts.Ablation.AllPairs)
+	ct := newCutoffTracker(c, 50, c.opts.Ablation.AllPairs, true)
 	root := c.rootPair()
 	run, err := c.ex.expansion(&root, 400, 400)
 	if err != nil {

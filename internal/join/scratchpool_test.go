@@ -57,7 +57,7 @@ func TestPooledScratchOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := &query{c: c, ct: newCutoffTracker(c, 2000, o.Ablation.AllPairs)}
+		q := &query{c: c, ct: newCutoffTracker(c, 2000, o.Ablation.AllPairs, true)}
 		c.queue.Push(c.rootPair())
 		return q
 	}

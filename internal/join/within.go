@@ -69,7 +69,7 @@ func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) 
 		// through. (Caught by the simtest differential oracle: the
 		// self-join workload otherwise ranks <a,a> pairs at distance zero
 		// ahead of every real result.)
-		if c.opts.SelfJoin && np.Left >= np.Right {
+		if c.mirrored(np) {
 			return false
 		}
 		rp := *np
@@ -98,7 +98,7 @@ func (c *execContext) withinDescent(maxDist float64, sink func(rp hybridq.Pair) 
 		run.fixCutoff(maxDist)
 		run.emit = emit
 		run.run()
-		c.traceExpansion(&p, maxDist, run.children)
+		c.expanded(&p, maxDist, run.children)
 	}
 	return nil
 }

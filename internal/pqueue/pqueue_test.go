@@ -1,10 +1,12 @@
 package pqueue
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -414,6 +416,119 @@ func TestDistanceQueueMatchesHeapReference(t *testing.T) {
 				t.Fatalf("k=%d trial %d: Len = %d, reference %d", k, trial, got.Len(), want.heap.Len())
 			}
 			got.Release()
+		}
+	}
+}
+
+// offer is one key offered to a DistanceQueue that keeps result pairs.
+type offer struct {
+	d           float64
+	left, right uint64
+}
+
+// offerBefore is the order the queue keeps and reads out: by distance,
+// then by the left and the right ID.
+func offerBefore(a, b offer) int {
+	switch {
+	case a.d < b.d:
+		return -1
+	case a.d > b.d:
+		return 1
+	}
+	return cmp.Or(cmp.Compare(a.left, b.left), cmp.Compare(a.right, b.right))
+}
+
+// checkOffers offers each key in turn to a queue of k and checks it
+// against a sort-based reference, the first k of the offers so far in
+// key order: after every offer, Len and the Cutoff bits (the k-th
+// distance, +Inf below k); at the end, the keys Sorted reads out, each
+// found through the slot Offer gave it, as a caller keeps its pairs.
+func checkOffers(t *testing.T, name string, k int, offers []offer) {
+	t.Helper()
+	q := NewDistanceQueue(k)
+	defer q.Release()
+	held := make([]offer, k) // the caller's pairs, by slot
+	var seen []offer
+	for i, o := range offers {
+		s, ok := q.Offer(o.d, o.left, o.right)
+		at, _ := slices.BinarySearchFunc(seen, o, offerBefore)
+		seen = slices.Insert(seen, at, o)
+		kept := at < k
+		if ok != kept {
+			t.Fatalf("%s: k=%d offer %d %+v: kept %v, reference %v", name, k, i, o, ok, kept)
+		}
+		if ok {
+			held[s] = o
+		}
+		want := math.Inf(1)
+		if len(seen) >= k {
+			want = seen[k-1].d
+		}
+		if q.Len() != min(len(seen), k) || math.Float64bits(q.Cutoff()) != math.Float64bits(want) {
+			t.Fatalf("%s: k=%d after offer %d %+v: Len %d, Cutoff %g; reference %d, %g", name, k, i, o, q.Len(), q.Cutoff(), min(len(seen), k), want)
+		}
+	}
+	want := seen[:min(len(seen), k)]
+	var got []offer
+	for _, s := range q.Sorted() {
+		got = append(got, held[s])
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: k=%d read out\n%+v\nreference\n%+v", name, k, got, want)
+	}
+}
+
+// TestDistanceQueueOfferMatchesSortedReference: as the result structure
+// of a k-distance join, the queue keeps and reads out exactly the first
+// k offers in (distance, left, right) order, on the inputs where that
+// order turns on more than the distance.
+func TestDistanceQueueOfferMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	inf := math.Inf(1)
+	// ids gives n distinct (left, right) pairs in random order.
+	ids := func(n int) []offer {
+		out := make([]offer, n)
+		for i, p := range rng.Perm(n) {
+			out[i] = offer{left: uint64(p / 7), right: uint64(p % 7)}
+		}
+		return out
+	}
+	at := func(os []offer, d func(i int) float64) []offer {
+		for i := range os {
+			os[i].d = d(i)
+		}
+		return os
+	}
+	for _, k := range []int{1, 2, 5, 64, 1000} {
+		n := 3*k + 10
+		checkOffers(t, "all-zero", k, at(ids(n), func(int) float64 { return 0 }))
+		checkOffers(t, "fewer than k", k, at(ids(k-1+rng.Intn(2)), func(int) float64 { return float64(rng.Intn(4)) }))
+		checkOffers(t, "+Inf", k, at(ids(n), func(int) float64 {
+			if rng.Intn(3) == 0 {
+				return inf
+			}
+			return rng.Float64()
+		}))
+		checkOffers(t, "all +Inf", k, at(ids(n), func(int) float64 { return inf }))
+		// Fill with k offers whose IDs are mid-range, then offer the k-th
+		// distance again from IDs below and above the held ones.
+		tie := make([]offer, 0, 3*k)
+		for i := 0; i < k; i++ {
+			tie = append(tie, offer{d: float64(i / 2), left: 1000 + uint64(i), right: 5})
+		}
+		kth := tie[k-1].d
+		for i := 0; i < k; i++ {
+			tie = append(tie,
+				offer{d: kth, left: 999 - uint64(i), right: 9},
+				offer{d: kth, left: 1000 + uint64(k+i), right: 0})
+		}
+		rng.Shuffle(len(tie)-k, func(i, j int) { tie[k+i], tie[k+j] = tie[k+j], tie[k+i] })
+		checkOffers(t, "ties at the k-th distance", k, tie)
+		// The same left ID: the right one decides.
+		checkOffers(t, "ties on the left ID", k, at(ids(n), func(int) float64 { return 1 }))
+		for trial := 0; trial < 5; trial++ {
+			checkOffers(t, "few distinct distances", k, at(ids(n), func(int) float64 { return float64(rng.Intn(5)) }))
+			checkOffers(t, "join-shaped", k, at(ids(4*k+50), func(int) float64 { return rng.Float64() * 100 }))
 		}
 	}
 }

@@ -52,8 +52,11 @@ const (
 	// tightening) of the adaptive cutoff; EDmax carries the new value.
 	KindEDmaxUpdate Kind = "edmax_update"
 	// KindQueueSpill records the hybrid main queue moving pairs to a
-	// disk segment (an overflow split). Count is the number of pairs
-	// spilled; MemLen/DiskLen/Segments snapshot the queue afterwards.
+	// new disk segment: an overflow split, or a push beyond the
+	// in-memory bound that opens a segment. Count is the number of
+	// pairs spilled (1 for an opening push; later pushes into an open
+	// segment are not events); Dist is the segment's lower bound;
+	// MemLen/DiskLen/Segments snapshot the queue afterwards.
 	KindQueueSpill Kind = "queue_spill"
 	// KindQueueReload records the hybrid main queue swapping a disk
 	// segment back into memory. Count is the number of pairs loaded;
